@@ -37,6 +37,8 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 		{"noMode", nil, "Usage"},
 		{"unknownFigure", []string{"-fig", "99"}, "unknown figure"},
 		{"zeroScale", []string{"-fig", "1", "-scale", "0"}, "-scale must be positive"},
+		{"nanScale", []string{"-fig", "1", "-scale", "NaN"}, "-scale must be positive and finite"},
+		{"infScale", []string{"-fig", "1", "-scale", "+Inf"}, "-scale must be positive and finite"},
 		{"negativeWorkers", []string{"-fig", "1", "-workers", "-1"}, "-workers must be non-negative"},
 		{"negativeClusterWorkers", []string{"-fig", "1", "-cluster-workers", "-2"}, "-cluster-workers must be non-negative"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
@@ -180,88 +182,6 @@ func TestPipelineOverrideReachesSweep(t *testing.T) {
 	}
 	if defOut == soloOut {
 		t.Fatal("-prefetcher none produced byte-identical Fig. 6 output; override did not reach the sweep")
-	}
-}
-
-// The bench-compare gate passes against a baseline it just generated
-// and rejects baselines measured at another scale.
-func TestBenchCompareAgainstFreshBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	args := []string{"-bench-json", path, "-scale", "0.02", "-workloads", "ra"}
-	if code, _, stderr := runCLI(t, args...); code != 0 {
-		t.Fatalf("bench-json failed: %d %q", code, stderr)
-	}
-	cmp := []string{"-bench-compare", path, "-scale", "0.02", "-workloads", "ra"}
-	if code, stdout, stderr := runCLI(t, cmp...); code != 0 || !strings.Contains(stdout, "PASS") {
-		t.Fatalf("bench-compare = %d, stdout %q, stderr %q", code, stdout, stderr)
-	}
-	wrongScale := []string{"-bench-compare", path, "-scale", "0.05", "-workloads", "ra"}
-	if code, _, stderr := runCLI(t, wrongScale...); code == 0 || !strings.Contains(stderr, "scale") {
-		t.Fatalf("scale mismatch not rejected: %d %q", code, stderr)
-	}
-}
-
-// The scale-1 snapshot A/B gate passes against a baseline it just
-// generated (at the baseline's own scale), rejects baselines without
-// the snapshot-on checksum, and records identical simulated cycles for
-// both modes.
-func TestBenchScale1CompareAgainstFreshBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	path := filepath.Join(t.TempDir(), "bench-scale1.json")
-	args := []string{"-bench-scale1-json", path, "-scale", "0.02", "-workloads", "ra"}
-	if code, stdout, stderr := runCLI(t, args...); code != 0 {
-		t.Fatalf("bench-scale1-json failed: %d %q %q", code, stdout, stderr)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"Fig6And7SnapshotOff", "Fig6And7SnapshotOn"} {
-		if !strings.Contains(string(data), name) {
-			t.Fatalf("suite %s missing result %q:\n%s", path, name, data)
-		}
-	}
-	if code, stdout, stderr := runCLI(t, "-bench-scale1-compare", path); code != 0 || !strings.Contains(stdout, "PASS") {
-		t.Fatalf("bench-scale1-compare = %d, stdout %q, stderr %q", code, stdout, stderr)
-	}
-	// A plain fig-sweep baseline carries no snapshot A/B checksum and
-	// must be rejected with a pointer at -bench-scale1-json.
-	figPath := filepath.Join(t.TempDir(), "bench.json")
-	if code, _, stderr := runCLI(t, "-bench-json", figPath, "-scale", "0.02", "-workloads", "ra"); code != 0 {
-		t.Fatalf("bench-json failed: %d %q", code, stderr)
-	}
-	if code, _, stderr := runCLI(t, "-bench-scale1-compare", figPath); code == 0 || !strings.Contains(stderr, "bench-scale1-json") {
-		t.Fatalf("checksum-free baseline not rejected: %d %q", code, stderr)
-	}
-}
-
-// The cluster drift gate passes against a baseline it just generated
-// (at the baseline's own scale — no -scale agreement needed) and
-// rejects baselines without a cluster checksum.
-func TestBenchClusterCompareAgainstFreshBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	path := filepath.Join(t.TempDir(), "bench-cluster.json")
-	if code, stdout, stderr := runCLI(t, "-bench-cluster-json", path, "-scale", "0.05"); code != 0 {
-		t.Fatalf("bench-cluster-json failed: %d %q %q", code, stdout, stderr)
-	}
-	if code, stdout, stderr := runCLI(t, "-bench-cluster-compare", path); code != 0 || !strings.Contains(stdout, "PASS") {
-		t.Fatalf("bench-cluster-compare = %d, stdout %q, stderr %q", code, stdout, stderr)
-	}
-	// A single-GPU baseline carries no cluster checksum and must be
-	// rejected with a pointer at -bench-cluster-json.
-	figPath := filepath.Join(t.TempDir(), "bench.json")
-	if code, _, stderr := runCLI(t, "-bench-json", figPath, "-scale", "0.02", "-workloads", "ra"); code != 0 {
-		t.Fatalf("bench-json failed: %d %q", code, stderr)
-	}
-	if code, _, stderr := runCLI(t, "-bench-cluster-compare", figPath); code == 0 || !strings.Contains(stderr, "bench-cluster-json") {
-		t.Fatalf("checksum-free baseline not rejected: %d %q", code, stderr)
 	}
 }
 

@@ -158,7 +158,7 @@ func buildJob(o options) (serve.JobRequest, error) {
 			return experiments.TournamentJob(experiments.TournamentOptions{Options: eo}), nil
 		}
 		if o.fig == "colo" {
-			// The canonical BENCH_cxl.json mix under every pool policy;
+			// The canonical co-location mix under every pool policy;
 			// -scale/-workloads do not apply to co-location cells.
 			return experiments.ColoJob(experiments.ColoJobOptions{}), nil
 		}

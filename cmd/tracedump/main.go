@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"uvmsim"
+	"uvmsim/internal/cliutil"
 	"uvmsim/internal/experiments"
 	"uvmsim/internal/plot"
 	"uvmsim/internal/sim"
@@ -37,6 +38,10 @@ func main() {
 		height   = flag.Int("height", 24, "plot height in characters")
 	)
 	flag.Parse()
+	if err := cliutil.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "tracedump:", err)
+		os.Exit(2)
+	}
 
 	opt := uvmsim.ExperimentOptions{Scale: *scale}
 	switch *mode {

@@ -157,8 +157,8 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if o.penalty == 0 {
 		return fmt.Errorf("-p must be positive (a zero migration penalty is meaningless)")
 	}
-	if o.scale <= 0 {
-		return fmt.Errorf("-scale must be positive, got %v", o.scale)
+	if err := cliutil.CheckScale(o.scale); err != nil {
+		return err
 	}
 	if o.oversub == 0 {
 		return fmt.Errorf("-oversub must be positive, got 0")

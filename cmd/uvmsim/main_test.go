@@ -42,6 +42,8 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"zeroPenalty", []string{"-p", "0"}, "-p must be positive"},
 		{"zeroScale", []string{"-scale", "0"}, "-scale must be positive"},
 		{"negativeScale", []string{"-scale", "-1"}, "-scale must be positive"},
+		{"nanScale", []string{"-scale", "NaN"}, "-scale must be positive and finite"},
+		{"infScale", []string{"-scale", "+Inf"}, "-scale must be positive and finite"},
 		{"zeroOversub", []string{"-oversub", "0"}, "-oversub must be positive"},
 		{"epsilonOver100", []string{"-bandit-epsilon", "101"}, "-bandit-epsilon is a percentage"},
 		{"unknownWorkload", []string{"-workload", "nosuch"}, "unknown workload"},

@@ -5,6 +5,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"uvmsim/internal/config"
@@ -110,6 +111,16 @@ func ParseComponentName(kind, s string, registered []string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("unknown %s %q (have %s)", kind, s, strings.Join(registered, ", "))
+}
+
+// CheckScale validates a -scale workload factor: it must be positive
+// and finite. NaN and +Inf pass a plain `<= 0` check but build a
+// degenerate workload that simulates without error.
+func CheckScale(v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("-scale must be positive and finite, got %v", v)
+	}
+	return nil
 }
 
 // SplitList splits a comma-separated list, trimming blanks and dropping

@@ -299,8 +299,8 @@ func Fig6And7(o Options) (runtime, thrash *report.Table) {
 // returns the simulated cycles summed over every cell. The sum is a
 // deterministic proxy for the sweep's total simulation work — unlike
 // wall-clock measurements it is identical across machines and runs —
-// which is what the bench-smoke drift check compares against the
-// committed baseline.
+// which is what the paper-fig67 benchmark gates exactly against its
+// committed checksum (bench/checksums.json).
 func Fig6And7Cycles(o Options) (runtime, thrash *report.Table, simCycles uint64) {
 	o = o.withDefaults()
 	cols := []string{"Disabled", "Always", "Oversub", "Adaptive"}

@@ -105,8 +105,8 @@ func (p *cxlReplPolicy) Decide(a PoolAccess, ctrs *counters.PerGPU) PoolDecision
 
 // cxlMigratePolicy is the naive first-touch baseline: every access
 // promotes the block to the touching GPU, replicating nothing. It is
-// what BENCH_cxl.json compares cxl-repl against — under shared
-// read-mostly data it ping-pongs pages between GPUs.
+// what TestReplicationBeatsNaiveMigration compares cxl-repl against —
+// under shared read-mostly data it ping-pongs pages between GPUs.
 type cxlMigratePolicy struct{}
 
 func newCXLMigratePolicy(config.Config) (PoolPolicy, error) {

@@ -81,13 +81,6 @@ func TestReadersRejectTrailingData(t *testing.T) {
 	if err := Write(&recBuf, rec); err != nil {
 		t.Fatal(err)
 	}
-	bench := &BenchSuite{
-		Results: []BenchResult{{Name: "x", Iterations: 1, NsPerOp: 1}},
-	}
-	var benchBuf bytes.Buffer
-	if err := WriteBenchSuite(&benchBuf, bench); err != nil {
-		t.Fatal(err)
-	}
 	tour := &TournamentSuite{
 		Workloads: []string{"bfs"},
 		Entries:   []TournamentEntry{{Name: "planner=threshold", WorkloadCycles: []uint64{1}}},
@@ -103,10 +96,6 @@ func TestReadersRejectTrailingData(t *testing.T) {
 	}{
 		"Record": {recBuf.String(), func(r *strings.Reader) error {
 			_, err := Read(r)
-			return err
-		}},
-		"BenchSuite": {benchBuf.String(), func(r *strings.Reader) error {
-			_, err := ReadBenchSuite(r)
 			return err
 		}},
 		"TournamentSuite": {tourBuf.String(), func(r *strings.Reader) error {
@@ -139,14 +128,6 @@ func TestWritersDoNotMutateInput(t *testing.T) {
 	}
 	if rec.Version != 0 {
 		t.Errorf("Write mutated rec.Version to %d", rec.Version)
-	}
-
-	bench := &BenchSuite{Results: []BenchResult{{Name: "x", Iterations: 1}}}
-	if err := WriteBenchSuite(&bytes.Buffer{}, bench); err != nil {
-		t.Fatal(err)
-	}
-	if bench.Version != 0 {
-		t.Errorf("WriteBenchSuite mutated s.Version to %d", bench.Version)
 	}
 
 	tour := &TournamentSuite{

@@ -8,7 +8,9 @@ import (
 	"uvmsim/internal/cxl"
 )
 
-func sampleCXLSuite() *CXLSuite {
+// sampleCXLEntry is a valid colo cache entry: one scenario of a
+// two-tenant mix with its deterministic result.
+func sampleCXLEntry() *CXLEntry {
 	res := cxl.Result{
 		SimCycles: 1234, Checksum: 99, Fairness: 0.8, Replications: 3,
 		Tenants: []cxl.TenantResult{
@@ -16,80 +18,10 @@ func sampleCXLSuite() *CXLSuite {
 			{Workload: "sssp", GPU: 0, Accesses: 90},
 		},
 	}
-	return &CXLSuite{
-		GoVersion: "go0.test",
-		Scenarios: []CXLScenario{
-			{Name: "cxl-repl", Policy: "cxl-repl", GPUs: 2,
-				Tenants: []string{"bfs:0:1", "sssp:0:0"}, Seed: 7, Result: res},
-		},
-	}
-}
-
-func TestCXLSuiteRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	s := sampleCXLSuite()
-	if err := WriteCXLSuite(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Version != 0 {
-		t.Fatal("WriteCXLSuite mutated its input")
-	}
-	got, err := ReadCXLSuite(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != CXLFormatVersion || len(got.Scenarios) != 1 {
-		t.Fatalf("round-trip = %+v", got)
-	}
-	sc := got.Scenario("cxl-repl")
-	if sc == nil || sc.Result.SimCycles != 1234 || sc.Result.Checksum != 99 {
-		t.Fatalf("scenario = %+v", sc)
-	}
-	if got.Scenario("nope") != nil {
-		t.Fatal("unknown scenario resolved")
-	}
-}
-
-func TestCXLSuiteRejects(t *testing.T) {
-	cases := map[string]func(*CXLSuite){
-		"no scenarios":    func(s *CXLSuite) { s.Scenarios = nil },
-		"missing name":    func(s *CXLSuite) { s.Scenarios[0].Name = "" },
-		"missing policy":  func(s *CXLSuite) { s.Scenarios[0].Policy = "" },
-		"zero gpus":       func(s *CXLSuite) { s.Scenarios[0].GPUs = 0 },
-		"no tenants":      func(s *CXLSuite) { s.Scenarios[0].Tenants = nil },
-		"zero cycles":     func(s *CXLSuite) { s.Scenarios[0].Result.SimCycles = 0 },
-		"tenant mismatch": func(s *CXLSuite) { s.Scenarios[0].Result.Tenants = s.Scenarios[0].Result.Tenants[:1] },
-		"bad version":     func(s *CXLSuite) { s.Version = 99 },
-		"duplicate name":  func(s *CXLSuite) { s.Scenarios = append(s.Scenarios, s.Scenarios[0]) },
-	}
-	for name, mut := range cases {
-		s := sampleCXLSuite()
-		// Deep-enough copy for the mutations used above.
-		s.Scenarios = append([]CXLScenario(nil), s.Scenarios...)
-		mut(s)
-		var buf bytes.Buffer
-		if err := WriteCXLSuite(&buf, s); err != nil {
-			t.Fatalf("%s: write: %v", name, err)
-		}
-		if _, err := ReadCXLSuite(&buf); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if _, err := ReadCXLSuite(strings.NewReader(`{"version":1,"bogus":true}`)); err == nil {
-		t.Error("unknown field accepted")
-	}
-	var buf bytes.Buffer
-	if err := WriteCXLSuite(&buf, sampleCXLSuite()); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString("{}")
-	if _, err := ReadCXLSuite(&buf); err == nil {
-		t.Error("trailing data accepted")
-	}
-}
-
-func sampleCXLEntry() *CXLEntry {
-	return &CXLEntry{Key: "deadbeef", Scenario: sampleCXLSuite().Scenarios[0]}
+	return &CXLEntry{Key: "deadbeef", Scenario: CXLScenario{
+		Name: "cxl-repl", Policy: "cxl-repl", GPUs: 2,
+		Tenants: []string{"bfs:0:1", "sssp:0:0"}, Seed: 7, Result: res,
+	}}
 }
 
 func TestCXLEntryRoundTrip(t *testing.T) {
@@ -132,6 +64,8 @@ func TestCXLEntryRejects(t *testing.T) {
 		"missing key":     func(e *CXLEntry) { e.Key = "" },
 		"missing name":    func(e *CXLEntry) { e.Scenario.Name = "" },
 		"missing policy":  func(e *CXLEntry) { e.Scenario.Policy = "" },
+		"zero gpus":       func(e *CXLEntry) { e.Scenario.GPUs = 0 },
+		"no tenants":      func(e *CXLEntry) { e.Scenario.Tenants = nil },
 		"zero cycles":     func(e *CXLEntry) { e.Scenario.Result.SimCycles = 0 },
 		"tenant mismatch": func(e *CXLEntry) { e.Scenario.Result.Tenants = e.Scenario.Result.Tenants[:1] },
 		"bad version":     func(e *CXLEntry) { e.Version = 99 },
