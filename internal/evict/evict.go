@@ -15,7 +15,9 @@ import (
 	"uvmsim/internal/config"
 )
 
-// Candidate describes one resident eviction unit.
+// Candidate describes one resident eviction unit. The caller lists only
+// units the current pass may evict: pinned units (pages being migrated,
+// or inside a recency guard) never become candidates.
 type Candidate struct {
 	// Unit identifies the chunk (or block) to the caller.
 	Unit uint64
@@ -32,9 +34,6 @@ type Candidate struct {
 	// only evicts full chunks while any exist, preserving the tree
 	// prefetcher's semantics.
 	Full bool
-	// Pinned marks units that must not be evicted right now (pages being
-	// migrated or addressed by in-flight accesses).
-	Pinned bool
 }
 
 // uniformSpreadDivisor controls the LFU→LRU fallback: when
@@ -52,7 +51,7 @@ const uniformSpreadDivisor = 2
 // Policy selects an eviction victim.
 type Policy interface {
 	// SelectVictim returns the index into cands of the unit to evict.
-	// ok is false when no candidate is eligible (all pinned).
+	// ok is false when cands is empty.
 	SelectVictim(cands []Candidate) (idx int, ok bool)
 	// Name returns the policy name.
 	Name() string
@@ -73,9 +72,6 @@ func New(kind config.ReplacementPolicy) Policy {
 // eligible reports whether the candidate may be considered in this pass.
 // fullOnly restricts to fully-populated units.
 func eligible(c Candidate, fullOnly bool) bool {
-	if c.Pinned {
-		return false
-	}
 	return !fullOnly || c.Full
 }
 

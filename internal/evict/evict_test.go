@@ -63,24 +63,6 @@ func TestLRURelaxesToPartialWhenNoFull(t *testing.T) {
 	}
 }
 
-func TestPinnedNeverSelected(t *testing.T) {
-	for _, kind := range []config.ReplacementPolicy{config.ReplaceLRU, config.ReplaceLFU} {
-		p := New(kind)
-		cands := []Candidate{
-			{Unit: 0, LastAccess: 1, Full: true, Pinned: true},
-			{Unit: 1, LastAccess: 2, Full: true},
-		}
-		idx, ok := p.SelectVictim(cands)
-		if !ok || idx != 1 {
-			t.Fatalf("%v picked pinned candidate: %d,%v", kind, idx, ok)
-		}
-		allPinned := []Candidate{{Full: true, Pinned: true}}
-		if _, ok := p.SelectVictim(allPinned); ok {
-			t.Fatalf("%v selected from all-pinned set", kind)
-		}
-	}
-}
-
 func TestLFUPicksColdest(t *testing.T) {
 	p := New(config.ReplaceLFU)
 	cands := []Candidate{
@@ -149,15 +131,14 @@ func TestEmptyCandidates(t *testing.T) {
 	}
 }
 
-// Property: the selected victim is always eligible (not pinned; full if
-// any full candidate exists), for both policies and arbitrary inputs.
+// Property: the selected victim is always eligible (full if any full
+// candidate exists), for both policies and arbitrary inputs.
 func TestVictimEligibilityProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		count := int(n)%12 + 1
 		cands := make([]Candidate, count)
-		anyFullUnpinned := false
-		anyUnpinned := false
+		anyFull := false
 		for i := range cands {
 			cands[i] = Candidate{
 				Unit:       uint64(i),
@@ -165,28 +146,15 @@ func TestVictimEligibilityProperty(t *testing.T) {
 				Score:      uint64(rng.Intn(1000)),
 				Dirty:      rng.Intn(2) == 0,
 				Full:       rng.Intn(2) == 0,
-				Pinned:     rng.Intn(3) == 0,
 			}
-			if !cands[i].Pinned {
-				anyUnpinned = true
-				if cands[i].Full {
-					anyFullUnpinned = true
-				}
-			}
+			anyFull = anyFull || cands[i].Full
 		}
 		for _, kind := range []config.ReplacementPolicy{config.ReplaceLRU, config.ReplaceLFU} {
 			idx, ok := New(kind).SelectVictim(cands)
-			if ok != anyUnpinned {
-				return false
-			}
 			if !ok {
-				continue
-			}
-			v := cands[idx]
-			if v.Pinned {
 				return false
 			}
-			if anyFullUnpinned && !v.Full {
+			if anyFull && !cands[idx].Full {
 				return false
 			}
 		}
@@ -225,29 +193,13 @@ func TestLRUMinimalityProperty(t *testing.T) {
 }
 
 // Table tests for the fallback and tie-break edge cases the driver can
-// reach: all candidates pinned, all scores zero, and fully tied keys.
+// reach: all scores zero, and fully tied keys.
 func TestSelectVictimEdgeCases(t *testing.T) {
 	for name, tc := range map[string]struct {
 		policy config.ReplacementPolicy
 		cands  []Candidate
-		want   int  // expected index, -1 when ok must be false
+		want   int
 	}{
-		"allPinnedLRU": {
-			policy: config.ReplaceLRU,
-			cands: []Candidate{
-				{Unit: 0, LastAccess: 5, Full: true, Pinned: true},
-				{Unit: 1, LastAccess: 1, Full: true, Pinned: true},
-			},
-			want: -1,
-		},
-		"allPinnedLFU": {
-			policy: config.ReplaceLFU,
-			cands: []Candidate{
-				{Unit: 0, Score: 9, Full: true, Pinned: true},
-				{Unit: 1, Score: 1, Full: true, Pinned: true},
-			},
-			want: -1,
-		},
 		// All-zero scores must be treated as explicitly uniform: the
 		// LFU policy falls back to LRU and picks the oldest, not the
 		// first zero-score entry its cold-first pass happens to see.
@@ -283,12 +235,6 @@ func TestSelectVictimEdgeCases(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			idx, ok := New(tc.policy).SelectVictim(tc.cands)
-			if tc.want == -1 {
-				if ok {
-					t.Fatalf("selected %d from all-pinned candidates", idx)
-				}
-				return
-			}
 			if !ok || idx != tc.want {
 				t.Fatalf("SelectVictim = (%d, %v), want (%d, true)", idx, ok, tc.want)
 			}

@@ -121,17 +121,19 @@ type PrefetchGovernor interface {
 //
 // Protocol: collect candidates (as often as needed), then Evict exactly
 // one of them by index. Any candidate slice is invalidated by the next
-// host call. The chunk currently being migrated into is never listed.
+// host call. A collection lists exactly the units its pass may evict:
+// pinned units are left out, and the chunk currently being migrated
+// into is never listed.
 type EvictionHost interface {
-	// ChunkCandidates returns the resident 2MB chunks eligible for
-	// eviction, ascending by chunk number. strict applies the standard
-	// pinning rules (queued or in-flight migrations pin a chunk) and
-	// the recency guard; relaxed (strict=false) pins only chunks with
-	// blocks on the wire, guaranteeing forward progress.
+	// ChunkCandidates returns the resident 2MB chunks the pass may
+	// evict, ascending by chunk number. strict leaves out chunks under
+	// the standard pinning rules (queued or in-flight migrations) and
+	// the recency guard; relaxed (strict=false) leaves out only chunks
+	// with blocks on the wire, guaranteeing forward progress.
 	ChunkCandidates(strict bool) []evict.Candidate
 	// BlockCandidates is the 64KB-granularity equivalent: every
 	// resident basic block outside the destination chunk, ascending by
-	// block number. strict applies the recency guard.
+	// block number. strict leaves out blocks inside the recency guard.
 	BlockCandidates(strict bool) []evict.Candidate
 	// Evict evicts the idx-th candidate of the most recent collection,
 	// handling residency teardown, TLB shootdowns, accounting and dirty

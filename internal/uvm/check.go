@@ -20,6 +20,8 @@ import (
 //  4. Pending bookkeeping: scheduled implies pending; a resident block
 //     is never pending; waiters only exist on pending blocks.
 //  5. Queued/in-flight counters are non-negative and zero when idle.
+//  6. A chunk's bit in the evictable index is set iff it has resident
+//     blocks and none in flight.
 func (d *Driver) CheckConsistency() error { return d.checkConsistency(false) }
 
 // CheckConsistencyMidRun verifies the same invariants between arbitrary
@@ -34,6 +36,9 @@ func (d *Driver) checkConsistency(midRun bool) error {
 	var residentPages, inFlightPages uint64
 	for num, cs := range d.chunkArr {
 		if cs == nil {
+			if d.isEvictable(memunits.ChunkNum(num)) {
+				return fmt.Errorf("uvm: unmaterialized chunk %d has its evictable bit set", num)
+			}
 			continue
 		}
 		first := cs.info.FirstBlock()
@@ -79,6 +84,10 @@ func (d *Driver) checkConsistency(midRun bool) error {
 		if cs.queuedBlocks < 0 || cs.inFlightBlocks < 0 {
 			return fmt.Errorf("uvm: chunk %d negative pending counters (%d queued, %d in flight)",
 				num, cs.queuedBlocks, cs.inFlightBlocks)
+		}
+		if want := cs.residentBlocks > 0 && cs.inFlightBlocks == 0; d.isEvictable(memunits.ChunkNum(num)) != want {
+			return fmt.Errorf("uvm: chunk %d evictable bit=%v but %d resident, %d in flight",
+				num, !want, cs.residentBlocks, cs.inFlightBlocks)
 		}
 		inFlightPages += uint64(cs.inFlightBlocks) * memunits.PagesPerBlock
 	}

@@ -101,6 +101,13 @@ func TestConsistencyDetectsCorruption(t *testing.T) {
 		t.Fatal("checker accepted corrupted residentBlocks")
 	}
 	cs.residentBlocks--
+	// Corrupt the evictable index instead.
+	c := cs.info.Num
+	r.d.evictable[c/64] ^= 1 << (c % 64)
+	if err := r.d.CheckConsistency(); err == nil {
+		t.Fatal("checker accepted a wrong evictable bit")
+	}
+	r.d.evictable[c/64] ^= 1 << (c % 64)
 	if err := r.d.CheckConsistency(); err != nil {
 		t.Fatalf("restored state still inconsistent: %v", err)
 	}

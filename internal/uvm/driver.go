@@ -172,6 +172,12 @@ type Driver struct {
 	// by chunk number; nil means not yet materialized.
 	blockArr []blockState
 	chunkArr []*chunkState
+	// evictable is a bitset over chunk numbers, grown with chunkArr: bit
+	// c is set iff chunk c has resident blocks and none on the wire —
+	// exactly the chunks the relaxed eviction pass may choose from. It
+	// lets victim collection skip pinned chunks with word scans instead
+	// of walking chunkArr (see evictionhost.go).
+	evictable []uint64
 
 	processBatchFn sim.Event
 
@@ -403,9 +409,29 @@ func (d *Driver) chunk(c memunits.ChunkNum) *chunkState {
 		grown := make([]*chunkState, n)
 		copy(grown, d.chunkArr)
 		d.chunkArr = grown
+		words := make([]uint64, (n+63)/64)
+		copy(words, d.evictable)
+		d.evictable = words
 	}
 	d.chunkArr[c] = cs
 	return cs
+}
+
+// syncEvictable recomputes the chunk's bit in the evictable index. Call
+// it wherever residentBlocks or inFlightBlocks change.
+func (d *Driver) syncEvictable(cs *chunkState) {
+	c := cs.info.Num
+	bit := uint64(1) << (c % 64)
+	if cs.residentBlocks > 0 && cs.inFlightBlocks == 0 {
+		d.evictable[c/64] |= bit
+	} else {
+		d.evictable[c/64] &^= bit
+	}
+}
+
+// isEvictable reports the chunk's bit in the evictable index.
+func (d *Driver) isEvictable(c memunits.ChunkNum) bool {
+	return d.evictable[c/64]&(uint64(1)<<(c%64)) != 0
 }
 
 // chunkAt returns the chunk state or nil when not materialized.
@@ -786,6 +812,7 @@ func (d *Driver) dispatch(m migration) {
 	}
 	m.cs.queuedBlocks -= len(m.blocks)
 	m.cs.inFlightBlocks += len(m.blocks)
+	d.syncEvictable(m.cs)
 	d.inFlightTotal += len(m.blocks)
 	if o != nil {
 		o.dmaBlocks.Observe(uint64(len(m.blocks)))
@@ -858,6 +885,7 @@ func (d *Driver) landMigration(m migration) {
 	m.cs.inFlightBlocks -= len(m.blocks)
 	d.inFlightTotal -= len(m.blocks)
 	m.cs.residentBlocks += len(m.blocks)
+	d.syncEvictable(m.cs)
 	m.cs.lastAccess = now
 	if o := d.o; o != nil {
 		o.tr.Emit(obs.Span{

@@ -1,10 +1,13 @@
 package uvm
 
 import (
+	"math/bits"
+
 	"uvmsim/internal/evict"
 	"uvmsim/internal/interconnect"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/obs"
+	"uvmsim/internal/sim"
 	"uvmsim/internal/tier"
 )
 
@@ -43,56 +46,53 @@ type evictionHost struct {
 	blockMode bool
 }
 
-// ChunkCandidates collects the 2MB-granularity eviction candidates.
-// Strict collection pins chunks with queued or in-flight migrations and
-// recently touched chunks (the recency guard); the relaxed pass pins
-// only chunks with blocks on the wire, guaranteeing forward progress
-// when the FIFO head blocks everything.
+// ChunkCandidates collects the 2MB-granularity eviction candidates:
+// exactly the chunks the pass may evict, so pinned chunks are never
+// scored. The relaxed pass lists every chunk in the evictable index
+// (resident blocks, none on the wire), guaranteeing forward progress
+// when the FIFO head blocks everything; the strict pass further drops
+// chunks with queued migrations and recently touched chunks (the
+// recency guard).
 func (h *evictionHost) ChunkCandidates(strict bool) []evict.Candidate {
 	d := h.d
 	h.blockMode = false
-	// Index-order iteration keeps the candidate list sorted by unit
-	// number, which is what victim selection's determinism relies on.
 	cands := d.candScratch[:0]
 	states := d.chunkScratch[:0]
-	now := d.eng.Now()
-	for num, cs := range d.chunkArr {
-		if cs == nil || cs.residentBlocks == 0 || cs == h.dest {
-			continue
-		}
-		pinned := cs.inFlightBlocks > 0
-		if strict {
+	// Ascending bit order keeps the candidate list sorted by unit
+	// number, which is what victim selection's determinism relies on.
+	for w, word := range d.evictable {
+		for ; word != 0; word &= word - 1 {
+			num := w*64 + bits.TrailingZeros64(word)
+			cs := d.chunkArr[num]
 			// Freshly landed or recently touched chunks are protected in
 			// the strict pass: their counters have not caught up yet and
 			// evicting them re-faults the active working set (LFU
 			// cold-start). The relaxed pass ignores the guard.
-			recent := d.cfg.EvictionRecencyGuard > 0 &&
-				now-cs.lastAccess < d.cfg.EvictionRecencyGuard
-			pinned = cs.pinnedStandard() || recent
+			if cs == h.dest || strict && d.strictPinned(cs) {
+				continue
+			}
+			first := cs.info.FirstBlock()
+			cands = append(cands, evict.Candidate{
+				Unit:       uint64(num),
+				LastAccess: cs.lastAccess,
+				Score:      d.ctrs.SumCounts(uint64(first), cs.info.Blocks()),
+				Dirty:      d.chunkDirty(cs),
+				Full:       cs.pf.Tree().Full(),
+			})
+			states = append(states, cs)
 		}
-		first := cs.info.FirstBlock()
-		n := cs.info.Blocks()
-		cands = append(cands, evict.Candidate{
-			Unit:       uint64(num),
-			LastAccess: cs.lastAccess,
-			Score:      d.ctrs.SumCounts(uint64(first), n),
-			Dirty:      d.chunkDirty(cs),
-			Full:       cs.pf.Tree().Full(),
-			Pinned:     pinned,
-		})
-		states = append(states, cs)
 	}
 	d.candScratch, d.chunkScratch = cands, states
 	return cands
 }
 
 // BlockCandidates collects the 64KB-granularity eviction candidates
-// (the block-granularity ablation). Only the recency guard pins blocks,
-// and only in the strict pass.
+// (the block-granularity ablation): every resident block outside the
+// destination chunk, minus, in the strict pass, blocks inside the
+// recency guard.
 func (h *evictionHost) BlockCandidates(strict bool) []evict.Candidate {
 	d := h.d
 	h.blockMode = true
-	now := d.eng.Now()
 	cands := d.candScratch[:0]
 	nums := d.numScratch[:0]
 	owners := d.ownerScratch[:0]
@@ -106,18 +106,15 @@ func (h *evictionHost) BlockCandidates(strict bool) []evict.Candidate {
 		first := cs.info.FirstBlock()
 		for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
 			bs := d.blockAt(b)
-			if bs == nil || !bs.resident() {
+			if bs == nil || !bs.resident() || strict && d.recent(bs.lastAccess) {
 				continue
 			}
-			recent := strict && d.cfg.EvictionRecencyGuard > 0 &&
-				now-bs.lastAccess < d.cfg.EvictionRecencyGuard
 			cands = append(cands, evict.Candidate{
 				Unit:       uint64(b),
 				LastAccess: bs.lastAccess,
 				Score:      d.ctrs.Count(uint64(b)),
 				Dirty:      bs.dirty,
 				Full:       true,
-				Pinned:     recent,
 			})
 			nums = append(nums, b)
 			owners = append(owners, cs)
@@ -127,18 +124,36 @@ func (h *evictionHost) BlockCandidates(strict bool) []evict.Candidate {
 	return cands
 }
 
+// strictPinned reports whether the strict pass pins the chunk: queued
+// or in-flight migrations, or a touch inside the recency guard.
+func (d *Driver) strictPinned(cs *chunkState) bool {
+	return cs.pinnedStandard() || d.recent(cs.lastAccess)
+}
+
+// recent reports whether a unit last touched at t is inside the strict
+// pass's recency guard.
+func (d *Driver) recent(t sim.Cycle) bool {
+	g := d.cfg.EvictionRecencyGuard
+	return g > 0 && d.eng.Now()-t < g
+}
+
 // Evict applies the engine's choice: idx indexes the most recent
 // collection, strict tells which pass chose it (for the selection
-// metrics and the no-pinned-victim invariant).
+// metrics and the no-pinned-victim invariant, which re-derives
+// pinning from the victim's live state rather than trusting the
+// collection).
 func (h *evictionHost) Evict(idx int, strict bool) {
 	d := h.d
-	d.noteVictim(d.candScratch[idx], strict)
 	if !h.blockMode {
-		d.evictChunk(d.chunkScratch[idx])
+		cs := d.chunkScratch[idx]
+		pinned := cs.inFlightBlocks > 0 || strict && d.strictPinned(cs)
+		d.noteVictim(uint64(cs.info.Num), strict, pinned)
+		d.evictChunk(cs)
 		return
 	}
 	b, cs := d.numScratch[idx], d.ownerScratch[idx]
 	bs := d.blockAt(b)
+	d.noteVictim(uint64(b), strict, strict && d.recent(bs.lastAccess))
 	bs.home = tier.HostIndex
 	d.ctrs.NoteEviction(uint64(b))
 	bs.everEvicted = true
@@ -149,6 +164,7 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 		bs.dirty = false
 	}
 	cs.residentBlocks--
+	d.syncEvictable(cs)
 	cs.pf.Tree().MarkEmpty(int(b - cs.info.FirstBlock()))
 	if o := d.o; o != nil {
 		o.victimTrips.Observe(d.ctrs.RoundTrips(uint64(b)))
@@ -195,6 +211,7 @@ func (d *Driver) evictChunk(cs *chunkState) {
 		panic("uvm: evicting chunk with no resident blocks")
 	}
 	cs.residentBlocks = 0
+	d.syncEvictable(cs)
 	// Rebuild tree occupancy: only pending (queued/in-flight) blocks
 	// remain claimed.
 	tree := cs.pf.Tree()

@@ -3,7 +3,6 @@ package uvm
 import (
 	"fmt"
 
-	"uvmsim/internal/evict"
 	"uvmsim/internal/interconnect"
 	"uvmsim/internal/mm"
 	"uvmsim/internal/obs"
@@ -125,11 +124,13 @@ func (d *Driver) publishSnapshots(reg *obs.Registry) {
 }
 
 // noteVictim enforces the no-pinned-victim invariant and counts the
-// selection pass. cand is the winning candidate; strict tells which pass
-// chose it. Panics with a cycle-stamped *obs.Violation when the
-// replacement policy returned a pinned unit while invariant checking is
-// on — that is a policy bug, never a legal outcome.
-func (d *Driver) noteVictim(cand evict.Candidate, strict bool) {
+// selection pass. unit is the victim's chunk or block number, strict
+// tells which pass chose it, and pinned is the victim's pinning under
+// that pass, derived by the caller from live driver state. Panics with
+// a cycle-stamped *obs.Violation when a pinned unit was chosen while
+// invariant checking is on — a policy or candidate-index bug, never a
+// legal outcome.
+func (d *Driver) noteVictim(unit uint64, strict, pinned bool) {
 	o := d.o
 	if o == nil {
 		return
@@ -139,12 +140,12 @@ func (d *Driver) noteVictim(cand evict.Candidate, strict bool) {
 	} else {
 		o.selRelaxed.Inc()
 	}
-	if o.check && cand.Pinned {
+	if o.check && pinned {
 		panic(&obs.Violation{
 			Cycle: uint64(d.eng.Now()),
 			Check: "no-pinned-victim",
 			Err: fmt.Errorf("eviction engine %s selected pinned unit %d (strict=%v)",
-				d.evictor.Name(), cand.Unit, strict),
+				d.evictor.Name(), unit, strict),
 		})
 	}
 }

@@ -105,6 +105,7 @@ func (d *Driver) CloneWith(eng *sim.Engine, cfg config.Config, pipe mm.Pipeline)
 		nc.pf = pf
 		nd.chunkArr[i] = &nc
 	}
+	nd.evictable = append([]uint64(nil), d.evictable...)
 
 	if d.advice != nil {
 		nd.advice = make(map[int]Advice, len(d.advice))
