@@ -92,11 +92,13 @@ figures:
 	$(GO) run ./cmd/paperbench -fig all
 
 # Regenerate the committed pipeline-tournament leaderboard: every
-# registered planner over the default workload matrix (bfs, ra, sssp)
-# at 125% oversubscription. Deterministic — reruns produce an identical
-# file, so a diff here is a behaviour change, not noise.
+# registered planner crossed with the built-in prefetch governor and the
+# learned bandit-pf governor, over the default workload matrix (bfs, ra,
+# sssp) at 125% oversubscription. Deterministic — reruns produce an
+# identical file, so a diff here is a behaviour change, not noise.
 tournament:
-	$(GO) run ./cmd/paperbench -tournament -scale 0.3 -tournament-out BENCH_tournament.json
+	$(GO) run ./cmd/paperbench -tournament -scale 0.3 \
+		-tournament-prefetchers default,bandit-pf -tournament-out BENCH_tournament.json
 
 # Fast tournament slice for CI: two planners (static vs learned) over
 # two workloads at a small scale, proving the harness end to end

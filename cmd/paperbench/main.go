@@ -86,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workloads      = fs.String("workloads", "", "comma-separated workload subset (default: all)")
 		workers        = fs.Int("workers", 0, "concurrent sweep cells per figure (0 = one per core)")
 		clusterWorkers = fs.Int("cluster-workers", 0, "PDES worker threads per multi-GPU cluster run (0 or 1 = sequential; results are identical either way)")
-		snapshot       = fs.String("snapshot", "on", "prefix-share sweep cells that differ only in policy via fork snapshots: on|off (results are identical either way)")
 		planner        = fs.String("planner", "", "migration planner: "+strings.Join(mm.PlannerNames(), ", ")+" (default: threshold)")
 		replacement    = fs.String("replacement", "", "replacement policy for eviction: lru, lfu (default: paper pairing)")
 		prefetcher     = fs.String("prefetcher", "", "prefetcher: tree, none, sequential (default: tree)")
@@ -126,12 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "paperbench: -cluster-workers must be non-negative, got %d\n", *clusterWorkers)
 		return 2
 	}
-	snapOn, err := cliutil.ParseOnOff("snapshot", *snapshot)
-	if err != nil {
-		fmt.Fprintf(stderr, "paperbench: %v\n", err)
-		return 2
-	}
-	o.opt = uvmsim.ExperimentOptions{Scale: *scale, Workers: *workers, Snapshot: snapOn}
+	o.opt = uvmsim.ExperimentOptions{Scale: *scale, Workers: *workers}
 	if *workloads != "" {
 		o.opt.Workloads = cliutil.SplitList(*workloads)
 	}

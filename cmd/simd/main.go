@@ -47,7 +47,6 @@ type options struct {
 	addr     string
 	workers  int
 	maxCells int
-	noSnap   bool
 
 	server   string
 	submit   string
@@ -67,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.addr, "addr", "", "serve mode: listen address (e.g. 127.0.0.1:8642)")
 	fs.IntVar(&o.workers, "workers", 0, "concurrent simulation cells across all jobs (0 = one per core)")
 	fs.IntVar(&o.maxCells, "max-cells", 0, "reject jobs expanding to more cells than this (0 = 4096)")
-	snapshot := fs.String("snapshot", "on", "serve mode: snapshot/fork prefix sharing across a job's policy cells (on|off; results are byte-identical either way)")
 	fs.StringVar(&o.server, "server", "", "client mode: server base URL")
 	fs.StringVar(&o.submit, "submit", "", "client mode: job request JSON file to submit ('-' = stdin)")
 	fs.StringVar(&o.fig, "fig", "", "client mode: submit a figure sweep ("+
@@ -84,12 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "simd: unexpected arguments %q\n", fs.Args())
 		return 2
 	}
-	snapOn, err := cliutil.ParseOnOff("snapshot", *snapshot)
-	if err != nil {
-		fmt.Fprintf(stderr, "simd: %v\n", err)
-		return 2
-	}
-	o.noSnap = !snapOn
 	modes := 0
 	for _, on := range []bool{o.addr != "", o.server != "" || o.printJob, o.smoke} {
 		if on {
@@ -100,6 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	var err error
 	switch {
 	case o.smoke:
 		err = runSmoke(o, stdout, stderr)
@@ -118,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runServe listens on the configured address and serves until the
 // process is interrupted.
 func runServe(o options, stderr io.Writer) error {
-	s := serve.NewServer(serve.Options{Workers: o.workers, MaxCells: o.maxCells, NoSnapshot: o.noSnap})
+	s := serve.NewServer(serve.Options{Workers: o.workers, MaxCells: o.maxCells})
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
@@ -214,7 +207,7 @@ func runClient(o options, stdout, stderr io.Writer) error {
 // payload, that the progress stream delivered updates, and that the
 // metrics and cache endpoints agree with what happened.
 func runSmoke(o options, stdout, stderr io.Writer) error {
-	s := serve.NewServer(serve.Options{Workers: o.workers, NoSnapshot: o.noSnap})
+	s := serve.NewServer(serve.Options{Workers: o.workers})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err

@@ -10,7 +10,6 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/gpu"
-	"uvmsim/internal/mm"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
@@ -75,40 +74,14 @@ func (s *Simulator) SetObserver(obs uvm.AccessObserver) { s.Driver.SetObserver(o
 // if the memory subsystem fails to quiesce (a model deadlock) or if the
 // stats invariants do not hold.
 func (s *Simulator) Run() *Result {
-	res := s.StartResult()
-	for i := range s.built.Kernels {
-		s.RunKernel(i, res)
+	res := &Result{Workload: s.built.Name, Config: s.cfg}
+	for i, k := range s.built.Kernels {
+		start := s.Engine.Now()
+		end := s.GPU.RunSync(k)
+		span := KernelSpan{Name: k.Name, Iter: s.built.IterOf[i], Start: start, End: end}
+		res.Spans = append(res.Spans, span)
+		s.observeKernel(span)
 	}
-	s.FinishRun(res)
-	return res
-}
-
-// StartResult returns an empty result for a stepwise run (see RunKernel
-// and FinishRun). The stepwise surface exists for the prefix-sharing
-// fork runner (internal/snapshot), which interleaves kernel execution
-// with barrier snapshots; Run is its trivial composition.
-func (s *Simulator) StartResult() *Result {
-	return &Result{Workload: s.built.Name, Config: s.cfg}
-}
-
-// KernelCount returns the number of kernel launches in the workload.
-func (s *Simulator) KernelCount() int { return len(s.built.Kernels) }
-
-// RunKernel executes kernel launch i (in order) and appends its span to
-// res. Callers must run kernels 0..KernelCount()-1 exactly once each,
-// in order, then call FinishRun.
-func (s *Simulator) RunKernel(i int, res *Result) {
-	k := s.built.Kernels[i]
-	start := s.Engine.Now()
-	end := s.GPU.RunSync(k)
-	span := KernelSpan{Name: k.Name, Iter: s.built.IterOf[i], Start: start, End: end}
-	res.Spans = append(res.Spans, span)
-	s.observeKernel(span)
-}
-
-// FinishRun drains the tail of the simulation, runs the final
-// consistency checks and fills in the run counters.
-func (s *Simulator) FinishRun(res *Result) {
 	// Drain in-flight migrations (prefetches may outlive the last warp).
 	s.Engine.Run()
 	if s.Driver.PendingWork() {
@@ -129,49 +102,7 @@ func (s *Simulator) FinishRun(res *Result) {
 	if err := res.Counters.Validate(); err != nil {
 		panic(fmt.Sprintf("core: %s: %v", s.built.Name, err))
 	}
-}
-
-// Quiescent reports whether the simulator is at a fork point: no engine
-// events pending and no driver work queued. Kernel barriers are not
-// automatically quiescent — prefetch and write-back tails may outlive
-// the last warp of a kernel — so the fork runner checks before forking.
-func (s *Simulator) Quiescent() bool {
-	return s.Engine.Pending() == 0 && !s.Driver.PendingWork()
-}
-
-// Fork returns an independent simulator continuing from this one's
-// current state under cfg, which may differ in policy fields only. It
-// is valid only at a quiescent point (see Quiescent) with observability
-// detached. The caller owns the equivalence argument: the forked run is
-// byte-identical to a from-scratch run under cfg only if every decision
-// in the donor's history would have come out the same under cfg — see
-// internal/snapshot for the divergence monitor that proves this.
-func (s *Simulator) Fork(cfg config.Config) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: fork config: %w", err)
-	}
-	if s.obsRun != nil || s.checker != nil {
-		return nil, fmt.Errorf("core: fork with observability attached")
-	}
-	if !s.Quiescent() {
-		return nil, fmt.Errorf("core: fork at a non-quiescent point")
-	}
-	pipe, err := mm.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: fork pipeline: %w", err)
-	}
-	eng := sim.NewEngine()
-	eng.SetEventBudget(eventBudget)
-	eng.Restore(s.Engine.Snapshot())
-	drv, err := s.Driver.CloneWith(eng, cfg, pipe)
-	if err != nil {
-		return nil, err
-	}
-	g, err := s.GPU.CloneFor(eng, cfg, drv, drv.Stats())
-	if err != nil {
-		return nil, err
-	}
-	return &Simulator{Engine: eng, Driver: drv, GPU: g, built: s.built, cfg: cfg}, nil
+	return res
 }
 
 // Run builds and runs a workload in one step.

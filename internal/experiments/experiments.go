@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/core"
@@ -41,16 +40,13 @@ type Options struct {
 	// factory must be safe for concurrent calls — parallel sweeps invoke
 	// it from worker goroutines (obs.Suite.NewRun qualifies).
 	Observe func(runName string) *obs.Run
-	// Snapshot enables prefix sharing across sweep cells that differ
-	// only in policy configuration (internal/snapshot): each such group
-	// runs its common warmup once and forks per cell. Results are
-	// byte-identical either way (the fork-equivalence property test pins
-	// this); the knob exists for A/B timing and as an escape hatch.
-	// Ignored when Observe is set — tracing hooks pin a run to scratch
-	// execution.
+	// Snapshot has no effect: every cell runs from scratch. It is left
+	// only because the bench module sets it; delete it with the next
+	// change to bench/.
 	Snapshot bool
-	// SnapStats, when non-nil, accumulates prefix-sharing statistics
-	// across the sweep (guarded internally; safe with parallel rows).
+	// SnapStats has no effect: nothing is written through it, so the
+	// Stats it points at stays zero. It is left only because the bench
+	// module sets it; delete it with the next change to bench/.
 	SnapStats *snapshot.Stats
 
 	// memo caches workload builds within one sweep so cells sharing a
@@ -103,49 +99,6 @@ func (o Options) grid(cols int, f func(name string, col int) *core.Result) [][]*
 	return sweep.Grid(len(o.Workloads), cols, o.Workers, func(r, c int) *core.Result {
 		return f(o.Workloads[r], c)
 	})
-}
-
-// policyCell is one column of a policy-style sweep: cells share the
-// workload and oversubscription level and differ only in fields the
-// snapshot group key tolerates (policy, replacement, thresholds).
-type policyCell struct {
-	pol  config.MigrationPolicy
-	base config.Config
-	tag  string
-}
-
-// snapStatsMu guards Options.SnapStats accumulation from parallel rows.
-var snapStatsMu sync.Mutex
-
-// policyGrid evaluates one simulation per (workload, policy cell) pair.
-// With snapshotting enabled each workload row runs as one prefix-shared
-// group (parallelism moves from cells to rows); otherwise, and whenever
-// observability is attached, every cell runs from scratch.
-func (o Options) policyGrid(pct uint64, cells []policyCell) [][]*core.Result {
-	if !o.Snapshot || o.Observe != nil {
-		return o.grid(len(cells), func(name string, col int) *core.Result {
-			return o.runtimeOf(name, pct, cells[col].pol, cells[col].base, cells[col].tag)
-		})
-	}
-	jobs := make([]func() [](*core.Result), len(o.Workloads))
-	for i, name := range o.Workloads {
-		name := name
-		jobs[i] = func() []*core.Result {
-			b := o.memo.Get(name, o.Scale)
-			cfgs := make([]config.Config, len(cells))
-			for c, cell := range cells {
-				cfgs[c] = core.DeriveConfig(b, 1, pct, cell.pol, cell.base)
-			}
-			res, st := snapshot.RunGroup(b, cfgs)
-			if o.SnapStats != nil {
-				snapStatsMu.Lock()
-				o.SnapStats.Add(st)
-				snapStatsMu.Unlock()
-			}
-			return res
-		}
-	}
-	return sweep.Parallel(jobs, o.Workers)
 }
 
 // Fig1 reproduces Figure 1: sensitivity of every workload to the degree
@@ -246,13 +199,11 @@ func Fig4(o Options) *report.Table {
 		Columns: []string{"ts=8", "ts=16", "ts=32"},
 	}
 	thresholds := []uint64{8, 16, 32}
-	cells := make([]policyCell, len(thresholds))
-	for i, ts := range thresholds {
+	res := o.grid(len(thresholds), func(name string, col int) *core.Result {
 		cfg := o.Base
-		cfg.StaticThreshold = ts
-		cells[i] = policyCell{config.PolicyAlways, cfg, fmt.Sprintf("ts=%d", ts)}
-	}
-	res := o.policyGrid(125, cells)
+		cfg.StaticThreshold = thresholds[col]
+		return o.runtimeOf(name, 125, config.PolicyAlways, cfg, fmt.Sprintf("ts=%d", thresholds[col]))
+	})
 	for i, name := range o.Workloads {
 		base := res[i][0].Runtime()
 		t.Add(name, 1.0,
@@ -272,11 +223,9 @@ func Fig5(o Options) *report.Table {
 		Columns: []string{"Baseline", "Always", "Adaptive"},
 	}
 	pols := []config.MigrationPolicy{config.PolicyDisabled, config.PolicyAlways, config.PolicyAdaptive}
-	cells := make([]policyCell, len(pols))
-	for i, p := range pols {
-		cells[i] = policyCell{p, o.Base, ""}
-	}
-	res := o.policyGrid(100, cells)
+	res := o.grid(len(pols), func(name string, col int) *core.Result {
+		return o.runtimeOf(name, 100, pols[col], o.Base, "")
+	})
 	for i, name := range o.Workloads {
 		base := res[i][0].Runtime()
 		t.Add(name, 1.0,
@@ -317,11 +266,9 @@ func Fig6And7Cycles(o Options) (runtime, thrash *report.Table, simCycles uint64)
 	cfg := o.Base
 	cfg.Penalty = 8
 	pols := config.Policies()
-	cells := make([]policyCell, len(pols))
-	for i, p := range pols {
-		cells[i] = policyCell{p, cfg, ""}
-	}
-	res := o.policyGrid(125, cells)
+	res := o.grid(len(pols), func(name string, col int) *core.Result {
+		return o.runtimeOf(name, 125, pols[col], cfg, "")
+	})
 	for i, name := range o.Workloads {
 		baseTime := res[i][0].Runtime()
 		baseThrash := res[i][0].Counters.ThrashedPages
@@ -360,13 +307,14 @@ func Fig8(o Options) *report.Table {
 		Metric:  "Runtime normalized to baseline",
 		Columns: cols,
 	}
-	cells := []policyCell{{config.PolicyDisabled, o.Base, ""}}
-	for _, p := range Fig8Penalties {
+	res := o.grid(1+len(Fig8Penalties), func(name string, col int) *core.Result {
+		if col == 0 {
+			return o.runtimeOf(name, 125, config.PolicyDisabled, o.Base, "")
+		}
 		cfg := o.Base
-		cfg.Penalty = p
-		cells = append(cells, policyCell{config.PolicyAdaptive, cfg, fmt.Sprintf("p=%d", p)})
-	}
-	res := o.policyGrid(125, cells)
+		cfg.Penalty = Fig8Penalties[col-1]
+		return o.runtimeOf(name, 125, config.PolicyAdaptive, cfg, fmt.Sprintf("p=%d", cfg.Penalty))
+	})
 	for i, name := range o.Workloads {
 		base := res[i][0].Runtime()
 		values := []float64{1.0}

@@ -82,20 +82,6 @@ func New(eng *sim.Engine, bytesPerCycle float64, latency sim.Cycle, headerBytes 
 	return l
 }
 
-// CloneFor returns an independent copy of the link — wire occupancy and
-// per-direction statistics included — attached to eng, used when
-// forking a simulator at a kernel barrier. No transfer may be in
-// flight: completions are engine events and a fork point is drained by
-// definition, so only freeAt and the stats carry over.
-func (l *Link) CloneFor(eng *sim.Engine) *Link {
-	c := *l
-	c.eng = eng
-	for i := range c.chans {
-		c.chans[i].eng = eng
-	}
-	return &c
-}
-
 // occupancy returns the wire time for n bytes, at least one cycle.
 func (c *channel) occupancy(n uint64) sim.Cycle {
 	cycles := sim.Cycle(float64(n) / c.bytesPerCycle)

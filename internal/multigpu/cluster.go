@@ -276,21 +276,27 @@ func splitKernel(k gpu.Kernel, nGPUs, idx int) (gpu.Kernel, bool) {
 }
 
 // Run executes the workload bulk-synchronously and returns the result.
-// It is the composition of the stepwise API (snapshot.go): one
-// RunKernel per kernel, then Finish.
 func (c *Cluster) Run() *Result {
-	for i := range c.built.Kernels {
-		c.RunKernel(i)
+	for _, k := range c.built.Kernels {
+		c.runKernel(k)
 	}
-	return c.Finish()
+	if c.eng != nil {
+		c.eng.Run() // drain trailing prefetch transfers
+		return c.finish(c.eng.Now())
+	}
+	var barrier sim.Cycle
+	for _, n := range c.nodes {
+		if n.eng.Now() > barrier {
+			barrier = n.eng.Now()
+		}
+	}
+	return c.finish(barrier)
 }
 
-// RunKernel runs kernel i bulk-synchronously across the GPUs: every
+// runKernel runs one kernel bulk-synchronously across the GPUs: every
 // GPU launches its CTA share, and the call returns only after the
-// whole cluster drains (the kernel barrier). Kernels must run in
-// order; interleave Fork calls between them to snapshot at barriers.
-func (c *Cluster) RunKernel(i int) {
-	k := c.built.Kernels[i]
+// whole cluster drains (the kernel barrier).
+func (c *Cluster) runKernel(k gpu.Kernel) {
 	if c.par != nil {
 		c.runKernelParallel(k)
 		return
@@ -308,22 +314,6 @@ func (c *Cluster) RunKernel(i int) {
 	if remaining != 0 {
 		panic(fmt.Sprintf("multigpu: kernel %s left %d GPUs unfinished", k.Name, remaining))
 	}
-}
-
-// Finish validates quiescence, collects the per-GPU counters and
-// finalizes the drivers. Call once, after the last RunKernel.
-func (c *Cluster) Finish() *Result {
-	if c.eng != nil {
-		c.eng.Run() // drain trailing prefetch transfers
-		return c.finish(c.eng.Now())
-	}
-	var barrier sim.Cycle
-	for _, n := range c.nodes {
-		if n.eng.Now() > barrier {
-			barrier = n.eng.Now()
-		}
-	}
-	return c.finish(barrier)
 }
 
 // finish validates quiescence and collects the per-GPU counters; shared

@@ -219,15 +219,14 @@ func (co *Coordinator) Publish(reg *obs.Registry) {
 	})
 }
 
-// runKernelParallel is RunKernel's PDES path: one bulk-synchronous
+// runKernelParallel is runKernel's PDES path: one bulk-synchronous
 // kernel over per-node engines. The barrier after the kernel is the max
 // last-event time across nodes — exactly the shared engine's clock
 // after its drain — and every node clock is aligned to it before the
 // next fixed-order launch round, so launches observe the same Now they
 // would sequentially. The worker pool lives for exactly one kernel
 // (Start/Stop bracket the call), which keeps every goroutine's shutdown
-// provable from the call site and leaves the engines untouched between
-// kernels — the quiescent window Fork snapshots from.
+// provable from the call site.
 func (c *Cluster) runKernelParallel(k gpu.Kernel) {
 	co := c.par
 	co.Start()

@@ -135,15 +135,6 @@ func NewChunk(kind config.PrefetcherKind, n int) *Chunk {
 // Tree exposes the underlying occupancy tree (for eviction bookkeeping).
 func (c *Chunk) Tree() *Tree { return c.tree }
 
-// Clone returns an independent deep copy of the chunk's prefetch state
-// (the tree is a value type; the copy shares nothing with the
-// original). Simulator forking uses this to duplicate per-chunk
-// occupancy at a kernel barrier.
-func (c *Chunk) Clone() *Chunk {
-	t := *c.tree
-	return &Chunk{kind: c.kind, tree: &t}
-}
-
 // OnFault records that block i faulted and must migrate. It returns the
 // complete ascending list of block indices to migrate now, always
 // including i itself; all returned blocks are marked occupied.

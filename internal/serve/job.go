@@ -129,6 +129,11 @@ type coloCell struct {
 	tenants []string
 }
 
+// MaxScale is the largest workload scale factor a job may request. It
+// is 4x the largest scale any sweep here runs (16), and keeps a single
+// request from reaching the workload builders with an unbounded size.
+const MaxScale = 64
+
 // defaultOversubPercents is the matrix default: the paper's
 // oversubscription point.
 var defaultOversubPercents = []uint64{125}
@@ -142,6 +147,9 @@ func (r *JobRequest) cells() ([]cell, error) {
 	}
 	if scale < 0 {
 		return nil, fmt.Errorf("serve: scale %v must be positive", r.Scale)
+	}
+	if scale > MaxScale {
+		return nil, fmt.Errorf("serve: scale %v exceeds the limit %d", r.Scale, MaxScale)
 	}
 	base := config.Default()
 	if r.Base != nil {

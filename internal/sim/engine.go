@@ -160,52 +160,6 @@ func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 // events are not counted).
 func (e *Engine) Pending() int { return e.live }
 
-// Snap is a quiescent-point engine snapshot. With no events pending the
-// entire engine state reduces to the clock, the sequence allocator and
-// the fired count; the wheel, arena and overflow heap are all empty by
-// definition. Restoring a Snap into a fresh engine therefore recreates
-// the exact scheduling state: same now, and — because seq is carried
-// over — identical (at, seq) tie-break behavior for everything scheduled
-// afterwards.
-type Snap struct {
-	Now   Cycle
-	Seq   uint64
-	Fired uint64
-}
-
-// Snapshot captures the engine state at a quiescent point. It panics if
-// events are pending: mid-flight closures cannot be snapshotted, and
-// every legitimate fork point in the simulator (kernel barriers, run
-// completion) is fully drained.
-func (e *Engine) Snapshot() Snap {
-	if e.live != 0 {
-		panic(fmt.Sprintf("sim: snapshot with %d events pending", e.live))
-	}
-	return Snap{Now: e.now, Seq: e.seq, Fired: e.fired}
-}
-
-// Restore resets the engine to the snapshot's quiescent state, dropping
-// any pending events and positioning the wheel window at the restored
-// clock. The event budget and daemon configuration are preserved.
-func (e *Engine) Restore(s Snap) {
-	e.now, e.seq, e.fired = s.Now, s.Seq, s.Fired
-	e.base = s.Now
-	for i := range e.bhead {
-		e.bhead[i], e.btail[i] = 0, 0
-	}
-	for i := range e.occ {
-		e.occ[i] = 0
-	}
-	for i := range e.occ1 {
-		e.occ1[i] = 0
-	}
-	e.occ2 = 0
-	e.heap = e.heap[:0]
-	e.slots = e.slots[:0]
-	e.free = 0
-	e.live = 0
-}
-
 // initWheel allocates the bucket arrays on first use, keeping the
 // zero-value Engine cheap until it actually schedules something.
 func (e *Engine) initWheel() {

@@ -1,292 +1,13 @@
-// Package snapshot runs a group of simulation cells that share a
-// workload and differ only in migration-policy configuration, executing
-// the shared prefix of their histories once.
-//
-// The leader (first configuration) runs normally while a decision
-// monitor mirrors every policy-relevant driver decision into shadow
-// planners built from the follower configurations. As long as a
-// follower's shadow agrees with every decision the leader has taken,
-// the two runs are state-identical — the planner consultation is the
-// only seam where the policy configuration can influence the
-// simulation, so identical decisions imply identical state
-// trajectories. At each quiescent kernel barrier every
-// still-in-agreement follower replaces its stored fork with a fresh
-// deep copy of the leader; when a follower's shadow first disagrees
-// (or a decision is taken on a seam shadows cannot replicate —
-// placement advice, or eviction under a different replacement policy),
-// that follower finishes from its last fork, re-running only the
-// divergent suffix. Followers that never reached a usable fork point
-// run from scratch.
-//
-// The scheme is exact, not approximate: a forked run is byte-identical
-// to the same cell run from scratch (the equivalence property test
-// pins this). Learned pipeline stages carry history a fresh fork
-// cannot rebuild, so runs using them fall back to scratch execution
-// (see mm.ForkablePipeline).
+// Package snapshot holds one inert type kept for the bench module's
+// sake. Every sweep cell runs from scratch as one core.Run; no cell
+// starts from another cell's state.
 package snapshot
 
-import (
-	"fmt"
-	"reflect"
-
-	"uvmsim/internal/config"
-	"uvmsim/internal/core"
-	"uvmsim/internal/mm"
-	"uvmsim/internal/workloads"
-)
-
-// Stats reports how much work prefix sharing saved for one group.
+// Stats has no effect and is always left zero. It survives only because
+// the bench module compiles against it; delete it with the next change
+// to bench/.
 type Stats struct {
-	Cells         int // cells in the group
-	TotalKernels  int // kernel launches the group would run from scratch
-	SharedKernels int // kernel launches skipped by finishing from forks
-	Forked        int // cells completed from a fork
-	Scratch       int // cells run from scratch (the leader included)
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Cells += other.Cells
-	s.TotalKernels += other.TotalKernels
-	s.SharedKernels += other.SharedKernels
-	s.Forked += other.Forked
-	s.Scratch += other.Scratch
-}
-
-// GroupKey normalizes away the fields a policy sweep varies; two
-// configurations are groupable exactly when their keys are equal (the
-// key is comparable, so it can index a map of prefix groups). Besides
-// the policy triple this includes the planner's threshold inputs
-// (StaticThreshold, Penalty): outside learned stages — which are not
-// forkable anyway — they reach decisions only through the planner
-// seam the shadow monitors, and through the prefer-host advice branch,
-// which conservatively diverges every follower.
-func GroupKey(c config.Config) config.Config {
-	c.Policy = 0
-	c.Replacement = 0
-	c.WriteMigrates = false
-	c.StaticThreshold = 0
-	c.Penalty = 0
-	return c
-}
-
-// Groupable reports whether two configurations may share a prefix:
-// they must be identical outside the migration-policy fields (Policy,
-// Replacement, WriteMigrates) and planner thresholds (StaticThreshold,
-// Penalty).
-func Groupable(a, b config.Config) bool { return GroupKey(a) == GroupKey(b) }
-
-// follower tracks one non-leader cell during the leader's run.
-type follower struct {
-	cfg config.Config
-	// shadow is the planner a from-scratch run under cfg would consult;
-	// it must be pure (see mm.ForkablePipeline), so feeding it the
-	// leader's decision stream costs nothing and mutates nothing.
-	shadow mm.MigrationPlanner
-	// evictsLikeLeader: eviction outcomes depend on the replacement
-	// policy, so a follower configured differently diverges at the
-	// first eviction even if its shadow still agrees.
-	evictsLikeLeader bool
-	diverged         bool
-	fork             *core.Simulator
-	forkKernels      int // kernels completed at the fork point
-}
-
-// monitor receives the leader driver's decision stream.
-type monitor struct {
-	followers []*follower
-}
-
-func (m *monitor) OnPlan(a mm.Access, migrate bool) {
-	for _, f := range m.followers {
-		if !f.diverged && f.shadow.ShouldMigrate(a) != migrate {
-			f.diverged = true
-		}
-	}
-}
-
-func (m *monitor) OnEvict() {
-	for _, f := range m.followers {
-		if !f.evictsLikeLeader {
-			f.diverged = true
-		}
-	}
-}
-
-func (m *monitor) OnUnforkable(string) {
-	for _, f := range m.followers {
-		f.diverged = true
-	}
-}
-
-// RunGroup runs one cell per configuration against the shared workload
-// and returns the results in input order. All configurations must be
-// mutually Groupable. Cells whose pipeline is not forkable, and groups
-// of one, run from scratch. The leader is chosen to carry the group's
-// majority replacement policy: eviction outcomes depend on replacement,
-// so a minority-replacement leader (Disabled's LRU in a standard policy
-// sweep) would diverge every follower at the first eviction.
-func RunGroup(b *workloads.Built, cfgs []config.Config) ([]*core.Result, Stats) {
-	if len(cfgs) > 1 {
-		counts := make(map[config.ReplacementPolicy]int)
-		for _, c := range cfgs {
-			counts[c.Replacement]++
-		}
-		lead := 0
-		for i, c := range cfgs {
-			if leaderScore(c, counts, len(cfgs)) < leaderScore(cfgs[lead], counts, len(cfgs)) {
-				lead = i
-			}
-		}
-		if lead != 0 {
-			order := make([]config.Config, 0, len(cfgs))
-			order = append(order, cfgs[lead])
-			order = append(order, cfgs[:lead]...)
-			order = append(order, cfgs[lead+1:]...)
-			res, st := runGroupOrdered(b, order)
-			out := make([]*core.Result, len(cfgs))
-			out[lead] = res[0]
-			copy(out[:lead], res[1:1+lead])
-			copy(out[lead+1:], res[1+lead:])
-			return out, st
-		}
-	}
-	return runGroupOrdered(b, cfgs)
-}
-
-// leaderScore ranks a configuration's fitness to lead its group; lower
-// is better. A minority-replacement leader loses the majority at the
-// first eviction, and a leader whose planner migrates eagerly from the
-// start (Always) loses the first-touch policies at the first access —
-// whereas Oversub and Disabled behave first-touch through the whole
-// memory-fill warmup, the largest shareable prefix in a policy sweep.
-func leaderScore(c config.Config, counts map[config.ReplacementPolicy]int, total int) int {
-	s := (total - counts[c.Replacement]) * 8
-	switch c.Policy {
-	case config.PolicyOversub:
-		// Best: first-touch until the capacity wall, majority replacement.
-	case config.PolicyDisabled:
-		s += 1
-	case config.PolicyAdaptive:
-		s += 2
-	default:
-		s += 3
-	}
-	return s
-}
-
-// runGroupOrdered is RunGroup with cfgs[0] as the leader.
-func runGroupOrdered(b *workloads.Built, cfgs []config.Config) ([]*core.Result, Stats) {
-	st := Stats{Cells: len(cfgs)}
-	results := make([]*core.Result, len(cfgs))
-	scratch := func(i int) {
-		results[i] = core.Run(b, cfgs[i])
-		st.Scratch++
-	}
-
-	leader := cfgs[0]
-	sharable := len(cfgs) > 1 && mm.ForkablePipeline(leader.MMPipeline) == nil
-	for _, c := range cfgs[1:] {
-		if !Groupable(leader, c) {
-			sharable = false
-		}
-	}
-	if !sharable {
-		for i := range cfgs {
-			scratch(i)
-		}
-		return results, st
-	}
-
-	followers := make([]*follower, len(cfgs)-1)
-	for i, c := range cfgs[1:] {
-		pipe, err := mm.Build(c)
-		if err != nil {
-			panic(err) // leader's pipeline built; groupable cfg cannot fail
-		}
-		followers[i] = &follower{
-			cfg:              c,
-			shadow:           pipe.Planner,
-			evictsLikeLeader: c.Replacement == leader.Replacement,
-		}
-	}
-
-	sim := core.New(b, leader)
-	sim.Driver.SetDecisionMonitor(&monitor{followers: followers})
-	leaderRes := sim.StartResult()
-	n := sim.KernelCount()
-	st.TotalKernels = n * len(cfgs)
-	for i := 0; i < n; i++ {
-		sim.RunKernel(i, leaderRes)
-		if !sim.Quiescent() {
-			continue // migration tail still in flight: not a fork point
-		}
-		for _, f := range followers {
-			if f.diverged {
-				continue
-			}
-			// Forking at every quiescent barrier would spend more time
-			// deep-copying state than the shared prefix saves on long
-			// kernel sequences. Geometric backoff caps the copies at
-			// O(log n) per follower while keeping the stored prefix at
-			// least half of what eager forking would give; the final
-			// barrier always forks, so a follower that never diverges
-			// skips the entire kernel sequence.
-			if f.fork != nil && i+1 < n && i+1 < 2*f.forkKernels {
-				continue
-			}
-			fk, err := sim.Fork(f.cfg)
-			if err != nil {
-				// Conservative: treat an unforkable barrier as divergence
-				// so the follower finishes from its previous fork.
-				f.diverged = true
-				continue
-			}
-			f.fork, f.forkKernels = fk, i+1
-		}
-	}
-	sim.Driver.SetDecisionMonitor(nil)
-	sim.FinishRun(leaderRes)
-	results[0] = leaderRes
-	st.Scratch++
-
-	for fi, f := range followers {
-		if f.fork == nil {
-			scratch(1 + fi)
-			continue
-		}
-		res := f.fork.StartResult()
-		// The shared prefix is decision-identical, so the leader's spans
-		// for the skipped kernels are the follower's spans.
-		res.Spans = append(res.Spans, leaderRes.Spans[:f.forkKernels]...)
-		for i := f.forkKernels; i < n; i++ {
-			f.fork.RunKernel(i, res)
-		}
-		f.fork.FinishRun(res)
-		results[1+fi] = res
-		st.Forked++
-		st.SharedKernels += f.forkKernels
-	}
-	return results, st
-}
-
-// SelfCheck proves the fork machinery on one configuration: it runs the
-// cell from scratch and as the follower of a two-cell group under the
-// identical configuration — the follower's shadow can never disagree
-// with the leader, so it finishes from a fork taken at the last
-// quiescent kernel barrier — and verifies the two results are
-// identical. It returns the (scratch) result and the group's sharing
-// stats; Stats.Forked == 0 means no barrier was forkable (placement
-// advice in play, or no kernel quiesced) and the check was vacuous but
-// still passed. A non-forkable pipeline is an error, not a silent
-// scratch fallback: the caller asked for the check.
-func SelfCheck(b *workloads.Built, cfg config.Config) (*core.Result, Stats, error) {
-	if err := mm.ForkablePipeline(cfg.MMPipeline); err != nil {
-		return nil, Stats{}, fmt.Errorf("snapshot: %w", err)
-	}
-	res, st := runGroupOrdered(b, []config.Config{cfg, cfg})
-	if !reflect.DeepEqual(res[0], res[1]) {
-		return nil, st, fmt.Errorf("snapshot: forked run diverged from the scratch run (simulator state not fully captured)")
-	}
-	return res[0], st, nil
+	TotalKernels  int
+	SharedKernels int
+	Forked        int
 }

@@ -218,10 +218,7 @@ type Driver struct {
 
 	faultLatency sim.Cycle
 	gmmuTLB      *tlb
-	// mon mirrors policy-relevant decisions to the fork runner's
-	// divergence detector (see snapshot.go); nil when detached.
-	mon DecisionMonitor
-	obs AccessObserver
+	obs          AccessObserver
 	// o holds the observability hooks (see obs.go); nil when disabled.
 	o         *driverObs
 	finalized bool
@@ -616,28 +613,18 @@ func (d *Driver) Access(addr memunits.Addr, write bool, done func()) {
 	case AdvicePinHost:
 		// Hard-pinned zero-copy allocation: never migrated.
 		migrate = false
-		if d.mon != nil {
-			d.mon.OnUnforkable("pin-host advice bypasses the planner")
-		}
 	case AdvicePreferHost:
 		// Soft pin: Volta semantics regardless of the global policy.
 		migrate = write || count >= d.cfg.StaticThreshold
-		if d.mon != nil {
-			d.mon.OnUnforkable("prefer-host advice bypasses the planner")
-		}
 	default:
-		a := mm.Access{
+		migrate = d.planner.ShouldMigrate(mm.Access{
 			Block:      b,
 			Write:      write,
 			Count:      count,
 			RoundTrips: d.ctrs.RoundTrips(uint64(b)),
 			Mem:        d.memState(),
 			Now:        now,
-		}
-		migrate = d.planner.ShouldMigrate(a)
-		if d.mon != nil {
-			d.mon.OnPlan(a, migrate)
-		}
+		})
 	}
 	if !migrate {
 		d.remoteAccess(addr, write, walk, done)

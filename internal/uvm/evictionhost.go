@@ -16,9 +16,6 @@ import (
 // victimized. Returns false when the engine declined to evict right now.
 func (d *Driver) evictOne(dest *chunkState) bool {
 	d.mem.NoteOversubscribed()
-	if d.mon != nil {
-		d.mon.OnEvict()
-	}
 	d.ehost.dest = dest
 	ok := d.evictor.EvictOne(&d.ehost)
 	d.ehost.dest = nil

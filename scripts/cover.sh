@@ -5,15 +5,13 @@
 # any falls below the floor. The floor guards the packages recent PRs
 # made load-bearing — the mm pipeline registry/stages, the learn
 # primitives, and the multi-tier surface (tier topology, per-GPU
-# counters, CXL controller + co-location), the snapshot/fork engine,
-# and the simlint framework
+# counters, CXL controller + co-location), and the simlint framework
 # plus its interprocedural analyzers — not the whole module: simulator
 # hot paths are covered by the golden and determinism suites instead.
 set -eu
 
 FLOOR=70
 PACKAGES="uvmsim/internal/mm uvmsim/internal/learn uvmsim/internal/tier uvmsim/internal/counters uvmsim/internal/cxl
-uvmsim/internal/snapshot
 uvmsim/internal/lint uvmsim/internal/lint/seedflow uvmsim/internal/lint/floatdet uvmsim/internal/lint/lockhold uvmsim/internal/lint/goroleak"
 
 fail=0
