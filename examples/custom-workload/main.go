@@ -51,6 +51,7 @@ func (p *probeProgram) Next(in *uvmsim.Instr) bool {
 		in.Compute = 4
 		in.Write = false
 		in.NumAddrs = n
+		in.Stride = 0 // per-lane addresses
 		for i := 0; i < n; i++ {
 			in.Addrs[i] = p.cold.Addr(p.probes[p.pos+i] * 4)
 		}
@@ -67,9 +68,9 @@ func (p *probeProgram) Next(in *uvmsim.Instr) bool {
 	in.Compute = 2
 	in.Write = p.writeHalf
 	in.NumAddrs = int(end - p.hotPos)
-	for i := p.hotPos; i < end; i++ {
-		in.Addrs[i-p.hotPos] = p.hot.Addr(i * 4)
-	}
+	// A dense lane range: lane i reads Addrs[0] + i*Stride.
+	in.Stride = 4
+	in.Addrs[0] = p.hot.Addr(p.hotPos * 4)
 	if p.writeHalf {
 		p.hotPos = end
 	}

@@ -24,6 +24,14 @@ import (
 const MaxLanes = 32
 
 // Instr is one warp instruction. A zero NumAddrs means pure compute.
+//
+// A memory instruction comes in two forms. With Stride zero (the zero
+// value, so programs that never set it get this form) it is a gather:
+// Addrs[:NumAddrs] holds the per-lane byte addresses. With Stride
+// nonzero it is a dense lane range: lane i's address is
+// Addrs[0] + i*Stride and Addrs[1:] are not read. The GPU keeps one
+// Instr per warp across Next calls, so a program that emits both forms
+// must set Stride on every instruction. Read lane addresses with Addr.
 type Instr struct {
 	// Compute is the number of issue cycles of arithmetic preceding the
 	// memory operation (or the whole instruction cost when NumAddrs is
@@ -31,10 +39,21 @@ type Instr struct {
 	Compute uint64
 	// Write marks the memory operation as a store.
 	Write bool
-	// NumAddrs is the number of active lanes; Addrs[:NumAddrs] holds the
-	// per-lane byte addresses.
+	// Stride is the byte distance between consecutive lanes of a dense
+	// instruction, or zero for per-lane addresses. It sits in the
+	// padding after Write, so Instr stays 280 bytes.
+	Stride uint32
+	// NumAddrs is the number of active lanes.
 	NumAddrs int
 	Addrs    [MaxLanes]memunits.Addr
+}
+
+// Addr returns lane i's byte address under either form.
+func (in *Instr) Addr(i int) memunits.Addr {
+	if in.Stride != 0 {
+		return in.Addrs[0] + memunits.Addr(i)*memunits.Addr(in.Stride)
+	}
+	return in.Addrs[i]
 }
 
 // WarpProgram generates the instruction stream of one warp. Next fills
@@ -333,18 +352,23 @@ func (g *GPU) reserve(s *sm, cycles uint64) sim.Cycle {
 }
 
 // coalesce fills w.sectors[:w.nsec] with the unique sector addresses of
-// the current instruction, in ascending order. The masking pass writes
-// straight into the warp's sectors scratch and tracks whether the lanes
-// arrived already sorted — unit-stride and broadcast patterns, the
-// overwhelming majority — so the insertion sort runs only for genuinely
-// divergent warps. n is at most 32, so even that path beats sort.Slice
-// while allocating nothing.
+// the current instruction, in ascending order. Dense instructions
+// (nonzero Stride) derive their sectors arithmetically. For gathers the
+// masking pass writes straight into the warp's sectors scratch and
+// tracks whether the lanes arrived already sorted — broadcast and
+// hand-written unit-stride patterns — so the insertion sort runs only
+// for genuinely divergent warps. n is at most 32, so even that path
+// beats sort.Slice while allocating nothing.
 //
 //sim:hotpath
 func (g *GPU) coalesce(w *warp) {
 	n := w.instr.NumAddrs
 	if n > MaxLanes {
 		panic(fmt.Sprintf("gpu: instruction with %d lanes", n))
+	}
+	if w.instr.Stride != 0 {
+		w.nsec = coalesceDense(&w.sectors, w.instr.Addrs[0], memunits.Addr(w.instr.Stride), n)
+		return
 	}
 	// Single pass: mask each lane to its sector, drop duplicates of the
 	// previous kept sector (safe pre-sort: it only removes multiset
@@ -388,6 +412,31 @@ func (g *GPU) coalesce(w *warp) {
 		k = u
 	}
 	w.nsec = k
+}
+
+// coalesceDense writes the ascending sectors of n >= 1 lanes at
+// first + i*stride into s and returns their count. A stride of at most
+// one sector cannot skip a sector, so the lanes cover every sector from
+// the first lane's to the last lane's; a larger stride puts each lane in
+// its own sector.
+//
+//sim:hotpath
+func coalesceDense(s *[MaxLanes]memunits.Addr, first, stride memunits.Addr, n int) int {
+	const mask = memunits.SectorSize - 1
+	if stride > memunits.SectorSize {
+		for i := 0; i < n; i++ {
+			s[i] = (first + memunits.Addr(i)*stride) &^ mask
+		}
+		return n
+	}
+	lo := first &^ mask
+	hi := (first + memunits.Addr(n-1)*stride) &^ mask
+	k := 0
+	for b := lo; b <= hi; b += memunits.SectorSize {
+		s[k] = b
+		k++
+	}
+	return k
 }
 
 // issueMemory sends the coalesced sectors to the memory backend and

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math/bits"
+
 	"uvmsim/internal/gpu"
 	"uvmsim/internal/memunits"
 )
@@ -23,12 +25,14 @@ type maskedCSRProgram struct {
 	distBase   memunits.Addr
 	weightBase memunits.Addr // zero disables the weight read (bfs)
 	active     []uint64      // shared frontier bitmap, one bit per node
-	lo, hi     int           // node range of this warp
+	hi         int           // end of this warp's node range
 	compute    uint64
 
-	group    int // start node of the current 32-node group
-	phase    int // 0 = dense mask read, 1 = rowptr gather, 2 = edge drain
-	node     int // node currently draining edges
+	group int // start node of the current 32-node group
+	phase int // 0 = dense mask read, 1 = rowptr gather, 2 = edge drain
+	// pending holds the group's active nodes whose edges are not yet
+	// drained, as bits relative to group.
+	pending  uint64
 	edgePos  int32
 	edgeHi   int32
 	subPhase int // 0 read edges, 1 read weights, 2 scatter-write dist
@@ -40,7 +44,7 @@ func newMaskedCSR(g *Graph, mask, rowPtr, edges, dist, weights memunits.Addr, ac
 	return &maskedCSRProgram{
 		g: g, maskBase: mask, rowPtrBase: rowPtr, edgeBase: edges,
 		distBase: dist, weightBase: weights, active: active,
-		lo: lo, hi: hi, compute: compute, group: lo,
+		hi: hi, compute: compute, group: lo,
 	}
 }
 
@@ -53,21 +57,22 @@ func frontierBitmap(n int, frontier []int32) []uint64 {
 	return bm
 }
 
-func (p *maskedCSRProgram) isActive(v int) bool {
-	return p.active[v/64]&(1<<(uint(v)%64)) != 0
-}
-
-// nextActive returns the first active node in [from, to), or to.
-func (p *maskedCSRProgram) nextActive(from, to int) int {
-	for v := from; v < to; v++ {
-		if p.isActive(v) {
-			return v
-		}
+// activeWindow returns the active bits of nodes [from, to), to-from <
+// 64, as bits relative to from. The window reads two bitmap words when
+// the range crosses a word boundary.
+func (p *maskedCSRProgram) activeWindow(from, to int) uint64 {
+	wi, off := from/64, uint(from%64)
+	n := uint(to - from)
+	w := p.active[wi] >> off
+	if off+n > 64 {
+		w |= p.active[wi+1] << (64 - off)
 	}
-	return to
+	return w & (1<<n - 1)
 }
 
 // Next implements gpu.WarpProgram.
+//
+//sim:hotpath
 func (p *maskedCSRProgram) Next(in *gpu.Instr) bool {
 	for {
 		if p.group >= p.hi {
@@ -84,40 +89,39 @@ func (p *maskedCSRProgram) Next(in *gpu.Instr) bool {
 			in.Write = false
 			in.Compute = p.compute
 			in.NumAddrs = gEnd - p.group
-			for v := p.group; v < gEnd; v++ {
-				in.Addrs[v-p.group] = p.maskBase + uint64(v)*elemSize
-			}
+			in.Stride = elemSize
+			in.Addrs[0] = p.maskBase + uint64(p.group)*elemSize
 			p.phase = 1
 			return true
 		case 1:
 			// Gather the row pointers of the group's active nodes.
-			n := 0
-			for v := p.group; v < gEnd && n < lanes; v++ {
-				if p.isActive(v) {
-					in.Addrs[n] = p.rowPtrBase + uint64(v)*elemSize
-					n++
-				}
-			}
-			if n == 0 {
+			p.pending = p.activeWindow(p.group, gEnd)
+			if p.pending == 0 {
 				p.group = gEnd
 				p.phase = 0
 				continue
+			}
+			n := 0
+			for b := p.pending; b != 0; b &= b - 1 {
+				v := p.group + bits.TrailingZeros64(b)
+				in.Addrs[n] = p.rowPtrBase + uint64(v)*elemSize
+				n++
 			}
 			in.Write = false
 			in.Compute = 1
 			in.NumAddrs = n
+			in.Stride = 0
 			p.phase = 2
-			p.node = p.group - 1
-			p.advanceNode(gEnd)
+			p.nextNode()
 			return true
 		default:
-			if p.node >= gEnd {
-				p.group = gEnd
-				p.phase = 0
-				continue
-			}
 			if p.edgePos >= p.edgeHi {
-				p.advanceNode(gEnd)
+				if p.pending == 0 {
+					p.group = gEnd
+					p.phase = 0
+					continue
+				}
+				p.nextNode()
 				continue
 			}
 			n := int(p.edgeHi - p.edgePos)
@@ -130,9 +134,8 @@ func (p *maskedCSRProgram) Next(in *gpu.Instr) bool {
 				in.Write = false
 				in.Compute = 0
 				in.NumAddrs = n
-				for i := 0; i < n; i++ {
-					in.Addrs[i] = p.edgeBase + uint64(p.edgePos+int32(i))*elemSize
-				}
+				in.Stride = elemSize
+				in.Addrs[0] = p.edgeBase + uint64(p.edgePos)*elemSize
 				if p.weightBase != 0 {
 					p.subPhase = 1
 				} else {
@@ -143,15 +146,15 @@ func (p *maskedCSRProgram) Next(in *gpu.Instr) bool {
 				in.Write = false
 				in.Compute = 0
 				in.NumAddrs = p.groupLen
-				for i := 0; i < p.groupLen; i++ {
-					in.Addrs[i] = p.weightBase + uint64(p.edgePos+int32(i))*elemSize
-				}
+				in.Stride = elemSize
+				in.Addrs[0] = p.weightBase + uint64(p.edgePos)*elemSize
 				p.subPhase = 2
 				return true
 			default: // divergent scatter write into the hot dist array
 				in.Write = true
 				in.Compute = 2
 				in.NumAddrs = p.groupLen
+				in.Stride = 0
 				for i := 0; i < p.groupLen; i++ {
 					t := p.g.Edges[p.edgePos+int32(i)]
 					in.Addrs[i] = p.distBase + uint64(t)*elemSize
@@ -164,13 +167,12 @@ func (p *maskedCSRProgram) Next(in *gpu.Instr) bool {
 	}
 }
 
-// advanceNode positions the edge cursor at the next active node of the
-// group, or past gEnd when the group is drained.
-func (p *maskedCSRProgram) advanceNode(gEnd int) {
-	p.node = p.nextActive(p.node+1, gEnd)
-	if p.node < gEnd {
-		p.edgePos = p.g.RowPtr[p.node]
-		p.edgeHi = p.g.RowPtr[p.node+1]
-		p.subPhase = 0
-	}
+// nextNode pops the group's next pending active node and positions the
+// edge cursor on its adjacency.
+func (p *maskedCSRProgram) nextNode() {
+	v := p.group + bits.TrailingZeros64(p.pending)
+	p.pending &= p.pending - 1
+	p.edgePos = p.g.RowPtr[v]
+	p.edgeHi = p.g.RowPtr[v+1]
+	p.subPhase = 0
 }

@@ -102,6 +102,7 @@ func (p *chaseProgram) Next(in *gpu.Instr) bool {
 	in.Compute = 1
 	in.Write = false
 	in.NumAddrs = 1
+	in.Stride = 0
 	in.Addrs[0] = p.base + uint64(p.cur)*elemSize
 	p.cur = p.next[p.cur]
 	return true

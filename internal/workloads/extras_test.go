@@ -82,7 +82,7 @@ func TestSpatterMixesStridedAndRandom(t *testing.T) {
 		// Check divergence in a buffer access group.
 		sectors := map[uint64]bool{}
 		for i := 0; i < in.NumAddrs; i++ {
-			sectors[in.Addrs[i]/128] = true
+			sectors[in.Addr(i)/128] = true
 		}
 		if len(sectors) > 4 {
 			sawGather = true

@@ -42,6 +42,8 @@ func newStream(ops []operand, lo, hi int, compute uint64) *streamProgram {
 }
 
 // Next implements gpu.WarpProgram.
+//
+//sim:hotpath
 func (p *streamProgram) Next(in *gpu.Instr) bool {
 	if p.pos >= p.hi {
 		return false
@@ -53,9 +55,8 @@ func (p *streamProgram) Next(in *gpu.Instr) bool {
 	op := p.ops[p.opIdx]
 	in.Write = op.write
 	in.NumAddrs = end - p.pos
-	for i := p.pos; i < end; i++ {
-		in.Addrs[i-p.pos] = op.base + uint64(i)*elemSize
-	}
+	in.Stride = elemSize
+	in.Addrs[0] = op.base + uint64(p.pos)*elemSize
 	if p.opIdx == 0 {
 		in.Compute = p.compute
 	} else {
@@ -86,6 +87,8 @@ func newGather(ops []operand, idx []int32, compute uint64) *gatherProgram {
 }
 
 // Next implements gpu.WarpProgram.
+//
+//sim:hotpath
 func (p *gatherProgram) Next(in *gpu.Instr) bool {
 	if p.pos >= len(p.idx) {
 		return false
@@ -97,6 +100,7 @@ func (p *gatherProgram) Next(in *gpu.Instr) bool {
 	op := p.ops[p.opIdx]
 	in.Write = op.write
 	in.NumAddrs = end - p.pos
+	in.Stride = 0
 	for i := p.pos; i < end; i++ {
 		in.Addrs[i-p.pos] = op.base + uint64(p.idx[i])*elemSize
 	}
@@ -124,6 +128,8 @@ func chainPrograms(progs ...gpu.WarpProgram) gpu.WarpProgram {
 }
 
 // Next implements gpu.WarpProgram.
+//
+//sim:hotpath
 func (p *seqProgram) Next(in *gpu.Instr) bool {
 	for p.cur < len(p.progs) {
 		if p.progs[p.cur].Next(in) {
@@ -155,6 +161,8 @@ func newStrided(ops []operand, rowLo, rowHi, colLo, colHi, rowStride int, comput
 }
 
 // Next implements gpu.WarpProgram.
+//
+//sim:hotpath
 func (p *stridedProgram) Next(in *gpu.Instr) bool {
 	if p.row >= p.rowHi || p.colLo >= p.colHi {
 		return false
@@ -166,10 +174,8 @@ func (p *stridedProgram) Next(in *gpu.Instr) bool {
 	op := p.ops[p.opIx]
 	in.Write = op.write
 	in.NumAddrs = end - p.col
-	rowBase := op.base + uint64(p.row*p.rowStride)*elemSize
-	for c := p.col; c < end; c++ {
-		in.Addrs[c-p.col] = rowBase + uint64(c)*elemSize
-	}
+	in.Stride = elemSize
+	in.Addrs[0] = op.base + uint64(p.row*p.rowStride+p.col)*elemSize
 	if p.opIx == 0 {
 		in.Compute = p.compute
 	} else {

@@ -25,12 +25,12 @@ func drainWarp(t *testing.T, b *Built, p gpu.WarpProgram) int {
 			t.Fatalf("instr with %d lanes", in.NumAddrs)
 		}
 		for i := 0; i < in.NumAddrs; i++ {
-			a := b.Space.Find(in.Addrs[i])
+			a := b.Space.Find(in.Addr(i))
 			if a == nil {
-				t.Fatalf("address %#x outside all allocations", in.Addrs[i])
+				t.Fatalf("address %#x outside all allocations", in.Addr(i))
 			}
-			if off := in.Addrs[i] - a.Base; off >= a.UserSize {
-				t.Fatalf("address %#x beyond user size of %s", in.Addrs[i], a.Name)
+			if off := in.Addr(i) - a.Base; off >= a.UserSize {
+				t.Fatalf("address %#x beyond user size of %s", in.Addr(i), a.Name)
 			}
 		}
 	}
@@ -141,8 +141,8 @@ func TestBuildsAreDeterministic(t *testing.T) {
 			for k := 0; k < i1.NumAddrs; k++ {
 				// Addresses are relative to per-build bases; compare
 				// offsets within the first allocation instead.
-				o1 := i1.Addrs[k] - b1.Space.Allocations()[0].Base
-				o2 := i2.Addrs[k] - b2.Space.Allocations()[0].Base
+				o1 := i1.Addr(k) - b1.Space.Allocations()[0].Base
+				o2 := i2.Addr(k) - b2.Space.Allocations()[0].Base
 				if o1 != o2 {
 					t.Fatalf("%s: instr %d lane %d offset %#x vs %#x", name, n, k, o1, o2)
 				}
@@ -185,7 +185,7 @@ func TestStreamProgramAddresses(t *testing.T) {
 		t.Fatalf("lanes = %d, want 32", in.NumAddrs)
 	}
 	for i := 1; i < in.NumAddrs; i++ {
-		if in.Addrs[i] != in.Addrs[i-1]+elemSize {
+		if in.Addr(i) != in.Addr(i-1)+elemSize {
 			t.Fatal("dense lanes not consecutive")
 		}
 	}
@@ -201,7 +201,7 @@ func TestGatherProgramDivergence(t *testing.T) {
 	// Random indices: expect addresses in many distinct sectors.
 	sectors := map[memunits.Addr]bool{}
 	for i := 0; i < in.NumAddrs; i++ {
-		sectors[in.Addrs[i]/memunits.SectorSize] = true
+		sectors[in.Addr(i)/memunits.SectorSize] = true
 	}
 	if len(sectors) < 8 {
 		t.Fatalf("ra first instr touches only %d sectors; not divergent", len(sectors))
@@ -215,7 +215,7 @@ func TestGatherProgramDivergence(t *testing.T) {
 		t.Fatalf("second instr not matching write: write=%v lanes=%d", in.Write, in.NumAddrs)
 	}
 	for i := 0; i < in.NumAddrs; i++ {
-		if in.Addrs[i] != read.Addrs[i] {
+		if in.Addr(i) != read.Addr(i) {
 			t.Fatal("RMW write addresses differ from read")
 		}
 	}

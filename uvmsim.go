@@ -73,7 +73,12 @@ type (
 	Allocation = alloc.Allocation
 	// Kernel describes one kernel launch.
 	Kernel = gpu.Kernel
-	// Instr is one warp instruction.
+	// Instr is one warp instruction. Leave Stride zero and fill
+	// Addrs[:NumAddrs] for per-lane (gather) addresses; set Stride to
+	// the byte distance between lanes and only Addrs[0] for a dense
+	// lane range, which the coalescer handles without per-lane work.
+	// The GPU reuses a warp's Instr across Next calls, so a program
+	// that emits both forms sets Stride on every instruction.
 	Instr = gpu.Instr
 	// WarpProgram generates a warp's instruction stream.
 	WarpProgram = gpu.WarpProgram
