@@ -352,7 +352,7 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 }
 
 // simulateCluster runs the workload bulk-synchronously across o.gpus
-// GPUs — sequentially, or under the conservative-PDES coordinator when
+// GPUs — sequentially, or under the PDES coordinator when
 // -workers > 1 (the two modes produce byte-identical results) — and
 // prints the aggregate makespan plus per-GPU metrics.
 func simulateCluster(o options, b *uvmsim.Workload, cfg uvmsim.Config, suite *obs.Suite, runName string, stdout io.Writer) error {

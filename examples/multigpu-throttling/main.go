@@ -7,8 +7,8 @@
 // (bulk-synchronous execution); every GPU has its own device memory and
 // PCIe link, and its Adaptive threshold responds to local occupancy.
 //
-// With -cluster-workers N > 1 each cluster runs under the conservative
-// parallel discrete-event coordinator (DESIGN.md §12); the results are
+// With -cluster-workers N > 1 each cluster runs under the parallel
+// discrete-event coordinator (DESIGN.md §12); the results are
 // byte-identical to the sequential default, only wall clock changes.
 //
 //	go run ./examples/multigpu-throttling [-workload ra] [-oversub 125] [-cluster-workers 4]

@@ -225,9 +225,9 @@ type Config struct {
 	BanditEpochCycles uint64
 
 	// ClusterWorkers bounds the worker threads a multi-GPU cluster run
-	// may use for conservative parallel discrete-event simulation
-	// (internal/multigpu): each GPU+driver node gets its own engine and
-	// nodes advance concurrently up to a lookahead-derived horizon.
+	// may use for parallel discrete-event simulation (internal/multigpu):
+	// each GPU+driver node gets its own engine, and every kernel drains
+	// all node engines concurrently up to the barrier.
 	// Results are byte-identical to the sequential path for every value.
 	// 0 or 1 selects the sequential single-engine path; values above
 	// the cluster size are clamped to it. Single-GPU runs ignore it.

@@ -7,8 +7,8 @@
 // the controller it runs co-location scenarios — multiple tenants
 // (catalog workloads) sharing GPU device memory with per-tenant page
 // accounting, priority-aware eviction and a fairness metric — under
-// either a sequential barrier loop or the conservative-PDES
-// coordinator from internal/multigpu, byte-identically.
+// either a sequential barrier loop or the PDES coordinator from
+// internal/multigpu, byte-identically.
 //
 // The pool operates at the driver's 64KB basic-block granularity.
 // Controller state is mutated only at epoch barriers, in fixed GPU
@@ -182,7 +182,7 @@ type barrierAction struct {
 // per-GPU counters, enforces invalidation-on-write, consults the policy
 // and executes its decisions against the frame pools. It returns the
 // resulting transfer actions for the scenario to charge. Apply must be
-// called with all engines parked, in fixed GPU order — it is the only
+// called between drain rounds, in fixed GPU order — it is the only
 // mutation point of controller state.
 func (c *Controller) Apply(gpu int, epoch uint64, reqs []request, actions []barrierAction) []barrierAction {
 	for _, r := range reqs {

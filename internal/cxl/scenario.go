@@ -57,8 +57,8 @@ type ScenarioConfig struct {
 	// Seed drives every tenant's stream generator. Equal seeds produce
 	// byte-identical runs at any worker count.
 	Seed uint64
-	// Workers selects execution: 0/1 sequential, >=2 the conservative
-	// PDES coordinator (clamped to GPUs).
+	// Workers selects execution: 0/1 sequential, >=2 the PDES
+	// coordinator (clamped to GPUs).
 	Workers int
 }
 
@@ -351,10 +351,12 @@ func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
 	s.drain(co)
 }
 
-// drain empties every engine, in index order sequentially or
-// concurrently under the coordinator, then aligns all clocks to the
-// barrier (the max engine clock), exactly like the multigpu kernel
-// barrier.
+// drain empties every engine, in index order sequentially or in one
+// concurrent coordinator round, then aligns all clocks to the barrier
+// (the max engine clock), exactly like the multigpu kernel barrier.
+// Streams never interact inside an epoch — accesses only read the
+// frozen controller state and append to their own GPU's log — so each
+// engine can run to empty on its own.
 func (s *Scenario) drain(co *multigpu.Coordinator) {
 	if co != nil {
 		co.Drain()
@@ -378,17 +380,7 @@ func (s *Scenario) drain(co *multigpu.Coordinator) {
 func (s *Scenario) Run() (*Result, error) {
 	var co *multigpu.Coordinator
 	if s.cfg.Workers >= 2 {
-		la := sim.Cycle(1)
-		for _, f := range s.fabrics {
-			if l := f.Lookahead(); l > la {
-				la = l
-			}
-		}
-		// Streams never interact inside an epoch, so any positive
-		// lookahead is safe; 2x the slowest link mirrors multigpu.
-		co = multigpu.NewCoordinator(s.engines, s.cfg.Workers, 2*la)
-		co.Start()
-		defer co.Stop()
+		co = multigpu.NewCoordinator(s.engines, s.cfg.Workers)
 	}
 	var actions []barrierAction
 	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {

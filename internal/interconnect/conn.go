@@ -7,8 +7,8 @@ import (
 
 // Conn is the common interface of every interconnect in the model: the
 // host PCIe link and the CXL port fronting the pooled tier both
-// implement it, so the driver, the PDES lookahead derivation and the
-// fabric graph are written against one vocabulary.
+// implement it, so the driver and the fabric graph are written against
+// one vocabulary.
 //
 // All implementations share the channel contract: two independent
 // directional wires, each serializing its transfers, with completion one
@@ -21,10 +21,6 @@ type Conn interface {
 	// RemoteAccess schedules one small (sector-sized) transaction,
 	// paying the link's per-transaction overhead.
 	RemoteAccess(dir Direction, payload uint64, done func()) sim.Cycle
-	// Lookahead returns the minimum cycles between initiating a
-	// transfer and its completion becoming visible on the far side —
-	// the conservative-PDES horizon contribution of this link.
-	Lookahead() sim.Cycle
 	// FreeAt reports when the direction's wire next becomes idle.
 	FreeAt(dir Direction) sim.Cycle
 	// Stats returns a copy of the per-direction usage counters.

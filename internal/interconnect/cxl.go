@@ -70,16 +70,6 @@ func (c *CXL) RemoteAccess(dir Direction, payload uint64, done func()) sim.Cycle
 	return c.chans[dir].transfer(payload, c.flits(payload), done)
 }
 
-// Lookahead returns the minimum cycles between initiating a transfer and
-// its completion becoming visible on the far side (see Link.Lookahead).
-func (c *CXL) Lookahead() sim.Cycle {
-	min := c.chans[HostToDevice].latency
-	if c.chans[DeviceToHost].latency < min {
-		min = c.chans[DeviceToHost].latency
-	}
-	return min + 1
-}
-
 // FreeAt reports when the given direction's wire next becomes idle.
 func (c *CXL) FreeAt(dir Direction) sim.Cycle { return c.chans[dir].freeAt }
 

@@ -56,14 +56,6 @@ func TestCXLSerializationAndDuplex(t *testing.T) {
 	}
 }
 
-func TestCXLLookahead(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newCXL(eng)
-	if la := c.Lookahead(); la != 51 {
-		t.Fatalf("lookahead = %d, want 51", la)
-	}
-}
-
 func TestCXLDoneCallbackFires(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newCXL(eng)
@@ -115,10 +107,6 @@ func TestFabricResolvesAndOrders(t *testing.T) {
 	if f.MustLink("pcie0") != Conn(pcie) {
 		t.Fatal("MustLink(pcie0) did not resolve")
 	}
-	// pcie lookahead = 101, cxl = 51: fabric takes the minimum.
-	if la := f.Lookahead(); la != 51 {
-		t.Fatalf("fabric lookahead = %d, want 51", la)
-	}
 }
 
 func TestFabricPanics(t *testing.T) {
@@ -128,7 +116,6 @@ func TestFabricPanics(t *testing.T) {
 	mustPanic(t, "duplicate name", func() { f.Add("a", newCXL(eng)) })
 	mustPanic(t, "empty name", func() { f.Add("", newLink(eng)) })
 	mustPanic(t, "nil link", func() { f.Add("b", nil) })
-	mustPanic(t, "empty-fabric lookahead", func() { NewFabric().Lookahead() })
 }
 
 func TestFabricPublishMetrics(t *testing.T) {

@@ -5,17 +5,15 @@ import (
 	"sort"
 
 	"uvmsim/internal/obs"
-	"uvmsim/internal/sim"
 )
 
 // Fabric is the named-link graph of a multi-tier topology: every
 // interconnect in the machine — the per-GPU PCIe links to the host and
 // the per-GPU CXL ports into the pool — registered under a unique name
 // ("pcie0", "cxl0", ...). The fabric is what generalizes the
-// single-Link world: components resolve the link they need by name, the
-// PDES coordinator derives its horizon from the minimum lookahead of
-// every link crossing a partition boundary, and metrics publication
-// walks the graph once instead of each link wiring itself up.
+// single-Link world: components resolve the link they need by name, and
+// metrics publication walks the graph once instead of each link wiring
+// itself up.
 //
 // Iteration order is always name-sorted, never map order, so every walk
 // of the fabric is deterministic.
@@ -72,24 +70,6 @@ func (f *Fabric) Names() []string {
 
 // Len returns the number of links.
 func (f *Fabric) Len() int { return len(f.links) }
-
-// Lookahead returns the minimum lookahead across every link in the
-// fabric — the conservative bound a PDES coordinator must respect when
-// partitions interact over any of them. It panics on an empty fabric,
-// where no horizon is derivable.
-func (f *Fabric) Lookahead() sim.Cycle {
-	if len(f.names) == 0 {
-		panic("interconnect: lookahead of an empty fabric")
-	}
-	min := sim.Cycle(0)
-	for i, name := range f.names {
-		la := f.links[name].Lookahead()
-		if i == 0 || la < min {
-			min = la
-		}
-	}
-	return min
-}
 
 // PublishMetrics registers snapshot providers for every link, each
 // under "link.<name>." — e.g. link.cxl0.h2d.bytes. Links are walked in

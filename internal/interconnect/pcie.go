@@ -137,24 +137,6 @@ func (l *Link) RemoteAccess(dir Direction, payload uint64, done func()) sim.Cycl
 	return l.chans[dir].transfer(payload, wire, done)
 }
 
-// Lookahead returns the minimum number of cycles that must elapse
-// between initiating a transfer on this link and its completion
-// becoming visible on the far side: the smaller directional initiation
-// latency plus the one-cycle minimum wire occupancy. This is the
-// model's cross-partition interaction delay, which conservative PDES
-// uses to derive its safe horizon — no GPU can be affected by host
-// memory (and hence, transitively, by any other GPU) sooner than one
-// link traversal from now, so all partitions may advance at least this
-// far beyond the earliest pending event without risking a causality
-// violation.
-func (l *Link) Lookahead() sim.Cycle {
-	min := l.chans[HostToDevice].latency
-	if l.chans[DeviceToHost].latency < min {
-		min = l.chans[DeviceToHost].latency
-	}
-	return min + 1 // occupancy() never returns less than one cycle
-}
-
 // FreeAt reports when the given direction's wire next becomes idle.
 func (l *Link) FreeAt(dir Direction) sim.Cycle { return l.chans[dir].freeAt }
 

@@ -52,7 +52,7 @@ func (m *statsModel) note(now sim.Cycle, payload, wire uint64) sim.Cycle {
 // counts sum, busy cycles equal the summed wire occupancies, and the
 // wire-busy intervals agree with what the engine observes (freeAt and
 // completion cycles). This is the conservation law the utilization
-// metrics and the PDES lookahead argument both lean on.
+// metrics lean on.
 func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
 		rng := learn.NewRNG(seed)

@@ -14,10 +14,10 @@
 //
 // By default all replicas share one discrete-event engine and the run
 // is single-threaded. When cfg.ClusterWorkers > 1 the cluster instead
-// runs in conservative parallel discrete-event (PDES) mode — one engine
-// per GPU+driver node, advanced concurrently up to a lookahead-derived
-// horizon (see pdes.go) — producing byte-identical results at a
-// fraction of the wall-clock time.
+// runs in parallel discrete-event (PDES) mode — one engine per
+// GPU+driver node, each drained to empty concurrently once per kernel
+// (see pdes.go) — producing byte-identical results at a fraction of the
+// wall-clock time.
 //
 // Host-side coherence between GPUs is not modelled: collaborative
 // workloads partition their writes, and the policies under study see
@@ -44,22 +44,33 @@ const eventBudget = 4_000_000_000
 // node is one GPU with its private UVM driver. In sequential mode every
 // node's eng field aliases the cluster's shared engine; in PDES mode
 // each node owns its engine and all of the node's mutable simulation
-// state (driver, GPU, engine) is touched by exactly one worker at a
-// time (see pdes.go for the synchronization argument).
+// state (driver, GPU, engine, checker) is touched by exactly one worker
+// at a time (see pdes.go for the synchronization argument).
 type node struct {
 	eng *sim.Engine
 	drv *uvm.Driver
 	g   *gpu.GPU
+	ck  *obs.Checker // nil when the node is not observed
 
-	// Per-kernel bulk-synchronous bookkeeping (PDES mode): launched is
-	// set by the coordinator at launch time, finished by the kernel's
-	// completion event on whichever worker drains this node.
+	// Per-kernel bulk-synchronous bookkeeping: launched is set at launch
+	// time, finished by the kernel's completion event.
 	launched bool
 	finished bool
 }
 
-// onKernelDone is the prebound kernel-completion callback (PDES mode).
+// onKernelDone is the prebound kernel-completion callback.
 func (n *node) onKernelDone(sim.Cycle) { n.finished = true }
+
+// check runs the node's invariant checks, panicking with a violation
+// stamped with now on the first breach.
+func (n *node) check(now sim.Cycle) {
+	if err := n.ck.RunAll(uint64(now)); err != nil {
+		panic(err)
+	}
+}
+
+// checkTick is the node's own engine daemon (PDES mode).
+func (n *node) checkTick() { n.check(n.eng.Now()) }
 
 // Cluster runs one workload across several GPUs.
 type Cluster struct {
@@ -68,10 +79,6 @@ type Cluster struct {
 	nodes []*node
 	built *workloads.Built
 	cfg   config.Config
-
-	// Observability (see Observe); zero when disabled.
-	checkers   []*obs.Checker
-	checkEvery uint64
 }
 
 // Workers reports the PDES worker count the cluster will use (1 =
@@ -85,29 +92,25 @@ func (c *Cluster) Workers() int {
 
 // Observe attaches per-GPU observability: mk is called once per GPU and
 // may return nil to skip that GPU. A shared CheckEvery (the maximum over
-// the returned runs) drives one cluster-wide invariant sweep that walks
-// every driver's consistency check, panicking with a cycle-stamped
-// *obs.Violation on the first breach. In sequential mode the sweep
-// rides on the engine daemon; in PDES mode it runs at horizon
-// boundaries, with every worker parked, in fixed node order. Call
+// the returned runs) drives the invariant sweep over every observed
+// driver's consistency check, panicking with a cycle-stamped
+// *obs.Violation on the first breach. In sequential mode one sweep
+// walks the nodes in order on the shared engine's daemon; in PDES mode
+// each node's own engine daemon sweeps that node mid-kernel. Call
 // before Run.
 func (c *Cluster) Observe(mk func(gpuIdx int) *obs.Run) {
-	c.checkers = nil
-	c.checkEvery = 0
-	if c.eng != nil {
-		c.eng.SetDaemon(0, nil)
-	} else {
-		c.par.SetSweep(0, nil)
-	}
+	var every sim.Cycle
 	for idx, n := range c.nodes {
+		n.ck = nil
+		n.eng.SetDaemon(0, nil)
 		r := mk(idx)
 		n.drv.SetObs(r)
 		n.g.SetObs(r)
 		if !r.Enabled() {
 			continue
 		}
-		if r.CheckEvery > c.checkEvery {
-			c.checkEvery = r.CheckEvery
+		if sim.Cycle(r.CheckEvery) > every {
+			every = sim.Cycle(r.CheckEvery)
 		}
 		if r.Reg != nil {
 			r.Reg.RegisterProvider(func(e obs.Emitter) {
@@ -121,20 +124,22 @@ func (c *Cluster) Observe(mk func(gpuIdx int) *obs.Run) {
 				c.par.Publish(r.Reg)
 			}
 		}
-		ck := &obs.Checker{}
-		drv := n.drv
-		ck.Add(fmt.Sprintf("gpu%d-driver-consistency", idx), drv.CheckConsistencyMidRun)
-		c.checkers = append(c.checkers, ck)
+		n.ck = &obs.Checker{}
+		n.ck.Add(fmt.Sprintf("gpu%d-driver-consistency", idx), n.drv.CheckConsistencyMidRun)
 	}
-	if c.checkEvery == 0 {
+	if every == 0 {
 		return
 	}
+	// Sweeps ride on engine daemons so they observe drivers at real
+	// event boundaries and never extend the run.
 	if c.eng != nil {
-		// The sweep rides on the engine daemon so it observes every
-		// driver at real event boundaries and never extends the run.
-		c.eng.SetDaemon(sim.Cycle(c.checkEvery), c.checkTick)
-	} else {
-		c.par.SetSweep(sim.Cycle(c.checkEvery), c.checkSweep)
+		c.eng.SetDaemon(every, c.checkTick)
+		return
+	}
+	for _, n := range c.nodes {
+		if n.ck != nil {
+			n.eng.SetDaemon(every, n.checkTick)
+		}
 	}
 }
 
@@ -168,16 +173,12 @@ func (c *Cluster) clusterFired() uint64 {
 	return sum
 }
 
-// checkTick is the cluster-wide invariant sweep, driven by the engine
-// daemon (sequential mode).
-func (c *Cluster) checkTick() { c.checkSweep(c.eng.Now()) }
-
-// checkSweep walks every checker in fixed node order, stamping
-// violations with the given cycle.
-func (c *Cluster) checkSweep(now sim.Cycle) {
-	for _, ck := range c.checkers {
-		if err := ck.RunAll(uint64(now)); err != nil {
-			panic(err)
+// checkTick is the cluster-wide invariant sweep on the shared engine's
+// daemon (sequential mode): every observed node, in node order.
+func (c *Cluster) checkTick() {
+	for _, n := range c.nodes {
+		if n.ck != nil {
+			n.check(c.eng.Now())
 		}
 	}
 }
@@ -211,8 +212,7 @@ func (r *Result) TotalRemoteAccesses() uint64 {
 
 // New creates a cluster of nGPUs over the workload. cfg.DeviceMemBytes
 // is the per-GPU memory capacity. cfg.ClusterWorkers > 1 selects the
-// conservative-PDES execution mode (pdes.go); results are byte-identical
-// either way.
+// PDES execution mode (pdes.go); results are byte-identical either way.
 func New(b *workloads.Built, cfg config.Config, nGPUs int) *Cluster {
 	if nGPUs < 1 {
 		panic(fmt.Sprintf("multigpu: %d GPUs", nGPUs))
@@ -226,22 +226,17 @@ func New(b *workloads.Built, cfg config.Config, nGPUs int) *Cluster {
 		workers = nGPUs
 	}
 	if workers > 1 {
-		// PDES mode: one engine per node, advanced concurrently.
-		for i := 0; i < nGPUs; i++ {
+		// PDES mode: one engine per node, drained concurrently.
+		engines := make([]*sim.Engine, nGPUs)
+		for i := range engines {
 			eng := sim.NewEngine()
 			eng.SetEventBudget(eventBudget)
 			drv := uvm.New(eng, cfg, b.Space)
 			c.nodes = append(c.nodes, &node{eng: eng, drv: drv, g: gpu.New(eng, cfg, drv, drv.Stats())})
+			engines[i] = eng
 		}
-		// The safe horizon extends one host-memory round trip (two link
-		// traversals) beyond the earliest pending event: no node can
-		// observe another's activity any sooner. A zero lookahead would
-		// force lockstep, so it falls back to the sequential path.
-		if la := 2 * c.nodes[0].drv.Link().Lookahead(); la > 0 {
-			c.par = newCoordinator(c.nodes, workers, la)
-			return c
-		}
-		c.nodes = nil
+		c.par = NewCoordinator(engines, workers)
+		return c
 	}
 	eng := sim.NewEngine()
 	eng.SetEventBudget(eventBudget)
@@ -280,39 +275,48 @@ func (c *Cluster) Run() *Result {
 	for _, k := range c.built.Kernels {
 		c.runKernel(k)
 	}
-	if c.eng != nil {
-		c.eng.Run() // drain trailing prefetch transfers
-		return c.finish(c.eng.Now())
-	}
-	var barrier sim.Cycle
-	for _, n := range c.nodes {
-		if n.eng.Now() > barrier {
-			barrier = n.eng.Now()
-		}
-	}
-	return c.finish(barrier)
+	return c.finish(sim.Cycle(c.clusterNow()))
 }
 
 // runKernel runs one kernel bulk-synchronously across the GPUs: every
 // GPU launches its CTA share, and the call returns only after the
 // whole cluster drains (the kernel barrier).
 func (c *Cluster) runKernel(k gpu.Kernel) {
+	c.launch(k)
 	if c.par != nil {
-		c.runKernelParallel(k)
-		return
+		c.par.Drain()
+	} else {
+		c.eng.Run()
 	}
-	remaining := 0
+	c.barrier(k)
+}
+
+// launch starts every node's CTA share of k, in node order.
+func (c *Cluster) launch(k gpu.Kernel) {
 	for idx, n := range c.nodes {
 		sub, ok := splitKernel(k, len(c.nodes), idx)
-		if !ok {
-			continue
+		n.launched = ok
+		n.finished = false
+		if ok {
+			n.g.Launch(sub, n.onKernelDone)
 		}
-		remaining++
-		n.g.Launch(sub, func(sim.Cycle) { remaining-- })
 	}
-	c.eng.Run()
-	if remaining != 0 {
-		panic(fmt.Sprintf("multigpu: kernel %s left %d GPUs unfinished", k.Name, remaining))
+}
+
+// barrier closes kernel k once every engine has drained (trailing
+// prefetch transfers included): every launched share must have
+// finished, and every node clock moves to the max last-event time
+// across nodes — exactly the shared engine's clock after its drain — so
+// the next launch round observes the same Now it would sequentially.
+func (c *Cluster) barrier(k gpu.Kernel) {
+	for idx, n := range c.nodes {
+		if n.launched && !n.finished {
+			panic(fmt.Sprintf("multigpu: kernel %s left gpu%d unfinished", k.Name, idx))
+		}
+	}
+	at := sim.Cycle(c.clusterNow())
+	for _, n := range c.nodes {
+		n.eng.AdvanceTo(at)
 	}
 }
 

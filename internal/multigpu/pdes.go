@@ -1,5 +1,4 @@
-// Conservative parallel discrete-event execution (PDES) for cluster
-// runs.
+// Parallel discrete-event execution (PDES) for cluster runs.
 //
 // # Model
 //
@@ -16,187 +15,102 @@
 //
 // # Protocol
 //
-// The coordinator repeatedly computes the safe horizon — the minimum
-// next-event time across nodes plus the model lookahead (one
-// host-memory round trip over PCIe, the minimum cross-node interaction
-// latency) — and has a fixed worker pool advance every node engine up
-// to it with sim.DrainUntil (which never pads clocks). Cross-node
-// effects are exchanged only with all workers parked, in fixed node
-// order: kernel-barrier completion checks, barrier clock alignment
-// (sim.AdvanceTo to the max last-event time, reproducing the shared
-// engine's clock at launch), and cluster-wide obs invariant sweeps.
-// Worker assignment is static (node i belongs to worker i mod W), so a
-// node's engine is only ever touched by one goroutine per round, and
-// the cmd/done channel pair orders every round's mutations before the
-// coordinator's reads.
+// One drain round per barrier: the coordinator runs every node engine
+// to empty on W goroutines and returns. Since no node can affect
+// another before the barrier, no horizon bounds the round. Cross-node
+// effects are exchanged only between rounds, on the calling goroutine
+// in fixed node order: kernel-barrier completion checks and barrier
+// clock alignment (sim.AdvanceTo to the max last-event time,
+// reproducing the shared engine's clock at launch). Invariant sweeps
+// ride on each node's own engine daemon, so they see only that node's
+// state. Worker assignment is static (node i belongs to worker i mod
+// W), so a node's engine is touched by one goroutine per round, and the
+// round's WaitGroup orders every worker's mutations before the caller's
+// reads.
 package multigpu
 
 import (
 	"fmt"
+	"sync"
 
-	"uvmsim/internal/gpu"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
 )
 
-// Coordinator advances a set of private engines in lockstep horizon
-// rounds. It is generic over engines, not cluster nodes: any model
-// whose partitions interact no faster than the lookahead (multi-GPU
-// kernels here, the CXL co-location scenarios in internal/cxl) can
-// drive its engines through one. Exported methods must be called from
-// a single goroutine; the Coordinator owns its worker pool.
+// Coordinator drains a set of private engines concurrently, one round
+// per call. It is generic over engines, not cluster nodes: any model
+// whose partitions interact only at barriers (multi-GPU kernels here,
+// the CXL co-location epochs in internal/cxl) can drive its engines
+// through one. Exported methods must be called from a single goroutine.
 type Coordinator struct {
-	engines   []*sim.Engine
-	workers   int
-	lookahead sim.Cycle
+	engines []*sim.Engine
+	workers int
 
-	// cmd carries each round's drain deadline to one worker; done
-	// returns one token per worker per round. Closing cmd stops the
-	// pool. Channel hand-offs are the only synchronization: a send
-	// happens-before the worker's drains, which happen-before its done
-	// send, which happens-before the coordinator's next reads.
-	cmd  []chan sim.Cycle
-	done chan struct{}
-
-	// Invariant sweep at horizon boundaries (Observe wires this).
-	sweepEvery sim.Cycle
-	sweepFn    func(sim.Cycle)
-	sweepNext  sim.Cycle
+	// panics holds each engine's recovered panic of the current round
+	// (nil when its drain returned normally).
+	panics []any
 
 	// Deterministic efficiency accounting (published via obs).
-	steps  uint64 // horizon rounds completed
-	stalls uint64 // node-rounds with no event inside the horizon
+	steps uint64 // drain rounds
+	idle  uint64 // engine-rounds with nothing pending at round start
 }
 
 // NewCoordinator wires a coordinator over the engines; workers must be
-// in [2, len(engines)] and lookahead positive.
-func NewCoordinator(engines []*sim.Engine, workers int, lookahead sim.Cycle) *Coordinator {
-	if workers < 2 || workers > len(engines) || lookahead == 0 {
-		panic(fmt.Sprintf("multigpu: coordinator with %d workers over %d engines, lookahead %d",
-			workers, len(engines), lookahead))
+// in [2, len(engines)].
+func NewCoordinator(engines []*sim.Engine, workers int) *Coordinator {
+	if workers < 2 || workers > len(engines) {
+		panic(fmt.Sprintf("multigpu: coordinator with %d workers over %d engines", workers, len(engines)))
 	}
-	return &Coordinator{engines: engines, workers: workers, lookahead: lookahead}
+	return &Coordinator{engines: engines, workers: workers, panics: make([]any, len(engines))}
 }
 
-// newCoordinator wires a Coordinator over cluster nodes.
-func newCoordinator(nodes []*node, workers int, lookahead sim.Cycle) *Coordinator {
-	engines := make([]*sim.Engine, len(nodes))
-	for i, n := range nodes {
-		engines[i] = n.eng
-	}
-	return NewCoordinator(engines, workers, lookahead)
-}
-
-// Start spawns the worker pool (one goroutine per worker, fixed engine
-// assignment). Every Start is paired with a Stop.
-func (co *Coordinator) Start() {
-	if co.cmd != nil {
-		panic("multigpu: coordinator already running")
-	}
-	co.cmd = make([]chan sim.Cycle, co.workers)
-	co.done = make(chan struct{}, co.workers)
-	for w := range co.cmd {
-		co.cmd[w] = make(chan sim.Cycle)
-		go co.worker(w)
-	}
-}
-
-// Stop terminates the worker pool.
-func (co *Coordinator) Stop() {
-	for _, ch := range co.cmd {
-		close(ch)
-	}
-	co.cmd = nil
-	co.done = nil
-}
-
-// worker drains this worker's nodes to each commanded deadline until
-// the command channel closes.
-//
-//sim:hotpath
-func (co *Coordinator) worker(w int) {
-	for deadline := range co.cmd[w] {
-		for i := w; i < len(co.engines); i += co.workers {
-			co.engines[i].DrainUntil(deadline)
-		}
-		co.done <- struct{}{}
-	}
-}
-
-// SetSweep installs (or, with every == 0, removes) the horizon-boundary
-// invariant sweep; mirrors sim.Engine.SetDaemon semantics.
-func (co *Coordinator) SetSweep(every sim.Cycle, fn func(sim.Cycle)) {
-	if (every == 0) != (fn == nil) {
-		panic("multigpu: setSweep needs both a period and a function (or neither)")
-	}
-	co.sweepEvery, co.sweepFn = every, fn
-	co.sweepNext = every
-}
-
-// Drain runs horizon rounds until every engine is empty. Each
-// round advances all engines concurrently to min-next-event+lookahead,
-// which can never violate causality: nothing a node does before the
-// horizon can reach another node sooner than one interconnect round
-// trip (and, in this model, not before the kernel barrier at all).
-//
-//sim:hotpath
+// Drain runs every engine to empty, worker 0 on the calling goroutine
+// and the others on fresh ones, and returns when all are done. A panic
+// inside any engine's drain is recovered so the other engines finish
+// the round; Drain then re-panics the value recovered from the lowest
+// engine index, on the calling goroutine.
 func (co *Coordinator) Drain() {
-	for {
-		min := sim.MaxCycle
-		any := false
-		for _, e := range co.engines {
-			if at, ok := e.NextEventAt(); ok && at < min {
-				min = at
-				any = true
-			}
+	co.steps++
+	for _, e := range co.engines {
+		if e.Pending() == 0 {
+			co.idle++
 		}
-		if !any {
-			return
+	}
+	var wg sync.WaitGroup
+	wg.Add(co.workers - 1)
+	for w := 1; w < co.workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			co.drainShare(w)
+		}(w)
+	}
+	co.drainShare(0)
+	wg.Wait()
+	for _, p := range co.panics {
+		if p != nil {
+			panic(p)
 		}
-		horizon := min + co.lookahead
-		if horizon < min {
-			horizon = sim.MaxCycle // saturate near the end of time
-		}
-		for _, e := range co.engines {
-			if at, ok := e.NextEventAt(); !ok || at > horizon {
-				co.stalls++
-			}
-		}
-		co.steps++
-		for _, ch := range co.cmd {
-			ch <- horizon
-		}
-		for range co.cmd {
-			<-co.done
-		}
-		co.maybeSweep()
 	}
 }
 
-// maybeSweep fires the cluster-wide invariant sweep when at least
-// sweepEvery cycles of simulated time have passed since the previous
-// sweep. It runs on the coordinator goroutine with every worker parked,
-// observing real post-round state in fixed node order, so — like the
-// sequential engine daemon — it can never perturb results.
+// drainShare runs worker w's engines (indexes w, w+W, ...) to empty.
 //
 //sim:hotpath
-func (co *Coordinator) maybeSweep() {
-	if co.sweepEvery == 0 {
-		return
-	}
-	var now sim.Cycle
-	for _, e := range co.engines {
-		if t := e.Now(); t > now {
-			now = t
-		}
-	}
-	if now >= co.sweepNext {
-		co.sweepNext = now + co.sweepEvery
-		co.sweepFn(now)
+func (co *Coordinator) drainShare(w int) {
+	for i := w; i < len(co.engines); i += co.workers {
+		co.panics[i] = drainRecovered(co.engines[i])
 	}
 }
 
-// efficiency is the busy fraction of node-rounds — a deterministic,
+// drainRecovered runs e to empty and returns the value of any panic it
+// raised.
+func drainRecovered(e *sim.Engine) (p any) {
+	defer func() { p = recover() }()
+	e.Run()
+	return nil
+}
+
+// efficiency is the busy fraction of engine-rounds — a deterministic,
 // wall-clock-free proxy for parallel efficiency (identical across
 // machines and worker counts, unlike a speedup measurement).
 func (co *Coordinator) efficiency() float64 {
@@ -204,7 +118,7 @@ func (co *Coordinator) efficiency() float64 {
 	if total == 0 {
 		return 0
 	}
-	return 1 - float64(co.stalls)/float64(total)
+	return 1 - float64(co.idle)/float64(total)
 }
 
 // Publish registers the coordinator's efficiency metrics on the
@@ -212,47 +126,8 @@ func (co *Coordinator) efficiency() float64 {
 func (co *Coordinator) Publish(reg *obs.Registry) {
 	reg.RegisterProvider(func(e obs.Emitter) {
 		e.Counter(obs.MetricPDESSteps, co.steps)
-		e.Counter(obs.MetricPDESHorizonStalls, co.stalls)
+		e.Counter(obs.MetricPDESIdleRounds, co.idle)
 		e.Counter(obs.MetricPDESWorkers, uint64(co.workers))
-		e.Counter(obs.MetricPDESLookahead, uint64(co.lookahead))
 		e.Gauge(obs.MetricPDESEfficiency, co.efficiency())
 	})
-}
-
-// runKernelParallel is runKernel's PDES path: one bulk-synchronous
-// kernel over per-node engines. The barrier after the kernel is the max
-// last-event time across nodes — exactly the shared engine's clock
-// after its drain — and every node clock is aligned to it before the
-// next fixed-order launch round, so launches observe the same Now they
-// would sequentially. The worker pool lives for exactly one kernel
-// (Start/Stop bracket the call), which keeps every goroutine's shutdown
-// provable from the call site.
-func (c *Cluster) runKernelParallel(k gpu.Kernel) {
-	co := c.par
-	co.Start()
-	defer co.Stop()
-	for idx, n := range c.nodes {
-		sub, ok := splitKernel(k, len(c.nodes), idx)
-		n.launched = ok
-		n.finished = false
-		if !ok {
-			continue
-		}
-		n.g.Launch(sub, n.onKernelDone)
-	}
-	co.Drain() // also drains trailing prefetch transfers
-	for idx, n := range c.nodes {
-		if n.launched && !n.finished {
-			panic(fmt.Sprintf("multigpu: kernel %s left gpu%d unfinished", k.Name, idx))
-		}
-	}
-	var barrier sim.Cycle
-	for _, n := range c.nodes {
-		if n.eng.Now() > barrier {
-			barrier = n.eng.Now()
-		}
-	}
-	for _, n := range c.nodes {
-		n.eng.AdvanceTo(barrier)
-	}
 }

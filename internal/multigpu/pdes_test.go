@@ -1,15 +1,18 @@
 package multigpu
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/core"
 	"uvmsim/internal/obs"
+	"uvmsim/internal/sim"
 )
 
 // clusterCSV renders a cluster result as CSV, one row per GPU with every
@@ -90,10 +93,14 @@ func TestParallelObservabilityMatchesSequential(t *testing.T) {
 			t.Errorf("%s: sequential %d, parallel %d", key, seq[key], par[key])
 		}
 	}
-	for _, key := range []string{obs.MetricPDESSteps, obs.MetricPDESWorkers, obs.MetricPDESLookahead} {
+	for _, key := range []string{obs.MetricPDESSteps, obs.MetricPDESWorkers} {
 		if par[key] == 0 {
 			t.Errorf("parallel run did not publish %s", key)
 		}
+	}
+	// One drain round per kernel barrier.
+	if got, want := par[obs.MetricPDESSteps], uint64(len(b.Kernels)); got != want {
+		t.Errorf("%s = %d, want the kernel count %d", obs.MetricPDESSteps, got, want)
 	}
 	if _, ok := seq[obs.MetricPDESSteps]; ok {
 		t.Errorf("sequential run published PDES metrics")
@@ -137,5 +144,119 @@ func TestClusterWorkerSelection(t *testing.T) {
 		return nil
 	}(); err == nil {
 		t.Error("negative ClusterWorkers did not fail validation")
+	}
+}
+
+// The independence one drain round per barrier relies on, checked with
+// no goroutines: every kernel launches each node's CTA share, then the
+// node engines drain one at a time in a permuted node order. Any
+// cross-node influence inside a kernel would make the result depend on
+// that order; instead it must match the shared-engine run byte for
+// byte.
+func TestNodeOrderIndependence(t *testing.T) {
+	for _, name := range []string{"bfs", "sssp", "ra"} {
+		for nGPUs := 2; nGPUs <= 8; nGPUs += 3 {
+			b, cfg := core.PrepareWorkload(name, 0.05, nGPUs, 125, config.PolicyAdaptive, config.Default())
+			want := clusterCSV(New(b, cfg, nGPUs).Run())
+			reversed := make([]int, nGPUs)
+			rotated := make([]int, nGPUs)
+			for i := range reversed {
+				reversed[i] = nGPUs - 1 - i
+				rotated[i] = (i + nGPUs/2) % nGPUs
+			}
+			for _, order := range [][]int{reversed, rotated} {
+				pcfg := cfg
+				pcfg.ClusterWorkers = 2
+				cl := New(b, pcfg, nGPUs)
+				for _, k := range b.Kernels {
+					cl.launch(k)
+					for _, i := range order {
+						cl.nodes[i].eng.Run()
+					}
+					cl.barrier(k)
+				}
+				if got := clusterCSV(cl.finish(sim.Cycle(cl.clusterNow()))); got != want {
+					t.Fatalf("%s x%d drained in order %v diverged:\n got: %s\nwant: %s", name, nGPUs, order, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A panic inside one engine's drain must not kill the process from a
+// worker goroutine: the other engines finish the round, and Drain
+// re-panics the value from the lowest panicking engine index on the
+// caller's goroutine, leaving no goroutine behind.
+func TestDrainPanicReachesCaller(t *testing.T) {
+	sentinel := errors.New("sentinel")
+	baseline := runtime.NumGoroutine()
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
+	engines[0].At(10, func() {})
+	engines[0].At(20, func() {})
+	engines[1].At(5, func() { panic(sentinel) })
+	engines[2].At(1, func() { panic("later engine") })
+	co := NewCoordinator(engines, 2)
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		co.Drain()
+		return nil
+	}()
+	if got != sentinel {
+		t.Fatalf("Drain panicked with %v, want the sentinel from engine 1", got)
+	}
+	if engines[0].Now() != 20 || engines[0].Pending() != 0 {
+		t.Fatalf("engine 0 did not finish its round: now %d, pending %d", engines[0].Now(), engines[0].Pending())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Drain, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// In PDES mode each node's engine daemon runs that node's invariant
+// checks mid-kernel, not only at barriers, and a violation raised on a
+// worker reaches the caller of Run as an *obs.Violation.
+func TestParallelSweepRunsMidKernel(t *testing.T) {
+	const nGPUs = 4
+	b, cfg := core.PrepareWorkload("bfs", 0.05, nGPUs, 125, config.PolicyAdaptive, config.Default())
+	cfg.ClusterWorkers = nGPUs
+	observe := func(cl *Cluster) {
+		cl.Observe(func(idx int) *obs.Run {
+			return obs.Options{CheckEvery: 1000}.NewRun(fmt.Sprintf("gpu%d", idx))
+		})
+	}
+
+	cl := New(b, cfg, nGPUs)
+	observe(cl)
+	midKernel := make([]int, nGPUs)
+	for i, n := range cl.nodes {
+		i, n := i, n
+		n.ck.Add("probe", func() error {
+			if n.launched && !n.finished {
+				midKernel[i]++
+			}
+			return nil
+		})
+	}
+	cl.Run()
+	for i, m := range midKernel {
+		if m == 0 {
+			t.Errorf("gpu%d: no invariant sweep ran mid-kernel", i)
+		}
+	}
+
+	cl = New(b, cfg, nGPUs)
+	observe(cl)
+	cl.nodes[2].ck.Add("always-fails", func() error { return errors.New("broken") })
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		cl.Run()
+		return nil
+	}()
+	if v, ok := got.(*obs.Violation); !ok || v.Check != "always-fails" {
+		t.Fatalf("Run panicked with %v, want the gpu2 violation", got)
 	}
 }

@@ -1,26 +1,20 @@
 package obs
 
-// Metric names published by the conservative-PDES cluster coordinator
+// Metric names published by the PDES cluster coordinator
 // (internal/multigpu/pdes.go). They live here so the observability
 // layer documents one canonical name space and consumers (dashboards,
 // tests) need not hard-code strings scattered across packages.
 const (
-	// MetricPDESSteps counts completed horizon rounds: each round picks
-	// a safe horizon (min next event + lookahead) and advances every
-	// node engine to it concurrently.
+	// MetricPDESSteps counts drain rounds: each round runs every node
+	// engine to empty concurrently, one round per barrier.
 	MetricPDESSteps = "pdes.steps"
-	// MetricPDESHorizonStalls counts node-rounds spent idle at a
-	// horizon: the node had no event at or before it and waited for the
-	// barrier. High stall counts mean the nodes' event streams are
-	// skewed relative to the lookahead window.
-	MetricPDESHorizonStalls = "pdes.horizon_stalls"
+	// MetricPDESIdleRounds counts engine-rounds with nothing pending at
+	// the start of the round: the node had no work before the barrier.
+	MetricPDESIdleRounds = "pdes.idle_rounds"
 	// MetricPDESWorkers is the worker-thread count the run used.
 	MetricPDESWorkers = "pdes.workers"
-	// MetricPDESLookahead is the safe-horizon extension in cycles (the
-	// host-memory round trip derived from the interconnect model).
-	MetricPDESLookahead = "pdes.lookahead_cycles"
-	// MetricPDESEfficiency is the busy fraction of node-rounds,
-	// 1 - stalls/(steps*nodes): the deterministic (wall-clock-free)
+	// MetricPDESEfficiency is the busy fraction of engine-rounds,
+	// 1 - idle/(steps*engines): the deterministic (wall-clock-free)
 	// parallel-efficiency proxy of the run.
 	MetricPDESEfficiency = "pdes.parallel_efficiency"
 )

@@ -49,10 +49,6 @@ const MaxCycle Cycle = math.MaxUint64
 // Event is a callback scheduled to run at a particular cycle.
 type Event func()
 
-// EventID identifies a scheduled event for cancellation. The zero value
-// is never a valid ID.
-type EventID uint64
-
 // Timing-wheel geometry. The window must comfortably cover the model's
 // common latencies (DMA transfers, link round trips, and the ~67k-cycle
 // far-fault handling delay) so that steady-state traffic never touches
@@ -87,7 +83,6 @@ func less(a, b entry) bool {
 type slot struct {
 	fn   Event
 	at   Cycle
-	seq  uint64
 	next int32
 }
 
@@ -127,7 +122,7 @@ type Engine struct {
 	slots []slot
 	free  int32
 
-	// live counts scheduled-but-unfired events, excluding canceled ones.
+	// live counts scheduled-but-unfired events.
 	live   int
 	fired  uint64
 	budget uint64 // optional safety cap on fired events; 0 = unlimited
@@ -156,8 +151,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // loud failure instead of an infinite loop.
 func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
-// Pending reports the number of scheduled-but-unfired events (canceled
-// events are not counted).
+// Pending reports the number of scheduled-but-unfired events.
 func (e *Engine) Pending() int { return e.live }
 
 // initWheel allocates the bucket arrays on first use, keeping the
@@ -173,19 +167,19 @@ func (e *Engine) initWheel() {
 // allocSlot stores the event in the arena and returns its index.
 //
 //sim:hotpath
-func (e *Engine) allocSlot(at Cycle, seq uint64, fn Event) int32 {
+func (e *Engine) allocSlot(at Cycle, fn Event) int32 {
 	if e.free != 0 {
 		s := e.free - 1
 		e.free = e.slots[s].next
-		e.slots[s] = slot{fn: fn, at: at, seq: seq}
+		e.slots[s] = slot{fn: fn, at: at}
 		return s
 	}
-	e.slots = append(e.slots, slot{fn: fn, at: at, seq: seq})
+	e.slots = append(e.slots, slot{fn: fn, at: at})
 	return int32(len(e.slots) - 1)
 }
 
-// freeSlot releases slot s to the free list. The seq is cleared so that
-// Cancel can never match a recycled slot against a stale ID.
+// freeSlot releases slot s to the free list, dropping its closure so
+// the arena never pins a fired event's captures.
 //
 //sim:hotpath
 func (e *Engine) freeSlot(s int32) {
@@ -297,10 +291,10 @@ func (e *Engine) advanceBase(at Cycle) {
 	}
 }
 
-// schedule enqueues fn at absolute cycle at and returns its ID.
+// schedule enqueues fn at absolute cycle at.
 //
 //sim:hotpath
-func (e *Engine) schedule(at Cycle, fn Event) EventID {
+func (e *Engine) schedule(at Cycle, fn Event) {
 	if fn == nil {
 		panic("sim: scheduling nil event")
 	}
@@ -311,14 +305,13 @@ func (e *Engine) schedule(at Cycle, fn Event) EventID {
 		e.initWheel()
 	}
 	e.seq++
-	s := e.allocSlot(at, e.seq, fn)
+	s := e.allocSlot(at, fn)
 	if at-e.base < wheelSize {
 		e.pushBucket(at, s)
 	} else {
 		e.pushHeap(entry{at: at, seq: e.seq, slot: s})
 	}
 	e.live++
-	return EventID(e.seq)
 }
 
 // At schedules fn to run at absolute cycle at. Scheduling in the past
@@ -327,39 +320,6 @@ func (e *Engine) At(at Cycle, fn Event) { e.schedule(at, fn) }
 
 // After schedules fn to run delay cycles from now.
 func (e *Engine) After(delay Cycle, fn Event) { e.schedule(e.now+delay, fn) }
-
-// Schedule is At returning an EventID usable with Cancel.
-func (e *Engine) Schedule(at Cycle, fn Event) EventID { return e.schedule(at, fn) }
-
-// ScheduleAfter is After returning an EventID usable with Cancel.
-func (e *Engine) ScheduleAfter(delay Cycle, fn Event) EventID {
-	return e.schedule(e.now+delay, fn)
-}
-
-// Cancel removes a scheduled event before it fires. It reports whether
-// the event was still pending. Cancellation is lazy: the entry is
-// tombstoned in place (its closure dropped) and skipped at dispatch, so
-// Cancel costs a linear arena scan but adds nothing to the hot path.
-func (e *Engine) Cancel(id EventID) bool {
-	seq := uint64(id)
-	if seq == 0 || seq > e.seq {
-		return false
-	}
-	// Every pending event — chained or in the overflow heap — has its
-	// seq in the arena; freed slots have seq 0, so fired or recycled
-	// events can never match.
-	for i := range e.slots {
-		if e.slots[i].seq == seq {
-			if e.slots[i].fn == nil {
-				return false
-			}
-			e.slots[i].fn = nil
-			e.live--
-			return true
-		}
-	}
-	return false
-}
 
 // pushHeap inserts en into the overflow heap, sifting up.
 //
@@ -417,46 +377,29 @@ func (e *Engine) popHeap() entry {
 }
 
 // scanWheel returns the occupied bucket holding the earliest chained
-// event, popping tombstoned heads as it goes; ok=false when the wheel
-// is empty. It never moves the window: peeking (headAt) must leave base
-// <= now so that later pushes at cycles >= now stay inside the window.
+// event; ok=false when the wheel is empty. It never moves the window:
+// peeking (headAt) must leave base <= now so that later pushes at
+// cycles >= now stay inside the window.
 //
 //sim:hotpath
 func (e *Engine) scanWheel() (idx int, at Cycle, ok bool) {
 	if e.bhead == nil {
 		return 0, 0, false
 	}
-	for {
-		idx = e.findOccFrom(int(e.base & wheelMask))
-		if idx < 0 {
-			// The window may have wrapped: any occupied bucket below the
-			// base position maps to a later cycle in the window.
-			idx = e.findOccFrom(0)
-		}
-		if idx < 0 {
-			return 0, 0, false
-		}
-		h := e.bhead[idx] - 1
-		if e.slots[h].fn == nil {
-			e.popBucketHead(idx)
-			e.freeSlot(h)
-			continue
-		}
-		return idx, e.slots[h].at, true
+	idx = e.findOccFrom(int(e.base & wheelMask))
+	if idx < 0 {
+		// The window may have wrapped: any occupied bucket below the
+		// base position maps to a later cycle in the window.
+		idx = e.findOccFrom(0)
 	}
-}
-
-// cleanHeapHead discards tombstoned entries at the overflow heap's root
-// so its minimum is a live event.
-func (e *Engine) cleanHeapHead() {
-	for len(e.heap) > 0 && e.slots[e.heap[0].slot].fn == nil {
-		e.freeSlot(e.popHeap().slot)
+	if idx < 0 {
+		return 0, 0, false
 	}
+	return idx, e.slots[e.bhead[idx]-1].at, true
 }
 
 // next dequeues the earliest pending event in (at, seq) order, or
-// ok=false when the engine is drained. Tombstoned (canceled) entries are
-// discarded without advancing the clock. Every wheel cycle precedes
+// ok=false when the engine is drained. Every wheel cycle precedes
 // every overflow cycle (the heap minimum is >= base+wheelSize by the
 // refill invariant), so the wheel head, when present, is the global
 // minimum. Advancing base here is safe — unlike in headAt — because the
@@ -468,7 +411,6 @@ func (e *Engine) next() (Cycle, Event, bool) {
 	for {
 		idx, at, ok := e.scanWheel()
 		if !ok {
-			e.cleanHeapHead()
 			if len(e.heap) == 0 {
 				return 0, nil, false
 			}
@@ -535,15 +477,29 @@ func (e *Engine) Run() Cycle {
 	return e.now
 }
 
-// headAt returns the timestamp of the earliest live event, discarding
-// canceled entries at the front, with ok=false when nothing is pending.
+// AdvanceTo moves the clock forward to at without firing anything; it is
+// a no-op when at <= Now. A model that runs its partitions on private
+// engines uses it to align every partition on a barrier (the max
+// last-event time across partitions) before the next bulk-synchronous
+// round, mirroring how a single shared engine's clock already sits at
+// the barrier when that round is scheduled. Events scheduled after
+// AdvanceTo(b) simply may not precede cycle b.
+//
+//sim:hotpath
+func (e *Engine) AdvanceTo(at Cycle) {
+	if at > e.now {
+		e.now = at
+	}
+}
+
+// headAt returns the timestamp of the earliest pending event, with
+// ok=false when nothing is pending.
 //
 //sim:hotpath
 func (e *Engine) headAt() (Cycle, bool) {
 	if _, at, ok := e.scanWheel(); ok {
 		return at, true
 	}
-	e.cleanHeapHead()
 	if len(e.heap) > 0 {
 		return e.heap[0].at, true
 	}

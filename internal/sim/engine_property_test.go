@@ -8,8 +8,8 @@ import (
 
 // refItem / refHeap are the pre-overhaul container/heap event queue,
 // kept verbatim as the executable specification of dispatch order: the
-// production engine must match it event-for-event under any schedule and
-// cancel sequence.
+// production engine must match it event-for-event under any schedule
+// and step sequence.
 type refItem struct {
 	at  Cycle
 	seq uint64
@@ -35,29 +35,16 @@ func (h *refHeap) Pop() interface{} {
 	return it
 }
 
-// refEngine mirrors the Engine API over refHeap, with cancellation by
-// deleting the item outright (the semantics the lazy tombstones must
-// reproduce).
+// refEngine mirrors the Engine API over refHeap.
 type refEngine struct {
 	now   Cycle
 	seq   uint64
 	queue refHeap
 }
 
-func (e *refEngine) schedule(at Cycle, fn Event) uint64 {
+func (e *refEngine) schedule(at Cycle, fn Event) {
 	e.seq++
 	heap.Push(&e.queue, refItem{at: at, seq: e.seq, fn: fn})
-	return e.seq
-}
-
-func (e *refEngine) cancel(seq uint64) bool {
-	for i := range e.queue {
-		if e.queue[i].seq == seq {
-			heap.Remove(&e.queue, i)
-			return true
-		}
-	}
-	return false
 }
 
 func (e *refEngine) step() bool {
@@ -71,9 +58,9 @@ func (e *refEngine) step() bool {
 }
 
 // TestEngineMatchesReference drives the production engine and the
-// reference queue through identical randomized schedule/cancel/step
-// sequences (including same-cycle bursts that exercise the FIFO ring)
-// and asserts the fired event sequences and clocks are identical.
+// reference queue through identical randomized schedule/step sequences
+// (including same-cycle bursts that exercise the FIFO ring) and asserts
+// the fired event sequences and clocks are identical.
 func TestEngineMatchesReference(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -81,11 +68,9 @@ func TestEngineMatchesReference(t *testing.T) {
 		ref := &refEngine{}
 
 		var gotOrder, wantOrder []uint64
-		var ids []EventID   // engine IDs of not-yet-canceled events
-		var refIDs []uint64 // parallel reference seqs
 
-		// Sequence numbers are assigned identically on both sides because
-		// both engines allocate them in scheduling order.
+		// Both sides tag events with the reference's next sequence
+		// number, which follows scheduling order.
 		doSchedule := func() {
 			var delay Cycle
 			switch rng.Intn(4) {
@@ -97,32 +82,15 @@ func TestEngineMatchesReference(t *testing.T) {
 				delay = Cycle(rng.Intn(1000))
 			}
 			at := eng.Now() + delay
-			seq := ref.seq + 1 // the tag both sides will assign
-			id := eng.ScheduleAfter(delay, func() { gotOrder = append(gotOrder, seq) })
-			rseq := ref.schedule(at, func() { wantOrder = append(wantOrder, seq) })
-			if uint64(id) != rseq {
-				t.Fatalf("trial %d: sequence numbers diverged: %d vs %d", trial, id, rseq)
-			}
-			ids = append(ids, id)
-			refIDs = append(refIDs, rseq)
+			seq := ref.seq + 1
+			eng.After(delay, func() { gotOrder = append(gotOrder, seq) })
+			ref.schedule(at, func() { wantOrder = append(wantOrder, seq) })
 		}
 
 		for op := 0; op < 400; op++ {
-			switch r := rng.Intn(10); {
-			case r < 5:
+			if rng.Intn(10) < 5 {
 				doSchedule()
-			case r < 7 && len(ids) > 0:
-				// Cancel a random remembered event (it may have fired
-				// already; both sides must agree it is gone).
-				k := rng.Intn(len(ids))
-				g := eng.Cancel(ids[k])
-				w := ref.cancel(refIDs[k])
-				if g != w {
-					t.Fatalf("trial %d: Cancel disagreement for seq %d: engine %v ref %v", trial, refIDs[k], g, w)
-				}
-				ids = append(ids[:k], ids[k+1:]...)
-				refIDs = append(refIDs[:k], refIDs[k+1:]...)
-			default:
+			} else {
 				g := eng.Step()
 				w := ref.step()
 				if g != w {
@@ -182,63 +150,5 @@ func TestEngineFIFOAcrossRingAndHeap(t *testing.T) {
 	}
 	if len(order) != 5 {
 		t.Fatalf("fired %d events, want 5: %v", len(order), order)
-	}
-}
-
-// TestEngineCancel covers the cancellation surface directly.
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	var fired []string
-	a := e.Schedule(10, func() { fired = append(fired, "a") })
-	b := e.Schedule(20, func() { fired = append(fired, "b") })
-	c := e.Schedule(20, func() { fired = append(fired, "c") })
-	if !e.Cancel(b) {
-		t.Fatal("cancel of pending event reported false")
-	}
-	if e.Cancel(b) {
-		t.Fatal("double cancel reported true")
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d after cancel, want 2", e.Pending())
-	}
-	if e.Cancel(EventID(0)) || e.Cancel(EventID(999)) {
-		t.Fatal("cancel of invalid ID reported true")
-	}
-	end := e.Run()
-	if end != 20 {
-		t.Fatalf("Run ended at %d, want 20", end)
-	}
-	if len(fired) != 2 || fired[0] != "a" || fired[1] != "c" {
-		t.Fatalf("fired = %v, want [a c]", fired)
-	}
-	if e.Cancel(a) || e.Cancel(c) {
-		t.Fatal("cancel of already-fired event reported true")
-	}
-}
-
-// TestEngineCancelRingEntry cancels an event sitting in the same-cycle
-// ring and asserts RunUntil does not overshoot past tombstones.
-func TestEngineCancelRingEntry(t *testing.T) {
-	e := NewEngine()
-	var fired int
-	e.At(5, func() {
-		id := e.ScheduleAfter(0, func() { t.Error("canceled ring event fired") })
-		if !e.Cancel(id) {
-			t.Error("cancel of ring event reported false")
-		}
-	})
-	e.At(50, func() { fired++ })
-	if pending := e.RunUntil(10); !pending {
-		t.Fatal("RunUntil(10) reported no pending events; event at 50 remains")
-	}
-	if fired != 0 {
-		t.Fatalf("RunUntil(10) overshot the deadline: fired %d", fired)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %d, want 10", e.Now())
-	}
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
 	}
 }

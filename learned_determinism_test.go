@@ -14,7 +14,7 @@ import (
 // matrix is enumerated from the mm registry, so a newly registered stage
 // is property-tested the moment it exists. CI runs this under -race,
 // where the ClusterWorkers variant below additionally drags the learned
-// stages through the PDES worker pool.
+// stages through the PDES coordinator's workers.
 func TestPipelineCombinationsDeterministic(t *testing.T) {
 	for _, planner := range mm.PlannerNames() {
 		for _, governor := range mm.PrefetchGovernorNames() {

@@ -184,8 +184,8 @@ type (
 
 // NewCluster creates a cluster of nGPUs over the workload
 // (cfg.DeviceMemBytes is per-GPU capacity). With cfg.ClusterWorkers > 1
-// the cluster runs under the conservative parallel discrete-event
-// coordinator (DESIGN.md §12), producing byte-identical results to the
+// the cluster runs under the parallel discrete-event coordinator
+// (DESIGN.md §12), producing byte-identical results to the
 // sequential default.
 func NewCluster(w *Workload, cfg Config, nGPUs int) *Cluster {
 	return multigpu.New(w, cfg, nGPUs)
