@@ -127,10 +127,10 @@ colo-smoke:
 	cmp /tmp/uvmsim-colo-seq.txt /tmp/uvmsim-colo-par.txt
 	grep -q 'checksum=' /tmp/uvmsim-colo-seq.txt
 
-# Per-package coverage floor (70%) for the learned-policy and
-# multi-tier surfaces (the mm pipeline, the learn primitives, the tier
-# topology, the per-GPU counter file, the CXL controller) and the
-# simlint framework plus its interprocedural analyzers.
+# Per-package coverage floor (70%) for the learned-policy and CXL
+# surfaces (the mm pipeline, the learn primitives, the per-GPU counter
+# file, the CXL controller) and the simlint framework plus its
+# interprocedural analyzers.
 cover:
 	./scripts/cover.sh
 

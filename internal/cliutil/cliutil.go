@@ -70,18 +70,6 @@ func ParseGranularity(s string) (uint64, error) {
 	}
 }
 
-// ParseAdvice maps a cudaMemAdvise-style hint name used by the hints
-// tooling.
-func ParseAdvice(s string) (string, error) {
-	v := strings.ToLower(strings.TrimSpace(s))
-	switch v {
-	case "none", "preferhost", "pinhost":
-		return v, nil
-	default:
-		return "", fmt.Errorf("unknown advice %q (want none, preferhost, pinhost)", s)
-	}
-}
-
 // ParseComponentName validates a registry-backed pipeline component
 // name (see internal/mm) against the registered set. Empty means "use
 // the configuration default" and passes through unchanged; non-empty

@@ -68,17 +68,6 @@ func TestParseGranularity(t *testing.T) {
 	}
 }
 
-func TestParseAdvice(t *testing.T) {
-	for _, s := range []string{"none", "PreferHost", " pinhost "} {
-		if _, err := ParseAdvice(s); err != nil {
-			t.Errorf("ParseAdvice(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseAdvice("evict"); err == nil {
-		t.Error("accepted unknown advice")
-	}
-}
-
 func TestSplitList(t *testing.T) {
 	got := SplitList(" a, b ,,c,")
 	want := []string{"a", "b", "c"}

@@ -340,11 +340,6 @@ func (c Config) FarFaultLatencyCycles() uint64 {
 	return c.FarFaultLatencyMicros * c.CoreClockMHz
 }
 
-// DevicePages returns the device memory capacity in 4KB pages.
-func (c Config) DevicePages() uint64 {
-	return c.DeviceMemBytes / memunits.PageSize
-}
-
 // WithPolicy returns a copy configured for the given migration policy,
 // applying the paper's pairing of replacement policies (§VI): LRU for the
 // Disabled baseline, the counter-driven LFU for the other three schemes,

@@ -132,6 +132,7 @@ func TestValidateErrors(t *testing.T) {
 		{"policy", mod(func(c *Config) { c.Policy = MigrationPolicy(99) }), "policy"},
 		{"replace", mod(func(c *Config) { c.Replacement = ReplacementPolicy(9) }), "replacement"},
 		{"prefetch", mod(func(c *Config) { c.Prefetcher = PrefetcherKind(9) }), "prefetcher"},
+		{"cxlpool", mod(func(c *Config) { c.CXLPoolBytes = 4097 }), "CXLPoolBytes"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 
-	"uvmsim/internal/config"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
 )
@@ -99,12 +98,3 @@ func (s *Simulator) observeKernel(span KernelSpan) {
 	})
 }
 
-// RunWorkloadObs is RunWorkload with observability attached: the run's
-// instruments observe the whole simulation and a final invariant check
-// fires after quiescence when checking is enabled.
-func RunWorkloadObs(name string, scale float64, oversubPercent uint64, pol config.MigrationPolicy, base config.Config, r *obs.Run) *Result {
-	b, cfg := PrepareWorkload(name, scale, 1, oversubPercent, pol, base)
-	s := New(b, cfg)
-	s.Observe(r)
-	return s.Run()
-}

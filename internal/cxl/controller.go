@@ -1,12 +1,17 @@
-// Package cxl models a CXL-attached pooled memory tier shared by
-// multiple GPUs, with the page-controller semantics sketched in
-// SNIPPETS.md's cxl_page_controller: per-GPU read/write access
-// counters, read-only replication of read-hot blocks into GPU device
-// tiers with invalidation-on-write, and counter-arbitrated promotion
-// of hot pooled blocks to the GPU that wins the agreement. On top of
-// the controller it runs co-location scenarios — multiple tenants
+// Package cxl models a CXL-attached memory pool shared by multiple
+// GPUs, with the page-controller semantics sketched in SNIPPETS.md's
+// cxl_page_controller: per-GPU read/write access counters, read-only
+// replication of read-hot blocks into GPU device memory with
+// invalidation-on-write, and counter-arbitrated promotion of hot pooled
+// blocks to the GPU that wins the agreement.
+//
+// The machine has one fixed shape: host, N GPUs, one pool. The
+// Controller holds one devmem.Memory per GPU and one for the pool, and
+// each GPU of a Scenario holds its two links directly: a PCIe link (the
+// path to a block promoted into another GPU) and a CXL port into the
+// pool. On top of the controller, a Scenario runs multiple tenants
 // (catalog workloads) sharing GPU device memory with per-tenant page
-// accounting, priority-aware eviction and a fairness metric — under
+// accounting, priority-aware eviction and a fairness metric, under
 // either a sequential barrier loop or the PDES coordinator from
 // internal/multigpu, byte-identically.
 //
@@ -25,7 +30,6 @@ import (
 	"uvmsim/internal/devmem"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
-	"uvmsim/internal/tier"
 )
 
 // NoGPU marks a block as pool-resident (not promoted to any GPU).
@@ -62,9 +66,8 @@ type Controller struct {
 	ctrs   *counters.PerGPU
 	policy mm.PoolPolicy
 
-	mem      *devmem.Tiered
-	gpuTiers []tier.Index
-	poolTier tier.Index
+	pool     *devmem.Memory     // the pooled tier's frames
+	devices  []*devmem.Memory   // per GPU: device-tier frames
 	accounts []*devmem.Accounts // per GPU
 	resident [][]resEntry       // per GPU, unordered; scanned for victims
 	// prio maps tenant id -> priority (higher = protected).
@@ -80,8 +83,8 @@ type Controller struct {
 
 // NewController builds a controller for gpus GPUs over blocks pool
 // blocks, with per-GPU device tiers of devBlocks frames each. prio
-// maps tenant ids to priorities. The topology it derives — host, one
-// device tier per GPU, one pool tier — is validated by tier.New.
+// maps tenant ids to priorities. The pool holds at least
+// cfg.CXLPoolBytes.
 func NewController(cfg config.Config, gpus int, blocks, devBlocks uint64, prio []int) *Controller {
 	if gpus < 1 || gpus > 64 {
 		panic(fmt.Sprintf("cxl: %d GPUs (replica mask is 64 bits)", gpus))
@@ -93,21 +96,6 @@ func NewController(cfg config.Config, gpus int, blocks, devBlocks uint64, prio [
 	if cfg.CXLPoolBytes > poolBytes {
 		poolBytes = cfg.CXLPoolBytes
 	}
-	specs := []tier.Spec{{Name: "host", Kind: tier.Host}}
-	for g := 0; g < gpus; g++ {
-		specs = append(specs, tier.Spec{
-			Name: fmt.Sprintf("gpu%d", g), Kind: tier.Device,
-			CapacityBytes: devBlocks * memunits.BlockSize,
-			LatencyCycles: cfg.DRAMLatency,
-		})
-	}
-	specs = append(specs, tier.Spec{
-		Name: "cxl-pool", Kind: tier.Pool,
-		CapacityBytes: poolBytes,
-		LatencyCycles: cfg.CXLPortLatency(),
-		BytesPerCycle: cfg.CXLPortBytesPerCycle(),
-	})
-	topo := tier.MustNew(specs...)
 	pol, err := mm.NewPoolPolicy(cfg.PoolPolicy, cfg)
 	if err != nil {
 		panic(fmt.Sprintf("cxl: %v", err))
@@ -118,8 +106,8 @@ func NewController(cfg config.Config, gpus int, blocks, devBlocks uint64, prio [
 		meta:     make([]blockMeta, blocks),
 		ctrs:     counters.NewPerGPU(gpus),
 		policy:   pol,
-		mem:      devmem.NewTiered(topo),
-		gpuTiers: topo.Devices(),
+		pool:     devmem.New(poolBytes),
+		devices:  make([]*devmem.Memory, gpus),
 		accounts: make([]*devmem.Accounts, gpus),
 		resident: make([][]resEntry, gpus),
 		prio:     append([]int(nil), prio...),
@@ -127,21 +115,14 @@ func NewController(cfg config.Config, gpus int, blocks, devBlocks uint64, prio [
 	for i := range c.meta {
 		c.meta[i].home = NoGPU
 	}
-	pt, ok := topo.PoolTier()
-	if !ok {
-		panic("cxl: topology lost its pool tier")
-	}
-	c.poolTier = pt
 	// Every block starts pool-resident.
-	c.mem.Pool(pt).Allocate(blocks * memunits.PagesPerBlock)
+	c.pool.Allocate(blocks * memunits.PagesPerBlock)
 	for g := 0; g < gpus; g++ {
+		c.devices[g] = devmem.New(devBlocks * memunits.BlockSize)
 		c.accounts[g] = devmem.NewAccounts(len(prio))
 	}
 	return c
 }
-
-// Topology returns the controller's derived tier topology.
-func (c *Controller) Topology() tier.Topology { return c.mem.Topology() }
 
 // Counters exposes the per-GPU counter file.
 func (c *Controller) Counters() *counters.PerGPU { return c.ctrs }
@@ -227,7 +208,7 @@ func (c *Controller) Apply(gpu int, epoch uint64, reqs []request, actions []barr
 			}
 			demoted := c.takeFrame(gpu, resEntry{block: r.block, tenant: r.tenant})
 			m.home = gpu
-			c.mem.Pool(c.poolTier).Release(memunits.PagesPerBlock)
+			c.pool.Release(memunits.PagesPerBlock)
 			c.Promotions++
 			actions = append(actions, barrierAction{gpu: gpu, block: r.block, kind: mm.PoolPromote, demoted: demoted})
 		}
@@ -253,13 +234,13 @@ func (c *Controller) invalidate(block uint64) {
 // whether a promoted block was demoted to make room (an extra
 // device-to-pool transfer the barrier must charge).
 func (c *Controller) takeFrame(gpu int, e resEntry) (demoted bool) {
-	pool := c.mem.Pool(c.gpuTiers[gpu])
-	for !pool.CanAllocate(memunits.PagesPerBlock) {
+	dev := c.devices[gpu]
+	for !dev.CanAllocate(memunits.PagesPerBlock) {
 		if c.evictVictim(gpu) {
 			demoted = true
 		}
 	}
-	pool.Allocate(memunits.PagesPerBlock)
+	dev.Allocate(memunits.PagesPerBlock)
 	c.accounts[gpu].Charge(e.tenant, memunits.PagesPerBlock)
 	c.resident[gpu] = append(c.resident[gpu], e)
 	return demoted
@@ -295,7 +276,7 @@ func (c *Controller) evictVictim(gpu int) (wasPromoted bool) {
 	}
 	// Demote the promoted block back to the pool.
 	c.meta[v.block].home = NoGPU
-	c.mem.Pool(c.poolTier).Allocate(memunits.PagesPerBlock)
+	c.pool.Allocate(memunits.PagesPerBlock)
 	c.Demotions++
 	c.removeEntry(gpu, best)
 	c.releaseFrame(gpu, v.tenant)
@@ -325,7 +306,7 @@ func (c *Controller) removeEntry(gpu, i int) {
 }
 
 func (c *Controller) releaseFrame(gpu int, t devmem.TenantID) {
-	c.mem.Pool(c.gpuTiers[gpu]).Release(memunits.PagesPerBlock)
+	c.devices[gpu].Release(memunits.PagesPerBlock)
 	c.accounts[gpu].Release(t, memunits.PagesPerBlock, true)
 }
 
@@ -351,12 +332,12 @@ func (c *Controller) check() error {
 		}
 	}
 	poolPages := (c.blocks - promoted) * memunits.PagesPerBlock
-	if got := c.mem.Pool(c.poolTier).AllocatedPages(); got != poolPages {
+	if got := c.pool.AllocatedPages(); got != poolPages {
 		return fmt.Errorf("cxl: pool accounts %d pages, meta says %d", got, poolPages)
 	}
 	for g := 0; g < c.gpus; g++ {
 		want := perGPU[g] * memunits.PagesPerBlock
-		if got := c.mem.Pool(c.gpuTiers[g]).AllocatedPages(); got != want {
+		if got := c.devices[g].AllocatedPages(); got != want {
 			return fmt.Errorf("cxl: gpu%d accounts %d pages, meta says %d", g, got, want)
 		}
 		if got := uint64(len(c.resident[g])); got != perGPU[g] {

@@ -1,6 +1,7 @@
 package cxl
 
 import (
+	"fmt"
 	"testing"
 
 	"uvmsim/internal/config"
@@ -68,6 +69,27 @@ func TestScenarioByteIdenticalAcrossWorkers(t *testing.T) {
 		if seq.Checksum != par.Checksum || seq.SimCycles != par.SimCycles {
 			t.Fatalf("%s: sequential %d/%d != parallel %d/%d",
 				policy, seq.SimCycles, seq.Checksum, par.SimCycles, par.Checksum)
+		}
+	}
+}
+
+// TestCanonicalMixChecksums pins the canonical co-location mix (the
+// benchmark's multigpu-pdes colo run: bfs:0:1,sssp:0:0,backprop:1:1 on
+// 2 GPUs over a 64 MiB pool, seed 1) to its checksum under every pool
+// policy, sequentially and on the PDES coordinator. A refactor of the
+// controller, its frame pools or the links must leave these unchanged.
+func TestCanonicalMixChecksums(t *testing.T) {
+	want := map[string]string{
+		"cxl-migrate": "3ed6281111a15751",
+		"cxl-repl":    "54841e0321dc4ecd",
+		"pool-remote": "45c16a945e723494",
+	}
+	for _, policy := range []string{"cxl-migrate", "cxl-repl", "pool-remote"} {
+		for _, workers := range []int{1, 2} {
+			r := runScenario(t, baseScenario(policy, workers, 1))
+			if got := fmt.Sprintf("%016x", r.Checksum); got != want[policy] {
+				t.Errorf("%s at %d workers: checksum %s, want %s", policy, workers, got, want[policy])
+			}
 		}
 	}
 }
@@ -227,10 +249,5 @@ func TestParseTenants(t *testing.T) {
 		if _, err := ParseTenants(bad, 2); err == nil {
 			t.Errorf("ParseTenants(%q) accepted", bad)
 		}
-	}
-	ts = []TenantSpec{{Workload: "sssp", GPU: 1}, {Workload: "bfs", GPU: 0}}
-	SortTenantsStable(ts)
-	if ts[0].Workload != "bfs" {
-		t.Fatalf("sort order %+v", ts)
 	}
 }

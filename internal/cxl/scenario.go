@@ -3,7 +3,6 @@ package cxl
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/devmem"
@@ -168,14 +167,19 @@ type Result struct {
 	Tenants       []TenantResult `json:"tenants"`
 }
 
+// gpuLinks are one GPU's two private links: PCIe to the host (the path
+// to another GPU's device tier) and the CXL port into the pool.
+type gpuLinks struct {
+	pcie *interconnect.Link
+	cxl  *interconnect.CXL
+}
+
 // Scenario is one constructed co-location run.
 type Scenario struct {
 	cfg     ScenarioConfig
 	ctl     *Controller
 	engines []*sim.Engine
-	// Per-GPU private links: PCIe to the host fabric and the CXL port
-	// into the pool.
-	fabrics []*interconnect.Fabric
+	links   []gpuLinks
 	tenants []*tenant
 	byGPU   [][]*tenant
 	logs    [][]request
@@ -205,17 +209,17 @@ func NewScenario(sc ScenarioConfig) (*Scenario, error) {
 		cfg:     sc,
 		ctl:     NewController(sc.Cfg, sc.GPUs, totalBlocks, sc.DeviceBlocks, prio),
 		engines: make([]*sim.Engine, sc.GPUs),
-		fabrics: make([]*interconnect.Fabric, sc.GPUs),
+		links:   make([]gpuLinks, sc.GPUs),
 		byGPU:   make([][]*tenant, sc.GPUs),
 		logs:    make([][]request, sc.GPUs),
 	}
 	for g := 0; g < sc.GPUs; g++ {
 		eng := sim.NewEngine()
 		s.engines[g] = eng
-		f := interconnect.NewFabric()
-		f.Add("pcie", interconnect.New(eng, sc.Cfg.PCIeBytesPerCycle, sim.Cycle(sc.Cfg.PCIeLatency), sc.Cfg.PCIeHeaderBytes, sc.Cfg.RemoteWirePenalty))
-		f.Add("cxl", interconnect.NewCXL(eng, sc.Cfg.CXLPortBytesPerCycle(), sim.Cycle(sc.Cfg.CXLPortLatency()), 0))
-		s.fabrics[g] = f
+		s.links[g] = gpuLinks{
+			pcie: interconnect.New(eng, sc.Cfg.PCIeBytesPerCycle, sim.Cycle(sc.Cfg.PCIeLatency), sc.Cfg.PCIeHeaderBytes, sc.Cfg.RemoteWirePenalty),
+			cxl:  interconnect.NewCXL(eng, sc.Cfg.CXLPortBytesPerCycle(), sim.Cycle(sc.Cfg.CXLPortLatency()), 0),
+		}
 	}
 	base := sc.SharedBlocks
 	for i, spec := range sc.Tenants {
@@ -256,11 +260,10 @@ func (s *Scenario) Observe(reg *obs.Registry) {
 		}
 		e.Gauge("cxl.fairness_jain", s.fairness())
 	})
-	for g, f := range s.fabrics {
-		prefix := fmt.Sprintf("gpu%d", g)
-		for _, name := range f.Names() {
-			interconnect.PublishConnMetrics(reg, "cxl.link."+prefix+"."+name, f.MustLink(name))
-		}
+	for g, l := range s.links {
+		prefix := fmt.Sprintf("cxl.link.gpu%d.", g)
+		interconnect.PublishConnMetrics(reg, prefix+"cxl", l.cxl)
+		interconnect.PublishConnMetrics(reg, prefix+"pcie", l.pcie)
 	}
 }
 
@@ -330,7 +333,7 @@ func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
 					if write {
 						dir = interconnect.DeviceToHost
 					}
-					done = s.fabrics[gpu].MustLink("cxl").RemoteAccess(dir, memunits.SectorSize, nil)
+					done = s.links[gpu].cxl.RemoteAccess(dir, memunits.SectorSize, nil)
 				default:
 					// Promoted to another GPU: routed over PCIe through
 					// host — the expensive ping-pong path.
@@ -339,7 +342,7 @@ func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
 					if write {
 						dir = interconnect.DeviceToHost
 					}
-					done = s.fabrics[gpu].MustLink("pcie").RemoteAccess(dir, memunits.SectorSize, nil)
+					done = s.links[gpu].pcie.RemoteAccess(dir, memunits.SectorSize, nil)
 					done += sim.Cycle(s.cfg.Cfg.RemoteAccessLatency)
 				}
 				tn.totalLatency += uint64(done - start)
@@ -396,7 +399,7 @@ func (s *Scenario) Run() (*Result, error) {
 		for _, a := range actions {
 			// Replica and promotion fills arrive over the target GPU's
 			// CXL port; a demotion rode the port the other way first.
-			link := s.fabrics[a.gpu].MustLink("cxl")
+			link := s.links[a.gpu].cxl
 			if a.demoted {
 				link.Transfer(interconnect.DeviceToHost, memunits.BlockSize, nil)
 			}
@@ -561,18 +564,4 @@ func parseInt(s string) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// SortTenantsStable orders specs by (GPU, workload, priority) — the
-// canonical order CLI layers use so equivalent specs hash identically.
-func SortTenantsStable(ts []TenantSpec) {
-	sort.SliceStable(ts, func(i, j int) bool {
-		if ts[i].GPU != ts[j].GPU {
-			return ts[i].GPU < ts[j].GPU
-		}
-		if ts[i].Workload != ts[j].Workload {
-			return ts[i].Workload < ts[j].Workload
-		}
-		return ts[i].Priority < ts[j].Priority
-	})
 }

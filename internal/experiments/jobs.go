@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"uvmsim/internal/config"
 	"uvmsim/internal/mm"
 	"uvmsim/internal/serve"
 	"uvmsim/internal/workloads"
@@ -84,6 +85,12 @@ func FigureJob(fig string, o Options) (serve.JobRequest, error) {
 		}
 	default:
 		return serve.JobRequest{}, fmt.Errorf("experiments: no job mapping for figure %q (have %v)", fig, FigureNames())
+	}
+	// The matrix figures derive each cell's pipeline from the request's
+	// Pipelines axis, not from Base, so a custom pipeline must ride
+	// there (the explicit-cell figures carry it in their per-cell bases).
+	if len(req.Workloads) > 0 && o.Base.MMPipeline != (config.PipelineSpec{}) {
+		req.Pipelines = []config.PipelineSpec{o.Base.MMPipeline}
 	}
 	if err := jobWorkloads(req); err != nil {
 		return serve.JobRequest{}, err

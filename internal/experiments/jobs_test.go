@@ -28,25 +28,35 @@ func runJob(t *testing.T, req serve.JobRequest) (*serve.ResultDoc, serve.JobStat
 
 // The Fig6 job must simulate exactly the cells the in-process Fig6And7
 // sweep does: the summed simulated cycles across the job's cells must
-// equal the sweep's deterministic cycle total.
+// equal the sweep's deterministic cycle total, with the stock pipeline
+// and with a custom one in the base configuration.
 func TestFig6JobMatchesInProcessSweep(t *testing.T) {
-	o := Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}}
-	_, _, want := Fig6And7Cycles(o)
+	noPrefetch := config.Default()
+	noPrefetch.MMPipeline = config.PipelineSpec{Prefetcher: "none"}
+	for _, tc := range []struct {
+		name string
+		base config.Config
+	}{{"default", config.Config{}}, {"no-prefetch", noPrefetch}} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}, Base: tc.base}
+			_, _, want := Fig6And7Cycles(o)
 
-	req, err := FigureJob("fig6", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, st := runJob(t, req)
-	if st.TotalCells != 8 {
-		t.Fatalf("fig6 job expanded to %d cells, want 2 workloads x 4 policies", st.TotalCells)
-	}
-	var got uint64
-	for _, cell := range doc.Cells {
-		got += cell.Record.Counters.Cycles
-	}
-	if got != want {
-		t.Fatalf("job cycles %d != in-process sweep cycles %d", got, want)
+			req, err := FigureJob("fig6", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, st := runJob(t, req)
+			if st.TotalCells != 8 {
+				t.Fatalf("fig6 job expanded to %d cells, want 2 workloads x 4 policies", st.TotalCells)
+			}
+			var got uint64
+			for _, cell := range doc.Cells {
+				got += cell.Record.Counters.Cycles
+			}
+			if got != want {
+				t.Fatalf("job cycles %d != in-process sweep cycles %d", got, want)
+			}
+		})
 	}
 }
 

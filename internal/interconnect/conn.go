@@ -7,8 +7,7 @@ import (
 
 // Conn is the common interface of every interconnect in the model: the
 // host PCIe link and the CXL port fronting the pooled tier both
-// implement it, so the driver and the fabric graph are written against
-// one vocabulary.
+// implement it, so one metrics publisher serves both.
 //
 // All implementations share the channel contract: two independent
 // directional wires, each serializing its transfers, with completion one
@@ -40,9 +39,8 @@ var (
 // PublishConnMetrics registers a snapshot provider exposing a link's
 // per-direction usage under the given metric prefix
 // ("<prefix>.{h2d,d2h}.{transfers,bytes,wire_bytes,busy_cycles}"
-// counters plus utilization gauges). It is the Conn-generic form of
-// Link.PublishMetrics, used by the fabric so every named link —
-// whatever its concrete type — reports the same schema.
+// counters plus utilization gauges), so every link, whatever its
+// concrete type, reports the same schema.
 func PublishConnMetrics(reg *obs.Registry, prefix string, c Conn) {
 	if reg == nil {
 		return

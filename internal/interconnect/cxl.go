@@ -3,7 +3,6 @@ package interconnect
 import (
 	"fmt"
 
-	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
 )
 
@@ -84,10 +83,4 @@ func (c *CXL) Utilization(dir Direction) float64 {
 		return 0
 	}
 	return float64(c.chans[dir].stats.BusyCycles) / float64(now)
-}
-
-// PublishMetrics registers a snapshot provider exposing per-direction
-// usage under the cxl.* prefix, mirroring Link.PublishMetrics.
-func (c *CXL) PublishMetrics(reg *obs.Registry) {
-	PublishConnMetrics(reg, "cxl", c)
 }

@@ -1,7 +1,6 @@
 package interconnect
 
 import (
-	"strings"
 	"testing"
 
 	"uvmsim/internal/obs"
@@ -85,58 +84,29 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-func TestFabricResolvesAndOrders(t *testing.T) {
+func TestPublishConnMetrics(t *testing.T) {
 	eng := sim.NewEngine()
-	f := NewFabric()
 	pcie := newLink(eng)
 	cxl := newCXL(eng)
-	f.Add("pcie0", pcie)
-	f.Add("cxl0", cxl)
-	if f.Len() != 2 {
-		t.Fatalf("len = %d", f.Len())
-	}
-	if got := f.Names(); len(got) != 2 || got[0] != "cxl0" || got[1] != "pcie0" {
-		t.Fatalf("names = %v, want sorted [cxl0 pcie0]", got)
-	}
-	if c, ok := f.Link("cxl0"); !ok || c != Conn(cxl) {
-		t.Fatal("Link(cxl0) did not resolve")
-	}
-	if _, ok := f.Link("nvlink9"); ok {
-		t.Fatal("Link resolved an unknown name")
-	}
-	if f.MustLink("pcie0") != Conn(pcie) {
-		t.Fatal("MustLink(pcie0) did not resolve")
-	}
-}
-
-func TestFabricPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	f := NewFabric()
-	f.Add("a", newLink(eng))
-	mustPanic(t, "duplicate name", func() { f.Add("a", newCXL(eng)) })
-	mustPanic(t, "empty name", func() { f.Add("", newLink(eng)) })
-	mustPanic(t, "nil link", func() { f.Add("b", nil) })
-}
-
-func TestFabricPublishMetrics(t *testing.T) {
-	eng := sim.NewEngine()
-	f := NewFabric()
-	f.Add("pcie0", newLink(eng))
-	f.Add("cxl0", newCXL(eng))
-	f.MustLink("cxl0").Transfer(HostToDevice, 64, nil)
+	cxl.Transfer(HostToDevice, 64, nil)
+	pcie.Transfer(DeviceToHost, 4096, nil)
 	reg := obs.NewRegistry()
-	f.PublishMetrics(reg)
+	PublishConnMetrics(reg, "link.cxl0", cxl)
+	pcie.PublishMetrics(reg)
 	snap := reg.Collect()
 	if got := snap.Counter("link.cxl0.h2d.bytes"); got != 64 {
 		t.Fatalf("link.cxl0.h2d.bytes = %d, want 64", got)
 	}
-	var sawPCIe bool
-	for name := range snap.Counters {
-		if strings.HasPrefix(name, "link.pcie0.") {
-			sawPCIe = true
-		}
+	if got := snap.Counter("link.cxl0.h2d.wire_bytes"); got != 128 {
+		t.Fatalf("link.cxl0.h2d.wire_bytes = %d, want one payload and one header flit", got)
 	}
-	if !sawPCIe {
-		t.Fatalf("no link.pcie0.* counters in %v", snap.Counters)
+	if got := snap.Counter("pcie.d2h.bytes"); got != 4096 {
+		t.Fatalf("pcie.d2h.bytes = %d, want 4096", got)
+	}
+	if got := snap.Counter("pcie.h2d.transfers"); got != 0 {
+		t.Fatalf("pcie.h2d.transfers = %d, want 0", got)
+	}
+	if _, ok := snap.Gauges["pcie.d2h.utilization"]; !ok {
+		t.Fatalf("no pcie.d2h.utilization gauge in %v", snap.Gauges)
 	}
 }

@@ -154,25 +154,9 @@ func (l *Link) Utilization(dir Direction) float64 {
 }
 
 // PublishMetrics registers a snapshot provider exposing per-direction
-// link usage (pcie.{h2d,d2h}.{transfers,bytes,wire_bytes,busy_cycles}
-// counters and pcie.*.utilization gauges). Publication happens at
-// collection time only, so the transfer hot path is untouched.
+// link usage under the pcie.* prefix (see PublishConnMetrics).
+// Publication happens at collection time only, so the transfer hot path
+// is untouched.
 func (l *Link) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.RegisterProvider(func(e obs.Emitter) {
-		for _, dir := range []Direction{HostToDevice, DeviceToHost} {
-			prefix := "pcie.h2d."
-			if dir == DeviceToHost {
-				prefix = "pcie.d2h."
-			}
-			st := l.chans[dir].stats
-			e.Counter(prefix+"transfers", st.Transfers)
-			e.Counter(prefix+"bytes", st.Bytes)
-			e.Counter(prefix+"wire_bytes", st.WireBytes)
-			e.Counter(prefix+"busy_cycles", st.BusyCycles)
-			e.Gauge(prefix+"utilization", l.Utilization(dir))
-		}
-	})
+	PublishConnMetrics(reg, "pcie", l)
 }

@@ -1,12 +1,12 @@
-// Tier-indexed residency fixture: the multi-tier refactor's hot paths
-// (residency tests, replica-bitmask updates, per-tier counter bumps)
-// are pure integer work, and the analyzer must keep them that way —
-// a per-access allocation on the residency path would dominate the
+// Tier-indexed residency fixture: multi-tier hot paths (residency
+// tests, replica-bitmask updates, per-tier counter bumps) are pure
+// integer work, and the analyzer must keep them that way — a
+// per-access allocation on the residency path would dominate the
 // simulated fault handling it models.
 package hotallocfix
 
-// tierIndex mirrors tier.Index: 0 = host, so the zero value of home
-// means "not resident on any device tier".
+// tierIndex is a dense tier number: 0 = host, so the zero value of
+// home means "not resident on any device tier".
 type tierIndex uint8
 
 type tieredBlock struct {

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/core"
@@ -157,33 +156,3 @@ func checkMetricsAgainstCounters(m *obs.Snapshot, c *stats.Counters) error {
 	return nil
 }
 
-// csvColumns is the flat metric schema shared by CSVHeader and CSVRow.
-var csvColumns = []string{
-	"workload", "policy", "scale", "oversubPercent", "cycles",
-	"nearAccesses", "remoteReads", "remoteWrites", "farFaults",
-	"faultBatches", "migratedPages", "prefetchedPages", "thrashedPages",
-	"evictedPages", "writtenBackPages", "tlbHits", "tlbMisses",
-	"tlbShootdowns", "h2dBytes", "d2hBytes", "instructions",
-	"warpsRetired",
-}
-
-// CSVHeader returns the header row for CSVRow records.
-func CSVHeader() string { return strings.Join(csvColumns, ",") }
-
-// CSVRow renders the record as one CSV line matching CSVHeader.
-func CSVRow(rec *Record) string {
-	c := rec.Counters
-	vals := []interface{}{
-		rec.Workload, rec.Config.Policy, rec.Scale, rec.OversubPercent, c.Cycles,
-		c.NearAccesses, c.RemoteReads, c.RemoteWrites, c.FarFaults,
-		c.FaultBatches, c.MigratedPages, c.PrefetchedPages, c.ThrashedPages,
-		c.EvictedPages, c.WrittenBackPages, c.TLBHits, c.TLBMisses,
-		c.TLBShootdowns, c.H2DBytes, c.D2HBytes, c.Instructions,
-		c.WarpsRetired,
-	}
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = fmt.Sprint(v)
-	}
-	return strings.Join(parts, ",")
-}

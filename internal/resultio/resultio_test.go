@@ -78,19 +78,3 @@ func TestReadValidatesCounters(t *testing.T) {
 		t.Fatal("accepted inconsistent counters")
 	}
 }
-
-func TestCSV(t *testing.T) {
-	res := sampleResult(t)
-	rec := FromResult(res, 0.05, 100)
-	header := CSVHeader()
-	row := CSVRow(rec)
-	if strings.Count(header, ",") != strings.Count(row, ",") {
-		t.Fatalf("column mismatch:\n%s\n%s", header, row)
-	}
-	if !strings.HasPrefix(row, "backprop,Disabled,0.05,100,") {
-		t.Fatalf("row = %s", row)
-	}
-	if !strings.HasPrefix(header, "workload,policy,scale,") {
-		t.Fatalf("header = %s", header)
-	}
-}

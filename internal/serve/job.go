@@ -22,6 +22,7 @@ import (
 	"uvmsim/internal/config"
 	"uvmsim/internal/cxl"
 	"uvmsim/internal/mm"
+	"uvmsim/internal/satmath"
 	"uvmsim/internal/workloads"
 )
 
@@ -283,6 +284,22 @@ func (r *JobRequest) coloCells() ([]coloCell, error) {
 		})
 	}
 	return cells, nil
+}
+
+// cellCount returns how many cells the request expands to, computed
+// from the axis lengths alone with saturating arithmetic, so Submit can
+// reject an oversized request before building any cell.
+func (r *JobRequest) cellCount() uint64 {
+	var n uint64
+	if len(r.Workloads) > 0 {
+		n = uint64(len(r.Workloads))
+		// A defaulted (empty) axis contributes its single default value.
+		for _, axis := range []int{len(r.OversubPercents), len(r.Policies), len(r.Pipelines), len(r.Seeds)} {
+			n = satmath.Mul(n, uint64(max(axis, 1)))
+		}
+	}
+	n = satmath.Add(n, uint64(len(r.Cells)))
+	return satmath.Add(n, uint64(len(r.Colo)))
 }
 
 // expand validates the request and resolves it into its deterministic

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -196,6 +197,42 @@ func TestConcurrentOverlappingJobs(t *testing.T) {
 		if !bytes.Equal(payloads[0], payloads[i]) {
 			t.Fatalf("client %d payload differs", i)
 		}
+	}
+}
+
+// An oversized matrix must be rejected from its axis lengths, before
+// any cell is built: 100 workloads x 100 oversubscription points x 100
+// policies is 10^6 cells from a few KB of JSON.
+func TestSubmitRejectsOversizedMatrixBeforeExpanding(t *testing.T) {
+	s, c := newTestServer(t, Options{Workers: 1})
+	req := JobRequest{}
+	for i := 0; i < 100; i++ {
+		req.Workloads = append(req.Workloads, "bfs")
+		req.OversubPercents = append(req.OversubPercents, uint64(100+i))
+		req.Policies = append(req.Policies, "adaptive")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.Submit(req)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "1000000 cells (limit 4096)") {
+		t.Fatalf("Submit err = %v, want the 1000000-cell limit error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting the request allocated %d bytes, want < 1 MiB", got)
+	}
+
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.HTTPClient.Post(c.BaseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized job: got %s, want 400", resp.Status)
 	}
 }
 

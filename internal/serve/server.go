@@ -197,14 +197,14 @@ func (j *jobState) result() ([]byte, bool) {
 // status. It is the programmatic equivalent of POST /v1/jobs (the load
 // test and in-process tests use it directly).
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
+	if n := req.cellCount(); n > uint64(s.opts.MaxCells) {
+		return JobStatus{}, fmt.Errorf("serve: job expands to %d cells (limit %d)", n, s.opts.MaxCells)
+	}
 	cells, colos, err := req.expand()
 	if err != nil {
 		return JobStatus{}, err
 	}
 	total := len(cells) + len(colos)
-	if total > s.opts.MaxCells {
-		return JobStatus{}, fmt.Errorf("serve: job expands to %d cells (limit %d)", total, s.opts.MaxCells)
-	}
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("job-%d", s.seq)

@@ -58,7 +58,7 @@ func (d *Driver) Advise(a *alloc.Allocation, adv Advice) {
 	}
 	first := a.FirstBlock()
 	for b := first; b < first+a.NumBlocks(); b++ {
-		if bs := d.blockAt(b); bs != nil && (bs.resident() || bs.pending) {
+		if bs := d.blockAt(b); bs != nil && (bs.resident || bs.pending) {
 			panic(fmt.Sprintf("uvm: advising %q after its data was touched", a.Name))
 		}
 	}

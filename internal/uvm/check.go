@@ -49,7 +49,7 @@ func (d *Driver) checkConsistency(midRun bool) error {
 			bs := d.blockAt(b)
 			var isResident, isPending, isScheduled bool
 			if bs != nil {
-				isResident, isPending, isScheduled = bs.resident(), bs.pending, bs.scheduled
+				isResident, isPending, isScheduled = bs.resident, bs.pending, bs.scheduled
 			}
 			leaf := int(b - first)
 			occ := tree.Occupied(leaf)
@@ -70,7 +70,7 @@ func (d *Driver) checkConsistency(midRun bool) error {
 				if bs.scheduled && !bs.pending {
 					return fmt.Errorf("uvm: block %d scheduled but not pending", b)
 				}
-				if bs.resident() && bs.pending {
+				if bs.resident && bs.pending {
 					return fmt.Errorf("uvm: block %d both resident and pending", b)
 				}
 				if len(bs.waiters) > 0 && !bs.pending {

@@ -6,7 +6,6 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
-	"uvmsim/internal/tier"
 )
 
 // TestConsistencyDuringRandomTraffic fires randomized access streams at
@@ -89,11 +88,11 @@ func TestConsistencyDetectsCorruption(t *testing.T) {
 	r.syncAccess(t, r.a.Base, false)
 	// Corrupt: flip residency without fixing the tree or accounting.
 	bs := r.d.block(memunits.BlockOf(r.a.Base))
-	bs.home = tier.HostIndex
+	bs.resident = false
 	if err := r.d.CheckConsistency(); err == nil {
 		t.Fatal("checker accepted corrupted state")
 	}
-	bs.home = r.d.devTier
+	bs.resident = true
 	// Corrupt the chunk counter instead.
 	cs := r.d.chunk(memunits.ChunkOf(r.a.Base))
 	cs.residentBlocks++

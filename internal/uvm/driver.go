@@ -44,7 +44,6 @@ import (
 	"uvmsim/internal/policy"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
-	"uvmsim/internal/tier"
 )
 
 // AccessKind classifies how an access was served, for trace observers.
@@ -79,15 +78,13 @@ func (k AccessKind) String() string {
 type AccessObserver func(now sim.Cycle, addr memunits.Addr, write bool, kind AccessKind)
 
 // blockState tracks one 64KB basic block. The zero value means "never
-// touched": home on the host tier, not pending, no waiters — exactly
-// the semantics an absent map entry used to have, which is what lets
+// touched": host-resident, not pending, no waiters, which is what lets
 // block state live in a plain value slice.
 type blockState struct {
-	// home is the tier the block's data currently lives on.
-	// tier.HostIndex (the zero value) is the backing store — what the
-	// old boolean "not resident" meant; any other index is a
-	// capacity-bounded tier the SMs reach at local latency.
-	home tier.Index
+	// resident is true while the block's data lives in device memory,
+	// where the SMs reach it at DRAM latency; false means the host
+	// backing store.
+	resident bool
 	// pending is true from the moment a fault is raised (or the block is
 	// claimed by a prefetch) until its migration lands; accesses merge
 	// onto waiters during that window.
@@ -103,12 +100,6 @@ type blockState struct {
 	lastAccess   sim.Cycle
 	waiters      []func()
 }
-
-// resident reports whether the block lives on a device tier — the fast
-// "served at DRAM latency" predicate every access consults first.
-//
-//sim:hotpath
-func (bs *blockState) resident() bool { return bs.home != tier.HostIndex }
 
 // chunkState tracks one 2MB chunk slot of a managed allocation.
 type chunkState struct {
@@ -145,15 +136,8 @@ type Driver struct {
 	space *alloc.Space
 	mem   *devmem.Memory
 	link  *interconnect.Link
-	// topo is the driver's tier topology and devTier the tier this
-	// driver's device memory occupies in it — what blockState.home is
-	// set to when a migration lands. The classic configuration is the
-	// two-tier host+gpu0 pair; richer topologies (CXL pool) are modeled
-	// above the driver (internal/cxl) but share the same Index space.
-	topo    tier.Topology
-	devTier tier.Index
-	ctrs    *counters.File
-	st      stats.Counters
+	ctrs  *counters.File
+	st    stats.Counters
 
 	// The memory-management pipeline stages (see internal/mm). Each is
 	// owned exclusively by this driver.
@@ -247,15 +231,12 @@ func NewWithPipeline(eng *sim.Engine, cfg config.Config, space *alloc.Space, pip
 		panic(fmt.Sprintf("uvm: %v", err))
 	}
 	fillDefaults(&pipe, cfg)
-	topo := tier.TwoTier(cfg.DeviceMemBytes, cfg.DRAMLatency)
 	d := &Driver{
 		eng:          eng,
 		cfg:          cfg,
 		space:        space,
 		mem:          devmem.New(cfg.DeviceMemBytes),
 		link:         interconnect.New(eng, cfg.PCIeBytesPerCycle, cfg.PCIeLatency, cfg.PCIeHeaderBytes, cfg.RemoteWirePenalty),
-		topo:         topo,
-		devTier:      topo.Devices()[0],
 		batcher:      pipe.Batcher,
 		planner:      pipe.Planner,
 		evictor:      pipe.Evictor,
@@ -325,14 +306,6 @@ func (d *Driver) Memory() *devmem.Memory { return d.mem }
 
 // Link exposes the interconnect model.
 func (d *Driver) Link() *interconnect.Link { return d.link }
-
-// Topology returns the driver's tier topology (the two-tier host+device
-// pair for classic configurations) and DeviceTier the index residency
-// points at when a block is device-resident.
-func (d *Driver) Topology() tier.Topology { return d.topo }
-
-// DeviceTier returns the tier index of this driver's device memory.
-func (d *Driver) DeviceTier() tier.Index { return d.devTier }
 
 // Pipeline returns the composed memory-management stages (for
 // introspection and tests; the stages remain owned by the driver).
@@ -493,7 +466,7 @@ func (d *Driver) memState() policy.MemState {
 func (d *Driver) TryFastAccess(addr memunits.Addr, write bool) (sim.Cycle, bool) {
 	b := memunits.BlockOf(addr)
 	bs := d.blockAt(b)
-	if bs == nil || !bs.resident() {
+	if bs == nil || !bs.resident {
 		return 0, false
 	}
 	walk := d.translate(addr)
@@ -526,7 +499,7 @@ func (d *Driver) TryFastAccess(addr memunits.Addr, write bool) (sim.Cycle, bool)
 func (d *Driver) TryFastAccessRun(addrs []memunits.Addr, write bool) (sim.Cycle, bool) {
 	b := memunits.BlockOf(addrs[0])
 	bs := d.blockAt(b)
-	if bs == nil || !bs.resident() {
+	if bs == nil || !bs.resident {
 		return 0, false
 	}
 	// Sectors arrive sorted, so same-page sectors are consecutive. After
@@ -695,7 +668,7 @@ func (d *Driver) processBatch() {
 	}
 	for _, b := range batch {
 		bs := d.block(b)
-		if bs.resident() || bs.scheduled {
+		if bs.resident || bs.scheduled {
 			// Swept in by an earlier entry's prefetch.
 			continue
 		}
@@ -706,7 +679,7 @@ func (d *Driver) processBatch() {
 		for _, leaf := range leaves {
 			blk := first + memunits.BlockNum(uint64(leaf))
 			ebs := d.block(blk)
-			if ebs.resident() || ebs.scheduled {
+			if ebs.resident || ebs.scheduled {
 				// The governor can re-report blocks that are already being
 				// handled; skip them.
 				continue
@@ -854,7 +827,7 @@ func (d *Driver) landMigration(m migration) {
 	now := d.eng.Now()
 	for _, b := range m.blocks {
 		bs := d.block(b)
-		bs.home = d.devTier
+		bs.resident = true
 		bs.pending = false
 		bs.scheduled = false
 		bs.dirty = bs.pendingDirty

@@ -8,7 +8,6 @@ import (
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
-	"uvmsim/internal/tier"
 )
 
 // evictOne frees one eviction unit through the pipeline's eviction
@@ -103,7 +102,7 @@ func (h *evictionHost) BlockCandidates(strict bool) []evict.Candidate {
 		first := cs.info.FirstBlock()
 		for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
 			bs := d.blockAt(b)
-			if bs == nil || !bs.resident() || strict && d.recent(bs.lastAccess) {
+			if bs == nil || !bs.resident || strict && d.recent(bs.lastAccess) {
 				continue
 			}
 			cands = append(cands, evict.Candidate{
@@ -151,7 +150,7 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 	b, cs := d.numScratch[idx], d.ownerScratch[idx]
 	bs := d.blockAt(b)
 	d.noteVictim(uint64(b), strict, strict && d.recent(bs.lastAccess))
-	bs.home = tier.HostIndex
+	bs.resident = false
 	d.ctrs.NoteEviction(uint64(b))
 	bs.everEvicted = true
 	d.st.TLBShootdowns += d.gmmuTLB.invalidateRange(memunits.FirstPageOfBlock(b), memunits.PagesPerBlock)
@@ -177,7 +176,7 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 func (d *Driver) chunkDirty(cs *chunkState) bool {
 	first := cs.info.FirstBlock()
 	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
-		if bs := d.blockAt(b); bs != nil && bs.resident() && bs.dirty {
+		if bs := d.blockAt(b); bs != nil && bs.resident && bs.dirty {
 			return true
 		}
 	}
@@ -191,10 +190,10 @@ func (d *Driver) evictChunk(cs *chunkState) {
 	var evictedBlocks, dirtyBlocks uint64
 	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
 		bs := d.blockAt(b)
-		if bs == nil || !bs.resident() {
+		if bs == nil || !bs.resident {
 			continue
 		}
-		bs.home = tier.HostIndex
+		bs.resident = false
 		d.ctrs.NoteEviction(uint64(b))
 		bs.everEvicted = true
 		evictedBlocks++

@@ -4,14 +4,14 @@
 # Runs `go test -coverprofile` for each listed package and fails when
 # any falls below the floor. The floor guards the packages recent PRs
 # made load-bearing — the mm pipeline registry/stages, the learn
-# primitives, and the multi-tier surface (tier topology, per-GPU
-# counters, CXL controller + co-location), and the simlint framework
-# plus its interprocedural analyzers — not the whole module: simulator
+# primitives, the CXL surface (per-GPU counters, the pool controller
+# and co-location), and the simlint framework plus its
+# interprocedural analyzers — not the whole module: simulator
 # hot paths are covered by the golden and determinism suites instead.
 set -eu
 
 FLOOR=70
-PACKAGES="uvmsim/internal/mm uvmsim/internal/learn uvmsim/internal/tier uvmsim/internal/counters uvmsim/internal/cxl
+PACKAGES="uvmsim/internal/mm uvmsim/internal/learn uvmsim/internal/counters uvmsim/internal/cxl
 uvmsim/internal/lint uvmsim/internal/lint/seedflow uvmsim/internal/lint/floatdet uvmsim/internal/lint/lockhold uvmsim/internal/lint/goroleak"
 
 fail=0
