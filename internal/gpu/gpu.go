@@ -63,6 +63,15 @@ type WarpProgram interface {
 	Next(instr *Instr) bool
 }
 
+// Releaser is an optional WarpProgram extension: the GPU calls Release
+// once when the warp running the program retires, after the program's
+// last Next. A program that implements it may recycle itself there, so a
+// kernel allocates programs for its peak resident warps rather than for
+// every warp it runs. Programs without it are left to the collector.
+type Releaser interface {
+	Release()
+}
+
 // Kernel describes one kernel launch.
 type Kernel struct {
 	Name        string
@@ -530,13 +539,17 @@ func (g *GPU) retire(w *warp, trailingCompute uint64) {
 	g.eng.At(end, w.finishFn)
 }
 
-// finishWarp performs retirement bookkeeping and recycles the warp (and,
-// on last retirement, its CTA record) back to the pools.
+// finishWarp performs retirement bookkeeping, releases the warp's
+// program when it is a Releaser, and recycles the warp (and, on last
+// retirement, its CTA record) back to the pools.
 func (g *GPU) finishWarp(w *warp) {
 	g.st.WarpsRetired++
 	g.retiredWarps++
 	w.sm.residentWarps--
 	cta := w.cta
+	if r, ok := w.prog.(Releaser); ok {
+		r.Release()
+	}
 	w.prog, w.sm, w.cta = nil, nil, nil
 	g.warpFree = append(g.warpFree, w)
 	cta.warpsLeft--

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"uvmsim/internal/gpu"
 	"uvmsim/internal/memunits"
@@ -39,13 +40,23 @@ type maskedCSRProgram struct {
 	groupLen int
 }
 
+var maskedCSRPool programPool[maskedCSRProgram, [(linePair - unsafe.Sizeof(maskedCSRProgram{})%linePair) % linePair]byte]
+
 // newMaskedCSR builds the program for the contiguous node range [lo,hi).
 func newMaskedCSR(g *Graph, mask, rowPtr, edges, dist, weights memunits.Addr, active []uint64, lo, hi int, compute uint64) *maskedCSRProgram {
-	return &maskedCSRProgram{
+	p := maskedCSRPool.get()
+	*p = maskedCSRProgram{
 		g: g, maskBase: mask, rowPtrBase: rowPtr, edgeBase: edges,
 		distBase: dist, weightBase: weights, active: active,
 		hi: hi, compute: compute, group: lo,
 	}
+	return p
+}
+
+// Release implements gpu.Releaser.
+func (p *maskedCSRProgram) Release() {
+	*p = maskedCSRProgram{}
+	maskedCSRPool.put(p)
 }
 
 // frontierBitmap builds the shared active bitmap for a frontier.

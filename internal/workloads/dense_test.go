@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"testing"
 	"unsafe"
 
@@ -33,33 +34,52 @@ var streamDigests = map[string]string{
 // Each warp reuses one Instr across Next calls, as the GPU does.
 func streamDigest(b *Built) string {
 	h := sha256.New()
+	for _, k := range b.Kernels {
+		hashKernel(h, k, false)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// hashKernel writes kernel k's expanded instruction stream to h in
+// warp order. With release set, it builds each CTA's programs together,
+// as the GPU runs a CTA's warps side by side, and releases every
+// Releaser among them once the CTA has drained, so the kernel's
+// programs come from and go back to the recycling pools.
+func hashKernel(h hash.Hash, k gpu.Kernel, release bool) {
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for _, k := range b.Kernels {
-		for cta := 0; cta < k.CTAs; cta++ {
-			for w := 0; w < k.WarpsPerCTA; w++ {
-				var in gpu.Instr
-				p := k.NewWarp(cta, w)
-				for p.Next(&in) {
-					var wr uint64
-					if in.Write {
-						wr = 1
-					}
-					put(wr)
-					put(in.Compute)
-					put(uint64(in.NumAddrs))
-					for i := 0; i < in.NumAddrs; i++ {
-						put(in.Addr(i))
-					}
+	progs := make([]gpu.WarpProgram, k.WarpsPerCTA)
+	for cta := 0; cta < k.CTAs; cta++ {
+		for w := range progs {
+			progs[w] = k.NewWarp(cta, w)
+		}
+		for _, p := range progs {
+			var in gpu.Instr
+			for p.Next(&in) {
+				var wr uint64
+				if in.Write {
+					wr = 1
 				}
-				put(^uint64(0))
+				put(wr)
+				put(in.Compute)
+				put(uint64(in.NumAddrs))
+				for i := 0; i < in.NumAddrs; i++ {
+					put(in.Addr(i))
+				}
+			}
+			put(^uint64(0))
+		}
+		if release {
+			for _, p := range progs {
+				if r, ok := p.(gpu.Releaser); ok {
+					r.Release()
+				}
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 func TestInstructionStreamDigests(t *testing.T) {
@@ -261,11 +281,12 @@ func TestMaskedCSRMatchesPerNodeScan(t *testing.T) {
 	}
 }
 
-// TestMaskedCSRSizeClass guards maskedCSRProgram's allocation size
-// class: one is allocated per warp of every bfs/sssp kernel. At 152
-// bytes (the 160-byte class) it raised alloc_mb on the paper-fig67
-// benchmark by 1.6% (2.2% together with the gpu package's warp
-// crossing its class).
+// TestMaskedCSRSizeClass guards maskedCSRProgram's size. When one was
+// allocated per warp of every bfs/sssp kernel, 152 bytes (the 160-byte
+// class) raised alloc_mb on the paper-fig67 benchmark by 1.6% (2.2%
+// together with the gpu package's warp crossing its class). Programs
+// now live in pooled 256-byte slots, which any size up to 256 bytes
+// fills.
 func TestMaskedCSRSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(maskedCSRProgram{}); got > 144 {
 		t.Fatalf("maskedCSRProgram is %d bytes, above the 144-byte size class", got)

@@ -58,6 +58,9 @@ func Spatter(scale float64) *Built {
 		}
 	}
 
+	idxOps := []operand{readOp(idxA)}
+	gatherOps := []operand{readOp(buf)}
+	scatterOps := []operand{writeOp(buf)}
 	var kernels []gpu.Kernel
 	var iterOf []int
 	for it := 1; it <= iters; it++ {
@@ -65,15 +68,15 @@ func Spatter(scale float64) *Built {
 			func(lo, hi int) gpu.WarpProgram {
 				// Dense read of the index array, then the gather itself.
 				return chainPrograms(
-					newStream([]operand{readOp(idxA)}, lo, hi, 2),
-					newGather([]operand{readOp(buf)}, idx[lo:hi], 2),
+					newStream(idxOps, lo, hi, 2),
+					newGather(gatherOps, idx[lo:hi], 2),
 				)
 			})
 		scatter := partitionKernel(fmt.Sprintf("spatter_scatter_i%d", it), idxElems, 512,
 			func(lo, hi int) gpu.WarpProgram {
 				return chainPrograms(
-					newStream([]operand{readOp(idxA)}, lo, hi, 2),
-					newGather([]operand{writeOp(buf)}, idx[lo:hi], 2),
+					newStream(idxOps, lo, hi, 2),
+					newGather(scatterOps, idx[lo:hi], 2),
 				)
 			})
 		kernels = append(kernels, gather, scatter)

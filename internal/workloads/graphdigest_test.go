@@ -1,0 +1,49 @@
+package workloads
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"testing"
+)
+
+// graphDigests pins the FNV-64a of the traversal graphs the bfs and
+// sssp factories build, at paper scale and at scale 0.05. The values
+// were recorded before GenTraversalGraph wrote filler edges in place,
+// so they hold the generator to the same RNG draw order and the same
+// per-node edge order (backbone and extra edges before fillers).
+var graphDigests = []struct {
+	name                  string
+	avgDeg, layers        int
+	seed                  uint64
+	scale                 float64
+	rowPtr, edges, weight string
+}{
+	{"bfs", 6, 25, 0xBF5, 1, "b809403ecd3944a8", "1f7de61ab94c9df8", "7631e94bc0169d75"},
+	{"bfs", 6, 25, 0xBF5, 0.05, "5f12a049a6b722a1", "4ef1528b36a0ccb9", "095ce90a2eac9937"},
+	{"sssp", 3, 20, 0x55B, 1, "4960fd3efa7b4581", "c0a700c5a3655626", "9b39a92f08d46cd8"},
+	{"sssp", 3, 20, 0x55B, 0.05, "be9b04d261752e0a", "e2e3cdb818557cac", "4f5f79d00ba7d32f"},
+}
+
+// fnv32s returns the FNV-64a of xs as little-endian 32-bit words.
+func fnv32s(xs []int32) string {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint32(buf[:], uint32(x))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func TestTraversalGraphDigests(t *testing.T) {
+	for _, c := range graphDigests {
+		n := scaleElems(1<<20, c.scale)
+		g := GenTraversalGraph(n, c.avgDeg, c.layers, 0.08, c.seed)
+		got := [3]string{fnv32s(g.RowPtr), fnv32s(g.Edges), fnv32s(g.Weights)}
+		want := [3]string{c.rowPtr, c.edges, c.weight}
+		if got != want {
+			t.Errorf("%s scale %g: (rowptr, edges, weights) digests %q, want %q", c.name, c.scale, got, want)
+		}
+	}
+}

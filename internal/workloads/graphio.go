@@ -16,8 +16,15 @@ import (
 //	# comment lines start with '#' or '%'
 //	<src> <dst> [weight]
 //
-// Node ids are 0-based integers; a missing weight defaults to 1. The
-// loader infers the node count from the largest id seen.
+// Node ids are 0-based integers below 2^26; a missing weight
+// defaults to 1. The loader infers the node count from the largest id
+// seen.
+
+// maxNodes bounds the node count of a loaded graph: 2^26 nodes, 64 times
+// the paper's 2^20-node inputs, as serve.MaxScale bounds the synthetic
+// ones. The loader sizes the graph from the largest id, so without the
+// bound a single edge could ask for gigabytes of CSR arrays.
+const maxNodes = 1 << 26
 
 // ParseEdgeList reads an edge-list graph from r.
 func ParseEdgeList(r io.Reader) (*Graph, error) {
@@ -27,7 +34,7 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 	var edges []edge
 	maxNode := int32(-1)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -46,6 +53,10 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 		dst, err := strconv.ParseInt(fields[1], 10, 32)
 		if err != nil || dst < 0 {
 			return nil, fmt.Errorf("graphio: line %d: bad target %q", lineNo, fields[1])
+		}
+		if src >= maxNodes || dst >= maxNodes {
+			return nil, fmt.Errorf("graphio: line %d: node id %d at or above the limit of %d nodes",
+				lineNo, max(src, dst), maxNodes)
 		}
 		w := int64(1)
 		if len(fields) == 3 {

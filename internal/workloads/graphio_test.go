@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,24 @@ func TestParseEdgeListErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ParseEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
+		}
+	}
+}
+
+// TestParseEdgeListRejectsHugeIDs checks that a node id at or above
+// maxNodes is refused, naming its line, before the loader sizes a graph
+// from it: the 16-byte input below used to build a 100M-node graph.
+func TestParseEdgeListRejectsHugeIDs(t *testing.T) {
+	for _, in := range []string{"0 1\n1 100000000\n", "0 1\n1 2147483647\n", "0 1\n67108864 1\n"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseEdgeList(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q: error %v, want a rejection of line 2", in, err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Errorf("%q: rejection allocated %d bytes, want under 1 MB", in, b)
 		}
 	}
 }

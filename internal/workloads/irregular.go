@@ -135,8 +135,9 @@ func RA(scale float64) *Built {
 	// deep enough that the bulk of the updates happen *after* the
 	// cold-start wave, when counters and round trips have accumulated
 	// and the delayed-migration policies can differentiate.
+	ops := []operand{readOp(table), writeOp(table)}
 	k := partitionKernel("ra_update", updates, 512, func(lo, hi int) gpu.WarpProgram {
-		return newGather([]operand{readOp(table), writeOp(table)}, idx[lo:hi], 2)
+		return newGather(ops, idx[lo:hi], 2)
 	})
 	return &Built{Name: "ra", Regular: false, Space: space, Kernels: []gpu.Kernel{k}, IterOf: []int{1}}
 }
@@ -163,6 +164,7 @@ func NW(scale float64) *Built {
 	ref := space.Alloc("reference", uint64(n)*elemSize, true)
 
 	nb := edge / nwBlock
+	ops := []operand{readOp(matrix), readOp(ref), writeOp(matrix)}
 	var kernels []gpu.Kernel
 	var iterOf []int
 	for d := 0; d < 2*nb-1; d++ {
@@ -179,17 +181,16 @@ func NW(scale float64) *Built {
 		kernels = append(kernels, partitionKernel(
 			fmt.Sprintf("nw_diag%d", d+1), blocks, 2,
 			func(lo, hi int) gpu.WarpProgram {
-				var progs []gpu.WarpProgram
+				c := chainPrograms()
 				for b := lo; b < hi; b++ {
 					bi := iLo + b
 					bj := dd - bi
 					rowLo := bi * nwBlock
 					colLo := bj * nwBlock
-					progs = append(progs, newStrided(
-						[]operand{readOp(matrix), readOp(ref), writeOp(matrix)},
-						rowLo, rowLo+nwBlock, colLo, colLo+nwBlock, edge, 6))
+					c.progs = append(c.progs, newStrided(
+						ops, rowLo, rowLo+nwBlock, colLo, colLo+nwBlock, edge, 6))
 				}
-				return chainPrograms(progs...)
+				return c
 			}))
 		iterOf = append(iterOf, 1)
 	}

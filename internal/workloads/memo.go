@@ -10,10 +10,15 @@ import (
 // across every cell instead of rebuilding per cell.
 //
 // Sharing is safe because a Built never changes after construction:
-// the allocation space is read-only once sized, the kernel closures
-// capture only immutable inputs (index slices, bitmaps, CSR arrays),
-// and every per-run mutable object (warp state, driver, device memory)
-// is created by the simulator, not the workload. Deterministic seeds
+// the allocation space is read-only once sized, and the kernel closures
+// capture only immutable inputs (index slices, bitmaps, CSR arrays,
+// operand lists). The per-warp state a kernel does create, its warp
+// programs, comes from goroutine-safe pools shared by every cell: each
+// program is reset when a kernel takes it and returns to the pool when
+// its warp retires (gpu.Releaser), so concurrent cells may take turns
+// with one program object but never hold it at the same time. Every
+// other per-run mutable object (warp state, driver, device memory) is
+// created by the simulator, not the workload. Deterministic seeds
 // are baked into each factory, so (name, scale) fully identifies the
 // build — there is no external seed dimension to key on.
 //

@@ -7,6 +7,7 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/core"
+	"uvmsim/internal/sweep"
 	"uvmsim/internal/workloads"
 )
 
@@ -64,6 +65,36 @@ func TestMemoSharedBuiltConcurrentRuns(t *testing.T) {
 		if !reflect.DeepEqual(r.Counters, private.Counters) {
 			t.Errorf("shared run %d diverged from private build:\nshared:  %+v\nprivate: %+v",
 				i, r.Counters, private.Counters)
+		}
+	}
+}
+
+// A two-worker sweep over one memoized Built: both workers' GPUs draw
+// warp programs from and release them to the same recycling pools
+// while they run the Built's kernels side by side. Every cell must
+// report the counters of a sequential run on a private build.
+func TestRecycledProgramsSharedBuiltSweep(t *testing.T) {
+	memo := workloads.NewMemo()
+	var jobs []func() *core.Result
+	var cfgs []config.Config
+	for _, name := range []string{"bfs", "nw"} {
+		b := memo.Get(name, 0.05)
+		for _, pol := range config.Policies() {
+			cfg := core.DeriveConfig(b, 1, 125, pol, config.Default())
+			cfgs = append(cfgs, cfg)
+			jobs = append(jobs, func() *core.Result { return core.Run(b, cfg) })
+		}
+	}
+	results := sweep.Parallel(jobs, 2)
+	for i, name := range []string{"bfs", "nw"} {
+		private := workloads.MustGet(name)(0.05)
+		for j := range config.Policies() {
+			cell := i*len(config.Policies()) + j
+			want := core.Run(private, cfgs[cell])
+			if !reflect.DeepEqual(results[cell].Counters, want.Counters) {
+				t.Errorf("%s cell %d: shared-Built sweep diverged from a private run:\nsweep:   %+v\nprivate: %+v",
+					name, j, results[cell].Counters, want.Counters)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"sync"
+	"unsafe"
+
 	"uvmsim/internal/alloc"
 	"uvmsim/internal/gpu"
 	"uvmsim/internal/memunits"
@@ -24,6 +27,53 @@ type operand struct {
 func readOp(a *alloc.Allocation) operand  { return operand{base: a.Base} }
 func writeOp(a *alloc.Allocation) operand { return operand{base: a.Base, write: true} }
 
+// programPool recycles released warp programs of type T. A Built is
+// shared by concurrent cells, so the pool must be goroutine-safe; a
+// sync.Pool keeps each cell's programs in its own P's cache. Programs
+// come back from the GPU through gpu.Releaser when their warp retires,
+// so a kernel allocates programs for its peak resident warps, not for
+// every warp it runs. Every constructor overwrites the whole object, so
+// no state survives from a program's previous warp.
+//
+// Each program lives in a slot[T, Pad] whose padding rounds it up to a
+// multiple of 128 bytes. Those sizes are malloc size classes, so every
+// slot starts on a 128-byte boundary and no two programs share a cache
+// line or the line pair the adjacent-line prefetcher fetches together
+// (sync.Pool pads its per-P state to 128 bytes for the same reason). A
+// pooled program lives for the whole run and now and then moves to
+// another P's pool, so without the padding the live programs of two
+// concurrent cells end up side by side, and the Next calls that write
+// them on every instruction bounce their lines between cores. With two
+// cells on two cores, that made streamProgram.Next about twice as slow.
+type programPool[T, Pad any] struct{ p sync.Pool }
+
+// slot is a program padded to whole 128-byte line pairs.
+type slot[T, Pad any] struct {
+	v T
+	_ Pad
+}
+
+// get returns a recycled program, or a new one when the pool is empty.
+func (q *programPool[T, Pad]) get() *T {
+	if v, ok := q.p.Get().(*T); ok {
+		return v
+	}
+	return &new(slot[T, Pad]).v
+}
+
+// put returns a released program to the pool.
+func (q *programPool[T, Pad]) put(v *T) { q.p.Put(v) }
+
+// linePair is the unit programs are padded to.
+const linePair = 128
+
+var (
+	streamPool  programPool[streamProgram, [(linePair - unsafe.Sizeof(streamProgram{})%linePair) % linePair]byte]
+	gatherPool  programPool[gatherProgram, [(linePair - unsafe.Sizeof(gatherProgram{})%linePair) % linePair]byte]
+	stridedPool programPool[stridedProgram, [(linePair - unsafe.Sizeof(stridedProgram{})%linePair) % linePair]byte]
+	seqPool     programPool[seqProgram, [(linePair - unsafe.Sizeof(seqProgram{})%linePair) % linePair]byte]
+)
+
 // streamProgram is a dense sequential sweep: for each group of 32
 // consecutive elements in [lo, hi), it issues one instruction per
 // operand (same element indices in each array), with compute cycles
@@ -38,7 +88,15 @@ type streamProgram struct {
 
 // newStream builds a stream over elements [lo, hi).
 func newStream(ops []operand, lo, hi int, compute uint64) *streamProgram {
-	return &streamProgram{ops: ops, lo: lo, hi: hi, compute: compute, pos: lo}
+	p := streamPool.get()
+	*p = streamProgram{ops: ops, lo: lo, hi: hi, compute: compute, pos: lo}
+	return p
+}
+
+// Release implements gpu.Releaser.
+func (p *streamProgram) Release() {
+	*p = streamProgram{}
+	streamPool.put(p)
 }
 
 // Next implements gpu.WarpProgram.
@@ -83,7 +141,15 @@ type gatherProgram struct {
 }
 
 func newGather(ops []operand, idx []int32, compute uint64) *gatherProgram {
-	return &gatherProgram{ops: ops, idx: idx, compute: compute}
+	p := gatherPool.get()
+	*p = gatherProgram{ops: ops, idx: idx, compute: compute}
+	return p
+}
+
+// Release implements gpu.Releaser.
+func (p *gatherProgram) Release() {
+	*p = gatherProgram{}
+	gatherPool.put(p)
 }
 
 // Next implements gpu.WarpProgram.
@@ -123,8 +189,27 @@ type seqProgram struct {
 	cur   int
 }
 
-func chainPrograms(progs ...gpu.WarpProgram) gpu.WarpProgram {
-	return &seqProgram{progs: progs}
+// chainPrograms chains progs; append more parts to the result's progs
+// before its first Next. The parts are copied into the program's own
+// (recycled) slice, so the variadic argument does not escape.
+func chainPrograms(progs ...gpu.WarpProgram) *seqProgram {
+	p := seqPool.get()
+	p.progs = append(p.progs[:0], progs...)
+	p.cur = 0
+	return p
+}
+
+// Release implements gpu.Releaser: it releases the parts that are
+// Releasers and keeps the part slice for the program's next use.
+func (p *seqProgram) Release() {
+	for i, q := range p.progs {
+		if r, ok := q.(gpu.Releaser); ok {
+			r.Release()
+		}
+		p.progs[i] = nil
+	}
+	p.progs = p.progs[:0]
+	seqPool.put(p)
 }
 
 // Next implements gpu.WarpProgram.
@@ -154,10 +239,18 @@ type stridedProgram struct {
 }
 
 func newStrided(ops []operand, rowLo, rowHi, colLo, colHi, rowStride int, compute uint64) *stridedProgram {
-	return &stridedProgram{
+	p := stridedPool.get()
+	*p = stridedProgram{
 		ops: ops, rowLo: rowLo, rowHi: rowHi, colLo: colLo, colHi: colHi,
 		rowStride: rowStride, compute: compute, row: rowLo, col: colLo,
 	}
+	return p
+}
+
+// Release implements gpu.Releaser.
+func (p *stridedProgram) Release() {
+	*p = stridedProgram{}
+	stridedPool.put(p)
 }
 
 // Next implements gpu.WarpProgram.

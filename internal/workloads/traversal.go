@@ -32,6 +32,13 @@ import "fmt"
 // above: n nodes, about n*avgDeg edges, a reachable subgraph of
 // ~reachFrac*n scattered nodes organized into the given number of
 // layers. Node 0 is the single root layer.
+//
+// The graph is built in place. Only the reachable subgraph's backbone
+// and extra edges are staged; they fix every node's final degree,
+// max(deg, avgDeg), so RowPtr is laid out before the fillers are drawn
+// and each filler is written straight into its slot in Edges. The
+// result is a function of the seed alone: TestTraversalGraphDigests
+// pins it at the bfs and sssp parameters.
 func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *Graph {
 	if n < 2 || avgDeg < 2 || layers < 1 || reachFrac <= 0 || reachFrac > 1 {
 		panic(fmt.Sprintf("workloads: GenTraversalGraph(n=%d, avgDeg=%d, layers=%d, reach=%v)",
@@ -77,12 +84,12 @@ func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *G
 		i++
 	}
 
-	// Edges accumulate as flat (source, target) pairs plus a per-node
-	// degree count, then a stable counting sort lays out the CSR — one
-	// growing buffer instead of n per-node adjacency slices, which
-	// dominated generation time at paper scale.
+	// The backbone and extra edges are the reachable subgraph's edges.
+	// They are staged as (source, target) pairs in a buffer sized for
+	// their bound, one backbone in-edge plus at most three extras per
+	// reachable node, with a per-node count in deg.
 	type edge struct{ u, t int32 }
-	pairs := make([]edge, 0, n*avgDeg+n)
+	pairs := make([]edge, 0, 4*len(s))
 	deg := make([]int32, n)
 	addEdge := func(u int, t int32) {
 		pairs = append(pairs, edge{int32(u), t})
@@ -116,46 +123,47 @@ func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *G
 			}
 		}
 	}
-	// Fill every node up to avgDeg. Unreachable nodes get uniformly
-	// random targets — pure footprint, never read by the traversal.
-	// Reachable nodes' fillers target same-or-earlier layers so the
-	// reachable set stays exactly S and BFS levels stay one layer wide
-	// (an edge into an already-visited wave never re-expands BFS, while
-	// it does re-activate waves in worklist SSSP).
+
+	// Fillers bring every node up to avgDeg, so each node's final degree
+	// is already known: max(deg, avgDeg). Lay out RowPtr from it, place
+	// the staged edges at the front of their nodes' lists in staging
+	// order, and write the fillers straight into Edges behind them. Per
+	// node, the layout is the staged edges and then the fillers, each in
+	// draw order, as if every node had its own appended list.
+	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
 	for v := 0; v < n; v++ {
+		g.RowPtr[v+1] = g.RowPtr[v] + max(deg[v], int32(avgDeg))
+	}
+	total := int(g.RowPtr[n])
+	g.Edges = make([]int32, total)
+	clear(deg)
+	for _, e := range pairs {
+		g.Edges[g.RowPtr[e.u]+deg[e.u]] = e.t
+		deg[e.u]++
+	}
+	// Unreachable nodes get uniformly random fillers — pure footprint,
+	// never read by the traversal. Reachable nodes' fillers target
+	// same-or-earlier layers so the reachable set stays exactly S and
+	// BFS levels stay one layer wide (an edge into an already-visited
+	// wave never re-expands BFS, while it does re-activate waves in
+	// worklist SSSP).
+	for v := 0; v < n; v++ {
+		fill := g.Edges[g.RowPtr[v]+deg[v] : g.RowPtr[v+1]]
 		if lp := layerOf[v]; lp != 0 {
 			l := int(lp - 1)
-			for int(deg[v]) < avgDeg {
+			for j := range fill {
 				tgt := byLayer[rng.intn(l+1)]
-				addEdge(v, tgt[rng.intn(len(tgt))])
+				fill[j] = tgt[rng.intn(len(tgt))]
 			}
 			continue
 		}
-		for int(deg[v]) < avgDeg {
-			addEdge(v, int32(rng.intn(n)))
+		for j := range fill {
+			fill[j] = int32(rng.intn(n))
 		}
-	}
-
-	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
-	for v := 0; v < n; v++ {
-		g.RowPtr[v+1] = g.RowPtr[v] + deg[v]
-	}
-	total := int(g.RowPtr[n])
-	// Stable counting sort of the pairs by source node: per-node
-	// insertion order is preserved, so the CSR layout is identical to
-	// concatenating per-node adjacency lists in append order.
-	g.Edges = make([]int32, total)
-	next := make([]int32, n)
-	copy(next, g.RowPtr[:n])
-	for _, e := range pairs {
-		g.Edges[next[e.u]] = e.t
-		next[e.u]++
 	}
 	g.Weights = make([]int32, total)
-	for v := 0; v < n; v++ {
-		for j := g.RowPtr[v]; j < g.RowPtr[v+1]; j++ {
-			g.Weights[j] = int32(rng.intn(15) + 1)
-		}
+	for j := range g.Weights {
+		g.Weights[j] = int32(rng.intn(15) + 1)
 	}
 	return g
 }
