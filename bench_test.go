@@ -190,8 +190,9 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // BenchmarkEngineRun measures the schedule+dispatch round trip: every
-// iteration enqueues one event and the engine is periodically advanced,
-// so the cost includes timing-wheel bucket dispatch and slot recycling.
+// iteration enqueues one event and the engine steps whenever more than
+// 1024 are pending, so the cost includes timing-wheel bucket dispatch
+// and slot recycling.
 func BenchmarkEngineRun(b *testing.B) {
 	eng := sim.NewEngine()
 	var fired int
@@ -200,8 +201,8 @@ func BenchmarkEngineRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.After(uint64(i%64), fn)
-		if eng.Pending() > 1024 {
-			eng.RunUntil(eng.Now() + 32)
+		for eng.Pending() > 1024 {
+			eng.Step()
 		}
 	}
 	eng.Run()
@@ -218,8 +219,8 @@ func BenchmarkEngineEvents(b *testing.B) {
 	var fired int
 	for i := 0; i < b.N; i++ {
 		eng.After(uint64(i%64), func() { fired++ })
-		if eng.Pending() > 1024 {
-			eng.RunUntil(eng.Now() + 32)
+		for eng.Pending() > 1024 {
+			eng.Step()
 		}
 	}
 	eng.Run()

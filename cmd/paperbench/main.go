@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale          = fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper size)")
 		workloads      = fs.String("workloads", "", "comma-separated workload subset (default: all)")
 		workers        = fs.Int("workers", 0, "concurrent sweep cells per figure (0 = one per core)")
-		clusterWorkers = fs.Int("cluster-workers", 0, "PDES worker threads per multi-GPU cluster run (0 or 1 = sequential; results are identical either way)")
+		clusterWorkers = fs.Int("cluster-workers", 0, "drain threads per multi-GPU cluster run (0 or 1 = one, at most the GPU count; results are identical for every count)")
 		planner        = fs.String("planner", "", "migration planner: "+strings.Join(mm.PlannerNames(), ", ")+" (default: threshold)")
 		replacement    = fs.String("replacement", "", "replacement policy for eviction: lru, lfu (default: paper pairing)")
 		prefetcher     = fs.String("prefetcher", "", "prefetcher: tree, none, sequential (default: tree)")
@@ -123,6 +123,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *clusterWorkers < 0 {
 		fmt.Fprintf(stderr, "paperbench: -cluster-workers must be non-negative, got %d\n", *clusterWorkers)
+		return 2
+	}
+	if o.sample == 0 {
+		// The trace collector reads 0 as "sampling off", which would
+		// print Fig. 3 as bare headers.
+		fmt.Fprintln(stderr, "paperbench: -sample must be positive (1 = every access), got 0")
 		return 2
 	}
 	o.opt = uvmsim.ExperimentOptions{Scale: *scale, Workers: *workers}

@@ -41,6 +41,7 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 		{"infScale", []string{"-fig", "1", "-scale", "+Inf"}, "-scale must be positive and finite"},
 		{"negativeWorkers", []string{"-fig", "1", "-workers", "-1"}, "-workers must be non-negative"},
 		{"negativeClusterWorkers", []string{"-fig", "1", "-cluster-workers", "-2"}, "-cluster-workers must be non-negative"},
+		{"zeroSample", []string{"-fig", "3", "-sample", "0"}, "-sample must be positive"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {

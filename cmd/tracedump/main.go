@@ -31,7 +31,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "workload scale factor")
 		mode     = flag.String("mode", "freq", "freq (Fig. 2) or pattern (Fig. 3)")
 		iters    = flag.String("iters", "2,4", "iterations to dump in pattern mode")
-		sample   = flag.Uint64("sample", 256, "keep one sample per N accesses in pattern mode")
+		sample   = flag.Uint64("sample", 256, "keep one sample per N accesses in pattern mode (1 = every access)")
 		csv      = flag.Bool("csv", false, "freq mode: emit raw per-page CSV instead of the summary")
 		plotOut  = flag.Bool("plot", false, "pattern mode: render terminal scatter plots instead of CSV")
 		width    = flag.Int("width", 100, "plot width in characters")
@@ -56,6 +56,12 @@ func main() {
 		want, err := parseIters(*iters)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracedump:", err)
+			os.Exit(2)
+		}
+		if *sample == 0 {
+			// The trace collector reads 0 as "sampling off", which would
+			// dump every iteration as a bare header.
+			fmt.Fprintln(os.Stderr, "tracedump: -sample must be positive (1 = every access), got 0")
 			os.Exit(2)
 		}
 		if *plotOut {

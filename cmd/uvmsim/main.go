@@ -33,6 +33,7 @@ import (
 	"uvmsim/internal/cliutil"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
+	"uvmsim/internal/multigpu"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/resultio"
 	"uvmsim/internal/workloads"
@@ -96,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.scale, "scale", 1.0, "workload scale factor (1.0 = paper size)")
 	fs.Uint64Var(&o.oversub, "oversub", 125, "working set as % of device memory (100 = fits)")
 	fs.IntVar(&o.gpus, "gpus", 1, "cluster size: run the workload bulk-synchronously across this many GPUs (multi-GPU §VIII extension)")
-	fs.IntVar(&o.workers, "workers", 0, "cluster PDES worker threads with -gpus > 1 (0 or 1 = sequential; results are identical either way)")
+	fs.IntVar(&o.workers, "workers", 0, "cluster drain threads with -gpus > 1 (0 or 1 = one, at most -gpus; results are identical for every count)")
 	fs.StringVar(&o.arch, "arch", "pascal", "architecture preset: pascal, volta")
 	fs.StringVar(&o.policy, "policy", "adaptive", "migration policy: disabled, always, oversub, adaptive")
 	fs.Uint64Var(&o.ts, "ts", 8, "static access counter threshold")
@@ -159,8 +160,8 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if o.oversub == 0 {
 		return fmt.Errorf("-oversub must be positive, got 0")
 	}
-	if o.gpus < 1 {
-		return fmt.Errorf("-gpus must be at least 1, got %d", o.gpus)
+	if o.gpus < 1 || o.gpus > multigpu.MaxGPUs {
+		return fmt.Errorf("-gpus must be at least 1 and at most %d, got %d", multigpu.MaxGPUs, o.gpus)
 	}
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be non-negative, got %d", o.workers)
@@ -352,9 +353,8 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 }
 
 // simulateCluster runs the workload bulk-synchronously across o.gpus
-// GPUs — sequentially, or under the PDES coordinator when
-// -workers > 1 (the two modes produce byte-identical results) — and
-// prints the aggregate makespan plus per-GPU metrics.
+// GPUs, draining them on -workers threads (byte-identical results for
+// every count), and prints the aggregate makespan plus per-GPU metrics.
 func simulateCluster(o options, b *uvmsim.Workload, cfg uvmsim.Config, suite *obs.Suite, runName string, stdout io.Writer) error {
 	cl := uvmsim.NewCluster(b, cfg, o.gpus)
 	cl.Observe(func(idx int) *obs.Run {

@@ -52,6 +52,8 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"unknownGranularity", []string{"-granularity", "4k"}, "unknown eviction granularity"},
 		{"zeroGPUs", []string{"-gpus", "0"}, "-gpus must be at least 1"},
 		{"negativeGPUs", []string{"-gpus", "-2"}, "-gpus must be at least 1"},
+		{"tooManyGPUs", []string{"-gpus", "65"}, "at most 64, got 65"},
+		{"tooManyColoGPUs", []string{"-tenants", "bfs:0", "-gpus", "65", "-cxl-pool-mb", "32"}, "at most 64, got 65"},
 		{"negativeWorkers", []string{"-workers", "-1"}, "-workers must be non-negative"},
 		{"spansOnCluster", []string{"-gpus", "2", "-spans"}, "single-GPU runs only"},
 		{"jsonOnCluster", []string{"-gpus", "2", "-json", "out.json"}, "single-GPU runs only"},
@@ -173,8 +175,8 @@ func TestTraceJSONLOutput(t *testing.T) {
 }
 
 // A cluster run must print the aggregate makespan line and one stats
-// line per GPU, and the PDES mode (-workers) must print exactly the
-// same simulation results as the sequential default.
+// line per GPU, and -workers 2 must print exactly the same simulation
+// results as the one-worker default.
 func TestClusterRunOutputsAndWorkerEquivalence(t *testing.T) {
 	args := []string{"-workload", "ra", "-scale", "0.05", "-gpus", "4", "-oversub", "125"}
 	code, seq, stderr := runCLI(t, args...)
@@ -194,12 +196,12 @@ func TestClusterRunOutputsAndWorkerEquivalence(t *testing.T) {
 		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
 	}
 	if !strings.Contains(par, "cluster gpus=4 workers=2") {
-		t.Fatalf("missing PDES cluster header:\n%s", par)
+		t.Fatalf("missing two-worker cluster header:\n%s", par)
 	}
 	// Everything except the reported worker count — makespan, totals and
 	// every per-GPU counter — must match byte for byte.
 	if got := strings.ReplaceAll(par, "workers=2", "workers=1"); got != seq {
-		t.Fatalf("PDES output diverged from sequential:\nsequential:\n%s\nparallel:\n%s", seq, par)
+		t.Fatalf("two-worker output diverged from one worker:\none worker:\n%s\ntwo workers:\n%s", seq, par)
 	}
 }
 

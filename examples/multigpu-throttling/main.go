@@ -7,9 +7,9 @@
 // (bulk-synchronous execution); every GPU has its own device memory and
 // PCIe link, and its Adaptive threshold responds to local occupancy.
 //
-// With -cluster-workers N > 1 each cluster runs under the parallel
-// discrete-event coordinator (DESIGN.md §12); the results are
-// byte-identical to the sequential default, only wall clock changes.
+// -cluster-workers N drains each cluster's per-GPU engines on N threads
+// (DESIGN.md §12); the results are byte-identical for every N, only
+// wall clock changes.
 //
 //	go run ./examples/multigpu-throttling [-workload ra] [-oversub 125] [-cluster-workers 4]
 package main
@@ -25,7 +25,7 @@ func main() {
 	workload := flag.String("workload", "ra", "collaborative workload")
 	oversub := flag.Uint64("oversub", 125, "per-GPU working-set share as % of per-GPU memory")
 	scale := flag.Float64("scale", 0.4, "workload scale factor")
-	clusterWorkers := flag.Int("cluster-workers", 0, "PDES worker threads per cluster run (0 or 1 = sequential; results are identical either way)")
+	clusterWorkers := flag.Int("cluster-workers", 0, "drain threads per cluster run (0 or 1 = one, at most the GPU count; results are identical for every count)")
 	flag.Parse()
 
 	fmt.Printf("=== %s across GPU clusters at %d%% per-GPU oversubscription ===\n\n", *workload, *oversub)

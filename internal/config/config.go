@@ -224,13 +224,12 @@ type Config struct {
 	// the built-in default.
 	BanditEpochCycles uint64
 
-	// ClusterWorkers bounds the worker threads a multi-GPU cluster run
-	// may use for parallel discrete-event simulation (internal/multigpu):
-	// each GPU+driver node gets its own engine, and every kernel drains
-	// all node engines concurrently up to the barrier.
-	// Results are byte-identical to the sequential path for every value.
-	// 0 or 1 selects the sequential single-engine path; values above
-	// the cluster size are clamped to it. Single-GPU runs ignore it.
+	// ClusterWorkers is the thread count a multi-GPU cluster run
+	// (internal/multigpu) drains its node engines on: each GPU+driver
+	// node has its own engine, and every kernel drains all of them up
+	// to the barrier. 0 or 1 means one thread (the caller's); values
+	// above the cluster size are clamped to it. Results are
+	// byte-identical for every value. Single-GPU runs ignore it.
 	ClusterWorkers int
 
 	// CXL pooled tier (internal/cxl). Zero CXLPoolBytes disables the

@@ -11,15 +11,15 @@
 // path to a block promoted into another GPU) and a CXL port into the
 // pool. On top of the controller, a Scenario runs multiple tenants
 // (catalog workloads) sharing GPU device memory with per-tenant page
-// accounting, priority-aware eviction and a fairness metric, under
-// either a sequential barrier loop or the PDES coordinator from
-// internal/multigpu, byte-identically.
+// accounting, priority-aware eviction and a fairness metric, its
+// per-GPU engines drained by the PDES coordinator from
+// internal/multigpu, byte-identically for every worker count.
 //
 // The pool operates at the driver's 64KB basic-block granularity.
 // Controller state is mutated only at epoch barriers, in fixed GPU
 // order; during an epoch every GPU reads a frozen view and appends to
 // its private request log, which is what makes the parallel execution
-// race-free and byte-identical to the sequential one.
+// race-free and byte-identical to the one-worker one.
 package cxl
 
 import (

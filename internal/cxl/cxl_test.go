@@ -62,13 +62,17 @@ func TestScenarioRunsAndAccounts(t *testing.T) {
 	}
 }
 
+// Every worker count reproduces the one-worker run; counts below 1 mean
+// one worker.
 func TestScenarioByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, policy := range []string{"cxl-repl", "cxl-migrate", "pool-remote"} {
 		seq := runScenario(t, baseScenario(policy, 1, 42))
-		par := runScenario(t, baseScenario(policy, 2, 42))
-		if seq.Checksum != par.Checksum || seq.SimCycles != par.SimCycles {
-			t.Fatalf("%s: sequential %d/%d != parallel %d/%d",
-				policy, seq.SimCycles, seq.Checksum, par.SimCycles, par.Checksum)
+		for _, workers := range []int{-1, 0, 2} {
+			par := runScenario(t, baseScenario(policy, workers, 42))
+			if seq.Checksum != par.Checksum || seq.SimCycles != par.SimCycles {
+				t.Fatalf("%s: one worker %d/%d != %d workers %d/%d",
+					policy, seq.SimCycles, seq.Checksum, workers, par.SimCycles, par.Checksum)
+			}
 		}
 	}
 }
@@ -76,7 +80,7 @@ func TestScenarioByteIdenticalAcrossWorkers(t *testing.T) {
 // TestCanonicalMixChecksums pins the canonical co-location mix (the
 // benchmark's multigpu-pdes colo run: bfs:0:1,sssp:0:0,backprop:1:1 on
 // 2 GPUs over a 64 MiB pool, seed 1) to its checksum under every pool
-// policy, sequentially and on the PDES coordinator. A refactor of the
+// policy, on one coordinator worker and on two. A refactor of the
 // controller, its frame pools or the links must leave these unchanged.
 func TestCanonicalMixChecksums(t *testing.T) {
 	want := map[string]string{

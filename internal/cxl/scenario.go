@@ -38,7 +38,7 @@ type ScenarioConfig struct {
 	// Cfg supplies the machine model: DRAM latency, PCIe link, the CXL
 	// port (CXL* fields) and the pool policy name.
 	Cfg config.Config
-	// GPUs is the number of GPUs sharing the pool (1..64).
+	// GPUs is the number of GPUs sharing the pool (1..multigpu.MaxGPUs).
 	GPUs int
 	// Tenants are the co-scheduled streams. At least one; GPU indices
 	// must be in range. Tenant ids are positional.
@@ -56,8 +56,8 @@ type ScenarioConfig struct {
 	// Seed drives every tenant's stream generator. Equal seeds produce
 	// byte-identical runs at any worker count.
 	Seed uint64
-	// Workers selects execution: 0/1 sequential, >=2 the PDES
-	// coordinator (clamped to GPUs).
+	// Workers is the coordinator's drain thread count: values below 1
+	// mean one (the calling goroutine), larger ones clamp to GPUs.
 	Workers int
 }
 
@@ -71,8 +71,8 @@ const (
 )
 
 func (sc *ScenarioConfig) normalize() error {
-	if sc.GPUs < 1 || sc.GPUs > 64 {
-		return fmt.Errorf("cxl: %d GPUs out of range (1..64)", sc.GPUs)
+	if sc.GPUs < 1 || sc.GPUs > multigpu.MaxGPUs {
+		return fmt.Errorf("cxl: %d GPUs out of range (1..%d)", sc.GPUs, multigpu.MaxGPUs)
 	}
 	if len(sc.Tenants) == 0 {
 		return fmt.Errorf("cxl: no tenants")
@@ -115,9 +115,7 @@ func (sc *ScenarioConfig) normalize() error {
 	if sc.AccessesPerEpoch == 0 {
 		sc.AccessesPerEpoch = DefaultAccessesPerEpoch
 	}
-	if sc.Workers > sc.GPUs {
-		sc.Workers = sc.GPUs
-	}
+	sc.Workers = min(max(sc.Workers, 1), sc.GPUs)
 	return nil
 }
 
@@ -298,9 +296,10 @@ func (t *tenant) nextBlock(shared uint64) (block uint64, write bool) {
 }
 
 // runEpochStreams schedules every tenant stream of every GPU and drains
-// the engines — sequentially or through the coordinator. During the
-// drain, controller state is frozen: accesses read it and append to
-// per-GPU logs only.
+// the engines through the coordinator. Streams never interact inside an
+// epoch: controller state is frozen during the drain, and accesses read
+// it and append to their own GPU's log only, so each engine can run to
+// empty on its own.
 func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
 	for g := range s.engines {
 		gpu := g
@@ -351,40 +350,12 @@ func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
 			s.engines[gpu].At(s.engines[gpu].Now()+computeGap, step)
 		}
 	}
-	s.drain(co)
-}
-
-// drain empties every engine, in index order sequentially or in one
-// concurrent coordinator round, then aligns all clocks to the barrier
-// (the max engine clock), exactly like the multigpu kernel barrier.
-// Streams never interact inside an epoch — accesses only read the
-// frozen controller state and append to their own GPU's log — so each
-// engine can run to empty on its own.
-func (s *Scenario) drain(co *multigpu.Coordinator) {
-	if co != nil {
-		co.Drain()
-	} else {
-		for _, e := range s.engines {
-			e.Run()
-		}
-	}
-	var barrier sim.Cycle
-	for _, e := range s.engines {
-		if e.Now() > barrier {
-			barrier = e.Now()
-		}
-	}
-	for _, e := range s.engines {
-		e.AdvanceTo(barrier)
-	}
+	co.Drain()
 }
 
 // Run executes the scenario and returns its deterministic result.
 func (s *Scenario) Run() (*Result, error) {
-	var co *multigpu.Coordinator
-	if s.cfg.Workers >= 2 {
-		co = multigpu.NewCoordinator(s.engines, s.cfg.Workers)
-	}
+	co := multigpu.NewCoordinator(s.engines, s.cfg.Workers)
 	var actions []barrierAction
 	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {
 		s.runEpochStreams(co)
@@ -406,7 +377,7 @@ func (s *Scenario) Run() (*Result, error) {
 			link.Transfer(interconnect.HostToDevice, memunits.BlockSize, nil)
 		}
 		if len(actions) > 0 {
-			s.drain(co)
+			co.Drain()
 		}
 		if err := s.ctl.check(); err != nil {
 			return nil, err
@@ -439,17 +410,14 @@ func (s *Scenario) fairness() float64 {
 // result assembles the Result including the run checksum.
 func (s *Scenario) result() *Result {
 	r := &Result{
+		// Every drain leaves all engine clocks on its barrier.
+		SimCycles:     uint64(s.engines[0].Now()),
 		Fairness:      s.fairness(),
 		Replications:  s.ctl.Replications,
 		Promotions:    s.ctl.Promotions,
 		Demotions:     s.ctl.Demotions,
 		Invalidations: s.ctl.Invalidations,
 		Evictions:     s.ctl.Evictions,
-	}
-	for _, e := range s.engines {
-		if uint64(e.Now()) > r.SimCycles {
-			r.SimCycles = uint64(e.Now())
-		}
 	}
 	for _, t := range s.tenants {
 		tr := TenantResult{

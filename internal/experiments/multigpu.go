@@ -18,15 +18,16 @@ var MultiGPUClusterSizes = []int{1, 2, 4}
 // first-touch baseline against the Adaptive dynamic threshold as a
 // per-GPU memory throttling mechanism. Every GPU's memory is sized so
 // its share of the working set sits at oversubPercent of capacity, so
-// the per-GPU pressure is constant across cluster sizes. Columns are
-// makespans normalized to the same-size baseline cluster.
+// the per-GPU pressure is constant across cluster sizes. Both columns,
+// Adaptive's makespan and thrashed pages, are normalized to the
+// same-size baseline cluster.
 func MultiGPU(workload string, o Options, oversubPercent uint64) *report.Table {
 	o = o.withDefaults()
 	t := &report.Table{
 		Title: fmt.Sprintf("Extension (paper §VIII): multi-GPU throttling, %s at %d%% per-GPU oversubscription",
 			workload, oversubPercent),
 		Metric:  "Adaptive makespan and thrash normalized to same-size baseline cluster",
-		Columns: []string{"Runtime", "Thrash", "BaselineThrashPages"},
+		Columns: []string{"Runtime", "Thrash"},
 	}
 	b := o.memo.Get(workload, o.Scale)
 	for _, n := range MultiGPUClusterSizes {
@@ -36,8 +37,7 @@ func MultiGPU(workload string, o Options, oversubPercent uint64) *report.Table {
 		adpt := multigpu.New(b, core.DeriveConfig(b, n, oversubPercent, config.PolicyAdaptive, cfg), n).Run()
 		t.Add(fmt.Sprintf("%s x%d", workload, n),
 			report.Ratio(adpt.Cycles, base.Cycles),
-			report.Ratio(adpt.TotalThrashedPages(), base.TotalThrashedPages()),
-			float64(base.TotalThrashedPages()))
+			report.Ratio(adpt.TotalThrashedPages(), base.TotalThrashedPages()))
 	}
 	return t
 }

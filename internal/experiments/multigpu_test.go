@@ -10,7 +10,7 @@ func TestMultiGPUExperimentShape(t *testing.T) {
 	if len(tab.Rows) != len(MultiGPUClusterSizes) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(MultiGPUClusterSizes))
 	}
-	if len(tab.Columns) != 3 {
+	if len(tab.Columns) != 2 {
 		t.Fatalf("columns = %v", tab.Columns)
 	}
 	for _, r := range tab.Rows {

@@ -12,12 +12,10 @@
 // responds to its *local* occupancy — the throttling behaviour the
 // paper wants to study.
 //
-// By default all replicas share one discrete-event engine and the run
-// is single-threaded. When cfg.ClusterWorkers > 1 the cluster instead
-// runs in parallel discrete-event (PDES) mode — one engine per
-// GPU+driver node, each drained to empty concurrently once per kernel
-// (see pdes.go) — producing byte-identical results at a fraction of the
-// wall-clock time.
+// Every GPU+driver node owns its discrete-event engine, and a
+// Coordinator (pdes.go) drains all of them to empty once per kernel on
+// cfg.ClusterWorkers threads (0 or 1 = the calling goroutine alone).
+// Results are byte-identical for every worker count.
 //
 // Host-side coherence between GPUs is not modelled: collaborative
 // workloads partition their writes, and the policies under study see
@@ -41,11 +39,10 @@ import (
 // livelock and panics loudly rather than hanging.
 const eventBudget = 4_000_000_000
 
-// node is one GPU with its private UVM driver. In sequential mode every
-// node's eng field aliases the cluster's shared engine; in PDES mode
-// each node owns its engine and all of the node's mutable simulation
-// state (driver, GPU, engine, checker) is touched by exactly one worker
-// at a time (see pdes.go for the synchronization argument).
+// node is one GPU with its private UVM driver and engine. All of the
+// node's mutable simulation state (driver, GPU, engine, checker) is
+// touched by exactly one worker at a time (see pdes.go for the
+// synchronization argument).
 type node struct {
 	eng *sim.Engine
 	drv *uvm.Driver
@@ -61,43 +58,33 @@ type node struct {
 // onKernelDone is the prebound kernel-completion callback.
 func (n *node) onKernelDone(sim.Cycle) { n.finished = true }
 
-// check runs the node's invariant checks, panicking with a violation
-// stamped with now on the first breach.
-func (n *node) check(now sim.Cycle) {
-	if err := n.ck.RunAll(uint64(now)); err != nil {
+// checkTick is the node's engine daemon: it runs the node's invariant
+// checks, panicking with a violation stamped with the node clock on the
+// first breach.
+func (n *node) checkTick() {
+	if err := n.ck.RunAll(uint64(n.eng.Now())); err != nil {
 		panic(err)
 	}
 }
 
-// checkTick is the node's own engine daemon (PDES mode).
-func (n *node) checkTick() { n.check(n.eng.Now()) }
-
 // Cluster runs one workload across several GPUs.
 type Cluster struct {
-	eng   *sim.Engine // shared engine; nil when par drives per-node engines
 	par   *Coordinator
 	nodes []*node
 	built *workloads.Built
 	cfg   config.Config
 }
 
-// Workers reports the PDES worker count the cluster will use (1 =
-// sequential single-engine mode).
-func (c *Cluster) Workers() int {
-	if c.par == nil {
-		return 1
-	}
-	return c.par.workers
-}
+// Workers reports the drain worker count the cluster will use, in
+// [1, nGPUs].
+func (c *Cluster) Workers() int { return c.par.workers }
 
 // Observe attaches per-GPU observability: mk is called once per GPU and
 // may return nil to skip that GPU. A shared CheckEvery (the maximum over
 // the returned runs) drives the invariant sweep over every observed
 // driver's consistency check, panicking with a cycle-stamped
-// *obs.Violation on the first breach. In sequential mode one sweep
-// walks the nodes in order on the shared engine's daemon; in PDES mode
-// each node's own engine daemon sweeps that node mid-kernel. Call
-// before Run.
+// *obs.Violation on the first breach. Each node's own engine daemon
+// sweeps that node mid-kernel. Call before Run.
 func (c *Cluster) Observe(mk func(gpuIdx int) *obs.Run) {
 	var every sim.Cycle
 	for idx, n := range c.nodes {
@@ -114,15 +101,13 @@ func (c *Cluster) Observe(mk func(gpuIdx int) *obs.Run) {
 		}
 		if r.Reg != nil {
 			r.Reg.RegisterProvider(func(e obs.Emitter) {
-				// Cluster-wide totals, identical between the sequential
-				// and PDES modes: the barrier clock and the union of
-				// every node's event stream.
+				// Cluster-wide totals, identical for every worker
+				// count: the barrier clock and the union of every
+				// node's event stream.
 				e.Counter("sim.cycles", c.clusterNow())
 				e.Counter("sim.events_fired", c.clusterFired())
 			})
-			if c.par != nil {
-				c.par.Publish(r.Reg)
-			}
+			c.par.Publish(r.Reg)
 		}
 		n.ck = &obs.Checker{}
 		n.ck.Add(fmt.Sprintf("gpu%d-driver-consistency", idx), n.drv.CheckConsistencyMidRun)
@@ -132,10 +117,6 @@ func (c *Cluster) Observe(mk func(gpuIdx int) *obs.Run) {
 	}
 	// Sweeps ride on engine daemons so they observe drivers at real
 	// event boundaries and never extend the run.
-	if c.eng != nil {
-		c.eng.SetDaemon(every, c.checkTick)
-		return
-	}
 	for _, n := range c.nodes {
 		if n.ck != nil {
 			n.eng.SetDaemon(every, n.checkTick)
@@ -143,13 +124,10 @@ func (c *Cluster) Observe(mk func(gpuIdx int) *obs.Run) {
 	}
 }
 
-// clusterNow returns the cluster-wide clock: the shared engine's in
-// sequential mode, the latest node clock in PDES mode (after a run all
-// node clocks sit on the final barrier, so this is the makespan).
+// clusterNow returns the cluster-wide clock: the latest node clock
+// (after a run all node clocks sit on the final barrier, so this is the
+// makespan).
 func (c *Cluster) clusterNow() uint64 {
-	if c.eng != nil {
-		return uint64(c.eng.Now())
-	}
 	var max sim.Cycle
 	for _, n := range c.nodes {
 		if now := n.eng.Now(); now > max {
@@ -159,28 +137,13 @@ func (c *Cluster) clusterNow() uint64 {
 	return uint64(max)
 }
 
-// clusterFired returns the total events fired across the cluster. The
-// per-node engines of PDES mode fire exactly the events the shared
-// engine fires sequentially, so the sum matches eng.Fired() there.
+// clusterFired returns the total events fired across the cluster.
 func (c *Cluster) clusterFired() uint64 {
-	if c.eng != nil {
-		return c.eng.Fired()
-	}
 	var sum uint64
 	for _, n := range c.nodes {
 		sum += n.eng.Fired()
 	}
 	return sum
-}
-
-// checkTick is the cluster-wide invariant sweep on the shared engine's
-// daemon (sequential mode): every observed node, in node order.
-func (c *Cluster) checkTick() {
-	for _, n := range c.nodes {
-		if n.ck != nil {
-			n.check(c.eng.Now())
-		}
-	}
 }
 
 // Result aggregates a cluster run.
@@ -210,41 +173,32 @@ func (r *Result) TotalRemoteAccesses() uint64 {
 	return sum
 }
 
-// New creates a cluster of nGPUs over the workload. cfg.DeviceMemBytes
-// is the per-GPU memory capacity. cfg.ClusterWorkers > 1 selects the
-// PDES execution mode (pdes.go); results are byte-identical either way.
+// MaxGPUs bounds the cluster size (and the CXL co-location scenario's
+// GPU count): every node that gets work allocates its own engine's
+// timing wheel.
+const MaxGPUs = 64
+
+// New creates a cluster of nGPUs in [1, MaxGPUs] over the workload.
+// cfg.DeviceMemBytes is the per-GPU memory capacity; cfg.ClusterWorkers
+// is the drain thread count (0 or 1 = one, clamped to nGPUs). Results
+// are byte-identical for every worker count.
 func New(b *workloads.Built, cfg config.Config, nGPUs int) *Cluster {
-	if nGPUs < 1 {
-		panic(fmt.Sprintf("multigpu: %d GPUs", nGPUs))
+	if nGPUs < 1 || nGPUs > MaxGPUs {
+		panic(fmt.Sprintf("multigpu: %d GPUs out of range (1..%d)", nGPUs, MaxGPUs))
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("multigpu: %v", err))
 	}
 	c := &Cluster{built: b, cfg: cfg}
-	workers := cfg.ClusterWorkers
-	if workers > nGPUs {
-		workers = nGPUs
-	}
-	if workers > 1 {
-		// PDES mode: one engine per node, drained concurrently.
-		engines := make([]*sim.Engine, nGPUs)
-		for i := range engines {
-			eng := sim.NewEngine()
-			eng.SetEventBudget(eventBudget)
-			drv := uvm.New(eng, cfg, b.Space)
-			c.nodes = append(c.nodes, &node{eng: eng, drv: drv, g: gpu.New(eng, cfg, drv, drv.Stats())})
-			engines[i] = eng
-		}
-		c.par = NewCoordinator(engines, workers)
-		return c
-	}
-	eng := sim.NewEngine()
-	eng.SetEventBudget(eventBudget)
-	c.eng = eng
-	for i := 0; i < nGPUs; i++ {
+	engines := make([]*sim.Engine, nGPUs)
+	for i := range engines {
+		eng := sim.NewEngine()
+		eng.SetEventBudget(eventBudget)
 		drv := uvm.New(eng, cfg, b.Space)
 		c.nodes = append(c.nodes, &node{eng: eng, drv: drv, g: gpu.New(eng, cfg, drv, drv.Stats())})
+		engines[i] = eng
 	}
+	c.par = NewCoordinator(engines, min(max(cfg.ClusterWorkers, 1), nGPUs))
 	return c
 }
 
@@ -270,25 +224,18 @@ func splitKernel(k gpu.Kernel, nGPUs, idx int) (gpu.Kernel, bool) {
 	}, true
 }
 
-// Run executes the workload bulk-synchronously and returns the result.
+// Run executes the workload bulk-synchronously and returns the result:
+// for each kernel every GPU launches its CTA share, and the next kernel
+// starts only after the coordinator has drained the whole cluster and
+// aligned its clocks (the kernel barrier).
 func (c *Cluster) Run() *Result {
+	var makespan sim.Cycle
 	for _, k := range c.built.Kernels {
-		c.runKernel(k)
+		c.launch(k)
+		makespan = c.par.Drain()
+		c.barrier(k)
 	}
-	return c.finish(sim.Cycle(c.clusterNow()))
-}
-
-// runKernel runs one kernel bulk-synchronously across the GPUs: every
-// GPU launches its CTA share, and the call returns only after the
-// whole cluster drains (the kernel barrier).
-func (c *Cluster) runKernel(k gpu.Kernel) {
-	c.launch(k)
-	if c.par != nil {
-		c.par.Drain()
-	} else {
-		c.eng.Run()
-	}
-	c.barrier(k)
+	return c.finish(makespan)
 }
 
 // launch starts every node's CTA share of k, in node order.
@@ -305,24 +252,16 @@ func (c *Cluster) launch(k gpu.Kernel) {
 
 // barrier closes kernel k once every engine has drained (trailing
 // prefetch transfers included): every launched share must have
-// finished, and every node clock moves to the max last-event time
-// across nodes — exactly the shared engine's clock after its drain — so
-// the next launch round observes the same Now it would sequentially.
+// finished.
 func (c *Cluster) barrier(k gpu.Kernel) {
 	for idx, n := range c.nodes {
 		if n.launched && !n.finished {
 			panic(fmt.Sprintf("multigpu: kernel %s left gpu%d unfinished", k.Name, idx))
 		}
 	}
-	at := sim.Cycle(c.clusterNow())
-	for _, n := range c.nodes {
-		n.eng.AdvanceTo(at)
-	}
 }
 
-// finish validates quiescence and collects the per-GPU counters; shared
-// by the sequential and PDES paths, which by construction reach it with
-// identical driver states and makespan.
+// finish validates quiescence and collects the per-GPU counters.
 func (c *Cluster) finish(makespan sim.Cycle) *Result {
 	res := &Result{Cycles: uint64(makespan)}
 	for _, n := range c.nodes {

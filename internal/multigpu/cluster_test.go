@@ -122,10 +122,17 @@ func TestThrottlingReducesClusterThrash(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	b := workloads.MustGet("backprop")(0.05)
-	defer func() {
-		if recover() == nil {
-			t.Error("zero GPUs did not panic")
-		}
-	}()
-	New(b, config.Default(), 0)
+	for _, n := range []int{0, MaxGPUs + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d GPUs did not panic", n)
+				}
+			}()
+			New(b, config.Default(), n)
+		}()
+	}
+	if got := len(New(b, config.Default(), MaxGPUs).nodes); got != MaxGPUs {
+		t.Errorf("a %d-GPU cluster has %d nodes", MaxGPUs, got)
+	}
 }

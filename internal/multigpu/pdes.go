@@ -7,26 +7,26 @@
 // kernels and graph data). Within a kernel, nodes interact with nothing
 // but their own driver, device memory and PCIe link — cross-node
 // influence exists solely through the bulk-synchronous kernel barrier.
-// Each node's event stream is therefore independent of how the streams
-// interleave, which is what makes the parallel run *byte-identical* to
-// the sequential shared-engine run: the shared engine merely
-// interleaves the same per-node streams by (cycle, seq) without
-// changing any node's view.
+// Each node's event stream is therefore a function of the barrier
+// state alone, not of when or on which goroutine other nodes run: the
+// result is byte-identical for every worker count and every order in
+// which the engines drain (pdes_test.go checks both against a
+// reference that interleaves all nodes on one engine by (cycle, seq)).
 //
 // # Protocol
 //
 // One drain round per barrier: the coordinator runs every node engine
-// to empty on W goroutines and returns. Since no node can affect
-// another before the barrier, no horizon bounds the round. Cross-node
-// effects are exchanged only between rounds, on the calling goroutine
-// in fixed node order: kernel-barrier completion checks and barrier
-// clock alignment (sim.AdvanceTo to the max last-event time,
-// reproducing the shared engine's clock at launch). Invariant sweeps
-// ride on each node's own engine daemon, so they see only that node's
-// state. Worker assignment is static (node i belongs to worker i mod
-// W), so a node's engine is touched by one goroutine per round, and the
-// round's WaitGroup orders every worker's mutations before the caller's
-// reads.
+// to empty on W goroutines (W = 1 drains on the caller alone), then
+// aligns every engine clock on the barrier — the latest engine clock —
+// with sim.AdvanceTo, so the next round's launches observe the same Now
+// on every node. Since no node can affect another before the barrier,
+// no horizon bounds the round. Cross-node effects (kernel-barrier
+// completion checks) are exchanged only between rounds, on the calling
+// goroutine in fixed node order. Invariant sweeps ride on each node's
+// own engine daemon, so they see only that node's state. Worker
+// assignment is static (node i belongs to worker i mod W), so a node's
+// engine is touched by one goroutine per round, and the round's
+// WaitGroup orders every worker's mutations before the caller's reads.
 package multigpu
 
 import (
@@ -37,11 +37,12 @@ import (
 	"uvmsim/internal/sim"
 )
 
-// Coordinator drains a set of private engines concurrently, one round
-// per call. It is generic over engines, not cluster nodes: any model
-// whose partitions interact only at barriers (multi-GPU kernels here,
-// the CXL co-location epochs in internal/cxl) can drive its engines
-// through one. Exported methods must be called from a single goroutine.
+// Coordinator drains a set of private engines, one barrier round per
+// call. It is generic over engines, not cluster nodes: any model whose
+// partitions interact only at barriers (multi-GPU kernels here, the CXL
+// co-location epochs in internal/cxl) drives its engines through one,
+// and it is the only code that drains them and aligns their clocks.
+// Exported methods must be called from a single goroutine.
 type Coordinator struct {
 	engines []*sim.Engine
 	workers int
@@ -56,20 +57,21 @@ type Coordinator struct {
 }
 
 // NewCoordinator wires a coordinator over the engines; workers must be
-// in [2, len(engines)].
+// in [1, len(engines)].
 func NewCoordinator(engines []*sim.Engine, workers int) *Coordinator {
-	if workers < 2 || workers > len(engines) {
+	if workers < 1 || workers > len(engines) {
 		panic(fmt.Sprintf("multigpu: coordinator with %d workers over %d engines", workers, len(engines)))
 	}
 	return &Coordinator{engines: engines, workers: workers, panics: make([]any, len(engines))}
 }
 
 // Drain runs every engine to empty, worker 0 on the calling goroutine
-// and the others on fresh ones, and returns when all are done. A panic
-// inside any engine's drain is recovered so the other engines finish
-// the round; Drain then re-panics the value recovered from the lowest
-// engine index, on the calling goroutine.
-func (co *Coordinator) Drain() {
+// and the others on fresh ones, moves every engine clock to the latest
+// one and returns that barrier cycle. A panic inside any engine's drain
+// is recovered so the other engines finish the round; Drain then
+// re-panics the value recovered from the lowest engine index, on the
+// calling goroutine, without aligning the clocks.
+func (co *Coordinator) Drain() sim.Cycle {
 	co.steps++
 	for _, e := range co.engines {
 		if e.Pending() == 0 {
@@ -91,6 +93,14 @@ func (co *Coordinator) Drain() {
 			panic(p)
 		}
 	}
+	var at sim.Cycle
+	for _, e := range co.engines {
+		at = max(at, e.Now())
+	}
+	for _, e := range co.engines {
+		e.AdvanceTo(at)
+	}
+	return at
 }
 
 // drainShare runs worker w's engines (indexes w, w+W, ...) to empty.

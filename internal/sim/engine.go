@@ -377,9 +377,7 @@ func (e *Engine) popHeap() entry {
 }
 
 // scanWheel returns the occupied bucket holding the earliest chained
-// event; ok=false when the wheel is empty. It never moves the window:
-// peeking (headAt) must leave base <= now so that later pushes at
-// cycles >= now stay inside the window.
+// event; ok=false when the wheel is empty.
 //
 //sim:hotpath
 func (e *Engine) scanWheel() (idx int, at Cycle, ok bool) {
@@ -402,9 +400,9 @@ func (e *Engine) scanWheel() (idx int, at Cycle, ok bool) {
 // ok=false when the engine is drained. Every wheel cycle precedes
 // every overflow cycle (the heap minimum is >= base+wheelSize by the
 // refill invariant), so the wheel head, when present, is the global
-// minimum. Advancing base here is safe — unlike in headAt — because the
-// caller immediately moves the clock to the returned cycle, so no push
-// can land behind the window.
+// minimum. Advancing base here is safe because the caller immediately
+// moves the clock to the returned cycle, so no push can land behind the
+// window.
 //
 //sim:hotpath
 func (e *Engine) next() (Cycle, Event, bool) {
@@ -478,47 +476,18 @@ func (e *Engine) Run() Cycle {
 }
 
 // AdvanceTo moves the clock forward to at without firing anything; it is
-// a no-op when at <= Now. A model that runs its partitions on private
-// engines uses it to align every partition on a barrier (the max
-// last-event time across partitions) before the next bulk-synchronous
-// round, mirroring how a single shared engine's clock already sits at
-// the barrier when that round is scheduled. Events scheduled after
-// AdvanceTo(b) simply may not precede cycle b.
+// a no-op when at <= Now. Its one use is barrier alignment: a model that
+// runs its partitions on private engines drains them all, then moves
+// every clock to the barrier (the latest partition clock) before the
+// next bulk-synchronous round. It panics if events are still pending,
+// since the next Step would then move the clock backwards.
 //
 //sim:hotpath
 func (e *Engine) AdvanceTo(at Cycle) {
+	if e.live > 0 {
+		panic(fmt.Sprintf("sim: AdvanceTo(%d) with %d events pending", at, e.live))
+	}
 	if at > e.now {
 		e.now = at
 	}
-}
-
-// headAt returns the timestamp of the earliest pending event, with
-// ok=false when nothing is pending.
-//
-//sim:hotpath
-func (e *Engine) headAt() (Cycle, bool) {
-	if _, at, ok := e.scanWheel(); ok {
-		return at, true
-	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
-	}
-	return 0, false
-}
-
-// RunUntil fires events whose timestamp is <= deadline, then advances the
-// clock to deadline (if it is later than the last event). It reports
-// whether any events remain pending beyond the deadline.
-func (e *Engine) RunUntil(deadline Cycle) bool {
-	for {
-		at, ok := e.headAt()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.live > 0
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -83,27 +84,40 @@ func TestEngineNilEventPanics(t *testing.T) {
 	NewEngine().At(1, nil)
 }
 
-func TestEngineRunUntil(t *testing.T) {
+// AdvanceTo is barrier alignment: it only ever runs on a drained
+// engine, moves the clock forward (never back), and later events fire
+// in order from the new clock — also when the jump leaves the timing
+// wheel's window far behind.
+func TestEngineAdvanceTo(t *testing.T) {
 	e := NewEngine()
-	var fired int
-	e.At(10, func() { fired++ })
-	e.At(20, func() { fired++ })
-	e.At(30, func() { fired++ })
-	pending := e.RunUntil(20)
-	if !pending {
-		t.Fatal("RunUntil(20) reported no pending events; event at 30 remains")
+	e.At(30, func() {})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AdvanceTo with an event pending did not panic")
+			}
+		}()
+		e.AdvanceTo(40)
+	}()
+	e.Run()
+	e.AdvanceTo(20)
+	if e.Now() != 30 {
+		t.Fatalf("AdvanceTo(20) at cycle 30 moved the clock to %d", e.Now())
 	}
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
+	barrier := Cycle(3*wheelSize + 5)
+	e.AdvanceTo(barrier)
+	if e.Now() != barrier {
+		t.Fatalf("Now = %d, want the barrier %d", e.Now(), barrier)
 	}
-	if e.Now() != 20 {
-		t.Fatalf("Now = %d, want 20", e.Now())
-	}
-	if e.RunUntil(100) {
-		t.Fatal("RunUntil(100) reported pending events")
-	}
-	if e.Now() != 100 {
-		t.Fatalf("Now = %d, want clock advanced to deadline 100", e.Now())
+	var at []Cycle
+	record := func() { at = append(at, e.Now()) }
+	e.At(barrier+wheelSize+1, record)
+	e.At(barrier+1, record)
+	e.At(barrier, record)
+	e.Run()
+	want := []Cycle{barrier, barrier + 1, barrier + wheelSize + 1}
+	if !slices.Equal(at, want) {
+		t.Fatalf("events fired at %v, want %v", at, want)
 	}
 }
 

@@ -2,31 +2,6 @@ package sim
 
 import "testing"
 
-// TestEngineRunUntilPadThenSchedule pins the wheel-window regression the
-// EngineRun microbenchmark exposed: RunUntil pads the clock past the
-// last fired event WITHOUT firing the next one, and pushes then land at
-// cycles between the pad and that next event. Peeking (headAt) must not
-// advance the window base past Now — otherwise those pushes underflow
-// the window check, fall into the overflow heap below base, and the
-// refill that would recover them never runs (a livelock, not a
-// misorder).
-func TestEngineRunUntilPadThenSchedule(t *testing.T) {
-	eng := NewEngine()
-	var fired int
-	fn := func() { fired++ }
-	const total = 2_000_000
-	for i := 0; i < total; i++ {
-		eng.After(Cycle(i%64), fn)
-		if eng.Pending() > 1024 {
-			eng.RunUntil(eng.Now() + 32)
-		}
-	}
-	eng.Run()
-	if fired != total {
-		t.Fatalf("fired %d of %d", fired, total)
-	}
-}
-
 // TestEngineOverflowRefillOrder drives events across the wheel/overflow
 // boundary: bursts scheduled beyond the window must refill into buckets
 // in exact (at, seq) order as the clock approaches, interleaved with

@@ -3,12 +3,10 @@ package workloads
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Graph is a directed graph in CSR form, the substrate for the bfs and
-// sssp workloads. Targets within each adjacency list are sorted, giving
-// the intra-node locality real CSR graphs have.
+// sssp workloads.
 type Graph struct {
 	N       int
 	RowPtr  []int32 // length N+1
@@ -57,52 +55,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// GenGraph builds a deterministic skewed random graph with n nodes and
-// about avgDeg*n edges. Every node i > 0 receives one backbone edge from
-// an earlier node, guaranteeing reachability from node 0; the remaining
-// edges use a cubic-skew source distribution so a minority of nodes own
-// the majority of edges — the input dependence that makes bfs and sssp
-// irregular.
-func GenGraph(n, avgDeg int, seed uint64) *Graph {
-	if n < 2 || avgDeg < 1 {
-		panic(fmt.Sprintf("workloads: GenGraph(n=%d, avgDeg=%d)", n, avgDeg))
-	}
-	rng := newRNG(seed)
-	adj := make([][]int32, n)
-	for i := 1; i < n; i++ {
-		src := rng.intn(i)
-		adj[src] = append(adj[src], int32(i))
-	}
-	extra := n*avgDeg - (n - 1)
-	for e := 0; e < extra; e++ {
-		// Heavy skew: u^6 concentrates sources on low node ids, giving
-		// the minority-hot/majority-cold degree split of real scale-free
-		// inputs.
-		u := float64(rng.next()%(1<<24)) / float64(1<<24)
-		src := int(math.Pow(u, 6) * float64(n))
-		if src >= n {
-			src = n - 1
-		}
-		adj[src] = append(adj[src], int32(rng.intn(n)))
-	}
-	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
-	var total int
-	for _, a := range adj {
-		total += len(a)
-	}
-	g.Edges = make([]int32, 0, total)
-	g.Weights = make([]int32, 0, total)
-	for v := 0; v < n; v++ {
-		sort.Slice(adj[v], func(a, b int) bool { return adj[v][a] < adj[v][b] })
-		g.RowPtr[v+1] = g.RowPtr[v] + int32(len(adj[v]))
-		g.Edges = append(g.Edges, adj[v]...)
-		for range adj[v] {
-			g.Weights = append(g.Weights, int32(rng.intn(15)+1))
-		}
-	}
-	return g
 }
 
 // BFSLevels runs host-side breadth-first search from node 0 and returns

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,23 @@ func TestParseEdgeList(t *testing.T) {
 	}
 	if g.Degree(2) != 1 || g.Adj(2)[0] != 3 {
 		t.Fatalf("adj(2) = %v", g.Adj(2))
+	}
+}
+
+// Parsed adjacency lists come out sorted by target whatever the input
+// order, giving the intra-node locality real CSR inputs have.
+func TestParseEdgeListAdjacencySorted(t *testing.T) {
+	g, err := ParseEdgeList(strings.NewReader("2 9\n0 7\n2 1\n0 3\n2 5\n0 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < g.N; v++ {
+		if adj := g.Adj(v); !slices.IsSorted(adj) {
+			t.Fatalf("adjacency of %d not sorted: %v", v, adj)
+		}
+	}
+	if got := g.Adj(2); !slices.Equal(got, []int32{1, 5, 9}) {
+		t.Fatalf("adj(2) = %v, want [1 5 9]", got)
 	}
 }
 

@@ -13,7 +13,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"uvmsim/internal/alloc"
 	"uvmsim/internal/gpu"
@@ -188,12 +187,4 @@ func (x *xorshift64) intn(n int) int {
 		panic("workloads: intn on non-positive bound")
 	}
 	return int(x.next() % uint64(n))
-}
-
-// sortedCopy returns a sorted copy of xs (test helper shared here).
-func sortedCopy(xs []int32) []int32 {
-	out := make([]int32, len(xs))
-	copy(out, xs)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -68,10 +68,10 @@ func TestLearnedPipelineDeterministicInCluster(t *testing.T) {
 			if again := run(2); again != parallel {
 				t.Fatalf("parallel cluster runs differ:\n%s\n%s", parallel, again)
 			}
-			// The PDES path must also agree with the sequential path —
-			// the cluster's standing byte-identical equivalence claim.
+			// One worker must agree with two — the cluster's standing
+			// byte-identical equivalence claim.
 			if sequential := run(0); sequential != parallel {
-				t.Fatalf("sequential and PDES cluster runs differ:\n%s\n%s", sequential, parallel)
+				t.Fatalf("one-worker and two-worker cluster runs differ:\n%s\n%s", sequential, parallel)
 			}
 		})
 	}

@@ -182,19 +182,19 @@ type (
 	ClusterResult = multigpu.Result
 )
 
-// NewCluster creates a cluster of nGPUs over the workload
-// (cfg.DeviceMemBytes is per-GPU capacity). With cfg.ClusterWorkers > 1
-// the cluster runs under the parallel discrete-event coordinator
-// (DESIGN.md §12), producing byte-identical results to the
-// sequential default.
+// NewCluster creates a cluster of nGPUs (at most multigpu.MaxGPUs, 64)
+// over the workload (cfg.DeviceMemBytes is per-GPU capacity). Every GPU
+// runs on its own engine, and the parallel discrete-event coordinator
+// (DESIGN.md §12) drains them on cfg.ClusterWorkers threads, producing
+// byte-identical results for every thread count.
 func NewCluster(w *Workload, cfg Config, nGPUs int) *Cluster {
 	return multigpu.New(w, cfg, nGPUs)
 }
 
 // RunCluster builds and runs the named workload on nGPUs, sizing each
 // GPU's memory so its share of the working set is oversubPercent of
-// capacity. cfg.ClusterWorkers selects sequential or PDES execution as
-// in NewCluster.
+// capacity. cfg.ClusterWorkers is the drain thread count, as in
+// NewCluster.
 func RunCluster(name string, scale float64, nGPUs int, oversubPercent uint64, pol MigrationPolicy, base Config) *ClusterResult {
 	return multigpu.RunWorkload(name, scale, nGPUs, oversubPercent, pol, base)
 }
