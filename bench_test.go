@@ -211,6 +211,32 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineFarEvents is BenchmarkEngineRun with one event in 500
+// scheduled 67,000 cycles ahead, the order of the far-fault service
+// time. Those events land beyond the timing wheel's window, so the cost
+// includes the overflow heap's push, pop and refill into the wheel.
+func BenchmarkEngineFarEvents(b *testing.B) {
+	eng := sim.NewEngine()
+	var fired int
+	fn := func() { fired++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		delay := uint64(i % 64)
+		if i%500 == 0 {
+			delay = 67000
+		}
+		eng.After(delay, fn)
+		for eng.Pending() > 1024 {
+			eng.Step()
+		}
+	}
+	eng.Run()
+	if fired != b.N {
+		b.Fatalf("fired %d of %d", fired, b.N)
+	}
+}
+
 // BenchmarkEngineEvents measures raw event-queue throughput.
 func BenchmarkEngineEvents(b *testing.B) {
 	eng := sim.NewEngine()

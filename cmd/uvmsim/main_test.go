@@ -55,6 +55,9 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"tooManyGPUs", []string{"-gpus", "65"}, "at most 64, got 65"},
 		{"tooManyColoGPUs", []string{"-tenants", "bfs:0", "-gpus", "65", "-cxl-pool-mb", "32"}, "at most 64, got 65"},
 		{"negativeWorkers", []string{"-workers", "-1"}, "-workers must be non-negative"},
+		{"nanCXLBandwidth", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "8", "-cxl-bw", "NaN"}, "CXLBytesPerCycle NaN"},
+		{"infCXLBandwidth", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "8", "-cxl-bw", "Inf"}, "CXLBytesPerCycle +Inf"},
+		{"tinyCXLBandwidth", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "8", "-cxl-bw", "1e-300"}, "CXLBytesPerCycle 1e-300"},
 		{"spansOnCluster", []string{"-gpus", "2", "-spans"}, "single-GPU runs only"},
 		{"jsonOnCluster", []string{"-gpus", "2", "-json", "out.json"}, "single-GPU runs only"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},

@@ -6,6 +6,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"uvmsim/internal/memunits"
@@ -382,6 +383,22 @@ func (c Config) WithOversubscription(wsBytes uint64, percent uint64) Config {
 	return c
 }
 
+// Link bounds. At minLinkBytesPerCycle a 2MB transfer occupies the wire
+// for 2^31 cycles; anything slower (or NaN) would overflow the float to
+// cycle conversion of a link's occupancy. maxRemoteWirePenalty keeps a
+// zero-copy transaction's wire bytes, (payload + header) * penalty, far
+// below that conversion's range.
+const (
+	minLinkBytesPerCycle = 1.0 / 1024
+	maxRemoteWirePenalty = 1024
+)
+
+// linkBandwidthOK reports whether bw is a finite link bandwidth of at
+// least minLinkBytesPerCycle; NaN fails the comparison.
+func linkBandwidthOK(bw float64) bool {
+	return bw >= minLinkBytesPerCycle && !math.IsInf(bw, 1)
+}
+
 // Validate checks internal consistency and returns a descriptive error for
 // the first problem found.
 func (c Config) Validate() error {
@@ -402,10 +419,10 @@ func (c Config) Validate() error {
 		return errors.New("config: DeviceMemBytes must be page aligned")
 	case c.TLBEntries < 0:
 		return errors.New("config: TLBEntries must be non-negative")
-	case c.PCIeBytesPerCycle <= 0:
-		return errors.New("config: PCIeBytesPerCycle must be positive")
-	case c.RemoteWirePenalty < 1:
-		return errors.New("config: RemoteWirePenalty must be at least 1")
+	case !linkBandwidthOK(c.PCIeBytesPerCycle):
+		return fmt.Errorf("config: PCIeBytesPerCycle %v must be finite and at least %v", c.PCIeBytesPerCycle, minLinkBytesPerCycle)
+	case !(c.RemoteWirePenalty >= 1 && c.RemoteWirePenalty <= maxRemoteWirePenalty):
+		return fmt.Errorf("config: RemoteWirePenalty %v must be in [1, %d]", c.RemoteWirePenalty, maxRemoteWirePenalty)
 	case c.StaticThreshold == 0:
 		return errors.New("config: StaticThreshold must be at least 1")
 	case c.Penalty == 0:
@@ -416,8 +433,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: BanditEpsilonPct %d above 100", c.BanditEpsilonPct)
 	case c.CXLPoolBytes%memunits.PageSize != 0:
 		return errors.New("config: CXLPoolBytes must be page aligned")
-	case c.CXLBytesPerCycle < 0:
-		return errors.New("config: CXLBytesPerCycle must be non-negative")
+	case c.CXLBytesPerCycle != 0 && !linkBandwidthOK(c.CXLBytesPerCycle):
+		return fmt.Errorf("config: CXLBytesPerCycle %v must be 0 (the default) or finite and at least %v", c.CXLBytesPerCycle, minLinkBytesPerCycle)
 	case !c.CXLEnabled() && c.PoolPolicy != "":
 		return fmt.Errorf("config: PoolPolicy %q set without a CXL pool (CXLPoolBytes=0)", c.PoolPolicy)
 	}

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -126,6 +127,17 @@ func TestValidateErrors(t *testing.T) {
 		{"warpsize", mod(func(c *Config) { c.WarpSize = 64 }), "WarpSize"},
 		{"mem", mod(func(c *Config) { c.DeviceMemBytes = 4096 }), "DeviceMemBytes"},
 		{"bw", mod(func(c *Config) { c.PCIeBytesPerCycle = 0 }), "PCIeBytesPerCycle"},
+		{"bwNaN", mod(func(c *Config) { c.PCIeBytesPerCycle = math.NaN() }), "PCIeBytesPerCycle"},
+		{"bwInf", mod(func(c *Config) { c.PCIeBytesPerCycle = math.Inf(1) }), "PCIeBytesPerCycle"},
+		{"bwTiny", mod(func(c *Config) { c.PCIeBytesPerCycle = 1e-300 }), "PCIeBytesPerCycle"},
+		{"wireLow", mod(func(c *Config) { c.RemoteWirePenalty = 0.5 }), "RemoteWirePenalty"},
+		{"wireNaN", mod(func(c *Config) { c.RemoteWirePenalty = math.NaN() }), "RemoteWirePenalty"},
+		{"wireInf", mod(func(c *Config) { c.RemoteWirePenalty = math.Inf(1) }), "RemoteWirePenalty"},
+		{"wireHuge", mod(func(c *Config) { c.RemoteWirePenalty = 1e300 }), "RemoteWirePenalty"},
+		{"cxlbwNeg", mod(func(c *Config) { c.CXLBytesPerCycle = -1 }), "CXLBytesPerCycle"},
+		{"cxlbwNaN", mod(func(c *Config) { c.CXLBytesPerCycle = math.NaN() }), "CXLBytesPerCycle"},
+		{"cxlbwInf", mod(func(c *Config) { c.CXLBytesPerCycle = math.Inf(1) }), "CXLBytesPerCycle"},
+		{"cxlbwTiny", mod(func(c *Config) { c.CXLBytesPerCycle = 1e-300 }), "CXLBytesPerCycle"},
 		{"ts", mod(func(c *Config) { c.StaticThreshold = 0 }), "StaticThreshold"},
 		{"p", mod(func(c *Config) { c.Penalty = 0 }), "Penalty"},
 		{"gran", mod(func(c *Config) { c.EvictionGranularity = 4096 }), "EvictionGranularity"},

@@ -174,8 +174,8 @@ func (r *Result) TotalRemoteAccesses() uint64 {
 }
 
 // MaxGPUs bounds the cluster size (and the CXL co-location scenario's
-// GPU count): every node that gets work allocates its own engine's
-// timing wheel.
+// GPU count): every node carries its own engine (about 8 KB, the timing
+// wheel inline), driver and device memory.
 const MaxGPUs = 64
 
 // New creates a cluster of nGPUs in [1, MaxGPUs] over the workload.

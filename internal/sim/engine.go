@@ -8,20 +8,22 @@
 //
 // # Performance model
 //
-// The queue is a hierarchical timing wheel: a power-of-two calendar of
-// bucket chains covering the cycles [base, base+wheelSize), backed by a
-// three-level occupancy bitmap (find-next-occupied-bucket is a handful
-// of word operations), with a 4-ary min-heap of pointer-free 24-byte
-// entries as the overflow area for events beyond the window. Event
-// closures live in a free-listed slot arena; bucket chains are threaded
-// through the arena's next links, so a warmed engine schedules and
-// dispatches events with zero heap allocations (asserted by
-// engine_alloc_test.go).
+// The queue is a timing wheel held inline in the Engine: a 1,024-bucket
+// calendar of chains covering the cycles [now, now+wheelSize), backed
+// by a two-level occupancy bitmap (find-next-occupied-bucket is a
+// handful of word operations), with a 4-ary min-heap of pointer-free
+// 24-byte entries as the overflow area for events beyond the window.
+// Event closures live in a free-listed arena of 16-byte slots; bucket
+// chains are threaded through the arena's next links, so a warmed
+// engine schedules and dispatches events with zero heap allocations
+// (asserted by engine_alloc_test.go). A slot does not store its cycle:
+// the window starts at the clock, so a chained event's bucket index
+// determines it.
 //
 // Determinism is structural rather than comparison-based:
 //
-//   - The window start (base) only moves forward, and only up to the
-//     earliest chained cycle, so every bucket chain holds events of
+//   - The window start (the clock) only moves forward and never past a
+//     pending event's cycle, so every bucket chain holds events of
 //     exactly one cycle at a time, appended in scheduling (seq) order.
 //     Draining a chain head-to-tail is therefore exact (at, seq) order.
 //   - Overflow entries are moved into the wheel by refill at the moment
@@ -49,18 +51,21 @@ const MaxCycle Cycle = math.MaxUint64
 // Event is a callback scheduled to run at a particular cycle.
 type Event func()
 
-// Timing-wheel geometry. The window must comfortably cover the model's
-// common latencies (DMA transfers, link round trips, and the ~67k-cycle
-// far-fault handling delay) so that steady-state traffic never touches
-// the overflow heap; 2^17 cycles does, at a cost of 1MB of bucket
-// head/tail indexes per engine, allocated once on first use.
+// Timing-wheel geometry. The window covers the model's common latencies
+// (warp issue, cache and DRAM hits, link round trips: over 99% of events
+// land at most 255 cycles ahead), so the wheel's 8KB of bucket indexes
+// stays in cache. The one long delay, the ~67k-cycle far-fault service
+// time, rides the overflow heap.
 const (
-	wheelBits = 17
+	wheelBits = 10
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
-	l0Words   = wheelSize / 64 // occupancy words, one bit per bucket
-	l1Words   = l0Words / 64   // summary words, one bit per l0 word
+	occWords  = wheelSize / 64 // occupancy words, one bit per bucket
 )
+
+// One summary word has a bit per occupancy word, so it covers at most
+// 64 words (4,096 buckets); a larger wheel fails to compile here.
+const _ uint = 64 - occWords
 
 // entry is one overflow event's heap key. It is deliberately free of
 // pointers: heap sifts move entries with plain 24-byte copies and no GC
@@ -82,9 +87,11 @@ func less(a, b entry) bool {
 // the zero value of Engine (free == 0) means "no free slots".
 type slot struct {
 	fn   Event
-	at   Cycle
 	next int32
 }
+
+// bucket holds the 1-based arena indexes of one chain's ends (0 = empty).
+type bucket struct{ head, tail int32 }
 
 // arity is the overflow heap fan-out. A 4-ary heap halves the depth of
 // the pop-side sift at the cost of three comparisons per level, a net
@@ -97,22 +104,18 @@ const arity = 4
 // the entire simulation is single-threaded by design so that runs are
 // reproducible.
 type Engine struct {
+	// now is the clock and the wheel window start: bucket chains cover
+	// cycles [now, now+wheelSize), the overflow heap everything beyond.
 	now Cycle
 	seq uint64
 
-	// base is the wheel window start: bucket chains cover cycles
-	// [base, base+wheelSize), the overflow heap everything beyond. base
-	// never decreases and never passes a chained event's cycle.
-	base Cycle
-
-	// bhead/btail are 1-based arena indexes of each bucket chain's ends
-	// (0 = empty), allocated lazily on the first schedule.
-	bhead []int32
-	btail []int32
-	// occ/occ1/occ2 form the three-level occupancy bitmap over buckets.
-	occ  []uint64
-	occ1 []uint64
-	occ2 uint64
+	// buckets holds one chain per window cycle, indexed by cycle &
+	// wheelMask.
+	buckets [wheelSize]bucket
+	// occ has one bit per bucket, occSum one bit per occ word: the
+	// two-level occupancy bitmap.
+	occ    [occWords]uint64
+	occSum uint64
 
 	// heap is the 4-ary min-heap of overflow events ordered by (at, seq).
 	heap []entry
@@ -154,27 +157,17 @@ func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 // Pending reports the number of scheduled-but-unfired events.
 func (e *Engine) Pending() int { return e.live }
 
-// initWheel allocates the bucket arrays on first use, keeping the
-// zero-value Engine cheap until it actually schedules something.
-func (e *Engine) initWheel() {
-	e.bhead = make([]int32, wheelSize)
-	e.btail = make([]int32, wheelSize)
-	e.occ = make([]uint64, l0Words)
-	e.occ1 = make([]uint64, l1Words)
-	e.base = e.now
-}
-
 // allocSlot stores the event in the arena and returns its index.
 //
 //sim:hotpath
-func (e *Engine) allocSlot(at Cycle, fn Event) int32 {
+func (e *Engine) allocSlot(fn Event) int32 {
 	if e.free != 0 {
 		s := e.free - 1
 		e.free = e.slots[s].next
-		e.slots[s] = slot{fn: fn, at: at}
+		e.slots[s] = slot{fn: fn}
 		return s
 	}
-	e.slots = append(e.slots, slot{fn: fn, at: at})
+	e.slots = append(e.slots, slot{fn: fn})
 	return int32(len(e.slots) - 1)
 }
 
@@ -187,28 +180,24 @@ func (e *Engine) freeSlot(s int32) {
 	e.free = s + 1
 }
 
-// setOcc marks bucket idx occupied in all bitmap levels.
+// setOcc marks bucket idx occupied in both bitmap levels.
 //
 //sim:hotpath
 func (e *Engine) setOcc(idx int) {
 	w := idx >> 6
 	e.occ[w] |= 1 << uint(idx&63)
-	e.occ1[w>>6] |= 1 << uint(w&63)
-	e.occ2 |= 1 << uint(w>>6)
+	e.occSum |= 1 << uint(w)
 }
 
-// clearOcc unmarks bucket idx, propagating emptiness up the levels.
+// clearOcc unmarks bucket idx, clearing its summary bit when its word
+// empties.
 //
 //sim:hotpath
 func (e *Engine) clearOcc(idx int) {
 	w := idx >> 6
 	e.occ[w] &^= 1 << uint(idx&63)
-	if e.occ[w] != 0 {
-		return
-	}
-	e.occ1[w>>6] &^= 1 << uint(w&63)
-	if e.occ1[w>>6] == 0 {
-		e.occ2 &^= 1 << uint(w>>6)
+	if e.occ[w] == 0 {
+		e.occSum &^= 1 << uint(w)
 	}
 }
 
@@ -220,16 +209,10 @@ func (e *Engine) findOccFrom(pos int) int {
 	if m := e.occ[w] & (^uint64(0) << uint(pos&63)); m != 0 {
 		return w<<6 + bits.TrailingZeros64(m)
 	}
-	w1 := w >> 6
-	// In Go a shift count >= 64 yields 0, so the r == 64 edge (last word
-	// of the group) falls out naturally.
-	if m := e.occ1[w1] & (^uint64(0) << uint(w&63+1)); m != 0 {
-		w = w1<<6 + bits.TrailingZeros64(m)
-		return w<<6 + bits.TrailingZeros64(e.occ[w])
-	}
-	if m := e.occ2 & (^uint64(0) << uint(w1+1)); m != 0 {
-		w1 = bits.TrailingZeros64(m)
-		w = w1<<6 + bits.TrailingZeros64(e.occ1[w1])
+	// In Go a shift count >= 64 yields 0, so the w == 63 edge (last
+	// summary bit) falls out naturally.
+	if m := e.occSum & (^uint64(0) << uint(w+1)); m != 0 {
+		w = bits.TrailingZeros64(m)
 		return w<<6 + bits.TrailingZeros64(e.occ[w])
 	}
 	return -1
@@ -243,51 +226,46 @@ func (e *Engine) findOccFrom(pos int) int {
 //sim:hotpath
 func (e *Engine) pushBucket(at Cycle, s int32) {
 	idx := int(at & wheelMask)
+	b := &e.buckets[idx]
 	e.slots[s].next = 0
-	if t := e.btail[idx]; t != 0 {
-		e.slots[t-1].next = s + 1
+	if b.tail != 0 {
+		e.slots[b.tail-1].next = s + 1
 	} else {
-		e.bhead[idx] = s + 1
+		b.head = s + 1
 		e.setOcc(idx)
 	}
-	e.btail[idx] = s + 1
+	b.tail = s + 1
 }
 
 // popBucketHead unlinks and returns the head node of bucket idx.
 //
 //sim:hotpath
 func (e *Engine) popBucketHead(idx int) int32 {
-	h := e.bhead[idx] - 1
-	nx := e.slots[h].next
-	e.bhead[idx] = nx
-	if nx == 0 {
-		e.btail[idx] = 0
+	b := &e.buckets[idx]
+	h := b.head - 1
+	b.head = e.slots[h].next
+	if b.head == 0 {
+		b.tail = 0
 		e.clearOcc(idx)
 	}
 	return h
 }
 
-// refill moves overflow events whose cycle the window now covers into
-// their buckets. It runs on every base advance, which is exactly the
-// moment the window first covers those cycles — before any direct push
-// can target them — and pops the heap in (at, seq) order, so chain
-// append order remains seq order.
+// advance moves the clock, and with it the window, forward to at, then
+// moves the overflow events whose cycle the window now covers into
+// their buckets. That is exactly the moment the window first covers
+// those cycles — before any direct push can target them — and the heap
+// pops in (at, seq) order, so chain append order remains seq order.
 //
 //sim:hotpath
-func (e *Engine) refill() {
-	for len(e.heap) > 0 && e.heap[0].at-e.base < wheelSize {
+func (e *Engine) advance(at Cycle) {
+	if at <= e.now {
+		return
+	}
+	e.now = at
+	for len(e.heap) > 0 && e.heap[0].at-at < wheelSize {
 		en := e.popHeap()
 		e.pushBucket(en.at, en.slot)
-	}
-}
-
-// advanceBase slides the window forward to at and refills.
-//
-//sim:hotpath
-func (e *Engine) advanceBase(at Cycle) {
-	if at > e.base {
-		e.base = at
-		e.refill()
 	}
 }
 
@@ -301,12 +279,9 @@ func (e *Engine) schedule(at Cycle, fn Event) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (at=%d now=%d)", at, e.now))
 	}
-	if e.bhead == nil {
-		e.initWheel()
-	}
 	e.seq++
-	s := e.allocSlot(at, fn)
-	if at-e.base < wheelSize {
+	s := e.allocSlot(fn)
+	if at-e.now < wheelSize {
 		e.pushBucket(at, s)
 	} else {
 		e.pushHeap(entry{at: at, seq: e.seq, slot: s})
@@ -377,57 +352,54 @@ func (e *Engine) popHeap() entry {
 }
 
 // scanWheel returns the occupied bucket holding the earliest chained
-// event; ok=false when the wheel is empty.
+// event and that event's cycle; ok=false when the wheel is empty. The
+// cycle follows from the bucket: every chained event lies in
+// [now, now+wheelSize), so bucket idx holds cycle now plus idx's
+// distance past now's own bucket, modulo the wheel.
 //
 //sim:hotpath
 func (e *Engine) scanWheel() (idx int, at Cycle, ok bool) {
-	if e.bhead == nil {
-		return 0, 0, false
-	}
-	idx = e.findOccFrom(int(e.base & wheelMask))
+	pos := int(e.now & wheelMask)
+	idx = e.findOccFrom(pos)
 	if idx < 0 {
 		// The window may have wrapped: any occupied bucket below the
-		// base position maps to a later cycle in the window.
+		// clock's position maps to a later cycle in the window.
 		idx = e.findOccFrom(0)
 	}
 	if idx < 0 {
 		return 0, 0, false
 	}
-	return idx, e.slots[e.bhead[idx]-1].at, true
+	return idx, e.now + Cycle((idx-pos)&wheelMask), true
 }
 
-// next dequeues the earliest pending event in (at, seq) order, or
-// ok=false when the engine is drained. Every wheel cycle precedes
-// every overflow cycle (the heap minimum is >= base+wheelSize by the
-// refill invariant), so the wheel head, when present, is the global
-// minimum. Advancing base here is safe because the caller immediately
-// moves the clock to the returned cycle, so no push can land behind the
-// window.
+// next dequeues the earliest pending event in (at, seq) order and
+// advances the clock to its cycle, or returns nil when the engine is
+// drained. Every wheel cycle precedes every overflow cycle (the heap
+// minimum is >= now+wheelSize by the refill invariant), so the wheel
+// head, when present, is the global minimum.
 //
 //sim:hotpath
-func (e *Engine) next() (Cycle, Event, bool) {
+func (e *Engine) next() Event {
 	for {
 		idx, at, ok := e.scanWheel()
 		if !ok {
 			if len(e.heap) == 0 {
-				return 0, nil, false
+				return nil
 			}
-			// The wheel is drained: jump the window to the overflow
-			// frontier and refill; the next iteration finds the event in
-			// its bucket.
-			e.advanceBase(e.heap[0].at)
+			// The wheel is drained: jump the clock to the overflow
+			// frontier; the next iteration finds the event in its
+			// bucket.
+			e.advance(e.heap[0].at)
 			continue
 		}
-		// Pull the window up to the dispatch frontier so pushes reach as
-		// far ahead as possible before overflowing. Refill cannot touch
-		// this bucket: refilled cycles lie in [oldBase+wheelSize, at+wheelSize),
-		// and the only one congruent to at is at+wheelSize itself, which
-		// is out of range.
-		e.advanceBase(at)
+		// Refill cannot touch this bucket: refilled cycles lie in
+		// [oldNow+wheelSize, at+wheelSize), and the only one congruent
+		// to at is at+wheelSize itself, which is out of range.
+		e.advance(at)
 		h := e.popBucketHead(idx)
 		fn := e.slots[h].fn
 		e.freeSlot(h)
-		return at, fn, true
+		return fn
 	}
 }
 
@@ -436,11 +408,10 @@ func (e *Engine) next() (Cycle, Event, bool) {
 //
 //sim:hotpath
 func (e *Engine) Step() bool {
-	at, fn, ok := e.next()
-	if !ok {
+	fn := e.next()
+	if fn == nil {
 		return false
 	}
-	e.now = at
 	e.live--
 	e.fired++
 	if e.budget != 0 && e.fired > e.budget {

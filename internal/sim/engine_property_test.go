@@ -57,12 +57,26 @@ func (e *refEngine) step() bool {
 	return true
 }
 
+func (e *refEngine) advanceTo(at Cycle) {
+	if at > e.now {
+		e.now = at
+	}
+}
+
+// farFaultDelay is the order of the model's far-fault service time, the
+// one delay class that regularly lands beyond the wheel window.
+const farFaultDelay = 67000
+
 // TestEngineMatchesReference drives the production engine and the
 // reference queue through identical randomized schedule/step sequences
-// (including same-cycle bursts that exercise the FIFO ring) and asserts
-// the fired event sequences and clocks are identical.
+// and asserts the fired event sequences and clocks are identical. The
+// delays cover same-cycle bursts, the wheel window's edges
+// (wheelSize-1, wheelSize, wheelSize+1), several windows ahead
+// (k*wheelSize+r) and the far-fault class, so chains wrap the window and
+// events refill from the overflow heap; drains followed by AdvanceTo
+// jump the clock several windows ahead of the last event.
 func TestEngineMatchesReference(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		eng := NewEngine()
 		ref := &refEngine{}
@@ -73,13 +87,21 @@ func TestEngineMatchesReference(t *testing.T) {
 		// number, which follows scheduling order.
 		doSchedule := func() {
 			var delay Cycle
-			switch rng.Intn(4) {
+			switch rng.Intn(10) {
 			case 0:
-				delay = 0 // same-cycle: must take the ring path mid-run
+				delay = 0 // same-cycle: lands in the current bucket mid-run
 			case 1:
 				delay = Cycle(rng.Intn(4))
-			default:
+			case 2, 3, 4:
 				delay = Cycle(rng.Intn(1000))
+			case 5:
+				delay = wheelSize - 1 + Cycle(rng.Intn(3)) // the window edge
+			case 6:
+				delay = Cycle(1+rng.Intn(4))*wheelSize + Cycle(rng.Intn(wheelSize))
+			case 7:
+				delay = farFaultDelay
+			default:
+				delay = Cycle(rng.Intn(wheelSize))
 			}
 			at := eng.Now() + delay
 			seq := ref.seq + 1
@@ -88,9 +110,10 @@ func TestEngineMatchesReference(t *testing.T) {
 		}
 
 		for op := 0; op < 400; op++ {
-			if rng.Intn(10) < 5 {
+			switch r := rng.Intn(100); {
+			case r < 50:
 				doSchedule()
-			} else {
+			case r < 97:
 				g := eng.Step()
 				w := ref.step()
 				if g != w {
@@ -99,6 +122,18 @@ func TestEngineMatchesReference(t *testing.T) {
 				if g && eng.Now() != ref.now {
 					t.Fatalf("trial %d: clocks diverged after step: engine %d ref %d", trial, eng.Now(), ref.now)
 				}
+			default:
+				// Barrier alignment: drain, then jump several windows.
+				for eng.Step() {
+				}
+				for ref.step() {
+				}
+				if eng.Now() != ref.now {
+					t.Fatalf("trial %d: clocks diverged after drain: engine %d ref %d", trial, eng.Now(), ref.now)
+				}
+				to := ref.now + Cycle(2+rng.Intn(4))*wheelSize + Cycle(rng.Intn(wheelSize))
+				eng.AdvanceTo(to)
+				ref.advanceTo(to)
 			}
 			if eng.Pending() != len(ref.queue) {
 				t.Fatalf("trial %d: pending diverged: engine %d ref %d", trial, eng.Pending(), len(ref.queue))

@@ -86,8 +86,8 @@ func TestEngineNilEventPanics(t *testing.T) {
 
 // AdvanceTo is barrier alignment: it only ever runs on a drained
 // engine, moves the clock forward (never back), and later events fire
-// in order from the new clock — also when the jump leaves the timing
-// wheel's window far behind.
+// in order from the new clock — also when the jump spans several
+// windows of the timing wheel.
 func TestEngineAdvanceTo(t *testing.T) {
 	e := NewEngine()
 	e.At(30, func() {})
