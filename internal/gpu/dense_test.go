@@ -22,7 +22,7 @@ func expand(in Instr) Instr {
 func sectorsOf(in Instr) []memunits.Addr {
 	w := &warp{instr: in}
 	(&GPU{}).coalesce(w)
-	return slices.Clone(w.sectors[:w.nsec])
+	return slices.Clone(w.instr.Addrs[:w.nsec])
 }
 
 // FuzzCoalesceDense checks the arithmetic dense path against the
@@ -54,6 +54,66 @@ func FuzzCoalesceDense(f *testing.F) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("base %#x stride %d lanes %d: dense sectors %#x, per-lane %#x",
 				in.Addrs[0], in.Stride, in.NumAddrs, got, want)
+		}
+	})
+}
+
+// gatherLanes decodes a fuzz input into 1..32 gather lanes: two bytes
+// per lane, each an offset from base in units of 1<<shift bytes, so a
+// small shift packs lanes into a few sectors (duplicates) and a large one
+// spreads them across 64KB blocks. An empty input is one lane at base.
+func gatherLanes(base uint64, shift uint8, raw []byte) Instr {
+	in := Instr{NumAddrs: min(max(len(raw)/2, 1), MaxLanes)}
+	base %= 1 << 40
+	for i := 0; i < in.NumAddrs; i++ {
+		var off uint64
+		if 2*i+1 < len(raw) {
+			off = uint64(raw[2*i]) | uint64(raw[2*i+1])<<8
+		}
+		in.Addrs[i] = base + off<<(shift%13)
+	}
+	return in
+}
+
+// FuzzCoalesceGather checks the in-place gather coalescer against an
+// independent reference: mask a copy of the lanes to their sectors,
+// sort and drop duplicates. The seeds cover duplicate, descending,
+// broadcast and block-crossing lanes and full and partial warps.
+func FuzzCoalesceGather(f *testing.F) {
+	lanes := func(offs ...uint16) []byte {
+		b := make([]byte, 0, 2*len(offs))
+		for _, o := range offs {
+			b = append(b, byte(o), byte(o>>8))
+		}
+		return b
+	}
+	desc := make([]uint16, MaxLanes)
+	asc := make([]uint16, MaxLanes)
+	for i := range desc {
+		desc[i] = uint16(MaxLanes - 1 - i)
+		asc[i] = uint16(i)
+	}
+	f.Add(uint64(0), uint8(0), []byte{})                                     // empty input: one lane
+	f.Add(uint64(0x12345), uint8(0), lanes(7))                               // single lane
+	f.Add(uint64(0x4000), uint8(0), lanes(make([]uint16, MaxLanes)...))      // broadcast
+	f.Add(uint64(0x1000), uint8(2), lanes(asc...))                           // unit stride, sorted
+	f.Add(uint64(0x1000), uint8(7), lanes(desc...))                          // one sector per lane, descending
+	f.Add(uint64(0x1000), uint8(5), lanes(desc...))                          // descending with duplicates
+	f.Add(uint64(0x2000), uint8(7), lanes(3, 1, 3, 0, 1, 2, 0, 3))           // repeats out of order
+	f.Add(uint64(0xff00), uint8(6), lanes(9, 0, 5, 1, 7, 2, 8, 3, 6, 4))     // crosses a 64KB block
+	f.Add(uint64(0x1fff0), uint8(12), lanes(desc[:17]...))                   // 4KB apart, many blocks
+	f.Add(uint64(1<<40-1), uint8(0), lanes(0xffff, 0, 0x8000, 0xffff, 0x80)) // top of the range
+	f.Add(uint64(0x3c), uint8(1), lanes(40, 2, 70, 2, 33, 64, 1, 95, 40))    // partial warp
+	f.Fuzz(func(t *testing.T, base uint64, shift uint8, raw []byte) {
+		in := gatherLanes(base, shift, raw)
+		want := slices.Clone(in.Addrs[:in.NumAddrs])
+		for i := range want {
+			want[i] &^= memunits.SectorSize - 1
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := sectorsOf(in); !slices.Equal(got, want) {
+			t.Fatalf("lanes %#x: coalesced %#x, want %#x", in.Addrs[:in.NumAddrs], got, want)
 		}
 	})
 }
@@ -97,14 +157,15 @@ func TestDenseInstrIssuesLikePerLane(t *testing.T) {
 	}
 }
 
-// TestWarpSizeClass guards the warp's allocation size class. Objects
-// with pointers larger than 512 bytes carry an 8-byte malloc header, so
-// a warp above 632 bytes lands in the 704-byte class. A uint64 Stride
-// at the end of Instr grew warp to 640 bytes and alloc_mb on the
-// paper-fig67 benchmark by 0.6% (2.2% together with the workloads
-// package's maskedCSRProgram crossing its class).
+// TestWarpSizeClass guards the warp's allocation size class. A warp
+// holds its per-instruction state and its Instr, whose lanes the
+// coalescer overwrites with the sectors, and no prebound event closures;
+// at 360 bytes it sits in the 384-byte class, with no malloc header
+// (objects up to 512 bytes carry none). A per-warp sectors array of its
+// own cost 256 bytes and put the warp at 640, and with it about 12 MB of
+// the paper-fig67 benchmark's alloc_mb.
 func TestWarpSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(warp{}) + 8; got > 640 {
-		t.Fatalf("warp with malloc header is %d bytes, above the 640-byte size class", got)
+	if got := unsafe.Sizeof(warp{}); got > 384 {
+		t.Fatalf("warp is %d bytes, above the 384-byte size class", got)
 	}
 }

@@ -31,7 +31,10 @@ const MaxLanes = 32
 // nonzero it is a dense lane range: lane i's address is
 // Addrs[0] + i*Stride and Addrs[1:] are not read. The GPU keeps one
 // Instr per warp across Next calls, so a program that emits both forms
-// must set Stride on every instruction. Read lane addresses with Addr.
+// must set Stride on every instruction. Addrs, though, does not survive
+// from one Next call to the next: the coalescer overwrites it with the
+// instruction's sectors, so Next writes every lane address it emits.
+// Read lane addresses with Addr.
 type Instr struct {
 	// Compute is the number of issue cycles of arithmetic preceding the
 	// memory operation (or the whole instruction cost when NumAddrs is
@@ -126,18 +129,25 @@ type sm struct {
 }
 
 // warp is the execution state of one resident warp. Warp objects are
-// pooled across CTA dispatches: each carries its event closures, bound
-// once at construction, so steady-state execution schedules engine
-// events without allocating.
+// pooled across CTA dispatches. A warp is its own engine event: the
+// named types warpStep, warpIssue and warpRetire over warp are
+// sim.Handlers, so scheduling a warp allocates nothing and dispatch
+// reaches it without a closure. Only the sector-completion callback,
+// which MemoryBackend.Access takes as a func, is bound once at
+// construction.
+//
+// The per-instruction fields come first and fill cache line 0; instr
+// follows, so a dense instruction (Compute, Stride, NumAddrs and its few
+// sectors) touches lines 0 and 1 only. The warp stays in the 384-byte
+// size class (TestWarpSizeClass).
 type warp struct {
+	g    *GPU
 	prog WarpProgram
 	sm   *sm
-	cta  *ctaState
-	// sectors[:nsec] are the coalesced unique sector addresses of the
-	// current memory instruction (a warp has at most MaxLanes of them, so
-	// a fixed array doubles as the coalescer's scratch buffer).
-	sectors [MaxLanes]memunits.Addr
-	nsec    int
+	// nsec is the coalesced sector count of the current memory
+	// instruction; the sectors themselves replace its lanes in
+	// instr.Addrs[:nsec].
+	nsec int
 	// outstanding async transactions for the current memory op.
 	outstanding int
 	// readyAt is the max completion cycle among fast-path sectors.
@@ -147,12 +157,20 @@ type warp struct {
 	issuedAt sim.Cycle
 	instr    Instr
 
-	// Prebound continuations; a warp has at most one in flight at a time.
-	stepFn   sim.Event // resume execution
-	memFn    sim.Event // issue the coalesced memory op
-	sectorFn func()    // async sector completion
-	finishFn sim.Event // retire after trailing compute
+	cta      *ctaState
+	sectorFn func() // async sector completion
 }
+
+// The warp's engine events; a warp has at most one in flight at a time.
+type (
+	warpStep   warp // resume execution
+	warpIssue  warp // issue the coalesced memory op
+	warpRetire warp // retire after trailing compute
+)
+
+func (w *warpStep) Fire()   { w.g.step((*warp)(w)) }
+func (w *warpIssue) Fire()  { w.g.issueMemory((*warp)(w)) }
+func (w *warpRetire) Fire() { w.g.finishWarp((*warp)(w)) }
 
 // ctaState tracks retirement of one CTA. Pooled like warps.
 type ctaState struct {
@@ -179,8 +197,8 @@ type GPU struct {
 	onDone       func(finish sim.Cycle)
 	running      bool
 
-	// free lists recycling warp and CTA state (and their prebound
-	// closures) across dispatches.
+	// free lists recycling warp and CTA state (and the warps' sector
+	// callbacks) across dispatches.
 	warpFree []*warp
 	ctaFree  []*ctaState
 
@@ -279,7 +297,7 @@ func (g *GPU) newCTAState(warps int, s *sm) *ctaState {
 }
 
 // newWarp takes a warp from the pool (or allocates one, binding its
-// continuation closures exactly once) and resets it for prog.
+// sector callback exactly once) and resets it for prog.
 func (g *GPU) newWarp(prog WarpProgram, s *sm, cs *ctaState) *warp {
 	var w *warp
 	if n := len(g.warpFree); n > 0 {
@@ -290,11 +308,8 @@ func (g *GPU) newWarp(prog WarpProgram, s *sm, cs *ctaState) *warp {
 		w.outstanding = 0
 		w.readyAt = 0
 	} else {
-		w = &warp{}
-		w.stepFn = func() { g.step(w) }
-		w.memFn = func() { g.issueMemory(w) }
+		w = &warp{g: g}
 		w.sectorFn = func() { g.sectorDone(w) }
-		w.finishFn = func() { g.finishWarp(w) }
 	}
 	w.prog, w.sm, w.cta = prog, s, cs
 	return w
@@ -344,7 +359,7 @@ func (g *GPU) step(w *warp) {
 	g.coalesce(w)
 	issue := computeCycles + uint64(w.nsec)
 	end := g.reserve(w.sm, issue)
-	g.eng.At(end, w.memFn)
+	g.eng.Schedule(end, (*warpIssue)(w))
 }
 
 // reserve occupies the SM issue port for cycles and returns the end time.
@@ -360,11 +375,13 @@ func (g *GPU) reserve(s *sm, cycles uint64) sim.Cycle {
 	return end
 }
 
-// coalesce fills w.sectors[:w.nsec] with the unique sector addresses of
-// the current instruction, in ascending order. Dense instructions
-// (nonzero Stride) derive their sectors arithmetically. For gathers the
-// masking pass writes straight into the warp's sectors scratch and
-// tracks whether the lanes arrived already sorted — broadcast and
+// coalesce replaces the current instruction's lanes with its unique
+// sector addresses, in ascending order, in w.instr.Addrs[:w.nsec].
+// Writing in place is safe on both paths: sector k is written only after
+// lane k has been read. Dense instructions (nonzero Stride) derive their
+// sectors arithmetically from Addrs[0], read before the first write. For
+// gathers the masking pass keeps at most one sector per lane read so far
+// and tracks whether the lanes arrived already sorted — broadcast and
 // hand-written unit-stride patterns — so the insertion sort runs only
 // for genuinely divergent warps. n is at most 32, so even that path
 // beats sort.Slice while allocating nothing.
@@ -376,7 +393,7 @@ func (g *GPU) coalesce(w *warp) {
 		panic(fmt.Sprintf("gpu: instruction with %d lanes", n))
 	}
 	if w.instr.Stride != 0 {
-		w.nsec = coalesceDense(&w.sectors, w.instr.Addrs[0], memunits.Addr(w.instr.Stride), n)
+		w.nsec = coalesceDense(&w.instr.Addrs, w.instr.Addrs[0], memunits.Addr(w.instr.Stride), n)
 		return
 	}
 	// Single pass: mask each lane to its sector, drop duplicates of the
@@ -384,11 +401,11 @@ func (g *GPU) coalesce(w *warp) {
 	// duplicates), and track whether the kept sequence is ascending. A
 	// sorted sequence with adjacent duplicates removed is already the
 	// unique sorted set, so the common case finishes here.
-	s := w.sectors[:]
+	s := w.instr.Addrs[:]
 	sorted := true
 	k := 0
 	for i := 0; i < n; i++ {
-		b := w.instr.Addrs[i] &^ (memunits.SectorSize - 1)
+		b := s[i] &^ (memunits.SectorSize - 1)
 		if k > 0 {
 			if b == s[k-1] {
 				continue
@@ -427,7 +444,8 @@ func (g *GPU) coalesce(w *warp) {
 // first + i*stride into s and returns their count. A stride of at most
 // one sector cannot skip a sector, so the lanes cover every sector from
 // the first lane's to the last lane's; a larger stride puts each lane in
-// its own sector.
+// its own sector. s may hold the lanes themselves: first is passed by
+// value and no other lane is read.
 //
 //sim:hotpath
 func coalesceDense(s *[MaxLanes]memunits.Addr, first, stride memunits.Addr, n int) int {
@@ -451,7 +469,8 @@ func coalesceDense(s *[MaxLanes]memunits.Addr, first, stride memunits.Addr, n in
 // issueMemory sends the coalesced sectors to the memory backend and
 // arranges for the warp to resume when the last one completes. The warp
 // does not issue another instruction until then, so reading the write
-// flag from w.instr here matches capturing it at schedule time.
+// flag and the sectors from w.instr here matches capturing them at
+// schedule time.
 //
 // Sectors leave the coalescer sorted, so sectors of the same 64KB block
 // are consecutive; multi-sector runs go to the backend's dense-run
@@ -463,15 +482,16 @@ func (g *GPU) issueMemory(w *warp) {
 	w.outstanding = 0
 	w.readyAt = g.eng.Now()
 	w.issuedAt = w.readyAt
-	for i := 0; i < w.nsec; {
+	sectors := w.instr.Addrs[:w.nsec]
+	for i := 0; i < len(sectors); {
 		j := i + 1
 		if g.memRun != nil {
-			b := memunits.BlockOf(w.sectors[i])
-			for j < w.nsec && memunits.BlockOf(w.sectors[j]) == b {
+			b := memunits.BlockOf(sectors[i])
+			for j < len(sectors) && memunits.BlockOf(sectors[j]) == b {
 				j++
 			}
 			if j > i+1 {
-				if at, ok := g.memRun.TryFastAccessRun(w.sectors[i:j], write); ok {
+				if at, ok := g.memRun.TryFastAccessRun(sectors[i:j], write); ok {
 					if at > w.readyAt {
 						w.readyAt = at
 					}
@@ -481,7 +501,7 @@ func (g *GPU) issueMemory(w *warp) {
 			}
 		}
 		for ; i < j; i++ {
-			addr := w.sectors[i]
+			addr := sectors[i]
 			if at, ok := g.mem.TryFastAccess(addr, write); ok {
 				if at > w.readyAt {
 					w.readyAt = at
@@ -526,7 +546,7 @@ func (g *GPU) resumeAt(w *warp, at sim.Cycle) {
 		g.step(w)
 		return
 	}
-	g.eng.At(at, w.stepFn)
+	g.eng.Schedule(at, (*warpStep)(w))
 }
 
 // retire finishes a warp after its trailing compute cycles.
@@ -536,7 +556,7 @@ func (g *GPU) retire(w *warp, trailingCompute uint64) {
 		return
 	}
 	end := g.reserve(w.sm, trailingCompute)
-	g.eng.At(end, w.finishFn)
+	g.eng.Schedule(end, (*warpRetire)(w))
 }
 
 // finishWarp performs retirement bookkeeping, releases the warp's

@@ -7,9 +7,9 @@
 //     underflow silently stalls the simulation. Delays must be computed
 //     additively (or the subtraction proven safe and annotated).
 //
-//   - the same event closure variable passed to two schedule calls in
-//     one statement sequence with no rebinding in between. Prebound
-//     closures (w.stepFn and friends) are scheduled once per completion;
+//   - the same event variable (a closure or a Handler) passed to two
+//     schedule calls in one statement sequence with no rebinding in
+//     between. A prebound event is scheduled once per completion;
 //     scheduling one twice back-to-back fires it twice at
 //     indistinguishable (cycle, seq) positions — almost always a
 //     copy-paste bug that a deterministic run happily reproduces.
@@ -30,11 +30,12 @@ import (
 // Analyzer is the eventseq checker.
 var Analyzer = &lint.Analyzer{
 	Name: "eventseq",
-	Doc:  "rejects sim.Engine schedule calls with underflow-prone cycle math or back-to-back reuse of one event closure",
+	Doc:  "rejects sim.Engine schedule calls with underflow-prone cycle math or back-to-back reuse of one event",
 	Run:  run,
 }
 
-// scheduleMethods are the Engine entry points; all take (cycle, fn).
+// scheduleMethods are the Engine entry points; all take (cycle, event),
+// the event a func or, for Schedule, a Handler.
 var scheduleMethods = map[string]bool{
 	"At": true, "After": true, "Schedule": true, "ScheduleAfter": true,
 }
@@ -106,7 +107,7 @@ func findUnsignedSub(pass *lint.Pass, e ast.Expr) *ast.BinaryExpr {
 	return found
 }
 
-// checkReuse scans one statement sequence for the same closure variable
+// checkReuse scans one statement sequence for the same event variable
 // being scheduled twice without rebinding.
 func checkReuse(pass *lint.Pass, list []ast.Stmt) {
 	scheduled := map[*types.Var]bool{}
@@ -139,14 +140,14 @@ func checkReuse(pass *lint.Pass, list []ast.Stmt) {
 			if !ok {
 				return true
 			}
-			// Only closure *variables* are tracked: scheduling a stateless
+			// Only event *variables* are tracked: scheduling a stateless
 			// package-level function twice is a legitimate pattern.
 			obj, ok := pass.Info.ObjectOf(id).(*types.Var)
 			if !ok {
 				return true
 			}
 			if scheduled[obj] {
-				pass.Reportf(call.Args[1].Pos(), "event closure %s is scheduled twice in this sequence without rebinding; scheduled events fire once per schedule call", id.Name)
+				pass.Reportf(call.Args[1].Pos(), "event %s is scheduled twice in this sequence without rebinding; scheduled events fire once per schedule call", id.Name)
 			}
 			scheduled[obj] = true
 			return true

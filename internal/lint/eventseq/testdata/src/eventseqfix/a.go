@@ -1,5 +1,5 @@
 // Fixture for the eventseq analyzer: underflow-prone cycle math and
-// back-to-back reuse of one event closure.
+// back-to-back reuse of one event closure or handler.
 package eventseqfix
 
 import "sim"
@@ -10,6 +10,23 @@ func badUnderflow(e *sim.Engine, lat sim.Cycle) {
 
 func badUnderflowNested(e *sim.Engine, lat sim.Cycle) {
 	e.ScheduleAfter((e.Now()-lat)/2, func() {}) // want `unsigned subtraction`
+}
+
+type warpStep struct{}
+
+func (*warpStep) Fire() {}
+
+func badUnderflowHandler(e *sim.Engine, lat sim.Cycle, h sim.Handler) {
+	e.Schedule(e.Now()-lat, h) // want `unsigned subtraction`
+}
+
+func badHandlerReuse(e *sim.Engine, h sim.Handler) {
+	e.Schedule(1, h)
+	e.Schedule(2, h) // want `scheduled twice`
+}
+
+func handlerAdditiveOK(e *sim.Engine, lat sim.Cycle, w *warpStep) {
+	e.Schedule(e.Now()+lat, w)
 }
 
 func additiveOK(e *sim.Engine, lat sim.Cycle) {

@@ -6,11 +6,13 @@ type Cycle = uint64
 
 type Event func()
 
+type Handler interface{ Fire() }
+
 type Engine struct{ now Cycle }
 
 func (e *Engine) Now() Cycle { return e.now }
 
 func (e *Engine) At(c Cycle, fn Event)            {}
 func (e *Engine) After(d Cycle, fn Event)         {}
-func (e *Engine) Schedule(c Cycle, fn Event)      {}
+func (e *Engine) Schedule(c Cycle, h Handler)     {}
 func (e *Engine) ScheduleAfter(d Cycle, fn Event) {}

@@ -13,12 +13,15 @@
 // by a two-level occupancy bitmap (find-next-occupied-bucket is a
 // handful of word operations), with a 4-ary min-heap of pointer-free
 // 24-byte entries as the overflow area for events beyond the window.
-// Event closures live in a free-listed arena of 16-byte slots; bucket
-// chains are threaded through the arena's next links, so a warmed
-// engine schedules and dispatches events with zero heap allocations
-// (asserted by engine_alloc_test.go). A slot does not store its cycle:
-// the window starts at the clock, so a chained event's bucket index
-// determines it.
+// Pending events live in a free-listed arena of 24-byte slots, each a
+// Handler (two words) and a chain link. Schedule stores a typed handler
+// as is, so a model object can be its own event and dispatch reaches it
+// without a separate closure; At and After adapt a func to a Handler
+// without allocating (a func value is pointer-shaped). Bucket chains
+// are threaded through the arena's next links, so a warmed engine
+// schedules and dispatches events with zero heap allocations (asserted
+// by engine_alloc_test.go). A slot does not store its cycle: the window
+// starts at the clock, so a chained event's bucket index determines it.
 //
 // Determinism is structural rather than comparison-based:
 //
@@ -51,6 +54,19 @@ const MaxCycle Cycle = math.MaxUint64
 // Event is a callback scheduled to run at a particular cycle.
 type Event func()
 
+// Handler is an event that is its own callback: Schedule stores it
+// directly and Step calls its Fire method. A model object scheduled
+// again and again (a warp resuming, say) implements Handler, typically
+// through a named type over its own struct, instead of carrying a
+// prebound closure.
+type Handler interface{ Fire() }
+
+// eventFunc adapts an Event to Handler for At and After. A func value is
+// one pointer, so storing it in the interface allocates nothing.
+type eventFunc Event
+
+func (f eventFunc) Fire() { f() }
+
 // Timing-wheel geometry. The window covers the model's common latencies
 // (warp issue, cache and DRAM hits, link round trips: over 99% of events
 // land at most 255 cycles ahead), so the wheel's 8KB of bucket indexes
@@ -69,7 +85,7 @@ const _ uint = 64 - occWords
 
 // entry is one overflow event's heap key. It is deliberately free of
 // pointers: heap sifts move entries with plain 24-byte copies and no GC
-// write barriers. The closure itself lives in the slot arena.
+// write barriers. The handler itself lives in the slot arena.
 type entry struct {
 	at   Cycle
 	seq  uint64
@@ -86,7 +102,7 @@ func less(a, b entry) bool {
 // free-list link and the bucket chain link; links are 1-based so that
 // the zero value of Engine (free == 0) means "no free slots".
 type slot struct {
-	fn   Event
+	h    Handler
 	next int32
 }
 
@@ -120,7 +136,7 @@ type Engine struct {
 	// heap is the 4-ary min-heap of overflow events ordered by (at, seq).
 	heap []entry
 
-	// slots is the closure arena; free is the 1-based free-list head
+	// slots is the handler arena; free is the 1-based free-list head
 	// (0 = none).
 	slots []slot
 	free  int32
@@ -157,21 +173,21 @@ func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 // Pending reports the number of scheduled-but-unfired events.
 func (e *Engine) Pending() int { return e.live }
 
-// allocSlot stores the event in the arena and returns its index.
+// allocSlot stores the handler in the arena and returns its index.
 //
 //sim:hotpath
-func (e *Engine) allocSlot(fn Event) int32 {
+func (e *Engine) allocSlot(h Handler) int32 {
 	if e.free != 0 {
 		s := e.free - 1
 		e.free = e.slots[s].next
-		e.slots[s] = slot{fn: fn}
+		e.slots[s] = slot{h: h}
 		return s
 	}
-	e.slots = append(e.slots, slot{fn: fn})
+	e.slots = append(e.slots, slot{h: h})
 	return int32(len(e.slots) - 1)
 }
 
-// freeSlot releases slot s to the free list, dropping its closure so
+// freeSlot releases slot s to the free list, dropping its handler so
 // the arena never pins a fired event's captures.
 //
 //sim:hotpath
@@ -269,18 +285,20 @@ func (e *Engine) advance(at Cycle) {
 	}
 }
 
-// schedule enqueues fn at absolute cycle at.
+// Schedule enqueues h to fire at absolute cycle at. Scheduling in the
+// past (at < Now) panics: it always indicates a model bug. Events
+// scheduled through Schedule, At and After share one (at, seq) order.
 //
 //sim:hotpath
-func (e *Engine) schedule(at Cycle, fn Event) {
-	if fn == nil {
+func (e *Engine) Schedule(at Cycle, h Handler) {
+	if h == nil {
 		panic("sim: scheduling nil event")
 	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (at=%d now=%d)", at, e.now))
 	}
 	e.seq++
-	s := e.allocSlot(fn)
+	s := e.allocSlot(h)
 	if at-e.now < wheelSize {
 		e.pushBucket(at, s)
 	} else {
@@ -289,12 +307,19 @@ func (e *Engine) schedule(at Cycle, fn Event) {
 	e.live++
 }
 
-// At schedules fn to run at absolute cycle at. Scheduling in the past
-// (at < Now) panics: it always indicates a model bug.
-func (e *Engine) At(at Cycle, fn Event) { e.schedule(at, fn) }
+// At schedules fn to run at absolute cycle at, as Schedule does.
+//
+//sim:hotpath
+func (e *Engine) At(at Cycle, fn Event) {
+	// Checked here: a nil func inside the adapter is a non-nil Handler.
+	if fn == nil {
+		panic("sim: scheduling nil event")
+	}
+	e.Schedule(at, eventFunc(fn))
+}
 
 // After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn Event) { e.schedule(e.now+delay, fn) }
+func (e *Engine) After(delay Cycle, fn Event) { e.At(e.now+delay, fn) }
 
 // pushHeap inserts en into the overflow heap, sifting up.
 //
@@ -372,14 +397,14 @@ func (e *Engine) scanWheel() (idx int, at Cycle, ok bool) {
 	return idx, e.now + Cycle((idx-pos)&wheelMask), true
 }
 
-// next dequeues the earliest pending event in (at, seq) order and
+// next dequeues the earliest pending handler in (at, seq) order and
 // advances the clock to its cycle, or returns nil when the engine is
 // drained. Every wheel cycle precedes every overflow cycle (the heap
 // minimum is >= now+wheelSize by the refill invariant), so the wheel
 // head, when present, is the global minimum.
 //
 //sim:hotpath
-func (e *Engine) next() Event {
+func (e *Engine) next() Handler {
 	for {
 		idx, at, ok := e.scanWheel()
 		if !ok {
@@ -396,10 +421,10 @@ func (e *Engine) next() Event {
 		// [oldNow+wheelSize, at+wheelSize), and the only one congruent
 		// to at is at+wheelSize itself, which is out of range.
 		e.advance(at)
-		h := e.popBucketHead(idx)
-		fn := e.slots[h].fn
-		e.freeSlot(h)
-		return fn
+		s := e.popBucketHead(idx)
+		h := e.slots[s].h
+		e.freeSlot(s)
+		return h
 	}
 }
 
@@ -408,8 +433,8 @@ func (e *Engine) next() Event {
 //
 //sim:hotpath
 func (e *Engine) Step() bool {
-	fn := e.next()
-	if fn == nil {
+	h := e.next()
+	if h == nil {
 		return false
 	}
 	e.live--
@@ -417,7 +442,7 @@ func (e *Engine) Step() bool {
 	if e.budget != 0 && e.fired > e.budget {
 		panic(fmt.Sprintf("sim: event budget %d exceeded at cycle %d", e.budget, e.now))
 	}
-	fn()
+	h.Fire()
 	if e.daemonFn != nil && e.now >= e.daemonNext {
 		e.daemonNext = e.now + e.daemonEvery
 		e.daemonFn()

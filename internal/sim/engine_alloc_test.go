@@ -60,3 +60,51 @@ func TestEngineSameCycleZeroAllocs(t *testing.T) {
 		t.Fatalf("same-cycle ring path allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// countHandler is a typed event that reschedules itself depth times at
+// the current cycle and otherwise counts its firings.
+type countHandler struct {
+	e     *Engine
+	fired int
+	depth int
+}
+
+func (h *countHandler) Fire() {
+	h.fired++
+	if h.depth > 0 {
+		h.depth--
+		h.e.Schedule(h.e.Now(), h)
+	}
+}
+
+// TestEngineHandlerZeroAllocs is the typed-handler counterpart of the
+// two tests above: once warmed, scheduling a pointer Handler through
+// Schedule, both ahead of the clock and at the current cycle, and
+// dispatching it allocate nothing. The interface holds the pointer
+// itself, so there is no adapter object.
+func TestEngineHandlerZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	h := &countHandler{e: e}
+
+	// Warm the arena and heap capacity.
+	for i := 0; i < 4096; i++ {
+		e.Schedule(e.Now()+Cycle(i%97), h)
+	}
+	h.depth = 256
+	e.Run()
+
+	const batch = 1024
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < batch; i++ {
+			e.Schedule(e.Now()+Cycle(i%97), h)
+		}
+		h.depth = 128
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state handler Schedule+dispatch allocated %.1f times per run, want 0", allocs)
+	}
+	if h.fired == 0 {
+		t.Fatal("no events fired")
+	}
+}

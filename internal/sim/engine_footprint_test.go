@@ -6,12 +6,12 @@ import (
 	"unsafe"
 )
 
-// TestEngineFootprintSlot guards the arena slot at 16 bytes, a closure
-// pointer and a chain link, so four slots share a cache line. The slot
+// TestEngineFootprintSlot guards the arena slot at 24 bytes: a
+// two-word Handler (type and data pointer) and a chain link. The slot
 // does not store its cycle; scanWheel derives it from the bucket index.
 func TestEngineFootprintSlot(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 16 {
-		t.Fatalf("slot is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Fatalf("slot is %d bytes, want 24", got)
 	}
 }
 

@@ -63,6 +63,14 @@ func (e *refEngine) advanceTo(at Cycle) {
 	}
 }
 
+// orderHandler is a typed event: it records its tag when fired.
+type orderHandler struct {
+	order *[]uint64
+	seq   uint64
+}
+
+func (h *orderHandler) Fire() { *h.order = append(*h.order, h.seq) }
+
 // farFaultDelay is the order of the model's far-fault service time, the
 // one delay class that regularly lands beyond the wheel window.
 const farFaultDelay = 67000
@@ -74,7 +82,9 @@ const farFaultDelay = 67000
 // (wheelSize-1, wheelSize, wheelSize+1), several windows ahead
 // (k*wheelSize+r) and the far-fault class, so chains wrap the window and
 // events refill from the overflow heap; drains followed by AdvanceTo
-// jump the clock several windows ahead of the last event.
+// jump the clock several windows ahead of the last event. Each event
+// goes through Schedule with a typed handler or through At or After
+// with a func, at random: both kinds share one (at, seq) order.
 func TestEngineMatchesReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -105,7 +115,14 @@ func TestEngineMatchesReference(t *testing.T) {
 			}
 			at := eng.Now() + delay
 			seq := ref.seq + 1
-			eng.After(delay, func() { gotOrder = append(gotOrder, seq) })
+			switch rng.Intn(3) {
+			case 0:
+				eng.Schedule(at, &orderHandler{order: &gotOrder, seq: seq})
+			case 1:
+				eng.At(at, func() { gotOrder = append(gotOrder, seq) })
+			default:
+				eng.After(delay, func() { gotOrder = append(gotOrder, seq) })
+			}
 			ref.schedule(at, func() { wantOrder = append(wantOrder, seq) })
 		}
 

@@ -75,13 +75,31 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
+// A nil event panics at scheduling time on every entry point and leaves
+// nothing queued. At must check before adapting: a nil func inside the
+// adapter would be a non-nil Handler and panic only when fired.
 func TestEngineNilEventPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("nil event did not panic")
+	for _, tc := range []struct {
+		name     string
+		schedule func(e *Engine)
+	}{
+		{"At", func(e *Engine) { e.At(1, nil) }},
+		{"After", func(e *Engine) { e.After(1, nil) }},
+		{"Schedule", func(e *Engine) { e.Schedule(1, nil) }},
+	} {
+		e := NewEngine()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: nil event did not panic", tc.name)
+				}
+			}()
+			tc.schedule(e)
+		}()
+		if e.Pending() != 0 {
+			t.Errorf("%s: nil event left %d events pending", tc.name, e.Pending())
 		}
-	}()
-	NewEngine().At(1, nil)
+	}
 }
 
 // AdvanceTo is barrier alignment: it only ever runs on a drained

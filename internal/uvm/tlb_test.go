@@ -1,6 +1,9 @@
 package uvm
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,5 +155,109 @@ func TestDriverTLBDisabled(t *testing.T) {
 	}
 	if st.TLBHits == 0 {
 		t.Fatal("disabled TLB should count everything as hits")
+	}
+}
+
+// refLRU is the naive specification of the TLB: a slice ordered from
+// most to least recently used, searched linearly.
+type refLRU struct {
+	cap   int
+	pages []memunits.PageNum
+}
+
+func (r *refLRU) lookup(p memunits.PageNum) bool {
+	if i := slices.Index(r.pages, p); i >= 0 {
+		copy(r.pages[1:i+1], r.pages[:i])
+		r.pages[0] = p
+		return true
+	}
+	r.pages = slices.Insert(r.pages, 0, p)
+	if len(r.pages) > r.cap {
+		r.pages = r.pages[:r.cap]
+	}
+	return false
+}
+
+func (r *refLRU) invalidateRange(first memunits.PageNum, count uint64) uint64 {
+	n := len(r.pages)
+	r.pages = slices.DeleteFunc(r.pages, func(p memunits.PageNum) bool {
+		return p >= first && p-first < count
+	})
+	return uint64(n - len(r.pages))
+}
+
+// tlbOrder walks the TLB's LRU chain from most to least recently used.
+func tlbOrder(tl *tlb) []memunits.PageNum {
+	var order []memunits.PageNum
+	for n := tl.head; n >= 0; n = tl.nodes[n].next {
+		order = append(order, tl.nodes[n].page)
+	}
+	return order
+}
+
+// tlbResident lists the pages with a translation in the TLB's page
+// index, in page order.
+func tlbResident(tl *tlb) []memunits.PageNum {
+	var pages []memunits.PageNum
+	for p, n := range tl.idx {
+		if n != 0 {
+			pages = append(pages, memunits.PageNum(p))
+		}
+	}
+	return pages
+}
+
+// TestTLBMatchesReferenceLRU drives the TLB and the reference LRU
+// through identical random streams of lookups and invalidateRange
+// shootdowns: hot-set reuse, scans wider than the capacity and random
+// pages, over capacities from 1 to 64. After every operation both agree
+// on the hit or miss (or the dropped count), the size, the resident set
+// and the recency order.
+func TestTLBMatchesReferenceLRU(t *testing.T) {
+	for trial := 0; trial < 256; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		capacity := 1 + rng.Intn(64)
+		span := capacity + 1 + rng.Intn(4*capacity)
+		tl := newTLB(capacity)
+		ref := &refLRU{cap: capacity}
+		scan := 0
+		for op := 0; op < 600; op++ {
+			var desc string
+			switch r := rng.Intn(100); {
+			case r < 8:
+				first := memunits.PageNum(rng.Intn(span))
+				count := uint64(rng.Intn(capacity + 2))
+				got, want := tl.invalidateRange(first, count), ref.invalidateRange(first, count)
+				if got != want {
+					t.Fatalf("trial %d op %d: invalidateRange(%d, %d) dropped %d, reference %d", trial, op, first, count, got, want)
+				}
+				desc = fmt.Sprintf("invalidateRange(%d, %d)", first, count)
+			default:
+				var p memunits.PageNum
+				switch {
+				case r < 50: // hot set: mostly hits
+					p = memunits.PageNum(rng.Intn(capacity/2 + 1))
+				case r < 75: // scan: evicts in LRU order
+					p = memunits.PageNum(scan % span)
+					scan++
+				default:
+					p = memunits.PageNum(rng.Intn(span))
+				}
+				got, want := tl.lookup(p), ref.lookup(p)
+				if got != want {
+					t.Fatalf("trial %d op %d: lookup(%d) hit=%v, reference hit=%v", trial, op, p, got, want)
+				}
+				desc = fmt.Sprintf("lookup(%d)", p)
+			}
+			if tl.size() != len(ref.pages) {
+				t.Fatalf("trial %d op %d: after %s size %d, reference %d", trial, op, desc, tl.size(), len(ref.pages))
+			}
+			if got, want := tlbResident(tl), slices.Sorted(slices.Values(ref.pages)); !slices.Equal(got, want) {
+				t.Fatalf("trial %d op %d: after %s resident %v, reference %v", trial, op, desc, got, want)
+			}
+			if got := tlbOrder(tl); !slices.Equal(got, ref.pages) {
+				t.Fatalf("trial %d op %d: after %s LRU order %v, reference %v", trial, op, desc, got, ref.pages)
+			}
+		}
 	}
 }

@@ -31,7 +31,10 @@ var streamDigests = map[string]string{
 
 // streamDigest hashes the expanded (Write, Compute, NumAddrs, Addr(0..n))
 // stream of every warp of every kernel, with a marker after each warp.
-// Each warp reuses one Instr across Next calls, as the GPU does.
+// Each warp reuses one Instr across Next calls, as the GPU does, and its
+// lanes are poisoned between calls, as the GPU's coalescer overwrites
+// them: a program that reads the previous call's Addrs changes its
+// digest.
 func streamDigest(b *Built) string {
 	h := sha256.New()
 	for _, k := range b.Kernels {
@@ -40,11 +43,15 @@ func streamDigest(b *Built) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// addrPoison fills an Instr's lanes between Next calls.
+const addrPoison memunits.Addr = 0xdead_beef_dead_beef
+
 // hashKernel writes kernel k's expanded instruction stream to h in
-// warp order. With release set, it builds each CTA's programs together,
-// as the GPU runs a CTA's warps side by side, and releases every
-// Releaser among them once the CTA has drained, so the kernel's
-// programs come from and go back to the recycling pools.
+// warp order, poisoning the lanes before every Next. With release set,
+// it builds each CTA's programs together, as the GPU runs a CTA's warps
+// side by side, and releases every Releaser among them once the CTA
+// has drained, so the kernel's programs come from and go back to the
+// recycling pools.
 func hashKernel(h hash.Hash, k gpu.Kernel, release bool) {
 	var buf [8]byte
 	put := func(v uint64) {
@@ -58,7 +65,13 @@ func hashKernel(h hash.Hash, k gpu.Kernel, release bool) {
 		}
 		for _, p := range progs {
 			var in gpu.Instr
-			for p.Next(&in) {
+			for {
+				for i := range in.Addrs {
+					in.Addrs[i] = addrPoison
+				}
+				if !p.Next(&in) {
+					break
+				}
 				var wr uint64
 				if in.Write {
 					wr = 1

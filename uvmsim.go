@@ -78,7 +78,9 @@ type (
 	// the byte distance between lanes and only Addrs[0] for a dense
 	// lane range, which the coalescer handles without per-lane work.
 	// The GPU reuses a warp's Instr across Next calls, so a program
-	// that emits both forms sets Stride on every instruction.
+	// that emits both forms sets Stride on every instruction; Addrs
+	// does not survive between calls (the coalescer overwrites it), so
+	// Next writes every lane address it emits.
 	Instr = gpu.Instr
 	// WarpProgram generates a warp's instruction stream.
 	WarpProgram = gpu.WarpProgram
