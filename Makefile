@@ -68,8 +68,8 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-# Race-detect the whole module; internal/sweep and internal/multigpu
-# hold the only real concurrency, but the sweeps drag every simulator
+# Race-detect the whole module; internal/sweep and the PDES coordinator
+# (internal/sim) hold the only real concurrency, but the sweeps drag every simulator
 # package through the detector too.
 race: vet
 	$(GO) test -race ./...

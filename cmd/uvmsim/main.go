@@ -31,9 +31,9 @@ import (
 
 	"uvmsim"
 	"uvmsim/internal/cliutil"
+	"uvmsim/internal/core"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
-	"uvmsim/internal/multigpu"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/resultio"
 	"uvmsim/internal/workloads"
@@ -160,8 +160,8 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if o.oversub == 0 {
 		return fmt.Errorf("-oversub must be positive, got 0")
 	}
-	if o.gpus < 1 || o.gpus > multigpu.MaxGPUs {
-		return fmt.Errorf("-gpus must be at least 1 and at most %d, got %d", multigpu.MaxGPUs, o.gpus)
+	if o.gpus < 1 || o.gpus > core.MaxGPUs {
+		return fmt.Errorf("-gpus must be at least 1 and at most %d, got %d", core.MaxGPUs, o.gpus)
 	}
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be non-negative, got %d", o.workers)
@@ -184,8 +184,8 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 			return fmt.Errorf("%s applies to the co-location mode only (set -tenants)", f.name)
 		}
 	}
-	if o.gpus > 1 && (o.spans || o.jsonOut != "") {
-		return fmt.Errorf("-spans and -json apply to single-GPU runs only (got -gpus %d)", o.gpus)
+	if o.gpus > 1 && o.jsonOut != "" {
+		return fmt.Errorf("-json applies to single-GPU runs only (got -gpus %d)", o.gpus)
 	}
 	if o.banditEpsilon > 100 {
 		return fmt.Errorf("-bandit-epsilon is a percentage, got %d (want 0-100)", o.banditEpsilon)
@@ -289,8 +289,9 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 		}
 	} else {
 		s := uvmsim.New(b, cfg)
-		s.Observe(suite.NewRun(runName))
-		res, err := runChecked(s)
+		r := suite.NewRun(runName)
+		s.Observe(func(int) *obs.Run { return r })
+		res, err := runChecked(s.Run)
 		if err != nil {
 			return err
 		}
@@ -315,10 +316,7 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 			fmt.Fprintln(stdout, c.String())
 		}
 		if o.spans {
-			for _, sp := range res.Spans {
-				fmt.Fprintf(stdout, "kernel %-24s iter %2d  [%12d .. %12d]  %d cycles\n",
-					sp.Name, sp.Iter, sp.Start, sp.End, sp.End-sp.Start)
-			}
+			printSpans(stdout, res.Spans)
 		}
 		if o.jsonOut != "" {
 			rec := resultio.FromResult(res, o.scale, o.oversub)
@@ -360,7 +358,7 @@ func simulateCluster(o options, b *uvmsim.Workload, cfg uvmsim.Config, suite *ob
 	cl.Observe(func(idx int) *obs.Run {
 		return suite.NewRun(fmt.Sprintf("%s/gpu%d", runName, idx))
 	})
-	res, err := runClusterChecked(cl)
+	res, err := runChecked(cl.Run)
 	if err != nil {
 		return err
 	}
@@ -385,38 +383,34 @@ func simulateCluster(o options, b *uvmsim.Workload, cfg uvmsim.Config, suite *ob
 			fmt.Fprintf(stdout, "gpu%d: %s\n", i, res.PerGPU[i].String())
 		}
 	}
+	if o.spans {
+		printSpans(stdout, res.Spans)
+	}
 	return nil
 }
 
-// runClusterChecked mirrors runChecked for cluster runs: an invariant
-// violation from the cluster-wide sweep becomes an ordinary error.
-func runClusterChecked(cl *uvmsim.Cluster) (res *uvmsim.ClusterResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if v, ok := r.(*obs.Violation); ok {
-				res, err = nil, v
-				return
-			}
-			panic(r)
-		}
-	}()
-	return cl.Run(), nil
+// printSpans prints one line per kernel window, barrier to barrier.
+func printSpans(w io.Writer, spans []uvmsim.KernelSpan) {
+	for _, sp := range spans {
+		fmt.Fprintf(w, "kernel %-24s iter %2d  [%12d .. %12d]  %d cycles\n",
+			sp.Name, sp.Iter, sp.Start, sp.End, sp.End-sp.Start)
+	}
 }
 
-// runChecked runs the simulation, converting an invariant-checker
+// runChecked runs a simulation, converting an invariant-checker
 // violation (a fail-fast panic carrying a cycle-stamped diagnostic) into
 // an ordinary error; any other panic is a bug and propagates.
-func runChecked(s *uvmsim.Simulator) (res *uvmsim.Result, err error) {
+func runChecked[R any](run func() R) (res R, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if v, ok := r.(*obs.Violation); ok {
-				res, err = nil, v
+				err = v
 				return
 			}
 			panic(r)
 		}
 	}()
-	return s.Run(), nil
+	return run(), nil
 }
 
 // buildFromGraphFile loads an edge-list graph and instantiates bfs or

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,7 +59,6 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"nanCXLBandwidth", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "8", "-cxl-bw", "NaN"}, "CXLBytesPerCycle NaN"},
 		{"infCXLBandwidth", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "8", "-cxl-bw", "Inf"}, "CXLBytesPerCycle +Inf"},
 		{"tinyCXLBandwidth", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "8", "-cxl-bw", "1e-300"}, "CXLBytesPerCycle 1e-300"},
-		{"spansOnCluster", []string{"-gpus", "2", "-spans"}, "single-GPU runs only"},
 		{"jsonOnCluster", []string{"-gpus", "2", "-json", "out.json"}, "single-GPU runs only"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
@@ -205,6 +205,33 @@ func TestClusterRunOutputsAndWorkerEquivalence(t *testing.T) {
 	// every per-GPU counter — must match byte for byte.
 	if got := strings.ReplaceAll(par, "workers=2", "workers=1"); got != seq {
 		t.Fatalf("two-worker output diverged from one worker:\none worker:\n%s\ntwo workers:\n%s", seq, par)
+	}
+}
+
+// -spans prints a cluster's kernel windows, barrier to barrier: one
+// line per kernel, identical for every drain worker count.
+func TestClusterSpansMatchAcrossWorkers(t *testing.T) {
+	spans := func(workers string) []string {
+		t.Helper()
+		code, out, stderr := runCLI(t, "-workload", "bfs", "-scale", "0.05", "-gpus", "2", "-spans", "-workers", workers)
+		if code != 0 {
+			t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+		}
+		var lines []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "kernel ") {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+	seq := spans("1")
+	if len(seq) == 0 {
+		t.Fatal("-gpus 2 -spans printed no kernel spans")
+	}
+	if par := spans("2"); !slices.Equal(par, seq) {
+		t.Fatalf("two-worker spans diverged from one worker:\none worker:\n%s\ntwo workers:\n%s",
+			strings.Join(seq, "\n"), strings.Join(par, "\n"))
 	}
 }
 

@@ -225,10 +225,10 @@ type Config struct {
 	// the built-in default.
 	BanditEpochCycles uint64
 
-	// ClusterWorkers is the thread count a multi-GPU cluster run
-	// (internal/multigpu) drains its node engines on: each GPU+driver
-	// node has its own engine, and every kernel drains all of them up
-	// to the barrier. 0 or 1 means one thread (the caller's); values
+	// ClusterWorkers is the thread count a multi-GPU run
+	// (internal/core) drains its node engines on: each GPU+driver node
+	// has its own engine, and every kernel drains all of them up to the
+	// barrier. 0 or 1 means one thread (the caller's); values
 	// above the cluster size are clamped to it. Results are
 	// byte-identical for every value. Single-GPU runs ignore it.
 	ClusterWorkers int

@@ -19,7 +19,7 @@ func obsSim(t *testing.T, workload string, pct uint64, r *obs.Run) *Simulator {
 	cfg := config.Default().WithPolicy(config.PolicyAdaptive).WithOversubscription(b.WorkingSet(), pct)
 	cfg.Penalty = 8
 	s := New(b, cfg)
-	s.Observe(r)
+	s.Observe(func(int) *obs.Run { return r })
 	return s
 }
 
@@ -159,7 +159,8 @@ func TestInvariantMatrixAllWorkloadsAllPolicies(t *testing.T) {
 					cfg := config.Default().WithPolicy(pol).WithOversubscription(b.WorkingSet(), pct)
 					cfg.Penalty = 8
 					s := New(b, cfg)
-					s.Observe(&obs.Run{Name: t.Name(), Reg: obs.NewRegistry(), CheckEvery: 5_000})
+					r := &obs.Run{Name: t.Name(), Reg: obs.NewRegistry(), CheckEvery: 5_000}
+					s.Observe(func(int) *obs.Run { return r })
 					res := s.Run()
 					if res.Runtime() == 0 {
 						t.Fatal("zero runtime")

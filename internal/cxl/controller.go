@@ -12,8 +12,8 @@
 // pool. On top of the controller, a Scenario runs multiple tenants
 // (catalog workloads) sharing GPU device memory with per-tenant page
 // accounting, priority-aware eviction and a fairness metric, its
-// per-GPU engines drained by the PDES coordinator from
-// internal/multigpu, byte-identically for every worker count.
+// per-GPU engines drained by the PDES coordinator (sim.Coordinator),
+// byte-identically for every worker count.
 //
 // The pool operates at the driver's 64KB basic-block granularity.
 // Controller state is mutated only at epoch barriers, in fixed GPU

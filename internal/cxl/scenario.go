@@ -5,12 +5,12 @@ import (
 	"hash/fnv"
 
 	"uvmsim/internal/config"
+	"uvmsim/internal/core"
 	"uvmsim/internal/devmem"
 	"uvmsim/internal/interconnect"
 	"uvmsim/internal/learn"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
-	"uvmsim/internal/multigpu"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/workloads"
@@ -38,7 +38,7 @@ type ScenarioConfig struct {
 	// Cfg supplies the machine model: DRAM latency, PCIe link, the CXL
 	// port (CXL* fields) and the pool policy name.
 	Cfg config.Config
-	// GPUs is the number of GPUs sharing the pool (1..multigpu.MaxGPUs).
+	// GPUs is the number of GPUs sharing the pool (1..core.MaxGPUs).
 	GPUs int
 	// Tenants are the co-scheduled streams. At least one; GPU indices
 	// must be in range. Tenant ids are positional.
@@ -71,8 +71,8 @@ const (
 )
 
 func (sc *ScenarioConfig) normalize() error {
-	if sc.GPUs < 1 || sc.GPUs > multigpu.MaxGPUs {
-		return fmt.Errorf("cxl: %d GPUs out of range (1..%d)", sc.GPUs, multigpu.MaxGPUs)
+	if sc.GPUs < 1 || sc.GPUs > core.MaxGPUs {
+		return fmt.Errorf("cxl: %d GPUs out of range (1..%d)", sc.GPUs, core.MaxGPUs)
 	}
 	if len(sc.Tenants) == 0 {
 		return fmt.Errorf("cxl: no tenants")
@@ -300,7 +300,7 @@ func (t *tenant) nextBlock(shared uint64) (block uint64, write bool) {
 // epoch: controller state is frozen during the drain, and accesses read
 // it and append to their own GPU's log only, so each engine can run to
 // empty on its own.
-func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
+func (s *Scenario) runEpochStreams(co *sim.Coordinator) {
 	for g := range s.engines {
 		gpu := g
 		for _, t := range s.byGPU[g] {
@@ -355,7 +355,7 @@ func (s *Scenario) runEpochStreams(co *multigpu.Coordinator) {
 
 // Run executes the scenario and returns its deterministic result.
 func (s *Scenario) Run() (*Result, error) {
-	co := multigpu.NewCoordinator(s.engines, s.cfg.Workers)
+	co := sim.NewCoordinator(s.engines, s.cfg.Workers)
 	var actions []barrierAction
 	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {
 		s.runEpochStreams(co)

@@ -90,7 +90,7 @@ func (o Options) runtimeOf(name string, pct uint64, pol config.MigrationPolicy, 
 	}
 	b := o.memo.Get(name, o.Scale)
 	s := core.New(b, core.DeriveConfig(b, 1, pct, pol, base))
-	s.Observe(r)
+	s.Observe(func(int) *obs.Run { return r })
 	return s.Run()
 }
 
@@ -142,7 +142,8 @@ func RunTrace(workload string, o Options, sampleEvery uint64) *TraceResult {
 	cfg := core.DeriveConfig(b, 1, 100, config.PolicyDisabled, o.Base)
 	s := core.New(b, cfg)
 	if o.Observe != nil {
-		s.Observe(o.Observe(workload + "/trace"))
+		r := o.Observe(workload + "/trace")
+		s.Observe(func(int) *obs.Run { return r })
 	}
 	col := trace.NewCollector(b.Space, sampleEvery)
 	s.SetObserver(col.Observer())

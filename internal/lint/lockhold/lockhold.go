@@ -3,9 +3,9 @@
 // on a channel send or receive, a default-less select, a WaitGroup or
 // Cond wait, a sleep, or network I/O — stalls every other goroutine
 // contending for the lock, and when the unblocking party needs that
-// same lock the program deadlocks. The serve and multigpu layers run
-// exactly this shape (mutex-guarded job state next to channels), so
-// the hazard is one refactor away at all times.
+// same lock the program deadlocks. The serve layer runs exactly this
+// shape (mutex-guarded job state next to channels), so the hazard is
+// one refactor away at all times.
 //
 // A critical section opens at a statement-list-level `mu.Lock()` or
 // `mu.RLock()` call on a sync mutex and closes at the matching plain

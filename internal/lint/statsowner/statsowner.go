@@ -31,10 +31,11 @@ var Analyzer = &lint.Analyzer{
 }
 
 // owners maps each stats.Counters field to the package names allowed to
-// write it. Cycles is stamped by the single-GPU harness (core) and the
-// multi-GPU cluster; everything else has a single writer.
+// write it. Cycles is stamped by the simulation loop (core) on every
+// GPU's counters, single-GPU and cluster runs alike; every field has a
+// single writer.
 var owners = map[string][]string{
-	"Cycles": {"core", "multigpu"},
+	"Cycles": {"core"},
 
 	"NearAccesses": {"uvm"},
 	"RemoteReads":  {"uvm"},

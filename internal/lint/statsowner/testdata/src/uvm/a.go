@@ -5,7 +5,7 @@ import "stats"
 
 func handleFault(c *stats.Counters) {
 	c.FarFaults++ // uvm owns FarFaults
-	c.Cycles++    // want `owned by \[core multigpu\]`
+	c.Cycles++    // want `owned by \[core\]`
 	c.Instructions += 2 // want `owned by \[gpu\]`
 	c.Bogus = 1   // want `no declared owner`
 }

@@ -3,34 +3,45 @@ package multigpu
 import (
 	"testing"
 
+	"uvmsim/internal/alloc"
 	"uvmsim/internal/config"
+	"uvmsim/internal/core"
 	"uvmsim/internal/gpu"
 	"uvmsim/internal/workloads"
 )
 
 const testScale = 0.15
 
-func TestSplitKernelCoversAllCTAs(t *testing.T) {
+// emptyWarp is a warp program with no instructions.
+type emptyWarp struct{}
+
+func (emptyWarp) Next(*gpu.Instr) bool { return false }
+
+// splitProbe runs one kernel of ctas single-warp CTAs on nGPUs and
+// returns the result and how often each CTA's warp was instantiated.
+func splitProbe(t *testing.T, ctas, nGPUs int) (*Result, map[int]int) {
+	t.Helper()
 	seen := make(map[int]int)
-	k := gpu.Kernel{
-		Name: "k", CTAs: 10, WarpsPerCTA: 2,
-		NewWarp: func(cta, w int) gpu.WarpProgram {
-			if w == 0 {
+	b := &workloads.Built{
+		Name:  "probe",
+		Space: alloc.NewSpace(),
+		Kernels: []gpu.Kernel{{
+			Name: "k", CTAs: ctas, WarpsPerCTA: 1,
+			NewWarp: func(cta, _ int) gpu.WarpProgram {
 				seen[cta]++
-			}
-			return nil
-		},
+				return emptyWarp{}
+			},
+		}},
+		IterOf: []int{1},
 	}
-	total := 0
-	for idx := 0; idx < 4; idx++ {
-		sub, ok := splitKernel(k, 4, idx)
-		if !ok {
-			continue
-		}
-		total += sub.CTAs
-		for cta := 0; cta < sub.CTAs; cta++ {
-			sub.NewWarp(cta, 0)
-		}
+	return New(b, config.Default(), nGPUs).Run(), seen
+}
+
+func TestSplitKernelCoversAllCTAs(t *testing.T) {
+	res, seen := splitProbe(t, 10, 4)
+	var total uint64
+	for i := range res.PerGPU {
+		total += res.PerGPU[i].WarpsRetired
 	}
 	if total != 10 {
 		t.Fatalf("split covers %d CTAs, want 10", total)
@@ -43,10 +54,10 @@ func TestSplitKernelCoversAllCTAs(t *testing.T) {
 }
 
 func TestSplitKernelMoreGPUsThanCTAs(t *testing.T) {
-	k := gpu.Kernel{Name: "k", CTAs: 2, WarpsPerCTA: 1, NewWarp: func(_, _ int) gpu.WarpProgram { return nil }}
+	res, _ := splitProbe(t, 2, 8)
 	var withWork int
-	for idx := 0; idx < 8; idx++ {
-		if _, ok := splitKernel(k, 8, idx); ok {
+	for i := range res.PerGPU {
+		if res.PerGPU[i].WarpsRetired > 0 {
 			withWork++
 		}
 	}
@@ -122,7 +133,7 @@ func TestThrottlingReducesClusterThrash(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	b := workloads.MustGet("backprop")(0.05)
-	for _, n := range []int{0, MaxGPUs + 1} {
+	for _, n := range []int{0, core.MaxGPUs + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -132,7 +143,7 @@ func TestNewValidation(t *testing.T) {
 			New(b, config.Default(), n)
 		}()
 	}
-	if got := len(New(b, config.Default(), MaxGPUs).nodes); got != MaxGPUs {
-		t.Errorf("a %d-GPU cluster has %d nodes", MaxGPUs, got)
+	if got := len(New(b, config.Default(), core.MaxGPUs).Run().PerGPU); got != core.MaxGPUs {
+		t.Errorf("a %d-GPU cluster has %d nodes", core.MaxGPUs, got)
 	}
 }

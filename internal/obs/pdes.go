@@ -1,7 +1,7 @@
 package obs
 
 // Metric names published by the PDES coordinator
-// (internal/multigpu/pdes.go) on every observed cluster run, whatever
+// (internal/sim/coordinator.go) on every observed run, whatever
 // its worker count. They live here so the observability layer
 // documents one canonical name space and consumers (dashboards, tests)
 // need not hard-code strings scattered across packages.

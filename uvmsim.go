@@ -57,8 +57,9 @@ type (
 	KernelSpan = core.KernelSpan
 	// Counters are the raw metrics of a run.
 	Counters = stats.Counters
-	// Simulator couples a workload with a configuration; use New for
-	// fine-grained control (tracing, stepping), or Run for one-shot runs.
+	// Simulator couples a workload with a configuration. Use New when
+	// the run needs set-up before it starts (driver hints, an access
+	// observer, observability), or Run for one-shot runs.
 	Simulator = core.Simulator
 )
 
@@ -184,11 +185,12 @@ type (
 	ClusterResult = multigpu.Result
 )
 
-// NewCluster creates a cluster of nGPUs (at most multigpu.MaxGPUs, 64)
-// over the workload (cfg.DeviceMemBytes is per-GPU capacity). Every GPU
-// runs on its own engine, and the parallel discrete-event coordinator
-// (DESIGN.md §12) drains them on cfg.ClusterWorkers threads, producing
-// byte-identical results for every thread count.
+// NewCluster creates a cluster of nGPUs (at most 64) over the workload
+// (cfg.DeviceMemBytes is per-GPU capacity). It runs the same loop as
+// New, which is its one-GPU case: every GPU runs on its own engine, and
+// the parallel discrete-event coordinator (DESIGN.md §12) drains them
+// on cfg.ClusterWorkers threads, producing byte-identical results for
+// every thread count.
 func NewCluster(w *Workload, cfg Config, nGPUs int) *Cluster {
 	return multigpu.New(w, cfg, nGPUs)
 }
