@@ -11,7 +11,7 @@ type Graph struct {
 	N       int
 	RowPtr  []int32 // length N+1
 	Edges   []int32 // length E: target node ids
-	Weights []int32 // length E: positive edge weights (sssp)
+	Weights []int32 // length E: positive edge weights (sssp); nil for the synthetic bfs graph
 }
 
 // NumEdges returns the edge count.
@@ -97,8 +97,9 @@ func SSSPRounds(g *Graph, maxRounds int) (rounds [][]int32, dist []int32) {
 	for r := 0; r < maxRounds && len(work) > 0; r++ {
 		rounds = append(rounds, work)
 		var next []int32
-		for i := range inNext {
-			inNext[i] = false
+		// Only the previous round's worklist entries are set.
+		for _, v := range work {
+			inNext[v] = false
 		}
 		for _, v := range work {
 			adj := g.Adj(int(v))

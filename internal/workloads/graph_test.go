@@ -11,7 +11,7 @@ import (
 // every node is reachable, which the BFS and SSSP tests below rely on.
 
 func TestGenGraphValid(t *testing.T) {
-	g := GenTraversalGraph(2000, 8, 10, 1.0, 1)
+	g := GenTraversalGraph(2000, 8, 10, 1.0, 1, true)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("generated graph invalid: %v", err)
 	}
@@ -24,8 +24,8 @@ func TestGenGraphValid(t *testing.T) {
 }
 
 func TestGenGraphDeterministic(t *testing.T) {
-	a := GenTraversalGraph(500, 6, 5, 1.0, 42)
-	b := GenTraversalGraph(500, 6, 5, 1.0, 42)
+	a := GenTraversalGraph(500, 6, 5, 1.0, 42, true)
+	b := GenTraversalGraph(500, 6, 5, 1.0, 42, true)
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatal("edge counts differ")
 	}
@@ -34,14 +34,14 @@ func TestGenGraphDeterministic(t *testing.T) {
 			t.Fatalf("graphs differ at edge %d", i)
 		}
 	}
-	c := GenTraversalGraph(500, 6, 5, 1.0, 43)
+	c := GenTraversalGraph(500, 6, 5, 1.0, 43, true)
 	if slices.Equal(a.Edges, c.Edges) {
 		t.Fatal("different seeds produced identical graphs")
 	}
 }
 
 func TestBFSLevelsReachEverything(t *testing.T) {
-	g := GenTraversalGraph(3000, 8, 12, 1.0, 11)
+	g := GenTraversalGraph(3000, 8, 12, 1.0, 11, false)
 	levels := BFSLevels(g)
 	if len(levels) == 0 || len(levels[0]) != 1 || levels[0][0] != 0 {
 		t.Fatal("BFS does not start at node 0")
@@ -69,7 +69,7 @@ func TestBFSLevelsReachEverything(t *testing.T) {
 func TestBFSLevelsValidityProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw)%500 + 10
-		g := GenTraversalGraph(n, 6, 4, 1.0, seed)
+		g := GenTraversalGraph(n, 6, 4, 1.0, seed, false)
 		levels := BFSLevels(g)
 		prev := map[int32]bool{}
 		for li, level := range levels {
@@ -109,7 +109,7 @@ func TestBFSLevelsValidityProperty(t *testing.T) {
 }
 
 func TestSSSPRoundsDistances(t *testing.T) {
-	g := GenTraversalGraph(2000, 8, 10, 1.0, 5)
+	g := GenTraversalGraph(2000, 8, 10, 1.0, 5, true)
 	rounds, dist := SSSPRounds(g, 50)
 	if len(rounds) == 0 || rounds[0][0] != 0 {
 		t.Fatal("SSSP does not start at node 0")
@@ -132,7 +132,7 @@ func TestSSSPRoundsDistances(t *testing.T) {
 }
 
 func TestSSSPRoundsCapped(t *testing.T) {
-	g := GenTraversalGraph(5000, 6, 20, 1.0, 9)
+	g := GenTraversalGraph(5000, 6, 20, 1.0, 9, true)
 	rounds, _ := SSSPRounds(g, 3)
 	if len(rounds) > 3 {
 		t.Fatalf("rounds = %d, want <= 3", len(rounds))

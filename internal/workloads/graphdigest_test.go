@@ -4,14 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 )
 
-// graphDigests pins the FNV-64a of the traversal graphs the bfs and
-// sssp factories build, at paper scale and at scale 0.05. The values
-// were recorded before GenTraversalGraph wrote filler edges in place,
-// so they hold the generator to the same RNG draw order and the same
-// per-node edge order (backbone and extra edges before fillers).
+// graphDigests pins the FNV-64a of the traversal graphs at the bfs and
+// sssp factories' parameters, at paper scale and at scale 0.05, all
+// generated with weights (the bfs factory builds the same graph without
+// them). The values were recorded before GenTraversalGraph wrote
+// filler edges in place and before it sized its scratch to the reachable
+// set, so they hold the generator to the same RNG draw order and the
+// same per-node edge order (backbone and extra edges before fillers).
 var graphDigests = []struct {
 	name                  string
 	avgDeg, layers        int
@@ -39,11 +42,59 @@ func fnv32s(xs []int32) string {
 func TestTraversalGraphDigests(t *testing.T) {
 	for _, c := range graphDigests {
 		n := scaleElems(1<<20, c.scale)
-		g := GenTraversalGraph(n, c.avgDeg, c.layers, 0.08, c.seed)
+		g := GenTraversalGraph(n, c.avgDeg, c.layers, 0.08, c.seed, true)
 		got := [3]string{fnv32s(g.RowPtr), fnv32s(g.Edges), fnv32s(g.Weights)}
 		want := [3]string{c.rowPtr, c.edges, c.weight}
 		if got != want {
 			t.Errorf("%s scale %g: (rowptr, edges, weights) digests %q, want %q", c.name, c.scale, got, want)
+		}
+	}
+}
+
+// TestTraversalGraphUnweightedDigests holds the bfs graph, which is
+// built without weights, to the same RowPtr and Edges digests as the
+// weighted graph at the bfs rows' parameters.
+func TestTraversalGraphUnweightedDigests(t *testing.T) {
+	for _, c := range graphDigests {
+		if c.name != "bfs" {
+			continue
+		}
+		n := scaleElems(1<<20, c.scale)
+		g := GenTraversalGraph(n, c.avgDeg, c.layers, 0.08, c.seed, false)
+		if g.Weights != nil {
+			t.Fatalf("bfs scale %g: unweighted graph has %d weights", c.scale, len(g.Weights))
+		}
+		got := [2]string{fnv32s(g.RowPtr), fnv32s(g.Edges)}
+		if want := [2]string{c.rowPtr, c.edges}; got != want {
+			t.Errorf("bfs scale %g: (rowptr, edges) digests %q, want %q", c.scale, got, want)
+		}
+	}
+}
+
+// TestTraversalGraphFootprint bounds what GenTraversalGraph allocates in
+// total at the paper-scale bfs (unweighted) and sssp (weighted)
+// parameters: at most 1.25x the bytes of the graph it returns. The
+// scratch is sized to the reachable set (~8% of the nodes), so a
+// node-sized scratch array coming back pushes the sssp graph past the
+// bound.
+func TestTraversalGraphFootprint(t *testing.T) {
+	for _, c := range graphDigests {
+		if c.scale != 1 {
+			continue
+		}
+		weighted := c.name == "sssp"
+		n := scaleElems(1<<20, c.scale)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g := GenTraversalGraph(n, c.avgDeg, c.layers, 0.08, c.seed, weighted)
+		runtime.ReadMemStats(&after)
+		out := 4 * uint64(len(g.RowPtr)+len(g.Edges)+len(g.Weights))
+		total := after.TotalAlloc - before.TotalAlloc
+		ratio := float64(total) / float64(out)
+		t.Logf("%s: allocated %.1f MB for a %.1f MB graph (%.3fx)", c.name, float64(total)/1e6, float64(out)/1e6, ratio)
+		if ratio > 1.25 {
+			t.Errorf("%s: GenTraversalGraph allocated %d bytes for a %d-byte graph (%.3fx), want at most 1.25x",
+				c.name, total, out, ratio)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func BFS(scale float64) *Built {
 		layers    = 25
 		reachFrac = 0.08
 	)
-	g := GenTraversalGraph(n, avgDeg, layers, reachFrac, 0xBF5)
+	g := GenTraversalGraph(n, avgDeg, layers, reachFrac, 0xBF5, false)
 	return buildBFS(g, BFSLevels(g))
 }
 
@@ -72,7 +72,7 @@ func SSSP(scale float64) *Built {
 		reachFrac = 0.08
 		maxRounds = 2 * layers
 	)
-	g := GenTraversalGraph(n, avgDeg, layers, reachFrac, 0x55B)
+	g := GenTraversalGraph(n, avgDeg, layers, reachFrac, 0x55B, true)
 	rounds, _ := SSSPRounds(g, maxRounds)
 	return buildSSSP(g, rounds)
 }

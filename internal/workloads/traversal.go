@@ -31,22 +31,30 @@ import "fmt"
 // GenTraversalGraph builds the layered sparse-traversal graph described
 // above: n nodes, about n*avgDeg edges, a reachable subgraph of
 // ~reachFrac*n scattered nodes organized into the given number of
-// layers. Node 0 is the single root layer.
+// layers. Node 0 is the single root layer. Only a weighted graph gets
+// edge weights: sssp reads them, while bfs's kernels never do, so its
+// graph has Weights == nil. The weights are drawn after every edge, so
+// the edges do not depend on whether they are drawn.
 //
 // The graph is built in place. Only the reachable subgraph's backbone
 // and extra edges are staged; they fix every node's final degree,
 // max(deg, avgDeg), so RowPtr is laid out before the fillers are drawn
 // and each filler is written straight into its slot in Edges. The
-// result is a function of the seed alone: TestTraversalGraphDigests
-// pins it at the bfs and sssp parameters.
-func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *Graph {
+// scratch is sized to the reachable set, not to n: a layer is a stride
+// of positions in the ascending reachable list, staged degrees are
+// indexed by those positions, and the node loops walk the list with a
+// cursor. The result is a function
+// of the seed alone: TestTraversalGraphDigests pins it at the bfs and
+// sssp parameters.
+func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64, weighted bool) *Graph {
 	if n < 2 || avgDeg < 2 || layers < 1 || reachFrac <= 0 || reachFrac > 1 {
 		panic(fmt.Sprintf("workloads: GenTraversalGraph(n=%d, avgDeg=%d, layers=%d, reach=%v)",
 			n, avgDeg, layers, reachFrac))
 	}
 	rng := newRNG(seed)
 
-	// Scatter the reachable set through the id space.
+	// Scatter the reachable set through the id space. s is ascending and
+	// starts with node 0.
 	cut := uint64(reachFrac * float64(1<<16))
 	inS := func(v int) bool {
 		if v == 0 {
@@ -55,7 +63,13 @@ func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *G
 		x := uint64(v) * 0x9E3779B97F4A7C15
 		return (x>>32)%(1<<16) < cut
 	}
-	var s []int32
+	reach := 0
+	for v := 0; v < n; v++ {
+		if inS(v) {
+			reach++
+		}
+	}
+	s := make([]int32, 0, reach)
 	for v := 0; v < n; v++ {
 		if inS(v) {
 			s = append(s, int32(v))
@@ -68,58 +82,56 @@ func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *G
 	// Partition: layer 0 = {node 0}; layers 1..layers share the rest.
 	// s is in ascending id order, which is already scattered relative to
 	// the hash-based membership; interleave round-robin so every layer
-	// spreads across the id space.
-	layerOf := make([]int32, n) // layer+1; 0 = unreachable
-	byLayer := make([][]int32, layers+1)
-	byLayer[0] = []int32{0}
-	layerOf[0] = 1
-	i := 0
-	for _, v := range s {
-		if v == 0 {
-			continue
+	// spreads across the id space. Layer l then holds the positions
+	// l, l+layers, l+2*layers, ... of s, so a layer is a stride over s
+	// and needs no list of its own.
+	layerOf := func(k int) int {
+		if k == 0 {
+			return 0
 		}
-		l := 1 + i%layers
-		byLayer[l] = append(byLayer[l], v)
-		layerOf[v] = int32(l) + 1
-		i++
+		return 1 + (k-1)%layers
 	}
+	layerLen := func(l int) int {
+		if l == 0 {
+			return 1
+		}
+		return (len(s)-1-l)/layers + 1
+	}
+	// pick draws a uniformly random position of layer l.
+	pick := func(l int) int { return l + rng.intn(layerLen(l))*layers }
 
 	// The backbone and extra edges are the reachable subgraph's edges.
-	// They are staged as (source, target) pairs in a buffer sized for
-	// their bound, one backbone in-edge plus at most three extras per
-	// reachable node, with a per-node count in deg.
-	type edge struct{ u, t int32 }
+	// They are staged as (source position, target node) pairs in a
+	// buffer sized for their bound, one backbone in-edge plus at most
+	// three extras per reachable node, with a per-source count in deg.
+	type edge struct{ k, t int32 }
 	pairs := make([]edge, 0, 4*len(s))
-	deg := make([]int32, n)
-	addEdge := func(u int, t int32) {
-		pairs = append(pairs, edge{int32(u), t})
-		deg[u]++
+	deg := make([]int32, len(s))
+	addEdge := func(k, t int) {
+		pairs = append(pairs, edge{int32(k), s[t]})
+		deg[k]++
 	}
 
-	// Backbone: every node of layer k+1 gets one in-edge from a random
-	// node of layer k, making BFS discover exactly one layer per level.
+	// Backbone: every node of layer l gets one in-edge from a random
+	// node of layer l-1, making BFS discover exactly one layer per level.
 	for l := 1; l <= layers; l++ {
-		prev := byLayer[l-1]
-		for _, v := range byLayer[l] {
-			addEdge(int(prev[rng.intn(len(prev))]), v)
+		for k := l; k < len(s); k += layers {
+			addEdge(pick(l-1), k)
 		}
 	}
 	// Extra reachable-subgraph edges: forward (next layer), same-layer,
 	// and backward — the backward ones re-activate earlier waves in
 	// worklist SSSP.
 	for l := 1; l <= layers; l++ {
-		for _, v := range byLayer[l] {
+		for k := l; k < len(s); k += layers {
 			if l < layers {
-				next := byLayer[l+1]
-				addEdge(int(v), next[rng.intn(len(next))])
+				addEdge(k, pick(l+1))
 			}
 			if rng.intn(2) == 0 {
-				same := byLayer[l]
-				addEdge(int(v), same[rng.intn(len(same))])
+				addEdge(k, pick(l))
 			}
 			if l > 1 && rng.intn(4) == 0 {
-				back := byLayer[l-1]
-				addEdge(int(v), back[rng.intn(len(back))])
+				addEdge(k, pick(l-1))
 			}
 		}
 	}
@@ -131,15 +143,20 @@ func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *G
 	// node, the layout is the staged edges and then the fillers, each in
 	// draw order, as if every node had its own appended list.
 	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
-	for v := 0; v < n; v++ {
-		g.RowPtr[v+1] = g.RowPtr[v] + max(deg[v], int32(avgDeg))
+	for v, k := 0, 0; v < n; v++ {
+		d := int32(avgDeg)
+		if k < len(s) && int(s[k]) == v {
+			d = max(deg[k], d)
+			k++
+		}
+		g.RowPtr[v+1] = g.RowPtr[v] + d
 	}
 	total := int(g.RowPtr[n])
 	g.Edges = make([]int32, total)
 	clear(deg)
 	for _, e := range pairs {
-		g.Edges[g.RowPtr[e.u]+deg[e.u]] = e.t
-		deg[e.u]++
+		g.Edges[g.RowPtr[s[e.k]]+deg[e.k]] = e.t
+		deg[e.k]++
 	}
 	// Unreachable nodes get uniformly random fillers — pure footprint,
 	// never read by the traversal. Reachable nodes' fillers target
@@ -147,13 +164,14 @@ func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *G
 	// BFS levels stay one layer wide (an edge into an already-visited
 	// wave never re-expands BFS, while it does re-activate waves in
 	// worklist SSSP).
-	for v := 0; v < n; v++ {
-		fill := g.Edges[g.RowPtr[v]+deg[v] : g.RowPtr[v+1]]
-		if lp := layerOf[v]; lp != 0 {
-			l := int(lp - 1)
+	for v, k := 0, 0; v < n; v++ {
+		fill := g.Edges[g.RowPtr[v]:g.RowPtr[v+1]]
+		if k < len(s) && int(s[k]) == v {
+			l := layerOf(k)
+			fill = fill[deg[k]:]
+			k++
 			for j := range fill {
-				tgt := byLayer[rng.intn(l+1)]
-				fill[j] = tgt[rng.intn(len(tgt))]
+				fill[j] = s[pick(rng.intn(l+1))]
 			}
 			continue
 		}
@@ -161,9 +179,11 @@ func GenTraversalGraph(n, avgDeg, layers int, reachFrac float64, seed uint64) *G
 			fill[j] = int32(rng.intn(n))
 		}
 	}
-	g.Weights = make([]int32, total)
-	for j := range g.Weights {
-		g.Weights[j] = int32(rng.intn(15) + 1)
+	if weighted {
+		g.Weights = make([]int32, total)
+		for j := range g.Weights {
+			g.Weights[j] = int32(rng.intn(15) + 1)
+		}
 	}
 	return g
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTraversalGraphValid(t *testing.T) {
-	g := GenTraversalGraph(20000, 6, 10, 0.1, 7)
+	g := GenTraversalGraph(20000, 6, 10, 0.1, 7, true)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("traversal graph invalid: %v", err)
 	}
@@ -17,8 +17,8 @@ func TestTraversalGraphValid(t *testing.T) {
 }
 
 func TestTraversalGraphDeterministic(t *testing.T) {
-	a := GenTraversalGraph(5000, 4, 8, 0.1, 3)
-	b := GenTraversalGraph(5000, 4, 8, 0.1, 3)
+	a := GenTraversalGraph(5000, 4, 8, 0.1, 3, true)
+	b := GenTraversalGraph(5000, 4, 8, 0.1, 3, true)
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatal("edge counts differ")
 	}
@@ -32,7 +32,7 @@ func TestTraversalGraphDeterministic(t *testing.T) {
 func TestTraversalReachableFraction(t *testing.T) {
 	n := 50000
 	frac := 0.08
-	g := GenTraversalGraph(n, 6, 15, frac, 9)
+	g := GenTraversalGraph(n, 6, 15, frac, 9, false)
 	levels := BFSLevels(g)
 	var reached int
 	for _, l := range levels {
@@ -47,7 +47,7 @@ func TestTraversalReachableFraction(t *testing.T) {
 
 func TestTraversalLevelsAreLayers(t *testing.T) {
 	const layers = 12
-	g := GenTraversalGraph(30000, 6, layers, 0.1, 5)
+	g := GenTraversalGraph(30000, 6, layers, 0.1, 5, false)
 	levels := BFSLevels(g)
 	if len(levels) != layers+1 {
 		t.Fatalf("levels = %d, want %d (root + one per layer)", len(levels), layers+1)
@@ -73,7 +73,7 @@ func TestTraversalScatteredFrontiers(t *testing.T) {
 	// Frontier node ids must be spread through the id space, not
 	// clustered: the span of each level should cover most of [0, n).
 	n := 40000
-	g := GenTraversalGraph(n, 6, 10, 0.1, 11)
+	g := GenTraversalGraph(n, 6, 10, 0.1, 11, false)
 	levels := BFSLevels(g)
 	for i, l := range levels[1:] {
 		if len(l) < 10 {
@@ -97,7 +97,7 @@ func TestTraversalScatteredFrontiers(t *testing.T) {
 func TestTraversalSSSPReactivation(t *testing.T) {
 	// Backward and same-layer edges must make worklist SSSP re-activate
 	// nodes: total work across rounds exceeds the reachable set size.
-	g := GenTraversalGraph(30000, 6, 10, 0.1, 13)
+	g := GenTraversalGraph(30000, 6, 10, 0.1, 13, true)
 	rounds, _ := SSSPRounds(g, 40)
 	var work int
 	for _, r := range rounds {
@@ -132,7 +132,7 @@ func TestTraversalBadArgsPanic(t *testing.T) {
 					t.Errorf("GenTraversalGraph(%d,%d,%d,%v) did not panic", c.n, c.deg, c.layers, c.frac)
 				}
 			}()
-			GenTraversalGraph(c.n, c.deg, c.layers, c.frac, 1)
+			GenTraversalGraph(c.n, c.deg, c.layers, c.frac, 1, true)
 		}()
 	}
 }
@@ -140,7 +140,7 @@ func TestTraversalBadArgsPanic(t *testing.T) {
 func TestMaskedCSRDenseMaskSweep(t *testing.T) {
 	// With an empty frontier, the program must still sweep the mask
 	// densely (one read instruction per 32-node group) and nothing else.
-	g := GenTraversalGraph(2048, 4, 4, 0.1, 1)
+	g := GenTraversalGraph(2048, 4, 4, 0.1, 1, false)
 	bm := frontierBitmap(2048, nil)
 	p := newMaskedCSR(g, 0x100000, 0x200000, 0x300000, 0x400000, 0, bm, 0, 2048, 4)
 	var in gpu.Instr
@@ -163,7 +163,7 @@ func TestMaskedCSRDenseMaskSweep(t *testing.T) {
 }
 
 func TestMaskedCSRActiveNodesWalkEdges(t *testing.T) {
-	g := GenTraversalGraph(2048, 4, 4, 0.2, 1)
+	g := GenTraversalGraph(2048, 4, 4, 0.2, 1, false)
 	levels := BFSLevels(g)
 	bm := frontierBitmap(2048, levels[1])
 	const (
@@ -205,7 +205,7 @@ func TestMaskedCSRActiveNodesWalkEdges(t *testing.T) {
 }
 
 func TestMaskedCSRWeightsPhase(t *testing.T) {
-	g := GenTraversalGraph(1024, 4, 4, 0.2, 2)
+	g := GenTraversalGraph(1024, 4, 4, 0.2, 2, true)
 	levels := BFSLevels(g)
 	bm := frontierBitmap(1024, levels[1])
 	const weightB = 0x5000000
