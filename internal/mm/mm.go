@@ -97,7 +97,8 @@ type ChunkPrefetcher interface {
 	// OnFault records that block index i (chunk-relative) faulted and
 	// returns the complete ascending list of chunk-relative block
 	// indices to migrate together, always including i. Returned blocks
-	// are marked occupied in the tree.
+	// are marked occupied in the tree. The slice is the chunk's and valid
+	// until its next OnFault.
 	OnFault(i int) []int
 	// Tree exposes the chunk's occupancy tree. The driver clears and
 	// re-marks it on eviction, and the 2MB replacement policy reads

@@ -10,14 +10,18 @@
 // prefetch of all the empty leaves below it, balancing its two children.
 // Walking upward from the faulting leaf makes the effective prefetch size
 // adaptive, from 64KB up to 1MB.
+//
+// Leaf sets are uint64 bitmasks: the tree's occupancy, the extra leaves
+// OnMigrate trips, and the set a Chunk migrates on a fault. A fault
+// therefore allocates nothing.
 package prefetch
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"uvmsim/internal/config"
+	"uvmsim/internal/memunits"
 )
 
 // Tree tracks 64KB-leaf occupancy for one chunk.
@@ -78,95 +82,88 @@ func (t *Tree) check(i int) {
 	}
 }
 
+// spanMask returns the leaf mask of the span [lo, lo+span).
+func spanMask(lo, span int) uint64 {
+	if span == 64 {
+		return ^uint64(0)
+	}
+	return (1<<uint(span) - 1) << uint(lo)
+}
+
 // countRange returns the number of occupied leaves in [lo, lo+span).
 func (t *Tree) countRange(lo, span int) int {
-	var mask uint64
-	if span == 64 {
-		mask = ^uint64(0)
-	} else {
-		mask = (1<<uint(span) - 1) << uint(lo)
-	}
-	return bits.OnesCount64(t.leaves & mask)
+	return bits.OnesCount64(t.leaves & spanMask(lo, span))
 }
 
 // OnMigrate marks leaf i resident and runs the tree heuristic: walking
 // from the leaf's parent toward the root, any node whose occupancy is
 // strictly greater than half its span prefetches every empty leaf under
-// it. The returned slice lists the extra leaves to prefetch (already
-// marked occupied, in ascending order); it is empty when no node
-// tripped.
-func (t *Tree) OnMigrate(i int) []int {
+// it. The returned mask holds the extra leaves to prefetch (already
+// marked occupied); it is zero when no node tripped.
+func (t *Tree) OnMigrate(i int) uint64 {
 	t.check(i)
 	t.leaves |= 1 << uint(i)
-	var extra []int
+	var extra uint64
 	for span := 2; span <= t.n; span *= 2 {
 		lo := i / span * span
 		occ := t.countRange(lo, span)
 		if occ*2 <= span || occ == span {
 			continue
 		}
-		for j := lo; j < lo+span; j++ {
-			if t.leaves&(1<<uint(j)) == 0 {
-				t.leaves |= 1 << uint(j)
-				extra = append(extra, j)
-			}
-		}
+		mask := spanMask(lo, span)
+		extra |= mask &^ t.leaves
+		t.leaves |= mask
 	}
-	// Wider spans append lower-numbered leaves after narrower spans did;
-	// callers rely on ascending order.
-	sort.Ints(extra)
 	return extra
 }
 
 // Chunk ties a Tree to the prefetcher kind chosen in the configuration
 // and answers the single question the UVM driver asks on a far-fault:
-// which basic blocks of this chunk should migrate together?
+// which basic blocks of this chunk should migrate together? The tree and
+// the buffer OnFault answers in are held inline, so a fault allocates
+// nothing.
 type Chunk struct {
 	kind config.PrefetcherKind
-	tree *Tree
+	tree Tree
+	out  [memunits.BlocksPerChunk]int
 }
 
 // NewChunk creates the per-chunk prefetch state for a chunk of n 64KB
-// blocks.
+// blocks; n must be a power of two in [1, 32].
 func NewChunk(kind config.PrefetcherKind, n int) *Chunk {
-	return &Chunk{kind: kind, tree: NewTree(n)}
+	if n > memunits.BlocksPerChunk {
+		panic(fmt.Sprintf("prefetch: chunk of %d blocks exceeds %d", n, memunits.BlocksPerChunk))
+	}
+	return &Chunk{kind: kind, tree: *NewTree(n)}
 }
 
 // Tree exposes the underlying occupancy tree (for eviction bookkeeping).
-func (c *Chunk) Tree() *Tree { return c.tree }
+func (c *Chunk) Tree() *Tree { return &c.tree }
 
 // OnFault records that block i faulted and must migrate. It returns the
 // complete ascending list of block indices to migrate now, always
-// including i itself; all returned blocks are marked occupied.
+// including i itself; all returned blocks are marked occupied. The slice
+// is the chunk's and valid until its next OnFault.
 func (c *Chunk) OnFault(i int) []int {
+	t := &c.tree
+	t.check(i)
+	mask := uint64(1) << uint(i)
 	switch c.kind {
 	case config.PrefetchNone:
-		c.tree.MarkOccupied(i)
-		return []int{i}
 	case config.PrefetchSequential:
-		c.tree.MarkOccupied(i)
-		out := []int{i}
-		if j := i + 1; j < c.tree.n && !c.tree.Occupied(j) {
-			c.tree.MarkOccupied(j)
-			out = append(out, j)
+		if j := i + 1; j < t.n && !t.Occupied(j) {
+			mask |= 1 << uint(j)
 		}
-		return out
 	case config.PrefetchTree:
-		extra := c.tree.OnMigrate(i)
-		out := make([]int, 0, len(extra)+1)
-		inserted := false
-		for _, e := range extra {
-			if !inserted && e > i {
-				out = append(out, i)
-				inserted = true
-			}
-			out = append(out, e)
-		}
-		if !inserted {
-			out = append(out, i)
-		}
-		return out
+		mask |= t.OnMigrate(i)
 	default:
 		panic(fmt.Sprintf("prefetch: unknown kind %v", c.kind))
 	}
+	t.leaves |= mask
+	n := 0
+	for m := mask; m != 0; m &= m - 1 {
+		c.out[n] = bits.TrailingZeros64(m)
+		n++
+	}
+	return c.out[:n]
 }

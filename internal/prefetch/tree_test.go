@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"math/bits"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -70,8 +72,8 @@ func TestFull(t *testing.T) {
 // exactly 50% or less.
 func TestFirstTouchNoPrefetch(t *testing.T) {
 	tr := NewTree(32)
-	if extra := tr.OnMigrate(7); len(extra) != 0 {
-		t.Fatalf("first touch prefetched %v", extra)
+	if extra := tr.OnMigrate(7); extra != 0 {
+		t.Fatalf("first touch prefetched %#x", extra)
 	}
 	if tr.OccupiedCount() != 1 {
 		t.Fatalf("OccupiedCount = %d, want 1", tr.OccupiedCount())
@@ -85,15 +87,14 @@ func TestFirstTouchNoPrefetch(t *testing.T) {
 // 4-span occupancy 3/4 > 50% -> prefetch leaf 3.
 func TestTreeTriggerAtStrictMajority(t *testing.T) {
 	tr := NewTree(4)
-	if extra := tr.OnMigrate(0); len(extra) != 0 {
-		t.Fatalf("unexpected prefetch %v", extra)
+	if extra := tr.OnMigrate(0); extra != 0 {
+		t.Fatalf("unexpected prefetch %#x", extra)
 	}
-	if extra := tr.OnMigrate(2); len(extra) != 0 {
-		t.Fatalf("2/4 occupancy must not trigger, got %v", extra)
+	if extra := tr.OnMigrate(2); extra != 0 {
+		t.Fatalf("2/4 occupancy must not trigger, got %#x", extra)
 	}
-	extra := tr.OnMigrate(1)
-	if len(extra) != 1 || extra[0] != 3 {
-		t.Fatalf("3/4 occupancy should prefetch leaf 3, got %v", extra)
+	if extra := tr.OnMigrate(1); extra != 1<<3 {
+		t.Fatalf("3/4 occupancy should prefetch leaf 3, got %#x", extra)
 	}
 	if !tr.Full() {
 		t.Fatal("tree should be full after balancing prefetch")
@@ -131,8 +132,8 @@ func TestMaxPrefetchIsHalfChunk(t *testing.T) {
 	}
 	extra := tr.OnMigrate(16)
 	// Root occupancy 17/32 > 50%: prefetch the remaining 15 leaves.
-	if len(extra) != 15 {
-		t.Fatalf("prefetched %d leaves, want 15 (<= 1MB)", len(extra))
+	if n := bits.OnesCount64(extra); n != 15 {
+		t.Fatalf("prefetched %d leaves, want 15 (<= 1MB)", n)
 	}
 	if !tr.Full() {
 		t.Fatal("tree should be full")
@@ -141,8 +142,8 @@ func TestMaxPrefetchIsHalfChunk(t *testing.T) {
 
 func TestSingleLeafTree(t *testing.T) {
 	tr := NewTree(1)
-	if extra := tr.OnMigrate(0); len(extra) != 0 {
-		t.Fatalf("1-leaf tree prefetched %v", extra)
+	if extra := tr.OnMigrate(0); extra != 0 {
+		t.Fatalf("1-leaf tree prefetched %#x", extra)
 	}
 	if !tr.Full() {
 		t.Fatal("1-leaf tree not full after migration")
@@ -150,8 +151,8 @@ func TestSingleLeafTree(t *testing.T) {
 }
 
 // Property: OnMigrate returns only leaves that were empty before the
-// call, never the faulting leaf, all within range, sorted ascending; and
-// occupancy afterwards includes the faulting leaf plus the returned set.
+// call, never the faulting leaf, all within range; and occupancy
+// afterwards includes the faulting leaf plus the returned set.
 func TestOnMigrateContractProperty(t *testing.T) {
 	f := func(seedBits uint32, leaf uint8) bool {
 		tr := NewTree(32)
@@ -163,21 +164,13 @@ func TestOnMigrateContractProperty(t *testing.T) {
 		i := int(leaf) % 32
 		before := tr.leaves
 		extra := tr.OnMigrate(i)
-		if !sort.IntsAreSorted(extra) {
+		if extra>>32 != 0 || extra&(1<<uint(i)) != 0 {
 			return false
 		}
-		for _, e := range extra {
-			if e < 0 || e >= 32 || e == i {
-				return false
-			}
-			if before&(1<<uint(e)) != 0 {
-				return false // prefetched an already-resident leaf
-			}
-			if !tr.Occupied(e) {
-				return false
-			}
+		if before&extra != 0 {
+			return false // prefetched an already-resident leaf
 		}
-		return tr.Occupied(i)
+		return tr.leaves == before|extra|1<<uint(i)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -248,4 +241,62 @@ func TestChunkTreeAccessor(t *testing.T) {
 	if !c.Tree().Occupied(3) {
 		t.Fatal("Tree() does not reflect OnFault")
 	}
+}
+
+// refOnMigrate is the slice-returning OnMigrate the mask version
+// replaced, kept verbatim as the reference it must agree with.
+func (t *Tree) refOnMigrate(i int) []int {
+	t.check(i)
+	t.leaves |= 1 << uint(i)
+	var extra []int
+	for span := 2; span <= t.n; span *= 2 {
+		lo := i / span * span
+		occ := t.countRange(lo, span)
+		if occ*2 <= span || occ == span {
+			continue
+		}
+		for j := lo; j < lo+span; j++ {
+			if t.leaves&(1<<uint(j)) == 0 {
+				t.leaves |= 1 << uint(j)
+				extra = append(extra, j)
+			}
+		}
+	}
+	// Wider spans append lower-numbered leaves after narrower spans did;
+	// callers rely on ascending order.
+	sort.Ints(extra)
+	return extra
+}
+
+// Property: for every power-of-two leaf count up to a full chunk, random
+// occupancy and a random faulting leaf, OnMigrate's mask holds exactly
+// the reference's leaf set and both leave the same occupancy behind.
+func TestOnMigrateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 32; n *= 2 {
+		for trial := 0; trial < 2000; trial++ {
+			occ := rng.Uint64() & (1<<uint(n) - 1)
+			leaf := rng.Intn(n)
+			got, ref := &Tree{n: n, leaves: occ}, &Tree{n: n, leaves: occ}
+			mask := got.OnMigrate(leaf)
+			var want uint64
+			for _, e := range ref.refOnMigrate(leaf) {
+				want |= 1 << uint(e)
+			}
+			if mask != want || got.leaves != ref.leaves {
+				t.Fatalf("n=%d occ=%#x leaf=%d: mask %#x leaves %#x, reference %#x leaves %#x",
+					n, occ, leaf, mask, got.leaves, want, ref.leaves)
+			}
+		}
+	}
+}
+
+// A chunk holds at most the 32 blocks of a 2MB chunk.
+func TestNewChunkRejectsOversizedChunk(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewChunk(64) did not panic")
+		}
+	}()
+	NewChunk(config.PrefetchTree, 64)
 }

@@ -155,4 +155,3 @@ func checkMetricsAgainstCounters(m *obs.Snapshot, c *stats.Counters) error {
 	}
 	return nil
 }
-

@@ -12,8 +12,8 @@ func TestMul(t *testing.T) {
 		{1, math.MaxUint64, math.MaxUint64},
 		{3, 5, 15},
 		{1 << 32, 1 << 31, 1 << 63},
-		{1 << 32, 1 << 32, math.MaxUint64},          // exactly 2^64
-		{math.MaxUint64, 2, math.MaxUint64},         // wraps to MaxUint64-1 unclamped
+		{1 << 32, 1 << 32, math.MaxUint64},  // exactly 2^64
+		{math.MaxUint64, 2, math.MaxUint64}, // wraps to MaxUint64-1 unclamped
 		{math.MaxUint64, math.MaxUint64, math.MaxUint64},
 	}
 	for _, c := range cases {

@@ -31,6 +31,7 @@ package uvm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"uvmsim/internal/alloc"
 	"uvmsim/internal/config"
@@ -118,15 +119,24 @@ type chunkState struct {
 func (cs *chunkState) pinnedStandard() bool { return cs.queuedBlocks > 0 || cs.inFlightBlocks > 0 }
 
 // migration is one queued host-to-device copy of a block set within a
-// single chunk.
+// single chunk. Once dispatched, a pooled copy of it is the engine event
+// that lands the DMA (see Fire).
 type migration struct {
-	cs     *chunkState
-	blocks []memunits.BlockNum
+	// d is set only on the pooled in-flight copy.
+	d  *Driver
+	cs *chunkState
+	// blocks is the chunk-relative block bitmask: bit i is block
+	// cs.info.FirstBlock()+i. Walking it low bit first visits blocks in
+	// ascending order.
+	blocks uint64
 	demand memunits.BlockNum // the faulting block; others are prefetch
 	// dispatchedAt stamps when the DMA went on the wire (observability
 	// only).
 	dispatchedAt sim.Cycle
 }
+
+// count returns the number of blocks in the migration.
+func (m *migration) count() int { return bits.OnesCount64(m.blocks) }
 
 // Driver is the UVM driver model: page-table state, event sequencing,
 // and the composed memory-management pipeline.
@@ -180,11 +190,11 @@ type Driver struct {
 	inFlightTotal int
 	wbInFlight    int
 
-	// Free lists recycling the two per-migration allocations of the
-	// fault path: block lists (migration.blocks) and waiter lists
-	// (blockState.waiters).
-	blockListFree [][]memunits.BlockNum
-	waiterFree    [][]func()
+	// Free lists recycling the per-migration allocations of the fault
+	// path: waiter lists (blockState.waiters) and the in-flight
+	// migration records that land DMAs.
+	waiterFree [][]func()
+	migFree    []*migration
 	// wakeFree recycles the batched-wake records of landMigration (one
 	// engine event per block instead of one per waiter).
 	wakeFree []*wake
@@ -410,23 +420,6 @@ func (d *Driver) chunkAt(c memunits.ChunkNum) *chunkState {
 		return d.chunkArr[c]
 	}
 	return nil
-}
-
-// takeBlockList pops a recycled migration block list with at least the
-// given capacity.
-func (d *Driver) takeBlockList(capHint int) []memunits.BlockNum {
-	if k := len(d.blockListFree); k > 0 {
-		l := d.blockListFree[k-1]
-		d.blockListFree = d.blockListFree[:k-1]
-		return l[:0]
-	}
-	return make([]memunits.BlockNum, 0, capHint)
-}
-
-func (d *Driver) putBlockList(l []memunits.BlockNum) {
-	if cap(l) > 0 {
-		d.blockListFree = append(d.blockListFree, l[:0])
-	}
 }
 
 // takeWaiterList pops a recycled waiter list.
@@ -674,11 +667,9 @@ func (d *Driver) processBatch() {
 		}
 		cs := d.chunk(memunits.ChunkOfBlock(b))
 		first := cs.info.FirstBlock()
-		leaves := cs.pf.OnFault(int(b - first))
-		blocks := d.takeBlockList(len(leaves))
-		for _, leaf := range leaves {
-			blk := first + memunits.BlockNum(uint64(leaf))
-			ebs := d.block(blk)
+		m := migration{cs: cs, demand: b}
+		for _, leaf := range cs.pf.OnFault(int(b - first)) {
+			ebs := d.block(first + memunits.BlockNum(uint64(leaf)))
 			if ebs.resident || ebs.scheduled {
 				// The governor can re-report blocks that are already being
 				// handled; skip them.
@@ -686,21 +677,21 @@ func (d *Driver) processBatch() {
 			}
 			ebs.pending = true
 			ebs.scheduled = true
-			blocks = append(blocks, blk)
+			m.blocks |= 1 << uint(leaf)
 		}
-		if len(blocks) == 0 {
-			d.putBlockList(blocks)
+		n := m.count()
+		if n == 0 {
 			continue
 		}
-		if o := d.o; o != nil && len(blocks) > 1 {
-			o.prefetchBlocks.Observe(uint64(len(blocks) - 1))
+		if o := d.o; o != nil && n > 1 {
+			o.prefetchBlocks.Observe(uint64(n - 1))
 			o.tr.Emit(obs.Span{
 				Name: "prefetch_batch", Cat: "prefetch", TID: obs.TrackPrefetch,
-				Start: uint64(d.eng.Now()), Value: uint64(len(blocks) - 1),
+				Start: uint64(d.eng.Now()), Value: uint64(n - 1),
 			})
 		}
-		cs.queuedBlocks += len(blocks)
-		d.waiting = append(d.waiting, migration{cs: cs, blocks: blocks, demand: b})
+		cs.queuedBlocks += n
+		d.waiting = append(d.waiting, m)
 	}
 	d.drainWaiting()
 }
@@ -714,7 +705,7 @@ func (d *Driver) processBatch() {
 func (d *Driver) drainWaiting() {
 	for d.waitHead < len(d.waiting) {
 		m := d.waiting[d.waitHead]
-		need := uint64(len(m.blocks)) * memunits.PagesPerBlock
+		need := uint64(m.count()) * memunits.PagesPerBlock
 		if need > d.mem.TotalPages() {
 			panic(fmt.Sprintf("uvm: migration of %d pages exceeds device capacity %d", need, d.mem.TotalPages()))
 		}
@@ -752,12 +743,17 @@ func (d *Driver) drainWaiting() {
 	}
 }
 
-// dispatch allocates frames and puts the migration on the wire.
+// dispatch allocates frames and puts the migration on the wire. A
+// pooled copy of m lands it at the DMA's completion cycle.
+//
+//sim:hotpath
 func (d *Driver) dispatch(m migration) {
-	pages := uint64(len(m.blocks)) * memunits.PagesPerBlock
-	d.mem.Allocate(pages)
+	n := m.count()
+	d.mem.Allocate(uint64(n) * memunits.PagesPerBlock)
 	o := d.o
-	for _, b := range m.blocks {
+	first := m.cs.info.FirstBlock()
+	for w := m.blocks; w != 0; w &= w - 1 {
+		b := first + memunits.BlockNum(bits.TrailingZeros64(w))
 		bs := d.block(b)
 		d.st.MigratedPages += memunits.PagesPerBlock
 		if b != m.demand {
@@ -770,16 +766,36 @@ func (d *Driver) dispatch(m migration) {
 			}
 		}
 	}
-	m.cs.queuedBlocks -= len(m.blocks)
-	m.cs.inFlightBlocks += len(m.blocks)
+	m.cs.queuedBlocks -= n
+	m.cs.inFlightBlocks += n
 	d.syncEvictable(m.cs)
-	d.inFlightTotal += len(m.blocks)
+	d.inFlightTotal += n
 	if o != nil {
-		o.dmaBlocks.Observe(uint64(len(m.blocks)))
+		o.dmaBlocks.Observe(uint64(n))
 	}
 	m.dispatchedAt = d.eng.Now()
-	bytes := uint64(len(m.blocks)) * memunits.BlockSize
-	d.link.Transfer(interconnect.HostToDevice, bytes, func() { d.landMigration(m) })
+	at := d.link.Transfer(interconnect.HostToDevice, uint64(n)*memunits.BlockSize, nil)
+	var rec *migration
+	if k := len(d.migFree); k > 0 {
+		rec = d.migFree[k-1]
+		d.migFree = d.migFree[:k-1]
+	} else {
+		//simlint:allow hotalloc -- pool-miss path; each record is recycled via migFree, so allocations stop once the pool covers peak in-flight migrations
+		rec = new(migration)
+	}
+	*rec = m
+	rec.d = d
+	d.eng.Schedule(at, rec)
+}
+
+// Fire lands an in-flight migration: the record returns to the pool and
+// its copy lands.
+//
+//sim:hotpath
+func (m *migration) Fire() {
+	d, land := m.d, *m
+	d.migFree = append(d.migFree, m)
+	d.landMigration(land)
 }
 
 // wake is a pooled batched-wake record: one engine event that fires a
@@ -825,8 +841,10 @@ func (d *Driver) wakeAll(ws []func()) {
 // landMigration marks the blocks resident and wakes their waiters.
 func (d *Driver) landMigration(m migration) {
 	now := d.eng.Now()
-	for _, b := range m.blocks {
-		bs := d.block(b)
+	n := m.count()
+	first := m.cs.info.FirstBlock()
+	for w := m.blocks; w != 0; w &= w - 1 {
+		bs := d.block(first + memunits.BlockNum(bits.TrailingZeros64(w)))
 		bs.resident = true
 		bs.pending = false
 		bs.scheduled = false
@@ -842,19 +860,18 @@ func (d *Driver) landMigration(m migration) {
 			d.putWaiterList(waiters)
 		}
 	}
-	m.cs.inFlightBlocks -= len(m.blocks)
-	d.inFlightTotal -= len(m.blocks)
-	m.cs.residentBlocks += len(m.blocks)
+	m.cs.inFlightBlocks -= n
+	d.inFlightTotal -= n
+	m.cs.residentBlocks += n
 	d.syncEvictable(m.cs)
 	m.cs.lastAccess = now
 	if o := d.o; o != nil {
 		o.tr.Emit(obs.Span{
 			Name: "migrate_dma", Cat: "dma", TID: obs.TrackDMA,
 			Start: uint64(m.dispatchedAt), Dur: uint64(now - m.dispatchedAt),
-			Value: uint64(len(m.blocks)),
+			Value: uint64(n),
 		})
 	}
-	d.putBlockList(m.blocks)
 	d.drainWaiting()
 }
 
@@ -872,16 +889,18 @@ func (d *Driver) landMigration(m migration) {
 // overly conservative EvictionEngine) degrade to remote access instead
 // of deadlocking the simulation.
 func (d *Driver) demoteMigration(m migration) {
-	m.cs.queuedBlocks -= len(m.blocks)
+	m.cs.queuedBlocks -= m.count()
 	first := m.cs.info.FirstBlock()
 	tree := m.cs.pf.Tree()
-	for _, b := range m.blocks {
+	for w := m.blocks; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros64(w)
+		b := first + memunits.BlockNum(i)
 		bs := d.block(b)
 		bs.pending = false
 		bs.scheduled = false
 		write := bs.pendingDirty
 		bs.pendingDirty = false
-		tree.MarkEmpty(int(b - first))
+		tree.MarkEmpty(i)
 		waiters := bs.waiters
 		bs.waiters = nil
 		addr := memunits.BlockAddr(b)
@@ -890,7 +909,6 @@ func (d *Driver) demoteMigration(m migration) {
 		}
 		d.putWaiterList(waiters)
 	}
-	d.putBlockList(m.blocks)
 }
 
 // ResidentPages returns the number of device-resident pages (for
