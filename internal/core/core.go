@@ -204,8 +204,9 @@ func (s *Simulator) barrier(k gpu.Kernel) sim.Cycle {
 	return end
 }
 
-// finish checks that every node quiesced and holds its invariants, and
-// collects the counters stamped with the makespan.
+// finish checks that every node quiesced and holds its invariants,
+// collects the counters stamped with the makespan, and hands every
+// GPU's warps on to later runs (gpu.Recycle).
 func (s *Simulator) finish(res *Result, makespan sim.Cycle) {
 	for idx, n := range s.nodes {
 		if n.drv.PendingWork() {
@@ -227,6 +228,7 @@ func (s *Simulator) finish(res *Result, makespan sim.Cycle) {
 			panic(fmt.Sprintf("core: %s: gpu%d: %v", s.built.Name, idx, err))
 		}
 		res.PerGPU = append(res.PerGPU, c)
+		n.g.Recycle()
 	}
 	res.Counters = res.PerGPU[0]
 }

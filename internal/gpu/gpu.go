@@ -12,6 +12,7 @@ package gpu
 
 import (
 	"fmt"
+	"sync"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
@@ -129,12 +130,13 @@ type sm struct {
 }
 
 // warp is the execution state of one resident warp. Warp objects are
-// pooled across CTA dispatches. A warp is its own engine event: the
-// named types warpStep, warpIssue and warpRetire over warp are
-// sim.Handlers, so scheduling a warp allocates nothing and dispatch
-// reaches it without a closure. Only the sector-completion callback,
-// which MemoryBackend.Access takes as a func, is bound once at
-// construction.
+// pooled across CTA dispatches, and across runs through warpPool. A
+// warp is its own engine event: the named types warpStep, warpIssue and
+// warpRetire over warp are sim.Handlers, so scheduling a warp allocates
+// nothing and dispatch reaches it without a closure. Only the
+// sector-completion callback, which MemoryBackend.Access takes as a
+// func, is bound once at construction; it reads w.g, so it follows the
+// warp to its next GPU.
 //
 // The per-instruction fields come first and fill cache line 0; instr
 // follows, so a dense instruction (Compute, Stride, NumAddrs and its few
@@ -198,7 +200,8 @@ type GPU struct {
 	running      bool
 
 	// free lists recycling warp and CTA state (and the warps' sector
-	// callbacks) across dispatches.
+	// callbacks) across dispatches; Recycle hands the warps on to the
+	// next GPU.
 	warpFree []*warp
 	ctaFree  []*ctaState
 
@@ -296,9 +299,38 @@ func (g *GPU) newCTAState(warps int, s *sm) *ctaState {
 	return &ctaState{warpsLeft: warps, sm: s}
 }
 
-// newWarp takes a warp from the pool (or allocates one, binding its
-// sector callback exactly once) and resets it for prog.
+// warpBatch is one GPU's idle warps, handed to later GPUs through
+// warpPool when its run ends.
+type warpBatch struct{ warps []*warp }
+
+// warpPool holds *warpBatch values across runs, so a cell's GPU reuses
+// the warps of a finished cell instead of allocating its own. A warp is
+// reset on reuse (newWarp), so nothing carries over between cells.
+var warpPool sync.Pool
+
+// Recycle puts the GPU's idle warps into the process-wide warp pool.
+// Call it once a run is over: the GPU may still launch kernels
+// afterwards, taking warps from the pool or allocating them again.
+func (g *GPU) Recycle() {
+	if len(g.warpFree) == 0 {
+		return
+	}
+	for _, w := range g.warpFree {
+		w.g = nil // let this GPU be collected while its warps wait
+	}
+	warpPool.Put(&warpBatch{warps: g.warpFree})
+	g.warpFree = nil
+}
+
+// newWarp takes a warp from the GPU's free list, refilled from the
+// process-wide pool when empty (or allocates one, binding its sector
+// callback exactly once), and resets it for prog.
 func (g *GPU) newWarp(prog WarpProgram, s *sm, cs *ctaState) *warp {
+	if len(g.warpFree) == 0 {
+		if b, ok := warpPool.Get().(*warpBatch); ok {
+			g.warpFree = b.warps
+		}
+	}
 	var w *warp
 	if n := len(g.warpFree); n > 0 {
 		w = g.warpFree[n-1]
@@ -308,10 +340,10 @@ func (g *GPU) newWarp(prog WarpProgram, s *sm, cs *ctaState) *warp {
 		w.outstanding = 0
 		w.readyAt = 0
 	} else {
-		w = &warp{g: g}
-		w.sectorFn = func() { g.sectorDone(w) }
+		w = new(warp)
+		w.sectorFn = func() { w.g.sectorDone(w) }
 	}
-	w.prog, w.sm, w.cta = prog, s, cs
+	w.g, w.prog, w.sm, w.cta = g, prog, s, cs
 	return w
 }
 

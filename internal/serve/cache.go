@@ -77,23 +77,22 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).payload, true
 }
 
-// Put stores payload under key if absent. Payloads are content-defined
-// by the key, so a concurrent duplicate Put carries identical bytes and
-// the first write wins (the duplicate still refreshes recency — the key
-// was just recomputed, so it is the hottest entry either way). When the
-// insert exceeds the entry bound, the least-recently-used entry is
-// evicted.
-func (c *Cache) Put(key string, payload []byte) {
+// Put stores payload under key if absent and returns the stored bytes.
+// The cache takes ownership of payload: the caller must not mutate it
+// afterwards. Payloads are content-defined by the key, so a concurrent
+// duplicate Put carries identical bytes: the first write wins, and the
+// duplicate gets the first writer's slice back. A duplicate still
+// refreshes recency, since the key was just recomputed. When the insert
+// exceeds the entry bound, the least-recently-used entry is evicted.
+func (c *Cache) Put(key string, payload []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
-		return
+		return el.Value.(*cacheEntry).payload
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, payload: cp})
-	c.bytes += uint64(len(cp))
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, payload: payload})
+	c.bytes += uint64(len(payload))
 	for c.max > 0 && c.lru.Len() > c.max {
 		victim := c.lru.Back()
 		e := victim.Value.(*cacheEntry)
@@ -102,6 +101,7 @@ func (c *Cache) Put(key string, payload []byte) {
 		c.bytes -= uint64(len(e.payload))
 		c.evictions++
 	}
+	return payload
 }
 
 // Stats returns the current cache statistics.

@@ -141,8 +141,10 @@ func (c *Client) Wait(id string, onUpdate func(JobStatus)) (JobStatus, error) {
 	if resp.StatusCode != http.StatusOK {
 		return JobStatus{}, decodeError(resp)
 	}
+	// The scanner starts at bufio's 4 KiB and grows only for a longer
+	// line, up to 1 MiB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	var last JobStatus
 	seen := false
 	for sc.Scan() {
@@ -167,6 +169,11 @@ func (c *Client) Wait(id string, onUpdate func(JobStatus)) (JobStatus, error) {
 	return last, fmt.Errorf("serve: progress stream ended before job %s finished", id)
 }
 
+// MaxResultBytes is the largest job result payload Client.Result
+// accepts: 256 MiB, well above what a job of the default MaxCells
+// (4096) cells produces.
+const MaxResultBytes = 256 << 20
+
 // Result fetches a finished job's raw result payload.
 func (c *Client) Result(id string) ([]byte, error) {
 	resp, err := c.httpClient().Get(c.BaseURL + "/v1/jobs/" + id + "/result")
@@ -177,7 +184,32 @@ func (c *Client) Result(id string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	return io.ReadAll(resp.Body)
+	return readBody(resp.Body, resp.ContentLength, MaxResultBytes)
+}
+
+// readBody reads a response body of the given Content-Length (-1 when
+// absent) into one allocation of exactly that size. Without a length it
+// reads at most limit+1 bytes. A body above limit bytes, or shorter than
+// its stated length, is an error.
+func readBody(body io.Reader, length, limit int64) ([]byte, error) {
+	if length > limit {
+		return nil, fmt.Errorf("serve: result of %d bytes exceeds the %d-byte limit", length, limit)
+	}
+	if length < 0 {
+		b, err := io.ReadAll(io.LimitReader(body, limit+1))
+		if err != nil {
+			return nil, fmt.Errorf("serve: reading result: %w", err)
+		}
+		if int64(len(b)) > limit {
+			return nil, fmt.Errorf("serve: result exceeds the %d-byte limit", limit)
+		}
+		return b, nil
+	}
+	b := make([]byte, length)
+	if _, err := io.ReadFull(body, b); err != nil {
+		return nil, fmt.Errorf("serve: reading result of %d bytes: %w", length, err)
+	}
+	return b, nil
 }
 
 // RunJob submits a job, waits for it to finish, and returns the

@@ -16,7 +16,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"uvmsim/internal/cliutil"
 	"uvmsim/internal/config"
@@ -300,6 +303,37 @@ func (r *JobRequest) cellCount() uint64 {
 	}
 	n = satmath.Add(n, uint64(len(r.Cells)))
 	return satmath.Add(n, uint64(len(r.Colo)))
+}
+
+// decodeJobRequest is POST /v1/jobs without the run: the strict decode
+// of a request body (unknown fields and trailing data are errors), then
+// plan. It returns the job's name and its units; it runs no cell.
+func decodeJobRequest(body io.Reader, maxCells int) (string, []cell, []coloCell, error) {
+	var req JobRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return "", nil, nil, fmt.Errorf("serve: decoding job request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data")
+		}
+		return "", nil, nil, fmt.Errorf("serve: decoding job request: %w", err)
+	}
+	cells, colos, err := req.plan(maxCells)
+	return req.Name, cells, colos, err
+}
+
+// plan runs every check that precedes a job's first cell: the cell
+// count against maxCells, from the axis lengths alone so an oversized
+// request is rejected before any cell is built, then expand (which
+// holds the scale to MaxScale).
+func (r *JobRequest) plan(maxCells int) ([]cell, []coloCell, error) {
+	if n := r.cellCount(); n > uint64(maxCells) {
+		return nil, nil, fmt.Errorf("serve: job expands to %d cells (limit %d)", n, maxCells)
+	}
+	return r.expand()
 }
 
 // expand validates the request and resolves it into its deterministic

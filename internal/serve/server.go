@@ -3,10 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -120,14 +121,16 @@ type jobState struct {
 	id   string
 	name string
 
-	mu      sync.Mutex
-	total   int
-	done    int
-	hits    int
-	state   string
-	errMsg  string
-	payload []byte
-	update  chan struct{}
+	mu     sync.Mutex
+	total  int
+	done   int
+	hits   int
+	state  string
+	errMsg string
+	// parts is the finished job's result payload, written in order
+	// (frameResult).
+	parts  [][]byte
+	update chan struct{}
 }
 
 func newJobState(id, name string, total int) *jobState {
@@ -156,11 +159,11 @@ func (j *jobState) cellDone(hit bool) {
 	j.broadcastLocked()
 }
 
-func (j *jobState) finish(payload []byte) {
+func (j *jobState) finish(parts [][]byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateDone
-	j.payload = payload
+	j.parts = parts
 	j.broadcastLocked()
 }
 
@@ -186,35 +189,37 @@ func (j *jobState) status() JobStatus {
 	}
 }
 
-// result returns the payload when the job is done.
-func (j *jobState) result() ([]byte, bool) {
+// result returns the payload parts when the job is done.
+func (j *jobState) result() ([][]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.payload, j.state == StateDone
+	return j.parts, j.state == StateDone
 }
 
 // Submit expands, registers and starts a job, returning its initial
 // status. It is the programmatic equivalent of POST /v1/jobs (the load
 // test and in-process tests use it directly).
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	if n := req.cellCount(); n > uint64(s.opts.MaxCells) {
-		return JobStatus{}, fmt.Errorf("serve: job expands to %d cells (limit %d)", n, s.opts.MaxCells)
-	}
-	cells, colos, err := req.expand()
+	cells, colos, err := req.plan(s.opts.MaxCells)
 	if err != nil {
 		return JobStatus{}, err
 	}
+	return s.start(req.Name, cells, colos), nil
+}
+
+// start registers a planned job and runs it in the background.
+func (s *Server) start(name string, cells []cell, colos []coloCell) JobStatus {
 	total := len(cells) + len(colos)
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("job-%d", s.seq)
-	j := newJobState(id, req.Name, total)
+	j := newJobState(id, name, total)
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 	s.jobsSubmitted.Add(1)
 	go s.runJob(j, cells, colos)
-	return j.status(), nil
+	return j.status()
 }
 
 // job looks up a job by ID.
@@ -226,13 +231,13 @@ func (s *Server) job(id string) (*jobState, bool) {
 }
 
 // runJob executes every cell through sweep.Parallel under the global
-// worker budget, each cell holding its own worker token, and assembles
-// the canonical result payload in cell order. A panicking cell (an
-// invalid derived config, a model bug) aborts the sweep through
-// sweep.Parallel's abort path — remaining workers stop claiming cells,
-// in-flight cells finish, no goroutine leaks — and surfaces here as a
-// failed job; the shared token pool is returned in full, so later jobs
-// are unaffected.
+// worker budget, each cell holding its own worker token, and frames
+// the canonical result payload around the entries in cell order. A
+// panicking cell (an invalid derived config, a model bug) aborts the
+// sweep through sweep.Parallel's abort path — remaining workers stop
+// claiming cells, in-flight cells finish, no goroutine leaks — and
+// surfaces here as a failed job; the shared token pool is returned in
+// full, so later jobs are unaffected.
 func (s *Server) runJob(j *jobState, cells []cell, colos []coloCell) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -247,42 +252,55 @@ func (s *Server) runJob(j *jobState, cells []cell, colos []coloCell) {
 	for _, c := range colos {
 		fns = append(fns, func() []byte { return s.runColoCell(j, c) })
 	}
-	payloads := sweep.Parallel(fns, s.opts.Workers)
-
-	// Entry payloads are newline-terminated JSON documents; splice them
-	// verbatim so a cache hit reproduces the bytes exactly. The colo
-	// section is emitted only when present, keeping pure workload-sweep
-	// payloads byte-identical to the pre-colo format.
-	splice := func(buf *bytes.Buffer, ps [][]byte) {
-		for i, p := range ps {
-			if i > 0 {
-				buf.WriteString(",\n")
-			}
-			buf.Write(bytes.TrimRight(p, "\n"))
-		}
-	}
-	var buf bytes.Buffer
-	buf.WriteString("{\n  \"version\": ")
-	fmt.Fprintf(&buf, "%d", ResultFormatVersion)
-	if len(cells) == 0 {
-		buf.WriteString(",\n  \"cells\": []")
-	} else {
-		buf.WriteString(",\n  \"cells\": [\n")
-		splice(&buf, payloads[:len(cells)])
-		buf.WriteString("\n  ]")
-	}
-	if len(colos) > 0 {
-		buf.WriteString(",\n  \"colo\": [\n")
-		splice(&buf, payloads[len(cells):])
-		buf.WriteString("\n  ]")
-	}
-	buf.WriteString("\n}\n")
-	j.finish(buf.Bytes())
+	j.finish(frameResult(sweep.Parallel(fns, s.opts.Workers), len(cells)))
 	s.jobsCompleted.Add(1)
 }
 
+// The framing of a job result payload: these strings around the cell
+// entries, in cell order.
+var (
+	frameHead      = []byte("{\n  \"version\": " + strconv.Itoa(ResultFormatVersion))
+	frameNoCells   = []byte(",\n  \"cells\": []")
+	frameCellsOpen = []byte(",\n  \"cells\": [\n")
+	frameColoOpen  = []byte(",\n  \"colo\": [\n")
+	frameSep       = []byte(",\n")
+	frameClose     = []byte("\n  ]")
+	frameTail      = []byte("\n}\n")
+)
+
+// frameResult returns a job's result payload as parts to write in
+// order: the framing around every entry, each newline-trimmed. entries
+// are the nCells workload-cell entries followed by the colo entries.
+// Entry bytes are referenced, not copied, so a job's parts are the
+// cache's own stored bytes and a cache hit reproduces them exactly. The
+// colo section is emitted only when present, keeping pure
+// workload-sweep payloads byte-identical to the pre-colo format.
+func frameResult(entries [][]byte, nCells int) [][]byte {
+	parts := make([][]byte, 0, 2*len(entries)+4)
+	list := func(open []byte, es [][]byte) {
+		parts = append(parts, open)
+		for i, e := range es {
+			if i > 0 {
+				parts = append(parts, frameSep)
+			}
+			parts = append(parts, bytes.TrimRight(e, "\n"))
+		}
+		parts = append(parts, frameClose)
+	}
+	parts = append(parts, frameHead)
+	if nCells == 0 {
+		parts = append(parts, frameNoCells)
+	} else {
+		list(frameCellsOpen, entries[:nCells])
+	}
+	if len(entries) > nCells {
+		list(frameColoOpen, entries[nCells:])
+	}
+	return append(parts, frameTail)
+}
+
 // runCell executes one cell — cache hit or simulation — and returns its
-// canonical entry payload.
+// canonical entry payload: the cache's stored bytes either way.
 func (s *Server) runCell(j *jobState, c cell) []byte {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
@@ -306,11 +324,11 @@ func (s *Server) runCell(j *jobState, c cell) []byte {
 	if err := resultio.WriteCellEntry(&buf, entry); err != nil {
 		panic(fmt.Sprintf("serve: encoding cell entry: %v", err))
 	}
-	s.cache.Put(key, buf.Bytes())
+	p := s.cache.Put(key, buf.Bytes())
 	s.cellsSimulated.Add(1)
 	s.cellsCompleted.Add(1)
 	j.cellDone(false)
-	return buf.Bytes()
+	return p
 }
 
 // runColoCell executes one co-location cell — cache hit or scenario run
@@ -352,11 +370,11 @@ func (s *Server) runColoCell(j *jobState, c coloCell) []byte {
 	if err := resultio.WriteCXLEntry(&buf, entry); err != nil {
 		panic(fmt.Sprintf("serve: encoding colo entry: %v", err))
 	}
-	s.cache.Put(key, buf.Bytes())
+	p := s.cache.Put(key, buf.Bytes())
 	s.cellsSimulated.Add(1)
 	s.cellsCompleted.Add(1)
 	j.cellDone(false)
-	return buf.Bytes()
+	return p
 }
 
 // MetricsSnapshot publishes the service counters in the repo's standard
@@ -425,20 +443,22 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxSubmitBytes caps a job request body. A larger body is answered
+// 413 with the limit in the message, never cut short and misread.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding job request: %v", err)
+	name, cells, colos, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxSubmitBytes), s.opts.MaxCells)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "job request exceeds the %d MiB limit", maxSubmitBytes>>20)
 		return
 	}
-	st, err := s.Submit(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	writeJSON(w, http.StatusAccepted, s.start(name, cells, colos))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -505,7 +525,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := j.status()
-	payload, done := j.result()
+	parts, done := j.result()
 	if !done {
 		if st.State == StateFailed {
 			httpError(w, http.StatusConflict, "job %s failed: %s", st.ID, st.Error)
@@ -514,10 +534,25 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job %s still running (%d/%d cells)", st.ID, st.DoneCells, st.TotalCells)
 		return
 	}
+	w.Header().Set("X-Simd-Cache-Hits", strconv.Itoa(st.CacheHits))
+	writePayload(w, parts...)
+}
+
+// writePayload sends a 200 JSON response of the parts in order, with
+// their total length as Content-Length.
+func writePayload(w http.ResponseWriter, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Simd-Cache-Hits", fmt.Sprintf("%d", st.CacheHits))
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
-	w.Write(payload) //nolint:errcheck // client went away; nothing to do
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return // client went away; nothing to do
+		}
+	}
 }
 
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
@@ -527,9 +562,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no cached cell %q", key)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(p) //nolint:errcheck // client went away; nothing to do
+	writePayload(w, p)
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, _ *http.Request) {
