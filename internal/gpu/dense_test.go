@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"unsafe"
@@ -78,7 +79,8 @@ func gatherLanes(base uint64, shift uint8, raw []byte) Instr {
 // FuzzCoalesceGather checks the in-place gather coalescer against an
 // independent reference: mask a copy of the lanes to their sectors,
 // sort and drop duplicates. The seeds cover duplicate, descending,
-// broadcast and block-crossing lanes and full and partial warps.
+// broadcast and block-crossing lanes, full and partial warps, and
+// unsorted gathers on both sides of the sorting network's threshold.
 func FuzzCoalesceGather(f *testing.F) {
 	lanes := func(offs ...uint16) []byte {
 		b := make([]byte, 0, 2*len(offs))
@@ -89,9 +91,15 @@ func FuzzCoalesceGather(f *testing.F) {
 	}
 	desc := make([]uint16, MaxLanes)
 	asc := make([]uint16, MaxLanes)
+	scattered := make([]uint16, MaxLanes)
 	for i := range desc {
 		desc[i] = uint16(MaxLanes - 1 - i)
 		asc[i] = uint16(i)
+		scattered[i] = uint16(i * 7 % 20)
+	}
+	equal := make([]uint16, 24)
+	for i := range equal {
+		equal[i] = 0x1234
 	}
 	f.Add(uint64(0), uint8(0), []byte{})                                     // empty input: one lane
 	f.Add(uint64(0x12345), uint8(0), lanes(7))                               // single lane
@@ -104,6 +112,18 @@ func FuzzCoalesceGather(f *testing.F) {
 	f.Add(uint64(0x1fff0), uint8(12), lanes(desc[:17]...))                   // 4KB apart, many blocks
 	f.Add(uint64(1<<40-1), uint8(0), lanes(0xffff, 0, 0x8000, 0xffff, 0x80)) // top of the range
 	f.Add(uint64(0x3c), uint8(1), lanes(40, 2, 70, 2, 33, 64, 1, 95, 40))    // partial warp
+	// Gathers of 15 to 32 lanes, all but one unsorted, on both sides of
+	// netThreshold (16 sectors): up to it the insertion sort runs, above
+	// it the sorting network.
+	f.Add(uint64(0x1000), uint8(7), lanes(desc[17:]...))                              // 15 descending: insertion
+	f.Add(uint64(0x1000), uint8(7), lanes(desc[16:]...))                              // 16 descending: insertion, at the threshold
+	f.Add(uint64(0x1000), uint8(7), lanes(desc[15:]...))                              // 17 descending: network, just past it
+	f.Add(uint64(0x1000), uint8(7), lanes(append([]uint16{5, 5}, desc[16:]...)...))   // 18 lanes, 17 kept by the masking pass: network
+	f.Add(uint64(0x1000), uint8(7), lanes(append([]uint16{40, 40}, desc[17:]...)...)) // 17 lanes, 16 kept: insertion
+	f.Add(uint64(0x9000), uint8(7), lanes(scattered...))                              // 32 lanes, 20 sectors, no two repeats adjacent: network, then dedup
+	f.Add(uint64(0x9000), uint8(5), lanes(scattered[:24]...))                         // 24 lanes in 5 sectors, none adjacent: network, then dedup
+	f.Add(uint64(0x5000), uint8(9), lanes(equal...))                                  // 24 equal lanes: one sector, so nothing to sort
+	f.Add(uint64(1<<40-1), uint8(12), lanes(desc...))                                 // 32 descending 4KB apart at the top of the range
 	f.Fuzz(func(t *testing.T, base uint64, shift uint8, raw []byte) {
 		in := gatherLanes(base, shift, raw)
 		want := slices.Clone(in.Addrs[:in.NumAddrs])
@@ -116,6 +136,33 @@ func FuzzCoalesceGather(f *testing.F) {
 			t.Fatalf("lanes %#x: coalesced %#x, want %#x", in.Addrs[:in.NumAddrs], got, want)
 		}
 	})
+}
+
+// TestSortNetSorts checks the generated network against slices.Sort on
+// random keys: 0/1 keys (by the 0-1 principle a network that sorts every
+// 0/1 input sorts every input, and a missing or misplaced
+// compare-exchange leaves some 0/1 input unsorted), keys from a few
+// values, and keys from the whole range.
+func TestSortNetSorts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 30000; trial++ {
+		var s [MaxLanes]memunits.Addr
+		for i := range s {
+			switch trial % 3 {
+			case 0:
+				s[i] = memunits.Addr(rng.Intn(2))
+			case 1:
+				s[i] = memunits.Addr(rng.Intn(5))
+			default:
+				s[i] = rng.Uint64()
+			}
+		}
+		want := s
+		slices.Sort(want[:])
+		if sortNet(&s); s != want {
+			t.Fatalf("trial %d: sortNet gave %v, want %v", trial, s, want)
+		}
+	}
 }
 
 // TestDenseInstrIssuesLikePerLane runs the same kernel with dense and

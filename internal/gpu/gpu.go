@@ -12,6 +12,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"uvmsim/internal/config"
@@ -407,16 +408,27 @@ func (g *GPU) reserve(s *sm, cycles uint64) sim.Cycle {
 	return end
 }
 
-// coalesce replaces the current instruction's lanes with its unique
-// sector addresses, in ascending order, in w.instr.Addrs[:w.nsec].
+// netThreshold is the largest unsorted gather the coalescer sorts by
+// insertion; larger ones go through sortNet, which costs the same for
+// any count. On random sectors the two cost about the same at 16 keys
+// (roughly 260 ns each on a 2-core x86-64 VM); at 32 the insertion sort
+// takes about 2.5 times as long.
+const netThreshold = 16
+
+//go:generate go run sortnet_gen.go
+
+// coalesce replaces the current instruction's n >= 1 lanes with its
+// unique sector addresses, in ascending order, in w.instr.Addrs[:w.nsec].
 // Writing in place is safe on both paths: sector k is written only after
 // lane k has been read. Dense instructions (nonzero Stride) derive their
 // sectors arithmetically from Addrs[0], read before the first write. For
 // gathers the masking pass keeps at most one sector per lane read so far
 // and tracks whether the lanes arrived already sorted — broadcast and
-// hand-written unit-stride patterns — so the insertion sort runs only
-// for genuinely divergent warps. n is at most 32, so even that path
-// beats sort.Slice while allocating nothing.
+// hand-written unit-stride patterns — so sorting runs only for genuinely
+// divergent warps. Up to netThreshold unsorted sectors take an insertion
+// sort; more take the branch-free sortNet, whose fixed 191
+// compare-exchanges take about a third of an insertion sort's time on 32
+// random sectors (ra's GUPS gathers). Both allocate nothing.
 //
 //sim:hotpath
 func (g *GPU) coalesce(w *warp) {
@@ -432,40 +444,58 @@ func (g *GPU) coalesce(w *warp) {
 	// previous kept sector (safe pre-sort: it only removes multiset
 	// duplicates), and track whether the kept sequence is ascending. A
 	// sorted sequence with adjacent duplicates removed is already the
-	// unique sorted set, so the common case finishes here.
-	s := w.instr.Addrs[:]
-	sorted := true
-	k := 0
-	for i := 0; i < n; i++ {
-		b := s[i] &^ (memunits.SectorSize - 1)
-		if k > 0 {
-			if b == s[k-1] {
-				continue
-			}
-			if b < s[k-1] {
-				sorted = false
-			}
-		}
+	// unique sorted set, so the common case finishes here. The loop has
+	// no data-dependent branch, since on random sectors one would
+	// mispredict about half the time: every lane is stored and only the
+	// count depends on the comparison (a conditional move), and a
+	// descent sets desc through the subtraction's borrow.
+	const mask = memunits.SectorSize - 1
+	s := &w.instr.Addrs
+	prev := s[0] &^ mask
+	s[0] = prev
+	k := 1
+	var desc uint64
+	for i := 1; i < n; i++ {
+		b := s[i] &^ mask
 		s[k] = b
-		k++
-	}
-	if !sorted {
-		for i := 1; i < k; i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
+		if b != prev {
+			k++
 		}
-		u := 0
-		for i := 0; i < k; i++ {
-			if i > 0 && s[i] == s[u-1] {
-				continue
+		_, borrow := bits.Sub64(b, prev, 0)
+		desc |= borrow
+		prev = b
+	}
+	if desc != 0 {
+		if k > netThreshold {
+			// Pad the unused lanes with the largest address so they
+			// sort after every sector.
+			for i := k; i < MaxLanes; i++ {
+				s[i] = ^memunits.Addr(0)
 			}
-			s[u] = s[i]
-			u++
+			sortNet(s)
+		} else {
+			for i := 1; i < k; i++ {
+				v := s[i]
+				j := i - 1
+				for j >= 0 && s[j] > v {
+					s[j+1] = s[j]
+					j--
+				}
+				s[j+1] = v
+			}
+		}
+		// Drop repeats, comparing each sector with the one before it
+		// (sorted, it equals the last one kept) held in a register,
+		// so no load waits on the previous iteration's store.
+		u := 1
+		prev = s[0]
+		for i := 1; i < k; i++ {
+			b := s[i]
+			s[u] = b
+			if b != prev {
+				u++
+			}
+			prev = b
 		}
 		k = u
 	}

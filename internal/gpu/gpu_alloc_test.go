@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math/rand"
 	"testing"
 
 	"uvmsim/internal/config"
@@ -27,8 +28,7 @@ func (p *allocProg) Next(instr *Instr) bool {
 	instr.NumAddrs = MaxLanes
 	for i := 0; i < MaxLanes; i++ {
 		// Scrambled lane order with duplicates: exercises the coalescer's
-		// insertion-sort fallback and dedup, not just the pre-sorted fast
-		// path.
+		// sorting network and dedup, not just the pre-sorted fast path.
 		lane := (i * 7) % MaxLanes
 		instr.Addrs[i] = p.base + memunits.Addr(lane/2)*memunits.SectorSize
 	}
@@ -115,4 +115,27 @@ func TestKernelSteadyStateZeroAllocsPerSector(t *testing.T) {
 func TestKernelSteadyStateZeroAllocsDenseRun(t *testing.T) {
 	eng := sim.NewEngine()
 	runSteadyState(t, eng, &runBackendStub{fastBackend{eng: eng}})
+}
+
+// TestCoalesceRandomGatherZeroAllocs coalesces 32-lane gathers of random
+// sectors, ra's access pattern, which take the sorting network: the
+// masking pass, the network and the dedup allocate nothing.
+func TestCoalesceRandomGatherZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g, w := &GPU{}, &warp{}
+	var nsec int
+	allocs := testing.AllocsPerRun(100, func() {
+		w.instr.NumAddrs = MaxLanes
+		for i := range w.instr.Addrs {
+			w.instr.Addrs[i] = memunits.Addr(rng.Int63n(1 << 34))
+		}
+		g.coalesce(w)
+		nsec = w.nsec
+	})
+	if allocs != 0 {
+		t.Fatalf("coalescing a random 32-lane gather allocated %.1f times, want 0", allocs)
+	}
+	if nsec <= netThreshold {
+		t.Fatalf("a random gather kept %d sectors, want more than the network threshold %d", nsec, netThreshold)
+	}
 }

@@ -11,8 +11,14 @@
 // The queue is a timing wheel held inline in the Engine: a 1,024-bucket
 // calendar of chains covering the cycles [now, now+wheelSize), backed
 // by a two-level occupancy bitmap (find-next-occupied-bucket is a
-// handful of word operations), with a 4-ary min-heap of pointer-free
-// 24-byte entries as the overflow area for events beyond the window.
+// handful of word operations). Events beyond the window go to the
+// overflow: a few sorted runs, FIFO rings of pointer-free 24-byte
+// entries, in front of a 4-ary min-heap of the same entries. Far events
+// mostly come off saturated link queues, each in non-decreasing cycle
+// order; under thrashing they are close to half of all events (45% on
+// ra at scale 16 and 150%), and a far event joins the first run whose
+// last cycle is no later than its own at the cost of a store, so the
+// heap and its sifts take only the few that fit no run (0.5% there).
 // Pending events live in a free-listed arena of 24-byte slots, each a
 // Handler (two words) and a chain link. Schedule stores a typed handler
 // as is, so a model object can be its own event and dispatch reaches it
@@ -31,8 +37,12 @@
 //     Draining a chain head-to-tail is therefore exact (at, seq) order.
 //   - Overflow entries are moved into the wheel by refill at the moment
 //     the window first covers their cycle — before any direct push can
-//     target that cycle — and refill pops the heap in (at, seq) order,
-//     so a refilled chain is seq-ordered too.
+//     target that cycle — and refill takes them in (at, seq) order, so
+//     a refilled chain is seq-ordered too. Each run is sorted by
+//     (at, seq) without comparing seqs: seq grows with every Schedule,
+//     so an entry whose cycle is no earlier than the run's tail sorts
+//     after it. Refill merges the run heads and the heap top, whose
+//     minimum the engine keeps cached.
 //
 // Same-cycle pushes land in the current cycle's bucket chain, which is
 // what the pre-wheel engine's FIFO ring provided, without a second
@@ -43,6 +53,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Cycle is a point in simulated time, measured in GPU core cycles.
@@ -70,8 +81,9 @@ func (f eventFunc) Fire() { f() }
 // Timing-wheel geometry. The window covers the model's common latencies
 // (warp issue, cache and DRAM hits, link round trips: over 99% of events
 // land at most 255 cycles ahead), so the wheel's 8KB of bucket indexes
-// stays in cache. The one long delay, the ~67k-cycle far-fault service
-// time, rides the overflow heap.
+// stays in cache. The long delays (the ~67k-cycle far-fault service
+// time, and migrations and remote accesses queued behind a saturated
+// link) ride the overflow runs and heap.
 const (
 	wheelBits = 10
 	wheelSize = 1 << wheelBits
@@ -83,9 +95,10 @@ const (
 // 64 words (4,096 buckets); a larger wheel fails to compile here.
 const _ uint = 64 - occWords
 
-// entry is one overflow event's heap key. It is deliberately free of
-// pointers: heap sifts move entries with plain 24-byte copies and no GC
-// write barriers. The handler itself lives in the slot arena.
+// entry is one overflow event's key. It is deliberately free of
+// pointers: heap sifts and run rings move entries with plain 24-byte
+// copies and no GC write barriers. The handler itself lives in the slot
+// arena.
 type entry struct {
 	at   Cycle
 	seq  uint64
@@ -114,6 +127,111 @@ type bucket struct{ head, tail int32 }
 // win because the children share a cache line pair.
 const arity = 4
 
+// numRuns is how many sorted runs sit in front of the overflow heap.
+// Far events mostly come from a few link queues, each of which completes
+// in non-decreasing cycle order; on ra at scale 16 and 150%, greedy
+// first fit puts 99.5% of them into four runs.
+const numRuns = 4
+
+// minRunCap is a run ring's first capacity; it doubles when full.
+const minRunCap = 64
+
+// run is one sorted overflow run: a FIFO ring of entries whose (at, seq)
+// keys ascend from head to tail. Since seq grows with every Schedule, an
+// entry whose cycle is no earlier than the tail's keeps the ring sorted.
+// The ring's storage stays with the run, so a run that drains and fills
+// again reuses it.
+type run struct {
+	buf    []entry // ring storage; its length is zero or a power of two
+	head   uint32  // index of the earliest entry
+	n      uint32  // entries held
+	tailAt Cycle   // cycle of the latest entry, valid when n > 0
+}
+
+// push appends en, which must not sort before the tail, to a run with
+// room for it.
+//
+//sim:hotpath
+func (r *run) push(en entry) {
+	r.buf[(r.head+r.n)&uint32(len(r.buf)-1)] = en
+	r.n++
+	r.tailAt = en.at
+}
+
+// pop removes and returns the head entry; the run must not be empty.
+//
+//sim:hotpath
+func (r *run) pop() entry {
+	en := r.buf[r.head]
+	r.head = (r.head + 1) & uint32(len(r.buf)-1)
+	r.n--
+	return en
+}
+
+// runStore is a finished engine's run storage, one ring per run index.
+type runStore struct{ bufs [numRuns][]entry }
+
+// runPool carries run storage from finished engines to new ones, as
+// gpu.Recycle does for warps: a cell's runs start at the capacities an
+// earlier cell grew instead of growing from nothing. Only capacity
+// carries over; a ring's contents are never read before they are
+// written.
+var runPool sync.Pool
+
+// maxPooledRun is the largest ring, in entries, that Recycle pools.
+// Most cells' rings stay within 4,096 entries (96 KB), and there
+// pooling saves the regrowth of every ring in every cell. A thrashing
+// cell's run 0 reaches 65,536 entries (1.5 MB; ra at scale 16 and
+// 150%); its growth is amortized over about a million far events, and
+// pooled, such rings kept megabytes live between cells that need none:
+// the next cell's set-up, which allocates right after, page-faulted
+// more often.
+const maxPooledRun = 4096
+
+// Recycle hands the storage of the engine's empty runs, up to
+// maxPooledRun entries each, to later engines. Call it once a run is
+// over; the engine stays usable, and a run that needs storage again
+// takes it from the pool or allocates it.
+func (e *Engine) Recycle() {
+	var st runStore
+	kept := false
+	for i := range e.runs {
+		if r := &e.runs[i]; r.n == 0 && len(r.buf) > 0 {
+			if len(r.buf) <= maxPooledRun {
+				st.bufs[i] = r.buf
+				kept = true
+			}
+			r.buf, r.head = nil, 0
+		}
+	}
+	if kept {
+		runPool.Put(&st)
+	}
+}
+
+// growRun makes room in a full run. A run without storage first takes
+// a recycled engine's, which also goes to this engine's other runs that
+// have none; otherwise the ring doubles, its entries unwrapped to the
+// front.
+func (e *Engine) growRun(r *run) {
+	if len(r.buf) == 0 {
+		if st, ok := runPool.Get().(*runStore); ok {
+			for i := range e.runs {
+				if o := &e.runs[i]; len(o.buf) == 0 {
+					o.buf = st.bufs[i] // a run without storage has head 0
+				}
+			}
+		}
+		if len(r.buf) > 0 {
+			return
+		}
+	}
+	buf := make([]entry, max(2*len(r.buf), minRunCap))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
 // Engine is a deterministic discrete-event simulator.
 //
 // The zero value is ready to use. Engine is not safe for concurrent use;
@@ -121,7 +239,8 @@ const arity = 4
 // reproducible.
 type Engine struct {
 	// now is the clock and the wheel window start: bucket chains cover
-	// cycles [now, now+wheelSize), the overflow heap everything beyond.
+	// cycles [now, now+wheelSize), the overflow runs and heap everything
+	// beyond.
 	now Cycle
 	seq uint64
 
@@ -133,8 +252,17 @@ type Engine struct {
 	occ    [occWords]uint64
 	occSum uint64
 
-	// heap is the 4-ary min-heap of overflow events ordered by (at, seq).
+	// runs are the sorted overflow runs, filled first fit; heap is the
+	// 4-ary min-heap of overflow events, ordered by (at, seq), that fit
+	// no run.
+	runs [numRuns]run
 	heap []entry
+	// farAt is the cycle of the earliest overflow entry, or 0 when there
+	// is none (an overflow cycle is at least wheelSize, so 0 is free);
+	// farSrc is where that entry waits: a run index, or numRuns for the
+	// heap.
+	farAt  Cycle
+	farSrc int
 
 	// slots is the handler arena; free is the 1-based free-list head
 	// (0 = none).
@@ -270,8 +398,9 @@ func (e *Engine) popBucketHead(idx int) int32 {
 // advance moves the clock, and with it the window, forward to at, then
 // moves the overflow events whose cycle the window now covers into
 // their buckets. That is exactly the moment the window first covers
-// those cycles — before any direct push can target them — and the heap
-// pops in (at, seq) order, so chain append order remains seq order.
+// those cycles — before any direct push can target them — and popFar
+// yields overflow events in (at, seq) order, so chain append order
+// remains seq order.
 //
 //sim:hotpath
 func (e *Engine) advance(at Cycle) {
@@ -279,8 +408,10 @@ func (e *Engine) advance(at Cycle) {
 		return
 	}
 	e.now = at
-	for len(e.heap) > 0 && e.heap[0].at-at < wheelSize {
-		en := e.popHeap()
+	// An empty overflow reads farAt 0, which passes the first test only
+	// for a clock within wheelSize of MaxCycle.
+	for e.farAt-at < wheelSize && e.farAt != 0 {
+		en := e.popFar()
 		e.pushBucket(en.at, en.slot)
 	}
 }
@@ -302,7 +433,7 @@ func (e *Engine) Schedule(at Cycle, h Handler) {
 	if at-e.now < wheelSize {
 		e.pushBucket(at, s)
 	} else {
-		e.pushHeap(entry{at: at, seq: e.seq, slot: s})
+		e.pushFar(entry{at: at, seq: e.seq, slot: s})
 	}
 	e.live++
 }
@@ -321,6 +452,59 @@ func (e *Engine) At(at Cycle, fn Event) {
 // After schedules fn to run delay cycles from now.
 func (e *Engine) After(delay Cycle, fn Event) { e.At(e.now+delay, fn) }
 
+// pushFar files an event beyond the window: into the first run that is
+// empty or whose tail cycle is no later than en's (en's seq is the
+// largest yet, so the run stays sorted), else into the heap.
+//
+//sim:hotpath
+func (e *Engine) pushFar(en entry) {
+	src := numRuns
+	for i := range e.runs {
+		if r := &e.runs[i]; r.n == 0 || r.tailAt <= en.at {
+			if int(r.n) == len(r.buf) {
+				e.growRun(r)
+			}
+			r.push(en)
+			src = i
+			break
+		}
+	}
+	if src == numRuns {
+		e.pushHeap(en)
+	}
+	// On a tie the current minimum has the smaller seq and stays.
+	if e.farAt == 0 || en.at < e.farAt {
+		e.farAt, e.farSrc = en.at, src
+	}
+}
+
+// popFar removes and returns the earliest overflow entry, which must
+// exist, and finds the next one among the run heads and the heap top.
+//
+//sim:hotpath
+func (e *Engine) popFar() entry {
+	var en entry
+	if e.farSrc == numRuns {
+		en = e.popHeap()
+	} else {
+		en = e.runs[e.farSrc].pop()
+	}
+	var best entry
+	src := -1
+	if len(e.heap) > 0 {
+		best, src = e.heap[0], numRuns
+	}
+	for i := range e.runs {
+		if r := &e.runs[i]; r.n > 0 {
+			if h := r.buf[r.head]; src < 0 || less(h, best) {
+				best, src = h, i
+			}
+		}
+	}
+	e.farAt, e.farSrc = best.at, src
+	return en
+}
+
 // pushHeap inserts en into the overflow heap, sifting up.
 //
 //sim:hotpath
@@ -338,7 +522,7 @@ func (e *Engine) pushHeap(en entry) {
 	e.heap[i] = en
 }
 
-// popHeap removes and returns the minimum overflow entry.
+// popHeap removes and returns the minimum heap entry.
 //
 //sim:hotpath
 func (e *Engine) popHeap() entry {
@@ -399,22 +583,22 @@ func (e *Engine) scanWheel() (idx int, at Cycle, ok bool) {
 
 // next dequeues the earliest pending handler in (at, seq) order and
 // advances the clock to its cycle, or returns nil when the engine is
-// drained. Every wheel cycle precedes every overflow cycle (the heap
-// minimum is >= now+wheelSize by the refill invariant), so the wheel
-// head, when present, is the global minimum.
+// drained. Every wheel cycle precedes every overflow cycle (the
+// overflow minimum is >= now+wheelSize by the refill invariant), so the
+// wheel head, when present, is the global minimum.
 //
 //sim:hotpath
 func (e *Engine) next() Handler {
 	for {
 		idx, at, ok := e.scanWheel()
 		if !ok {
-			if len(e.heap) == 0 {
+			if e.farAt == 0 {
 				return nil
 			}
 			// The wheel is drained: jump the clock to the overflow
 			// frontier; the next iteration finds the event in its
 			// bucket.
-			e.advance(e.heap[0].at)
+			e.advance(e.farAt)
 			continue
 		}
 		// Refill cannot touch this bucket: refilled cycles lie in

@@ -108,3 +108,53 @@ func TestEngineHandlerZeroAllocs(t *testing.T) {
 		t.Fatal("no events fired")
 	}
 }
+
+// linkStream is a typed far event modelled on a saturated link's
+// completions: each firing schedules the stream's next completion a
+// window or more ahead and no earlier than the previous one, so its
+// events arrive in cycle order, as the overflow runs expect.
+type linkStream struct {
+	e    *Engine
+	gap  Cycle // cycles between the stream's completions
+	end  Cycle // the latest completion scheduled
+	left int   // firings that still schedule a successor
+}
+
+func (s *linkStream) push() {
+	s.end = max(s.end+s.gap, s.e.Now()+wheelSize)
+	s.e.Schedule(s.end, s)
+}
+
+func (s *linkStream) Fire() {
+	if s.left > 0 {
+		s.left--
+		s.push()
+	}
+}
+
+// TestEngineFarEventsZeroAllocs extends the zero-allocation contract to
+// far events: once three interleaved link streams have warmed the run
+// rings and the heap, scheduling completions at least a window ahead,
+// refilling them into the wheel and dispatching them allocate nothing.
+func TestEngineFarEventsZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	streams := []*linkStream{{e: e, gap: 17}, {e: e, gap: 40}, {e: e, gap: 91}}
+	load := func(depth int) {
+		for _, s := range streams {
+			s.end, s.left = e.Now(), depth
+			for i := 0; i < 64; i++ { // completions in flight per stream
+				s.push()
+			}
+		}
+		e.Run()
+	}
+	load(4096) // warm the rings and the heap
+	before := e.Fired()
+	allocs := testing.AllocsPerRun(100, func() { load(1024) })
+	if allocs != 0 {
+		t.Fatalf("steady-state far Schedule+refill+dispatch allocated %.1f times per run, want 0", allocs)
+	}
+	if e.Fired() == before || len(e.runs[0].buf) == 0 {
+		t.Fatal("no far events went through the overflow runs")
+	}
+}

@@ -17,8 +17,8 @@ func TestEngineFootprintSlot(t *testing.T) {
 
 // TestEngineFootprintStruct guards the inline wheel: 1,024 buckets of
 // 8 bytes plus the occupancy bitmap and bookkeeping stay within 9 KB, so
-// the wheel stays in cache on every dispatch. The far-fault delay is
-// left to the overflow heap rather than sized into the wheel.
+// the wheel stays in cache on every dispatch. The long delays are left
+// to the overflow runs and heap rather than sized into the wheel.
 func TestEngineFootprintStruct(t *testing.T) {
 	if got := unsafe.Sizeof(Engine{}); got > 9<<10 {
 		t.Fatalf("Engine is %d bytes, above 9 KB", got)

@@ -3,7 +3,9 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // refItem / refHeap are the pre-overhaul container/heap event queue,
@@ -202,5 +204,158 @@ func TestEngineFIFOAcrossRingAndHeap(t *testing.T) {
 	}
 	if len(order) != 5 {
 		t.Fatalf("fired %d events, want 5: %v", len(order), order)
+	}
+}
+
+// runPaths records which overflow-run paths a test reached.
+type runPaths struct {
+	appended bool // a far event joined a run that already held entries
+	reused   bool // a run that had drained took a new entry in its old storage
+	wrapped  bool // a ring stored an entry in a slot a pop had freed
+	grown    bool // a ring whose head had moved grew and unwrapped its entries
+	heap     bool // a far event fit no run and went to the heap
+	adopted  bool // a new engine's run took storage a finished engine recycled
+}
+
+// runWatch reads one engine's paths off its runs and heap, comparing
+// each call's state with the previous one's.
+type runWatch struct {
+	paths    *runPaths
+	recycled map[*entry]bool // first elements of the rings recycled before this engine
+	drained  [numRuns]bool
+	lastLen  [numRuns]int
+	lastHead [numRuns]uint32
+	lastHeap int
+}
+
+func (w *runWatch) observe(e *Engine) {
+	for i := range e.runs {
+		r := &e.runs[i]
+		switch {
+		case r.n == 0 && len(r.buf) > 0:
+			w.drained[i] = true
+		case r.n > 0 && w.drained[i] && len(r.buf) == w.lastLen[i]:
+			w.paths.reused = true
+			w.drained[i] = false
+		}
+		if r.n > 1 {
+			w.paths.appended = true
+		}
+		if len(r.buf) > 0 && w.recycled[unsafe.SliceData(r.buf)] {
+			w.paths.adopted = true
+		}
+		if r.n > 0 && int(r.head+r.n) > len(r.buf) {
+			w.paths.wrapped = true
+		}
+		if w.lastLen[i] > 0 && len(r.buf) > w.lastLen[i] && w.lastHead[i] != 0 {
+			w.paths.grown = true
+		}
+		w.lastLen[i], w.lastHead[i] = len(r.buf), r.head
+	}
+	if len(e.heap) > w.lastHeap {
+		w.paths.heap = true
+	}
+	w.lastHeap = len(e.heap)
+}
+
+// TestEngineOverflowRunsMatchReference drives the engine and the
+// reference queue with the traffic the overflow runs exist for: far
+// completions from two or three interleaved link-like streams, each
+// monotone in cycle, mixed with random far delays that break the runs'
+// order and random near events. The fired order and clocks must match
+// the reference event for event, and the trials together must reach
+// every run path: appending to a run, a drained run taking new entries
+// in its old storage, a ring reusing freed slots, a wrapped ring
+// growing, the heap fallback when no run fits, and a new engine taking
+// the ring storage the previous trial's engine recycled.
+func TestEngineOverflowRunsMatchReference(t *testing.T) {
+	var paths runPaths
+	recycled := map[*entry]bool{}
+	for trial := 0; trial < 100; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		eng := NewEngine()
+		ref := &refEngine{}
+		watch := runWatch{paths: &paths, recycled: recycled}
+		var gotOrder, wantOrder []uint64
+		streams := make([]Cycle, 2+rng.Intn(2))
+
+		schedule := func(at Cycle) {
+			seq := ref.seq + 1
+			eng.Schedule(at, &orderHandler{order: &gotOrder, seq: seq})
+			ref.schedule(at, func() { wantOrder = append(wantOrder, seq) })
+			watch.observe(eng)
+		}
+		for op := 0; op < 3000; op++ {
+			now := eng.Now()
+			// Phases of 400 operations alternate between filling the
+			// queue and draining it, so rings fill past their first
+			// capacity after their heads have moved.
+			stepPct := 30
+			if op/400%2 == 1 {
+				stepPct = 70
+			}
+			switch r := rng.Intn(100); {
+			case r >= stepPct:
+				switch c := rng.Intn(10); {
+				case c < 6:
+					// A link completion: its stream's queue end moves
+					// on by one transfer, or restarts a window or more
+					// ahead of an idle link.
+					s := rng.Intn(len(streams))
+					streams[s] = max(streams[s]+Cycle(rng.Intn(300)), now+wheelSize+Cycle(rng.Intn(2*wheelSize)))
+					schedule(streams[s])
+				case c < 7:
+					schedule(now + wheelSize + Cycle(rng.Intn(8*wheelSize)))
+				default:
+					schedule(now + Cycle(rng.Intn(wheelSize)))
+				}
+			default:
+				g, w := eng.Step(), ref.step()
+				if g != w {
+					t.Fatalf("trial %d: Step availability diverged: engine %v ref %v", trial, g, w)
+				}
+				if g && eng.Now() != ref.now {
+					t.Fatalf("trial %d: clocks diverged after step: engine %d ref %d", trial, eng.Now(), ref.now)
+				}
+				watch.observe(eng)
+			}
+			if eng.Pending() != len(ref.queue) {
+				t.Fatalf("trial %d: pending diverged: engine %d ref %d", trial, eng.Pending(), len(ref.queue))
+			}
+		}
+		for eng.Step() {
+			watch.observe(eng)
+		}
+		for ref.step() {
+		}
+		if !slices.Equal(gotOrder, wantOrder) {
+			t.Fatalf("trial %d: dispatch order diverged from the reference (%d vs %d events)", trial, len(gotOrder), len(wantOrder))
+		}
+		if eng.Now() != ref.now {
+			t.Fatalf("trial %d: final clocks diverged: engine %d ref %d", trial, eng.Now(), ref.now)
+		}
+		// Hand the drained engine's ring storage to the next trial's.
+		recycled = map[*entry]bool{}
+		for i := range eng.runs {
+			if len(eng.runs[i].buf) > 0 {
+				recycled[unsafe.SliceData(eng.runs[i].buf)] = true
+			}
+		}
+		eng.Recycle()
+	}
+	for _, path := range []struct {
+		name string
+		hit  bool
+	}{
+		{"append to a run", paths.appended},
+		{"drained run reused", paths.reused},
+		{"ring slot reclaimed", paths.wrapped},
+		{"wrapped ring grown", paths.grown},
+		{"heap fallback", paths.heap},
+		{"recycled storage adopted", paths.adopted},
+	} {
+		if !path.hit {
+			t.Errorf("no trial reached the %s path", path.name)
+		}
 	}
 }
