@@ -283,52 +283,30 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	})
 	runName := fmt.Sprintf("%s/%v/%d%%", b.Name, cfg.Policy, o.oversub)
 
+	cl := uvmsim.NewCluster(b, cfg, o.gpus)
+	cl.ObserveAs(runName, suite.NewRun)
+	res, err := runChecked(cl.Run)
+	if err != nil {
+		return err
+	}
 	if o.gpus > 1 {
-		if err := simulateCluster(o, b, cfg, suite, runName, stdout); err != nil {
-			return err
-		}
+		printCluster(stdout, o.csv, cl.Workers(), res)
 	} else {
-		s := uvmsim.New(b, cfg)
-		r := suite.NewRun(runName)
-		s.Observe(func(int) *obs.Run { return r })
-		res, err := runChecked(s.Run)
-		if err != nil {
+		printCounters(stdout, o.csv, &res.Counters)
+	}
+	if o.spans {
+		printSpans(stdout, res.Spans)
+	}
+	if o.jsonOut != "" {
+		rec := resultio.FromResult(res.Result, o.scale, o.oversub)
+		if o.metricsJSON != "" {
+			snap := suite.Collect()
+			rec.Metrics = &snap.Runs[0]
+		}
+		if err := resultio.Write(outs[o.jsonOut], rec); err != nil {
 			return err
 		}
-
-		c := res.Counters
-		if o.csv {
-			fmt.Fprintln(stdout, "metric,value")
-			for _, kv := range [][2]interface{}{
-				{"cycles", c.Cycles}, {"near_accesses", c.NearAccesses},
-				{"remote_reads", c.RemoteReads}, {"remote_writes", c.RemoteWrites},
-				{"far_faults", c.FarFaults}, {"fault_batches", c.FaultBatches},
-				{"migrated_pages", c.MigratedPages}, {"prefetched_pages", c.PrefetchedPages},
-				{"thrashed_pages", c.ThrashedPages}, {"evicted_pages", c.EvictedPages},
-				{"written_back_pages", c.WrittenBackPages},
-				{"tlb_hits", c.TLBHits}, {"tlb_misses", c.TLBMisses}, {"tlb_shootdowns", c.TLBShootdowns},
-				{"h2d_bytes", c.H2DBytes}, {"d2h_bytes", c.D2HBytes},
-				{"instructions", c.Instructions}, {"warps_retired", c.WarpsRetired},
-			} {
-				fmt.Fprintf(stdout, "%s,%v\n", kv[0], kv[1])
-			}
-		} else {
-			fmt.Fprintln(stdout, c.String())
-		}
-		if o.spans {
-			printSpans(stdout, res.Spans)
-		}
-		if o.jsonOut != "" {
-			rec := resultio.FromResult(res, o.scale, o.oversub)
-			if o.metricsJSON != "" {
-				snap := suite.Collect()
-				rec.Metrics = &snap.Runs[0]
-			}
-			if err := resultio.Write(outs[o.jsonOut], rec); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "wrote %s\n", o.jsonOut)
-		}
+		fmt.Fprintf(stderr, "wrote %s\n", o.jsonOut)
 	}
 	if o.metricsJSON != "" {
 		if err := suite.WriteMetricsJSON(outs[o.metricsJSON]); err != nil {
@@ -350,21 +328,34 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	return nil
 }
 
-// simulateCluster runs the workload bulk-synchronously across o.gpus
-// GPUs, draining them on -workers threads (byte-identical results for
-// every count), and prints the aggregate makespan plus per-GPU metrics.
-func simulateCluster(o options, b *uvmsim.Workload, cfg uvmsim.Config, suite *obs.Suite, runName string, stdout io.Writer) error {
-	cl := uvmsim.NewCluster(b, cfg, o.gpus)
-	cl.Observe(func(idx int) *obs.Run {
-		return suite.NewRun(fmt.Sprintf("%s/gpu%d", runName, idx))
-	})
-	res, err := runChecked(cl.Run)
-	if err != nil {
-		return err
+// printCounters prints a single-GPU run's counters.
+func printCounters(stdout io.Writer, csv bool, c *uvmsim.Counters) {
+	if !csv {
+		fmt.Fprintln(stdout, c.String())
+		return
 	}
+	fmt.Fprintln(stdout, "metric,value")
+	for _, kv := range [][2]interface{}{
+		{"cycles", c.Cycles}, {"near_accesses", c.NearAccesses},
+		{"remote_reads", c.RemoteReads}, {"remote_writes", c.RemoteWrites},
+		{"far_faults", c.FarFaults}, {"fault_batches", c.FaultBatches},
+		{"migrated_pages", c.MigratedPages}, {"prefetched_pages", c.PrefetchedPages},
+		{"thrashed_pages", c.ThrashedPages}, {"evicted_pages", c.EvictedPages},
+		{"written_back_pages", c.WrittenBackPages},
+		{"tlb_hits", c.TLBHits}, {"tlb_misses", c.TLBMisses}, {"tlb_shootdowns", c.TLBShootdowns},
+		{"h2d_bytes", c.H2DBytes}, {"d2h_bytes", c.D2HBytes},
+		{"instructions", c.Instructions}, {"warps_retired", c.WarpsRetired},
+	} {
+		fmt.Fprintf(stdout, "%s,%v\n", kv[0], kv[1])
+	}
+}
+
+// printCluster prints a cluster run's aggregate makespan and totals,
+// then every GPU's metrics.
+func printCluster(stdout io.Writer, csv bool, workers int, res *uvmsim.ClusterResult) {
 	fmt.Fprintf(stdout, "cluster gpus=%d workers=%d makespan=%d thrashed_pages=%d remote_accesses=%d\n",
-		o.gpus, cl.Workers(), res.Cycles, res.TotalThrashedPages(), res.TotalRemoteAccesses())
-	if o.csv {
+		len(res.PerGPU), workers, res.Counters.Cycles, res.TotalThrashedPages(), res.TotalRemoteAccesses())
+	if csv {
 		fmt.Fprintln(stdout, "gpu,metric,value")
 		for i := range res.PerGPU {
 			c := &res.PerGPU[i]
@@ -378,15 +369,11 @@ func simulateCluster(o options, b *uvmsim.Workload, cfg uvmsim.Config, suite *ob
 				fmt.Fprintf(stdout, "%d,%s,%v\n", i, kv[0], kv[1])
 			}
 		}
-	} else {
-		for i := range res.PerGPU {
-			fmt.Fprintf(stdout, "gpu%d: %s\n", i, res.PerGPU[i].String())
-		}
+		return
 	}
-	if o.spans {
-		printSpans(stdout, res.Spans)
+	for i := range res.PerGPU {
+		fmt.Fprintf(stdout, "gpu%d: %s\n", i, res.PerGPU[i].String())
 	}
-	return nil
 }
 
 // printSpans prints one line per kernel window, barrier to barrier.

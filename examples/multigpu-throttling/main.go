@@ -40,11 +40,11 @@ func main() {
 			cfg.ClusterWorkers = *clusterWorkers
 			res := uvmsim.RunCluster(*workload, *scale, n, *oversub, pol, cfg)
 			if pol == uvmsim.PolicyDisabled {
-				baseCycles = res.Cycles
+				baseCycles = res.Runtime()
 			}
 			fmt.Printf("%5d %10v %16d %14d %14d %13.2fx\n",
-				n, pol, res.Cycles, res.TotalThrashedPages(), res.TotalRemoteAccesses(),
-				float64(baseCycles)/float64(res.Cycles))
+				n, pol, res.Runtime(), res.TotalThrashedPages(), res.TotalRemoteAccesses(),
+				float64(baseCycles)/float64(res.Runtime()))
 		}
 	}
 

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"uvmsim/internal/alloc"
 	"uvmsim/internal/config"
 	"uvmsim/internal/gpu"
 	"uvmsim/internal/obs"
@@ -67,7 +69,8 @@ func TestClusterParallelEquivalenceProperty(t *testing.T) {
 		nGPUs := 1 + rng.Intn(8)
 		scale := 0.04 + 0.04*rng.Float64()
 		pol := config.Policies()[rng.Intn(len(config.Policies()))]
-		b, cfg := PrepareWorkload(name, scale, nGPUs, 125, pol, config.Default())
+		b := workloads.MustGet(name)(scale)
+		cfg := DeriveConfig(b, nGPUs, 125, pol, config.Default())
 		want := clusterCSV(sharedEngineRun(b, cfg, nGPUs))
 		for _, w := range workerCounts {
 			pcfg := cfg
@@ -91,7 +94,8 @@ func TestClusterParallelEquivalenceProperty(t *testing.T) {
 func TestNodeOrderIndependence(t *testing.T) {
 	for _, name := range []string{"bfs", "sssp", "ra"} {
 		for nGPUs := 2; nGPUs <= 8; nGPUs += 3 {
-			b, cfg := PrepareWorkload(name, 0.05, nGPUs, 125, config.PolicyAdaptive, config.Default())
+			b := workloads.MustGet(name)(0.05)
+			cfg := DeriveConfig(b, nGPUs, 125, config.PolicyAdaptive, config.Default())
 			want := clusterCSV(sharedEngineRun(b, cfg, nGPUs))
 			reversed := make([]int, nGPUs)
 			rotated := make([]int, nGPUs)
@@ -125,7 +129,8 @@ func TestNodeOrderIndependence(t *testing.T) {
 // worker reaches the caller of Run as an *obs.Violation.
 func TestParallelSweepRunsMidKernel(t *testing.T) {
 	const nGPUs = 4
-	b, cfg := PrepareWorkload("bfs", 0.05, nGPUs, 125, config.PolicyAdaptive, config.Default())
+	b := workloads.MustGet("bfs")(0.05)
+	cfg := DeriveConfig(b, nGPUs, 125, config.PolicyAdaptive, config.Default())
 	cfg.ClusterWorkers = nGPUs
 	observe := func(s *Simulator) {
 		s.Observe(func(idx int) *obs.Run {
@@ -162,5 +167,228 @@ func TestParallelSweepRunsMidKernel(t *testing.T) {
 	}()
 	if v, ok := got.(*obs.Violation); !ok || v.Check != "always-fails" {
 		t.Fatalf("Run panicked with %v, want the gpu2 violation", got)
+	}
+}
+
+// emptyWarp is a warp program with no instructions.
+type emptyWarp struct{}
+
+func (emptyWarp) Next(*gpu.Instr) bool { return false }
+
+// splitProbe runs one kernel of ctas single-warp CTAs on nGPUs and
+// returns the result and how often each CTA's warp was instantiated.
+func splitProbe(t *testing.T, ctas, nGPUs int) (*Result, map[int]int) {
+	t.Helper()
+	seen := make(map[int]int)
+	b := &workloads.Built{
+		Name:  "probe",
+		Space: alloc.NewSpace(),
+		Kernels: []gpu.Kernel{{
+			Name: "k", CTAs: ctas, WarpsPerCTA: 1,
+			NewWarp: func(cta, _ int) gpu.WarpProgram {
+				seen[cta]++
+				return emptyWarp{}
+			},
+		}},
+		IterOf: []int{1},
+	}
+	return NewCluster(b, config.Default(), nGPUs).Run(), seen
+}
+
+func TestSplitKernelCoversAllCTAs(t *testing.T) {
+	res, seen := splitProbe(t, 10, 4)
+	var total uint64
+	for i := range res.PerGPU {
+		total += res.PerGPU[i].WarpsRetired
+	}
+	if total != 10 {
+		t.Fatalf("split covers %d CTAs, want 10", total)
+	}
+	for cta := 0; cta < 10; cta++ {
+		if seen[cta] != 1 {
+			t.Fatalf("CTA %d instantiated %d times", cta, seen[cta])
+		}
+	}
+}
+
+func TestSplitKernelMoreGPUsThanCTAs(t *testing.T) {
+	res, _ := splitProbe(t, 2, 8)
+	var withWork int
+	for i := range res.PerGPU {
+		if res.PerGPU[i].WarpsRetired > 0 {
+			withWork++
+		}
+	}
+	if withWork != 2 {
+		t.Fatalf("%d GPUs got work, want 2", withWork)
+	}
+}
+
+func TestSingleGPUMatchesCoreShape(t *testing.T) {
+	// A 1-GPU cluster must retire the same warp count as the workload
+	// demands and produce valid stats.
+	res := RunWorkload("hotspot", testScale, 1, 100, config.PolicyDisabled, config.Default())
+	if res.Runtime() == 0 {
+		t.Fatal("zero makespan")
+	}
+	if len(res.PerGPU) != 1 {
+		t.Fatalf("PerGPU = %d", len(res.PerGPU))
+	}
+	if err := res.PerGPU[0].Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var wantWarps uint64
+	for _, k := range workloads.MustGet("hotspot")(testScale).Kernels {
+		wantWarps += uint64(k.CTAs * k.WarpsPerCTA)
+	}
+	if res.PerGPU[0].WarpsRetired != wantWarps {
+		t.Fatalf("retired %d warps, want %d", res.PerGPU[0].WarpsRetired, wantWarps)
+	}
+}
+
+func TestMultiGPUSplitsWork(t *testing.T) {
+	single := RunWorkload("fdtd", testScale, 1, 100, config.PolicyDisabled, config.Default())
+	quad := RunWorkload("fdtd", testScale, 4, 100, config.PolicyDisabled, config.Default())
+	var quadWarps uint64
+	for i := range quad.PerGPU {
+		quadWarps += quad.PerGPU[i].WarpsRetired
+		if err := quad.PerGPU[i].Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if quadWarps != single.PerGPU[0].WarpsRetired {
+		t.Fatalf("cluster retired %d warps, single %d", quadWarps, single.PerGPU[0].WarpsRetired)
+	}
+	// Four GPUs with proportional memory must be faster than one (the
+	// compute and fault handling parallelize).
+	if quad.Runtime() >= single.Runtime() {
+		t.Fatalf("4 GPUs (%d cycles) not faster than 1 (%d)", quad.Runtime(), single.Runtime())
+	}
+}
+
+func TestThrottlingReducesClusterThrash(t *testing.T) {
+	// The future-work claim: the dynamic threshold throttles memory per
+	// GPU, cutting thrash for irregular collaborative workloads.
+	base := RunWorkload("ra", testScale, 2, 125, config.PolicyDisabled, config.Default())
+	cfg := config.Default()
+	cfg.Penalty = 8
+	adpt := RunWorkload("ra", testScale, 2, 125, config.PolicyAdaptive, cfg)
+	if base.TotalThrashedPages() == 0 {
+		t.Fatal("baseline cluster did not thrash; scale too small")
+	}
+	if adpt.TotalThrashedPages() >= base.TotalThrashedPages() {
+		t.Fatalf("Adaptive cluster thrash %d not below baseline %d",
+			adpt.TotalThrashedPages(), base.TotalThrashedPages())
+	}
+	if adpt.Runtime() >= base.Runtime() {
+		t.Fatalf("Adaptive cluster (%d) not faster than baseline (%d)", adpt.Runtime(), base.Runtime())
+	}
+	if adpt.TotalRemoteAccesses() == 0 {
+		t.Fatal("Adaptive cluster performed no remote accesses")
+	}
+}
+
+func TestNewClusterValidation(t *testing.T) {
+	b := workloads.MustGet("backprop")(0.05)
+	for _, n := range []int{0, MaxGPUs + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d GPUs did not panic", n)
+				}
+			}()
+			NewCluster(b, config.Default(), n)
+		}()
+	}
+	if got := len(NewCluster(b, config.Default(), MaxGPUs).Run().PerGPU); got != MaxGPUs {
+		t.Errorf("a %d-GPU cluster has %d nodes", MaxGPUs, got)
+	}
+}
+
+// The cluster-wide engine metrics (sim.cycles, sim.events_fired) and the
+// invariant-sweep machinery must not depend on the worker count: one
+// worker and N workers fire the same events and stop on the same
+// barrier clock, and both publish the coordinator's pdes.* metrics.
+func TestParallelObservabilityMatchesSequential(t *testing.T) {
+	const nGPUs = 4
+	b := workloads.MustGet("ra")(testScale)
+	cfg := DeriveConfig(b, nGPUs, 125, config.PolicyAdaptive, config.Default())
+
+	collect := func(workers int) (map[string]uint64, *Result) {
+		c := cfg
+		c.ClusterWorkers = workers
+		cl := NewCluster(b, c, nGPUs)
+		runs := make([]*obs.Run, 0, nGPUs)
+		cl.Observe(func(idx int) *obs.Run {
+			r := obs.Options{Metrics: true, CheckEvery: 50_000}.NewRun(fmt.Sprintf("gpu%d", idx))
+			runs = append(runs, r)
+			return r
+		})
+		res := cl.Run()
+		snap := runs[0].Collect()
+		return snap.Counters, res
+	}
+
+	seq, seqRes := collect(1)
+	par, parRes := collect(nGPUs)
+	if !reflect.DeepEqual(seqRes.PerGPU, parRes.PerGPU) || !reflect.DeepEqual(seqRes.Spans, parRes.Spans) {
+		t.Fatalf("observed runs diverged:\n%+v\n%+v", seqRes, parRes)
+	}
+	for _, key := range []string{"sim.cycles", "sim.events_fired"} {
+		if seq[key] != par[key] {
+			t.Errorf("%s: one worker %d, %d workers %d", key, seq[key], nGPUs, par[key])
+		}
+	}
+	for _, run := range []struct {
+		workers int
+		got     map[string]uint64
+	}{{1, seq}, {nGPUs, par}} {
+		workers, got := run.workers, run.got
+		if got[obs.MetricPDESWorkers] != uint64(workers) {
+			t.Errorf("%d workers: %s = %d", workers, obs.MetricPDESWorkers, got[obs.MetricPDESWorkers])
+		}
+		// One drain round per kernel barrier.
+		if got[obs.MetricPDESSteps] != uint64(len(b.Kernels)) {
+			t.Errorf("%d workers: %s = %d, want the kernel count %d",
+				workers, obs.MetricPDESSteps, got[obs.MetricPDESSteps], len(b.Kernels))
+		}
+	}
+}
+
+// ClusterWorkers plumbing: 0 and 1 mean one worker, larger values clamp
+// to the cluster size, so Workers() always lies in [1, nGPUs].
+func TestClusterWorkerSelection(t *testing.T) {
+	b := workloads.MustGet("bfs")(0.05)
+	cfg := DeriveConfig(b, 2, 125, config.PolicyDisabled, config.Default())
+	cases := []struct {
+		workers, gpus, want int
+	}{
+		{0, 2, 1},
+		{1, 2, 1},
+		{2, 2, 2},
+		{8, 2, 2}, // clamped to cluster size
+		{4, 1, 1},
+		{0, 1, 1},
+	}
+	for _, tc := range cases {
+		c := cfg
+		c.ClusterWorkers = tc.workers
+		if got := NewCluster(b, c, tc.gpus).Workers(); got != tc.want {
+			t.Errorf("ClusterWorkers=%d over %d GPUs: Workers() = %d, want %d",
+				tc.workers, tc.gpus, got, tc.want)
+		}
+	}
+	if err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%v", r)
+			}
+		}()
+		c := cfg
+		c.ClusterWorkers = -1
+		NewCluster(b, c, 2)
+		return nil
+	}(); err == nil {
+		t.Error("negative ClusterWorkers did not fail validation")
 	}
 }

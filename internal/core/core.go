@@ -3,7 +3,7 @@
 // each) and launches the workload's kernels in order, with device
 // synchronization between them (the cudaDeviceSynchronize model of the
 // benchmarks). A single-GPU run is a one-node cluster; a cluster (the
-// paper's §VIII future work, see internal/multigpu) splits every kernel
+// paper's §VIII future work, see DESIGN.md §12) splits every kernel
 // into contiguous CTA shares, one per GPU, and the next kernel starts
 // only after every GPU finishes (the barrier of collaborative UVM
 // applications). Every GPU has its own device memory and PCIe link to
@@ -59,8 +59,27 @@ type Result struct {
 	Spans  []KernelSpan
 }
 
-// Runtime returns the total kernel execution time in cycles.
+// Runtime returns the total kernel execution time in cycles: the
+// makespan of a cluster.
 func (r *Result) Runtime() uint64 { return r.Counters.Cycles }
+
+// TotalThrashedPages sums thrashing across GPUs.
+func (r *Result) TotalThrashedPages() uint64 {
+	var sum uint64
+	for i := range r.PerGPU {
+		sum += r.PerGPU[i].ThrashedPages
+	}
+	return sum
+}
+
+// TotalRemoteAccesses sums zero-copy traffic across GPUs.
+func (r *Result) TotalRemoteAccesses() uint64 {
+	var sum uint64
+	for i := range r.PerGPU {
+		sum += r.PerGPU[i].RemoteAccesses()
+	}
+	return sum
+}
 
 // node is one GPU with its private UVM driver and engine. All of its
 // mutable simulation state is touched by one coordinator worker at a
@@ -240,25 +259,16 @@ func Run(b *workloads.Built, cfg config.Config) *Result {
 	return New(b, cfg).Run()
 }
 
-// PrepareWorkload builds the named workload at the given scale and
-// derives the run configuration: the migration policy is applied (with
-// the paper's replacement-policy pairing) and device memory is sized so
-// that a 1/shares share of the working set is oversubPercent of
-// capacity (100 = fits exactly). shares is 1 for single-GPU runs; the
-// multi-GPU harness passes the cluster size so per-GPU oversubscription
-// pressure stays comparable across cluster sizes. This is the single
-// source of the workload-to-config plumbing shared by the single-GPU
-// and multi-GPU entry points.
-func PrepareWorkload(name string, scale float64, shares int, oversubPercent uint64, pol config.MigrationPolicy, base config.Config) (*workloads.Built, config.Config) {
-	b := workloads.MustGet(name)(scale)
-	return b, DeriveConfig(b, shares, oversubPercent, pol, base)
-}
-
-// DeriveConfig is the configuration half of PrepareWorkload, split out
-// so callers holding an already-built (possibly memoized and shared)
-// workload can derive per-cell configurations without rebuilding it.
-// A Built is immutable once constructed, so one instance may back any
-// number of concurrent runs, each with its own derived config.
+// DeriveConfig derives a run configuration for the workload b: the
+// migration policy is applied (with the paper's replacement-policy
+// pairing) and device memory is sized so that a 1/shares share of the
+// working set is oversubPercent of capacity (100 = fits exactly).
+// shares is 1 for single-GPU runs and the cluster size otherwise, so
+// per-GPU oversubscription pressure stays comparable across cluster
+// sizes. Callers holding an already-built (possibly memoized and
+// shared) workload derive per-cell configurations without rebuilding
+// it: a Built is immutable once constructed, so one instance may back
+// any number of concurrent runs, each with its own derived config.
 func DeriveConfig(b *workloads.Built, shares int, oversubPercent uint64, pol config.MigrationPolicy, base config.Config) config.Config {
 	if shares < 1 {
 		panic(fmt.Sprintf("core: invalid share count %d", shares))
@@ -268,10 +278,10 @@ func DeriveConfig(b *workloads.Built, shares int, oversubPercent uint64, pol con
 }
 
 // RunWorkload is the experiment-harness entry point: it builds the named
-// workload at the given scale, sizes device memory so the working set is
-// oversubPercent of capacity (100 = fits exactly), applies the migration
-// policy (with the paper's replacement-policy pairing), and runs.
-func RunWorkload(name string, scale float64, oversubPercent uint64, pol config.MigrationPolicy, base config.Config) *Result {
-	b, cfg := PrepareWorkload(name, scale, 1, oversubPercent, pol, base)
-	return Run(b, cfg)
+// workload at the given scale, sizes each of nGPUs so its share of the
+// working set is oversubPercent of capacity (see DeriveConfig), applies
+// the migration policy, and runs.
+func RunWorkload(name string, scale float64, nGPUs int, oversubPercent uint64, pol config.MigrationPolicy, base config.Config) *Result {
+	b := workloads.MustGet(name)(scale)
+	return NewCluster(b, DeriveConfig(b, nGPUs, oversubPercent, pol, base), nGPUs).Run()
 }

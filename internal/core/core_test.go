@@ -16,7 +16,7 @@ func run(t *testing.T, name string, percent uint64, pol config.MigrationPolicy) 
 	t.Helper()
 	cfg := config.Default()
 	cfg.Penalty = 8 // the paper's Fig. 6 setting
-	return RunWorkload(name, testScale, percent, pol, cfg)
+	return RunWorkload(name, testScale, 1, percent, pol, cfg)
 }
 
 // Every workload must complete under every policy at 100% and 125%
@@ -185,5 +185,5 @@ func TestRunWorkloadUnknownPanics(t *testing.T) {
 			t.Error("unknown workload did not panic")
 		}
 	}()
-	RunWorkload("nope", 1, 100, config.PolicyDisabled, config.Default())
+	RunWorkload("nope", 1, 1, 100, config.PolicyDisabled, config.Default())
 }

@@ -10,6 +10,7 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/sweep"
+	"uvmsim/internal/workloads"
 )
 
 // fullReport renders every observable statistic of a run — all counters
@@ -55,7 +56,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		cfg := config.Default()
 		cfg.Penalty = 8
 		run := func() string {
-			return fullReport(RunWorkload(name, 0.1, 125, config.PolicyAdaptive, cfg))
+			return fullReport(RunWorkload(name, 0.1, 1, 125, config.PolicyAdaptive, cfg))
 		}
 		golden := run()
 		checkGolden(t, "report_"+name+".golden", golden)
@@ -88,7 +89,8 @@ func TestRunsAreDeterministic(t *testing.T) {
 		for _, n := range []int{2, 4} {
 			base := config.Default()
 			base.Penalty = 8
-			b, cfg := PrepareWorkload(name, 0.05, n, 125, config.PolicyAdaptive, base)
+			b := workloads.MustGet(name)(0.05)
+			cfg := DeriveConfig(b, n, 125, config.PolicyAdaptive, base)
 			for _, workers := range []int{1, 2} {
 				cfg.ClusterWorkers = workers
 				checkGolden(t, fmt.Sprintf("cluster_%s_%dgpu.golden", name, n), clusterCSV(NewCluster(b, cfg, n).Run()))
@@ -98,8 +100,8 @@ func TestRunsAreDeterministic(t *testing.T) {
 	for _, name := range []string{"sssp", "ra", "hotspot"} {
 		cfg := config.Default()
 		cfg.Penalty = 8
-		a := RunWorkload(name, 0.1, 125, config.PolicyAdaptive, cfg)
-		b := RunWorkload(name, 0.1, 125, config.PolicyAdaptive, cfg)
+		a := RunWorkload(name, 0.1, 1, 125, config.PolicyAdaptive, cfg)
+		b := RunWorkload(name, 0.1, 1, 125, config.PolicyAdaptive, cfg)
 		if a.Counters != b.Counters {
 			t.Fatalf("%s: counters differ across identical runs:\n%+v\n%+v", name, a.Counters, b.Counters)
 		}

@@ -28,7 +28,7 @@ func banditEpsilonZeroReport() string {
 	cfg.Penalty = 8
 	cfg.BanditEpsilonPct = 0
 	cfg.MMPipeline.Planner = "bandit-ts"
-	return fullReport(RunWorkload("sssp", 0.1, 125, config.PolicyAdaptive, cfg))
+	return fullReport(RunWorkload("sssp", 0.1, 1, 125, config.PolicyAdaptive, cfg))
 }
 
 // TestBanditEpsilonZeroMatchesStaticAdaptive is the learned-policy
@@ -40,7 +40,7 @@ func banditEpsilonZeroReport() string {
 func TestBanditEpsilonZeroMatchesStaticAdaptive(t *testing.T) {
 	cfg := config.Default()
 	cfg.Penalty = 8
-	static := fullReport(RunWorkload("sssp", 0.1, 125, config.PolicyAdaptive, cfg))
+	static := fullReport(RunWorkload("sssp", 0.1, 1, 125, config.PolicyAdaptive, cfg))
 	if got := banditEpsilonZeroReport(); got != static {
 		t.Fatalf("bandit-ts epsilon=0 diverged from static Adaptive:\n--- static\n%s--- bandit\n%s", static, got)
 	}

@@ -54,6 +54,18 @@ func (s *Simulator) Observe(mk func(gpu int) *obs.Run) {
 	}
 }
 
+// ObserveAs is Observe with one run per GPU named after the run name:
+// newRun(name) on a single-GPU run, newRun("name/gpuN") for each GPU N
+// of a cluster.
+func (s *Simulator) ObserveAs(name string, newRun func(name string) *obs.Run) {
+	s.Observe(func(gpu int) *obs.Run {
+		if len(s.nodes) == 1 {
+			return newRun(name)
+		}
+		return newRun(fmt.Sprintf("%s/gpu%d", name, gpu))
+	})
+}
+
 // checkName qualifies a check with its GPU on a multi-GPU run.
 func (s *Simulator) checkName(idx int, name string) string {
 	if len(s.nodes) == 1 {

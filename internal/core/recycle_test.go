@@ -19,7 +19,7 @@ func TestCellResultIndependentOfPriorCells(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run := func(name string) *Result {
-		return Run(PrepareWorkload(name, 0.05, 1, 125, config.PolicyAdaptive, config.Default()))
+		return RunWorkload(name, 0.05, 1, 125, config.PolicyAdaptive, config.Default())
 	}
 	alone := run("bfs")
 	run("ra")

@@ -35,8 +35,9 @@ type Options struct {
 	// sweeps produce identical tables to serial ones.
 	Workers int
 	// Observe, when non-nil, is called once per simulation cell with a
-	// unique run name ("workload/policy/oversub%[/tag]") and may return
-	// observability instruments to attach (nil skips the cell). The
+	// unique run name ("workload/policy/oversub%[/tag]"), or once per
+	// GPU of a multi-GPU cell ("<cell>/gpuN"), and may return
+	// observability instruments to attach (nil skips the run). The
 	// factory must be safe for concurrent calls — parallel sweeps invoke
 	// it from worker goroutines (obs.Suite.NewRun qualifies).
 	Observe func(runName string) *obs.Run
@@ -72,10 +73,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// runtimeOf runs one configuration cell. tag disambiguates cells that
-// share workload/policy/oversubscription (threshold and penalty sweeps).
-func (o Options) runtimeOf(name string, pct uint64, pol config.MigrationPolicy, base config.Config, tag string) *core.Result {
-	var r *obs.Run
+// runtimeOf runs one configuration cell on nGPUs, each GPU's memory
+// sized for its share of the working set (core.DeriveConfig). tag
+// disambiguates cells that share workload/policy/oversubscription
+// (threshold and penalty sweeps, cluster sizes).
+func (o Options) runtimeOf(name string, nGPUs int, pct uint64, pol config.MigrationPolicy, base config.Config, tag string) *core.Result {
+	b := o.memo.Get(name, o.Scale)
+	s := core.NewCluster(b, core.DeriveConfig(b, nGPUs, pct, pol, base), nGPUs)
 	if o.Observe != nil {
 		runName := fmt.Sprintf("%s/%s/%d%%", name, pol, pct)
 		if tag != "" {
@@ -86,11 +90,8 @@ func (o Options) runtimeOf(name string, pct uint64, pol config.MigrationPolicy, 
 		if ptag := base.MMPipeline.Tag(); ptag != "" {
 			runName += "/" + ptag
 		}
-		r = o.Observe(runName)
+		s.ObserveAs(runName, o.Observe)
 	}
-	b := o.memo.Get(name, o.Scale)
-	s := core.New(b, core.DeriveConfig(b, 1, pct, pol, base))
-	s.Observe(func(int) *obs.Run { return r })
 	return s.Run()
 }
 
@@ -114,7 +115,7 @@ func Fig1(o Options) *report.Table {
 	}
 	pcts := []uint64{100, 125, 150}
 	res := o.grid(len(pcts), func(name string, col int) *core.Result {
-		return o.runtimeOf(name, pcts[col], config.PolicyDisabled, o.Base, "")
+		return o.runtimeOf(name, 1, pcts[col], config.PolicyDisabled, o.Base, "")
 	})
 	for i, name := range o.Workloads {
 		base := res[i][0].Runtime()
@@ -142,8 +143,7 @@ func RunTrace(workload string, o Options, sampleEvery uint64) *TraceResult {
 	cfg := core.DeriveConfig(b, 1, 100, config.PolicyDisabled, o.Base)
 	s := core.New(b, cfg)
 	if o.Observe != nil {
-		r := o.Observe(workload + "/trace")
-		s.Observe(func(int) *obs.Run { return r })
+		s.ObserveAs(workload+"/trace", o.Observe)
 	}
 	col := trace.NewCollector(b.Space, sampleEvery)
 	s.SetObserver(col.Observer())
@@ -203,7 +203,7 @@ func Fig4(o Options) *report.Table {
 	res := o.grid(len(thresholds), func(name string, col int) *core.Result {
 		cfg := o.Base
 		cfg.StaticThreshold = thresholds[col]
-		return o.runtimeOf(name, 125, config.PolicyAlways, cfg, fmt.Sprintf("ts=%d", thresholds[col]))
+		return o.runtimeOf(name, 1, 125, config.PolicyAlways, cfg, fmt.Sprintf("ts=%d", thresholds[col]))
 	})
 	for i, name := range o.Workloads {
 		base := res[i][0].Runtime()
@@ -225,7 +225,7 @@ func Fig5(o Options) *report.Table {
 	}
 	pols := []config.MigrationPolicy{config.PolicyDisabled, config.PolicyAlways, config.PolicyAdaptive}
 	res := o.grid(len(pols), func(name string, col int) *core.Result {
-		return o.runtimeOf(name, 100, pols[col], o.Base, "")
+		return o.runtimeOf(name, 1, 100, pols[col], o.Base, "")
 	})
 	for i, name := range o.Workloads {
 		base := res[i][0].Runtime()
@@ -268,7 +268,7 @@ func Fig6And7Cycles(o Options) (runtime, thrash *report.Table, simCycles uint64)
 	cfg.Penalty = 8
 	pols := config.Policies()
 	res := o.grid(len(pols), func(name string, col int) *core.Result {
-		return o.runtimeOf(name, 125, pols[col], cfg, "")
+		return o.runtimeOf(name, 1, 125, pols[col], cfg, "")
 	})
 	for i, name := range o.Workloads {
 		baseTime := res[i][0].Runtime()
@@ -310,11 +310,11 @@ func Fig8(o Options) *report.Table {
 	}
 	res := o.grid(1+len(Fig8Penalties), func(name string, col int) *core.Result {
 		if col == 0 {
-			return o.runtimeOf(name, 125, config.PolicyDisabled, o.Base, "")
+			return o.runtimeOf(name, 1, 125, config.PolicyDisabled, o.Base, "")
 		}
 		cfg := o.Base
 		cfg.Penalty = Fig8Penalties[col-1]
-		return o.runtimeOf(name, 125, config.PolicyAdaptive, cfg, fmt.Sprintf("p=%d", cfg.Penalty))
+		return o.runtimeOf(name, 1, 125, config.PolicyAdaptive, cfg, fmt.Sprintf("p=%d", cfg.Penalty))
 	})
 	for i, name := range o.Workloads {
 		base := res[i][0].Runtime()

@@ -75,11 +75,11 @@ func OracleHints(o Options, oversubPercent uint64) *report.Table {
 	}
 	for _, name := range o.Workloads {
 		cold := ProfileColdAllocations(name, o)
-		base := o.runtimeOf(name, oversubPercent, config.PolicyDisabled, o.Base, "")
+		base := o.runtimeOf(name, 1, oversubPercent, config.PolicyDisabled, o.Base, "")
 		hinted := runWithHints(name, o, oversubPercent, cold)
 		cfg := o.Base
 		cfg.Penalty = 8
-		adpt := o.runtimeOf(name, oversubPercent, config.PolicyAdaptive, cfg, "hints")
+		adpt := o.runtimeOf(name, 1, oversubPercent, config.PolicyAdaptive, cfg, "hints")
 		t.Add(name, 1.0,
 			float64(hinted.Runtime())/float64(base.Runtime()),
 			float64(adpt.Runtime())/float64(base.Runtime()))

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"uvmsim/internal/config"
-	"uvmsim/internal/core"
-	"uvmsim/internal/multigpu"
 	"uvmsim/internal/report"
 )
 
@@ -29,14 +27,14 @@ func MultiGPU(workload string, o Options, oversubPercent uint64) *report.Table {
 		Metric:  "Adaptive makespan and thrash normalized to same-size baseline cluster",
 		Columns: []string{"Runtime", "Thrash"},
 	}
-	b := o.memo.Get(workload, o.Scale)
 	for _, n := range MultiGPUClusterSizes {
-		base := multigpu.New(b, core.DeriveConfig(b, n, oversubPercent, config.PolicyDisabled, o.Base), n).Run()
+		tag := fmt.Sprintf("x%d", n)
+		base := o.runtimeOf(workload, n, oversubPercent, config.PolicyDisabled, o.Base, tag)
 		cfg := o.Base
 		cfg.Penalty = 8
-		adpt := multigpu.New(b, core.DeriveConfig(b, n, oversubPercent, config.PolicyAdaptive, cfg), n).Run()
-		t.Add(fmt.Sprintf("%s x%d", workload, n),
-			report.Ratio(adpt.Cycles, base.Cycles),
+		adpt := o.runtimeOf(workload, n, oversubPercent, config.PolicyAdaptive, cfg, tag)
+		t.Add(workload+" "+tag,
+			report.Ratio(adpt.Runtime(), base.Runtime()),
 			report.Ratio(adpt.TotalThrashedPages(), base.TotalThrashedPages()))
 	}
 	return t

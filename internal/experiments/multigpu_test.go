@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"uvmsim/internal/obs"
 )
 
 func TestMultiGPUExperimentShape(t *testing.T) {
@@ -28,5 +32,29 @@ func TestMultiGPUExperimentShape(t *testing.T) {
 	out := tab.Format()
 	if !strings.Contains(out, "multi-GPU throttling") {
 		t.Fatalf("missing title:\n%s", out)
+	}
+
+	// Every GPU of every cell is observed under its own run name, and
+	// observing leaves the table as it was.
+	var mu sync.Mutex
+	names := make(map[string]bool)
+	observed := MultiGPU("ra", Options{Scale: 0.15, Observe: func(name string) *obs.Run {
+		mu.Lock()
+		defer mu.Unlock()
+		if names[name] {
+			t.Errorf("run %q observed twice", name)
+		}
+		names[name] = true
+		return obs.Options{Metrics: true}.NewRun(name)
+	}}, 125)
+	var gpus int
+	for _, n := range MultiGPUClusterSizes {
+		gpus += n
+	}
+	if want := 2 * gpus; len(names) != want {
+		t.Errorf("observed %d distinct run names, want %d (every GPU under both policies): %v", len(names), want, names)
+	}
+	if !reflect.DeepEqual(observed, tab) {
+		t.Errorf("observing changed the table:\n%s\nwant:\n%s", observed.Format(), out)
 	}
 }

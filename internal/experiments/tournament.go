@@ -117,7 +117,7 @@ func Tournament(o TournamentOptions) *TournamentResult {
 		cfg := base
 		cfg.MMPipeline.Planner = combos[col].planner
 		cfg.MMPipeline.Prefetcher = combos[col].prefetcher
-		return o.runtimeOf(name, o.OversubPercent, config.PolicyAdaptive, cfg, "")
+		return o.runtimeOf(name, 1, o.OversubPercent, config.PolicyAdaptive, cfg, "")
 	})
 	out := &TournamentResult{
 		Workloads:      o.Options.Workloads,

@@ -14,6 +14,7 @@ import (
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/uvm"
+	"uvmsim/internal/workloads"
 )
 
 // faultTrace captures the far-fault block sequence of a small run of
@@ -21,8 +22,8 @@ import (
 // the estimator in production — encoded as little-endian uint16 block
 // numbers for the fuzz corpus.
 func faultTrace(name string, scale float64) []byte {
-	b, cfg := core.PrepareWorkload(name, scale, 1, 125, config.PolicyAdaptive, config.Default())
-	s := core.New(b, cfg)
+	b := workloads.MustGet(name)(scale)
+	s := core.New(b, core.DeriveConfig(b, 1, 125, config.PolicyAdaptive, config.Default()))
 	var buf []byte
 	s.SetObserver(func(_ sim.Cycle, addr memunits.Addr, _ bool, kind uvm.AccessKind) {
 		if kind != uvm.AccessFault {

@@ -11,7 +11,7 @@ import (
 
 func sampleResult(t *testing.T) *core.Result {
 	t.Helper()
-	return core.RunWorkload("backprop", 0.05, 100, config.PolicyDisabled, config.Default())
+	return core.RunWorkload("backprop", 0.05, 1, 100, config.PolicyDisabled, config.Default())
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -34,7 +34,6 @@ import (
 	"uvmsim/internal/core"
 	"uvmsim/internal/experiments"
 	"uvmsim/internal/gpu"
-	"uvmsim/internal/multigpu"
 	"uvmsim/internal/report"
 	"uvmsim/internal/stats"
 	"uvmsim/internal/uvm"
@@ -173,17 +172,25 @@ func Run(w *Workload, cfg Config) *Result { return core.Run(w, cfg) }
 // 125 = the paper's oversubscription point), applies the policy, and
 // runs.
 func RunWorkload(name string, scale float64, oversubPercent uint64, pol MigrationPolicy, base Config) *Result {
-	return core.RunWorkload(name, scale, oversubPercent, pol, base)
+	return core.RunWorkload(name, scale, 1, oversubPercent, pol, base)
 }
 
-// Multi-GPU extension (the paper's §VIII future work): collaborative
-// execution across a cluster with per-GPU memory throttling.
-type (
-	// Cluster runs one workload bulk-synchronously across several GPUs.
-	Cluster = multigpu.Cluster
-	// ClusterResult aggregates a cluster run.
-	ClusterResult = multigpu.Result
-)
+// Multi-GPU extension (the paper's §VIII future work, DESIGN.md §12):
+// collaborative execution across a cluster with per-GPU memory
+// throttling. A cluster is a Simulator over N GPUs, New being its
+// one-GPU case; Observe, Workers and the per-GPU results come from it.
+
+// Cluster runs one workload bulk-synchronously across several GPUs.
+type Cluster struct{ *core.Simulator }
+
+// ClusterResult is a cluster run's Result: Counters are GPU 0's, and
+// PerGPU, Spans and the cluster totals cover every GPU.
+type ClusterResult struct {
+	*Result
+	// Cycles is the makespan, equal to Counters.Cycles. It remains only
+	// until the bench module reads Counters.Cycles instead.
+	Cycles uint64
+}
 
 // NewCluster creates a cluster of nGPUs (at most 64) over the workload
 // (cfg.DeviceMemBytes is per-GPU capacity). It runs the same loop as
@@ -192,15 +199,22 @@ type (
 // on cfg.ClusterWorkers threads, producing byte-identical results for
 // every thread count.
 func NewCluster(w *Workload, cfg Config, nGPUs int) *Cluster {
-	return multigpu.New(w, cfg, nGPUs)
+	return &Cluster{core.NewCluster(w, cfg, nGPUs)}
 }
+
+// Run executes the workload and returns the result.
+func (c *Cluster) Run() *ClusterResult { return clusterResult(c.Simulator.Run()) }
 
 // RunCluster builds and runs the named workload on nGPUs, sizing each
 // GPU's memory so its share of the working set is oversubPercent of
 // capacity. cfg.ClusterWorkers is the drain thread count, as in
 // NewCluster.
 func RunCluster(name string, scale float64, nGPUs int, oversubPercent uint64, pol MigrationPolicy, base Config) *ClusterResult {
-	return multigpu.RunWorkload(name, scale, nGPUs, oversubPercent, pol, base)
+	return clusterResult(core.RunWorkload(name, scale, nGPUs, oversubPercent, pol, base))
+}
+
+func clusterResult(r *Result) *ClusterResult {
+	return &ClusterResult{Result: r, Cycles: r.Counters.Cycles}
 }
 
 // Experiment harness re-exports: each FigN regenerates the corresponding
