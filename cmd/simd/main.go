@@ -135,11 +135,9 @@ func buildJob(o options) (serve.JobRequest, error) {
 			defer f.Close()
 			in = f
 		}
-		dec := json.NewDecoder(in)
-		dec.DisallowUnknownFields()
-		var req serve.JobRequest
-		if err := dec.Decode(&req); err != nil {
-			return serve.JobRequest{}, fmt.Errorf("decoding %s: %v", o.submit, err)
+		req, err := serve.ReadJobRequest(in)
+		if err != nil {
+			return serve.JobRequest{}, fmt.Errorf("%s: %v", o.submit, err)
 		}
 		return req, nil
 	case o.fig != "":
@@ -202,10 +200,11 @@ func runClient(o options, stdout, stderr io.Writer) error {
 }
 
 // runSmoke is the CI serve-smoke gate: an in-process server on a
-// loopback port, a small bfs job submitted twice, and hard assertions
-// that the resubmission is a pure cache hit returning byte-identical
-// payload, that the progress stream delivered updates, and that the
-// metrics and cache endpoints agree with what happened.
+// loopback port, a small mixed job (bfs cells and one co-location cell)
+// submitted twice, and hard assertions that the resubmission is a pure
+// cache hit returning byte-identical payload, that the progress stream
+// delivered updates, and that the metrics and cache endpoints agree
+// with what happened, counting both kinds of cell.
 func runSmoke(o options, stdout, stderr io.Writer) error {
 	s := serve.NewServer(serve.Options{Workers: o.workers})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -225,6 +224,7 @@ func runSmoke(o options, stdout, stderr io.Writer) error {
 		Workloads:       []string{"bfs"},
 		OversubPercents: []uint64{125},
 		Policies:        []string{"disabled", "adaptive"},
+		Colo:            []serve.ColoSpec{{Tenants: "bfs:0:1,ra:0:0", GPUs: 1, PoolMB: 32, Epochs: 3, Seed: 7}},
 	}
 	var updates int
 	st1, cold, err := c.RunJob(job, func(serve.JobStatus) { updates++ })
@@ -241,7 +241,11 @@ func runSmoke(o options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("cold payload: %v", err)
 	}
-	fmt.Fprintf(stdout, "serve-smoke: cold job %s: %d cells simulated\n", st1.ID, len(doc.Cells))
+	if len(doc.Cells) != 2 || len(doc.Colo) != 1 {
+		return fmt.Errorf("cold payload: %d cells and %d colo cells, want 2 and 1", len(doc.Cells), len(doc.Colo))
+	}
+	fmt.Fprintf(stdout, "serve-smoke: cold job %s: %d cells and %d colo cell simulated\n",
+		st1.ID, len(doc.Cells), len(doc.Colo))
 
 	st2, warm, err := c.RunJob(job, nil)
 	if err != nil {
@@ -272,7 +276,7 @@ func runSmoke(o options, stdout, stderr io.Writer) error {
 		want    uint64
 	}{
 		{"serve.jobs.completed", 2},
-		{"serve.cells.simulated", uint64(st1.TotalCells)},
+		{"serve.cells.simulated", uint64(len(doc.Cells) + len(doc.Colo))},
 		{"serve.cells.cache_hits", uint64(st2.TotalCells)},
 	} {
 		if got := snap.Counter(check.counter); got != check.want {

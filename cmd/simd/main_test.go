@@ -81,6 +81,32 @@ func TestSubmitFilePrintJob(t *testing.T) {
 	}
 }
 
+// A job file is exactly one strict job document, as for POST /v1/jobs:
+// a second document, trailing data or an unknown field fails -submit
+// before anything is printed or submitted.
+func TestSubmitFileRejectsExtraData(t *testing.T) {
+	const doc = `{"workloads":["bfs"],"scale":0.05}`
+	for name, body := range map[string]string{
+		"second document": doc + "\n" + doc,
+		"trailing data":   doc + " garbage",
+		"unknown field":   `{"workloads":["bfs"],"bogus":1}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "job.json")
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, stderr := runCLI(t, "-submit", path, "-print-job")
+			if code == 0 || stdout != "" {
+				t.Fatalf("exited %d with output %q, want a failure and no job", code, stdout)
+			}
+			if !strings.Contains(stderr, "job.json") {
+				t.Fatalf("stderr = %q, want the job file named", stderr)
+			}
+		})
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{},                             // no mode

@@ -36,9 +36,6 @@ func buildColoConfig(o options) (uvmsim.Config, error) {
 	return cfg, nil
 }
 
-// createOut opens an output file, failing before any simulation runs.
-func createOut(path string) (*os.File, error) { return os.Create(path) }
-
 // simulateColocation runs the multi-tenant co-location mode selected by
 // -tenants: the listed workloads co-scheduled on -gpus GPUs over a
 // pooled CXL tier, with per-tenant accounting and the fairness index
@@ -47,8 +44,8 @@ func simulateColocation(o options, stdout, stderr io.Writer) error {
 	if o.cxlPoolMB == 0 {
 		return fmt.Errorf("-tenants requires a pooled tier: set -cxl-pool-mb")
 	}
-	if o.graphFile != "" || o.spans || o.jsonOut != "" {
-		return fmt.Errorf("-graph, -spans and -json apply to single-workload runs only (co-location mode)")
+	if o.graphFile != "" || o.spans || o.jsonOut != "" || o.traceOut != "" || o.checkInvariants != 0 {
+		return fmt.Errorf("-graph, -spans, -json, -trace-out and -check-invariants apply to single-workload runs only (co-location mode)")
 	}
 	cfg, err := buildColoConfig(o)
 	if err != nil {
@@ -70,8 +67,15 @@ func simulateColocation(o options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Open the metrics file before the run, so an unwritable path fails
+	// before any simulated work.
 	var reg *obs.Registry
+	var metricsOut *os.File
 	if o.metricsJSON != "" {
+		if metricsOut, err = os.Create(o.metricsJSON); err != nil {
+			return err
+		}
+		defer metricsOut.Close()
 		reg = obs.NewRegistry()
 		s.Observe(reg)
 	}
@@ -104,12 +108,7 @@ func simulateColocation(o options, stdout, stderr io.Writer) error {
 		}
 	}
 	if o.metricsJSON != "" {
-		f, err := createOut(o.metricsJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := reg.Collect().WriteJSON(f); err != nil {
+		if err := reg.Collect().WriteJSON(metricsOut); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %s\n", o.metricsJSON)

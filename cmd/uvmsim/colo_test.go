@@ -34,6 +34,8 @@ func TestColocationFlagValidationExits2(t *testing.T) {
 		{"spansInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-spans"}, "co-location"},
 		{"graphInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-graph", "g.txt"}, "co-location"},
 		{"jsonInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-json", "r.json"}, "co-location"},
+		{"traceOutInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-trace-out", "t.json"}, "co-location"},
+		{"checkInvariantsInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-check-invariants", "100"}, "co-location"},
 		{"cxlFlagWithoutTenants", []string{"-workload", "ra", "-cxl-pool-mb", "32"}, "-cxl-pool-mb applies to the co-location mode"},
 		{"poolPolicyWithoutTenants", []string{"-workload", "ra", "-pool-policy", "cxl-repl"}, "-pool-policy applies to the co-location mode"},
 		{"thresholdWithoutTenants", []string{"-workload", "ra", "-cxl-threshold", "8"}, "-cxl-threshold applies to the co-location mode"},

@@ -76,17 +76,34 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 }
 
 // Unwritable output paths must fail fast — before the simulation runs —
-// so the test asserting the error also proves nothing slow happened.
+// so the test asserting the error also proves nothing slow happened. A
+// run prints its result line only after simulating, so an empty one
+// shows the failure came first.
 func TestUnwritableOutputPathsExitNonZero(t *testing.T) {
-	for _, flagName := range []string{"-json", "-metrics-json", "-trace-out"} {
-		t.Run(flagName, func(t *testing.T) {
+	single := []string{"-workload", "ra", "-scale", "0.05"}
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		result string
+	}{
+		{"-json", single, "cycles="},
+		{"-metrics-json", single, "cycles="},
+		{"-trace-out", single, "cycles="},
+		{"colo/-metrics-json", coloBase, "checksum="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flagName := tc.name[strings.LastIndex(tc.name, "/")+1:]
 			bad := filepath.Join(t.TempDir(), "missing-dir", "out.json")
-			code, _, stderr := runCLI(t, "-workload", "ra", "-scale", "0.05", flagName, bad)
+			args := append(append([]string{}, tc.args...), flagName, bad)
+			code, stdout, stderr := runCLI(t, args...)
 			if code == 0 {
 				t.Fatalf("%s %s exited 0, want non-zero", flagName, bad)
 			}
 			if !strings.Contains(stderr, "missing-dir") {
 				t.Fatalf("stderr = %q, want the failing path", stderr)
+			}
+			if strings.Contains(stdout, tc.result) {
+				t.Fatalf("stdout = %q: the run finished before the path failed", stdout)
 			}
 		})
 	}

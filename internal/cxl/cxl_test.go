@@ -249,7 +249,9 @@ func TestParseTenants(t *testing.T) {
 	if ts[1].Workload != "sssp" || ts[1].GPU != 1 || ts[1].Priority != 0 {
 		t.Fatalf("parsed %+v", ts)
 	}
-	for _, bad := range []string{"", "bfs", "bfs:9", "bfs:x", "nope:0", "bfs:0:x", "bfs:0:1:2"} {
+	// Empty fields are kept, not skipped: an empty tenant ("bfs:0,,ra:0")
+	// or an empty priority ("bfs:0:") is an error.
+	for _, bad := range []string{"", "bfs", "bfs:9", "bfs:x", "nope:0", "bfs:0:x", "bfs:0:1:2", "bfs:0,,ra:0", "bfs:0:", ",", "bfs:0,"} {
 		if _, err := ParseTenants(bad, 2); err == nil {
 			t.Errorf("ParseTenants(%q) accepted", bad)
 		}

@@ -3,6 +3,7 @@ package cxl
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/core"
@@ -476,8 +477,8 @@ func ParseTenants(spec string, gpus int) ([]TenantSpec, error) {
 		return nil, fmt.Errorf("cxl: empty tenant spec")
 	}
 	var out []TenantSpec
-	for _, field := range splitComma(spec) {
-		parts := splitColon(field)
+	for _, field := range strings.Split(spec, ",") {
+		parts := strings.Split(field, ":")
 		if len(parts) < 2 || len(parts) > 3 {
 			return nil, fmt.Errorf("cxl: tenant %q: want workload:gpu[:priority]", field)
 		}
@@ -500,21 +501,6 @@ func ParseTenants(spec string, gpus int) ([]TenantSpec, error) {
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-func splitComma(s string) []string { return splitOn(s, ',') }
-func splitColon(s string) []string { return splitOn(s, ':') }
-
-func splitOn(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
 }
 
 func parseInt(s string) (int, error) {

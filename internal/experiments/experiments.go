@@ -73,11 +73,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// runtimeOf runs one configuration cell on nGPUs, each GPU's memory
-// sized for its share of the working set (core.DeriveConfig). tag
-// disambiguates cells that share workload/policy/oversubscription
-// (threshold and penalty sweeps, cluster sizes).
-func (o Options) runtimeOf(name string, nGPUs int, pct uint64, pol config.MigrationPolicy, base config.Config, tag string) *core.Result {
+// cell builds one configuration cell on nGPUs, each GPU's memory sized
+// for its share of the working set (core.DeriveConfig), with the
+// Observe instruments attached. tag disambiguates cells that share
+// workload/policy/oversubscription (threshold and penalty sweeps,
+// cluster sizes, hinted runs).
+func (o Options) cell(name string, nGPUs int, pct uint64, pol config.MigrationPolicy, base config.Config, tag string) *core.Simulator {
 	b := o.memo.Get(name, o.Scale)
 	s := core.NewCluster(b, core.DeriveConfig(b, nGPUs, pct, pol, base), nGPUs)
 	if o.Observe != nil {
@@ -92,7 +93,12 @@ func (o Options) runtimeOf(name string, nGPUs int, pct uint64, pol config.Migrat
 		}
 		s.ObserveAs(runName, o.Observe)
 	}
-	return s.Run()
+	return s
+}
+
+// runtimeOf builds and runs one cell (see cell).
+func (o Options) runtimeOf(name string, nGPUs int, pct uint64, pol config.MigrationPolicy, base config.Config, tag string) *core.Result {
+	return o.cell(name, nGPUs, pct, pol, base, tag).Run()
 }
 
 // grid evaluates one simulation per (workload, column) pair in parallel.

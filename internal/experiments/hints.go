@@ -5,7 +5,6 @@ import (
 	"uvmsim/internal/core"
 	"uvmsim/internal/report"
 	"uvmsim/internal/uvm"
-	"uvmsim/internal/workloads"
 )
 
 // coldDensityDivisor classifies an allocation as cold when its access
@@ -43,16 +42,15 @@ func ProfileColdAllocations(workload string, o Options) []string {
 }
 
 // runWithHints runs the workload under the baseline policy with the
-// named allocations hard-pinned to host memory (zero-copy).
+// named allocations hard-pinned to host memory (zero-copy). It is an
+// ordinary cell tagged "hinted", so Observe sees it like any other.
 func runWithHints(workload string, o Options, pct uint64, pinned []string) *core.Result {
-	b := workloads.MustGet(workload)(o.Scale)
-	cfg := o.Base.WithPolicy(config.PolicyDisabled).WithOversubscription(b.WorkingSet(), pct)
-	s := core.New(b, cfg)
+	s := o.cell(workload, 1, pct, config.PolicyDisabled, o.Base, "hinted")
 	want := make(map[string]bool, len(pinned))
 	for _, n := range pinned {
 		want[n] = true
 	}
-	for _, a := range b.Space.Allocations() {
+	for _, a := range o.memo.Get(workload, o.Scale).Space.Allocations() {
 		if want[a.Name] {
 			s.Driver.Advise(a, uvm.AdvicePinHost)
 		}

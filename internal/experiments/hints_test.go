@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
+
+	"uvmsim/internal/obs"
 )
 
 func TestProfileColdAllocations(t *testing.T) {
@@ -45,5 +50,28 @@ func TestOracleHintsShape(t *testing.T) {
 	}
 	if adaptive >= 1.0 {
 		t.Errorf("adaptive ratio %.3f, want < 1", adaptive)
+	}
+}
+
+// Every cell of OracleHints is observed, the hinted one included under
+// its own tag, and observing leaves the table as it was.
+func TestOracleHintsObservesEveryCell(t *testing.T) {
+	o := Options{Scale: expScale, Workloads: []string{"bfs"}}
+	tab := OracleHints(o, 125)
+	var mu sync.Mutex
+	var names []string
+	o.Observe = func(name string) *obs.Run {
+		mu.Lock()
+		defer mu.Unlock()
+		names = append(names, name)
+		return obs.Options{Metrics: true}.NewRun(name)
+	}
+	if observed := OracleHints(o, 125); !reflect.DeepEqual(observed, tab) {
+		t.Errorf("observing changed the table:\n%s\nwant:\n%s", observed.Format(), tab.Format())
+	}
+	slices.Sort(names)
+	want := []string{"bfs/Adaptive/125%/hints", "bfs/Disabled/125%", "bfs/Disabled/125%/hinted", "bfs/trace"}
+	if !slices.Equal(names, want) {
+		t.Errorf("observed runs %q, want %q", names, want)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"uvmsim/internal/config"
+	"uvmsim/internal/core"
 	"uvmsim/internal/report"
+	"uvmsim/internal/sweep"
 )
 
 // MultiGPUClusterSizes are the cluster sizes the extension experiment
@@ -27,13 +29,20 @@ func MultiGPU(workload string, o Options, oversubPercent uint64) *report.Table {
 		Metric:  "Adaptive makespan and thrash normalized to same-size baseline cluster",
 		Columns: []string{"Runtime", "Thrash"},
 	}
-	for _, n := range MultiGPUClusterSizes {
-		tag := fmt.Sprintf("x%d", n)
-		base := o.runtimeOf(workload, n, oversubPercent, config.PolicyDisabled, o.Base, tag)
-		cfg := o.Base
-		cfg.Penalty = 8
-		adpt := o.runtimeOf(workload, n, oversubPercent, config.PolicyAdaptive, cfg, tag)
-		t.Add(workload+" "+tag,
+	adaptive := o.Base
+	adaptive.Penalty = 8
+	// One row per cluster size: the baseline cell, then the Adaptive one.
+	cells := sweep.Grid(len(MultiGPUClusterSizes), 2, o.Workers, func(row, col int) *core.Result {
+		pol, base := config.PolicyDisabled, o.Base
+		if col == 1 {
+			pol, base = config.PolicyAdaptive, adaptive
+		}
+		n := MultiGPUClusterSizes[row]
+		return o.runtimeOf(workload, n, oversubPercent, pol, base, fmt.Sprintf("x%d", n))
+	})
+	for i, n := range MultiGPUClusterSizes {
+		base, adpt := cells[i][0], cells[i][1]
+		t.Add(fmt.Sprintf("%s x%d", workload, n),
 			report.Ratio(adpt.Runtime(), base.Runtime()),
 			report.Ratio(adpt.TotalThrashedPages(), base.TotalThrashedPages()))
 	}

@@ -58,3 +58,13 @@ func TestMultiGPUExperimentShape(t *testing.T) {
 		t.Errorf("observing changed the table:\n%s\nwant:\n%s", observed.Format(), out)
 	}
 }
+
+// The six cells run through sweep.Grid, so the table is the same at any
+// worker count.
+func TestMultiGPUWorkersIdentical(t *testing.T) {
+	one := MultiGPU("ra", Options{Scale: 0.15, Workers: 1}, 125)
+	two := MultiGPU("ra", Options{Scale: 0.15, Workers: 2}, 125)
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("Workers: 2 changed the table:\n%s\nwant:\n%s", two.Format(), one.Format())
+	}
+}

@@ -1,7 +1,6 @@
 package resultio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -39,9 +38,7 @@ func WriteCellEntry(w io.Writer, e *CellEntry) error {
 	if cp.Record.Version == 0 {
 		cp.Record.Version = FormatVersion
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&cp)
+	return writeIndented(w, &cp)
 }
 
 // ReadCellEntry parses and validates one cache entry. Trailing bytes
@@ -49,22 +46,23 @@ func WriteCellEntry(w io.Writer, e *CellEntry) error {
 // or corrupted cache file must not parse as its leading prefix.
 func ReadCellEntry(r io.Reader) (*CellEntry, error) {
 	var e CellEntry
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&e); err != nil {
+	if err := DecodeStrict(r, &e); err != nil {
 		return nil, fmt.Errorf("resultio: %w", err)
 	}
-	if err := requireEOF(dec); err != nil {
-		return nil, err
-	}
-	if e.Version != CellFormatVersion {
-		return nil, fmt.Errorf("resultio: unsupported cell entry version %d (want %d)", e.Version, CellFormatVersion)
-	}
-	if e.Key == "" {
-		return nil, fmt.Errorf("resultio: cell entry missing key")
-	}
-	if err := validateRecord(&e.Record); err != nil {
+	if err := e.Validate(); err != nil {
 		return nil, err
 	}
 	return &e, nil
+}
+
+// Validate applies the entry rules ReadCellEntry enforces after
+// decoding: the exact entry version, a key, and a valid record.
+func (e *CellEntry) Validate() error {
+	if e.Version != CellFormatVersion {
+		return fmt.Errorf("resultio: unsupported cell entry version %d (want %d)", e.Version, CellFormatVersion)
+	}
+	if e.Key == "" {
+		return fmt.Errorf("resultio: cell entry missing key")
+	}
+	return validateRecord(&e.Record)
 }

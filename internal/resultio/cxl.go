@@ -1,7 +1,6 @@
 package resultio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -66,34 +65,33 @@ func WriteCXLEntry(w io.Writer, e *CXLEntry) error {
 	if cp.Version == 0 {
 		cp.Version = CXLFormatVersion
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&cp)
+	return writeIndented(w, &cp)
 }
 
 // ReadCXLEntry parses and validates one co-location cache entry.
 // Trailing bytes after the document are rejected.
 func ReadCXLEntry(r io.Reader) (*CXLEntry, error) {
 	var e CXLEntry
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&e); err != nil {
+	if err := DecodeStrict(r, &e); err != nil {
 		return nil, fmt.Errorf("resultio: %w", err)
 	}
-	if err := requireEOF(dec); err != nil {
-		return nil, err
-	}
-	if e.Version != CXLFormatVersion {
-		return nil, fmt.Errorf("resultio: unsupported cxl entry version %d (want %d)", e.Version, CXLFormatVersion)
-	}
-	if e.Key == "" {
-		return nil, fmt.Errorf("resultio: cxl entry missing key")
-	}
-	if e.Scenario.Name == "" {
-		return nil, fmt.Errorf("resultio: cxl entry scenario missing name")
-	}
-	if err := validateCXLScenario(&e.Scenario); err != nil {
+	if err := e.Validate(); err != nil {
 		return nil, err
 	}
 	return &e, nil
+}
+
+// Validate applies the entry rules ReadCXLEntry enforces after
+// decoding: the exact entry version, a key, and a complete scenario.
+func (e *CXLEntry) Validate() error {
+	if e.Version != CXLFormatVersion {
+		return fmt.Errorf("resultio: unsupported cxl entry version %d (want %d)", e.Version, CXLFormatVersion)
+	}
+	if e.Key == "" {
+		return fmt.Errorf("resultio: cxl entry missing key")
+	}
+	if e.Scenario.Name == "" {
+		return fmt.Errorf("resultio: cxl entry scenario missing name")
+	}
+	return validateCXLScenario(&e.Scenario)
 }

@@ -6,6 +6,7 @@ package resultio
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -56,19 +57,32 @@ func Write(w io.Writer, rec *Record) error {
 	if cp.Version == 0 {
 		cp.Version = FormatVersion
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&cp)
+	return writeIndented(w, &cp)
 }
 
-// requireEOF rejects any non-whitespace bytes after the decoded JSON
-// document. Every resultio reader enforces this: a truncated write that
-// was later concatenated with another document, or a corrupted
-// content-addressed cache entry, must fail loudly instead of parsing
-// "successfully" as its leading prefix.
-func requireEOF(dec *json.Decoder) error {
+// writeIndented emits v as two-space-indented JSON and a newline: the
+// one encoding every resultio writer uses.
+func writeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// DecodeStrict decodes exactly one JSON document from r into v.
+// Unknown fields are errors, and so is any non-whitespace data after
+// the document: a truncated write that was later concatenated with
+// another document, or a corrupted content-addressed cache entry, must
+// fail loudly instead of parsing "successfully" as its leading prefix.
+// Every strict reader in the repository (the resultio readers, job
+// requests and job result payloads) goes through it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
 	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("resultio: trailing data after JSON document")
+		return errors.New("trailing data after JSON document")
 	}
 	return nil
 }
@@ -76,13 +90,8 @@ func requireEOF(dec *json.Decoder) error {
 // Read parses one record and validates its schema version and counters.
 func Read(r io.Reader) (*Record, error) {
 	var rec Record
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
+	if err := DecodeStrict(r, &rec); err != nil {
 		return nil, fmt.Errorf("resultio: %w", err)
-	}
-	if err := requireEOF(dec); err != nil {
-		return nil, err
 	}
 	if err := validateRecord(&rec); err != nil {
 		return nil, err

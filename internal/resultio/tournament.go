@@ -1,7 +1,6 @@
 package resultio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -55,21 +54,14 @@ func WriteTournamentSuite(w io.Writer, s *TournamentSuite) error {
 	if cp.Version == 0 {
 		cp.Version = TournamentFormatVersion
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&cp)
+	return writeIndented(w, &cp)
 }
 
 // ReadTournamentSuite parses and validates one suite.
 func ReadTournamentSuite(r io.Reader) (*TournamentSuite, error) {
 	var s TournamentSuite
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(r, &s); err != nil {
 		return nil, fmt.Errorf("resultio: %w", err)
-	}
-	if err := requireEOF(dec); err != nil {
-		return nil, err
 	}
 	if s.Version != TournamentFormatVersion {
 		return nil, fmt.Errorf("resultio: unsupported tournament suite version %d (want %d)", s.Version, TournamentFormatVersion)

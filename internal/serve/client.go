@@ -21,36 +21,24 @@ type ResultDoc struct {
 	Colo []resultio.CXLEntry `json:"colo,omitempty"`
 }
 
-// DecodeResult parses and validates a job result payload: version
-// check, strict EOF, and per-entry validation via the resultio rules.
+// DecodeResult parses and validates a job result payload: the strict
+// decode (resultio.DecodeStrict), the version check, and every entry's
+// resultio validation rules.
 func DecodeResult(payload []byte) (*ResultDoc, error) {
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
 	var doc ResultDoc
-	if err := dec.Decode(&doc); err != nil {
+	if err := resultio.DecodeStrict(bytes.NewReader(payload), &doc); err != nil {
 		return nil, fmt.Errorf("serve: decoding result payload: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("serve: trailing data after result payload")
 	}
 	if doc.Version != ResultFormatVersion {
 		return nil, fmt.Errorf("serve: unsupported result version %d (want %d)", doc.Version, ResultFormatVersion)
 	}
 	for i := range doc.Cells {
-		var buf bytes.Buffer
-		if err := resultio.WriteCellEntry(&buf, &doc.Cells[i]); err != nil {
-			return nil, fmt.Errorf("serve: result cell %d: %w", i, err)
-		}
-		if _, err := resultio.ReadCellEntry(&buf); err != nil {
+		if err := doc.Cells[i].Validate(); err != nil {
 			return nil, fmt.Errorf("serve: result cell %d: %w", i, err)
 		}
 	}
 	for i := range doc.Colo {
-		var buf bytes.Buffer
-		if err := resultio.WriteCXLEntry(&buf, &doc.Colo[i]); err != nil {
-			return nil, fmt.Errorf("serve: result colo cell %d: %w", i, err)
-		}
-		if _, err := resultio.ReadCXLEntry(&buf); err != nil {
+		if err := doc.Colo[i].Validate(); err != nil {
 			return nil, fmt.Errorf("serve: result colo cell %d: %w", i, err)
 		}
 	}

@@ -46,11 +46,11 @@ func TestColoJobRoundTripMatchesDirectRun(t *testing.T) {
 
 	// Reproduce the first entry directly.
 	req := smallColoJob("direct")
-	_, colos, err := req.expand()
+	p, err := req.plan(Options{}.withDefaults().MaxCells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := cxl.NewScenario(colos[0].sc)
+	sc, err := cxl.NewScenario(p.units[0].(*coloCell).sc)
 	if err != nil {
 		t.Fatal(err)
 	}

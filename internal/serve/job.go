@@ -16,15 +16,15 @@
 package serve
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
 	"uvmsim/internal/cliutil"
 	"uvmsim/internal/config"
+	"uvmsim/internal/core"
 	"uvmsim/internal/cxl"
 	"uvmsim/internal/mm"
+	"uvmsim/internal/resultio"
 	"uvmsim/internal/satmath"
 	"uvmsim/internal/workloads"
 )
@@ -142,9 +142,9 @@ const MaxScale = 64
 // oversubscription point.
 var defaultOversubPercents = []uint64{125}
 
-// cells validates the request and expands it into its deterministic
-// cell list.
-func (r *JobRequest) cells() ([]cell, error) {
+// cells validates the request's workload cells and expands them, over
+// the job's base configuration, into their deterministic list.
+func (r *JobRequest) cells(base config.Config) ([]cell, error) {
 	scale := r.Scale
 	if scale == 0 {
 		scale = 1.0
@@ -155,11 +155,6 @@ func (r *JobRequest) cells() ([]cell, error) {
 	if scale > MaxScale {
 		return nil, fmt.Errorf("serve: scale %v exceeds the limit %d", r.Scale, MaxScale)
 	}
-	base := config.Default()
-	if r.Base != nil {
-		base = *r.Base
-	}
-
 	var cells []cell
 	if len(r.Workloads) > 0 {
 		pcts := r.OversubPercents
@@ -223,12 +218,9 @@ func (r *JobRequest) cells() ([]cell, error) {
 	return cells, nil
 }
 
-// coloCells validates and resolves the request's co-location cells.
-func (r *JobRequest) coloCells() ([]coloCell, error) {
-	base := config.Default()
-	if r.Base != nil {
-		base = *r.Base
-	}
+// coloCells validates and resolves the request's co-location cells
+// over the job's base configuration.
+func (r *JobRequest) coloCells(base config.Config) ([]coloCell, error) {
 	var cells []coloCell
 	for i, spec := range r.Colo {
 		b := base
@@ -259,8 +251,8 @@ func (r *JobRequest) coloCells() ([]coloCell, error) {
 		if spec.Epochs < 0 {
 			return nil, fmt.Errorf("serve: colo cell %d: epochs must be non-negative, got %d", i, spec.Epochs)
 		}
-		if spec.GPUs < 1 || spec.GPUs > 64 {
-			return nil, fmt.Errorf("serve: colo cell %d: %d GPUs out of range (1..64)", i, spec.GPUs)
+		if spec.GPUs < 1 || spec.GPUs > core.MaxGPUs {
+			return nil, fmt.Errorf("serve: colo cell %d: %d GPUs out of range (1..%d)", i, spec.GPUs, core.MaxGPUs)
 		}
 		tenants, err := cxl.ParseTenants(spec.Tenants, spec.GPUs)
 		if err != nil {
@@ -305,52 +297,69 @@ func (r *JobRequest) cellCount() uint64 {
 	return satmath.Add(n, uint64(len(r.Colo)))
 }
 
-// decodeJobRequest is POST /v1/jobs without the run: the strict decode
-// of a request body (unknown fields and trailing data are errors), then
-// plan. It returns the job's name and its units; it runs no cell.
-func decodeJobRequest(body io.Reader, maxCells int) (string, []cell, []coloCell, error) {
+// ReadJobRequest decodes exactly one job request document: unknown
+// fields and data after the document are errors. POST /v1/jobs and
+// simd -submit both read requests through it.
+func ReadJobRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return "", nil, nil, fmt.Errorf("serve: decoding job request: %w", err)
+	if err := resultio.DecodeStrict(r, &req); err != nil {
+		return JobRequest{}, fmt.Errorf("serve: decoding job request: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		if err == nil {
-			err = errors.New("trailing data")
-		}
-		return "", nil, nil, fmt.Errorf("serve: decoding job request: %w", err)
+	return req, nil
+}
+
+// decodeJobRequest is POST /v1/jobs without the run: ReadJobRequest,
+// then plan. It returns the job's name and plan; it runs no cell.
+func decodeJobRequest(body io.Reader, maxCells int) (string, jobPlan, error) {
+	req, err := ReadJobRequest(body)
+	if err != nil {
+		return "", jobPlan{}, err
 	}
-	cells, colos, err := req.plan(maxCells)
-	return req.Name, cells, colos, err
+	p, err := req.plan(maxCells)
+	return req.Name, p, err
+}
+
+// jobPlan is a validated job: its units in payload order (workload
+// cells, then co-location cells) and how many of them are workload
+// cells.
+type jobPlan struct {
+	units  []unit
+	nCells int
 }
 
 // plan runs every check that precedes a job's first cell: the cell
 // count against maxCells, from the axis lengths alone so an oversized
-// request is rejected before any cell is built, then expand (which
-// holds the scale to MaxScale).
-func (r *JobRequest) plan(maxCells int) ([]cell, []coloCell, error) {
+// request is rejected before any cell is built, then the validation and
+// resolution of every cell (which holds the scale to MaxScale). Units
+// point into the resolved cell slices, so a plan costs one interface
+// slice per job and nothing per cell.
+func (r *JobRequest) plan(maxCells int) (jobPlan, error) {
 	if n := r.cellCount(); n > uint64(maxCells) {
-		return nil, nil, fmt.Errorf("serve: job expands to %d cells (limit %d)", n, maxCells)
+		return jobPlan{}, fmt.Errorf("serve: job expands to %d cells (limit %d)", n, maxCells)
 	}
-	return r.expand()
-}
-
-// expand validates the request and resolves it into its deterministic
-// unit lists: workload cells followed by co-location cells.
-func (r *JobRequest) expand() ([]cell, []coloCell, error) {
-	cells, err := r.cells()
-	if err != nil {
-		return nil, nil, err
+	base := config.Default()
+	if r.Base != nil {
+		base = *r.Base
 	}
-	colos, err := r.coloCells()
+	cells, err := r.cells(base)
 	if err != nil {
-		return nil, nil, err
+		return jobPlan{}, err
+	}
+	colos, err := r.coloCells(base)
+	if err != nil {
+		return jobPlan{}, err
 	}
 	if len(cells)+len(colos) == 0 {
-		return nil, nil, fmt.Errorf("serve: job expands to no cells (empty matrix and no explicit cells)")
+		return jobPlan{}, fmt.Errorf("serve: job expands to no cells (empty matrix and no explicit cells)")
 	}
-	return cells, colos, nil
+	units := make([]unit, 0, len(cells)+len(colos))
+	for i := range cells {
+		units = append(units, &cells[i])
+	}
+	for i := range colos {
+		units = append(units, &colos[i])
+	}
+	return jobPlan{units: units, nCells: len(cells)}, nil
 }
 
 // validate checks the fields submit-time can check cheaply: the

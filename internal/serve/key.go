@@ -65,7 +65,7 @@ func ColoKey(gpus int, tenants []string, epochs int, seed uint64, derived config
 	// byte-identical under the PDES coordinator at any worker count), so
 	// it must not split the key space.
 	derived.ClusterWorkers = 0
-	doc, err := json.Marshal(coloKeyDoc{
+	return hashKey(coloKeyDoc{
 		KeyVersion: KeyVersion,
 		GPUs:       gpus,
 		Tenants:    tenants,
@@ -73,32 +73,31 @@ func ColoKey(gpus int, tenants []string, epochs int, seed uint64, derived config
 		Seed:       seed,
 		Config:     derived,
 	})
-	if err != nil {
-		// config.Config is a plain value struct; Marshal cannot fail.
-		panic(fmt.Sprintf("serve: canonical colo key encoding failed: %v", err))
-	}
-	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:])
 }
 
-// CellKey returns the canonical content address for one cell: the
-// hex-encoded SHA-256 of the canonical key document.
+// CellKey returns the canonical content address for one cell.
 func CellKey(workload string, scale float64, oversubPercent uint64, derived config.Config) string {
 	// ClusterWorkers selects PDES worker counts for multi-GPU runs and
 	// is ignored by the single-GPU cells the service executes; results
 	// are identical for every value, so it must not split the key space.
 	derived.ClusterWorkers = 0
-	doc, err := json.Marshal(keyDoc{
+	return hashKey(keyDoc{
 		KeyVersion:     KeyVersion,
 		Workload:       workload,
 		Scale:          scale,
 		OversubPercent: oversubPercent,
 		Config:         derived,
 	})
+}
+
+// hashKey returns the hex-encoded SHA-256 of a canonical key document's
+// JSON encoding.
+func hashKey(doc any) string {
+	b, err := json.Marshal(doc)
 	if err != nil {
-		// config.Config is a plain value struct; Marshal cannot fail.
+		// The key documents hold plain value structs; Marshal cannot fail.
 		panic(fmt.Sprintf("serve: canonical key encoding failed: %v", err))
 	}
-	sum := sha256.Sum256(doc)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }

@@ -9,9 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/core"
+	"uvmsim/internal/cxl"
 	"uvmsim/internal/resultio"
 	"uvmsim/internal/workloads"
 )
@@ -169,6 +171,92 @@ func TestPanicInCellFailsJobWithoutWedgingPool(t *testing.T) {
 	// The worker pool must survive the abort.
 	if _, _, err := c.RunJob(smallJob("after-failure"), nil); err != nil {
 		t.Fatalf("healthy job after failed job: %v", err)
+	}
+}
+
+// A co-location unit whose scenario cannot be built fails its job the
+// same way: the error reaches the status and the pool survives.
+func TestColoErrorFailsJobWithoutWedgingPool(t *testing.T) {
+	s, c := newTestServer(t, Options{Workers: 2})
+
+	// plan rejects a tenant-less mix, so build the unit directly.
+	bad := coloCell{sc: cxl.ScenarioConfig{Cfg: config.Default(), GPUs: 1}, policy: "cxl-repl"}
+	st, err := c.Wait(s.start("bad-colo", jobPlan{units: []unit{&bad}}).ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "serve: colo cell: cxl: no tenants") {
+		t.Fatalf("got %q %q, want failed with the scenario error", st.State, st.Error)
+	}
+	if _, _, err := c.RunJob(smallJob("after-failure"), nil); err != nil {
+		t.Fatalf("healthy job after failed job: %v", err)
+	}
+}
+
+// awaitStatus follows a job's state until done reports true, failing
+// the test if that takes longer than a few seconds.
+func awaitStatus(t *testing.T, j *jobState, done func(JobStatus) bool) JobStatus {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		ch := j.wait()
+		if st := j.status(); done(st) {
+			return st
+		}
+		select {
+		case <-ch:
+		case <-deadline:
+			t.Fatalf("job %s stuck at %+v", j.id, j.status())
+		}
+	}
+}
+
+// A unit is looked up before it queues for a worker token. With every
+// token held, a job whose cells are all cached still completes, and in
+// a job with a miss the cached cell completes while the miss waits for
+// a token.
+func TestCacheHitsSkipWorkerQueue(t *testing.T) {
+	s, c := newTestServer(t, Options{Workers: 2})
+	warm := smallJob("warm")
+	if _, _, err := c.RunJob(warm, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cap(s.sem); i++ {
+		s.sem <- struct{}{}
+	}
+	held := cap(s.sem)
+	t.Cleanup(func() {
+		for ; held > 0; held-- {
+			<-s.sem
+		}
+	})
+	submit := func(req JobRequest) *jobState {
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := s.job(st.ID)
+		return j
+	}
+
+	st := awaitStatus(t, submit(warm), JobStatus.Terminal)
+	if st.State != StateDone || st.CacheHits != st.TotalCells {
+		t.Fatalf("warm job with every token held: %+v, want all hits", st)
+	}
+
+	mixed := smallJob("mixed")
+	mixed.Policies = []string{"adaptive", "disabled"} // a hit, then a miss
+	j := submit(mixed)
+	awaitStatus(t, j, func(st JobStatus) bool { return st.DoneCells > 0 })
+	// Give a miss that wrongly skipped the queue time to finish.
+	time.Sleep(50 * time.Millisecond)
+	if st = j.status(); st.State != StateRunning || st.DoneCells != 1 || st.CacheHits != 1 {
+		t.Fatalf("with every token held: %+v, want the hit done and the miss waiting", st)
+	}
+	<-s.sem
+	held--
+	if st = awaitStatus(t, j, JobStatus.Terminal); st.State != StateDone || st.CacheHits != 1 {
+		t.Fatalf("after a token was released: %+v", st)
 	}
 }
 

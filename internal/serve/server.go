@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -196,29 +197,28 @@ func (j *jobState) result() ([][]byte, bool) {
 	return j.parts, j.state == StateDone
 }
 
-// Submit expands, registers and starts a job, returning its initial
+// Submit plans, registers and starts a job, returning its initial
 // status. It is the programmatic equivalent of POST /v1/jobs (the load
 // test and in-process tests use it directly).
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	cells, colos, err := req.plan(s.opts.MaxCells)
+	p, err := req.plan(s.opts.MaxCells)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	return s.start(req.Name, cells, colos), nil
+	return s.start(req.Name, p), nil
 }
 
 // start registers a planned job and runs it in the background.
-func (s *Server) start(name string, cells []cell, colos []coloCell) JobStatus {
-	total := len(cells) + len(colos)
+func (s *Server) start(name string, p jobPlan) JobStatus {
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("job-%d", s.seq)
-	j := newJobState(id, name, total)
+	j := newJobState(id, name, len(p.units))
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 	s.jobsSubmitted.Add(1)
-	go s.runJob(j, cells, colos)
+	go s.runJob(j, p)
 	return j.status()
 }
 
@@ -230,29 +230,26 @@ func (s *Server) job(id string) (*jobState, bool) {
 	return j, ok
 }
 
-// runJob executes every cell through sweep.Parallel under the global
-// worker budget, each cell holding its own worker token, and frames
-// the canonical result payload around the entries in cell order. A
-// panicking cell (an invalid derived config, a model bug) aborts the
-// sweep through sweep.Parallel's abort path — remaining workers stop
-// claiming cells, in-flight cells finish, no goroutine leaks — and
+// runJob answers every unit through sweep.Parallel, at most
+// Options.Workers at a time per job, and frames the canonical result
+// payload around the entries in unit order. A panicking unit (an
+// invalid derived config, a failed co-location run, a model bug) aborts
+// the sweep through sweep.Parallel's abort path — remaining workers
+// stop claiming units, in-flight units finish, no goroutine leaks — and
 // surfaces here as a failed job; the shared token pool is returned in
 // full, so later jobs are unaffected.
-func (s *Server) runJob(j *jobState, cells []cell, colos []coloCell) {
+func (s *Server) runJob(j *jobState, p jobPlan) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.fail(fmt.Sprint(r))
 			s.jobsFailed.Add(1)
 		}
 	}()
-	fns := make([]func() []byte, 0, len(cells)+len(colos))
-	for _, c := range cells {
-		fns = append(fns, func() []byte { return s.runCell(j, c) })
+	fns := make([]func() []byte, len(p.units))
+	for i, u := range p.units {
+		fns[i] = func() []byte { return s.runUnit(j, u) }
 	}
-	for _, c := range colos {
-		fns = append(fns, func() []byte { return s.runColoCell(j, c) })
-	}
-	j.finish(frameResult(sweep.Parallel(fns, s.opts.Workers), len(cells)))
+	j.finish(frameResult(sweep.Parallel(fns, s.opts.Workers), p.nCells))
 	s.jobsCompleted.Add(1)
 }
 
@@ -299,62 +296,71 @@ func frameResult(entries [][]byte, nCells int) [][]byte {
 	return append(parts, frameTail)
 }
 
-// runCell executes one cell — cache hit or simulation — and returns its
-// canonical entry payload: the cache's stored bytes either way.
-func (s *Server) runCell(j *jobState, c cell) []byte {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
+// unit is one resolved unit of a job: a workload cell or a
+// co-location cell.
+type unit interface {
+	// cacheKey returns the unit's content address.
+	cacheKey(memo *workloads.Memo) string
+	// simulate runs the unit from scratch and writes its canonical
+	// entry, stored under key, to w.
+	simulate(memo *workloads.Memo, key string, w io.Writer) error
+}
 
-	b := s.memo.Get(c.workload, c.scale)
-	cfg := core.DeriveConfig(b, 1, c.pct, c.policy, c.base)
-	key := CellKey(c.workload, c.scale, c.pct, cfg)
-	if p, ok := s.cache.Get(key); ok {
+// runUnit answers one unit — cache hit or simulation — and returns its
+// canonical entry: the cache's stored bytes either way. The unit is
+// keyed and looked up before it queues: only a miss takes a worker
+// token, so a warm job never waits behind running simulations. A
+// simulation error panics, failing the job through sweep.Parallel's
+// abort path.
+func (s *Server) runUnit(j *jobState, u unit) []byte {
+	key := u.cacheKey(s.memo)
+	p, hit := s.cache.Get(key)
+	if hit {
 		s.cellsCached.Add(1)
-		s.cellsCompleted.Add(1)
-		j.cellDone(true)
-		return p
+	} else {
+		s.sem <- struct{}{}
+		defer func() { <-s.sem }()
+		var buf bytes.Buffer
+		if err := u.simulate(s.memo, key, &buf); err != nil {
+			panic(fmt.Sprintf("serve: %v", err))
+		}
+		p = s.cache.Put(key, buf.Bytes())
+		s.cellsSimulated.Add(1)
 	}
-	res := core.Run(b, cfg)
-	entry := &resultio.CellEntry{
-		Version: resultio.CellFormatVersion,
-		Key:     key,
-		Record:  *resultio.FromResult(res, c.scale, c.pct),
-	}
-	var buf bytes.Buffer
-	if err := resultio.WriteCellEntry(&buf, entry); err != nil {
-		panic(fmt.Sprintf("serve: encoding cell entry: %v", err))
-	}
-	p := s.cache.Put(key, buf.Bytes())
-	s.cellsSimulated.Add(1)
 	s.cellsCompleted.Add(1)
-	j.cellDone(false)
+	j.cellDone(hit)
 	return p
 }
 
-// runColoCell executes one co-location cell — cache hit or scenario run
-// — and returns its canonical entry payload. Construction and run
-// errors abort the job through the sweep.Parallel panic path, exactly
-// like an invalid workload-cell config.
-func (s *Server) runColoCell(j *jobState, c coloCell) []byte {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
+func (c *cell) cacheKey(memo *workloads.Memo) string {
+	b := memo.Get(c.workload, c.scale)
+	return CellKey(c.workload, c.scale, c.pct, core.DeriveConfig(b, 1, c.pct, c.policy, c.base))
+}
 
-	key := ColoKey(c.sc.GPUs, c.tenants, c.sc.Epochs, c.sc.Seed, c.sc.Cfg)
-	if p, ok := s.cache.Get(key); ok {
-		s.cellsCached.Add(1)
-		s.cellsCompleted.Add(1)
-		j.cellDone(true)
-		return p
-	}
+func (c *cell) simulate(memo *workloads.Memo, key string, w io.Writer) error {
+	b := memo.Get(c.workload, c.scale)
+	res := core.Run(b, core.DeriveConfig(b, 1, c.pct, c.policy, c.base))
+	return resultio.WriteCellEntry(w, &resultio.CellEntry{
+		Version: resultio.CellFormatVersion,
+		Key:     key,
+		Record:  *resultio.FromResult(res, c.scale, c.pct),
+	})
+}
+
+func (c *coloCell) cacheKey(*workloads.Memo) string {
+	return ColoKey(c.sc.GPUs, c.tenants, c.sc.Epochs, c.sc.Seed, c.sc.Cfg)
+}
+
+func (c *coloCell) simulate(_ *workloads.Memo, key string, w io.Writer) error {
 	sc, err := cxl.NewScenario(c.sc)
 	if err != nil {
-		panic(fmt.Sprintf("serve: colo cell: %v", err))
+		return fmt.Errorf("colo cell: %w", err)
 	}
 	res, err := sc.Run()
 	if err != nil {
-		panic(fmt.Sprintf("serve: colo cell: %v", err))
+		return fmt.Errorf("colo cell: %w", err)
 	}
-	entry := &resultio.CXLEntry{
+	return resultio.WriteCXLEntry(w, &resultio.CXLEntry{
 		Version: resultio.CXLFormatVersion,
 		Key:     key,
 		Scenario: resultio.CXLScenario{
@@ -365,16 +371,7 @@ func (s *Server) runColoCell(j *jobState, c coloCell) []byte {
 			Seed:    c.sc.Seed,
 			Result:  *res,
 		},
-	}
-	var buf bytes.Buffer
-	if err := resultio.WriteCXLEntry(&buf, entry); err != nil {
-		panic(fmt.Sprintf("serve: encoding colo entry: %v", err))
-	}
-	p := s.cache.Put(key, buf.Bytes())
-	s.cellsSimulated.Add(1)
-	s.cellsCompleted.Add(1)
-	j.cellDone(false)
-	return p
+	})
 }
 
 // MetricsSnapshot publishes the service counters in the repo's standard
@@ -448,7 +445,7 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 const maxSubmitBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	name, cells, colos, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxSubmitBytes), s.opts.MaxCells)
+	name, p, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxSubmitBytes), s.opts.MaxCells)
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		httpError(w, http.StatusRequestEntityTooLarge, "job request exceeds the %d MiB limit", maxSubmitBytes>>20)
@@ -458,7 +455,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.start(name, cells, colos))
+	writeJSON(w, http.StatusAccepted, s.start(name, p))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -110,18 +110,18 @@ func FuzzDecodeJobRequest(f *testing.F) {
 
 	maxCells := Options{}.withDefaults().MaxCells
 	f.Fuzz(func(t *testing.T, body []byte) {
-		_, cells, colos, err := decodeJobRequest(bytes.NewReader(body), maxCells)
+		_, p, err := decodeJobRequest(bytes.NewReader(body), maxCells)
 		if err != nil {
 			if err.Error() == "" {
 				t.Fatal("rejected with an empty error")
 			}
 			return
 		}
-		if n := len(cells) + len(colos); n == 0 || n > maxCells {
+		if n := len(p.units); n == 0 || n > maxCells {
 			t.Fatalf("accepted a job of %d cells (limit %d)", n, maxCells)
 		}
-		for _, c := range cells {
-			if !(c.scale > 0 && c.scale <= MaxScale) {
+		for _, u := range p.units[:p.nCells] {
+			if c := u.(*cell); !(c.scale > 0 && c.scale <= MaxScale) {
 				t.Fatalf("accepted scale %v (limit %d)", c.scale, MaxScale)
 			}
 		}
