@@ -113,6 +113,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	traceSampleSet := false
+	fs.Visit(func(f *flag.Flag) { traceSampleSet = traceSampleSet || f.Name == "trace-sample" })
+	if traceSampleSet && o.traceOut == "" {
+		fmt.Fprintln(stderr, "paperbench: -trace-sample requires -trace-out")
+		return 2
+	}
 	if err := cliutil.CheckScale(*scale); err != nil {
 		fmt.Fprintf(stderr, "paperbench: %v\n", err)
 		return 2
@@ -374,7 +380,7 @@ func runTournament(o options, stdout, stderr io.Writer) error {
 	}
 	if o.tournamentPrefetchers != "" {
 		for _, p := range cliutil.SplitList(o.tournamentPrefetchers) {
-			// "default" enters the built-in kind governor (empty registry
+			// "default" enters the built-in kind governor (the empty
 			// name), letting it compete against named governors.
 			if p == "default" {
 				topt.Prefetchers = append(topt.Prefetchers, "")

@@ -42,6 +42,7 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 		{"negativeWorkers", []string{"-fig", "1", "-workers", "-1"}, "-workers must be non-negative"},
 		{"negativeClusterWorkers", []string{"-fig", "1", "-cluster-workers", "-2"}, "-cluster-workers must be non-negative"},
 		{"zeroSample", []string{"-fig", "3", "-sample", "0"}, "-sample must be positive"},
+		{"traceSampleWithoutTraceOut", []string{"-fig", "1", "-scale", "0.05", "-workloads", "ra", "-trace-sample", "8"}, "-trace-sample requires -trace-out"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
@@ -148,7 +149,7 @@ func TestUnknownPipelineOverridesExitNonZero(t *testing.T) {
 }
 
 // Every advertised name is accepted by the flag surface: enum String()
-// values and registered planner names parse cleanly (using -table1 so
+// values and every listed planner name parse cleanly (using -table1 so
 // the invocation stays instant).
 func TestAdvertisedOverrideNamesParse(t *testing.T) {
 	runOK := func(t *testing.T, args ...string) {

@@ -44,8 +44,8 @@ func simulateColocation(o options, stdout, stderr io.Writer) error {
 	if o.cxlPoolMB == 0 {
 		return fmt.Errorf("-tenants requires a pooled tier: set -cxl-pool-mb")
 	}
-	if o.graphFile != "" || o.spans || o.jsonOut != "" || o.traceOut != "" || o.checkInvariants != 0 {
-		return fmt.Errorf("-graph, -spans, -json, -trace-out and -check-invariants apply to single-workload runs only (co-location mode)")
+	if o.graphFile != "" || o.spans || o.jsonOut != "" || o.traceOut != "" || o.traceSampleSet || o.checkInvariants != 0 {
+		return fmt.Errorf("-graph, -spans, -json, -trace-out, -trace-sample and -check-invariants apply to single-workload runs only (co-location mode)")
 	}
 	cfg, err := buildColoConfig(o)
 	if err != nil {

@@ -36,6 +36,7 @@ func TestColocationFlagValidationExits2(t *testing.T) {
 		{"jsonInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-json", "r.json"}, "co-location"},
 		{"traceOutInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-trace-out", "t.json"}, "co-location"},
 		{"checkInvariantsInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-check-invariants", "100"}, "co-location"},
+		{"traceSampleInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-trace-sample", "8"}, "co-location"},
 		{"cxlFlagWithoutTenants", []string{"-workload", "ra", "-cxl-pool-mb", "32"}, "-cxl-pool-mb applies to the co-location mode"},
 		{"poolPolicyWithoutTenants", []string{"-workload", "ra", "-pool-policy", "cxl-repl"}, "-pool-policy applies to the co-location mode"},
 		{"thresholdWithoutTenants", []string{"-workload", "ra", "-cxl-threshold", "8"}, "-cxl-threshold applies to the co-location mode"},
@@ -53,7 +54,7 @@ func TestColocationFlagValidationExits2(t *testing.T) {
 	}
 }
 
-// Every registered pool policy must be selectable by its advertised
+// Every pool policy must be selectable by its advertised
 // name — the same round-trip convention the pipeline registries follow.
 func TestPoolPolicyNamesRoundTripThroughFlags(t *testing.T) {
 	for _, n := range mm.PoolPolicyNames() {

@@ -8,11 +8,11 @@
 //	       [-granularity 2m|64k] [-spans] [-csv]
 //
 // Memory-management pipeline stages (see DESIGN.md, "Memory-management
-// pipeline") are selected by registry name; empty picks the built-in
-// stage for the configuration:
+// pipeline") are selected by name; empty picks the built-in stage for
+// the configuration:
 //
 //	uvmsim -workload sssp -planner thrash-guard
-//	uvmsim -workload sssp -evictor lru -batcher dedup
+//	uvmsim -workload sssp -evictor lru -pf-governor bandit-pf
 //
 // Observability (see DESIGN.md, "Observability"):
 //
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"uvmsim"
@@ -60,7 +61,6 @@ type options struct {
 	granularity string
 	planner     string
 	evictor     string
-	batcher     string
 	pfgov       string
 
 	seed          uint64
@@ -82,6 +82,7 @@ type options struct {
 	metricsJSON     string
 	traceOut        string
 	traceSample     uint64
+	traceSampleSet  bool // -trace-sample given explicitly
 	checkInvariants uint64
 }
 
@@ -107,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.granularity, "granularity", "2m", "eviction granularity: 2m, 64k")
 	fs.StringVar(&o.planner, "planner", "", "migration planner: "+strings.Join(mm.PlannerNames(), ", ")+" (default: threshold)")
 	fs.StringVar(&o.evictor, "evictor", "", "eviction engine: "+strings.Join(mm.EvictorNames(), ", ")+" (default: configured replacement)")
-	fs.StringVar(&o.batcher, "batcher", "", "fault batcher: "+strings.Join(mm.BatcherNames(), ", ")+" (default: accumulate)")
 	fs.StringVar(&o.pfgov, "pf-governor", "", "prefetch governor: "+strings.Join(mm.PrefetchGovernorNames(), ", ")+" (default: the -prefetcher kind)")
 	fs.Uint64Var(&o.seed, "seed", 1, "seed for the learned pipeline stages (runs with equal seeds are byte-identical)")
 	fs.Uint64Var(&o.banditEpsilon, "bandit-epsilon", 10, "bandit exploration probability in percent (0 = never explore)")
@@ -130,6 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	fs.Visit(func(f *flag.Flag) { o.traceSampleSet = o.traceSampleSet || f.Name == "trace-sample" })
 	if err := simulate(o, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "uvmsim:", err)
 		return 2
@@ -184,6 +185,9 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 			return fmt.Errorf("%s applies to the co-location mode only (set -tenants)", f.name)
 		}
 	}
+	if o.traceSampleSet && o.traceOut == "" {
+		return fmt.Errorf("-trace-sample requires -trace-out")
+	}
 	if o.gpus > 1 && o.jsonOut != "" {
 		return fmt.Errorf("-json applies to single-GPU runs only (got -gpus %d)", o.gpus)
 	}
@@ -210,9 +214,6 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if cfg.MMPipeline.Evictor, err = cliutil.ParseComponentName("evictor", o.evictor, mm.EvictorNames()); err != nil {
 		return err
 	}
-	if cfg.MMPipeline.Batcher, err = cliutil.ParseComponentName("batcher", o.batcher, mm.BatcherNames()); err != nil {
-		return err
-	}
 	if cfg.MMPipeline.Prefetcher, err = cliutil.ParseComponentName("prefetch governor", o.pfgov, mm.PrefetchGovernorNames()); err != nil {
 		return err
 	}
@@ -220,14 +221,7 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	cfg.BanditEpsilonPct = o.banditEpsilon
 	cfg.BanditEpochCycles = o.banditEpoch
 
-	known := false
-	for _, w := range uvmsim.AllWorkloads() {
-		if w == o.workload {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(uvmsim.AllWorkloads(), o.workload) {
 		return fmt.Errorf("unknown workload %q (have %s)", o.workload, strings.Join(uvmsim.AllWorkloads(), ", "))
 	}
 	var b *uvmsim.Workload

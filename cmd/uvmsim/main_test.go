@@ -60,6 +60,7 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"infCXLBandwidth", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "8", "-cxl-bw", "Inf"}, "CXLBytesPerCycle +Inf"},
 		{"tinyCXLBandwidth", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "8", "-cxl-bw", "1e-300"}, "CXLBytesPerCycle 1e-300"},
 		{"jsonOnCluster", []string{"-gpus", "2", "-json", "out.json"}, "single-GPU runs only"},
+		{"traceSampleWithoutTraceOut", []string{"-workload", "ra", "-scale", "0.05", "-trace-sample", "8"}, "-trace-sample requires -trace-out"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
@@ -256,12 +257,15 @@ func TestClusterSpansMatchAcrossWorkers(t *testing.T) {
 // flag value.
 func TestUnknownPipelineComponentsExitNonZero(t *testing.T) {
 	cases := []struct {
-		name string
-		args []string
+		name    string
+		args    []string
+		wantErr string
 	}{
-		{"planner", []string{"-planner", "bogus"}},
-		{"evictor", []string{"-evictor", "mru"}},
-		{"batcher", []string{"-batcher", "bogus"}},
+		{"planner", []string{"-planner", "bogus"}, "unknown planner"},
+		{"evictor", []string{"-evictor", "mru"}, "unknown evictor"},
+		{"pf-governor", []string{"-pf-governor", "oracle"}, "unknown prefetch governor"},
+		// accumulate is the only batcher, so there is no flag to pick one.
+		{"batcher", []string{"-batcher", "accumulate"}, "flag provided but not defined: -batcher"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,16 +273,16 @@ func TestUnknownPipelineComponentsExitNonZero(t *testing.T) {
 			if code != 2 {
 				t.Fatalf("run(%q) = %d, want 2", tc.args, code)
 			}
-			if !strings.Contains(stderr, "unknown "+tc.name) {
-				t.Fatalf("stderr = %q, want unknown-%s error", stderr, tc.name)
+			if !strings.Contains(stderr, tc.wantErr) {
+				t.Fatalf("stderr = %q, want %q", stderr, tc.wantErr)
 			}
 		})
 	}
 }
 
-// Every enum and registry name the tool advertises must be accepted by
+// Every enum and stage name the tool advertises must be accepted by
 // the flag surface: config enum String() values round-trip through the
-// CLI parsers, and every registered pipeline component is selectable by
+// CLI parsers, and every pipeline stage a flag selects is selectable by
 // its listed name.
 func TestAdvertisedNamesRoundTripThroughFlags(t *testing.T) {
 	base := []string{"-workload", "ra", "-scale", "0.02"}
@@ -304,7 +308,7 @@ func TestAdvertisedNamesRoundTripThroughFlags(t *testing.T) {
 	for _, n := range mm.EvictorNames() {
 		t.Run("evictor/"+n, func(t *testing.T) { runOK(t, "-evictor", n) })
 	}
-	for _, n := range mm.BatcherNames() {
-		t.Run("batcher/"+n, func(t *testing.T) { runOK(t, "-batcher", n) })
+	for _, n := range mm.PrefetchGovernorNames() {
+		t.Run("pf-governor/"+n, func(t *testing.T) { runOK(t, "-pf-governor", n) })
 	}
 }

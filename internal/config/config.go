@@ -105,17 +105,19 @@ func (p PrefetcherKind) String() string {
 	}
 }
 
-// PipelineSpec names the memory-management pipeline components of the
-// UVM driver by registry key (see internal/mm). Empty fields select the
-// built-in defaults derived from Policy, Replacement and Prefetcher, so
-// the zero value reproduces the monolithic driver's behaviour exactly.
+// PipelineSpec names the memory-management pipeline stages of the UVM
+// driver (see internal/mm). Empty fields select the built-in stages
+// derived from Policy, Replacement and Prefetcher, so the zero value
+// reproduces the monolithic driver's behaviour exactly.
 //
-// Names are resolved against the internal/mm registry when the driver
-// is constructed; config deliberately does not validate them (that
-// would invert the dependency between the registry and its key space).
+// Names are checked by mm.CheckSpec, which mm.Build and the sweep
+// service's job planning call; config deliberately does not validate
+// them, since the names belong to internal/mm.
 type PipelineSpec struct {
-	// Batcher selects the fault-batch formation stage
-	// (e.g. "accumulate", "dedup").
+	// Batcher selects the fault-batch formation stage. "accumulate" is
+	// the only batcher, so "" and "accumulate" are the only legal
+	// values. The field stays because every Config field is hashed into
+	// the sweep service's cache keys; removing it changes those keys.
 	Batcher string
 	// Planner selects the migrate-vs-remote decision stage
 	// (e.g. "threshold", "thrash-guard").
@@ -203,7 +205,7 @@ type Config struct {
 	WriteMigrates bool
 
 	// MMPipeline optionally overrides the driver's memory-management
-	// pipeline stages by registry name. The zero value keeps the
+	// pipeline stages by name. The zero value keeps the
 	// built-in stages selected by Policy/Replacement/Prefetcher.
 	MMPipeline PipelineSpec
 
@@ -249,8 +251,8 @@ type Config struct {
 	// margin a sole writer must clear to win a writable migration).
 	// Zero selects the default.
 	CXLReadThreshold uint64
-	// PoolPolicy selects the pool-management stage by internal/mm
-	// registry name ("cxl-repl" counter-arbitrated replication,
+	// PoolPolicy selects the pool-management stage by its internal/mm
+	// name ("cxl-repl" counter-arbitrated replication,
 	// "cxl-migrate" naive migrate-on-touch, "pool-remote" never
 	// migrate). Empty selects the default (cxl-repl).
 	PoolPolicy string

@@ -14,7 +14,7 @@ import (
 // FuzzRun drives the simulation loop over fuzzed configurations —
 // workload, scale in [0.02, 0.06], 100/125/150% oversubscription,
 // policy, 1-4 GPUs, static threshold ts in [1, 32], penalty p in
-// [1, 16], and the default or any registered planner and evictor — on
+// [1, 16], and the default or any listed planner and evictor — on
 // one and on two drain workers, with the invariant sweep on every GPU.
 // Every GPU's counters must validate, the retired warps must add up to
 // the workload's CTAs times warps, and both worker counts must give the
@@ -30,7 +30,7 @@ func FuzzRun(f *testing.F) {
 	f.Add(uint8(5), uint8(128), uint8(2), uint8(1), uint8(3), uint8(7), uint8(7), uint8(0), uint8(0)) // nw, 4 GPUs
 	f.Add(uint8(6), uint8(200), uint8(2), uint8(3), uint8(0), uint8(7), uint8(7), uint8(0), uint8(0)) // ra, 1 GPU
 	f.Add(uint8(7), uint8(255), uint8(1), uint8(0), uint8(3), uint8(7), uint8(7), uint8(0), uint8(0)) // sssp, 4 GPUs
-	// Seed i draws the i-th registered planner and evictor.
+	// Seed i draws the i-th listed planner and evictor.
 	for i := 0; i < max(len(mm.PlannerNames()), len(mm.EvictorNames())); i++ {
 		f.Add(uint8(4+i), uint8(64*i), uint8(1+i), uint8(3-i), uint8(i), uint8(8*i), uint8(3*i), uint8(1+i), uint8(1+i))
 	}

@@ -128,7 +128,7 @@ func TournamentJob(o TournamentOptions) serve.JobRequest {
 // ColoJobOptions parameterizes a co-location sweep job. The zero value
 // selects the canonical co-location mix: bfs and sssp co-scheduled
 // on GPU 0, backprop alone on GPU 1, a 64MB pooled tier, seed 3, every
-// registered pool policy.
+// pool policy.
 type ColoJobOptions struct {
 	// Tenants is the co-scheduled mix in "workload:gpu:priority" syntax.
 	Tenants string
@@ -141,7 +141,7 @@ type ColoJobOptions struct {
 	// Seed drives the tenant streams.
 	Seed uint64
 	// Policies are the pool-policy names to sweep (empty = every
-	// registered policy).
+	// policy mm.PoolPolicyNames lists).
 	Policies []string
 }
 

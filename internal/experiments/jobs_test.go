@@ -118,7 +118,7 @@ func TestTournamentJobMatchesInProcessTournament(t *testing.T) {
 	}
 }
 
-// The colo job must run the tenant mix under every registered pool
+// The colo job must run the tenant mix under every listed pool
 // policy, and each entry's result must match a direct in-process
 // scenario run — the job submission and cxl.NewScenario share one
 // execution path.

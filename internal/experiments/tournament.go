@@ -20,11 +20,11 @@ type TournamentOptions struct {
 	// OversubPercent is the working-set pressure every cell runs under
 	// (0 = the paper's 125%).
 	OversubPercent uint64
-	// Planners lists the mm planner registry names to enter (nil = the
+	// Planners lists the mm planner names to enter (nil = the
 	// default field: static threshold, thrash-guard and both learned
 	// planners).
 	Planners []string
-	// Prefetchers lists the mm prefetch-governor registry names to
+	// Prefetchers lists the mm prefetch-governor names to
 	// cross with the planners (nil = the configured static kind only;
 	// include "bandit-pf" to let the governor learn too). The empty
 	// string is a valid entry meaning the built-in default governor.

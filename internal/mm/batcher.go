@@ -1,24 +1,34 @@
 package mm
 
 import (
+	"slices"
+
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
 )
 
-func init() {
-	RegisterBatcher("accumulate", newAccumBatcher)
-	RegisterBatcher("dedup", func(config.Config) (FaultBatcher, error) {
-		return &dedupBatcher{}, nil
-	})
+// batcherNames is the fixed, sorted set of FaultBatcher names.
+var batcherNames = []string{"accumulate"}
+
+// BatcherNames lists the FaultBatcher names, sorted.
+func BatcherNames() []string { return slices.Clone(batcherNames) }
+
+// NewBatcher builds the named FaultBatcher ("" = accumulate).
+func NewBatcher(name string, _ config.Config) (FaultBatcher, error) {
+	switch canon(name) {
+	case "", "accumulate":
+		return &accumBatcher{}, nil
+	}
+	return nil, unknown("fault batcher", name, batcherNames)
 }
 
-func newAccumBatcher(config.Config) (FaultBatcher, error) { return &accumBatcher{}, nil }
-
-// accumBatcher is the default fault batcher: a plain accumulator with a
-// spare buffer swapped in at Close so the batch never reallocates in
-// steady state. It relies on the driver's merge-on-pending semantics
-// for uniqueness: a block only ever faults once per round because later
-// accesses join its waiter list instead of re-faulting.
+// accumBatcher is the fault batcher: a plain accumulator with a spare
+// buffer swapped in at Close so the batch never reallocates in steady
+// state. It relies on the driver's merge-on-pending semantics for
+// uniqueness: a block only ever faults once per round because later
+// accesses join its waiter list instead of re-faulting
+// (TestDriverNeverRefaultsPendingBlock in internal/uvm holds the driver
+// to that).
 type accumBatcher struct {
 	batch, spare []memunits.BlockNum
 	open         bool
@@ -45,39 +55,3 @@ func (a *accumBatcher) Close() []memunits.BlockNum {
 
 // Open reports whether a batch is accumulating.
 func (a *accumBatcher) Open() bool { return a.open }
-
-// dedupBatcher drops duplicate block numbers within the open batch. It
-// behaves identically to accumBatcher under the stock driver (which
-// never re-faults a pending block) but keeps custom front-ends honest:
-// a driver variant that replays faults instead of merging them still
-// produces singleton batch entries.
-type dedupBatcher struct {
-	inner accumBatcher
-	seen  map[memunits.BlockNum]struct{}
-}
-
-// Name identifies the batcher.
-func (d *dedupBatcher) Name() string { return "dedup" }
-
-// Add appends the fault unless the open batch already holds it. A
-// duplicate never opens a round: the round it merged into is already
-// scheduled.
-func (d *dedupBatcher) Add(b memunits.BlockNum) (opened bool) {
-	if d.seen == nil {
-		d.seen = make(map[memunits.BlockNum]struct{})
-	}
-	if _, dup := d.seen[b]; dup {
-		return false
-	}
-	d.seen[b] = struct{}{}
-	return d.inner.Add(b)
-}
-
-// Close returns the deduplicated batch and resets the filter.
-func (d *dedupBatcher) Close() []memunits.BlockNum {
-	clear(d.seen)
-	return d.inner.Close()
-}
-
-// Open reports whether a batch is accumulating.
-func (d *dedupBatcher) Open() bool { return d.inner.Open() }

@@ -1,25 +1,33 @@
 package mm
 
 import (
+	"slices"
+
 	"uvmsim/internal/config"
 	"uvmsim/internal/evict"
 	"uvmsim/internal/memunits"
 )
 
-func init() {
-	RegisterEvictor("lru", func(cfg config.Config) (EvictionEngine, error) {
-		return newUnitEngine(config.ReplaceLRU, cfg), nil
-	})
-	RegisterEvictor("lfu", func(cfg config.Config) (EvictionEngine, error) {
-		return newUnitEngine(config.ReplaceLFU, cfg), nil
-	})
-	RegisterEvictor("none", func(config.Config) (EvictionEngine, error) {
-		return refusingEngine{}, nil
-	})
-}
+// evictorNames is the fixed, sorted set of EvictionEngine names.
+var evictorNames = []string{"lfu", "lru", "none"}
 
-func newConfiguredEvictor(cfg config.Config) (EvictionEngine, error) {
-	return newUnitEngine(cfg.Replacement, cfg), nil
+// EvictorNames lists the EvictionEngine names, sorted.
+func EvictorNames() []string { return slices.Clone(evictorNames) }
+
+// NewEvictor builds the named EvictionEngine ("" = the configured
+// replacement policy).
+func NewEvictor(name string, cfg config.Config) (EvictionEngine, error) {
+	switch canon(name) {
+	case "":
+		return newUnitEngine(cfg.Replacement, cfg), nil
+	case "lru":
+		return newUnitEngine(config.ReplaceLRU, cfg), nil
+	case "lfu":
+		return newUnitEngine(config.ReplaceLFU, cfg), nil
+	case "none":
+		return refusingEngine{}, nil
+	}
+	return nil, unknown("eviction engine", name, evictorNames)
 }
 
 func newUnitEngine(kind config.ReplacementPolicy, cfg config.Config) *unitEngine {

@@ -17,12 +17,6 @@ import (
 // sequence and Config.PolicySeed (see internal/learn) — so they ride
 // the repository's byte-identical reproducibility guarantee unchanged.
 
-func init() {
-	RegisterPlanner("reuse-dist", newReuseDistPlanner)
-	RegisterPlanner("bandit-ts", newBanditPlanner)
-	RegisterPrefetchGovernor("bandit-pf", newBanditGovernor)
-}
-
 // Seed salts separate the draw streams of the learned stages: a run
 // composing several learned stages under one PolicySeed must not have
 // them consume correlated randomness. XOR with PolicySeed can yield
@@ -44,13 +38,13 @@ const (
 	reuseExploreOneIn = 512
 )
 
-func newReuseDistPlanner(cfg config.Config) (MigrationPlanner, error) {
+func newReuseDistPlanner(cfg config.Config) *reuseDistPlanner {
 	return &reuseDistPlanner{
 		est:           learn.NewReuseEstimator(reuseWindow),
 		dec:           policy.NewDecider(cfg),
 		rng:           learn.NewRNG(cfg.PolicySeed ^ seedSaltReuse),
 		writeMigrates: cfg.WriteMigrates,
-	}, nil
+	}
 }
 
 // reuseDistPlanner migrates only blocks whose estimated reuse beats the
@@ -144,7 +138,7 @@ type banditArm struct {
 	dec   *policy.Decider
 }
 
-func newBanditPlanner(cfg config.Config) (MigrationPlanner, error) {
+func newBanditPlanner(cfg config.Config) *banditPlanner {
 	arms := banditArms(cfg)
 	epoch := cfg.BanditEpochCycles
 	if epoch == 0 {
@@ -155,7 +149,7 @@ func newBanditPlanner(cfg config.Config) (MigrationPlanner, error) {
 		bandit:        learn.NewBandit(len(arms), cfg.BanditEpsilonPct, cfg.PolicySeed^seedSaltBandit),
 		writeMigrates: cfg.WriteMigrates,
 		epochCycles:   sim.Cycle(epoch),
-	}, nil
+	}
 }
 
 // banditArms discretizes the (ts, p) space around the configured
@@ -267,7 +261,7 @@ func (b *banditPlanner) PublishMetrics(emit func(name string, value uint64)) {
 	}
 }
 
-func newBanditGovernor(cfg config.Config) (PrefetchGovernor, error) {
+func newBanditGovernor(cfg config.Config) *banditGovernor {
 	// The configured kind is arm 0 so that an unexplored (or epsilon=0)
 	// governor reproduces the static configuration exactly.
 	kinds := []config.PrefetcherKind{cfg.Prefetcher}
@@ -281,7 +275,7 @@ func newBanditGovernor(cfg config.Config) (PrefetchGovernor, error) {
 	return &banditGovernor{
 		kinds:  kinds,
 		bandit: learn.NewBandit(len(kinds), cfg.BanditEpsilonPct, cfg.PolicySeed^seedSaltPF),
-	}, nil
+	}
 }
 
 // banditGovernor selects the prefetcher kind per 2MB chunk with a

@@ -1,8 +1,8 @@
 // Package mm defines the staged memory-management pipeline of the UVM
-// driver: four narrow, independently replaceable stages that together
-// express every policy decision the driver makes, plus a name-keyed
-// registry so command-line tools, sweeps and experiments can select
-// implementations by string.
+// driver: four narrow stages that together express every policy
+// decision the driver makes, each drawn from a small closed set of
+// implementations that command-line tools, sweeps and the service
+// select by name.
 //
 // The stages mirror the life of a memory transaction that misses device
 // memory:
@@ -18,9 +18,13 @@
 //
 // The uvm.Driver composes one instance of each and owns only page-table
 // state and event sequencing. The built-in implementations reproduce the
-// paper's heuristics bit-for-bit; alternatives (a thrash-guard planner,
-// a deduplicating batcher, a refusing evictor) register under their own
-// names and drop in without touching the driver core.
+// paper's heuristics bit-for-bit; the alternatives (the thrash-guard and
+// learned planners, the learned prefetch governor, a refusing evictor)
+// are selected by name. Each kind has one constructor, New<Kind>, a
+// switch over its fixed names in which "" is the built-in stage the
+// configuration's enums select, and one sorted <Kind>Names list. Build
+// is the one place a PipelineSpec becomes stages; CheckSpec runs its
+// name checks alone, so a service can refuse a bad spec at submit.
 //
 // Stage instances are per driver: a FaultBatcher is stateful and must
 // never be shared between drivers (multi-GPU clusters build one
@@ -29,6 +33,10 @@
 package mm
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"uvmsim/internal/config"
 	"uvmsim/internal/evict"
 	"uvmsim/internal/memunits"
@@ -66,7 +74,7 @@ type Access struct {
 // accesses they have seen and the configured seed — never from wall
 // clock or unseeded randomness.
 type MigrationPlanner interface {
-	// Name identifies the planner (registry key).
+	// Name identifies the planner (the name that selects it).
 	Name() string
 	// ShouldMigrate reports whether the access triggers a migration.
 	ShouldMigrate(a Access) bool
@@ -76,7 +84,7 @@ type MigrationPlanner interface {
 // driver processes after the fault-handling latency. Implementations
 // own the returned slices and may recycle them across rounds.
 type FaultBatcher interface {
-	// Name identifies the batcher (registry key).
+	// Name identifies the batcher (the name that selects it).
 	Name() string
 	// Add records a far-faulting block. opened reports whether this
 	// fault opened a new batch round, in which case the driver
@@ -109,7 +117,7 @@ type ChunkPrefetcher interface {
 // PrefetchGovernor creates the per-chunk prefetch state when a chunk is
 // first touched.
 type PrefetchGovernor interface {
-	// Name identifies the governor (registry key).
+	// Name identifies the governor (the name that selects it).
 	Name() string
 	// NewChunk returns fresh prefetch state for a chunk of nBlocks
 	// 64KB basic blocks (a power of two in [1, 32]).
@@ -176,26 +184,50 @@ type Pipeline struct {
 	Prefetch PrefetchGovernor
 }
 
-// Build resolves cfg.MMPipeline against the registry, returning a fresh
-// per-driver Pipeline. Empty names select the built-in stages derived
-// from cfg.Policy, cfg.Replacement and cfg.Prefetcher, reproducing the
-// pre-pipeline driver exactly.
+// Build resolves cfg.MMPipeline into a fresh per-driver Pipeline; it is
+// the one place a spec becomes stages. Empty names select the built-ins
+// derived from cfg.Policy, cfg.Replacement and cfg.Prefetcher,
+// reproducing the pre-pipeline driver exactly.
 func Build(cfg config.Config) (Pipeline, error) {
-	var (
-		p   Pipeline
-		err error
-	)
-	if p.Batcher, err = NewBatcher(cfg.MMPipeline.Batcher, cfg); err != nil {
+	spec := cfg.MMPipeline
+	if err := CheckSpec(spec); err != nil {
 		return Pipeline{}, err
 	}
-	if p.Planner, err = NewPlanner(cfg.MMPipeline.Planner, cfg); err != nil {
-		return Pipeline{}, err
-	}
-	if p.Evictor, err = NewEvictor(cfg.MMPipeline.Evictor, cfg); err != nil {
-		return Pipeline{}, err
-	}
-	if p.Prefetch, err = NewPrefetchGovernor(cfg.MMPipeline.Prefetcher, cfg); err != nil {
-		return Pipeline{}, err
-	}
-	return p, nil
+	// CheckSpec accepted every name, so no constructor below can fail.
+	b, _ := NewBatcher(spec.Batcher, cfg)
+	p, _ := NewPlanner(spec.Planner, cfg)
+	e, _ := NewEvictor(spec.Evictor, cfg)
+	g, _ := NewPrefetchGovernor(spec.Prefetcher, cfg)
+	return Pipeline{Batcher: b, Planner: p, Evictor: e, Prefetch: g}, nil
 }
+
+// CheckSpec reports the first name in spec that selects no stage, in
+// Build's order. It only looks names up and builds nothing.
+func CheckSpec(spec config.PipelineSpec) error {
+	if err := check("fault batcher", spec.Batcher, batcherNames); err != nil {
+		return err
+	}
+	if err := check("migration planner", spec.Planner, plannerNames); err != nil {
+		return err
+	}
+	if err := check("eviction engine", spec.Evictor, evictorNames); err != nil {
+		return err
+	}
+	return check("prefetch governor", spec.Prefetcher, governorNames)
+}
+
+// check accepts "" (the built-in stage) and every name in names.
+func check(kind, name string, names []string) error {
+	if c := canon(name); c == "" || slices.Contains(names, c) {
+		return nil
+	}
+	return unknown(kind, name, names)
+}
+
+// unknown is the error for a name outside a kind's fixed set.
+func unknown(kind, name string, names []string) error {
+	return fmt.Errorf("mm: unknown %s %q (want one of %s)", kind, canon(name), strings.Join(names, ", "))
+}
+
+// canon normalizes a stage name: lower-case, trimmed.
+func canon(name string) string { return strings.ToLower(strings.TrimSpace(name)) }

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -49,12 +50,83 @@ func TestUnknownNamesError(t *testing.T) {
 	if _, err := NewPrefetchGovernor("nope", cfg); err == nil {
 		t.Fatal("NewPrefetchGovernor(nope) succeeded")
 	}
-	// The error names the registered alternatives.
+	// The error names the alternatives.
 	_, err := NewEvictor("mru", cfg)
 	for _, want := range EvictorNames() {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not list %q", err, want)
 		}
+	}
+	// CheckSpec and Build refuse a bad name of every kind with the
+	// constructor's own error.
+	for _, tc := range []struct {
+		spec  config.PipelineSpec
+		build func() error
+	}{
+		{config.PipelineSpec{Batcher: "Dedup"}, func() error { _, err := NewBatcher("Dedup", cfg); return err }},
+		{config.PipelineSpec{Planner: "nosuch"}, func() error { _, err := NewPlanner("nosuch", cfg); return err }},
+		{config.PipelineSpec{Evictor: "mru"}, func() error { _, err := NewEvictor("mru", cfg); return err }},
+		{config.PipelineSpec{Prefetcher: "oracle"}, func() error { _, err := NewPrefetchGovernor("oracle", cfg); return err }},
+	} {
+		want := tc.build()
+		if err := CheckSpec(tc.spec); err == nil || err.Error() != want.Error() {
+			t.Fatalf("CheckSpec(%+v) = %v, want %v", tc.spec, err, want)
+		}
+		c := cfg
+		c.MMPipeline = tc.spec
+		if _, err := Build(c); err == nil || err.Error() != want.Error() {
+			t.Fatalf("Build(%+v) = %v, want %v", tc.spec, err, want)
+		}
+	}
+}
+
+// Every listed name, in any case and with surrounding space, passes
+// CheckSpec and builds a stage, so the name lists and the constructors'
+// switches cannot drift apart.
+func TestCheckSpecAcceptsEveryListedName(t *testing.T) {
+	cfg := config.Default()
+	for _, tc := range []struct {
+		names []string
+		spec  func(string) config.PipelineSpec
+		build func(string) error
+	}{
+		{BatcherNames(), func(n string) config.PipelineSpec { return config.PipelineSpec{Batcher: n} },
+			func(n string) error { _, err := NewBatcher(n, cfg); return err }},
+		{PlannerNames(), func(n string) config.PipelineSpec { return config.PipelineSpec{Planner: n} },
+			func(n string) error { _, err := NewPlanner(n, cfg); return err }},
+		{EvictorNames(), func(n string) config.PipelineSpec { return config.PipelineSpec{Evictor: n} },
+			func(n string) error { _, err := NewEvictor(n, cfg); return err }},
+		{PrefetchGovernorNames(), func(n string) config.PipelineSpec { return config.PipelineSpec{Prefetcher: n} },
+			func(n string) error { _, err := NewPrefetchGovernor(n, cfg); return err }},
+	} {
+		for _, n := range append(tc.names, "") {
+			for _, spelling := range []string{n, " " + strings.ToUpper(n) + " "} {
+				if err := CheckSpec(tc.spec(spelling)); err != nil {
+					t.Fatalf("CheckSpec(%q): %v", spelling, err)
+				}
+				if err := tc.build(spelling); err != nil {
+					t.Fatalf("constructor(%q): %v", spelling, err)
+				}
+			}
+		}
+	}
+	for _, n := range PoolPolicyNames() {
+		if _, err := NewPoolPolicy(n, cfg); err != nil {
+			t.Fatalf("NewPoolPolicy(%q): %v", n, err)
+		}
+	}
+}
+
+// CheckSpec runs at every job submission, so a valid spec must cost no
+// allocation.
+func TestCheckSpecAllocatesNothing(t *testing.T) {
+	spec := config.PipelineSpec{Batcher: "accumulate", Planner: "reuse-dist", Evictor: "lfu", Prefetcher: "bandit-pf"}
+	if n := testing.AllocsPerRun(100, func() {
+		if CheckSpec(spec) != nil {
+			t.Fatal("valid spec refused")
+		}
+	}); n != 0 {
+		t.Fatalf("CheckSpec allocated %v times per call", n)
 	}
 }
 
@@ -66,18 +138,46 @@ func TestNamesAreCaseInsensitiveAndTrimmed(t *testing.T) {
 	}
 }
 
+// The name lists appear in CLI usage, error messages and reports, so
+// each is sorted and free of duplicates.
 func TestNameListsAreSorted(t *testing.T) {
-	for kind, names := range map[string][]string{
-		"batcher":    BatcherNames(),
-		"planner":    PlannerNames(),
-		"evictor":    EvictorNames(),
-		"prefetcher": PrefetchGovernorNames(),
+	for _, tc := range []struct {
+		kind  string
+		names []string
+	}{
+		{"batcher", BatcherNames()},
+		{"planner", PlannerNames()},
+		{"evictor", EvictorNames()},
+		{"prefetcher", PrefetchGovernorNames()},
+		{"pool policy", PoolPolicyNames()},
 	} {
-		if len(names) == 0 {
-			t.Fatalf("no registered %ss", kind)
+		if len(tc.names) == 0 {
+			t.Fatalf("no %s names", tc.kind)
 		}
-		if !sort.StringsAreSorted(names) {
-			t.Fatalf("%s names not sorted: %v", kind, names)
+		if !sort.StringsAreSorted(tc.names) || len(slices.Compact(slices.Clone(tc.names))) != len(tc.names) {
+			t.Fatalf("%s names not sorted and distinct: %v", tc.kind, tc.names)
+		}
+	}
+}
+
+// TestPackageRegistriesSorted covers the package-level listings used in
+// CLI error messages and reports: each call hands out its own copy, so a
+// caller that reorders what it got cannot unsort the next caller's list.
+func TestPackageRegistriesSorted(t *testing.T) {
+	for name, names := range map[string]func() []string{
+		"BatcherNames":          BatcherNames,
+		"PlannerNames":          PlannerNames,
+		"EvictorNames":          EvictorNames,
+		"PrefetchGovernorNames": PrefetchGovernorNames,
+		"PoolPolicyNames":       PoolPolicyNames,
+	} {
+		got := names()
+		slices.Reverse(got)
+		if len(got) > 0 {
+			got[0] = "~scribbled"
+		}
+		if again := names(); !sort.StringsAreSorted(again) || slices.Contains(again, "~scribbled") {
+			t.Errorf("%s() changed after a caller edited its copy: %v", name, again)
 		}
 	}
 }
@@ -85,7 +185,7 @@ func TestNameListsAreSorted(t *testing.T) {
 func TestBuildResolvesSpec(t *testing.T) {
 	cfg := config.Default()
 	cfg.MMPipeline = config.PipelineSpec{
-		Batcher:    "dedup",
+		Batcher:    "accumulate",
 		Planner:    "thrash-guard",
 		Evictor:    "none",
 		Prefetcher: "sequential",
@@ -94,7 +194,7 @@ func TestBuildResolvesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pipe.Batcher.Name(); got != "dedup" {
+	if got := pipe.Batcher.Name(); got != "accumulate" {
 		t.Fatalf("batcher = %q", got)
 	}
 	if got := pipe.Planner.Name(); got != "thrash-guard" {
@@ -142,27 +242,6 @@ func TestAccumBatcherRounds(t *testing.T) {
 	}
 	if !b.Add(1) {
 		t.Fatal("Add after Close did not open a new round")
-	}
-}
-
-func TestDedupBatcherDropsDuplicates(t *testing.T) {
-	b, _ := NewBatcher("dedup", config.Default())
-	if !b.Add(3) {
-		t.Fatal("first Add did not open the round")
-	}
-	if b.Add(3) {
-		t.Fatal("duplicate Add reported a new round")
-	}
-	b.Add(7)
-	b.Add(7)
-	got := b.Close()
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("batch = %v, want [3 7]", got)
-	}
-	// The filter resets between rounds.
-	b.Add(3)
-	if got := b.Close(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("second round = %v, want [3]", got)
 	}
 }
 
@@ -216,10 +295,9 @@ func TestKindGovernorCreatesConfiguredKind(t *testing.T) {
 	}
 }
 
-// Stage contract tests: every registered implementation — built-in and
-// learned — must satisfy the same behavioural contract, checked
-// table-driven over the registry so a new registration is tested the
-// moment it exists.
+// Stage contract tests: every implementation — built-in and learned —
+// must satisfy the same behavioural contract, checked table-driven over
+// the name lists so a new name is tested the moment it exists.
 
 // contractAccessSeq generates a fixed pseudo-random access sequence
 // spanning enough simulated time to close several bandit epochs. The
@@ -249,7 +327,7 @@ func contractAccessSeq(n int) []Access {
 }
 
 func TestPlannerContractDeterministicReplay(t *testing.T) {
-	// Two fresh instances of every registered planner fed the same
+	// Two fresh instances of every planner fed the same
 	// access sequence must make identical decisions — the planner-level
 	// core of the repo's byte-identical determinism guarantee. The
 	// sequence spans ~250M cycles so the learned planners cross many

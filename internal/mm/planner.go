@@ -1,26 +1,38 @@
 package mm
 
 import (
+	"slices"
+
 	"uvmsim/internal/config"
 	"uvmsim/internal/policy"
 )
 
-func init() {
-	RegisterPlanner("threshold", newThresholdPlanner)
-	RegisterPlanner("thrash-guard", func(cfg config.Config) (MigrationPlanner, error) {
-		inner, err := newThresholdPlanner(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &thrashGuard{inner: inner, bound: ThrashGuardRoundTrips}, nil
-	})
+// plannerNames is the fixed, sorted set of MigrationPlanner names.
+var plannerNames = []string{"bandit-ts", "reuse-dist", "thrash-guard", "threshold"}
+
+// PlannerNames lists the MigrationPlanner names, sorted.
+func PlannerNames() []string { return slices.Clone(plannerNames) }
+
+// NewPlanner builds the named MigrationPlanner ("" = threshold).
+func NewPlanner(name string, cfg config.Config) (MigrationPlanner, error) {
+	switch canon(name) {
+	case "", "threshold":
+		return newThresholdPlanner(cfg), nil
+	case "thrash-guard":
+		return &thrashGuard{inner: newThresholdPlanner(cfg), bound: ThrashGuardRoundTrips}, nil
+	case "reuse-dist":
+		return newReuseDistPlanner(cfg), nil
+	case "bandit-ts":
+		return newBanditPlanner(cfg), nil
+	}
+	return nil, unknown("migration planner", name, plannerNames)
 }
 
-func newThresholdPlanner(cfg config.Config) (MigrationPlanner, error) {
+func newThresholdPlanner(cfg config.Config) *thresholdPlanner {
 	return &thresholdPlanner{
 		dec:           policy.NewDecider(cfg),
 		writeMigrates: cfg.WriteMigrates,
-	}, nil
+	}
 }
 
 // thresholdPlanner is the default planner: the paper's delayed-migration
@@ -51,8 +63,6 @@ const ThrashGuardRoundTrips = 3
 // round-trip count reaches the bound is never migrated again, in the
 // spirit of the paper's §IV discussion of pinning pages that bounce
 // between host and device. All other blocks defer to the inner planner.
-// It demonstrates the planner seam: a new heuristic ships through the
-// registry without touching the driver core.
 type thrashGuard struct {
 	inner MigrationPlanner
 	bound uint64

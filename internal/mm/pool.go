@@ -1,6 +1,8 @@
 package mm
 
 import (
+	"slices"
+
 	"uvmsim/internal/config"
 	"uvmsim/internal/counters"
 	"uvmsim/internal/sim"
@@ -67,11 +69,30 @@ func (d PoolDecision) String() string {
 // functions of the access sequence, the counter state and their
 // configuration.
 type PoolPolicy interface {
-	// Name identifies the policy (registry key).
+	// Name identifies the policy (the name that selects it).
 	Name() string
 	// Decide selects the action for the access given the pool's per-GPU
 	// counter file.
 	Decide(a PoolAccess, ctrs *counters.PerGPU) PoolDecision
+}
+
+// poolPolicyNames is the fixed, sorted set of PoolPolicy names.
+var poolPolicyNames = []string{"cxl-migrate", "cxl-repl", "pool-remote"}
+
+// PoolPolicyNames lists the PoolPolicy names, sorted.
+func PoolPolicyNames() []string { return slices.Clone(poolPolicyNames) }
+
+// NewPoolPolicy builds the named PoolPolicy ("" = cxl-repl).
+func NewPoolPolicy(name string, cfg config.Config) (PoolPolicy, error) {
+	switch canon(name) {
+	case "", "cxl-repl":
+		return &cxlReplPolicy{threshold: cfg.CXLThreshold()}, nil
+	case "cxl-migrate":
+		return cxlMigratePolicy{}, nil
+	case "pool-remote":
+		return poolRemotePolicy{}, nil
+	}
+	return nil, unknown("pool policy", name, poolPolicyNames)
 }
 
 // cxlReplPolicy is the default counter-arbitrated policy, implementing
@@ -82,10 +103,6 @@ type PoolPolicy interface {
 // else stays remote.
 type cxlReplPolicy struct {
 	threshold uint64
-}
-
-func newCXLReplPolicy(cfg config.Config) (PoolPolicy, error) {
-	return &cxlReplPolicy{threshold: cfg.CXLThreshold()}, nil
 }
 
 func (p *cxlReplPolicy) Name() string { return "cxl-repl" }
@@ -109,10 +126,6 @@ func (p *cxlReplPolicy) Decide(a PoolAccess, ctrs *counters.PerGPU) PoolDecision
 // under shared read-mostly data it ping-pongs pages between GPUs.
 type cxlMigratePolicy struct{}
 
-func newCXLMigratePolicy(config.Config) (PoolPolicy, error) {
-	return cxlMigratePolicy{}, nil
-}
-
 func (cxlMigratePolicy) Name() string { return "cxl-migrate" }
 
 func (cxlMigratePolicy) Decide(a PoolAccess, _ *counters.PerGPU) PoolDecision {
@@ -123,18 +136,8 @@ func (cxlMigratePolicy) Decide(a PoolAccess, _ *counters.PerGPU) PoolDecision {
 // over the CXL port (the zero-copy-only ablation).
 type poolRemotePolicy struct{}
 
-func newPoolRemotePolicy(config.Config) (PoolPolicy, error) {
-	return poolRemotePolicy{}, nil
-}
-
 func (poolRemotePolicy) Name() string { return "pool-remote" }
 
 func (poolRemotePolicy) Decide(PoolAccess, *counters.PerGPU) PoolDecision {
 	return PoolRemote
-}
-
-func init() {
-	RegisterPoolPolicy("cxl-repl", newCXLReplPolicy)
-	RegisterPoolPolicy("cxl-migrate", newCXLMigratePolicy)
-	RegisterPoolPolicy("pool-remote", newPoolRemotePolicy)
 }

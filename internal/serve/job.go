@@ -53,9 +53,10 @@ type JobRequest struct {
 	// Policies are migration-policy names (disabled/baseline, always,
 	// oversub, adaptive); empty defaults to ["adaptive"].
 	Policies []string `json:"policies,omitempty"`
-	// Pipelines are mm-registry stage selections crossed with the rest
-	// of the matrix; empty defaults to the single zero spec (built-in
-	// stages).
+	// Pipelines are memory-management stage selections (internal/mm)
+	// crossed with the rest of the matrix; empty defaults to the single
+	// zero spec (built-in stages). A name mm does not know is refused at
+	// submit.
 	Pipelines []config.PipelineSpec `json:"pipelines,omitempty"`
 	// Seeds are PolicySeed values crossed with the matrix; empty
 	// defaults to the base config's seed.
@@ -103,7 +104,7 @@ type ColoSpec struct {
 	// config's CXLPoolBytes when non-zero. The resulting pool must be
 	// non-empty — a co-location cell without a pooled tier is an error.
 	PoolMB uint64 `json:"poolMB,omitempty"`
-	// PoolPolicy is the pool-policy name (empty = the registry default,
+	// PoolPolicy is the pool-policy name (empty = the default,
 	// cxl-repl).
 	PoolPolicy string `json:"poolPolicy,omitempty"`
 	// Epochs and Seed size and seed the run (0 = scenario defaults).
@@ -125,8 +126,8 @@ type cell struct {
 // coloCell is one fully resolved co-location unit of work.
 type coloCell struct {
 	sc cxl.ScenarioConfig
-	// policy is the resolved effective pool-policy name (the registry
-	// default spelled out), used as the entry's scenario name.
+	// policy is the resolved effective pool-policy name (the default
+	// spelled out), used as the entry's scenario name.
 	policy string
 	// tenants is the canonical "workload:gpu:priority" spelling recorded
 	// in the result entry.
@@ -169,6 +170,11 @@ func (r *JobRequest) cells(base config.Config) ([]cell, error) {
 		if len(pipelines) == 0 {
 			pipelines = []config.PipelineSpec{{}}
 		}
+		for i, spec := range pipelines {
+			if err := mm.CheckSpec(spec); err != nil {
+				return nil, fmt.Errorf("serve: pipeline %d: %v", i, err)
+			}
+		}
 		seeds := r.Seeds
 		if len(seeds) == 0 {
 			seeds = []uint64{base.PolicySeed}
@@ -209,6 +215,9 @@ func (r *JobRequest) cells(base config.Config) ([]cell, error) {
 		if spec.Base != nil {
 			b = *spec.Base
 		}
+		if err := mm.CheckSpec(b.MMPipeline); err != nil {
+			return nil, fmt.Errorf("serve: cell %d: %v", i, err)
+		}
 		c := cell{workload: spec.Workload, scale: scale, pct: spec.OversubPercent, policy: pol, base: b}
 		if err := c.validate(); err != nil {
 			return nil, fmt.Errorf("serve: cell %d: %v", i, err)
@@ -237,9 +246,9 @@ func (r *JobRequest) coloCells(base config.Config) ([]coloCell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: colo cell %d: %v", i, err)
 		}
-		// Canonicalize to the effective policy's registered name (the
-		// registry default spelled out), so a defaulted and an explicit
-		// spelling of the same cell share one cache entry.
+		// Canonicalize to the effective policy's name (the default
+		// spelled out), so a defaulted and an explicit spelling of the
+		// same cell share one cache entry.
 		pol, err := mm.NewPoolPolicy(policy, b)
 		if err != nil {
 			return nil, fmt.Errorf("serve: colo cell %d: %v", i, err)
@@ -362,8 +371,9 @@ func (r *JobRequest) plan(maxCells int) (jobPlan, error) {
 	return jobPlan{units: units, nCells: len(cells)}, nil
 }
 
-// validate checks the fields submit-time can check cheaply: the
-// workload name and oversubscription point. Full config validation
+// validate checks the fields submit-time can check cheaply per cell:
+// the workload name and oversubscription point (stage names are checked
+// once per pipeline spec, in cells). Full config validation
 // happens when the cell's simulator is constructed — a failure there
 // aborts the job through sweep.Parallel's panic path and surfaces as a
 // failed job, never a wedged pool.

@@ -326,6 +326,8 @@ func TestSubmitRejectsOversizedMatrixBeforeExpanding(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 1, MaxCells: 2})
+	dedupBase := config.Default()
+	dedupBase.MMPipeline.Batcher = "dedup"
 
 	cases := map[string]JobRequest{
 		"empty job":        {},
@@ -335,6 +337,10 @@ func TestSubmitValidation(t *testing.T) {
 		"negative scale":   {Scale: -1, Workloads: []string{"bfs"}},
 		"oversized scale":  {Scale: 1e6, Workloads: []string{"bfs"}},
 		"too many cells":   {Workloads: []string{"bfs", "ra", "nw"}},
+		"unknown planner":  {Workloads: []string{"bfs"}, Pipelines: []config.PipelineSpec{{Planner: "nosuch"}}},
+		"unknown evictor":  {Workloads: []string{"bfs"}, Pipelines: []config.PipelineSpec{{}, {Evictor: "mru"}}},
+		"unknown governor": {Workloads: []string{"bfs"}, Pipelines: []config.PipelineSpec{{Prefetcher: "oracle"}}},
+		"unknown batcher":  {Cells: []CellSpec{{Workload: "bfs", OversubPercent: 125, Base: &dedupBase}}},
 	}
 	for name, req := range cases {
 		if _, err := c.Submit(req); err == nil {
@@ -351,6 +357,12 @@ func TestSubmitValidation(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: got %s, want 400", resp.Status)
+	}
+
+	// An unknown stage name is refused at submit, before any worker runs.
+	code, msg := post(t, c, []byte(`{"scale":0.02,"workloads":["bfs"],"pipelines":[{"planner":"nosuch"}]}`))
+	if code != http.StatusBadRequest || !strings.Contains(string(msg), `unknown migration planner \"nosuch\"`) {
+		t.Fatalf("unknown planner: got %d %q, want 400 naming the planner", code, msg)
 	}
 
 	if _, err := c.Status("job-999"); err == nil {

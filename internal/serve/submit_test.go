@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"uvmsim/internal/config"
+	"uvmsim/internal/mm"
 )
 
 // post sends a raw job request body and returns the status code and
@@ -107,6 +108,8 @@ func FuzzDecodeJobRequest(f *testing.F) {
 	f.Add([]byte(`{"workloads":["bfs"],"bogus":1}`))
 	f.Add([]byte(`{"workloads":["bfs"]} {}`))
 	f.Add([]byte(`{"workloads":["bfs"],"seeds":[1,2,3],"pipelines":[{}]}`))
+	f.Add([]byte(`{"scale":0.02,"workloads":["bfs"],"pipelines":[{"planner":"nosuch"}]}`))
+	f.Add([]byte(`{"scale":0.02,"cells":[{"workload":"bfs","oversubPercent":125,"base":{"MMPipeline":{"Batcher":"dedup"}}}]}`))
 
 	maxCells := Options{}.withDefaults().MaxCells
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -123,6 +126,9 @@ func FuzzDecodeJobRequest(f *testing.F) {
 		for _, u := range p.units[:p.nCells] {
 			if c := u.(*cell); !(c.scale > 0 && c.scale <= MaxScale) {
 				t.Fatalf("accepted scale %v (limit %d)", c.scale, MaxScale)
+			}
+			if err := mm.CheckSpec(u.(*cell).base.MMPipeline); err != nil {
+				t.Fatalf("accepted a cell whose stages cannot be built: %v", err)
 			}
 		}
 	})

@@ -17,9 +17,10 @@
 // implemented in evictionhost.go. The Driver itself owns only
 // page-table state (block/chunk slots, the GMMU TLB, access counters)
 // and event sequencing (batch close, migration dispatch and landing,
-// the capacity-wait queue). Alternative heuristics plug in by registry
-// name via config.PipelineSpec, or programmatically via
-// NewWithPipeline, without touching this file.
+// the capacity-wait queue). New resolves the stages named by
+// config.PipelineSpec through mm.Build; NewWithPipeline takes a complete
+// pipeline, which is how tests and the benchmark wrap or replace one
+// stage without touching this file.
 //
 // The per-block and per-chunk state lives in dense slices indexed by
 // block/chunk number rather than maps: the managed address space starts
@@ -218,13 +219,10 @@ type Driver struct {
 	finalized bool
 }
 
-// New creates a driver for the given configuration and address space,
-// resolving the memory-management pipeline from cfg.MMPipeline (empty
-// spec = the built-in stages).
+// New creates a driver for the given configuration and address space:
+// mm.Build resolves cfg.MMPipeline (an empty spec is the built-in
+// stages), then NewWithPipeline composes the driver.
 func New(eng *sim.Engine, cfg config.Config, space *alloc.Space) *Driver {
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("uvm: %v", err))
-	}
 	pipe, err := mm.Build(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("uvm: %v", err))
@@ -233,14 +231,24 @@ func New(eng *sim.Engine, cfg config.Config, space *alloc.Space) *Driver {
 }
 
 // NewWithPipeline creates a driver composed of the given pipeline
-// stages. Nil stages fall back to the built-ins derived from cfg. The
-// stages become owned by this driver: stateful stages (FaultBatcher)
-// must not be shared with another driver.
+// stages, every one of which must be set: start from mm.Build(cfg) to
+// replace a single stage. The stages become owned by this driver:
+// stateful stages (FaultBatcher) must not be shared with another
+// driver.
 func NewWithPipeline(eng *sim.Engine, cfg config.Config, space *alloc.Space, pipe mm.Pipeline) *Driver {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("uvm: %v", err))
 	}
-	fillDefaults(&pipe, cfg)
+	switch {
+	case pipe.Batcher == nil:
+		panic("uvm: pipeline has no Batcher stage")
+	case pipe.Planner == nil:
+		panic("uvm: pipeline has no Planner stage")
+	case pipe.Evictor == nil:
+		panic("uvm: pipeline has no Evictor stage")
+	case pipe.Prefetch == nil:
+		panic("uvm: pipeline has no Prefetch stage")
+	}
 	d := &Driver{
 		eng:          eng,
 		cfg:          cfg,
@@ -262,32 +270,6 @@ func NewWithPipeline(eng *sim.Engine, cfg config.Config, space *alloc.Space, pip
 		d.drainWaiting()
 	}
 	return d
-}
-
-// fillDefaults replaces nil pipeline stages with the built-ins the
-// configuration selects.
-func fillDefaults(pipe *mm.Pipeline, cfg config.Config) {
-	var err error
-	if pipe.Batcher == nil {
-		if pipe.Batcher, err = mm.NewBatcher("", cfg); err != nil {
-			panic(fmt.Sprintf("uvm: %v", err))
-		}
-	}
-	if pipe.Planner == nil {
-		if pipe.Planner, err = mm.NewPlanner("", cfg); err != nil {
-			panic(fmt.Sprintf("uvm: %v", err))
-		}
-	}
-	if pipe.Evictor == nil {
-		if pipe.Evictor, err = mm.NewEvictor("", cfg); err != nil {
-			panic(fmt.Sprintf("uvm: %v", err))
-		}
-	}
-	if pipe.Prefetch == nil {
-		if pipe.Prefetch, err = mm.NewPrefetchGovernor("", cfg); err != nil {
-			panic(fmt.Sprintf("uvm: %v", err))
-		}
-	}
 }
 
 // translate performs the GMMU TLB lookup for the page containing addr

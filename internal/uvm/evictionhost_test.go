@@ -89,14 +89,15 @@ func TestChunkCandidatesMatchReferenceWalk(t *testing.T) {
 					cfg := config.Default()
 					cfg.Replacement = repl
 					cfg = cfg.WithOversubscription(b.WorkingSet(), pct)
-					inner, err := mm.NewEvictor("", cfg)
+					pipe, err := mm.Build(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ev := &refCheckingEngine{EvictionEngine: inner, t: t}
+					ev := &refCheckingEngine{EvictionEngine: pipe.Evictor, t: t}
+					pipe.Evictor = ev
 					eng := sim.NewEngine()
 					eng.SetEventBudget(200_000_000)
-					d := NewWithPipeline(eng, cfg, b.Space, mm.Pipeline{Evictor: ev})
+					d := NewWithPipeline(eng, cfg, b.Space, pipe)
 					g := gpu.New(eng, cfg, d, d.Stats())
 					for _, k := range b.Kernels {
 						g.RunSync(k)

@@ -1,26 +1,35 @@
 package uvm
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"uvmsim/internal/alloc"
 	"uvmsim/internal/config"
+	"uvmsim/internal/gpu"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
 	"uvmsim/internal/prefetch"
 	"uvmsim/internal/sim"
+	"uvmsim/internal/workloads"
 )
 
-// newPipelineRig is newRig with explicit pipeline stages (nil stages
-// fall back to the configured defaults) — the mock seam of the contract
-// tests.
-func newPipelineRig(t *testing.T, mut func(*config.Config), allocBytes uint64, pipe mm.Pipeline) *testRig {
+// newPipelineRig is newRig with one pipeline stage replaced: set edits
+// the stages mm.Build resolves for the configuration — the mock seam of
+// the contract tests.
+func newPipelineRig(t *testing.T, mut func(*config.Config), allocBytes uint64, set func(*mm.Pipeline)) *testRig {
 	t.Helper()
 	cfg := config.Default()
 	cfg.DeviceMemBytes = 8 << 20 // 4 chunks by default
 	if mut != nil {
 		mut(&cfg)
 	}
+	pipe, err := mm.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set(&pipe)
 	eng := sim.NewEngine()
 	eng.SetEventBudget(50_000_000)
 	space := alloc.NewSpace()
@@ -56,7 +65,7 @@ func TestRefusingEvictionEngineDegradesToRemote(t *testing.T) {
 	// never obtain capacity once the first two chunks fill.
 	r := newPipelineRig(t, func(cfg *config.Config) {
 		cfg.DeviceMemBytes = 2 * memunits.ChunkSize
-	}, 8*memunits.ChunkSize, mm.Pipeline{Evictor: ev})
+	}, 8*memunits.ChunkSize, func(p *mm.Pipeline) { p.Evictor = ev })
 
 	touchAll(t, r)
 
@@ -85,7 +94,7 @@ func TestRefusingEvictionEngineDegradesToRemote(t *testing.T) {
 	}
 }
 
-// The registry route to the same contract: the "none" engine selected
+// The by-name route to the same contract: the "none" engine selected
 // purely by configuration string, without touching driver construction.
 func TestRefusingEvictorByNameDegradesToRemote(t *testing.T) {
 	r := newRigWithSpec(t, config.PipelineSpec{Evictor: "none"})
@@ -123,7 +132,7 @@ func (denyPlanner) ShouldMigrate(mm.Access) bool { return false }
 // remote — a planner that always refuses turns every access into a
 // remote access and nothing ever migrates.
 func TestDenyPlannerServesEverythingRemotely(t *testing.T) {
-	r := newPipelineRig(t, nil, 4<<20, mm.Pipeline{Planner: denyPlanner{}})
+	r := newPipelineRig(t, nil, 4<<20, func(p *mm.Pipeline) { p.Planner = denyPlanner{} })
 	n := touchAll(t, r)
 	st := r.d.Stats()
 	if st.MigratedPages != 0 || st.FarFaults != 0 {
@@ -150,7 +159,7 @@ func (soloGovernor) NewChunk(nBlocks int) mm.ChunkPrefetcher {
 // governor's chunks, so a single-block governor yields zero prefetched
 // pages while demand migration still works.
 func TestSoloGovernorDisablesPrefetch(t *testing.T) {
-	r := newPipelineRig(t, nil, 4<<20, mm.Pipeline{Prefetch: soloGovernor{}})
+	r := newPipelineRig(t, nil, 4<<20, func(p *mm.Pipeline) { p.Prefetch = soloGovernor{} })
 	n := touchAll(t, r)
 	st := r.d.Stats()
 	if st.PrefetchedPages != 0 {
@@ -161,38 +170,127 @@ func TestSoloGovernorDisablesPrefetch(t *testing.T) {
 	}
 }
 
-// The FaultBatcher contract under the stock driver: the driver never
-// re-adds a pending block, so the deduplicating batcher must produce
-// exactly the same statistics as the accumulating default.
-func TestDedupBatcherMatchesAccumulate(t *testing.T) {
-	run := func(name string) *testRig {
+// refaultChecker wraps the configured FaultBatcher and records every
+// block the driver adds to an open round twice. The batcher keeps no
+// set of its own: a block faults once per round only because the driver
+// merges later accesses to a pending block into its waiter list.
+type refaultChecker struct {
+	mm.FaultBatcher
+	round   []memunits.BlockNum
+	batches int
+	largest int
+	refault []memunits.BlockNum
+}
+
+func (c *refaultChecker) Add(b memunits.BlockNum) bool {
+	if slices.Contains(c.round, b) {
+		c.refault = append(c.refault, b)
+	}
+	c.round = append(c.round, b)
+	return c.FaultBatcher.Add(b)
+}
+
+func (c *refaultChecker) Close() []memunits.BlockNum {
+	c.batches++
+	c.largest = max(c.largest, len(c.round))
+	c.round = c.round[:0]
+	return c.FaultBatcher.Close()
+}
+
+// The FaultBatcher contract the driver keeps: no block is added twice
+// to one open round. Synchronous write-heavy passes exercise batching
+// one access at a time; a 150% ra cell on the GPU model keeps many warps
+// faulting on the same blocks while they are pending, and thrashes.
+func TestDriverNeverRefaultsPendingBlock(t *testing.T) {
+	check := func(t *testing.T, c *refaultChecker) {
+		t.Helper()
+		if len(c.refault) > 0 {
+			t.Fatalf("%d blocks added twice to one open round, first %d", len(c.refault), c.refault[0])
+		}
+		if c.batches == 0 {
+			t.Fatal("no batch closed — the check proves nothing")
+		}
+	}
+	wrap := func(t *testing.T, cfg config.Config) (mm.Pipeline, *refaultChecker) {
+		pipe, err := mm.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &refaultChecker{FaultBatcher: pipe.Batcher}
+		pipe.Batcher = c
+		return pipe, c
+	}
+
+	t.Run("write-heavy-passes", func(t *testing.T) {
 		cfg := config.Default().WithPolicy(config.PolicyAdaptive)
 		cfg.DeviceMemBytes = 2 * memunits.ChunkSize
-		cfg.MMPipeline.Batcher = name
+		pipe, c := wrap(t, cfg)
 		eng := sim.NewEngine()
 		eng.SetEventBudget(50_000_000)
 		space := alloc.NewSpace()
 		a := space.Alloc("data", 4*memunits.ChunkSize, false)
-		r := &testRig{eng: eng, d: New(eng, cfg, space), space: space, a: a}
-		// A write-heavy strided pass plus a re-read pass, to exercise
-		// batching, eviction and write-back.
+		r := &testRig{eng: eng, d: NewWithPipeline(eng, cfg, space, pipe), space: space, a: a}
+		// Write, read and write strided passes over twice the device
+		// memory: fault batches with prefetch, and remote writes.
 		for pass := 0; pass < 3; pass++ {
 			for off := uint64(0); off < r.a.Size; off += memunits.BlockSize {
 				r.syncAccess(t, r.a.Base+memunits.Addr(off), pass%2 == 0)
 			}
 		}
-		r.d.Finalize()
-		return r
-	}
-	accum := run("accumulate")
-	dedup := run("dedup")
-	if *accum.d.Stats() != *dedup.d.Stats() {
-		t.Fatalf("stats diverged:\naccumulate: %+v\ndedup:      %+v", *accum.d.Stats(), *dedup.d.Stats())
+		check(t, c)
+	})
+
+	t.Run("ra-150", func(t *testing.T) {
+		b := workloads.MustGet("ra")(0.3)
+		cfg := config.Default().WithPolicy(config.PolicyAdaptive)
+		cfg = cfg.WithOversubscription(b.WorkingSet(), 150)
+		pipe, c := wrap(t, cfg)
+		eng := sim.NewEngine()
+		eng.SetEventBudget(200_000_000)
+		d := NewWithPipeline(eng, cfg, b.Space, pipe)
+		g := gpu.New(eng, cfg, d, d.Stats())
+		for _, k := range b.Kernels {
+			g.RunSync(k)
+		}
+		eng.Run()
+		check(t, c)
+		if d.Stats().ThrashedPages == 0 || c.largest < 2 {
+			t.Fatalf("thrashed=%d largest batch=%d: the cell does not thrash or batch", d.Stats().ThrashedPages, c.largest)
+		}
+	})
+}
+
+// NewWithPipeline takes a complete pipeline: a missing stage panics
+// with the stage's name instead of being filled in.
+func TestNewWithPipelineRejectsMissingStage(t *testing.T) {
+	cfg := config.Default()
+	for _, tc := range []struct {
+		stage string
+		drop  func(*mm.Pipeline)
+	}{
+		{"Batcher", func(p *mm.Pipeline) { p.Batcher = nil }},
+		{"Planner", func(p *mm.Pipeline) { p.Planner = nil }},
+		{"Evictor", func(p *mm.Pipeline) { p.Evictor = nil }},
+		{"Prefetch", func(p *mm.Pipeline) { p.Prefetch = nil }},
+	} {
+		pipe, err := mm.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.drop(&pipe)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.stage) {
+					t.Fatalf("missing %s: recovered %q, want a panic naming it", tc.stage, msg)
+				}
+			}()
+			NewWithPipeline(sim.NewEngine(), cfg, alloc.NewSpace(), pipe)
+		}()
 	}
 }
 
-// Pipeline() exposes the composed stages, and New fills defaults from
-// the configuration.
+// Pipeline() exposes the composed stages, and New resolves the empty
+// spec to the stages the configuration selects.
 func TestPipelineIntrospection(t *testing.T) {
 	r := newRig(t, nil, 4<<20)
 	p := r.d.Pipeline()
@@ -208,8 +306,8 @@ func TestPipelineIntrospection(t *testing.T) {
 	}
 }
 
-// The thrash-guard planner ships through the registry seam: selecting
-// it by name changes behaviour (chronic thrashers stop migrating)
+// The thrash-guard planner is selected by name: choosing it changes
+// behaviour (chronic thrashers stop migrating)
 // without any driver-core hook.
 func TestThrashGuardStopsChronicThrashing(t *testing.T) {
 	run := func(planner string) *runTally {

@@ -3,9 +3,9 @@
 #
 # Runs `go test -coverprofile` for each listed package and fails when
 # any falls below the floor. The floor guards the packages recent PRs
-# made load-bearing — the mm pipeline registry/stages, the learn
-# primitives, the CXL surface (per-GPU counters, the pool controller
-# and co-location), and the simlint framework plus its
+# made load-bearing — the mm pipeline stages and their name lookup,
+# the learn primitives, the CXL surface (per-GPU counters, the pool
+# controller and co-location), and the simlint framework plus its
 # interprocedural analyzers — not the whole module: simulator
 # hot paths are covered by the golden and determinism suites instead.
 set -eu
