@@ -138,8 +138,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	o.opt = uvmsim.ExperimentOptions{Scale: *scale, Workers: *workers}
-	if *workloads != "" {
-		o.opt.Workloads = cliutil.SplitList(*workloads)
+	var err error
+	if o.opt.Workloads, err = cliutil.ParseWorkloads(*workloads); err != nil {
+		fmt.Fprintf(stderr, "paperbench: %v\n", err)
+		return 2
 	}
 	if *planner != "" || *replacement != "" || *prefetcher != "" || *clusterWorkers > 0 {
 		base := uvmsim.DefaultConfig()
@@ -307,6 +309,15 @@ func runFigures(fig string, csv, plotOut bool, sample uint64, opt uvmsim.Experim
 		fmt.Fprintln(stdout)
 	}
 
+	// Figures 6 and 7 are two tables of one sweep: run it at most once
+	// however many of them the list names.
+	var fig6, fig7 *uvmsim.Table
+	sweep67 := func() {
+		if fig6 == nil {
+			fig6, fig7 = uvmsim.Fig6And7(opt)
+		}
+	}
+
 	figs := strings.Split(fig, ",")
 	if fig == "all" {
 		figs = []string{"1", "2", "3", "4", "5", "6", "7", "8"}
@@ -333,13 +344,15 @@ func runFigures(fig string, csv, plotOut bool, sample uint64, opt uvmsim.Experim
 		case "5":
 			emit(uvmsim.Fig5(opt))
 		case "6":
-			emit(uvmsim.Fig6(opt))
+			sweep67()
+			emit(fig6)
 		case "7":
-			emit(uvmsim.Fig7(opt))
+			sweep67()
+			emit(fig7)
 		case "6+7", "67":
-			rt, th := uvmsim.Fig6And7(opt)
-			emit(rt)
-			emit(th)
+			sweep67()
+			emit(fig6)
+			emit(fig7)
 		case "8":
 			emit(uvmsim.Fig8(opt))
 		case "multigpu":

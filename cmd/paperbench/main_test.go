@@ -44,6 +44,8 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 		{"zeroSample", []string{"-fig", "3", "-sample", "0"}, "-sample must be positive"},
 		{"traceSampleWithoutTraceOut", []string{"-fig", "1", "-scale", "0.05", "-workloads", "ra", "-trace-sample", "8"}, "-trace-sample requires -trace-out"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
+		{"unknownWorkload", []string{"-fig", "6", "-workloads", "nosuch"}, `unknown workload "nosuch"`},
+		{"unknownWorkloadTournament", []string{"-tournament", "-workloads", "bfs,nosuch"}, `unknown workload "nosuch"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,5 +201,41 @@ func TestWorkersFlagPreservesSweepOutput(t *testing.T) {
 	_, oneOut, _ := runCLI(t, append(append([]string{}, base...), "-workers", "1")...)
 	if defOut == "" || defOut != oneOut {
 		t.Fatalf("-workers 1 changed sweep output:\ndefault:\n%s\nworkers=1:\n%s", defOut, oneOut)
+	}
+}
+
+// Figures 6 and 7 are two tables of one sweep: naming both runs it
+// once, so every cell reaches the metrics document once, and stdout is
+// the same as the combined "67" spelling.
+func TestFig6And7RunOneSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	base := []string{"-scale", "0.02", "-workloads", "bfs"}
+	code, stdout, stderr := runCLI(t, append([]string{"-fig", "6,7", "-metrics-json", metrics}, base...)...)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	if _, combined, _ := runCLI(t, append([]string{"-fig", "67"}, base...)...); stdout != combined {
+		t.Fatalf("-fig 6,7 printed\n%s\n-fig 67 printed\n%s", stdout, combined)
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.SuiteSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, r := range snap.Runs {
+		if seen[r.Name] {
+			t.Fatalf("run %q written twice", r.Name)
+		}
+		seen[r.Name] = true
+	}
+	if len(seen) != len(config.Policies()) {
+		t.Fatalf("%d runs, want one per policy (%d)", len(seen), len(config.Policies()))
 	}
 }

@@ -48,13 +48,13 @@ type options struct {
 	workers  int
 	maxCells int
 
-	server   string
-	submit   string
-	fig      string
-	scale    float64
-	wl       string
-	printJob bool
-	out      string
+	server    string
+	submit    string
+	fig       string
+	scale     float64
+	workloads []string
+	printJob  bool
+	out       string
 
 	smoke bool
 }
@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.fig, "fig", "", "client mode: submit a figure sweep ("+
 		fmt.Sprint(experiments.FigureNames())+", 'tournament' or 'colo')")
 	fs.Float64Var(&o.scale, "scale", 1.0, "with -fig, workload scale factor (1.0 = paper size)")
-	fs.StringVar(&o.wl, "workloads", "", "with -fig, comma-separated workload subset (default: the figure's own)")
+	wl := fs.String("workloads", "", "with -fig, comma-separated workload subset (default: the figure's own)")
 	fs.BoolVar(&o.printJob, "print-job", false, "with -fig or -submit, print the job request JSON and exit without submitting")
 	fs.StringVar(&o.out, "out", "", "client mode: write the result payload to this file ('-' = stdout)")
 	fs.BoolVar(&o.smoke, "smoke", false, "run the in-process end-to-end smoke test and exit")
@@ -80,6 +80,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "simd: unexpected arguments %q\n", fs.Args())
+		return 2
+	}
+	var err error
+	if o.workloads, err = cliutil.ParseWorkloads(*wl); err != nil {
+		fmt.Fprintf(stderr, "simd: %v\n", err)
 		return 2
 	}
 	modes := 0
@@ -92,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	var err error
 	switch {
 	case o.smoke:
 		err = runSmoke(o, stdout, stderr)
@@ -141,10 +145,7 @@ func buildJob(o options) (serve.JobRequest, error) {
 		}
 		return req, nil
 	case o.fig != "":
-		eo := experiments.Options{Scale: o.scale}
-		if o.wl != "" {
-			eo.Workloads = cliutil.SplitList(o.wl)
-		}
+		eo := experiments.Options{Scale: o.scale, Workloads: o.workloads}
 		if o.fig == "tournament" {
 			return experiments.TournamentJob(experiments.TournamentOptions{Options: eo}), nil
 		}

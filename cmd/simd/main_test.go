@@ -38,8 +38,14 @@ func TestPrintFigureJob(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &req); err != nil {
 		t.Fatalf("print-job output is not a job request: %v\n%s", err, stdout)
 	}
-	if req.Name != "fig6" || len(req.Workloads) != 2 || len(req.Policies) != 4 {
+	// One explicit cell per (workload, policy), workload-major.
+	if req.Name != "fig6" || len(req.Cells) != 8 || req.Cells[0].Workload != "bfs" || req.Cells[4].Workload != "ra" {
 		t.Fatalf("unexpected fig6 job: %+v", req)
+	}
+	for _, c := range req.Cells {
+		if c.Base != nil {
+			t.Fatalf("fig6 cell %+v carries its own base; every column shares the job base", c)
+		}
 	}
 	if req.Base == nil || req.Base.Penalty != 8 {
 		t.Fatalf("fig6 job lost the p=8 operating point: %+v", req.Base)
@@ -112,8 +118,10 @@ func TestUsageErrors(t *testing.T) {
 		{},                             // no mode
 		{"-addr", "x", "-smoke"},       // two modes
 		{"-fig", "fig2", "-print-job"}, // unmapped figure
-		{"-fig", "x", "-submit", "y", "-print-job"}, // mutually exclusive
-		{"-smoke", "extra"},                         // stray operand
+		{"-fig", "x", "-submit", "y", "-print-job"},                  // mutually exclusive
+		{"-smoke", "extra"},                                          // stray operand
+		{"-fig", "fig6", "-workloads", "nosuch", "-print-job"},       // unknown workload
+		{"-fig", "tournament", "-workloads", "nosuch", "-print-job"}, // unknown workload
 	}
 	for _, args := range cases {
 		if code, _, _ := runCLI(t, args...); code == 0 {

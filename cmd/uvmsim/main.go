@@ -197,6 +197,9 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	cfg = cfg.WithPolicy(pol)
 	cfg.StaticThreshold = o.ts
 	cfg.Penalty = o.penalty
+	if o.replacement != "" && o.evictor != "" {
+		return fmt.Errorf("-replacement and -evictor both pick the eviction policy and a named evictor always wins; give one")
+	}
 	if rp, ok, err := cliutil.ParseReplacement(o.replacement); err != nil {
 		return err
 	} else if ok {
@@ -264,10 +267,19 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if b.Regular {
 		class = "regular"
 	}
-	fmt.Fprintf(stdout, "workload=%s (%s) ws=%s capacity=%s policy=%v ts=%d p=%d replacement=%v prefetcher=%v\n",
+	// A named evictor or prefetch governor replaces the configured kind,
+	// so the header names the stage that runs.
+	replacement, prefetcher := cfg.Replacement.String(), cfg.Prefetcher.String()
+	if cfg.MMPipeline.Evictor != "" {
+		replacement = cfg.MMPipeline.Evictor
+	}
+	if cfg.MMPipeline.Prefetcher != "" {
+		prefetcher = cfg.MMPipeline.Prefetcher
+	}
+	fmt.Fprintf(stdout, "workload=%s (%s) ws=%s capacity=%s policy=%v ts=%d p=%d replacement=%s prefetcher=%s\n",
 		b.Name, class, memunits.HumanBytes(b.WorkingSet()),
 		memunits.HumanBytes(cfg.DeviceMemBytes), cfg.Policy, cfg.StaticThreshold,
-		cfg.Penalty, cfg.Replacement, cfg.Prefetcher)
+		cfg.Penalty, replacement, prefetcher)
 
 	suite := obs.NewSuite(obs.Options{
 		Metrics:     o.metricsJSON != "",

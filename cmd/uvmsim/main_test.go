@@ -49,6 +49,7 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"epsilonOver100", []string{"-bandit-epsilon", "101"}, "-bandit-epsilon is a percentage"},
 		{"unknownWorkload", []string{"-workload", "nosuch"}, "unknown workload"},
 		{"unknownReplacement", []string{"-replacement", "mru"}, "unknown replacement"},
+		{"replacementWithEvictor", []string{"-replacement", "lru", "-evictor", "lfu"}, "-replacement and -evictor"},
 		{"unknownPrefetcher", []string{"-prefetcher", "oracle"}, "unknown prefetcher"},
 		{"unknownGranularity", []string{"-granularity", "4k"}, "unknown eviction granularity"},
 		{"zeroGPUs", []string{"-gpus", "0"}, "-gpus must be at least 1"},
@@ -71,6 +72,33 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 			}
 			if !strings.Contains(stderr, tc.wantErr) {
 				t.Fatalf("stderr = %q, want substring %q", stderr, tc.wantErr)
+			}
+		})
+	}
+}
+
+// The run header names the eviction and prefetch stages that run: a
+// named evictor or prefetch governor replaces the configured
+// replacement policy or prefetcher kind, so the header prints its name.
+func TestHeaderNamesStagesThatRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"configured", nil, "replacement=LRU prefetcher=Tree"},
+		{"namedStages", []string{"-evictor", "lfu", "-pf-governor", "none"}, "replacement=lfu prefetcher=none"},
+		{"namedGovernor", []string{"-prefetcher", "none", "-pf-governor", "tree"}, "replacement=LRU prefetcher=tree"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-workload", "ra", "-scale", "0.02", "-policy", "disabled"}, tc.args...)
+			code, stdout, stderr := runCLI(t, args...)
+			if code != 0 {
+				t.Fatalf("run(%q) = %d, stderr %q", args, code, stderr)
+			}
+			header, _, _ := strings.Cut(stdout, "\n")
+			if !strings.HasSuffix(header, tc.want) {
+				t.Fatalf("header = %q, want it to end in %q", header, tc.want)
 			}
 		})
 	}

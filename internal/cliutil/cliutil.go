@@ -1,6 +1,6 @@
 // Package cliutil provides the flag-value parsing shared by the
 // command-line tools: policy, replacement, prefetcher, eviction
-// granularity and architecture preset names.
+// granularity and workload names.
 package cliutil
 
 import (
@@ -10,6 +10,7 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
+	"uvmsim/internal/workloads"
 )
 
 // ParsePolicy maps a user-facing policy name to the enum. "baseline" is
@@ -108,4 +109,17 @@ func SplitList(s string) []string {
 		}
 	}
 	return out
+}
+
+// ParseWorkloads splits a comma-separated workload list (see SplitList)
+// and checks every name against the workload set, so an unknown name
+// fails when the flags are parsed rather than inside a sweep.
+func ParseWorkloads(s string) ([]string, error) {
+	names := SplitList(s)
+	for _, n := range names {
+		if _, ok := workloads.Get(n); !ok {
+			return nil, fmt.Errorf("unknown workload %q (have %s)", n, strings.Join(workloads.Names(), ", "))
+		}
+	}
+	return names, nil
 }

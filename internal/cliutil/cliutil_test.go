@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"uvmsim/internal/config"
@@ -81,6 +83,19 @@ func TestSplitList(t *testing.T) {
 	}
 	if SplitList("") != nil {
 		t.Error("empty input should return nil")
+	}
+}
+
+func TestParseWorkloads(t *testing.T) {
+	got, err := ParseWorkloads(" bfs, ra ,")
+	if err != nil || !slices.Equal(got, []string{"bfs", "ra"}) {
+		t.Fatalf("ParseWorkloads = %v, %v", got, err)
+	}
+	if got, err := ParseWorkloads(""); got != nil || err != nil {
+		t.Fatalf("empty list = %v, %v; want nil (the caller's default)", got, err)
+	}
+	if _, err := ParseWorkloads("bfs,nosuch"); err == nil || !strings.Contains(err.Error(), `unknown workload "nosuch"`) {
+		t.Fatalf("unknown name: err = %v", err)
 	}
 }
 

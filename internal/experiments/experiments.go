@@ -1,7 +1,11 @@
 // Package experiments reproduces every figure and table of the paper's
 // evaluation (§VI): each FigN function runs the corresponding sweep and
 // returns a report.Table whose rows/series match what the paper plots.
-// See DESIGN.md for the per-experiment index and EXPERIMENTS.md for the
+// Each config sweep (Figures 1 and 4-8, and the pipeline tournament) is
+// defined once, as a list of columns; the in-process sweep runs one
+// cell per (workload, column), and FigureJob and TournamentJob spell
+// the same list as a simd job, so both simulate the same cells. See
+// DESIGN.md for the per-experiment index and EXPERIMENTS.md for the
 // measured-vs-paper comparison.
 package experiments
 
@@ -101,11 +105,61 @@ func (o Options) runtimeOf(name string, nGPUs int, pct uint64, pol config.Migrat
 	return o.cell(name, nGPUs, pct, pol, base, tag).Run()
 }
 
-// grid evaluates one simulation per (workload, column) pair in parallel.
-func (o Options) grid(cols int, f func(name string, col int) *core.Result) [][]*core.Result {
-	return sweep.Grid(len(o.Workloads), cols, o.Workers, func(r, c int) *core.Result {
-		return f(o.Workloads[r], c)
+// column is one column of a sweep: the single-GPU cell every workload
+// runs under it. The same column list drives the in-process sweep
+// (grid) and its simd job (job).
+type column struct {
+	// header labels the column in a figure's table.
+	header string
+	pct    uint64
+	pol    config.MigrationPolicy
+	base   config.Config
+	// tag tells the column's observe run names apart from other columns
+	// with the same policy and oversubscription (see cell).
+	tag string
+}
+
+// grid runs one cell per (workload, column) pair in parallel.
+func (o Options) grid(cols []column) [][]*core.Result {
+	return sweep.Grid(len(o.Workloads), len(cols), o.Workers, func(r, c int) *core.Result {
+		col := cols[c]
+		return o.runtimeOf(o.Workloads[r], 1, col.pct, col.pol, col.base, col.tag)
 	})
+}
+
+// normalized tabulates value for every cell of a grid, each row
+// normalized to its column-0 cell.
+func (o Options) normalized(title, metric string, cols []column, res [][]*core.Result, value func(*core.Result) uint64) *report.Table {
+	t := &report.Table{Title: title, Metric: metric}
+	for _, c := range cols {
+		t.Columns = append(t.Columns, c.header)
+	}
+	for i, name := range o.Workloads {
+		row := make([]float64, len(cols))
+		for c, r := range res[i] {
+			row[c] = report.Ratio(value(r), value(res[i][0]))
+		}
+		t.Add(name, row...)
+	}
+	return t
+}
+
+// runtimeTable runs a sweep and tabulates its runtimes, normalized to
+// column 0.
+func (o Options) runtimeTable(title, metric string, cols func(config.Config) []column) *report.Table {
+	o = o.withDefaults()
+	c := cols(o.Base)
+	return o.normalized(title, metric, c, o.grid(c), (*core.Result).Runtime)
+}
+
+// fig1Columns: the first-touch baseline at 100% (fits), 125% and 150%
+// oversubscription.
+func fig1Columns(base config.Config) []column {
+	return []column{
+		{header: "NoOversub", pct: 100, pol: config.PolicyDisabled, base: base},
+		{header: "125%Oversub", pct: 125, pol: config.PolicyDisabled, base: base},
+		{header: "150%Oversub", pct: 150, pol: config.PolicyDisabled, base: base},
+	}
 }
 
 // Fig1 reproduces Figure 1: sensitivity of every workload to the degree
@@ -113,23 +167,8 @@ func (o Options) grid(cols int, f func(name string, col int) *core.Result) [][]*
 // are runtimes at 100% (fits), 125% and 150% oversubscription,
 // normalized to the fitting run.
 func Fig1(o Options) *report.Table {
-	o = o.withDefaults()
-	t := &report.Table{
-		Title:   "Figure 1: sensitivity to memory oversubscription (Baseline first-touch)",
-		Metric:  "Runtime normalized to no-oversubscription",
-		Columns: []string{"NoOversub", "125%Oversub", "150%Oversub"},
-	}
-	pcts := []uint64{100, 125, 150}
-	res := o.grid(len(pcts), func(name string, col int) *core.Result {
-		return o.runtimeOf(name, 1, pcts[col], config.PolicyDisabled, o.Base, "")
-	})
-	for i, name := range o.Workloads {
-		base := res[i][0].Runtime()
-		t.Add(name, 1.0,
-			float64(res[i][1].Runtime())/float64(base),
-			float64(res[i][2].Runtime())/float64(base))
-	}
-	return t
+	return o.runtimeTable("Figure 1: sensitivity to memory oversubscription (Baseline first-touch)",
+		"Runtime normalized to no-oversubscription", fig1Columns)
 }
 
 // TraceResult bundles the collector and result of a characterization
@@ -195,51 +234,52 @@ func Fig3(workload string, o Options, iters []int, sampleEvery uint64) map[int]s
 	return out
 }
 
+// fig4Columns: Always at 125% under static thresholds ts=8, 16 and 32.
+func fig4Columns(base config.Config) []column {
+	var cols []column
+	for _, ts := range []uint64{8, 16, 32} {
+		cfg := base
+		cfg.StaticThreshold = ts
+		name := fmt.Sprintf("ts=%d", ts)
+		cols = append(cols, column{header: name, pct: 125, pol: config.PolicyAlways, base: cfg, tag: name})
+	}
+	return cols
+}
+
 // Fig4 reproduces Figure 4: sensitivity to the static access-counter
 // threshold ts under the Always scheme at 125% oversubscription,
 // normalized to ts=8.
 func Fig4(o Options) *report.Table {
-	o = o.withDefaults()
-	t := &report.Table{
-		Title:   "Figure 4: sensitivity to static access counter threshold (Always, 125% oversub)",
-		Metric:  "Runtime normalized to ts=8",
-		Columns: []string{"ts=8", "ts=16", "ts=32"},
+	return o.runtimeTable("Figure 4: sensitivity to static access counter threshold (Always, 125% oversub)",
+		"Runtime normalized to ts=8", fig4Columns)
+}
+
+// fig5Columns: Baseline, Always and Adaptive with the working set
+// fitting in device memory.
+func fig5Columns(base config.Config) []column {
+	return []column{
+		{header: "Baseline", pct: 100, pol: config.PolicyDisabled, base: base},
+		{header: "Always", pct: 100, pol: config.PolicyAlways, base: base},
+		{header: "Adaptive", pct: 100, pol: config.PolicyAdaptive, base: base},
 	}
-	thresholds := []uint64{8, 16, 32}
-	res := o.grid(len(thresholds), func(name string, col int) *core.Result {
-		cfg := o.Base
-		cfg.StaticThreshold = thresholds[col]
-		return o.runtimeOf(name, 1, 125, config.PolicyAlways, cfg, fmt.Sprintf("ts=%d", thresholds[col]))
-	})
-	for i, name := range o.Workloads {
-		base := res[i][0].Runtime()
-		t.Add(name, 1.0,
-			float64(res[i][1].Runtime())/float64(base),
-			float64(res[i][2].Runtime())/float64(base))
-	}
-	return t
 }
 
 // Fig5 reproduces Figure 5: Baseline vs Always vs Adaptive under no
 // memory oversubscription, normalized to Baseline.
 func Fig5(o Options) *report.Table {
-	o = o.withDefaults()
-	t := &report.Table{
-		Title:   "Figure 5: policies under no oversubscription",
-		Metric:  "Runtime normalized to baseline",
-		Columns: []string{"Baseline", "Always", "Adaptive"},
+	return o.runtimeTable("Figure 5: policies under no oversubscription",
+		"Runtime normalized to baseline", fig5Columns)
+}
+
+// fig67Columns: all four schemes at 125% with the paper's p=8 operating
+// point for Adaptive.
+func fig67Columns(base config.Config) []column {
+	base.Penalty = 8
+	var cols []column
+	for _, pol := range config.Policies() {
+		cols = append(cols, column{header: pol.String(), pct: 125, pol: pol, base: base})
 	}
-	pols := []config.MigrationPolicy{config.PolicyDisabled, config.PolicyAlways, config.PolicyAdaptive}
-	res := o.grid(len(pols), func(name string, col int) *core.Result {
-		return o.runtimeOf(name, 1, 100, pols[col], o.Base, "")
-	})
-	for i, name := range o.Workloads {
-		base := res[i][0].Runtime()
-		t.Add(name, 1.0,
-			float64(res[i][1].Runtime())/float64(base),
-			float64(res[i][2].Runtime())/float64(base))
-	}
-	return t
+	return cols
 }
 
 // Fig6And7 reproduces Figures 6 and 7 from one sweep: all four schemes
@@ -259,78 +299,43 @@ func Fig6And7(o Options) (runtime, thrash *report.Table) {
 // committed checksum (bench/checksums.json).
 func Fig6And7Cycles(o Options) (runtime, thrash *report.Table, simCycles uint64) {
 	o = o.withDefaults()
-	cols := []string{"Disabled", "Always", "Oversub", "Adaptive"}
-	runtime = &report.Table{
-		Title:   "Figure 6: policies under 125% oversubscription",
-		Metric:  "Runtime normalized to baseline",
-		Columns: cols,
-	}
-	thrash = &report.Table{
-		Title:   "Figure 7: memory thrashing under 125% oversubscription",
-		Metric:  "Total pages thrashed normalized to baseline",
-		Columns: cols,
-	}
-	cfg := o.Base
-	cfg.Penalty = 8
-	pols := config.Policies()
-	res := o.grid(len(pols), func(name string, col int) *core.Result {
-		return o.runtimeOf(name, 1, 125, pols[col], cfg, "")
-	})
-	for i, name := range o.Workloads {
-		baseTime := res[i][0].Runtime()
-		baseThrash := res[i][0].Counters.ThrashedPages
-		var times, thrashes [4]float64
-		for c := range pols {
-			times[c] = report.Ratio(res[i][c].Runtime(), baseTime)
-			thrashes[c] = report.Ratio(res[i][c].Counters.ThrashedPages, baseThrash)
-			simCycles += res[i][c].Runtime()
+	cols := fig67Columns(o.Base)
+	res := o.grid(cols)
+	runtime = o.normalized("Figure 6: policies under 125% oversubscription",
+		"Runtime normalized to baseline", cols, res, (*core.Result).Runtime)
+	thrash = o.normalized("Figure 7: memory thrashing under 125% oversubscription",
+		"Total pages thrashed normalized to baseline", cols, res,
+		func(r *core.Result) uint64 { return r.Counters.ThrashedPages })
+	for _, row := range res {
+		for _, r := range row {
+			simCycles += r.Runtime()
 		}
-		runtime.Add(name, times[0], times[1], times[2], times[3])
-		thrash.Add(name, thrashes[0], thrashes[1], thrashes[2], thrashes[3])
 	}
 	return runtime, thrash, simCycles
 }
 
-// Fig6 returns only the runtime table of the Fig6And7 sweep.
-func Fig6(o Options) *report.Table { r, _ := Fig6And7(o); return r }
-
-// Fig7 returns only the thrash table of the Fig6And7 sweep.
-func Fig7(o Options) *report.Table { _, t := Fig6And7(o); return t }
-
 // Fig8Penalties are the multiplicative-penalty points of Figure 8.
 var Fig8Penalties = []uint64{2, 4, 8, 1048576}
+
+// fig8Columns: a Disabled baseline at 125%, then Adaptive at 125% under
+// each penalty of Fig8Penalties.
+func fig8Columns(base config.Config) []column {
+	cols := []column{{header: "Baseline", pct: 125, pol: config.PolicyDisabled, base: base}}
+	for _, p := range Fig8Penalties {
+		cfg := base
+		cfg.Penalty = p
+		name := fmt.Sprintf("p=%d", p)
+		cols = append(cols, column{header: name, pct: 125, pol: config.PolicyAdaptive, base: cfg, tag: name})
+	}
+	return cols
+}
 
 // Fig8 reproduces Figure 8: sensitivity to the multiplicative migration
 // penalty p under Adaptive at 125% oversubscription, normalized to the
 // Disabled baseline.
 func Fig8(o Options) *report.Table {
-	o = o.withDefaults()
-	cols := []string{"Baseline"}
-	for _, p := range Fig8Penalties {
-		cols = append(cols, fmt.Sprintf("p=%d", p))
-	}
-	t := &report.Table{
-		Title:   "Figure 8: sensitivity to the multiplicative migration penalty (Adaptive, 125% oversub)",
-		Metric:  "Runtime normalized to baseline",
-		Columns: cols,
-	}
-	res := o.grid(1+len(Fig8Penalties), func(name string, col int) *core.Result {
-		if col == 0 {
-			return o.runtimeOf(name, 1, 125, config.PolicyDisabled, o.Base, "")
-		}
-		cfg := o.Base
-		cfg.Penalty = Fig8Penalties[col-1]
-		return o.runtimeOf(name, 1, 125, config.PolicyAdaptive, cfg, fmt.Sprintf("p=%d", cfg.Penalty))
-	})
-	for i, name := range o.Workloads {
-		base := res[i][0].Runtime()
-		values := []float64{1.0}
-		for c := 1; c <= len(Fig8Penalties); c++ {
-			values = append(values, float64(res[i][c].Runtime())/float64(base))
-		}
-		t.Add(name, values...)
-	}
-	return t
+	return o.runtimeTable("Figure 8: sensitivity to the multiplicative migration penalty (Adaptive, 125% oversub)",
+		"Runtime normalized to baseline", fig8Columns)
 }
 
 // Table1 renders the simulated-system configuration (Table I).

@@ -2,124 +2,75 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/mm"
 	"uvmsim/internal/serve"
-	"uvmsim/internal/workloads"
 )
 
-// FigureNames lists the figures expressible as simd job submissions:
-// the sweep-shaped figures. (Figures 2 and 3 are characterization
-// traces, not config-matrix sweeps, and stay CLI-only.)
-func FigureNames() []string { return []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8"} }
+// figureSweeps are the figures expressible as simd job submissions,
+// each with the column list its FigN function runs. (Figures 2 and 3
+// are characterization traces, not config-matrix sweeps, and stay
+// CLI-only; Figure 7 is the thrash table of Figure 6's sweep.)
+var figureSweeps = []struct {
+	name string
+	cols func(config.Config) []column
+}{
+	{"fig1", fig1Columns},
+	{"fig4", fig4Columns},
+	{"fig5", fig5Columns},
+	{"fig6", fig67Columns},
+	{"fig7", fig67Columns},
+	{"fig8", fig8Columns},
+}
+
+// FigureNames lists the figures expressible as simd job submissions.
+func FigureNames() []string {
+	names := make([]string, len(figureSweeps))
+	for i, f := range figureSweeps {
+		names[i] = f.name
+	}
+	return names
+}
 
 // FigureJob expresses one figure sweep as a simd job submission: the
-// exact cell set the in-process FigN function simulates, spelled as a
-// serve.JobRequest. Submitting the job to a warm server reproduces the
+// exact cell set the in-process FigN function simulates, built from the
+// same column list. Submitting the job to a warm server reproduces the
 // figure's raw cells entirely from cache; the figure functions and the
 // service share the same derivation path (core.DeriveConfig), so their
-// per-cell results are identical by construction.
+// per-cell results are identical.
 func FigureJob(fig string, o Options) (serve.JobRequest, error) {
 	o = o.withDefaults()
-	req := serve.JobRequest{
-		Name:      fig,
-		Scale:     o.Scale,
-		Workloads: o.Workloads,
-		Base:      &o.Base,
-	}
-	switch fig {
-	case "fig1":
-		// Oversubscription sensitivity under the first-touch baseline.
-		req.OversubPercents = []uint64{100, 125, 150}
-		req.Policies = []string{"disabled"}
-	case "fig4":
-		// Static-threshold sensitivity: ts is a base-config field, so the
-		// sweep needs explicit per-cell bases rather than a matrix axis.
-		req.Workloads = nil
-		for _, name := range o.Workloads {
-			for _, ts := range []uint64{8, 16, 32} {
-				base := o.Base
-				base.StaticThreshold = ts
-				req.Cells = append(req.Cells, serve.CellSpec{
-					Workload:       name,
-					OversubPercent: 125,
-					Policy:         "always",
-					Base:           &base,
-				})
-			}
+	for _, f := range figureSweeps {
+		if f.name == fig {
+			return o.job(fig, f.cols(o.Base)), nil
 		}
-	case "fig5":
-		// Policies with the working set fitting in device memory.
-		req.OversubPercents = []uint64{100}
-		req.Policies = []string{"disabled", "always", "adaptive"}
-	case "fig6", "fig7":
-		// One sweep backs both figures: all four schemes at 125% with the
-		// paper's p=8 operating point.
-		base := o.Base
-		base.Penalty = 8
-		req.Base = &base
-		req.OversubPercents = []uint64{125}
-		req.Policies = []string{"disabled", "always", "oversub", "adaptive"}
-	case "fig8":
-		// Penalty sensitivity: a Disabled baseline column plus one
-		// Adaptive cell per penalty point, penalties living in the base.
-		req.Workloads = nil
-		for _, name := range o.Workloads {
-			req.Cells = append(req.Cells, serve.CellSpec{
-				Workload:       name,
-				OversubPercent: 125,
-				Policy:         "disabled",
-				Base:           &o.Base,
-			})
-			for _, p := range Fig8Penalties {
-				base := o.Base
-				base.Penalty = p
-				req.Cells = append(req.Cells, serve.CellSpec{
-					Workload:       name,
-					OversubPercent: 125,
-					Policy:         "adaptive",
-					Base:           &base,
-				})
-			}
-		}
-	default:
-		return serve.JobRequest{}, fmt.Errorf("experiments: no job mapping for figure %q (have %v)", fig, FigureNames())
 	}
-	// The matrix figures derive each cell's pipeline from the request's
-	// Pipelines axis, not from Base, so a custom pipeline must ride
-	// there (the explicit-cell figures carry it in their per-cell bases).
-	if len(req.Workloads) > 0 && o.Base.MMPipeline != (config.PipelineSpec{}) {
-		req.Pipelines = []config.PipelineSpec{o.Base.MMPipeline}
-	}
-	if err := jobWorkloads(req); err != nil {
-		return serve.JobRequest{}, err
-	}
-	return req, nil
+	return serve.JobRequest{}, fmt.Errorf("experiments: no job mapping for figure %q (have %v)", fig, FigureNames())
 }
 
 // TournamentJob expresses a pipeline tournament as a simd job
-// submission: every planner x prefetcher combination over the workload
-// matrix, Adaptive at the configured oversubscription with the paper's
-// p=8, exactly the cells Tournament simulates.
+// submission: exactly the cells Tournament simulates.
 func TournamentJob(o TournamentOptions) serve.JobRequest {
 	o = o.withDefaults()
-	base := o.Base
-	base.Penalty = 8
-	req := serve.JobRequest{
-		Name:            "tournament",
-		Scale:           o.Scale,
-		Workloads:       o.Options.Workloads,
-		OversubPercents: []uint64{o.OversubPercent},
-		Policies:        []string{"adaptive"},
-		Base:            &base,
-	}
-	for _, pl := range o.Planners {
-		for _, pf := range o.Prefetchers {
-			spec := base.MMPipeline
-			spec.Planner = pl
-			spec.Prefetcher = pf
-			req.Pipelines = append(req.Pipelines, spec)
+	return o.job("tournament", o.columns())
+}
+
+// job spells a sweep as a simd job: one explicit cell per (workload,
+// column), workload-major like grid, on a job base equal to the first
+// column's base. A cell carries its own base only where its column's
+// differs from that.
+func (o Options) job(name string, cols []column) serve.JobRequest {
+	req := serve.JobRequest{Name: name, Scale: o.Scale, Base: &cols[0].base}
+	for _, w := range o.Workloads {
+		for i := range cols {
+			c := &cols[i]
+			cell := serve.CellSpec{Workload: w, OversubPercent: c.pct, Policy: strings.ToLower(c.pol.String())}
+			if c.base != cols[0].base {
+				cell.Base = &c.base
+			}
+			req.Cells = append(req.Cells, cell)
 		}
 	}
 	return req
@@ -186,28 +137,4 @@ func ColoJob(o ColoJobOptions) serve.JobRequest {
 		})
 	}
 	return req
-}
-
-// jobWorkloads guards the figure-job mappings against workload-set
-// drift: a figure job must never reference a workload the registry does
-// not know. (The serve package re-validates at submit time; this lets
-// tests assert it early.)
-func jobWorkloads(req serve.JobRequest) error {
-	check := func(name string) error {
-		if _, ok := workloads.Get(name); !ok {
-			return fmt.Errorf("experiments: job references unknown workload %q", name)
-		}
-		return nil
-	}
-	for _, w := range req.Workloads {
-		if err := check(w); err != nil {
-			return err
-		}
-	}
-	for _, c := range req.Cells {
-		if err := check(c.Workload); err != nil {
-			return err
-		}
-	}
-	return nil
 }

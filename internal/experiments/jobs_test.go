@@ -91,30 +91,74 @@ func TestFigureJobShapes(t *testing.T) {
 	}
 }
 
-// The tournament job must cover every planner x prefetcher combination
-// and agree cycle-for-cycle with the in-process tournament.
-func TestTournamentJobMatchesInProcessTournament(t *testing.T) {
-	to := TournamentOptions{
-		Options:     Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}},
-		Planners:    []string{"threshold", "thrash-guard"},
-		Prefetchers: []string{""},
+// Every sweep's job must simulate exactly the cells its in-process
+// sweep does, in the same order: the job's cells, workload-major, must
+// carry the derived configuration and simulated cycles of the matching
+// (workload, column) cell of grid over the same column list. Each sweep
+// runs with the stock pipeline and with a custom one in the base
+// configuration; the tournament crosses two planners with the built-in
+// and the learned prefetch governor.
+func TestFigureJobsMatchInProcessSweeps(t *testing.T) {
+	noPrefetch := config.Default()
+	noPrefetch.MMPipeline = config.PipelineSpec{Prefetcher: "none"}
+	type sweepCase struct {
+		name string
+		// build returns the job and the defaulted options and column
+		// list the in-process sweep runs.
+		build func(Options) (serve.JobRequest, Options, []column)
 	}
-	res := Tournament(to)
-	var want uint64
-	for _, e := range res.Entries {
-		want += e.TotalCycles
+	var cases []sweepCase
+	for _, f := range figureSweeps {
+		cases = append(cases, sweepCase{f.name, func(o Options) (serve.JobRequest, Options, []column) {
+			req, err := FigureJob(f.name, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o = o.withDefaults()
+			return req, o, f.cols(o.Base)
+		}})
+	}
+	cases = append(cases, sweepCase{"tournament", func(o Options) (serve.JobRequest, Options, []column) {
+		to := TournamentOptions{
+			Options:     o,
+			Planners:    []string{"threshold", "thrash-guard"},
+			Prefetchers: []string{"", "bandit-pf"},
+		}
+		req := TournamentJob(to)
+		to = to.withDefaults()
+		return req, to.Options, to.columns()
+	}})
+	for _, tc := range cases {
+		for _, pipe := range []struct {
+			name string
+			base config.Config
+		}{{"default", config.Config{}}, {"no-prefetch", noPrefetch}} {
+			t.Run(tc.name+"/"+pipe.name, func(t *testing.T) {
+				req, o, cols := tc.build(Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}, Base: pipe.base})
+				want := o.grid(cols)
+				doc, st := runJob(t, req)
+				if st.State != serve.StateDone {
+					t.Fatalf("job ended %s: %s", st.State, st.Error)
+				}
+				if len(doc.Cells) != len(o.Workloads)*len(cols) {
+					t.Fatalf("job ran %d cells, want %d workloads x %d columns", len(doc.Cells), len(o.Workloads), len(cols))
+				}
+				for i, cell := range doc.Cells {
+					w, c := i/len(cols), i%len(cols)
+					got, exp := cell.Record, want[w][c]
+					if got.Workload != exp.Workload || got.Config != exp.Config {
+						t.Fatalf("cell %d is %s under %+v, want %s under %+v", i, got.Workload, got.Config, exp.Workload, exp.Config)
+					}
+					if got.Counters.Cycles != exp.Runtime() {
+						t.Fatalf("cell %d (%s, column %d): job %d cycles, in-process %d", i, got.Workload, c, got.Counters.Cycles, exp.Runtime())
+					}
+				}
+			})
+		}
 	}
 
-	doc, st := runJob(t, TournamentJob(to))
-	if st.TotalCells != 4 {
-		t.Fatalf("tournament job expanded to %d cells, want 2 workloads x 2 planners", st.TotalCells)
-	}
-	var got uint64
-	for _, cell := range doc.Cells {
-		got += cell.Record.Counters.Cycles
-	}
-	if got != want {
-		t.Fatalf("job cycles %d != tournament cycles %d", got, want)
+	if _, err := FigureJob("fig2", Options{}); err == nil {
+		t.Error("fig2 (trace characterization) should have no job mapping")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"uvmsim/internal/config"
-	"uvmsim/internal/core"
 	"uvmsim/internal/report"
 	"uvmsim/internal/resultio"
 )
@@ -94,6 +93,25 @@ type TournamentResult struct {
 	Entries []TournamentEntry
 }
 
+// columns is the tournament's sweep: one column per planner x
+// prefetcher combination, all Adaptive at the configured
+// oversubscription with the paper's Fig. 6 operating point (p=8), so
+// only the pipeline stages differ.
+func (o TournamentOptions) columns() []column {
+	base := o.Base
+	base.Penalty = 8
+	var cols []column
+	for _, pl := range o.Planners {
+		for _, pf := range o.Prefetchers {
+			cfg := base
+			cfg.MMPipeline.Planner = pl
+			cfg.MMPipeline.Prefetcher = pf
+			cols = append(cols, column{pct: o.OversubPercent, pol: config.PolicyAdaptive, base: cfg})
+		}
+	}
+	return cols
+}
+
 // Tournament runs every planner x prefetcher combination over the
 // workload matrix under the Adaptive policy at the configured
 // oversubscription and returns the ranked leaderboard. Cells run in
@@ -102,32 +120,17 @@ type TournamentResult struct {
 // break lexicographically.
 func Tournament(o TournamentOptions) *TournamentResult {
 	o = o.withDefaults()
-	type combo struct{ planner, prefetcher string }
-	var combos []combo
-	for _, pl := range o.Planners {
-		for _, pf := range o.Prefetchers {
-			combos = append(combos, combo{pl, pf})
-		}
-	}
-	// The paper's Fig. 6 operating point: Adaptive with p=8. Every
-	// combination shares it, so only the pipeline stages differ.
-	base := o.Base
-	base.Penalty = 8
-	res := o.grid(len(combos), func(name string, col int) *core.Result {
-		cfg := base
-		cfg.MMPipeline.Planner = combos[col].planner
-		cfg.MMPipeline.Prefetcher = combos[col].prefetcher
-		return o.runtimeOf(name, 1, o.OversubPercent, config.PolicyAdaptive, cfg, "")
-	})
+	cols := o.columns()
+	res := o.grid(cols)
 	out := &TournamentResult{
 		Workloads:      o.Options.Workloads,
 		Scale:          o.Scale,
 		OversubPercent: o.OversubPercent,
 	}
-	for c, cb := range combos {
+	for c, col := range cols {
 		e := TournamentEntry{
-			Planner:        cb.planner,
-			Prefetcher:     cb.prefetcher,
+			Planner:        col.base.MMPipeline.Planner,
+			Prefetcher:     col.base.MMPipeline.Prefetcher,
 			WorkloadCycles: make([]uint64, len(o.Options.Workloads)),
 		}
 		for w := range o.Options.Workloads {

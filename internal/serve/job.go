@@ -30,9 +30,10 @@ import (
 )
 
 // JobRequest is one sweep submission: a config matrix (workloads x
-// oversubscription points x policies x pipelines x seeds) optionally
-// extended with explicit cells for sweeps a rectangular matrix cannot
-// express (threshold and penalty sensitivity columns). The matrix
+// oversubscription points x policies x pipelines x seeds), explicit
+// cells, or both. The figure and tournament jobs (internal/experiments)
+// are all explicit cells, one per (workload, column) of the sweep; the
+// matrix is the compact spelling for hand-written jobs. The matrix
 // expands in deterministic order — workload-major, then
 // oversubscription, policy, pipeline, seed — followed by the explicit
 // cells, so identical requests always produce the identical cell list
@@ -85,7 +86,7 @@ type CellSpec struct {
 	// Policy is the migration-policy name (empty = adaptive).
 	Policy string `json:"policy,omitempty"`
 	// Base overrides the job-level base configuration for this cell
-	// (threshold/penalty sensitivity columns).
+	// (e.g. a threshold, penalty or pipeline column of a sweep).
 	Base *config.Config `json:"base,omitempty"`
 }
 

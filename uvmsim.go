@@ -245,9 +245,8 @@ var (
 	Fig3        = experiments.Fig3
 	Fig4        = experiments.Fig4
 	Fig5        = experiments.Fig5
-	Fig6        = experiments.Fig6
-	Fig7        = experiments.Fig7
-	Fig6And7    = experiments.Fig6And7
+	// Fig6And7 runs the one sweep behind Figures 6 and 7.
+	Fig6And7 = experiments.Fig6And7
 	// Fig6And7Cycles additionally reports the sweep's deterministic
 	// simulated-cycle total (the paper-fig67 benchmark checksum).
 	Fig6And7Cycles = experiments.Fig6And7Cycles
