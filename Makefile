@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint lint-fix-check tools staticcheck govulncheck race bench bench-smoke colo-smoke figures check ci smoke cover tournament tournament-smoke serve-smoke
+.PHONY: build test short vet lint tools staticcheck govulncheck race bench bench-smoke colo-smoke figures figures-check check ci smoke cover tournament tournament-smoke serve-smoke
 
 # Pinned tool versions for CI (and for local installs that want to match
 # CI exactly). Bump deliberately; staticcheck versions are coupled to Go
@@ -25,15 +25,6 @@ vet:
 # runs — no install step, no network.
 lint:
 	$(GO) run ./cmd/simlint ./...
-
-# Convergence gate for the suggested-fix engine: on a clean tree,
-# `simlint -fix` must rewrite nothing — a diff means a committed file
-# carries an unapplied suggested fix (or an analyzer's fix does not
-# converge). Any finding fails the first command; any rewrite fails the
-# second.
-lint-fix-check:
-	$(GO) run ./cmd/simlint -fix ./...
-	git diff --exit-code -- '*.go'
 
 # Install the pinned external analyzers. CI runs this before
 # staticcheck/govulncheck so the workflow and the Makefile cannot
@@ -91,11 +82,19 @@ bench-smoke:
 figures:
 	$(GO) run ./cmd/paperbench -fig all
 
-# Regenerate the committed pipeline-tournament leaderboard: every
-# registered planner crossed with the built-in prefetch governor and the
-# learned bandit-pf governor, over the default workload matrix (bfs, ra,
-# sssp) at 125% oversubscription. Deterministic — reruns produce an
-# identical file, so a diff here is a behaviour change, not noise.
+# Every committed figure number at once: the scale-1 sweep of Figs. 1
+# and 4-8 must reproduce results_scale1.txt byte for byte (about 25 s
+# on two cores).
+figures-check:
+	$(GO) run ./cmd/paperbench -fig 1,4,5,6,7,8 -scale 1 >/tmp/uvmsim-figures.txt
+	cmp /tmp/uvmsim-figures.txt results_scale1.txt
+
+# Regenerate the committed pipeline-tournament leaderboard: the default
+# planners (experiments.DefaultTournamentPlanners) crossed with the
+# built-in prefetch governor and the learned bandit-pf governor, over the
+# default workload matrix (bfs, ra, sssp) at 125% oversubscription.
+# Deterministic — reruns produce an identical file, so a diff here is a
+# behaviour change, not noise.
 tournament:
 	$(GO) run ./cmd/paperbench -tournament -scale 0.3 \
 		-tournament-prefetchers default,bandit-pf -tournament-out BENCH_tournament.json
@@ -145,9 +144,9 @@ smoke:
 	grep -q '"version": 1' /tmp/uvmsim-smoke-metrics.json
 	grep -q '"runs"' /tmp/uvmsim-smoke-metrics.json
 
-# What CI runs (.github/workflows/ci.yml): vet + simlint + the fix
-# convergence gate + staticcheck + govulncheck, build, race-detected
-# tests, the coverage floor, the observability smoke, the tournament
-# smoke, the sweep-service smoke, the co-location smoke, then the
-# benchmark smoke.
-ci: vet lint lint-fix-check staticcheck govulncheck build race cover smoke tournament-smoke serve-smoke colo-smoke bench-smoke
+# What CI runs (.github/workflows/ci.yml): vet + simlint + staticcheck +
+# govulncheck, build, race-detected tests, the coverage floor, the
+# observability smoke, the scale-1 figure gate, the tournament smoke,
+# the sweep-service smoke, the co-location smoke, then the benchmark
+# smoke.
+ci: vet lint staticcheck govulncheck build race cover smoke figures-check tournament-smoke serve-smoke colo-smoke bench-smoke

@@ -6,35 +6,28 @@
 //
 // Usage:
 //
-//	simlint [-list] [-only name,name] [-fix] [packages]
+//	simlint [-list] [-only name,name] [packages]
 //
 // With no package patterns it checks ./.... Exit status is 0 when the
 // tree is clean, 1 when findings were reported, 2 on usage or load
-// errors. -fix applies the suggested fixes analyzers attach to their
-// findings (currently the sorted-map-keys rewrite from seedflow and
-// floatdet) and rewrites the affected files in place; on a clean tree
-// it is a no-op, which CI asserts. Findings are suppressed
-// line-by-line with `//simlint:allow <analyzer> -- reason`.
+// errors. Findings are suppressed line-by-line with
+// `//simlint:allow <analyzer> -- reason`.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"uvmsim/internal/lint"
 	"uvmsim/internal/lint/eventseq"
-	"uvmsim/internal/lint/floatdet"
 	"uvmsim/internal/lint/goroleak"
 	"uvmsim/internal/lint/hotalloc"
 	"uvmsim/internal/lint/lockhold"
 	"uvmsim/internal/lint/maporder"
 	"uvmsim/internal/lint/satarith"
-	"uvmsim/internal/lint/seedflow"
 	"uvmsim/internal/lint/statsowner"
 	"uvmsim/internal/lint/wallclock"
 )
@@ -44,13 +37,11 @@ import (
 func analyzers() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		eventseq.Analyzer,
-		floatdet.Analyzer,
 		goroleak.Analyzer,
 		hotalloc.Analyzer,
 		lockhold.Analyzer,
 		maporder.Analyzer,
 		satarith.Analyzer,
-		seedflow.Analyzer,
 		statsowner.Analyzer,
 		wallclock.Analyzer,
 	}
@@ -67,9 +58,8 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	fix := fs.Bool("fix", false, "apply suggested fixes, rewriting files in place")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: simlint [-list] [-only name,name] [-fix] [packages]\n")
+		fmt.Fprintf(stderr, "usage: simlint [-list] [-only name,name] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -114,45 +104,9 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
 	}
-	if *fix {
-		if err := applyFixes(diags, stdout); err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "simlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// applyFixes rewrites, in place, every file with suggested edits.
-// Files are visited in sorted order so the rewrite report is
-// deterministic.
-func applyFixes(diags []lint.Diagnostic, stdout io.Writer) error {
-	byFile := lint.EditsByFile(diags)
-	names := make([]string, 0, len(byFile))
-	for name := range byFile {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			return err
-		}
-		fixed, err := lint.ApplyEdits(src, byFile[name])
-		if err != nil {
-			return fmt.Errorf("%s: %v", name, err)
-		}
-		if bytes.Equal(src, fixed) {
-			continue
-		}
-		if err := os.WriteFile(name, fixed, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "simlint: rewrote %s\n", name)
-	}
-	return nil
 }

@@ -83,6 +83,7 @@ type options struct {
 	traceOut        string
 	traceSample     uint64
 	traceSampleSet  bool // -trace-sample given explicitly
+	prefetcherSet   bool // -prefetcher given explicitly
 	checkInvariants uint64
 }
 
@@ -130,7 +131,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fs.Visit(func(f *flag.Flag) { o.traceSampleSet = o.traceSampleSet || f.Name == "trace-sample" })
+	fs.Visit(func(f *flag.Flag) {
+		o.traceSampleSet = o.traceSampleSet || f.Name == "trace-sample"
+		o.prefetcherSet = o.prefetcherSet || f.Name == "prefetcher"
+	})
 	if err := simulate(o, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "uvmsim:", err)
 		return 2
@@ -199,6 +203,9 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	cfg.Penalty = o.penalty
 	if o.replacement != "" && o.evictor != "" {
 		return fmt.Errorf("-replacement and -evictor both pick the eviction policy and a named evictor always wins; give one")
+	}
+	if o.prefetcherSet && o.pfgov != "" {
+		return fmt.Errorf("-prefetcher and -pf-governor both pick the prefetcher and a named governor always wins; give one")
 	}
 	if rp, ok, err := cliutil.ParseReplacement(o.replacement); err != nil {
 		return err

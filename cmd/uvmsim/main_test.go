@@ -50,6 +50,7 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"unknownWorkload", []string{"-workload", "nosuch"}, "unknown workload"},
 		{"unknownReplacement", []string{"-replacement", "mru"}, "unknown replacement"},
 		{"replacementWithEvictor", []string{"-replacement", "lru", "-evictor", "lfu"}, "-replacement and -evictor"},
+		{"prefetcherWithGovernor", []string{"-prefetcher", "none", "-pf-governor", "tree"}, "-prefetcher and -pf-governor"},
 		{"unknownPrefetcher", []string{"-prefetcher", "oracle"}, "unknown prefetcher"},
 		{"unknownGranularity", []string{"-granularity", "4k"}, "unknown eviction granularity"},
 		{"zeroGPUs", []string{"-gpus", "0"}, "-gpus must be at least 1"},
@@ -88,7 +89,7 @@ func TestHeaderNamesStagesThatRun(t *testing.T) {
 	}{
 		{"configured", nil, "replacement=LRU prefetcher=Tree"},
 		{"namedStages", []string{"-evictor", "lfu", "-pf-governor", "none"}, "replacement=lfu prefetcher=none"},
-		{"namedGovernor", []string{"-prefetcher", "none", "-pf-governor", "tree"}, "replacement=LRU prefetcher=tree"},
+		{"namedGovernor", []string{"-pf-governor", "tree"}, "replacement=LRU prefetcher=tree"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append([]string{"-workload", "ra", "-scale", "0.02", "-policy", "disabled"}, tc.args...)

@@ -16,9 +16,9 @@ import (
 // function-typed values, interface method sets and reflection are not
 // modeled — analyzers built on the Program must treat "no edge" as
 // "unknown", not "cannot call". For the conventions simlint enforces
-// (taint reaching sinks, blocking ops under locks, goroutine shutdown)
-// that under-approximation is the right default: it misses exotic
-// flows instead of drowning real ones in false positives.
+// (blocking ops under locks, goroutine shutdown) that under-
+// approximation is the right default: it misses exotic flows instead
+// of drowning real ones in false positives.
 type Program struct {
 	Packages []*Package
 

@@ -47,13 +47,11 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// Diagnostic is one finding, resolved to a file position. Edits, when
-// present, are the analyzer's suggested fix (applied by simlint -fix).
+// Diagnostic is one finding, resolved to a file position.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Edits    []Edit
 }
 
 func (d Diagnostic) String() string {
@@ -167,32 +165,18 @@ type Pass struct {
 	// package in this run plus the call graph over them.
 	Prog *Program
 
-	pkg   *Package
-	sink  *[]Diagnostic
-	count int
+	pkg  *Package
+	sink *[]Diagnostic
 }
 
 // Reportf records a finding at pos unless a //simlint:allow suppression
 // covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfFix(pos, nil, format, args...)
-}
-
-// ReportfFix records a finding carrying a suggested fix: edits that
-// simlint -fix applies mechanically. A suppression drops the fix along
-// with the finding.
-func (p *Pass) ReportfFix(pos token.Pos, edits []TextEdit, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.pkg.suppressed(position, p.Analyzer.Name) {
 		return
 	}
-	d := Diagnostic{Pos: position, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)}
-	for _, e := range edits {
-		start, end := p.Fset.Position(e.Pos), p.Fset.Position(e.End)
-		d.Edits = append(d.Edits, Edit{Filename: start.Filename, Start: start.Offset, End: end.Offset, NewText: e.NewText})
-	}
-	*p.sink = append(*p.sink, d)
-	p.count++
+	*p.sink = append(*p.sink, Diagnostic{Pos: position, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // TypeOf returns the type of expression e, or nil when unknown.
@@ -200,8 +184,8 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // RunAnalyzers applies every analyzer to every package and returns the
 // surviving diagnostics in deterministic (file, line, column, analyzer)
-// order. The packages double as the interprocedural Program: taint and
-// call-graph queries see exactly this load.
+// order. The packages double as the interprocedural Program: call-graph
+// queries see exactly this load.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return RunOn(BuildProgram(pkgs), pkgs, analyzers)
 }

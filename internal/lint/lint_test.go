@@ -14,16 +14,12 @@ import (
 
 // The tests type-check a small throwaway module through the same
 // LoadPackages path cmd/simlint uses, so one load exercises the
-// loader, the call graph, the taint engine and the framework plumbing
-// against real go/types facts.
+// loader, the call graph and the framework plumbing against real
+// go/types facts.
 
 const modA = `package a
 
-import (
-	"sort"
-
-	"tmod/b"
-)
+import "tmod/b"
 
 //simlint:allow maporder
 var bare int
@@ -33,25 +29,6 @@ func Hop() int64 { return b.Now() }
 
 // Calls exists to give the call graph a second hop.
 func Calls() int64 { return Hop() }
-
-// Keys exports map-iteration order.
-func Keys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Sorted is the clean collect-then-sort idiom.
-func Sorted(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
 
 type T struct{ n int }
 
@@ -79,9 +56,19 @@ func Clean() int64 { return 42 }
 
 var shared struct {
 	sync.Once
+	dir  string
 	pkgs []*Package
 	prog *Program
 	err  error
+}
+
+// TestMain removes the throwaway module once every test has used it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if shared.dir != "" {
+		os.RemoveAll(shared.dir)
+	}
+	os.Exit(code)
 }
 
 // loadShared loads the throwaway module once per test binary.
@@ -93,6 +80,7 @@ func loadShared(t *testing.T) ([]*Package, *Program) {
 			shared.err = err
 			return
 		}
+		shared.dir = dir
 		files := map[string]string{
 			"go.mod": "module tmod\n\ngo 1.23\n",
 			"a/a.go": modA,
@@ -217,33 +205,6 @@ func TestFixpointPropagation(t *testing.T) {
 	}
 }
 
-func TestTaintSummaries(t *testing.T) {
-	pkgs, prog := loadShared(t)
-	source := func(pkg *Package, call *ast.CallExpr) (string, bool) {
-		f := CalleeFunc(pkg.Info, call)
-		if f != nil && f.Pkg() != nil && f.Pkg().Path() == "time" && f.Name() == "Now" {
-			return "time.Now", true
-		}
-		return "", false
-	}
-	ta := NewTaint(prog, source, true)
-	if reason, ok := ta.Returns(fn(t, pkgs, "tmod/b", "Now")); !ok || !strings.Contains(reason, "time.Now") {
-		t.Errorf("Returns(b.Now) = %q, %v", reason, ok)
-	}
-	if reason, ok := ta.Returns(fn(t, pkgs, "tmod/a", "Hop")); !ok || !strings.Contains(reason, "b.Now") {
-		t.Errorf("Returns(a.Hop) = %q, %v: want taint through b.Now", reason, ok)
-	}
-	if reason, ok := ta.Returns(fn(t, pkgs, "tmod/a", "Keys")); !ok || !strings.Contains(reason, "map-iteration order") {
-		t.Errorf("Returns(a.Keys) = %q, %v: want map-order taint", reason, ok)
-	}
-	if reason, ok := ta.Returns(fn(t, pkgs, "tmod/a", "Sorted")); ok {
-		t.Errorf("Returns(a.Sorted) = %q: collect-then-sort must stay clean", reason)
-	}
-	if _, ok := ta.Returns(fn(t, pkgs, "tmod/b", "Clean")); ok {
-		t.Error("Returns(b.Clean) should be untainted")
-	}
-}
-
 // TestAllowReason: an allow comment without "-- reason" still
 // suppresses but raises its own framework finding.
 func TestAllowReason(t *testing.T) {
@@ -294,99 +255,6 @@ func TestSuppression(t *testing.T) {
 	}
 	if len(got) != 1 || !strings.Contains(got[0].Message, "Flagged") {
 		t.Fatalf("suppression failed: got %v, want only Flagged", got)
-	}
-}
-
-func TestApplyEdits(t *testing.T) {
-	src := []byte("hello cruel world")
-	edits := []Edit{
-		{Filename: "f", Start: 6, End: 12, NewText: ""},
-		{Filename: "f", Start: 6, End: 12, NewText: ""}, // duplicate: deduped
-		{Filename: "f", Start: 0, End: 5, NewText: "goodbye"},
-	}
-	out, err := ApplyEdits(src, edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "goodbye world" {
-		t.Errorf("ApplyEdits = %q", out)
-	}
-
-	if _, err := ApplyEdits(src, []Edit{
-		{Start: 0, End: 10, NewText: "x"},
-		{Start: 5, End: 12, NewText: "y"},
-	}); err == nil {
-		t.Error("overlapping edits must error")
-	}
-	if _, err := ApplyEdits(src, []Edit{{Start: 5, End: 99, NewText: "x"}}); err == nil {
-		t.Error("out-of-range edit must error")
-	}
-}
-
-// TestSortedRangeFix drives ReportfFix end to end: a throwaway
-// analyzer suggests the sorted-keys rewrite for a.Keys, and applying
-// the resolved edits yields compilable sorted iteration plus the
-// import insertions.
-func TestSortedRangeFix(t *testing.T) {
-	pkgs, _ := loadShared(t)
-	a := &Analyzer{
-		Name: "fixtest",
-		Doc:  "test analyzer",
-		Run: func(pass *Pass) {
-			for _, f := range pass.Files {
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Name.Name != "Keys" {
-						continue
-					}
-					ast.Inspect(fd.Body, func(n ast.Node) bool {
-						rng, ok := n.(*ast.RangeStmt)
-						if !ok {
-							return true
-						}
-						edits, ok := SortedRangeFix(pass, f, rng)
-						if !ok {
-							t.Error("SortedRangeFix declined the Keys loop")
-							return false
-						}
-						pass.ReportfFix(rng.Pos(), edits, "map order escapes")
-						return false
-					})
-				}
-			}
-		},
-	}
-	var diags []Diagnostic
-	for _, d := range RunAnalyzers(pkgs, []*Analyzer{a}) {
-		if d.Analyzer == "fixtest" {
-			diags = append(diags, d)
-		}
-	}
-	if len(diags) != 1 || len(diags[0].Edits) == 0 {
-		t.Fatalf("want one diagnostic with edits, got %v", diags)
-	}
-	byFile := EditsByFile(diags)
-	if len(byFile) != 1 {
-		t.Fatalf("edits span %d files, want 1", len(byFile))
-	}
-	for name, edits := range byFile {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := ApplyEdits(src, edits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, want := range []string{
-			"for _, k := range slices.Sorted(maps.Keys(m)) {",
-			"\"maps\"",
-			"\"slices\"",
-		} {
-			if !strings.Contains(string(out), want) {
-				t.Errorf("fixed source missing %q:\n%s", want, out)
-			}
-		}
 	}
 }
 

@@ -49,104 +49,34 @@ import (
 // for the named fixture only.
 func Run(t *testing.T, a *lint.Analyzer, fixtures ...string) {
 	t.Helper()
-	for _, fix := range fixtures {
-		diags, _, fset, files := analyze(t, a, fix)
-		checkExpectations(t, fset, fix, files, diags)
-	}
-}
-
-// RunFix runs the analyzer over each fixture like Run, then applies
-// every suggested fix and compares the result against a golden
-// <file>.fixed sitting next to each edited fixture file. Setting
-// SIMLINT_UPDATE_FIXED=1 rewrites the goldens instead.
-func RunFix(t *testing.T, a *lint.Analyzer, fixtures ...string) {
-	t.Helper()
-	for _, fix := range fixtures {
-		diags, dir, _, _ := analyze(t, a, fix)
-		byFile := lint.EditsByFile(diags)
-		if len(byFile) == 0 {
-			t.Errorf("%s: RunFix expected suggested fixes, analyzer produced none", fix)
-		}
-		fixed := make(map[string]bool)
-		names := make([]string, 0, len(byFile))
-		for file := range byFile {
-			names = append(names, file)
-		}
-		sort.Strings(names)
-		for _, file := range names {
-			edits := byFile[file]
-			src, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatalf("linttest: %v", err)
-			}
-			got, err := lint.ApplyEdits(src, edits)
-			if err != nil {
-				t.Errorf("%s: applying fixes to %s: %v", fix, filepath.Base(file), err)
-				continue
-			}
-			golden := file + ".fixed"
-			fixed[golden] = true
-			if os.Getenv("SIMLINT_UPDATE_FIXED") == "1" {
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatalf("linttest: %v", err)
-				}
-				continue
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Errorf("%s: missing golden %s (run with SIMLINT_UPDATE_FIXED=1 to create)", fix, filepath.Base(golden))
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: fixed output of %s differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-					fix, filepath.Base(file), got, want)
-			}
-		}
-		// Every committed golden must correspond to a produced fix;
-		// a stale .fixed means the analyzer stopped suggesting it.
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
-		}
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".fixed") && !fixed[filepath.Join(dir, e.Name())] {
-				t.Errorf("%s: golden %s exists but the analyzer suggested no fix for it", fix, e.Name())
-			}
-		}
-	}
-}
-
-// analyze loads one fixture and runs the analyzer over it with a
-// program spanning its fixture imports.
-func analyze(t *testing.T, a *lint.Analyzer, fix string) (diags []lint.Diagnostic, dir string, fset *token.FileSet, files []*ast.File) {
-	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
-	ld := &loader{
-		root: root,
-		fset: token.NewFileSet(),
-		pkgs: make(map[string]*fixturePkg),
-		lint: make(map[string]*lint.Package),
+	for _, fix := range fixtures {
+		ld := &loader{
+			root: root,
+			fset: token.NewFileSet(),
+			pkgs: make(map[string]*fixturePkg),
+			lint: make(map[string]*lint.Package),
+		}
+		fp, err := ld.load(fix)
+		if err != nil {
+			t.Fatalf("linttest: loading fixture %q: %v", fix, err)
+		}
+		target := ld.lintPackage(fix)
+		var paths []string
+		for p := range ld.pkgs {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		all := make([]*lint.Package, 0, len(paths))
+		for _, p := range paths {
+			all = append(all, ld.lintPackage(p))
+		}
+		diags := lint.RunOn(lint.BuildProgram(all), []*lint.Package{target}, []*lint.Analyzer{a})
+		checkExpectations(t, ld.fset, fix, fp.files, diags)
 	}
-	fp, err := ld.load(fix)
-	if err != nil {
-		t.Fatalf("linttest: loading fixture %q: %v", fix, err)
-	}
-	target := ld.lintPackage(fix)
-	var paths []string
-	for p := range ld.pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	all := make([]*lint.Package, 0, len(paths))
-	for _, p := range paths {
-		all = append(all, ld.lintPackage(p))
-	}
-	prog := lint.BuildProgram(all)
-	diags = lint.RunOn(prog, []*lint.Package{target}, []*lint.Analyzer{a})
-	return diags, filepath.Join(root, filepath.FromSlash(fix)), ld.fset, fp.files
 }
 
 // expectation is one // want regexp with its location.

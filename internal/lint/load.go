@@ -91,7 +91,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	// resolve to the source-checked package rather than export data, so
 	// a *types.Func seen at a call site in one package is the same
 	// object as its definition in another — the identity the call graph
-	// and taint summaries key on.
+	// and its Fixpoint summaries key on.
 	var pkgs []*Package
 	for _, t := range targets {
 		files := make([]*ast.File, 0, len(t.GoFiles))

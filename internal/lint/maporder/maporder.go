@@ -1,11 +1,15 @@
-// Package maporder flags `for range` iteration over maps whose
-// visitation order can leak into simulator results. Go randomizes map
-// iteration order per run; any map-ordered loop that produces output,
-// schedules work, or mutates order-sensitive state is a determinism bug
-// of exactly the kind golden-file tests only catch when they get lucky.
+// Package maporder flags `for range` iteration over maps and channels
+// whose visitation order can leak into simulator results. Go randomizes
+// map iteration order per run, and the order in which a channel's
+// senders deliver depends on goroutine scheduling; any such loop that
+// produces output, schedules work, or mutates order-sensitive state is
+// a determinism bug of exactly the kind golden-file tests only catch
+// when they get lucky. Float accumulation is the quiet case: float
+// addition is not associative, so `sum += v` over either order drifts
+// in its last bits from run to run.
 //
-// A range over a map is accepted when the analyzer can prove the loop is
-// order-insensitive:
+// A range over a map or channel is accepted when the analyzer can prove
+// the loop is order-insensitive:
 //
 //   - the body only writes through map index expressions (building
 //     another map), accumulates with commutative integer ops (+=, |=,
@@ -29,7 +33,7 @@ import (
 // Analyzer is the maporder checker.
 var Analyzer = &lint.Analyzer{
 	Name: "maporder",
-	Doc:  "flags range-over-map loops whose nondeterministic order can reach results or scheduling",
+	Doc:  "flags range-over-map and range-over-channel loops whose nondeterministic order can reach results or scheduling",
 	Run:  run,
 }
 
@@ -45,7 +49,13 @@ func run(pass *lint.Pass) {
 				if t == nil {
 					continue
 				}
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
+				var order string
+				switch t.Underlying().(type) {
+				case *types.Map:
+					order = "map iteration"
+				case *types.Chan:
+					order = "channel receive"
+				default:
 					continue
 				}
 				if orderInsensitive(pass, rng.Body.List) {
@@ -54,7 +64,7 @@ func run(pass *lint.Pass) {
 				if appendThenSort(pass, rng, list[i+1:]) {
 					continue
 				}
-				pass.Reportf(rng.Pos(), "map iteration order is nondeterministic here; sort the keys first, make the body order-insensitive, or annotate //simlint:allow maporder")
+				pass.Reportf(rng.Pos(), "%s order is nondeterministic here; sort first, make the body order-insensitive, or annotate //simlint:allow maporder", order)
 			}
 		})
 	}

@@ -1,5 +1,5 @@
-// Fixture for the wallclock analyzer (import path under internal/, so
-// the check applies).
+// Fixture for the wallclock analyzer: a simulator package under
+// internal/.
 package wallclockfix
 
 import (

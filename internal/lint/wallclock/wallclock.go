@@ -1,16 +1,18 @@
 // Package wallclock bans wall-clock time and the global math/rand
-// source from simulator packages. All simulated time must come from the
+// source from the module. All simulated time must come from the
 // sim.Engine clock and all randomness from explicitly seeded
 // *rand.Rand sources; time.Now in a model, or a global rand.Intn, makes
 // runs unreproducible in a way no golden test reliably catches.
 //
-// The check applies only to packages under internal/ — CLIs and
-// examples may time real execution. Within internal/, calls to
-// time.Now, time.Since and time.Until are flagged, as is every
-// package-level math/rand function that draws from the process-global
-// source (rand.Intn, rand.Float64, rand.Shuffle, ...). Constructors
-// that build seeded sources (rand.New, rand.NewSource, rand.NewZipf)
-// and methods on an explicit *rand.Rand stay legal.
+// The check covers every package of the main module, CLIs and examples
+// included: a clock read in a CLI is one assignment away from a result
+// file or a serve cache key. Only the uvmsim/bench module, which times
+// real execution, is exempt. Calls to time.Now, time.Since and
+// time.Until are flagged, as is every package-level math/rand function
+// that draws from the process-global source (rand.Intn, rand.Float64,
+// rand.Shuffle, ...). Constructors that build seeded sources (rand.New,
+// rand.NewSource, rand.NewZipf) and methods on an explicit *rand.Rand
+// stay legal.
 package wallclock
 
 import (
@@ -24,7 +26,7 @@ import (
 // Analyzer is the wallclock checker.
 var Analyzer = &lint.Analyzer{
 	Name: "wallclock",
-	Doc:  "bans time.Now/Since/Until and the global math/rand source inside internal/ simulator packages",
+	Doc:  "bans time.Now/Since/Until and the global math/rand source everywhere but the uvmsim/bench module",
 	Run:  run,
 }
 
@@ -36,7 +38,7 @@ var bannedTime = map[string]bool{"Now": true, "Since": true, "Until": true}
 var allowedRand = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
 func run(pass *lint.Pass) {
-	if !strings.HasPrefix(pass.Path, "internal/") && !strings.Contains(pass.Path, "/internal/") {
+	if pass.Path == "uvmsim/bench" || strings.HasPrefix(pass.Path, "uvmsim/bench/") {
 		return
 	}
 	for _, f := range pass.Files {
@@ -57,7 +59,7 @@ func run(pass *lint.Pass) {
 			switch fn.Pkg().Path() {
 			case "time":
 				if bannedTime[fn.Name()] {
-					pass.Reportf(call.Pos(), "time.%s reads the wall clock; simulator code must use sim.Engine cycles", fn.Name())
+					pass.Reportf(call.Pos(), "time.%s reads the wall clock; results must depend on sim.Engine cycles only (host timing belongs in the bench module)", fn.Name())
 				}
 			case "math/rand", "math/rand/v2":
 				if !allowedRand[fn.Name()] {

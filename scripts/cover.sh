@@ -12,7 +12,7 @@ set -eu
 
 FLOOR=70
 PACKAGES="uvmsim/internal/mm uvmsim/internal/learn uvmsim/internal/counters uvmsim/internal/cxl
-uvmsim/internal/lint uvmsim/internal/lint/seedflow uvmsim/internal/lint/floatdet uvmsim/internal/lint/lockhold uvmsim/internal/lint/goroleak"
+uvmsim/internal/lint uvmsim/internal/lint/lockhold uvmsim/internal/lint/goroleak"
 
 fail=0
 for pkg in $PACKAGES; do
