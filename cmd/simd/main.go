@@ -8,6 +8,9 @@
 //	simd -addr 127.0.0.1:8642              # serve until interrupted
 //	simd -addr 127.0.0.1:8642 -workers 4   # bound concurrent cells
 //
+// On SIGINT or SIGTERM the server refuses new jobs, waits up to
+// drainTimeout for the running ones to finish, and exits.
+//
 // Client:
 //
 //	simd -server http://127.0.0.1:8642 -submit job.json   # submit a job file
@@ -24,13 +27,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"uvmsim/internal/cliutil"
 	"uvmsim/internal/experiments"
@@ -112,8 +120,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// drainTimeout bounds how long an interrupted server waits for its
+// running jobs before it exits anyway.
+const drainTimeout = 5 * time.Minute
+
 // runServe listens on the configured address and serves until the
-// process is interrupted.
+// process is interrupted, then drains.
 func runServe(o options, stderr io.Writer) error {
 	s := serve.NewServer(serve.Options{Workers: o.workers, MaxCells: o.maxCells})
 	ln, err := net.Listen("tcp", o.addr)
@@ -121,7 +133,39 @@ func runServe(o options, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stderr, "simd: listening on http://%s\n", ln.Addr())
-	return http.Serve(ln, s.Handler())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serveUntil(ctx, s, ln, stderr)
+}
+
+// serveUntil serves s on ln until ctx is done. Then s refuses new jobs
+// while the API keeps answering, and once its running jobs have
+// finished, or drainTimeout has passed, the HTTP server shuts down and
+// serveUntil returns.
+func serveUntil(ctx context.Context, s *serve.Server, ln net.Listener, stderr io.Writer) error {
+	srv := &http.Server{Handler: s.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(stderr, "simd: draining: new jobs are refused")
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	drained := s.Drain(dctx)
+	if err := srv.Shutdown(dctx); err != nil {
+		srv.Close() //nolint:errcheck // the deadline passed; drop what is left
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	if drained != nil {
+		return fmt.Errorf("running jobs did not finish within %v: %v", drainTimeout, drained)
+	}
+	fmt.Fprintln(stderr, "simd: drained")
+	return nil
 }
 
 // buildJob resolves the client's job request from -submit or -fig.

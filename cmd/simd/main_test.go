@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,5 +131,50 @@ func TestUsageErrors(t *testing.T) {
 		if code, _, _ := runCLI(t, args...); code == 0 {
 			t.Errorf("args %q: exited 0", args)
 		}
+	}
+}
+
+// An interrupted server drains: the job it accepted before the
+// interrupt completes before serveUntil returns, and a job submitted
+// afterwards is refused.
+func TestServeDrainsOnShutdown(t *testing.T) {
+	s := serve.NewServer(serve.Options{Workers: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	returned := make(chan error, 1)
+	go func() { returned <- serveUntil(ctx, s, ln, io.Discard) }()
+
+	c := &serve.Client{BaseURL: "http://" + ln.Addr().String()}
+	job := serve.JobRequest{
+		Name:            "drain",
+		Scale:           0.05,
+		Workloads:       []string{"bfs", "sssp"},
+		OversubPercents: []uint64{125},
+		Policies:        []string{"disabled", "adaptive"},
+	}
+	st, err := c.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := <-returned; err != nil {
+		t.Fatalf("serveUntil: %v", err)
+	}
+	snap := s.MetricsSnapshot()
+	if got := snap.Counter("serve.jobs.completed"); got != 1 {
+		t.Fatalf("job %s: %d jobs completed when the server returned, want 1", st.ID, got)
+	}
+	if got := snap.Counter("serve.cells.completed"); got != uint64(st.TotalCells) {
+		t.Fatalf("job %s: %d of %d cells completed when the server returned", st.ID, got, st.TotalCells)
+	}
+	if _, err := s.Submit(job); !errors.Is(err, serve.ErrDraining) {
+		t.Fatalf("submit after shutdown: %v, want %v", err, serve.ErrDraining)
+	}
+	if _, err := c.Submit(job); err == nil {
+		t.Fatal("an HTTP submit after shutdown was accepted")
 	}
 }

@@ -225,8 +225,9 @@ func (s *Simulator) barrier(k gpu.Kernel) sim.Cycle {
 
 // finish checks that every node quiesced and holds its invariants,
 // collects the counters stamped with the makespan, and hands every
-// GPU's warps and every engine's overflow-run storage on to later runs
-// (gpu.Recycle, sim.Engine.Recycle).
+// GPU's warps, every driver's fault-path storage and every engine's
+// slot arena and overflow-run storage on to later runs (gpu.Recycle,
+// uvm.Driver.Recycle, sim.Engine.Recycle).
 func (s *Simulator) finish(res *Result, makespan sim.Cycle) {
 	for idx, n := range s.nodes {
 		if n.drv.PendingWork() {
@@ -249,6 +250,7 @@ func (s *Simulator) finish(res *Result, makespan sim.Cycle) {
 		}
 		res.PerGPU = append(res.PerGPU, c)
 		n.g.Recycle()
+		n.drv.Recycle()
 		n.eng.Recycle()
 	}
 	res.Counters = res.PerGPU[0]

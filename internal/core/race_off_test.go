@@ -1,0 +1,6 @@
+//go:build !race
+
+package core
+
+// raceEnabled reports a race-detector build.
+const raceEnabled = false

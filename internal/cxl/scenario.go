@@ -384,6 +384,10 @@ func (s *Scenario) Run() (*Result, error) {
 			return nil, err
 		}
 	}
+	// Every engine has drained: its storage goes on to later runs.
+	for _, e := range s.engines {
+		e.Recycle()
+	}
 	return s.result(), nil
 }
 

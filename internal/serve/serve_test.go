@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -181,7 +182,11 @@ func TestColoErrorFailsJobWithoutWedgingPool(t *testing.T) {
 
 	// plan rejects a tenant-less mix, so build the unit directly.
 	bad := coloCell{sc: cxl.ScenarioConfig{Cfg: config.Default(), GPUs: 1}, policy: "cxl-repl"}
-	st, err := c.Wait(s.start("bad-colo", jobPlan{units: []unit{&bad}}).ID, nil)
+	started, err := s.start("bad-colo", jobPlan{units: []unit{&bad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(started.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,5 +495,24 @@ func TestJobListOrder(t *testing.T) {
 		if want := "job-" + string(rune('1'+i)); st.ID != want {
 			t.Fatalf("job %d listed as %q, want %q", i, st.ID, want)
 		}
+	}
+}
+
+// A draining server answers a new submission 503 and keeps serving
+// the jobs it already has.
+func TestDrainRefusesNewJobs(t *testing.T) {
+	s, c := newTestServer(t, Options{Workers: 1})
+	done, _, err := c.RunJob(smallJob("before"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(smallJob("after")); err == nil || !strings.Contains(err.Error(), "draining") {
+		t.Fatalf("submit while draining: %v, want a draining refusal", err)
+	}
+	if st, err := c.Status(done.ID); err != nil || st.State != StateDone {
+		t.Fatalf("status of the drained job: %+v, %v", st, err)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -73,6 +74,12 @@ type Server struct {
 	jobs  map[string]*jobState
 	order []string // job IDs in submission order, for deterministic listings
 	seq   uint64
+	// running counts the jobs not yet finished. Once Drain has begun,
+	// draining refuses new jobs and idle is closed when running reaches
+	// zero.
+	running  int
+	draining bool
+	idle     chan struct{}
 
 	// Service counters, published as an obs metrics snapshot.
 	jobsSubmitted  atomic.Uint64
@@ -197,6 +204,9 @@ func (j *jobState) result() ([][]byte, bool) {
 	return j.parts, j.state == StateDone
 }
 
+// ErrDraining refuses a job submitted after Drain has begun.
+var ErrDraining = errors.New("server is draining: no new jobs")
+
 // Submit plans, registers and starts a job, returning its initial
 // status. It is the programmatic equivalent of POST /v1/jobs (the load
 // test and in-process tests use it directly).
@@ -205,12 +215,18 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	return s.start(req.Name, p), nil
+	return s.start(req.Name, p)
 }
 
-// start registers a planned job and runs it in the background.
-func (s *Server) start(name string, p jobPlan) JobStatus {
+// start registers a planned job and runs it in the background, or
+// returns ErrDraining once Drain has begun.
+func (s *Server) start(name string, p jobPlan) (JobStatus, error) {
 	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return JobStatus{}, ErrDraining
+	}
+	s.running++
 	s.seq++
 	id := fmt.Sprintf("job-%d", s.seq)
 	j := newJobState(id, name, len(p.units))
@@ -219,7 +235,41 @@ func (s *Server) start(name string, p jobPlan) JobStatus {
 	s.mu.Unlock()
 	s.jobsSubmitted.Add(1)
 	go s.runJob(j, p)
-	return j.status()
+	return j.status(), nil
+}
+
+// Drain refuses every later job and waits until the running ones have
+// finished, or until ctx is done, whose error it then returns. The
+// HTTP API keeps answering meanwhile, so clients can still follow and
+// fetch the jobs that drain.
+func (s *Server) Drain(ctx context.Context) error {
+	s.mu.Lock()
+	if !s.draining {
+		s.draining = true
+		s.idle = make(chan struct{})
+		if s.running == 0 {
+			close(s.idle)
+		}
+	}
+	idle := s.idle
+	s.mu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// jobEnded counts a finished job off, closing idle when it was the
+// last one to drain.
+func (s *Server) jobEnded() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running--
+	if s.running == 0 && s.draining {
+		close(s.idle)
+	}
 }
 
 // job looks up a job by ID.
@@ -239,6 +289,7 @@ func (s *Server) job(id string) (*jobState, bool) {
 // surfaces here as a failed job; the shared token pool is returned in
 // full, so later jobs are unaffected.
 func (s *Server) runJob(j *jobState, p jobPlan) {
+	defer s.jobEnded()
 	defer func() {
 		if r := recover(); r != nil {
 			j.fail(fmt.Sprint(r))
@@ -455,7 +506,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.start(name, p))
+	st, err := s.start(name, p)
+	if err != nil {
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -168,14 +168,18 @@ func (r *run) pop() entry {
 	return en
 }
 
-// runStore is a finished engine's run storage, one ring per run index.
-type runStore struct{ bufs [numRuns][]entry }
+// runStore is a drained engine's storage: one ring per run index and
+// the slot arena.
+type runStore struct {
+	bufs  [numRuns][]entry
+	slots []slot
+}
 
-// runPool carries run storage from finished engines to new ones, as
-// gpu.Recycle does for warps: a cell's runs start at the capacities an
-// earlier cell grew instead of growing from nothing. Only capacity
-// carries over; a ring's contents are never read before they are
-// written.
+// runPool carries storage from drained engines to new ones, as
+// gpu.Recycle does for warps: a cell's runs and slot arena start at the
+// capacities an earlier cell grew instead of growing from nothing. Only
+// capacity carries over; a ring entry or a slot is never read before it
+// is written.
 var runPool sync.Pool
 
 // maxPooledRun is the largest ring, in entries, that Recycle pools.
@@ -188,10 +192,18 @@ var runPool sync.Pool
 // more often.
 const maxPooledRun = 4096
 
-// Recycle hands the storage of the engine's empty runs, up to
-// maxPooledRun entries each, to later engines. Call it once a run is
-// over; the engine stays usable, and a run that needs storage again
-// takes it from the pool or allocates it.
+// maxPooledSlots is the largest slot arena, in slots, that Recycle
+// pools: 1.5 MB. Unlike a ring, the arena grows with the cell's peak of
+// pending events, which every cell reaches early, so a thrashing cell
+// that regrew it would pay for the whole arena again: ra at scale 16
+// and 150% peaks at about 50,000 slots.
+const maxPooledSlots = 1 << 16
+
+// Recycle hands the engine's storage to engines NewEngine makes later:
+// the rings of its empty runs, up to maxPooledRun entries each, and,
+// once no event is pending, its slot arena, up to maxPooledSlots slots.
+// Call it once a run is over; the engine stays usable, and storage it
+// needs again is allocated.
 func (e *Engine) Recycle() {
 	var st runStore
 	kept := false
@@ -204,28 +216,21 @@ func (e *Engine) Recycle() {
 			r.buf, r.head = nil, 0
 		}
 	}
+	if e.live == 0 && cap(e.slots) > 0 {
+		// Every slot is on the free list, its handler already dropped.
+		if cap(e.slots) <= maxPooledSlots {
+			st.slots = e.slots[:0]
+			kept = true
+		}
+		e.slots, e.free = nil, 0
+	}
 	if kept {
 		runPool.Put(&st)
 	}
 }
 
-// growRun makes room in a full run. A run without storage first takes
-// a recycled engine's, which also goes to this engine's other runs that
-// have none; otherwise the ring doubles, its entries unwrapped to the
-// front.
-func (e *Engine) growRun(r *run) {
-	if len(r.buf) == 0 {
-		if st, ok := runPool.Get().(*runStore); ok {
-			for i := range e.runs {
-				if o := &e.runs[i]; len(o.buf) == 0 {
-					o.buf = st.bufs[i] // a run without storage has head 0
-				}
-			}
-		}
-		if len(r.buf) > 0 {
-			return
-		}
-	}
+// growRun doubles a full run's ring, its entries unwrapped to the front.
+func growRun(r *run) {
 	buf := make([]entry, max(2*len(r.buf), minRunCap))
 	k := copy(buf, r.buf[r.head:])
 	copy(buf[k:], r.buf[:r.head])
@@ -283,8 +288,21 @@ type Engine struct {
 	daemonFn    func()
 }
 
-// NewEngine returns an empty engine positioned at cycle 0.
-func NewEngine() *Engine { return &Engine{} }
+// NewEngine returns an empty engine positioned at cycle 0. It starts
+// with a drained engine's slot arena and run rings when the pool holds
+// a set (see Recycle); taking them here rather than on first use keeps
+// allocSlot, which Schedule calls once per event, within the inlining
+// budget.
+func NewEngine() *Engine {
+	e := &Engine{}
+	if st, ok := runPool.Get().(*runStore); ok {
+		e.slots = st.slots
+		for i := range e.runs {
+			e.runs[i].buf = st.bufs[i]
+		}
+	}
+	return e
+}
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Cycle { return e.now }
@@ -462,7 +480,7 @@ func (e *Engine) pushFar(en entry) {
 	for i := range e.runs {
 		if r := &e.runs[i]; r.n == 0 || r.tailAt <= en.at {
 			if int(r.n) == len(r.buf) {
-				e.growRun(r)
+				growRun(r)
 			}
 			r.push(en)
 			src = i

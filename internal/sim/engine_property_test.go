@@ -215,6 +215,7 @@ type runPaths struct {
 	grown    bool // a ring whose head had moved grew and unwrapped its entries
 	heap     bool // a far event fit no run and went to the heap
 	adopted  bool // a new engine's run took storage a finished engine recycled
+	arena    bool // a new engine's slot arena is the one a finished engine recycled
 }
 
 // runWatch reads one engine's paths off its runs and heap, comparing
@@ -222,6 +223,7 @@ type runPaths struct {
 type runWatch struct {
 	paths    *runPaths
 	recycled map[*entry]bool // first elements of the rings recycled before this engine
+	slots    *slot           // first element of the slot arena recycled before this engine
 	drained  [numRuns]bool
 	lastLen  [numRuns]int
 	lastHead [numRuns]uint32
@@ -252,6 +254,9 @@ func (w *runWatch) observe(e *Engine) {
 		}
 		w.lastLen[i], w.lastHead[i] = len(r.buf), r.head
 	}
+	if cap(e.slots) > 0 && unsafe.SliceData(e.slots) == w.slots {
+		w.paths.arena = true
+	}
 	if len(e.heap) > w.lastHeap {
 		w.paths.heap = true
 	}
@@ -267,15 +272,16 @@ func (w *runWatch) observe(e *Engine) {
 // every run path: appending to a run, a drained run taking new entries
 // in its old storage, a ring reusing freed slots, a wrapped ring
 // growing, the heap fallback when no run fits, and a new engine taking
-// the ring storage the previous trial's engine recycled.
+// the ring storage and slot arena the previous trial's engine recycled.
 func TestEngineOverflowRunsMatchReference(t *testing.T) {
 	var paths runPaths
 	recycled := map[*entry]bool{}
+	var slots *slot
 	for trial := 0; trial < 100; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		eng := NewEngine()
 		ref := &refEngine{}
-		watch := runWatch{paths: &paths, recycled: recycled}
+		watch := runWatch{paths: &paths, recycled: recycled, slots: slots}
 		var gotOrder, wantOrder []uint64
 		streams := make([]Cycle, 2+rng.Intn(2))
 
@@ -334,7 +340,8 @@ func TestEngineOverflowRunsMatchReference(t *testing.T) {
 		if eng.Now() != ref.now {
 			t.Fatalf("trial %d: final clocks diverged: engine %d ref %d", trial, eng.Now(), ref.now)
 		}
-		// Hand the drained engine's ring storage to the next trial's.
+		// Hand the drained engine's storage to the next trial's.
+		slots = unsafe.SliceData(eng.slots)
 		recycled = map[*entry]bool{}
 		for i := range eng.runs {
 			if len(eng.runs[i].buf) > 0 {
@@ -353,6 +360,7 @@ func TestEngineOverflowRunsMatchReference(t *testing.T) {
 		{"wrapped ring grown", paths.grown},
 		{"heap fallback", paths.heap},
 		{"recycled storage adopted", paths.adopted},
+		{"recycled slot arena adopted", paths.arena},
 	} {
 		if !path.hit {
 			t.Errorf("no trial reached the %s path", path.name)

@@ -33,6 +33,7 @@ package uvm
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"uvmsim/internal/alloc"
 	"uvmsim/internal/config"
@@ -264,6 +265,7 @@ func NewWithPipeline(eng *sim.Engine, cfg config.Config, space *alloc.Space, pip
 		gmmuTLB:      newTLB(cfg.TLBEntries),
 	}
 	d.ehost.d = d
+	d.adopt()
 	d.processBatchFn = d.processBatch
 	d.drainFn = func() {
 		d.wbInFlight--
@@ -330,16 +332,19 @@ func (d *Driver) PendingWork() bool {
 }
 
 // block returns the state slot for b, growing the array to cover it.
-// The pointer is only valid until the next block() call.
+// The pointer is only valid until the next block() call. Entries past
+// the length are zero (never touched), so growth within the capacity
+// of a recycled array only reslices.
 func (d *Driver) block(b memunits.BlockNum) *blockState {
 	if b >= memunits.BlockNum(len(d.blockArr)) {
-		n := uint64(b) + 1
-		if m := uint64(2 * len(d.blockArr)); m > n {
-			n = m
+		n := max(uint64(b)+1, uint64(2*len(d.blockArr)))
+		if n <= uint64(cap(d.blockArr)) {
+			d.blockArr = d.blockArr[:n]
+		} else {
+			grown := make([]blockState, n)
+			copy(grown, d.blockArr)
+			d.blockArr = grown
 		}
-		grown := make([]blockState, n)
-		copy(grown, d.blockArr)
-		d.blockArr = grown
 	}
 	return &d.blockArr[b]
 }
@@ -422,6 +427,59 @@ func (d *Driver) putWaiterList(l []func()) {
 		l[i] = nil // drop closure references before recycling
 	}
 	d.waiterFree = append(d.waiterFree, l[:0])
+}
+
+// driverStore is a finished driver's private fault-path storage.
+type driverStore struct {
+	blockArr   []blockState
+	waiting    []migration
+	waiterFree [][]func()
+	migFree    []*migration
+	wakeFree   []*wake
+}
+
+// driverPool carries fault-path storage from finished drivers to new
+// ones, as gpu.Recycle does for warps: a cell's waiter lists, wake and
+// migration records, capacity-wait queue and block array start at the
+// capacities an earlier cell grew. The counter file is not pooled:
+// Counters and the observability providers read it after the run.
+var driverPool sync.Pool
+
+// Recycle hands the driver's fault-path storage to later drivers,
+// cleared: no block state, waiter or record carries over. Call it once
+// the run has quiesced (PendingWork is false); the driver's block
+// state is gone afterwards, so it must serve no further access.
+func (d *Driver) Recycle() {
+	clear(d.blockArr)
+	for _, m := range d.migFree {
+		*m = migration{}
+	}
+	for _, k := range d.wakeFree {
+		k.d = nil // let this driver be collected while its records wait
+	}
+	driverPool.Put(&driverStore{
+		blockArr:   d.blockArr[:0],
+		waiting:    d.waiting[:0],
+		waiterFree: d.waiterFree,
+		migFree:    d.migFree,
+		wakeFree:   d.wakeFree,
+	})
+	d.blockArr, d.waiting, d.waiterFree, d.migFree, d.wakeFree = nil, nil, nil, nil, nil
+}
+
+// adopt takes a finished driver's storage from the pool, re-pointing
+// its wake records at d (a migration record is re-pointed when it is
+// dispatched).
+func (d *Driver) adopt() {
+	st, ok := driverPool.Get().(*driverStore)
+	if !ok {
+		return
+	}
+	d.blockArr, d.waiting = st.blockArr, st.waiting
+	d.waiterFree, d.migFree, d.wakeFree = st.waiterFree, st.migFree, st.wakeFree
+	for _, k := range d.wakeFree {
+		k.d = d
+	}
 }
 
 func (d *Driver) memState() policy.MemState {
