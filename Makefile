@@ -97,14 +97,14 @@ figures-check:
 # behaviour change, not noise.
 tournament:
 	$(GO) run ./cmd/paperbench -tournament -scale 0.3 \
-		-tournament-prefetchers default,bandit-pf -tournament-out BENCH_tournament.json
+		-pf-governor default,bandit-pf -tournament-out BENCH_tournament.json
 
 # Fast tournament slice for CI: two planners (static vs learned) over
 # two workloads at a small scale, proving the harness end to end
 # without the full matrix cost.
 tournament-smoke:
 	$(GO) run ./cmd/paperbench -tournament -scale 0.05 -workloads bfs,ra \
-		-tournament-planners threshold,reuse-dist -tournament-out -
+		-planner threshold,reuse-dist -tournament-out -
 
 # End-to-end smoke of the simd sweep service (cmd/simd, DESIGN.md §14):
 # an in-process server, a small bfs job submitted twice, hard assertions

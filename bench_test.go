@@ -10,6 +10,7 @@
 package uvmsim
 
 import (
+	"strings"
 	"testing"
 
 	"uvmsim/internal/alloc"
@@ -68,10 +69,10 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := Fig3("fdtd", benchOpts(), []int{2, 4}, 256)
-		s := Fig3("sssp", benchOpts(), []int{3, 5}, 256)
-		if len(f) != 2 || len(s) != 2 {
-			b.Fatal("missing series")
+		for _, w := range []string{"fdtd", "sssp"} {
+			if strings.Count(Fig3(w, benchOpts(), 256, false), "cycle,page,write\n") != 2 {
+				b.Fatal("missing series")
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,6 +47,12 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
 		{"unknownWorkload", []string{"-fig", "6", "-workloads", "nosuch"}, `unknown workload "nosuch"`},
 		{"unknownWorkloadTournament", []string{"-tournament", "-workloads", "bfs,nosuch"}, `unknown workload "nosuch"`},
+		{"plannerListOutsideTournament", []string{"-fig", "6", "-planner", "threshold,thrash-guard"}, "lists are for -tournament"},
+		{"governorListOutsideTournament", []string{"-fig", "6", "-pf-governor", "default,bandit-pf"}, "lists are for -tournament"},
+		{"unknownTournamentPlanner", []string{"-tournament", "-planner", "threshold,bogus"}, `unknown planner "bogus"`},
+		{"defaultPlannerTournament", []string{"-tournament", "-planner", "default,threshold"}, `unknown planner "default"`},
+		{"tournamentOutWithoutTournament", []string{"-table1", "-tournament-out", "-"}, "-tournament-out applies to -tournament only"},
+		{"tournamentPlannersFlagGone", []string{"-tournament", "-tournament-planners", "threshold"}, "flag provided but not defined: -tournament-planners"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,8 +141,8 @@ func TestUnknownPipelineOverridesExitNonZero(t *testing.T) {
 		wantErr string
 	}{
 		{"planner", []string{"-table1", "-planner", "bogus"}, "unknown planner"},
-		{"replacement", []string{"-table1", "-replacement", "mru"}, "unknown replacement"},
-		{"prefetcher", []string{"-table1", "-prefetcher", "oracle"}, "unknown prefetcher"},
+		{"evictor", []string{"-table1", "-evictor", "mru"}, "unknown evictor"},
+		{"pf-governor", []string{"-table1", "-pf-governor", "oracle"}, "unknown prefetch governor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,9 +157,10 @@ func TestUnknownPipelineOverridesExitNonZero(t *testing.T) {
 	}
 }
 
-// Every advertised name is accepted by the flag surface: enum String()
-// values and every listed planner name parse cleanly (using -table1 so
-// the invocation stays instant).
+// Every advertised name is accepted by the flag surface: every listed
+// planner name, and the String() of every replacement policy and
+// prefetcher kind through the stage flags that pick them (using -table1
+// so the invocation stays instant).
 func TestAdvertisedOverrideNamesParse(t *testing.T) {
 	runOK := func(t *testing.T, args ...string) {
 		t.Helper()
@@ -165,10 +173,10 @@ func TestAdvertisedOverrideNamesParse(t *testing.T) {
 		t.Run("planner/"+n, func(t *testing.T) { runOK(t, "-planner", n) })
 	}
 	for _, rp := range []config.ReplacementPolicy{config.ReplaceLRU, config.ReplaceLFU} {
-		t.Run("replacement/"+rp.String(), func(t *testing.T) { runOK(t, "-replacement", rp.String()) })
+		t.Run("replacement/"+rp.String(), func(t *testing.T) { runOK(t, "-evictor", rp.String()) })
 	}
 	for _, pf := range []config.PrefetcherKind{config.PrefetchTree, config.PrefetchNone, config.PrefetchSequential} {
-		t.Run("prefetcher/"+pf.String(), func(t *testing.T) { runOK(t, "-prefetcher", pf.String()) })
+		t.Run("prefetcher/"+pf.String(), func(t *testing.T) { runOK(t, "-pf-governor", pf.String()) })
 	}
 }
 
@@ -180,12 +188,12 @@ func TestPipelineOverrideReachesSweep(t *testing.T) {
 	}
 	base := []string{"-fig", "6", "-csv", "-scale", "0.02", "-workloads", "ra"}
 	_, defOut, _ := runCLI(t, base...)
-	_, soloOut, _ := runCLI(t, append(append([]string{}, base...), "-prefetcher", "none")...)
+	_, soloOut, _ := runCLI(t, append(append([]string{}, base...), "-pf-governor", "none")...)
 	if defOut == "" || soloOut == "" {
 		t.Fatal("empty sweep output")
 	}
 	if defOut == soloOut {
-		t.Fatal("-prefetcher none produced byte-identical Fig. 6 output; override did not reach the sweep")
+		t.Fatal("-pf-governor none produced byte-identical Fig. 6 output; override did not reach the sweep")
 	}
 }
 
@@ -237,5 +245,66 @@ func TestFig6And7RunOneSweep(t *testing.T) {
 	}
 	if len(seen) != len(config.Policies()) {
 		t.Fatalf("%d runs, want one per policy (%d)", len(seen), len(config.Policies()))
+	}
+}
+
+// Figures 2 and 3 characterize -workloads (default fdtd and sssp); -csv
+// prints Fig. 2's raw per-page frequencies and -plot draws Fig. 3's
+// iterations as scatters.
+func TestAccessPatternFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization runs")
+	}
+	for _, tc := range []struct {
+		name      string
+		args      []string
+		want, not []string
+	}{
+		{"fig2Workloads", []string{"-fig", "2", "-workloads", "sssp"},
+			[]string{"Figure 2 (sssp)"}, []string{"fdtd"}},
+		{"fig2CSV", []string{"-fig", "2", "-workloads", "sssp", "-csv"},
+			[]string{"allocation,page,reads,writes\n"}, []string{"Figure 2"}},
+		{"fig3Plot", []string{"-fig", "3", "-plot"},
+			[]string{"fdtd iteration 2: page (y) vs cycle (x)", "fdtd iteration 4:", "sssp iteration 3:", "sssp iteration 5:"},
+			[]string{"cycle,page,write"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-scale", "0.05"}, tc.args...)
+			code, stdout, stderr := runCLI(t, args...)
+			if code != 0 {
+				t.Fatalf("run(%q) = %d, stderr %q", args, code, stderr)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(stdout, w) {
+					t.Fatalf("stdout missing %q:\n%s", w, stdout)
+				}
+			}
+			for _, n := range tc.not {
+				if strings.Contains(stdout, n) {
+					t.Fatalf("stdout has %q:\n%s", n, stdout)
+				}
+			}
+		})
+	}
+}
+
+// Under -tournament, -planner takes the planners to rank: the
+// leaderboard holds exactly the combinations named.
+func TestTournamentPlannerList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	code, stdout, stderr := runCLI(t, "-tournament", "-scale", "0.02", "-workloads", "bfs", "-csv",
+		"-planner", "threshold,thrash-guard")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n")[1:] {
+		got = append(got, strings.Split(line, ",")[1])
+	}
+	slices.Sort(got)
+	if want := []string{"planner=thrash-guard", "planner=threshold"}; !slices.Equal(got, want) {
+		t.Fatalf("leaderboard = %q, want %q:\n%s", got, want, stdout)
 	}
 }

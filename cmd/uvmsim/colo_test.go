@@ -37,6 +37,11 @@ func TestColocationFlagValidationExits2(t *testing.T) {
 		{"traceOutInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-trace-out", "t.json"}, "co-location"},
 		{"checkInvariantsInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-check-invariants", "100"}, "co-location"},
 		{"traceSampleInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-trace-sample", "8"}, "co-location"},
+		// Single-run configuration a co-location run would ignore.
+		{"plannerInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-planner", "thrash-guard"}, "-planner applies to single-workload runs only"},
+		{"policyInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-policy", "disabled"}, "-policy applies to single-workload runs only"},
+		{"penaltyInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-p", "3"}, "-p applies to single-workload runs only"},
+		{"scaleInColoMode", []string{"-tenants", "bfs:0", "-cxl-pool-mb", "32", "-scale", "0.5"}, "-scale applies to single-workload runs only"},
 		{"cxlFlagWithoutTenants", []string{"-workload", "ra", "-cxl-pool-mb", "32"}, "-cxl-pool-mb applies to the co-location mode"},
 		{"poolPolicyWithoutTenants", []string{"-workload", "ra", "-pool-policy", "cxl-repl"}, "-pool-policy applies to the co-location mode"},
 		{"thresholdWithoutTenants", []string{"-workload", "ra", "-cxl-threshold", "8"}, "-cxl-threshold applies to the co-location mode"},
@@ -97,13 +102,19 @@ func TestColocationMetricsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	// The same versioned document as every other run, with one run
+	// named after the tenant mix.
+	var doc obs.SuiteSnapshot
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := snap.Validate(); err != nil {
+	if err := doc.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if len(doc.Runs) != 1 || doc.Runs[0].Name != "colo/bfs:0:1,ra:0:0" {
+		t.Fatalf("runs = %+v, want one named colo/bfs:0:1,ra:0:0", doc.Runs)
+	}
+	snap := doc.Runs[0]
 	if snap.Counter("cxl.promotions")+snap.Counter("cxl.replications")+snap.Counter("cxl.evictions") == 0 {
 		t.Fatalf("no controller activity in snapshot: %+v", snap.Counters)
 	}

@@ -4,19 +4,19 @@
 // Usage:
 //
 //	uvmsim -workload sssp -policy adaptive -oversub 125 [-scale 1.0]
-//	       [-ts 8] [-p 8] [-replacement lfu] [-prefetcher tree]
-//	       [-granularity 2m|64k] [-spans] [-csv]
+//	       [-ts 8] [-p 8] [-granularity 2m|64k] [-spans] [-csv]
 //
 // Memory-management pipeline stages (see DESIGN.md, "Memory-management
-// pipeline") are selected by name; empty picks the built-in stage for
-// the configuration:
+// pipeline") are selected by name, one flag per stage; empty picks the
+// built-in stage for the configuration (the paper's pairing of
+// replacement policy and prefetcher):
 //
 //	uvmsim -workload sssp -planner thrash-guard
 //	uvmsim -workload sssp -evictor lru -pf-governor bandit-pf
 //
 // Observability (see DESIGN.md, "Observability"):
 //
-//	uvmsim -workload sssp -metrics-json metrics.json     # metric registry
+//	uvmsim -workload sssp -metrics-json metrics.json     # metric registry ('-' = stdout)
 //	uvmsim -workload sssp -trace-out trace.json          # Chrome trace_event
 //	uvmsim -workload sssp -trace-out t.jsonl -trace-sample 8
 //	uvmsim -workload sssp -check-invariants 10000        # periodic checker
@@ -35,7 +35,6 @@ import (
 	"uvmsim/internal/core"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/mm"
-	"uvmsim/internal/obs"
 	"uvmsim/internal/resultio"
 	"uvmsim/internal/workloads"
 )
@@ -56,8 +55,6 @@ type options struct {
 	policy      string
 	ts          uint64
 	penalty     uint64
-	replacement string
-	prefetcher  string
 	granularity string
 	planner     string
 	evictor     string
@@ -78,13 +75,9 @@ type options struct {
 	spans        bool
 	csv          bool
 	jsonOut      string
+	obs          cliutil.ObsFlags
 
-	metricsJSON     string
-	traceOut        string
-	traceSample     uint64
-	traceSampleSet  bool // -trace-sample given explicitly
-	prefetcherSet   bool // -prefetcher given explicitly
-	checkInvariants uint64
+	set []string // the flags given on the command line
 }
 
 // run parses args and executes one simulation, returning the process
@@ -104,12 +97,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.policy, "policy", "adaptive", "migration policy: disabled, always, oversub, adaptive")
 	fs.Uint64Var(&o.ts, "ts", 8, "static access counter threshold")
 	fs.Uint64Var(&o.penalty, "p", 8, "multiplicative migration penalty")
-	fs.StringVar(&o.replacement, "replacement", "", "override replacement policy: lru, lfu (default: paper pairing)")
-	fs.StringVar(&o.prefetcher, "prefetcher", "tree", "prefetcher: tree, none, sequential")
 	fs.StringVar(&o.granularity, "granularity", "2m", "eviction granularity: 2m, 64k")
 	fs.StringVar(&o.planner, "planner", "", "migration planner: "+strings.Join(mm.PlannerNames(), ", ")+" (default: threshold)")
-	fs.StringVar(&o.evictor, "evictor", "", "eviction engine: "+strings.Join(mm.EvictorNames(), ", ")+" (default: configured replacement)")
-	fs.StringVar(&o.pfgov, "pf-governor", "", "prefetch governor: "+strings.Join(mm.PrefetchGovernorNames(), ", ")+" (default: the -prefetcher kind)")
+	fs.StringVar(&o.evictor, "evictor", "", "eviction engine: "+strings.Join(mm.EvictorNames(), ", ")+" (default: the paper's pairing for -policy)")
+	fs.StringVar(&o.pfgov, "pf-governor", "", "prefetch governor: "+strings.Join(mm.PrefetchGovernorNames(), ", ")+" (default: tree)")
 	fs.Uint64Var(&o.seed, "seed", 1, "seed for the learned pipeline stages (runs with equal seeds are byte-identical)")
 	fs.Uint64Var(&o.banditEpsilon, "bandit-epsilon", 10, "bandit exploration probability in percent (0 = never explore)")
 	fs.Uint64Var(&o.banditEpoch, "bandit-epoch", 0, "bandit learning epoch in simulated cycles (0 = built-in default)")
@@ -124,17 +115,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.spans, "spans", false, "print per-kernel timing spans")
 	fs.BoolVar(&o.csv, "csv", false, "print metrics as CSV")
 	fs.StringVar(&o.jsonOut, "json", "", "write a self-describing JSON record of the run to this file")
-	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write the observability metric registry to this file as JSON")
-	fs.StringVar(&o.traceOut, "trace-out", "", "write a cycle-stamped timeline trace to this file (.jsonl = compact JSONL, otherwise Chrome trace_event JSON)")
-	fs.Uint64Var(&o.traceSample, "trace-sample", 1, "keep one of every N trace spans (with -trace-out; 1 = all)")
-	fs.Uint64Var(&o.checkInvariants, "check-invariants", 0, "run the cross-component invariant checker every N cycles (0 = off)")
+	o.obs.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fs.Visit(func(f *flag.Flag) {
-		o.traceSampleSet = o.traceSampleSet || f.Name == "trace-sample"
-		o.prefetcherSet = o.prefetcherSet || f.Name == "prefetcher"
-	})
+	o.set = cliutil.Visited(fs)
 	if err := simulate(o, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "uvmsim:", err)
 		return 2
@@ -144,7 +129,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // simulate validates the options, runs the workload and writes every
 // requested output.
-func simulate(o options, stdout, stderr io.Writer) (err error) {
+func simulate(o options, stdout, stderr io.Writer) error {
+	if err := checkMode(o); err != nil {
+		return err
+	}
+	if o.gpus < 1 || o.gpus > core.MaxGPUs {
+		return fmt.Errorf("-gpus must be at least 1 and at most %d, got %d", core.MaxGPUs, o.gpus)
+	}
+	if o.workers < 0 {
+		return fmt.Errorf("-workers must be non-negative, got %d", o.workers)
+	}
+	if o.tenants != "" {
+		return simulateColocation(o, stdout, stderr)
+	}
 	pol, err := cliutil.ParsePolicy(o.policy)
 	if err != nil {
 		return err
@@ -165,33 +162,6 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if o.oversub == 0 {
 		return fmt.Errorf("-oversub must be positive, got 0")
 	}
-	if o.gpus < 1 || o.gpus > core.MaxGPUs {
-		return fmt.Errorf("-gpus must be at least 1 and at most %d, got %d", core.MaxGPUs, o.gpus)
-	}
-	if o.workers < 0 {
-		return fmt.Errorf("-workers must be non-negative, got %d", o.workers)
-	}
-	if o.tenants != "" {
-		return simulateColocation(o, stdout, stderr)
-	}
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"-cxl-pool-mb", o.cxlPoolMB != 0},
-		{"-cxl-bw", o.cxlBW != 0},
-		{"-cxl-latency", o.cxlLatency != 0},
-		{"-cxl-threshold", o.cxlThreshold != 0},
-		{"-pool-policy", o.poolPolicy != ""},
-		{"-colo-epochs", o.coloEpochs != 0},
-	} {
-		if f.set {
-			return fmt.Errorf("%s applies to the co-location mode only (set -tenants)", f.name)
-		}
-	}
-	if o.traceSampleSet && o.traceOut == "" {
-		return fmt.Errorf("-trace-sample requires -trace-out")
-	}
 	if o.gpus > 1 && o.jsonOut != "" {
 		return fmt.Errorf("-json applies to single-GPU runs only (got -gpus %d)", o.gpus)
 	}
@@ -201,20 +171,6 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	cfg = cfg.WithPolicy(pol)
 	cfg.StaticThreshold = o.ts
 	cfg.Penalty = o.penalty
-	if o.replacement != "" && o.evictor != "" {
-		return fmt.Errorf("-replacement and -evictor both pick the eviction policy and a named evictor always wins; give one")
-	}
-	if o.prefetcherSet && o.pfgov != "" {
-		return fmt.Errorf("-prefetcher and -pf-governor both pick the prefetcher and a named governor always wins; give one")
-	}
-	if rp, ok, err := cliutil.ParseReplacement(o.replacement); err != nil {
-		return err
-	} else if ok {
-		cfg.Replacement = rp
-	}
-	if cfg.Prefetcher, err = cliutil.ParsePrefetcher(o.prefetcher); err != nil {
-		return err
-	}
 	if cfg.EvictionGranularity, err = cliutil.ParseGranularity(o.granularity); err != nil {
 		return err
 	}
@@ -234,6 +190,11 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	if !slices.Contains(uvmsim.AllWorkloads(), o.workload) {
 		return fmt.Errorf("unknown workload %q (have %s)", o.workload, strings.Join(uvmsim.AllWorkloads(), ", "))
 	}
+	out, err := o.obs.Open(slices.Contains(o.set, "trace-sample"), stdout, stderr, o.jsonOut)
+	if err != nil {
+		return err
+	}
+	defer out.Close()
 	var b *uvmsim.Workload
 	if o.graphFile != "" {
 		b, err = buildFromGraphFile(o.workload, o.graphFile)
@@ -248,27 +209,6 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 	// multi-GPU harness (gpus=1 keeps the single-GPU sizing).
 	cfg = cfg.WithOversubscription(b.WorkingSet()/uint64(o.gpus), o.oversub)
 	cfg.ClusterWorkers = o.workers
-
-	// Open every output file before the simulation runs, so an
-	// unwritable path fails in milliseconds rather than after minutes of
-	// simulated work.
-	outs := make(map[string]*os.File)
-	defer func() {
-		//simlint:allow maporder -- closing output files; order cannot reach results
-		for _, f := range outs {
-			f.Close()
-		}
-	}()
-	for _, path := range []string{o.jsonOut, o.metricsJSON, o.traceOut} {
-		if path == "" || outs[path] != nil {
-			continue
-		}
-		f, ferr := os.Create(path)
-		if ferr != nil {
-			return ferr
-		}
-		outs[path] = f
-	}
 
 	class := "irregular"
 	if b.Regular {
@@ -288,57 +228,27 @@ func simulate(o options, stdout, stderr io.Writer) (err error) {
 		memunits.HumanBytes(cfg.DeviceMemBytes), cfg.Policy, cfg.StaticThreshold,
 		cfg.Penalty, replacement, prefetcher)
 
-	suite := obs.NewSuite(obs.Options{
-		Metrics:     o.metricsJSON != "",
-		Trace:       o.traceOut != "",
-		TraceSample: o.traceSample,
-		CheckEvery:  o.checkInvariants,
-	})
-	runName := fmt.Sprintf("%s/%v/%d%%", b.Name, cfg.Policy, o.oversub)
-
 	cl := uvmsim.NewCluster(b, cfg, o.gpus)
-	cl.ObserveAs(runName, suite.NewRun)
-	res, err := runChecked(cl.Run)
-	if err != nil {
-		return err
-	}
-	if o.gpus > 1 {
-		printCluster(stdout, o.csv, cl.Workers(), res)
-	} else {
-		printCounters(stdout, o.csv, &res.Counters)
-	}
-	if o.spans {
-		printSpans(stdout, res.Spans)
-	}
-	if o.jsonOut != "" {
-		rec := resultio.FromResult(res.Result, o.scale, o.oversub)
-		if o.metricsJSON != "" {
-			snap := suite.Collect()
-			rec.Metrics = &snap.Runs[0]
-		}
-		if err := resultio.Write(outs[o.jsonOut], rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote %s\n", o.jsonOut)
-	}
-	if o.metricsJSON != "" {
-		if err := suite.WriteMetricsJSON(outs[o.metricsJSON]); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote %s\n", o.metricsJSON)
-	}
-	if o.traceOut != "" {
-		if strings.HasSuffix(o.traceOut, ".jsonl") {
-			err = suite.WriteTraceJSONL(outs[o.traceOut])
+	cl.ObserveAs(fmt.Sprintf("%s/%v/%d%%", b.Name, cfg.Policy, o.oversub), out.Suite.NewRun)
+	return out.Run(func() error {
+		res := cl.Run()
+		if o.gpus > 1 {
+			printCluster(stdout, o.csv, cl.Workers(), res)
 		} else {
-			err = suite.WriteChromeTrace(outs[o.traceOut])
+			printCounters(stdout, o.csv, &res.Counters)
 		}
-		if err != nil {
-			return err
+		if o.spans {
+			printSpans(stdout, res.Spans)
 		}
-		fmt.Fprintf(stderr, "wrote %s\n", o.traceOut)
-	}
-	return nil
+		return out.Write(o.jsonOut, func(w io.Writer) error {
+			rec := resultio.FromResult(res.Result, o.scale, o.oversub)
+			if o.obs.MetricsJSON != "" {
+				snap := out.Suite.Collect()
+				rec.Metrics = &snap.Runs[0]
+			}
+			return resultio.Write(w, rec)
+		})
+	})
 }
 
 // printCounters prints a single-GPU run's counters.
@@ -395,22 +305,6 @@ func printSpans(w io.Writer, spans []uvmsim.KernelSpan) {
 		fmt.Fprintf(w, "kernel %-24s iter %2d  [%12d .. %12d]  %d cycles\n",
 			sp.Name, sp.Iter, sp.Start, sp.End, sp.End-sp.Start)
 	}
-}
-
-// runChecked runs a simulation, converting an invariant-checker
-// violation (a fail-fast panic carrying a cycle-stamped diagnostic) into
-// an ordinary error; any other panic is a bug and propagates.
-func runChecked[R any](run func() R) (res R, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if v, ok := r.(*obs.Violation); ok {
-				err = v
-				return
-			}
-			panic(r)
-		}
-	}()
-	return run(), nil
 }
 
 // buildFromGraphFile loads an edge-list graph and instantiates bfs or

@@ -48,10 +48,9 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"zeroOversub", []string{"-oversub", "0"}, "-oversub must be positive"},
 		{"epsilonOver100", []string{"-bandit-epsilon", "101"}, "-bandit-epsilon is a percentage"},
 		{"unknownWorkload", []string{"-workload", "nosuch"}, "unknown workload"},
-		{"unknownReplacement", []string{"-replacement", "mru"}, "unknown replacement"},
-		{"replacementWithEvictor", []string{"-replacement", "lru", "-evictor", "lfu"}, "-replacement and -evictor"},
-		{"prefetcherWithGovernor", []string{"-prefetcher", "none", "-pf-governor", "tree"}, "-prefetcher and -pf-governor"},
-		{"unknownPrefetcher", []string{"-prefetcher", "oracle"}, "unknown prefetcher"},
+		// -evictor and -pf-governor are the one flag per stage.
+		{"unknownReplacement", []string{"-replacement", "lru"}, "flag provided but not defined: -replacement"},
+		{"unknownPrefetcher", []string{"-prefetcher", "none"}, "flag provided but not defined: -prefetcher"},
 		{"unknownGranularity", []string{"-granularity", "4k"}, "unknown eviction granularity"},
 		{"zeroGPUs", []string{"-gpus", "0"}, "-gpus must be at least 1"},
 		{"negativeGPUs", []string{"-gpus", "-2"}, "-gpus must be at least 1"},
@@ -202,6 +201,29 @@ func TestRunWithObservabilityOutputs(t *testing.T) {
 	}
 }
 
+// -metrics-json - writes the metrics document to stdout, after the
+// run's result lines, and reports no file written.
+func TestMetricsJSONToStdout(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-workload", "ra", "-scale", "0.05", "-metrics-json", "-")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	i := strings.Index(stdout, "\n{")
+	if i < 0 || !strings.Contains(stdout[:i], "cycles=") {
+		t.Fatalf("want the result lines, then the document:\n%s", stdout)
+	}
+	var snap obs.SuiteSnapshot
+	if err := json.Unmarshal([]byte(stdout[i:]), &snap); err != nil {
+		t.Fatalf("metrics JSON on stdout: %v", err)
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(stderr, "wrote") {
+		t.Fatalf("stderr = %q, want no file reported", stderr)
+	}
+}
+
 func TestTraceJSONLOutput(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.jsonl")
@@ -311,8 +333,9 @@ func TestUnknownPipelineComponentsExitNonZero(t *testing.T) {
 
 // Every enum and stage name the tool advertises must be accepted by
 // the flag surface: config enum String() values round-trip through the
-// CLI parsers, and every pipeline stage a flag selects is selectable by
-// its listed name.
+// CLI parsers (replacement policies and prefetcher kinds through the
+// stage flags that pick them), and every pipeline stage a flag selects
+// is selectable by its listed name.
 func TestAdvertisedNamesRoundTripThroughFlags(t *testing.T) {
 	base := []string{"-workload", "ra", "-scale", "0.02"}
 	runOK := func(t *testing.T, extra ...string) {
@@ -326,10 +349,10 @@ func TestAdvertisedNamesRoundTripThroughFlags(t *testing.T) {
 		t.Run("policy/"+pol.String(), func(t *testing.T) { runOK(t, "-policy", pol.String()) })
 	}
 	for _, rp := range []config.ReplacementPolicy{config.ReplaceLRU, config.ReplaceLFU} {
-		t.Run("replacement/"+rp.String(), func(t *testing.T) { runOK(t, "-replacement", rp.String()) })
+		t.Run("replacement/"+rp.String(), func(t *testing.T) { runOK(t, "-evictor", rp.String()) })
 	}
 	for _, pf := range []config.PrefetcherKind{config.PrefetchTree, config.PrefetchNone, config.PrefetchSequential} {
-		t.Run("prefetcher/"+pf.String(), func(t *testing.T) { runOK(t, "-prefetcher", pf.String()) })
+		t.Run("prefetcher/"+pf.String(), func(t *testing.T) { runOK(t, "-pf-governor", pf.String()) })
 	}
 	for _, n := range mm.PlannerNames() {
 		t.Run("planner/"+n, func(t *testing.T) { runOK(t, "-planner", n) })

@@ -1,6 +1,6 @@
-// Package cliutil provides the flag-value parsing shared by the
-// command-line tools: policy, replacement, prefetcher, eviction
-// granularity and workload names.
+// Package cliutil provides what the command-line tools share: flag-value
+// parsing (policy, eviction granularity, pipeline stage and workload
+// names) and the one path every tool writes its outputs through.
 package cliutil
 
 import (
@@ -27,35 +27,6 @@ func ParsePolicy(s string) (config.MigrationPolicy, error) {
 		return config.PolicyAdaptive, nil
 	default:
 		return 0, fmt.Errorf("unknown policy %q (want disabled, always, oversub, adaptive)", s)
-	}
-}
-
-// ParseReplacement maps a replacement-policy name; empty means "use the
-// paper pairing for the chosen migration policy" and returns ok=false.
-func ParseReplacement(s string) (config.ReplacementPolicy, bool, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "":
-		return 0, false, nil
-	case "lru":
-		return config.ReplaceLRU, true, nil
-	case "lfu":
-		return config.ReplaceLFU, true, nil
-	default:
-		return 0, false, fmt.Errorf("unknown replacement policy %q (want lru, lfu)", s)
-	}
-}
-
-// ParsePrefetcher maps a prefetcher name.
-func ParsePrefetcher(s string) (config.PrefetcherKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "tree":
-		return config.PrefetchTree, nil
-	case "none":
-		return config.PrefetchNone, nil
-	case "sequential", "seq":
-		return config.PrefetchSequential, nil
-	default:
-		return 0, fmt.Errorf("unknown prefetcher %q (want tree, none, sequential)", s)
 	}
 }
 
@@ -87,6 +58,20 @@ func ParseComponentName(kind, s string, registered []string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("unknown %s %q (have %s)", kind, s, strings.Join(registered, ", "))
+}
+
+// ParseComponentList validates a comma-separated list of pipeline
+// component names (see ParseComponentName); an empty list returns nil.
+func ParseComponentList(kind, s string, registered []string) ([]string, error) {
+	var out []string
+	for _, p := range SplitList(s) {
+		name, err := ParseComponentName(kind, p, registered)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, name)
+	}
+	return out, nil
 }
 
 // CheckScale validates a -scale workload factor: it must be positive

@@ -7,6 +7,7 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
+	"uvmsim/internal/mm"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -25,36 +26,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("nope"); err == nil {
 		t.Error("ParsePolicy accepted garbage")
-	}
-}
-
-func TestParseReplacement(t *testing.T) {
-	if _, ok, err := ParseReplacement(""); ok || err != nil {
-		t.Error("empty replacement should mean default pairing")
-	}
-	got, ok, err := ParseReplacement("LFU")
-	if !ok || err != nil || got != config.ReplaceLFU {
-		t.Errorf("ParseReplacement(LFU) = %v, %v, %v", got, ok, err)
-	}
-	if _, _, err := ParseReplacement("mru"); err == nil {
-		t.Error("ParseReplacement accepted garbage")
-	}
-}
-
-func TestParsePrefetcher(t *testing.T) {
-	cases := map[string]config.PrefetcherKind{
-		"tree": config.PrefetchTree,
-		"none": config.PrefetchNone,
-		"seq":  config.PrefetchSequential,
-	}
-	for in, want := range cases {
-		got, err := ParsePrefetcher(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePrefetcher(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParsePrefetcher("magic"); err == nil {
-		t.Error("ParsePrefetcher accepted garbage")
 	}
 }
 
@@ -101,7 +72,9 @@ func TestParseWorkloads(t *testing.T) {
 
 // Every enum value must survive the round trip through its own String()
 // and back through the CLI parser — a renamed enum constant that the
-// parsers no longer recognize is a flag-compatibility break.
+// parsers no longer recognize is a flag-compatibility break. Replacement
+// policies and prefetcher kinds are picked by the -evictor and
+// -pf-governor stage names.
 func TestEnumStringsRoundTrip(t *testing.T) {
 	for _, pol := range config.Policies() {
 		got, err := ParsePolicy(pol.String())
@@ -110,15 +83,13 @@ func TestEnumStringsRoundTrip(t *testing.T) {
 		}
 	}
 	for _, rp := range []config.ReplacementPolicy{config.ReplaceLRU, config.ReplaceLFU} {
-		got, ok, err := ParseReplacement(rp.String())
-		if err != nil || !ok || got != rp {
-			t.Errorf("ParseReplacement(%q) = %v, %v, %v; want %v", rp.String(), got, ok, err, rp)
+		if _, err := ParseComponentName("evictor", rp.String(), mm.EvictorNames()); err != nil {
+			t.Errorf("evictor %q: %v", rp.String(), err)
 		}
 	}
 	for _, pf := range []config.PrefetcherKind{config.PrefetchTree, config.PrefetchNone, config.PrefetchSequential} {
-		got, err := ParsePrefetcher(pf.String())
-		if err != nil || got != pf {
-			t.Errorf("ParsePrefetcher(%q) = %v, %v; want %v", pf.String(), got, err, pf)
+		if _, err := ParseComponentName("prefetch governor", pf.String(), mm.PrefetchGovernorNames()); err != nil {
+			t.Errorf("prefetch governor %q: %v", pf.String(), err)
 		}
 	}
 }
@@ -133,5 +104,18 @@ func TestParseComponentName(t *testing.T) {
 	}
 	if _, err := ParseComponentName("planner", "bogus", names); err == nil {
 		t.Error("unknown name accepted")
+	}
+}
+
+func TestParseComponentList(t *testing.T) {
+	names := []string{"bandit-pf", "tree"}
+	if got, err := ParseComponentList("prefetch governor", " Tree,,bandit-pf ", names); err != nil || !slices.Equal(got, []string{"tree", "bandit-pf"}) {
+		t.Errorf("list = %q, %v; want tree and bandit-pf", got, err)
+	}
+	if got, err := ParseComponentList("prefetch governor", "", names); got != nil || err != nil {
+		t.Errorf("empty list = %q, %v; want nil", got, err)
+	}
+	if _, err := ParseComponentList("prefetch governor", "tree,oracle", names); err == nil || !strings.Contains(err.Error(), `unknown prefetch governor "oracle"`) {
+		t.Errorf("unknown name: err = %v", err)
 	}
 }

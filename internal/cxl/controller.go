@@ -313,7 +313,7 @@ func (c *Controller) releaseFrame(gpu int, t devmem.TenantID) {
 // check validates frame accounting against the meta table; the
 // scenario calls it at barriers when invariants are enabled.
 func (c *Controller) check() error {
-	var promoted, replicas uint64
+	var promoted uint64
 	perGPU := make([]uint64, c.gpus)
 	for b := range c.meta {
 		m := &c.meta[b]
@@ -326,7 +326,6 @@ func (c *Controller) check() error {
 		}
 		for g := 0; g < c.gpus; g++ {
 			if m.replicas&(1<<uint(g)) != 0 {
-				replicas++
 				perGPU[g]++
 			}
 		}
@@ -344,6 +343,5 @@ func (c *Controller) check() error {
 			return fmt.Errorf("cxl: gpu%d resident list %d entries, meta says %d", g, got, perGPU[g])
 		}
 	}
-	_ = replicas
 	return nil
 }

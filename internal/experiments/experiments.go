@@ -17,6 +17,7 @@ import (
 	"uvmsim/internal/core"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/obs"
+	"uvmsim/internal/plot"
 	"uvmsim/internal/report"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/snapshot"
@@ -207,31 +208,56 @@ func Fig2(workload string, o Options) string {
 	return b.String()
 }
 
-// Fig3 reproduces Figure 3: access-pattern samples (cycle, page, r/w)
-// for two iterations of the requested workload. It returns one CSV
-// series per requested iteration.
-func Fig3(workload string, o Options, iters []int, sampleEvery uint64) map[int]string {
+// fig3Iterations are the two iterations Figure 3 shows per workload,
+// the paper's panels; any other workload shows iterations 2 and 4.
+var fig3Iterations = map[string][2]int{"fdtd": {2, 4}, "sssp": {3, 5}}
+
+// Fig3 reproduces Figure 3 for one workload: the accesses (cycle, page,
+// r/w) sampled one in sampleEvery during each of its two iterations, as
+// CSV or, with scatter, as a page-vs-cycle terminal plot.
+func Fig3(workload string, o Options, sampleEvery uint64, scatter bool) string {
 	tr := RunTrace(workload, o, sampleEvery)
-	out := make(map[int]string, len(iters))
-	for _, it := range iters {
-		lo, hi := sim.MaxCycle, sim.Cycle(0)
-		for _, sp := range tr.Result.Spans {
-			if sp.Iter == it {
-				if sp.Start < lo {
-					lo = sp.Start
-				}
-				if sp.End > hi {
-					hi = sp.End
-				}
-			}
+	its, ok := fig3Iterations[workload]
+	if !ok {
+		its = [2]int{2, 4}
+	}
+	var b strings.Builder
+	for _, it := range its {
+		b.WriteString(tr.fig3Panel(workload, it, scatter))
+	}
+	return b.String()
+}
+
+// fig3Panel renders one iteration of Figure 3: the samples inside the
+// iteration's kernel window, as CSV or a 100x24 scatter ('r' reads, 'w'
+// writes). An iteration absent at this scale has no samples.
+func (tr *TraceResult) fig3Panel(workload string, it int, scatter bool) string {
+	lo, hi := sim.MaxCycle, sim.Cycle(0)
+	for _, sp := range tr.Result.Spans {
+		if sp.Iter == it {
+			lo, hi = min(lo, sp.Start), max(hi, sp.End)
 		}
-		if hi == 0 {
-			out[it] = "cycle,page,write\n" // iteration absent at this scale
+	}
+	if !scatter {
+		csv := "cycle,page,write\n"
+		if hi != 0 {
+			csv = tr.Collector.DumpSamplesCSV(lo, hi)
+		}
+		return fmt.Sprintf("Figure 3 (%s, iteration %d):\n%s\n", workload, it, csv)
+	}
+	var pts []plot.Point
+	for _, s := range tr.Collector.Samples() {
+		if s.Cycle < lo || s.Cycle > hi {
 			continue
 		}
-		out[it] = tr.Collector.DumpSamplesCSV(lo, hi)
+		mark := 'r'
+		if s.Write {
+			mark = 'w'
+		}
+		pts = append(pts, plot.Point{X: float64(s.Cycle), Y: float64(s.Page), Mark: mark})
 	}
-	return out
+	title := fmt.Sprintf("%s iteration %d: page (y) vs cycle (x), r=read w=write", workload, it)
+	return plot.Scatter(title, pts, 100, 24) + "\n"
 }
 
 // fig4Columns: Always at 125% under static thresholds ts=8, 16 and 32.

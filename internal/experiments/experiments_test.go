@@ -47,22 +47,50 @@ func TestFig2Output(t *testing.T) {
 }
 
 func TestFig3Windows(t *testing.T) {
-	series := Fig3("fdtd", opts(), []int{2, 4}, 64)
-	if len(series) != 2 {
-		t.Fatalf("series count %d", len(series))
+	out := Fig3("fdtd", opts(), 64, false)
+	panels := strings.Split(out, "Figure 3 (fdtd, iteration ")
+	if len(panels) != 3 || !strings.HasPrefix(panels[1], "2):\n") || !strings.HasPrefix(panels[2], "4):\n") {
+		t.Fatalf("want fdtd's iterations 2 and 4:\n%s", out)
 	}
-	for it, csv := range series {
+	for _, p := range panels[1:] {
+		_, csv, _ := strings.Cut(p, "\n")
 		if !strings.HasPrefix(csv, "cycle,page,write\n") {
-			t.Fatalf("iteration %d: bad header", it)
+			t.Fatalf("bad header:\n%s", p)
 		}
-		if strings.Count(csv, "\n") < 2 {
-			t.Fatalf("iteration %d: no samples", it)
+		if strings.Count(csv, "\n") < 3 {
+			t.Fatalf("no samples:\n%s", p)
 		}
 	}
 	// Missing iteration yields the empty header.
-	missing := Fig3("fdtd", opts(), []int{99}, 64)
-	if strings.Count(missing[99], "\n") != 1 {
-		t.Fatal("absent iteration should yield header only")
+	tr := RunTrace("fdtd", opts(), 64)
+	if got := tr.fig3Panel("fdtd", 99, false); got != "Figure 3 (fdtd, iteration 99):\ncycle,page,write\n\n" {
+		t.Fatalf("absent iteration should yield header only, got %q", got)
+	}
+}
+
+// Fig. 3's panels are sssp's iterations 3 and 5, and iterations 2 and 4
+// of a workload the paper does not plot; -plot renders each as a
+// scatter of reads and writes.
+func TestFig3IterationsAndScatter(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		want     []string
+	}{
+		{"sssp", []string{"sssp iteration 3:", "sssp iteration 5:"}},
+		{"bfs", []string{"bfs iteration 2:", "bfs iteration 4:"}},
+	} {
+		out := Fig3(tc.workload, opts(), 64, true)
+		if got := strings.Count(out, " iteration "); got != 2 {
+			t.Fatalf("%s: %d panels, want 2:\n%s", tc.workload, got, out)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Fatalf("%s: missing %q:\n%s", tc.workload, w, out)
+			}
+		}
+		if strings.Count(out, "\n") < 2*24 || strings.Contains(out, "cycle,page,write") {
+			t.Fatalf("%s: not a scatter:\n%s", tc.workload, out)
+		}
 	}
 }
 

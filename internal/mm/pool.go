@@ -5,7 +5,6 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/counters"
-	"uvmsim/internal/sim"
 )
 
 // PoolAccess describes one GPU access to a block resident in the CXL
@@ -22,10 +21,6 @@ type PoolAccess struct {
 	// Replicated reports whether the accessing GPU already holds a
 	// read-only replica of the block.
 	Replicated bool
-	// Now is the simulated time of the access. As with MigrationPlanner
-	// accesses, any policy state must evolve from the access sequence
-	// and configuration only — never wall clock.
-	Now sim.Cycle
 }
 
 // PoolDecision is the controller action a PoolPolicy selects for one
