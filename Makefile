@@ -83,7 +83,7 @@ figures:
 	$(GO) run ./cmd/paperbench -fig all
 
 # Every committed figure number at once: the scale-1 sweep of Figs. 1
-# and 4-8 must reproduce results_scale1.txt byte for byte (about 25 s
+# and 4-8 must reproduce results_scale1.txt byte for byte (about 15 s
 # on two cores).
 figures-check:
 	$(GO) run ./cmd/paperbench -fig 1,4,5,6,7,8 -scale 1 >/tmp/uvmsim-figures.txt

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paperbench -fig all            # every figure at the default scale
-//	paperbench -fig 6 -scale 0.5   # one figure, reduced scale
+//	paperbench -fig 1,6 -scale 0.5 # two figures on one grid, reduced scale
 //	paperbench -table1             # the simulated-system configuration
 //	paperbench -fig 6 -csv         # machine-readable output
 //
@@ -31,7 +31,7 @@
 //
 // Observability (see DESIGN.md, "Observability"):
 //
-//	paperbench -fig 6 -metrics-json metrics.json   # one entry per cell ('-' = stdout)
+//	paperbench -fig 6 -metrics-json metrics.json   # one entry per distinct cell ('-' = stdout)
 //	paperbench -fig 6 -trace-out trace.json        # Chrome trace_event
 //	paperbench -fig 6 -check-invariants 10000      # periodic checker
 package main
@@ -62,6 +62,8 @@ func main() {
 // without a process boundary.
 type options struct {
 	fig        string
+	figs       []string // the -fig list, 'all' and 6+7 spelled out
+	tables     []string // the table figures among figs, as experiments names them
 	table1     bool
 	csv        bool
 	plotOut    bool
@@ -74,7 +76,6 @@ type options struct {
 	tournamentOversub uint64
 
 	workloads               string
-	clusterWorkers          int
 	planner, evictor, pfgov string
 	planners, governors     []string // parsed -planner and -pf-governor lists
 	obs                     cliutil.ObsFlags
@@ -90,19 +91,19 @@ type options struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var o options
+	o := options{opt: uvmsim.ExperimentOptions{Base: uvmsim.DefaultConfig()}}
 	fs.Float64Var(&o.opt.Scale, "scale", 1.0, "workload scale factor (1.0 = paper size)")
 	fs.StringVar(&o.workloads, "workloads", "", "comma-separated workload subset (default: all; fdtd,sssp for Figs. 2 and 3)")
-	fs.IntVar(&o.opt.Workers, "workers", 0, "concurrent sweep cells per figure (0 = one per core)")
-	fs.IntVar(&o.clusterWorkers, "cluster-workers", 0, "drain threads per multi-GPU cluster run (0 or 1 = one, at most the GPU count; results are identical for every count)")
+	fs.IntVar(&o.opt.Workers, "workers", 0, "concurrent sweep cells per invocation (0 = one per core)")
+	fs.IntVar(&o.opt.Base.ClusterWorkers, "cluster-workers", 0, "with -fig multigpu, drain threads per cluster run (0 or 1 = one, at most the GPU count; results are identical for every count)")
 	fs.StringVar(&o.planner, "planner", "", "migration planner: "+strings.Join(mm.PlannerNames(), ", ")+" (default: threshold; a comma list with -tournament, default "+strings.Join(experiments.DefaultTournamentPlanners(), ",")+")")
 	fs.StringVar(&o.evictor, "evictor", "", "eviction engine: "+strings.Join(mm.EvictorNames(), ", ")+" (default: the paper's pairing for each policy)")
 	fs.StringVar(&o.pfgov, "pf-governor", "", "prefetch governor: "+strings.Join(mm.PrefetchGovernorNames(), ", ")+" (default: tree; a comma list with -tournament, 'default' = the built-in governor)")
-	fs.StringVar(&o.fig, "fig", "", "figure to regenerate: 1-8, or 'all'")
+	fs.StringVar(&o.fig, "fig", "", "figures to regenerate, a comma list of "+figureHelp)
 	fs.BoolVar(&o.table1, "table1", false, "print Table I (simulated system configuration)")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables (Fig. 2: raw per-page access frequencies)")
 	fs.BoolVar(&o.plotOut, "plot", false, "render tables as terminal bar charts (Fig. 3: page-vs-cycle scatters)")
-	fs.Uint64Var(&o.sample, "sample", 256, "Fig. 3 sampling density (1 = every access)")
+	fs.Uint64Var(&o.sample, "sample", 256, "with -fig 3, sampling density (1 = every access)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file at exit")
 	fs.BoolVar(&o.tournament, "tournament", false, "run the pipeline tournament: rank every -planner x -pf-governor combination by total simulated cycles over the workload matrix")
@@ -128,6 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+const figureHelp = "1-8, 6+7 (or 67), multigpu and hints, or 'all' (Figs. 1-8)"
+
 // parse validates the flag values and completes o.opt.
 func parse(o *options) error {
 	if err := cliutil.CheckScale(o.opt.Scale); err != nil {
@@ -136,17 +139,36 @@ func parse(o *options) error {
 	if o.opt.Workers < 0 {
 		return fmt.Errorf("-workers must be non-negative, got %d", o.opt.Workers)
 	}
-	if o.clusterWorkers < 0 {
-		return fmt.Errorf("-cluster-workers must be non-negative, got %d", o.clusterWorkers)
+	if o.opt.Base.ClusterWorkers < 0 {
+		return fmt.Errorf("-cluster-workers must be non-negative, got %d", o.opt.Base.ClusterWorkers)
 	}
 	if o.sample == 0 {
 		// The trace collector reads 0 as "sampling off", which would
 		// print Fig. 3 as bare headers.
 		return fmt.Errorf("-sample must be positive (1 = every access), got 0")
 	}
+	if o.fig == "all" {
+		o.fig = "1,2,3,4,5,6,7,8"
+	}
+	for _, f := range strings.Split(o.fig, ",") {
+		switch {
+		case f == "6+7" || f == "67":
+			o.figs, o.tables = append(o.figs, "6", "7"), append(o.tables, "fig6", "fig7")
+		case slices.Contains(experiments.FigureNames(), "fig"+f):
+			o.figs, o.tables = append(o.figs, f), append(o.tables, "fig"+f)
+		case slices.Contains([]string{"2", "3", "multigpu", "hints"}, f):
+			o.figs = append(o.figs, f)
+		case o.fig != "":
+			return fmt.Errorf("unknown figure %q (-fig takes %s)", f, figureHelp)
+		}
+	}
 	for _, name := range o.set {
-		if strings.HasPrefix(name, "tournament-") && !o.tournament {
+		fig, figOnly := map[string]string{"sample": "3", "cluster-workers": "multigpu"}[name]
+		switch {
+		case strings.HasPrefix(name, "tournament-") && !o.tournament:
 			return fmt.Errorf("-%s applies to -tournament only", name)
+		case figOnly && !slices.Contains(o.figs, fig):
+			return fmt.Errorf("-%s applies to -fig %s only", name, fig)
 		}
 	}
 	var err error
@@ -167,15 +189,11 @@ func parse(o *options) error {
 	if !o.tournament && (len(o.planners) > 1 || len(o.governors) > 1) {
 		return fmt.Errorf("-planner and -pf-governor take one name each; lists are for -tournament")
 	}
-	evictor, err := cliutil.ParseComponentName("evictor", o.evictor, mm.EvictorNames())
-	if err != nil {
-		return err
-	}
-	o.opt.Base = uvmsim.DefaultConfig()
-	o.opt.Base.ClusterWorkers = o.clusterWorkers
 	// A named evictor survives the per-cell policy pairing that sweeps
 	// apply to Config.Replacement.
-	o.opt.Base.MMPipeline.Evictor = evictor
+	if o.opt.Base.MMPipeline.Evictor, err = cliutil.ParseComponentName("evictor", o.evictor, mm.EvictorNames()); err != nil {
+		return err
+	}
 	if len(o.planners) == 1 {
 		o.opt.Base.MMPipeline.Planner = o.planners[0]
 	}
@@ -217,13 +235,10 @@ func execute(o options, stdout, stderr io.Writer) (err error) {
 			}
 		}
 		if o.table1 {
-			fmt.Fprint(stdout, uvmsim.Table1(uvmsim.DefaultConfig()))
-			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, uvmsim.Table1(uvmsim.DefaultConfig()))
 		}
-		if o.fig == "" {
-			return nil
-		}
-		return runFigures(o, stdout)
+		runFigures(o, stdout)
+		return nil
 	})
 }
 
@@ -245,33 +260,20 @@ func (o options) emit(w io.Writer, t *uvmsim.Table, csv func() string) {
 	fmt.Fprintln(w)
 }
 
-func runFigures(o options, stdout io.Writer) error {
+// runFigures prints the -fig list in order. Its table figures render
+// from one grid, which simulates each cell they share once.
+func runFigures(o options, stdout io.Writer) {
 	opt := o.opt
 	emit := func(t *uvmsim.Table) { o.emit(stdout, t, t.CSV) }
-
-	// Figures 6 and 7 are two tables of one sweep: run it at most once
-	// however many of them the list names.
-	var fig6, fig7 *uvmsim.Table
-	sweep67 := func() {
-		if fig6 == nil {
-			fig6, fig7 = uvmsim.Fig6And7(opt)
-		}
-	}
+	tables := uvmsim.Figures(opt, o.tables...)
 	// Figures 2 and 3 characterize the paper's fdtd and sssp unless
 	// -workloads names others.
 	traced := opt.Workloads
 	if len(traced) == 0 {
 		traced = []string{"fdtd", "sssp"}
 	}
-
-	figs := strings.Split(o.fig, ",")
-	if o.fig == "all" {
-		figs = []string{"1", "2", "3", "4", "5", "6", "7", "8"}
-	}
-	for _, f := range figs {
+	for _, f := range o.figs {
 		switch f {
-		case "1":
-			emit(uvmsim.Fig1(opt))
 		case "2":
 			for _, w := range traced {
 				if o.csv {
@@ -284,22 +286,6 @@ func runFigures(o options, stdout io.Writer) error {
 			for _, w := range traced {
 				fmt.Fprint(stdout, uvmsim.Fig3(w, opt, o.sample, o.plotOut))
 			}
-		case "4":
-			emit(uvmsim.Fig4(opt))
-		case "5":
-			emit(uvmsim.Fig5(opt))
-		case "6":
-			sweep67()
-			emit(fig6)
-		case "7":
-			sweep67()
-			emit(fig7)
-		case "6+7", "67":
-			sweep67()
-			emit(fig6)
-			emit(fig7)
-		case "8":
-			emit(uvmsim.Fig8(opt))
 		case "multigpu":
 			// The paper's §VIII future-work extension.
 			emit(uvmsim.MultiGPU("ra", opt, 125))
@@ -312,10 +298,10 @@ func runFigures(o options, stdout io.Writer) error {
 			}
 			emit(uvmsim.OracleHints(hintOpt, 125))
 		default:
-			return fmt.Errorf("unknown figure %q", f)
+			emit(tables[0])
+			tables = tables[1:]
 		}
 	}
-	return nil
 }
 
 // runTournament ranks every requested planner x prefetch-governor

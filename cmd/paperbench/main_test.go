@@ -36,13 +36,18 @@ func TestInvalidInvocationsExitNonZero(t *testing.T) {
 		wantErr string
 	}{
 		{"noMode", nil, "Usage"},
-		{"unknownFigure", []string{"-fig", "99"}, "unknown figure"},
+		{"unknownFigure", []string{"-fig", "99"}, `unknown figure "99" (-fig takes ` + figureHelp},
+		{"unknownFigureInList", []string{"-fig", "1,6+8"}, `unknown figure "6+8"`},
 		{"zeroScale", []string{"-fig", "1", "-scale", "0"}, "-scale must be positive"},
 		{"nanScale", []string{"-fig", "1", "-scale", "NaN"}, "-scale must be positive and finite"},
 		{"infScale", []string{"-fig", "1", "-scale", "+Inf"}, "-scale must be positive and finite"},
 		{"negativeWorkers", []string{"-fig", "1", "-workers", "-1"}, "-workers must be non-negative"},
-		{"negativeClusterWorkers", []string{"-fig", "1", "-cluster-workers", "-2"}, "-cluster-workers must be non-negative"},
+		{"negativeClusterWorkers", []string{"-fig", "multigpu", "-cluster-workers", "-2"}, "-cluster-workers must be non-negative"},
 		{"zeroSample", []string{"-fig", "3", "-sample", "0"}, "-sample must be positive"},
+		{"sampleWithoutFig3", []string{"-fig", "6", "-scale", "0.02", "-workloads", "bfs", "-sample", "8"}, "-sample applies to -fig 3 only"},
+		{"sampleWithTable1", []string{"-table1", "-sample", "8"}, "-sample applies to -fig 3 only"},
+		{"clusterWorkersWithoutMultiGPU", []string{"-fig", "6", "-scale", "0.02", "-workloads", "bfs", "-cluster-workers", "3"}, "-cluster-workers applies to -fig multigpu only"},
+		{"clusterWorkersWithTournament", []string{"-tournament", "-cluster-workers", "2"}, "-cluster-workers applies to -fig multigpu only"},
 		{"traceSampleWithoutTraceOut", []string{"-fig", "1", "-scale", "0.05", "-workloads", "ra", "-trace-sample", "8"}, "-trace-sample requires -trace-out"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
 		{"unknownWorkload", []string{"-fig", "6", "-workloads", "nosuch"}, `unknown workload "nosuch"`},
@@ -103,7 +108,7 @@ func TestSweepWithMetricsAndInvariants(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
 	code, stdout, stderr := runCLI(t,
-		"-fig", "1", "-scale", "0.05", "-workloads", "ra",
+		"-fig", "1", "-scale", "0.25", "-workloads", "ra",
 		"-metrics-json", metrics, "-check-invariants", "20000")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
@@ -122,9 +127,11 @@ func TestSweepWithMetricsAndInvariants(t *testing.T) {
 	if err := snap.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Fig. 1 runs one cell per oversubscription point.
-	if len(snap.Runs) < 2 {
-		t.Fatalf("runs = %d, want one per sweep cell", len(snap.Runs))
+	// Fig. 1 runs one cell per oversubscription point. (Below scale
+	// 0.25, ra's 125% and 150% devices round to the same two-chunk
+	// floor, so they are one cell.)
+	if len(snap.Runs) != 3 {
+		t.Fatalf("runs = %d, want one per oversubscription point", len(snap.Runs))
 	}
 	for _, r := range snap.Runs {
 		if !strings.HasPrefix(r.Name, "ra/") {
@@ -212,39 +219,63 @@ func TestWorkersFlagPreservesSweepOutput(t *testing.T) {
 	}
 }
 
-// Figures 6 and 7 are two tables of one sweep: naming both runs it
-// once, so every cell reaches the metrics document once, and stdout is
-// the same as the combined "67" spelling.
+// One invocation simulates each distinct cell once, however many of its
+// figures ask for it: every cell reaches the metrics document once, and
+// stdout is the same as printing the figures one invocation each.
+// Figures 6 and 7 are two tables of one sweep. Figures 1 and 4-8 ask
+// for 18 cells per workload, of which 13 are distinct: Fig. 1's
+// Disabled 100% and 125% cells return in Figs. 5, 6 and 8, Fig. 8's p=8
+// is Fig. 6's Adaptive, and Fig. 6's Disabled and Always cells differ
+// from Figs. 1 and 4's only in a penalty they never read. (At scale 0.4
+// every oversubscription point of these workloads is its own device
+// size; smaller scales round some of them to the same floor.)
 func TestFig6And7RunOneSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	metrics := filepath.Join(t.TempDir(), "metrics.json")
-	base := []string{"-scale", "0.02", "-workloads", "bfs"}
-	code, stdout, stderr := runCLI(t, append([]string{"-fig", "6,7", "-metrics-json", metrics}, base...)...)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
-	}
-	if _, combined, _ := runCLI(t, append([]string{"-fig", "67"}, base...)...); stdout != combined {
-		t.Fatalf("-fig 6,7 printed\n%s\n-fig 67 printed\n%s", stdout, combined)
-	}
-	raw, err := os.ReadFile(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap obs.SuiteSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, r := range snap.Runs {
-		if seen[r.Name] {
-			t.Fatalf("run %q written twice", r.Name)
-		}
-		seen[r.Name] = true
-	}
-	if len(seen) != len(config.Policies()) {
-		t.Fatalf("%d runs, want one per policy (%d)", len(seen), len(config.Policies()))
+	for _, tc := range []struct {
+		name, fig string
+		alone     []string // the same figures, one invocation each
+		base      []string
+		runs      int
+	}{
+		{"fig6,7", "6,7", []string{"67"}, []string{"-scale", "0.02", "-workloads", "bfs"}, len(config.Policies())},
+		{"fig1,4-8", "1,4,5,6,7,8", []string{"1", "4", "5", "6", "7", "8"},
+			[]string{"-scale", "0.4", "-workloads", "bfs,ra,backprop"}, 3 * 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			metrics := filepath.Join(t.TempDir(), "metrics.json")
+			code, stdout, stderr := runCLI(t, append([]string{"-fig", tc.fig, "-metrics-json", metrics}, tc.base...)...)
+			if code != 0 {
+				t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+			}
+			var alone string
+			for _, f := range tc.alone {
+				_, out, _ := runCLI(t, append([]string{"-fig", f}, tc.base...)...)
+				alone += out
+			}
+			if stdout != alone {
+				t.Fatalf("-fig %s printed\n%s\nthe figures one at a time printed\n%s", tc.fig, stdout, alone)
+			}
+			raw, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap obs.SuiteSnapshot
+			if err := json.Unmarshal(raw, &snap); err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, r := range snap.Runs {
+				if seen[r.Name] {
+					t.Fatalf("run %q written twice", r.Name)
+				}
+				seen[r.Name] = true
+			}
+			if len(seen) != tc.runs {
+				t.Fatalf("%d runs, want %d", len(seen), tc.runs)
+			}
+		})
 	}
 }
 

@@ -357,6 +357,16 @@ func (c Config) WithPolicy(p MigrationPolicy) Config {
 	return c
 }
 
+// Canonical resets Penalty to the default where the run cannot read it,
+// so configs that simulate identically compare equal. Its only readers
+// are the Adaptive threshold and the bandit-ts planner's arms.
+func (c Config) Canonical() Config {
+	if c.Policy != PolicyAdaptive && c.MMPipeline.Planner != "bandit-ts" {
+		c.Penalty = Default().Penalty
+	}
+	return c
+}
+
 // WithOversubscription sizes device memory so that a working set of
 // wsBytes occupies the given percentage of it. percent=125 reproduces the
 // paper's "125% oversubscription": capacity = wsBytes/1.25. percent<=100

@@ -2,7 +2,8 @@ package config
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -44,11 +45,4 @@ func Preset(name string) (Config, error) {
 }
 
 // PresetNames lists the available presets in sorted order.
-func PresetNames() []string {
-	out := make([]string, 0, len(presets))
-	for n := range presets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func PresetNames() []string { return slices.Sorted(maps.Keys(presets)) }

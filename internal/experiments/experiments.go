@@ -2,9 +2,9 @@
 // evaluation (§VI): each FigN function runs the corresponding sweep and
 // returns a report.Table whose rows/series match what the paper plots.
 // Each config sweep (Figures 1 and 4-8, and the pipeline tournament) is
-// defined once, as a list of columns; the in-process sweep runs one
-// cell per (workload, column), and FigureJob and TournamentJob spell
-// the same list as a simd job, so both simulate the same cells. See
+// defined once, as a list of columns; Figures runs the cells of several
+// figures on one grid, each distinct cell once, and FigureJob and
+// TournamentJob spell the same lists as simd jobs. See
 // DESIGN.md for the per-experiment index and EXPERIMENTS.md for the
 // measured-vs-paper comparison.
 package experiments
@@ -39,12 +39,12 @@ type Options struct {
 	// simulation is deterministic and single-threaded, so parallel
 	// sweeps produce identical tables to serial ones.
 	Workers int
-	// Observe, when non-nil, is called once per simulation cell with a
-	// unique run name ("workload/policy/oversub%[/tag]"), or once per
-	// GPU of a multi-GPU cell ("<cell>/gpuN"), and may return
-	// observability instruments to attach (nil skips the run). The
-	// factory must be safe for concurrent calls — parallel sweeps invoke
-	// it from worker goroutines (obs.Suite.NewRun qualifies).
+	// Observe, when non-nil, is called once per distinct cell simulated
+	// with a unique run name ("workload/policy/oversub%[/tag]", from the
+	// first column asking for it), or once per GPU of a multi-GPU cell
+	// ("<cell>/gpuN"), and may return instruments to attach (nil skips
+	// the run). The factory must be safe for concurrent calls: parallel
+	// sweeps invoke it from worker goroutines (obs.Suite.NewRun does).
 	Observe func(runName string) *obs.Run
 	// Snapshot has no effect: every cell runs from scratch. It is left
 	// only because the bench module sets it; delete it with the next
@@ -55,7 +55,7 @@ type Options struct {
 	// module sets it; delete it with the next change to bench/.
 	SnapStats *snapshot.Stats
 
-	// memo caches workload builds within one sweep so cells sharing a
+	// memo caches workload builds within one call so cells sharing a
 	// (workload, scale) pair share one immutable Built instead of each
 	// rebuilding it (workloads.Memo is safe for the parallel workers).
 	memo *workloads.Memo
@@ -101,11 +101,6 @@ func (o Options) cell(name string, nGPUs int, pct uint64, pol config.MigrationPo
 	return s
 }
 
-// runtimeOf builds and runs one cell (see cell).
-func (o Options) runtimeOf(name string, nGPUs int, pct uint64, pol config.MigrationPolicy, base config.Config, tag string) *core.Result {
-	return o.cell(name, nGPUs, pct, pol, base, tag).Run()
-}
-
 // column is one column of a sweep: the single-GPU cell every workload
 // runs under it. The same column list drives the in-process sweep
 // (grid) and its simd job (job).
@@ -120,37 +115,97 @@ type column struct {
 	tag string
 }
 
-// grid runs one cell per (workload, column) pair in parallel.
-func (o Options) grid(cols []column) [][]*core.Result {
-	return sweep.Grid(len(o.Workloads), len(cols), o.Workers, func(r, c int) *core.Result {
-		col := cols[c]
-		return o.runtimeOf(o.Workloads[r], 1, col.pct, col.pol, col.base, col.tag)
-	})
-}
-
-// normalized tabulates value for every cell of a grid, each row
-// normalized to its column-0 cell.
-func (o Options) normalized(title, metric string, cols []column, res [][]*core.Result, value func(*core.Result) uint64) *report.Table {
-	t := &report.Table{Title: title, Metric: metric}
-	for _, c := range cols {
-		t.Columns = append(t.Columns, c.header)
+// grid runs one cell per (workload, column) of every column list and
+// returns each list's results, workload-major. A cell is simulated once
+// per workload and canonical derived config (config.Config.Canonical),
+// in first-appearance order, as the first column that asks for it.
+func (o Options) grid(lists ...[]column) [][]*core.Result {
+	type key struct {
+		workload string
+		cfg      config.Config
 	}
-	for i, name := range o.Workloads {
-		row := make([]float64, len(cols))
-		for c, r := range res[i] {
-			row[c] = report.Ratio(value(r), value(res[i][0]))
+	first := map[key]int{}
+	var jobs []func() *core.Result
+	cells := make([][]int, len(lists)) // each list's cells, as indices into jobs
+	for l, cols := range lists {
+		for _, name := range o.Workloads {
+			for _, col := range cols {
+				k := key{name, core.DeriveConfig(o.memo.Get(name, o.Scale), 1, col.pct, col.pol, col.base).Canonical()}
+				if _, ok := first[k]; !ok {
+					first[k] = len(jobs)
+					jobs = append(jobs, func() *core.Result { return o.cell(name, 1, col.pct, col.pol, col.base, col.tag).Run() })
+				}
+				cells[l] = append(cells[l], first[k])
+			}
 		}
-		t.Add(name, row...)
 	}
-	return t
+	res := sweep.Parallel(jobs, o.Workers)
+	out := make([][]*core.Result, len(lists))
+	for l := range cells {
+		for _, j := range cells[l] {
+			out[l] = append(out[l], res[j])
+		}
+	}
+	return out
 }
 
-// runtimeTable runs a sweep and tabulates its runtimes, normalized to
-// column 0.
-func (o Options) runtimeTable(title, metric string, cols func(config.Config) []column) *report.Table {
-	o = o.withDefaults()
-	c := cols(o.Base)
-	return o.normalized(title, metric, c, o.grid(c), (*core.Result).Runtime)
+// figureSweeps are Figures 1 and 4-8 by name: the columns each sweeps
+// and the table it renders. (Figures 2 and 3 are characterization
+// traces; Figure 7 is the thrash table of Figure 6's sweep.)
+var figureSweeps = map[string]struct {
+	cols          func(config.Config) []column
+	title, metric string
+	value         func(*core.Result) uint64
+}{
+	"fig1": {fig1Columns, "Figure 1: sensitivity to memory oversubscription (Baseline first-touch)",
+		"Runtime normalized to no-oversubscription", (*core.Result).Runtime},
+	"fig4": {fig4Columns, "Figure 4: sensitivity to static access counter threshold (Always, 125% oversub)",
+		"Runtime normalized to ts=8", (*core.Result).Runtime},
+	"fig5": {fig5Columns, "Figure 5: policies under no oversubscription",
+		"Runtime normalized to baseline", (*core.Result).Runtime},
+	"fig6": {fig67Columns, "Figure 6: policies under 125% oversubscription",
+		"Runtime normalized to baseline", (*core.Result).Runtime},
+	"fig7": {fig67Columns, "Figure 7: memory thrashing under 125% oversubscription",
+		"Total pages thrashed normalized to baseline", func(r *core.Result) uint64 { return r.Counters.ThrashedPages }},
+	"fig8": {fig8Columns, "Figure 8: sensitivity to the multiplicative migration penalty (Adaptive, 125% oversub)",
+		"Runtime normalized to baseline", (*core.Result).Runtime},
+}
+
+// Figures renders the named figures (FigureNames) from one grid that
+// simulates each distinct cell once. It panics on an unknown name.
+func Figures(o Options, names ...string) []*report.Table {
+	tables, _ := o.withDefaults().figures(names...)
+	return tables
+}
+
+// figures is Figures on defaulted options, also returning each figure's cells.
+func (o Options) figures(names ...string) ([]*report.Table, [][]*core.Result) {
+	lists := make([][]column, len(names))
+	for i, name := range names {
+		f, ok := figureSweeps[name]
+		if !ok {
+			panic(fmt.Sprintf("experiments: unknown figure %q (have %v)", name, FigureNames()))
+		}
+		lists[i] = f.cols(o.Base)
+	}
+	res := o.grid(lists...)
+	tables := make([]*report.Table, len(names))
+	for i, name := range names {
+		f, cols := figureSweeps[name], lists[i]
+		tables[i] = &report.Table{Title: f.title, Metric: f.metric}
+		for _, c := range cols {
+			tables[i].Columns = append(tables[i].Columns, c.header)
+		}
+		for w, workload := range o.Workloads {
+			row := res[i][w*len(cols) : (w+1)*len(cols)]
+			vals := make([]float64, len(row))
+			for c, r := range row {
+				vals[c] = report.Ratio(f.value(r), f.value(row[0])) // normalized to column 0
+			}
+			tables[i].Add(workload, vals...)
+		}
+	}
+	return tables, res
 }
 
 // fig1Columns: the first-touch baseline at 100% (fits), 125% and 150%
@@ -167,10 +222,7 @@ func fig1Columns(base config.Config) []column {
 // of memory oversubscription under the first-touch baseline. Columns
 // are runtimes at 100% (fits), 125% and 150% oversubscription,
 // normalized to the fitting run.
-func Fig1(o Options) *report.Table {
-	return o.runtimeTable("Figure 1: sensitivity to memory oversubscription (Baseline first-touch)",
-		"Runtime normalized to no-oversubscription", fig1Columns)
-}
+func Fig1(o Options) *report.Table { return Figures(o, "fig1")[0] }
 
 // TraceResult bundles the collector and result of a characterization
 // run (Figures 2 and 3).
@@ -275,10 +327,7 @@ func fig4Columns(base config.Config) []column {
 // Fig4 reproduces Figure 4: sensitivity to the static access-counter
 // threshold ts under the Always scheme at 125% oversubscription,
 // normalized to ts=8.
-func Fig4(o Options) *report.Table {
-	return o.runtimeTable("Figure 4: sensitivity to static access counter threshold (Always, 125% oversub)",
-		"Runtime normalized to ts=8", fig4Columns)
-}
+func Fig4(o Options) *report.Table { return Figures(o, "fig4")[0] }
 
 // fig5Columns: Baseline, Always and Adaptive with the working set
 // fitting in device memory.
@@ -292,10 +341,7 @@ func fig5Columns(base config.Config) []column {
 
 // Fig5 reproduces Figure 5: Baseline vs Always vs Adaptive under no
 // memory oversubscription, normalized to Baseline.
-func Fig5(o Options) *report.Table {
-	return o.runtimeTable("Figure 5: policies under no oversubscription",
-		"Runtime normalized to baseline", fig5Columns)
-}
+func Fig5(o Options) *report.Table { return Figures(o, "fig5")[0] }
 
 // fig67Columns: all four schemes at 125% with the paper's p=8 operating
 // point for Adaptive.
@@ -313,8 +359,8 @@ func fig67Columns(base config.Config) []column {
 // table is runtime, the second is total pages thrashed, both normalized
 // to the Disabled baseline.
 func Fig6And7(o Options) (runtime, thrash *report.Table) {
-	runtime, thrash, _ = Fig6And7Cycles(o)
-	return runtime, thrash
+	t := Figures(o, "fig6", "fig7")
+	return t[0], t[1]
 }
 
 // Fig6And7Cycles runs the Figure 6/7 sweep once and additionally
@@ -324,20 +370,11 @@ func Fig6And7(o Options) (runtime, thrash *report.Table) {
 // which is what the paper-fig67 benchmark gates exactly against its
 // committed checksum (bench/checksums.json).
 func Fig6And7Cycles(o Options) (runtime, thrash *report.Table, simCycles uint64) {
-	o = o.withDefaults()
-	cols := fig67Columns(o.Base)
-	res := o.grid(cols)
-	runtime = o.normalized("Figure 6: policies under 125% oversubscription",
-		"Runtime normalized to baseline", cols, res, (*core.Result).Runtime)
-	thrash = o.normalized("Figure 7: memory thrashing under 125% oversubscription",
-		"Total pages thrashed normalized to baseline", cols, res,
-		func(r *core.Result) uint64 { return r.Counters.ThrashedPages })
-	for _, row := range res {
-		for _, r := range row {
-			simCycles += r.Runtime()
-		}
+	t, res := o.withDefaults().figures("fig6", "fig7")
+	for _, r := range res[0] {
+		simCycles += r.Runtime()
 	}
-	return runtime, thrash, simCycles
+	return t[0], t[1], simCycles
 }
 
 // Fig8Penalties are the multiplicative-penalty points of Figure 8.
@@ -359,10 +396,7 @@ func fig8Columns(base config.Config) []column {
 // Fig8 reproduces Figure 8: sensitivity to the multiplicative migration
 // penalty p under Adaptive at 125% oversubscription, normalized to the
 // Disabled baseline.
-func Fig8(o Options) *report.Table {
-	return o.runtimeTable("Figure 8: sensitivity to the multiplicative migration penalty (Adaptive, 125% oversub)",
-		"Runtime normalized to baseline", fig8Columns)
-}
+func Fig8(o Options) *report.Table { return Figures(o, "fig8")[0] }
 
 // Table1 renders the simulated-system configuration (Table I).
 func Table1(cfg config.Config) string {

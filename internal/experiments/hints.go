@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"uvmsim/internal/config"
 	"uvmsim/internal/core"
 	"uvmsim/internal/report"
@@ -46,12 +48,8 @@ func ProfileColdAllocations(workload string, o Options) []string {
 // ordinary cell tagged "hinted", so Observe sees it like any other.
 func runWithHints(workload string, o Options, pct uint64, pinned []string) *core.Result {
 	s := o.cell(workload, 1, pct, config.PolicyDisabled, o.Base, "hinted")
-	want := make(map[string]bool, len(pinned))
-	for _, n := range pinned {
-		want[n] = true
-	}
 	for _, a := range o.memo.Get(workload, o.Scale).Space.Allocations() {
-		if want[a.Name] {
+		if slices.Contains(pinned, a.Name) {
 			s.Driver.Advise(a, uvm.AdvicePinHost)
 		}
 	}
@@ -73,11 +71,11 @@ func OracleHints(o Options, oversubPercent uint64) *report.Table {
 	}
 	for _, name := range o.Workloads {
 		cold := ProfileColdAllocations(name, o)
-		base := o.runtimeOf(name, 1, oversubPercent, config.PolicyDisabled, o.Base, "")
+		base := o.cell(name, 1, oversubPercent, config.PolicyDisabled, o.Base, "").Run()
 		hinted := runWithHints(name, o, oversubPercent, cold)
 		cfg := o.Base
 		cfg.Penalty = 8
-		adpt := o.runtimeOf(name, 1, oversubPercent, config.PolicyAdaptive, cfg, "hints")
+		adpt := o.cell(name, 1, oversubPercent, config.PolicyAdaptive, cfg, "hints").Run()
 		t.Add(name, 1.0,
 			float64(hinted.Runtime())/float64(base.Runtime()),
 			float64(adpt.Runtime())/float64(base.Runtime()))

@@ -2,37 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
-	"uvmsim/internal/config"
 	"uvmsim/internal/mm"
 	"uvmsim/internal/serve"
 )
 
-// figureSweeps are the figures expressible as simd job submissions,
-// each with the column list its FigN function runs. (Figures 2 and 3
-// are characterization traces, not config-matrix sweeps, and stay
-// CLI-only; Figure 7 is the thrash table of Figure 6's sweep.)
-var figureSweeps = []struct {
-	name string
-	cols func(config.Config) []column
-}{
-	{"fig1", fig1Columns},
-	{"fig4", fig4Columns},
-	{"fig5", fig5Columns},
-	{"fig6", fig67Columns},
-	{"fig7", fig67Columns},
-	{"fig8", fig8Columns},
-}
-
-// FigureNames lists the figures expressible as simd job submissions.
-func FigureNames() []string {
-	names := make([]string, len(figureSweeps))
-	for i, f := range figureSweeps {
-		names[i] = f.name
-	}
-	return names
-}
+// FigureNames lists the figures Figures renders and FigureJob submits,
+// in order.
+func FigureNames() []string { return slices.Sorted(maps.Keys(figureSweeps)) }
 
 // FigureJob expresses one figure sweep as a simd job submission: the
 // exact cell set the in-process FigN function simulates, built from the
@@ -41,13 +21,12 @@ func FigureNames() []string {
 // service share the same derivation path (core.DeriveConfig), so their
 // per-cell results are identical.
 func FigureJob(fig string, o Options) (serve.JobRequest, error) {
-	o = o.withDefaults()
-	for _, f := range figureSweeps {
-		if f.name == fig {
-			return o.job(fig, f.cols(o.Base)), nil
-		}
+	f, ok := figureSweeps[fig]
+	if !ok {
+		return serve.JobRequest{}, fmt.Errorf("experiments: no job mapping for figure %q (have %v)", fig, FigureNames())
 	}
-	return serve.JobRequest{}, fmt.Errorf("experiments: no job mapping for figure %q (have %v)", fig, FigureNames())
+	o = o.withDefaults()
+	return o.job(fig, f.cols(o.Base)), nil
 }
 
 // TournamentJob expresses a pipeline tournament as a simd job

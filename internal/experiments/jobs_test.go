@@ -108,9 +108,9 @@ func TestFigureJobsMatchInProcessSweeps(t *testing.T) {
 		build func(Options) (serve.JobRequest, Options, []column)
 	}
 	var cases []sweepCase
-	for _, f := range figureSweeps {
-		cases = append(cases, sweepCase{f.name, func(o Options) (serve.JobRequest, Options, []column) {
-			req, err := FigureJob(f.name, o)
+	for name, f := range figureSweeps {
+		cases = append(cases, sweepCase{name, func(o Options) (serve.JobRequest, Options, []column) {
+			req, err := FigureJob(name, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestFigureJobsMatchInProcessSweeps(t *testing.T) {
 		}{{"default", config.Config{}}, {"no-prefetch", noPrefetch}} {
 			t.Run(tc.name+"/"+pipe.name, func(t *testing.T) {
 				req, o, cols := tc.build(Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}, Base: pipe.base})
-				want := o.grid(cols)
+				want := o.grid(cols)[0]
 				doc, st := runJob(t, req)
 				if st.State != serve.StateDone {
 					t.Fatalf("job ended %s: %s", st.State, st.Error)
@@ -144,13 +144,12 @@ func TestFigureJobsMatchInProcessSweeps(t *testing.T) {
 					t.Fatalf("job ran %d cells, want %d workloads x %d columns", len(doc.Cells), len(o.Workloads), len(cols))
 				}
 				for i, cell := range doc.Cells {
-					w, c := i/len(cols), i%len(cols)
-					got, exp := cell.Record, want[w][c]
+					got, exp := cell.Record, want[i]
 					if got.Workload != exp.Workload || got.Config != exp.Config {
 						t.Fatalf("cell %d is %s under %+v, want %s under %+v", i, got.Workload, got.Config, exp.Workload, exp.Config)
 					}
 					if got.Counters.Cycles != exp.Runtime() {
-						t.Fatalf("cell %d (%s, column %d): job %d cycles, in-process %d", i, got.Workload, c, got.Counters.Cycles, exp.Runtime())
+						t.Fatalf("cell %d (%s, column %d): job %d cycles, in-process %d", i, got.Workload, i%len(cols), got.Counters.Cycles, exp.Runtime())
 					}
 				}
 			})

@@ -38,7 +38,7 @@ func MultiGPU(workload string, o Options, oversubPercent uint64) *report.Table {
 			pol, base = config.PolicyAdaptive, adaptive
 		}
 		n := MultiGPUClusterSizes[row]
-		return o.runtimeOf(workload, n, oversubPercent, pol, base, fmt.Sprintf("x%d", n))
+		return o.cell(workload, n, oversubPercent, pol, base, fmt.Sprintf("x%d", n)).Run()
 	})
 	for i, n := range MultiGPUClusterSizes {
 		base, adpt := cells[i][0], cells[i][1]

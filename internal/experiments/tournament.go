@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"uvmsim/internal/config"
@@ -121,7 +122,7 @@ func (o TournamentOptions) columns() []column {
 func Tournament(o TournamentOptions) *TournamentResult {
 	o = o.withDefaults()
 	cols := o.columns()
-	res := o.grid(cols)
+	res := o.grid(cols)[0]
 	out := &TournamentResult{
 		Workloads:      o.Options.Workloads,
 		Scale:          o.Scale,
@@ -134,7 +135,7 @@ func Tournament(o TournamentOptions) *TournamentResult {
 			WorkloadCycles: make([]uint64, len(o.Options.Workloads)),
 		}
 		for w := range o.Options.Workloads {
-			r := res[w][c]
+			r := res[w*len(cols)+c]
 			e.WorkloadCycles[w] = r.Runtime()
 			e.TotalCycles += r.Runtime()
 			e.FarFaults += r.Counters.FarFaults
@@ -143,11 +144,8 @@ func Tournament(o TournamentOptions) *TournamentResult {
 		}
 		out.Entries = append(out.Entries, e)
 	}
-	sort.Slice(out.Entries, func(i, j int) bool {
-		if out.Entries[i].TotalCycles != out.Entries[j].TotalCycles {
-			return out.Entries[i].TotalCycles < out.Entries[j].TotalCycles
-		}
-		return out.Entries[i].Name() < out.Entries[j].Name()
+	slices.SortFunc(out.Entries, func(a, b TournamentEntry) int {
+		return cmp.Or(cmp.Compare(a.TotalCycles, b.TotalCycles), strings.Compare(a.Name(), b.Name()))
 	})
 	return out
 }

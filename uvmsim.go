@@ -23,9 +23,11 @@
 //	res := uvmsim.Run(b, cfg)
 //	fmt.Println(res.Counters.String())
 //
-// The experiments subpackage entry points (Fig1 … Fig8, Table1)
-// regenerate every figure and table of the paper's evaluation; see
-// EXPERIMENTS.md for measured-versus-paper results.
+// The experiment entry points (Fig1 … Fig8, Table1) regenerate every
+// figure and table of the paper's evaluation. Figures renders several of
+// Figs. 1 and 4-8 from one grid, simulating each cell they share once;
+// each FigN is Figures over its own name. See EXPERIMENTS.md for
+// measured-versus-paper results.
 package uvmsim
 
 import (
@@ -240,11 +242,14 @@ var Tournament = experiments.Tournament
 var (
 	MultiGPU    = experiments.MultiGPU
 	OracleHints = experiments.OracleHints
-	Fig1        = experiments.Fig1
-	Fig2        = experiments.Fig2
-	Fig3        = experiments.Fig3
-	Fig4        = experiments.Fig4
-	Fig5        = experiments.Fig5
+	// Figures renders several of Figs. 1 and 4-8 from one grid, each
+	// distinct cell simulated once.
+	Figures = experiments.Figures
+	Fig1    = experiments.Fig1
+	Fig2    = experiments.Fig2
+	Fig3    = experiments.Fig3
+	Fig4    = experiments.Fig4
+	Fig5    = experiments.Fig5
 	// Fig6And7 runs the one sweep behind Figures 6 and 7.
 	Fig6And7 = experiments.Fig6And7
 	// Fig6And7Cycles additionally reports the sweep's deterministic
