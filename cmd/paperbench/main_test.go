@@ -29,6 +29,10 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
+// A bad invocation is refused at flag parse with exit code 2 and a
+// message naming the fault: an unknown figure, workload or stage name,
+// a stage list outside -tournament, or a flag the named figures would
+// ignore.
 func TestInvalidInvocationsExitNonZero(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -117,6 +117,8 @@ func TestSubmitFileRejectsExtraData(t *testing.T) {
 	}
 }
 
+// A bad invocation is refused at flag parse: no mode or two modes, an
+// unmapped figure, a stray operand or an unknown workload.
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{},                             // no mode

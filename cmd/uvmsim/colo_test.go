@@ -18,6 +18,10 @@ var coloBase = []string{
 	"-colo-epochs", "3", "-seed", "7",
 }
 
+// The co-location mode refuses a bad invocation at flag parse with exit
+// code 2: a malformed tenant list, an out-of-range GPU, a flag the
+// co-location run would ignore, and a co-location flag without
+// -tenants.
 func TestColocationFlagValidationExits2(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -31,6 +31,9 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
+// A bad flag value (an unknown policy, workload or stage name, a zero
+// or non-finite scale, a GPU count out of range) or an undefined flag is
+// refused at flag parse with exit code 2 and a message naming it.
 func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -48,6 +48,8 @@ func TestCellResultIndependentOfPriorCells(t *testing.T) {
 // 0.29. The two forced collections empty every sync.Pool before the
 // cold run; the collector is then off and the test runs on one P, so
 // the pools keep what the cold run recycles.
+// Skipped under the race detector, where sync.Pool drops Puts at
+// random.
 func TestWarmCellAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of Puts under the race detector")

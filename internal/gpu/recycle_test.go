@@ -16,6 +16,8 @@ import (
 // warp it holds is rebound to it, and it reaches the same cycle and
 // counters. The collector is off and the test runs on one P, so the
 // pool keeps the batch until the second GPU takes it.
+// Skipped under the race detector, where sync.Pool drops Puts at
+// random.
 func TestWarpsOutliveTheirCell(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of Puts under the race detector")

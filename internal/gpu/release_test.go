@@ -50,6 +50,9 @@ type plainProg struct{ inner releaseProg }
 
 func (p *plainProg) Next(in *Instr) bool { return p.inner.Next(in) }
 
+// The GPU releases each retired warp's program exactly once, and only
+// after its last Next, even when warps retire out of order; a program
+// that does not implement Releaser is never released.
 func TestReleaseOncePerRetiredWarp(t *testing.T) {
 	g, mem, st, eng := newGPU(testCfg())
 	// Some sectors take the async path, so warps retire out of order.

@@ -36,6 +36,8 @@ func TestDefaultsMatchConfiguration(t *testing.T) {
 	}
 }
 
+// Every stage constructor refuses an unknown name with an error that
+// lists the alternatives, and CheckSpec agrees with Build.
 func TestUnknownNamesError(t *testing.T) {
 	cfg := config.Default()
 	if _, err := NewPlanner("nope", cfg); err == nil || !strings.Contains(err.Error(), "unknown migration planner") {
@@ -182,6 +184,8 @@ func TestPackageRegistriesSorted(t *testing.T) {
 	}
 }
 
+// mm.Build resolves a pipeline spec to the stages it names, one of
+// each kind.
 func TestBuildResolvesSpec(t *testing.T) {
 	cfg := config.Default()
 	cfg.MMPipeline = config.PipelineSpec{

@@ -292,16 +292,19 @@ func (s *Server) runJob(j *jobState, p jobPlan) {
 	defer s.jobEnded()
 	defer func() {
 		if r := recover(); r != nil {
-			j.fail(fmt.Sprint(r))
 			s.jobsFailed.Add(1)
+			j.fail(fmt.Sprint(r))
 		}
 	}()
 	fns := make([]func() []byte, len(p.units))
 	for i, u := range p.units {
 		fns[i] = func() []byte { return s.runUnit(j, u) }
 	}
-	j.finish(frameResult(sweep.Parallel(fns, s.opts.Workers), p.nCells))
+	// Each counter is bumped before the job's end is published: a client
+	// that sees the job end reads a metrics snapshot that counts it.
+	parts := frameResult(sweep.Parallel(fns, s.opts.Workers), p.nCells)
 	s.jobsCompleted.Add(1)
+	j.finish(parts)
 }
 
 // The framing of a job result payload: these strings around the cell

@@ -13,23 +13,22 @@ import (
 //
 // Invariants:
 //  1. Tree occupancy mirrors block state: a chunk-tree leaf is occupied
-//     iff its block is resident or pending.
-//  2. Chunk residentBlocks equals the number of resident blocks.
+//     iff its block is not on host.
+//  2. A chunk's stored per-phase counts equal the counts of its blocks.
 //  3. Device memory accounting equals resident plus in-flight pages
 //     (frames are reserved at dispatch, before the transfer lands).
-//  4. Pending bookkeeping: scheduled implies pending; a resident block
-//     is never pending; waiters only exist on pending blocks.
-//  5. Queued/in-flight counters are non-negative and zero when idle.
+//  4. Waiters only exist on pending (faulted, queued or in-flight)
+//     blocks, and a block on host is never dirty.
+//  5. An idle driver has no pending block.
 //  6. A chunk's bit in the evictable index is set iff it has resident
 //     blocks and none in flight.
 func (d *Driver) CheckConsistency() error { return d.checkConsistency(false) }
 
 // CheckConsistencyMidRun verifies the same invariants between arbitrary
-// events of a running simulation. One relaxation applies: a block whose
-// fault has been raised but whose batch has not been processed yet
-// (pending, not scheduled) may not have its tree leaf marked — the tree
-// is updated when the batch closes, one fault-handling latency later.
-// The periodic observability sweep uses this form.
+// events of a running simulation. One relaxation applies: a faulted
+// block (its batch not processed yet) may not have its tree leaf marked
+// — the tree is updated when the batch closes, one fault-handling
+// latency later. The periodic observability sweep uses this form.
 func (d *Driver) CheckConsistencyMidRun() error { return d.checkConsistency(true) }
 
 func (d *Driver) checkConsistency(midRun bool) error {
@@ -42,54 +41,38 @@ func (d *Driver) checkConsistency(midRun bool) error {
 			continue
 		}
 		first := cs.info.FirstBlock()
-		n := cs.info.Blocks()
 		tree := cs.pf.Tree()
-		var resident int
-		for b := first; b < first+n; b++ {
+		var counted [numPhases]int32
+		var untouched blockState
+		for b := first; b < first+cs.info.Blocks(); b++ {
 			bs := d.blockAt(b)
-			var isResident, isPending, isScheduled bool
-			if bs != nil {
-				isResident, isPending, isScheduled = bs.resident, bs.pending, bs.scheduled
+			if bs == nil {
+				bs = &untouched
 			}
 			leaf := int(b - first)
 			occ := tree.Occupied(leaf)
-			mismatch := occ != (isResident || isPending)
-			if midRun && mismatch && !occ && isPending && !isScheduled {
-				// Fault raised, batch not yet processed: legal window.
-				mismatch = false
+			if occ != (bs.phase != onHost) && !(midRun && !occ && bs.phase == faulted) {
+				return fmt.Errorf("uvm: chunk %d leaf %d occupancy=%v but phase %v", num, leaf, occ, bs.phase)
 			}
-			if mismatch {
-				return fmt.Errorf("uvm: chunk %d leaf %d occupancy=%v but resident=%v pending=%v",
-					num, leaf, occ, isResident, isPending)
+			if bs.phase >= queued {
+				counted[bs.phase]++
 			}
-			if isResident {
-				resident++
-				residentPages += memunits.PagesPerBlock
+			if len(bs.waiters) > 0 && (bs.phase == onHost || bs.phase == resident) {
+				return fmt.Errorf("uvm: block %d has %d waiters in phase %v", b, len(bs.waiters), bs.phase)
 			}
-			if bs != nil {
-				if bs.scheduled && !bs.pending {
-					return fmt.Errorf("uvm: block %d scheduled but not pending", b)
-				}
-				if bs.resident && bs.pending {
-					return fmt.Errorf("uvm: block %d both resident and pending", b)
-				}
-				if len(bs.waiters) > 0 && !bs.pending {
-					return fmt.Errorf("uvm: block %d has %d waiters but is not pending", b, len(bs.waiters))
-				}
+			if bs.dirty && bs.phase == onHost {
+				return fmt.Errorf("uvm: block %d is dirty on host", b)
 			}
 		}
-		if resident != cs.residentBlocks {
-			return fmt.Errorf("uvm: chunk %d residentBlocks=%d but counted %d", num, cs.residentBlocks, resident)
+		if counted != cs.blocks {
+			return fmt.Errorf("uvm: chunk %d stores per-phase counts %v but counted %v", num, cs.blocks, counted)
 		}
-		if cs.queuedBlocks < 0 || cs.inFlightBlocks < 0 {
-			return fmt.Errorf("uvm: chunk %d negative pending counters (%d queued, %d in flight)",
-				num, cs.queuedBlocks, cs.inFlightBlocks)
-		}
-		if want := cs.residentBlocks > 0 && cs.inFlightBlocks == 0; d.isEvictable(memunits.ChunkNum(num)) != want {
+		if want := cs.blocks[resident] > 0 && cs.blocks[inFlight] == 0; d.isEvictable(memunits.ChunkNum(num)) != want {
 			return fmt.Errorf("uvm: chunk %d evictable bit=%v but %d resident, %d in flight",
-				num, !want, cs.residentBlocks, cs.inFlightBlocks)
+				num, !want, cs.blocks[resident], cs.blocks[inFlight])
 		}
-		inFlightPages += uint64(cs.inFlightBlocks) * memunits.PagesPerBlock
+		residentPages += uint64(cs.blocks[resident]) * memunits.PagesPerBlock
+		inFlightPages += uint64(cs.blocks[inFlight]) * memunits.PagesPerBlock
 	}
 	if residentPages+inFlightPages != d.mem.AllocatedPages() {
 		return fmt.Errorf("uvm: device accounting %d pages but %d resident + %d in flight",
@@ -97,8 +80,8 @@ func (d *Driver) checkConsistency(midRun bool) error {
 	}
 	if !d.PendingWork() {
 		for b := range d.blockArr {
-			if d.blockArr[b].pending {
-				return fmt.Errorf("uvm: idle driver but block %d still pending", b)
+			if p := d.blockArr[b].phase; p != onHost && p != resident {
+				return fmt.Errorf("uvm: idle driver but block %d still %v", b, p)
 			}
 		}
 	}

@@ -86,27 +86,35 @@ func TestConsistencyCleanDriver(t *testing.T) {
 func TestConsistencyDetectsCorruption(t *testing.T) {
 	r := newRig(t, nil, 4<<20)
 	r.syncAccess(t, r.a.Base, false)
-	// Corrupt: flip residency without fixing the tree or accounting.
-	bs := r.d.block(memunits.BlockOf(r.a.Base))
-	bs.resident = false
-	if err := r.d.CheckConsistency(); err == nil {
-		t.Fatal("checker accepted corrupted state")
-	}
-	bs.resident = true
-	// Corrupt the chunk counter instead.
 	cs := r.d.chunk(memunits.ChunkOf(r.a.Base))
-	cs.residentBlocks++
-	if err := r.d.CheckConsistency(); err == nil {
-		t.Fatal("checker accepted corrupted residentBlocks")
-	}
-	cs.residentBlocks--
-	// Corrupt the evictable index instead.
 	c := cs.info.Num
-	r.d.evictable[c/64] ^= 1 << (c % 64)
-	if err := r.d.CheckConsistency(); err == nil {
-		t.Fatal("checker accepted a wrong evictable bit")
+	// An on-host block of the touched chunk. block() can grow the array,
+	// so both pointers are taken after the search.
+	hostB := cs.info.FirstBlock()
+	for r.d.block(hostB).phase != onHost {
+		hostB++
 	}
-	r.d.evictable[c/64] ^= 1 << (c % 64)
+	bs, host := r.d.blockAt(memunits.BlockOf(r.a.Base)), r.d.blockAt(hostB)
+	for _, row := range []struct {
+		name        string
+		break_, fix func()
+	}{
+		// Move the block without fixing the tree or accounting.
+		{"phase", func() { bs.phase = onHost }, func() { bs.phase = resident }},
+		{"resident count", func() { cs.blocks[resident]++ }, func() { cs.blocks[resident]-- }},
+		{"queued count", func() { cs.blocks[queued]++ }, func() { cs.blocks[queued]-- }},
+		{"in-flight count", func() { cs.blocks[inFlight]++ }, func() { cs.blocks[inFlight]-- }},
+		{"dirty on-host block", func() { host.dirty = true }, func() { host.dirty = false }},
+		{"evictable bit",
+			func() { r.d.evictable[c/64] ^= 1 << (c % 64) },
+			func() { r.d.evictable[c/64] ^= 1 << (c % 64) }},
+	} {
+		row.break_()
+		if err := r.d.CheckConsistency(); err == nil {
+			t.Errorf("checker accepted a corrupted %s", row.name)
+		}
+		row.fix()
+	}
 	if err := r.d.CheckConsistency(); err != nil {
 		t.Fatalf("restored state still inconsistent: %v", err)
 	}

@@ -80,45 +80,85 @@ func (k AccessKind) String() string {
 // Trace collection (Figs. 2 and 3) hangs off this hook.
 type AccessObserver func(now sim.Cycle, addr memunits.Addr, write bool, kind AccessKind)
 
+// phase is a 64KB block's place in its lifecycle (DESIGN §10). A block
+// leaves the host when its fault is raised (faulted) or when a batch's
+// prefetch claims it (queued); it goes on the wire (inFlight) and lands
+// (resident), or is demoted from queued back to host when no capacity
+// will ever free; eviction returns a resident block to the host. move
+// is the only code that changes a block's phase.
+type phase uint8
+
+const (
+	onHost phase = iota
+	faulted
+	queued
+	inFlight
+	resident
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"onHost", "faulted", "queued", "inFlight", "resident"}
+
+func (p phase) String() string { return phaseNames[p] }
+
+// edges[from] has bit to set iff from→to is a lifecycle edge.
+var edges = [numPhases]uint8{
+	onHost:   1<<faulted | 1<<queued,
+	faulted:  1 << queued,
+	queued:   1<<inFlight | 1<<onHost,
+	inFlight: 1 << resident,
+	resident: 1 << onHost,
+}
+
 // blockState tracks one 64KB basic block. The zero value means "never
-// touched": host-resident, not pending, no waiters, which is what lets
-// block state live in a plain value slice.
+// touched": on host, clean, no waiters, which is what lets block state
+// live in a plain value slice.
 type blockState struct {
-	// resident is true while the block's data lives in device memory,
-	// where the SMs reach it at DRAM latency; false means the host
-	// backing store.
-	resident bool
-	// pending is true from the moment a fault is raised (or the block is
-	// claimed by a prefetch) until its migration lands; accesses merge
-	// onto waiters during that window.
-	pending bool
-	// scheduled marks pending blocks whose migration has been enqueued,
-	// so later fault entries in the same batch do not double-migrate.
-	scheduled bool
-	dirty     bool
-	// pendingDirty records a write observed while the block was in
-	// flight; applied to dirty when the migration lands.
-	pendingDirty bool
-	everEvicted  bool
-	lastAccess   sim.Cycle
-	waiters      []func()
+	phase phase
+	// dirty means written since the block left the host: writes merged
+	// while it was pending carry over when it lands, and each edge back
+	// to host clears it.
+	dirty       bool
+	everEvicted bool
+	lastAccess  sim.Cycle
+	// waiters are the accesses merged onto a faulted, queued or
+	// in-flight block, woken when it lands.
+	waiters []func()
 }
 
 // chunkState tracks one 2MB chunk slot of a managed allocation.
 type chunkState struct {
 	info alloc.ChunkInfo
 	pf   mm.ChunkPrefetcher
-	// residentBlocks counts blocks currently resident.
-	residentBlocks int
-	// queuedBlocks counts blocks in enqueued-but-undispatched
-	// migrations; inFlightBlocks counts blocks on the wire. Both pin the
-	// chunk against standard eviction.
-	queuedBlocks   int
-	inFlightBlocks int
-	lastAccess     sim.Cycle
+	// blocks[p] counts the chunk's blocks in phase p >= queued; move
+	// keeps it. Queued and in-flight blocks pin the chunk against
+	// standard eviction. A chunk is materialized when its first fault
+	// batch closes, so on-host and faulted blocks are not counted.
+	blocks     [numPhases]int32
+	lastAccess sim.Cycle
 }
 
-func (cs *chunkState) pinnedStandard() bool { return cs.queuedBlocks > 0 || cs.inFlightBlocks > 0 }
+func (cs *chunkState) pinnedStandard() bool { return cs.blocks[queued] > 0 || cs.blocks[inFlight] > 0 }
+
+// move takes the block to phase to, keeping its chunk's counts and
+// evictable bit; cs may be nil only on the host→faulted edge. It panics
+// on any edge outside the lifecycle.
+func (d *Driver) move(cs *chunkState, bs *blockState, to phase) {
+	from := bs.phase
+	if edges[from]&(1<<to) == 0 {
+		panic(fmt.Sprintf("uvm: block cannot move from %v to %v", from, to))
+	}
+	bs.phase = to
+	if from >= queued {
+		cs.blocks[from]--
+	}
+	if to >= queued {
+		cs.blocks[to]++
+	}
+	if max(from, to) >= inFlight {
+		d.syncEvictable(cs)
+	}
+}
 
 // migration is one queued host-to-device copy of a block set within a
 // single chunk. Once dispatched, a pooled copy of it is the engine event
@@ -317,18 +357,11 @@ func (d *Driver) Finalize() {
 	d.st.D2HBytes = d.link.Stats(interconnect.DeviceToHost).Bytes
 }
 
-// PendingWork reports whether any migrations are queued or in flight —
-// used by integration tests to assert clean quiescence.
+// PendingWork reports whether a fault batch is open or any migrations
+// are queued (the blocks of waiting) or in flight — used by integration
+// tests to assert clean quiescence.
 func (d *Driver) PendingWork() bool {
-	if len(d.waiting) > d.waitHead || d.batcher.Open() {
-		return true
-	}
-	for _, cs := range d.chunkArr {
-		if cs != nil && (cs.queuedBlocks > 0 || cs.inFlightBlocks > 0) {
-			return true
-		}
-	}
-	return false
+	return len(d.waiting) > d.waitHead || d.batcher.Open() || d.inFlightTotal > 0
 }
 
 // block returns the state slot for b, growing the array to cover it.
@@ -384,12 +417,12 @@ func (d *Driver) chunk(c memunits.ChunkNum) *chunkState {
 	return cs
 }
 
-// syncEvictable recomputes the chunk's bit in the evictable index. Call
-// it wherever residentBlocks or inFlightBlocks change.
+// syncEvictable recomputes the chunk's bit in the evictable index (see
+// move).
 func (d *Driver) syncEvictable(cs *chunkState) {
 	c := cs.info.Num
 	bit := uint64(1) << (c % 64)
-	if cs.residentBlocks > 0 && cs.inFlightBlocks == 0 {
+	if cs.blocks[resident] > 0 && cs.blocks[inFlight] == 0 {
 		d.evictable[c/64] |= bit
 	} else {
 		d.evictable[c/64] &^= bit
@@ -499,7 +532,7 @@ func (d *Driver) memState() policy.MemState {
 func (d *Driver) TryFastAccess(addr memunits.Addr, write bool) (sim.Cycle, bool) {
 	b := memunits.BlockOf(addr)
 	bs := d.blockAt(b)
-	if bs == nil || !bs.resident {
+	if bs == nil || bs.phase != resident {
 		return 0, false
 	}
 	walk := d.translate(addr)
@@ -532,7 +565,7 @@ func (d *Driver) TryFastAccess(addr memunits.Addr, write bool) (sim.Cycle, bool)
 func (d *Driver) TryFastAccessRun(addrs []memunits.Addr, write bool) (sim.Cycle, bool) {
 	b := memunits.BlockOf(addrs[0])
 	bs := d.blockAt(b)
-	if bs == nil || !bs.resident {
+	if bs == nil || bs.phase != resident {
 		return 0, false
 	}
 	// Sectors arrive sorted, so same-page sectors are consecutive. After
@@ -597,11 +630,11 @@ func (d *Driver) Access(addr memunits.Addr, write bool, done func()) {
 	// it on the fault path.
 	walk := d.translate(addr)
 
-	if bs.pending {
+	if bs.phase != onHost {
 		// Migration already underway: merge.
 		d.ctrs.Access(uint64(b))
 		if write {
-			bs.pendingDirty = true
+			bs.dirty = true
 		}
 		if bs.waiters == nil {
 			bs.waiters = d.takeWaiterList()
@@ -667,9 +700,9 @@ func (d *Driver) remoteAccess(addr memunits.Addr, write bool, walk sim.Cycle, do
 // modelling the driver walking the fault buffer.
 func (d *Driver) raiseFault(b memunits.BlockNum, write bool, done func()) {
 	bs := d.block(b)
-	bs.pending = true
+	d.move(nil, bs, faulted) // the chunk materializes when the batch closes
 	if write {
-		bs.pendingDirty = true
+		bs.dirty = true
 	}
 	if bs.waiters == nil {
 		bs.waiters = d.takeWaiterList()
@@ -700,8 +733,7 @@ func (d *Driver) processBatch() {
 		})
 	}
 	for _, b := range batch {
-		bs := d.block(b)
-		if bs.resident || bs.scheduled {
+		if d.block(b).phase >= queued {
 			// Swept in by an earlier entry's prefetch.
 			continue
 		}
@@ -710,13 +742,12 @@ func (d *Driver) processBatch() {
 		m := migration{cs: cs, demand: b}
 		for _, leaf := range cs.pf.OnFault(int(b - first)) {
 			ebs := d.block(first + memunits.BlockNum(uint64(leaf)))
-			if ebs.resident || ebs.scheduled {
+			if ebs.phase >= queued {
 				// The governor can re-report blocks that are already being
 				// handled; skip them.
 				continue
 			}
-			ebs.pending = true
-			ebs.scheduled = true
+			d.move(cs, ebs, queued)
 			m.blocks |= 1 << uint(leaf)
 		}
 		n := m.count()
@@ -730,7 +761,6 @@ func (d *Driver) processBatch() {
 				Start: uint64(d.eng.Now()), Value: uint64(n - 1),
 			})
 		}
-		cs.queuedBlocks += n
 		d.waiting = append(d.waiting, m)
 	}
 	d.drainWaiting()
@@ -795,6 +825,7 @@ func (d *Driver) dispatch(m migration) {
 	for w := m.blocks; w != 0; w &= w - 1 {
 		b := first + memunits.BlockNum(bits.TrailingZeros64(w))
 		bs := d.block(b)
+		d.move(m.cs, bs, inFlight)
 		d.st.MigratedPages += memunits.PagesPerBlock
 		if b != m.demand {
 			d.st.PrefetchedPages += memunits.PagesPerBlock
@@ -806,9 +837,6 @@ func (d *Driver) dispatch(m migration) {
 			}
 		}
 	}
-	m.cs.queuedBlocks -= n
-	m.cs.inFlightBlocks += n
-	d.syncEvictable(m.cs)
 	d.inFlightTotal += n
 	if o != nil {
 		o.dmaBlocks.Observe(uint64(n))
@@ -885,11 +913,7 @@ func (d *Driver) landMigration(m migration) {
 	first := m.cs.info.FirstBlock()
 	for w := m.blocks; w != 0; w &= w - 1 {
 		bs := d.block(first + memunits.BlockNum(bits.TrailingZeros64(w)))
-		bs.resident = true
-		bs.pending = false
-		bs.scheduled = false
-		bs.dirty = bs.pendingDirty
-		bs.pendingDirty = false
+		d.move(m.cs, bs, resident)
 		bs.lastAccess = now
 		waiters := bs.waiters
 		bs.waiters = nil
@@ -900,10 +924,7 @@ func (d *Driver) landMigration(m migration) {
 			d.putWaiterList(waiters)
 		}
 	}
-	m.cs.inFlightBlocks -= n
 	d.inFlightTotal -= n
-	m.cs.residentBlocks += n
-	d.syncEvictable(m.cs)
 	m.cs.lastAccess = now
 	if o := d.o; o != nil {
 		o.tr.Emit(obs.Span{
@@ -915,12 +936,13 @@ func (d *Driver) landMigration(m migration) {
 	d.drainWaiting()
 }
 
-// demoteMigration unwinds a migration that can never obtain device
+// demoteMigration takes a migration that can never obtain device
 // capacity (the eviction engine refused with no completion event
-// outstanding) and re-serves its merged accesses as remote zero-copy
-// transactions. The merge does not retain per-waiter direction, so a
-// block that observed any write re-serves all of its waiters as remote
-// writes; read-only blocks re-serve as remote reads.
+// outstanding) along the queued→host edge and re-serves its merged
+// accesses as remote zero-copy transactions. The merge does not retain
+// per-waiter direction, so a dirty block re-serves all of its waiters as
+// remote writes and leaves dirty cleared; clean blocks re-serve as
+// remote reads.
 //
 // This path is unreachable under the built-in eviction engines — their
 // relaxed selection pass only refuses when blocks are on the wire, and
@@ -929,17 +951,15 @@ func (d *Driver) landMigration(m migration) {
 // overly conservative EvictionEngine) degrade to remote access instead
 // of deadlocking the simulation.
 func (d *Driver) demoteMigration(m migration) {
-	m.cs.queuedBlocks -= m.count()
 	first := m.cs.info.FirstBlock()
 	tree := m.cs.pf.Tree()
 	for w := m.blocks; w != 0; w &= w - 1 {
 		i := bits.TrailingZeros64(w)
 		b := first + memunits.BlockNum(i)
 		bs := d.block(b)
-		bs.pending = false
-		bs.scheduled = false
-		write := bs.pendingDirty
-		bs.pendingDirty = false
+		d.move(m.cs, bs, onHost)
+		write := bs.dirty
+		bs.dirty = false
 		tree.MarkEmpty(i)
 		waiters := bs.waiters
 		bs.waiters = nil

@@ -96,13 +96,13 @@ func (h *evictionHost) BlockCandidates(strict bool) []evict.Candidate {
 	// blocks are contiguous, so the candidate list comes out sorted
 	// by unit without any extra work.
 	for _, cs := range d.chunkArr {
-		if cs == nil || cs.residentBlocks == 0 || cs == h.dest {
+		if cs == nil || cs.blocks[resident] == 0 || cs == h.dest {
 			continue
 		}
 		first := cs.info.FirstBlock()
 		for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
 			bs := d.blockAt(b)
-			if bs == nil || !bs.resident || strict && d.recent(bs.lastAccess) {
+			if bs == nil || bs.phase != resident || strict && d.recent(bs.lastAccess) {
 				continue
 			}
 			cands = append(cands, evict.Candidate{
@@ -142,7 +142,7 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 	d := h.d
 	if !h.blockMode {
 		cs := d.chunkScratch[idx]
-		pinned := cs.inFlightBlocks > 0 || strict && d.strictPinned(cs)
+		pinned := cs.blocks[inFlight] > 0 || strict && d.strictPinned(cs)
 		d.noteVictim(uint64(cs.info.Num), strict, pinned)
 		d.evictChunk(cs)
 		return
@@ -150,7 +150,7 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 	b, cs := d.numScratch[idx], d.ownerScratch[idx]
 	bs := d.blockAt(b)
 	d.noteVictim(uint64(b), strict, strict && d.recent(bs.lastAccess))
-	bs.resident = false
+	d.move(cs, bs, onHost)
 	d.ctrs.NoteEviction(uint64(b))
 	bs.everEvicted = true
 	d.st.TLBShootdowns += d.gmmuTLB.invalidateRange(memunits.FirstPageOfBlock(b), memunits.PagesPerBlock)
@@ -159,8 +159,6 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 		dirty = 1
 		bs.dirty = false
 	}
-	cs.residentBlocks--
-	d.syncEvictable(cs)
 	cs.pf.Tree().MarkEmpty(int(b - cs.info.FirstBlock()))
 	if o := d.o; o != nil {
 		o.victimTrips.Observe(d.ctrs.RoundTrips(uint64(b)))
@@ -176,7 +174,7 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 func (d *Driver) chunkDirty(cs *chunkState) bool {
 	first := cs.info.FirstBlock()
 	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
-		if bs := d.blockAt(b); bs != nil && bs.resident && bs.dirty {
+		if bs := d.blockAt(b); bs != nil && bs.phase == resident && bs.dirty {
 			return true
 		}
 	}
@@ -190,10 +188,10 @@ func (d *Driver) evictChunk(cs *chunkState) {
 	var evictedBlocks, dirtyBlocks uint64
 	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
 		bs := d.blockAt(b)
-		if bs == nil || !bs.resident {
+		if bs == nil || bs.phase != resident {
 			continue
 		}
-		bs.resident = false
+		d.move(cs, bs, onHost)
 		d.ctrs.NoteEviction(uint64(b))
 		bs.everEvicted = true
 		evictedBlocks++
@@ -206,14 +204,12 @@ func (d *Driver) evictChunk(cs *chunkState) {
 	if evictedBlocks == 0 {
 		panic("uvm: evicting chunk with no resident blocks")
 	}
-	cs.residentBlocks = 0
-	d.syncEvictable(cs)
-	// Rebuild tree occupancy: only pending (queued/in-flight) blocks
-	// remain claimed.
+	// Rebuild tree occupancy: only pending (faulted, queued or in-flight)
+	// blocks remain claimed.
 	tree := cs.pf.Tree()
 	tree.Clear()
 	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {
-		if bs := d.blockAt(b); bs != nil && bs.pending {
+		if bs := d.blockAt(b); bs != nil && bs.phase != onHost {
 			tree.MarkOccupied(int(b - first))
 		}
 	}

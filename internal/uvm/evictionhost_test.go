@@ -22,10 +22,10 @@ import (
 func refChunkCandidates(d *Driver, dest *chunkState, strict bool) (cands []evict.Candidate, pinnedCount int) {
 	now := d.eng.Now()
 	for num, cs := range d.chunkArr {
-		if cs == nil || cs.residentBlocks == 0 || cs == dest {
+		if cs == nil || cs.blocks[resident] == 0 || cs == dest {
 			continue
 		}
-		pinned := cs.inFlightBlocks > 0
+		pinned := cs.blocks[inFlight] > 0
 		if strict {
 			recent := d.cfg.EvictionRecencyGuard > 0 &&
 				now-cs.lastAccess < d.cfg.EvictionRecencyGuard
@@ -126,7 +126,7 @@ func TestNoPinnedVictimCheckTrips(t *testing.T) {
 	for r.d.inFlightTotal == 0 && r.eng.Step() {
 	}
 	cs := r.d.chunkAt(memunits.ChunkOf(r.a.Base))
-	if cs == nil || cs.inFlightBlocks == 0 {
+	if cs == nil || cs.blocks[inFlight] == 0 {
 		t.Fatal("no migration on the wire")
 	}
 	if r.d.evictOne(nil) {

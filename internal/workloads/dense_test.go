@@ -95,6 +95,9 @@ func hashKernel(h hash.Hash, k gpu.Kernel, release bool) {
 	}
 }
 
+// TestInstructionStreamDigests pins every workload's expanded
+// instruction stream, lanes poisoned between Next calls (streamDigest),
+// to its recorded digest.
 func TestInstructionStreamDigests(t *testing.T) {
 	for _, name := range AllNames() {
 		want, ok := streamDigests[name]

@@ -39,6 +39,8 @@ func fnv32s(xs []int32) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// TestTraversalGraphDigests pins the weighted bfs/sssp traversal
+// graphs' RowPtr, Edges and Weights to their recorded digests.
 func TestTraversalGraphDigests(t *testing.T) {
 	for _, c := range graphDigests {
 		n := scaleElems(1<<20, c.scale)
