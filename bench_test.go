@@ -43,7 +43,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFig1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := Fig1(benchOpts())
+		t := Figures(benchOpts(), 0, "fig1")[0].Tables[0]
 		reg, _ := t.Get("fdtd", 1)
 		irr, _ := t.Get("ra", 1)
 		b.ReportMetric(reg, "fdtd-125%-slowdown")
@@ -56,10 +56,8 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, w := range []string{"fdtd", "sssp"} {
-			if len(Fig2(w, benchOpts())) == 0 {
-				b.Fatal("empty characterization")
-			}
+		if len(Figures(benchOpts(), 0, "fig2")[0].Text(false, false)) == 0 {
+			b.Fatal("empty characterization")
 		}
 	}
 }
@@ -69,10 +67,8 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, w := range []string{"fdtd", "sssp"} {
-			if strings.Count(Fig3(w, benchOpts(), 256, false), "cycle,page,write\n") != 2 {
-				b.Fatal("missing series")
-			}
+		if strings.Count(Figures(benchOpts(), 256, "fig3")[0].Text(false, false), "cycle,page,write\n") != 4 {
+			b.Fatal("missing series")
 		}
 	}
 }
@@ -82,7 +78,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := Fig4(benchOpts())
+		t := Figures(benchOpts(), 0, "fig4")[0].Tables[0]
 		v, _ := t.Get("sssp", 2)
 		b.ReportMetric(v, "sssp-ts32-vs-ts8")
 	}
@@ -94,7 +90,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := Fig5(benchOpts())
+		t := Figures(benchOpts(), 0, "fig5")[0].Tables[0]
 		v, _ := t.Get("sssp", 2)
 		b.ReportMetric(v, "sssp-adaptive-vs-baseline")
 	}
@@ -107,7 +103,8 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6And7(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rt, th := Fig6And7(benchOpts())
+		figs := Figures(benchOpts(), 0, "fig6", "fig7")
+		rt, th := figs[0].Tables[0], figs[1].Tables[0]
 		r, _ := rt.Get("ra", 3)
 		t, _ := th.Get("ra", 3)
 		b.ReportMetric(r, "ra-adaptive-runtime")

@@ -8,9 +8,10 @@
 //	paperbench -table1             # the simulated-system configuration
 //	paperbench -fig 6 -csv         # machine-readable output
 //
-// Figures 2 and 3 (the access-pattern characterization) take -workloads
-// (default fdtd and sssp); -csv prints Fig. 2's raw per-page frequencies
-// and -plot draws Fig. 3 as page-vs-cycle scatters:
+// Every figure reads -workloads; without it, Figures 2 and 3 (the
+// access-pattern characterization) show fdtd and sssp, hints the four
+// irregular workloads and multigpu ra and sssp. -csv prints Fig. 2's raw
+// per-page frequencies and -plot draws Fig. 3 as page-vs-cycle scatters:
 //
 //	paperbench -fig 2 -workloads sssp -csv
 //	paperbench -fig 3 -workloads fdtd -plot
@@ -62,8 +63,7 @@ func main() {
 // without a process boundary.
 type options struct {
 	fig        string
-	figs       []string // the -fig list, 'all' and 6+7 spelled out
-	tables     []string // the table figures among figs, as experiments names them
+	figs       []string // the -fig list as experiments names it, 'all' and 6+7 spelled out
 	table1     bool
 	csv        bool
 	plotOut    bool
@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	o := options{opt: uvmsim.ExperimentOptions{Base: uvmsim.DefaultConfig()}}
 	fs.Float64Var(&o.opt.Scale, "scale", 1.0, "workload scale factor (1.0 = paper size)")
-	fs.StringVar(&o.workloads, "workloads", "", "comma-separated workload subset (default: all; fdtd,sssp for Figs. 2 and 3)")
+	fs.StringVar(&o.workloads, "workloads", "", "comma-separated workload subset (default: all; fdtd,sssp for Figs. 2 and 3, the irregular four for hints, ra,sssp for multigpu)")
 	fs.IntVar(&o.opt.Workers, "workers", 0, "concurrent sweep cells per invocation (0 = one per core)")
 	fs.IntVar(&o.opt.Base.ClusterWorkers, "cluster-workers", 0, "with -fig multigpu, drain threads per cluster run (0 or 1 = one, at most the GPU count; results are identical for every count)")
 	fs.StringVar(&o.planner, "planner", "", "migration planner: "+strings.Join(mm.PlannerNames(), ", ")+" (default: threshold; a comma list with -tournament, default "+strings.Join(experiments.DefaultTournamentPlanners(), ",")+")")
@@ -153,22 +153,22 @@ func parse(o *options) error {
 	for _, f := range strings.Split(o.fig, ",") {
 		switch {
 		case f == "6+7" || f == "67":
-			o.figs, o.tables = append(o.figs, "6", "7"), append(o.tables, "fig6", "fig7")
-		case slices.Contains(experiments.FigureNames(), "fig"+f):
-			o.figs, o.tables = append(o.figs, f), append(o.tables, "fig"+f)
-		case slices.Contains([]string{"2", "3", "multigpu", "hints"}, f):
+			o.figs = append(o.figs, "fig6", "fig7")
+		case slices.Contains(experiments.FigureNames(), "fig"+f) || f == "2" || f == "3":
+			o.figs = append(o.figs, "fig"+f)
+		case f == "multigpu" || f == "hints":
 			o.figs = append(o.figs, f)
 		case o.fig != "":
 			return fmt.Errorf("unknown figure %q (-fig takes %s)", f, figureHelp)
 		}
 	}
 	for _, name := range o.set {
-		fig, figOnly := map[string]string{"sample": "3", "cluster-workers": "multigpu"}[name]
+		fig, figOnly := map[string]string{"sample": "fig3", "cluster-workers": "multigpu"}[name]
 		switch {
 		case strings.HasPrefix(name, "tournament-") && !o.tournament:
 			return fmt.Errorf("-%s applies to -tournament only", name)
 		case figOnly && !slices.Contains(o.figs, fig):
-			return fmt.Errorf("-%s applies to -fig %s only", name, fig)
+			return fmt.Errorf("-%s applies to -fig %s only", name, strings.TrimPrefix(fig, "fig"))
 		}
 	}
 	var err error
@@ -237,7 +237,15 @@ func execute(o options, stdout, stderr io.Writer) (err error) {
 		if o.table1 {
 			fmt.Fprintln(stdout, uvmsim.Table1(uvmsim.DefaultConfig()))
 		}
-		runFigures(o, stdout)
+		// The -fig list in order, each shared cell simulated once.
+		for _, f := range uvmsim.Figures(o.opt, o.sample, o.figs...) {
+			if f.Text != nil {
+				fmt.Fprint(stdout, f.Text(o.csv, o.plotOut))
+			}
+			for _, t := range f.Tables {
+				o.emit(stdout, t, t.CSV)
+			}
+		}
 		return nil
 	})
 }
@@ -258,50 +266,6 @@ func (o options) emit(w io.Writer, t *uvmsim.Table, csv func() string) {
 		fmt.Fprint(w, t.Format())
 	}
 	fmt.Fprintln(w)
-}
-
-// runFigures prints the -fig list in order. Its table figures render
-// from one grid, which simulates each cell they share once.
-func runFigures(o options, stdout io.Writer) {
-	opt := o.opt
-	emit := func(t *uvmsim.Table) { o.emit(stdout, t, t.CSV) }
-	tables := uvmsim.Figures(opt, o.tables...)
-	// Figures 2 and 3 characterize the paper's fdtd and sssp unless
-	// -workloads names others.
-	traced := opt.Workloads
-	if len(traced) == 0 {
-		traced = []string{"fdtd", "sssp"}
-	}
-	for _, f := range o.figs {
-		switch f {
-		case "2":
-			for _, w := range traced {
-				if o.csv {
-					fmt.Fprint(stdout, experiments.RunTrace(w, opt, 0).Collector.DumpFrequencyCSV())
-				} else {
-					fmt.Fprintln(stdout, uvmsim.Fig2(w, opt))
-				}
-			}
-		case "3":
-			for _, w := range traced {
-				fmt.Fprint(stdout, uvmsim.Fig3(w, opt, o.sample, o.plotOut))
-			}
-		case "multigpu":
-			// The paper's §VIII future-work extension.
-			emit(uvmsim.MultiGPU("ra", opt, 125))
-			emit(uvmsim.MultiGPU("sssp", opt, 125))
-		case "hints":
-			// Extension: profiled cudaMemAdvise-style hints vs Adaptive.
-			hintOpt := opt
-			if len(hintOpt.Workloads) == 0 {
-				hintOpt.Workloads = uvmsim.IrregularWorkloads()
-			}
-			emit(uvmsim.OracleHints(hintOpt, 125))
-		default:
-			emit(tables[0])
-			tables = tables[1:]
-		}
-	}
 }
 
 // runTournament ranks every requested planner x prefetch-governor

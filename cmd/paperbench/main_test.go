@@ -233,6 +233,14 @@ func TestWorkersFlagPreservesSweepOutput(t *testing.T) {
 // from Figs. 1 and 4's only in a penalty they never read. (At scale 0.4
 // every oversubscription point of these workloads is its own device
 // size; smaller scales round some of them to the same floor.)
+//
+// Traces, hints and multigpu share the grid too. For bfs and ra, Fig. 6
+// runs 4 cells each, and the Figs. 2/3 trace adds the Disabled/100%
+// cell. Hints adds only bfs's hinted cell: its trace, baseline and
+// Adaptive cells are already there, and ra pins nothing, so its hinted
+// cell is its baseline. Multigpu's x1 cells are Fig. 6's Disabled and
+// Adaptive cells; x2 and x4 add 2 cells each, observed once per GPU
+// (2*2 + 2*4 = 12 runs). That is 2*(4+1+12) + 1 = 35 runs.
 func TestFig6And7RunOneSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -246,6 +254,8 @@ func TestFig6And7RunOneSweep(t *testing.T) {
 		{"fig6,7", "6,7", []string{"67"}, []string{"-scale", "0.02", "-workloads", "bfs"}, len(config.Policies())},
 		{"fig1,4-8", "1,4,5,6,7,8", []string{"1", "4", "5", "6", "7", "8"},
 			[]string{"-scale", "0.4", "-workloads", "bfs,ra,backprop"}, 3 * 13},
+		{"traces,hints,multigpu", "2,3,6,hints,multigpu", []string{"2", "3", "6", "hints", "multigpu"},
+			[]string{"-scale", "0.3", "-workloads", "bfs,ra"}, 2*(4+1+12) + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			metrics := filepath.Join(t.TempDir(), "metrics.json")
@@ -285,7 +295,9 @@ func TestFig6And7RunOneSweep(t *testing.T) {
 
 // Figures 2 and 3 characterize -workloads (default fdtd and sssp); -csv
 // prints Fig. 2's raw per-page frequencies and -plot draws Fig. 3's
-// iterations as scatters.
+// iterations as scatters. Multigpu reads -workloads too (default ra and
+// sssp): one table per workload named. Each wanted fragment appears
+// exactly once.
 func TestAccessPatternFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization runs")
@@ -302,6 +314,9 @@ func TestAccessPatternFigures(t *testing.T) {
 		{"fig3Plot", []string{"-fig", "3", "-plot"},
 			[]string{"fdtd iteration 2: page (y) vs cycle (x)", "fdtd iteration 4:", "sssp iteration 3:", "sssp iteration 5:"},
 			[]string{"cycle,page,write"}},
+		{"multigpuWorkloads", []string{"-fig", "multigpu", "-workloads", "bfs"},
+			[]string{"multi-GPU throttling, bfs at 125%", "bfs x1", "bfs x2", "bfs x4"},
+			[]string{"throttling, ra", "throttling, sssp"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append([]string{"-scale", "0.05"}, tc.args...)
@@ -310,8 +325,8 @@ func TestAccessPatternFigures(t *testing.T) {
 				t.Fatalf("run(%q) = %d, stderr %q", args, code, stderr)
 			}
 			for _, w := range tc.want {
-				if !strings.Contains(stdout, w) {
-					t.Fatalf("stdout missing %q:\n%s", w, stdout)
+				if got := strings.Count(stdout, w); got != 1 {
+					t.Fatalf("stdout has %q %d times, want once:\n%s", w, got, stdout)
 				}
 			}
 			for _, n := range tc.not {

@@ -124,14 +124,8 @@ func NewController(cfg config.Config, gpus int, blocks, devBlocks uint64, prio [
 	return c
 }
 
-// Counters exposes the per-GPU counter file.
-func (c *Controller) Counters() *counters.PerGPU { return c.ctrs }
-
 // Accounts returns GPU g's per-tenant page accounting.
 func (c *Controller) Accounts(g int) *devmem.Accounts { return c.accounts[g] }
-
-// Policy returns the arbitration policy in use.
-func (c *Controller) Policy() mm.PoolPolicy { return c.policy }
 
 // Home returns where the block lives: NoGPU for the pool, else the GPU.
 func (c *Controller) Home(block uint64) int { return c.meta[block].home }

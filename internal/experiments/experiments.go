@@ -1,16 +1,16 @@
 // Package experiments reproduces every figure and table of the paper's
-// evaluation (§VI): each FigN function runs the corresponding sweep and
-// returns a report.Table whose rows/series match what the paper plots.
-// Each config sweep (Figures 1 and 4-8, and the pipeline tournament) is
-// defined once, as a list of columns; Figures runs the cells of several
-// figures on one grid, each distinct cell once, and FigureJob and
-// TournamentJob spell the same lists as simd jobs. See
-// DESIGN.md for the per-experiment index and EXPERIMENTS.md for the
+// evaluation (§VI) and its hints (§III-C) and multi-GPU (§VIII)
+// extensions. Figures renders any list of them from one grid that
+// simulates each distinct cell once. Each sweep (the figures and the
+// pipeline tournament) is defined once, as a list of columns, and
+// FigureJob and TournamentJob spell the single-GPU lists as simd jobs.
+// See DESIGN.md for the per-experiment index and EXPERIMENTS.md for the
 // measured-vs-paper comparison.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"uvmsim/internal/config"
@@ -23,6 +23,7 @@ import (
 	"uvmsim/internal/snapshot"
 	"uvmsim/internal/sweep"
 	"uvmsim/internal/trace"
+	"uvmsim/internal/uvm"
 	"uvmsim/internal/workloads"
 )
 
@@ -59,6 +60,10 @@ type Options struct {
 	// (workload, scale) pair share one immutable Built instead of each
 	// rebuilding it (workloads.Memo is safe for the parallel workers).
 	memo *workloads.Memo
+	// sims is the call's grid: each distinct cell simulated so far.
+	sims map[cellKey]*simulation
+	// sample is the traced cells' Fig. 3 sampling density.
+	sample uint64
 }
 
 // withDefaults fills unset options.
@@ -73,37 +78,14 @@ func (o Options) withDefaults() Options {
 		o.Workloads = workloads.Names()
 	}
 	if o.memo == nil {
-		o.memo = workloads.NewMemo()
+		o.memo, o.sims = workloads.NewMemo(), map[cellKey]*simulation{}
 	}
 	return o
 }
 
-// cell builds one configuration cell on nGPUs, each GPU's memory sized
-// for its share of the working set (core.DeriveConfig), with the
-// Observe instruments attached. tag disambiguates cells that share
-// workload/policy/oversubscription (threshold and penalty sweeps,
-// cluster sizes, hinted runs).
-func (o Options) cell(name string, nGPUs int, pct uint64, pol config.MigrationPolicy, base config.Config, tag string) *core.Simulator {
-	b := o.memo.Get(name, o.Scale)
-	s := core.NewCluster(b, core.DeriveConfig(b, nGPUs, pct, pol, base), nGPUs)
-	if o.Observe != nil {
-		runName := fmt.Sprintf("%s/%s/%d%%", name, pol, pct)
-		if tag != "" {
-			runName += "/" + tag
-		}
-		// A non-default pipeline changes what the cell measures, so it
-		// is part of the cell's identity.
-		if ptag := base.MMPipeline.Tag(); ptag != "" {
-			runName += "/" + ptag
-		}
-		s.ObserveAs(runName, o.Observe)
-	}
-	return s
-}
-
-// column is one column of a sweep: the single-GPU cell every workload
-// runs under it. The same column list drives the in-process sweep
-// (grid) and its simd job (job).
+// column is one column of a sweep: the cell every workload runs under
+// it. The same column list drives the in-process sweep (grid) and, for
+// the single-GPU sweeps, its simd job (job).
 type column struct {
 	// header labels the column in a figure's table.
 	header string
@@ -111,101 +93,203 @@ type column struct {
 	pol    config.MigrationPolicy
 	base   config.Config
 	// tag tells the column's observe run names apart from other columns
-	// with the same policy and oversubscription (see cell).
+	// with the same policy and oversubscription (see simulate).
 	tag string
+	// gpus is the cluster size (0 = one GPU).
+	gpus int
+	// trace attaches a trace.Collector, which changes no counter, so a
+	// traced cell shares its untraced twin's key.
+	trace bool
 }
 
-// grid runs one cell per (workload, column) of every column list and
-// returns each list's results, workload-major. A cell is simulated once
-// per workload and canonical derived config (config.Config.Canonical),
-// in first-appearance order, as the first column that asks for it.
-func (o Options) grid(lists ...[]column) [][]*core.Result {
-	type key struct {
-		workload string
-		cfg      config.Config
+// cell is a workload under a column, with the allocations it pins to
+// host memory (zero-copy hints).
+type cell struct {
+	workload string
+	column
+	pinned []string
+}
+
+// cellsOf spells a sweep's cells, workload-major.
+func cellsOf(ws []string, cols []column) []cell {
+	cells := make([]cell, 0, len(ws)*len(cols))
+	for _, w := range ws {
+		for _, col := range cols {
+			cells = append(cells, cell{workload: w, column: col})
+		}
 	}
-	first := map[key]int{}
-	var jobs []func() *core.Result
-	cells := make([][]int, len(lists)) // each list's cells, as indices into jobs
-	for l, cols := range lists {
-		for _, name := range o.Workloads {
-			for _, col := range cols {
-				k := key{name, core.DeriveConfig(o.memo.Get(name, o.Scale), 1, col.pct, col.pol, col.base).Canonical()}
-				if _, ok := first[k]; !ok {
-					first[k] = len(jobs)
-					jobs = append(jobs, func() *core.Result { return o.cell(name, 1, col.pct, col.pol, col.base, col.tag).Run() })
-				}
-				cells[l] = append(cells[l], first[k])
+	return cells
+}
+
+// cellKey identifies one simulation: a workload on a cluster size under
+// a canonical derived config (config.Config.Canonical), with its pinned
+// allocations sorted and comma-joined.
+type cellKey struct {
+	workload string
+	gpus     int
+	cfg      config.Config
+	pinned   string
+}
+
+// simulation is one distinct cell of the grid, as the first cell that
+// asks for it, with its result and, if traced, its collector.
+type simulation struct {
+	cell
+	res       *core.Result
+	collector *trace.Collector
+}
+
+// simulate runs the cell, each GPU's memory sized for its share of the
+// working set (core.DeriveConfig), with its pins, its collector and the
+// Observe instruments attached.
+func (sm *simulation) simulate(o Options) *core.Result {
+	n := max(sm.gpus, 1)
+	b := o.memo.Get(sm.workload, o.Scale)
+	s := core.NewCluster(b, core.DeriveConfig(b, n, sm.pct, sm.pol, sm.base), n)
+	for _, a := range b.Space.Allocations() {
+		if slices.Contains(sm.pinned, a.Name) {
+			s.Driver.Advise(a, uvm.AdvicePinHost)
+		}
+	}
+	if sm.trace {
+		sm.collector = trace.NewCollector(b.Space, o.sample)
+		s.SetObserver(sm.collector.Observer())
+	}
+	if o.Observe != nil {
+		runName := fmt.Sprintf("%s/%s/%d%%", sm.workload, sm.pol, sm.pct)
+		if sm.tag != "" {
+			runName += "/" + sm.tag
+		}
+		// A non-default pipeline changes what the cell measures, so it
+		// is part of the cell's identity.
+		if ptag := sm.base.MMPipeline.Tag(); ptag != "" {
+			runName += "/" + ptag
+		}
+		s.ObserveAs(runName, o.Observe)
+	}
+	return s.Run()
+}
+
+// run simulates, in parallel, each distinct cell of the lists that no
+// earlier pass simulated, traced if any list traces it, and returns
+// each list's simulations in order.
+func (o Options) run(lists ...[]cell) [][]*simulation {
+	var todo []*simulation
+	out := make([][]*simulation, len(lists))
+	for l, cells := range lists {
+		for _, c := range cells {
+			n := max(c.gpus, 1)
+			cfg := core.DeriveConfig(o.memo.Get(c.workload, o.Scale), n, c.pct, c.pol, c.base)
+			k := cellKey{c.workload, n, cfg.Canonical(), strings.Join(slices.Sorted(slices.Values(c.pinned)), ",")}
+			sm := o.sims[k]
+			if sm == nil {
+				sm = &simulation{cell: c}
+				o.sims[k], todo = sm, append(todo, sm)
 			}
+			sm.trace = sm.trace || c.trace
+			out[l] = append(out[l], sm)
 		}
 	}
-	res := sweep.Parallel(jobs, o.Workers)
-	out := make([][]*core.Result, len(lists))
-	for l := range cells {
-		for _, j := range cells[l] {
-			out[l] = append(out[l], res[j])
-		}
+	jobs := make([]func() *core.Result, len(todo))
+	for i, sm := range todo {
+		jobs[i] = func() *core.Result { return sm.simulate(o) }
+	}
+	for i, r := range sweep.Parallel(jobs, o.Workers) {
+		todo[i].res = r
 	}
 	return out
 }
 
-// figureSweeps are Figures 1 and 4-8 by name: the columns each sweeps
-// and the table it renders. (Figures 2 and 3 are characterization
-// traces; Figure 7 is the thrash table of Figure 6's sweep.)
-var figureSweeps = map[string]struct {
-	cols          func(config.Config) []column
-	title, metric string
-	value         func(*core.Result) uint64
-}{
-	"fig1": {fig1Columns, "Figure 1: sensitivity to memory oversubscription (Baseline first-touch)",
-		"Runtime normalized to no-oversubscription", (*core.Result).Runtime},
-	"fig4": {fig4Columns, "Figure 4: sensitivity to static access counter threshold (Always, 125% oversub)",
-		"Runtime normalized to ts=8", (*core.Result).Runtime},
-	"fig5": {fig5Columns, "Figure 5: policies under no oversubscription",
-		"Runtime normalized to baseline", (*core.Result).Runtime},
-	"fig6": {fig67Columns, "Figure 6: policies under 125% oversubscription",
-		"Runtime normalized to baseline", (*core.Result).Runtime},
-	"fig7": {fig67Columns, "Figure 7: memory thrashing under 125% oversubscription",
-		"Total pages thrashed normalized to baseline", func(r *core.Result) uint64 { return r.Counters.ThrashedPages }},
-	"fig8": {fig8Columns, "Figure 8: sensitivity to the multiplicative migration penalty (Adaptive, 125% oversub)",
-		"Runtime normalized to baseline", (*core.Result).Runtime},
+// Figure is what one name of Figures renders: a table figure's tables,
+// or a trace figure's text.
+type Figure struct {
+	// Tables holds the figure's table (one per workload for multigpu).
+	Tables []*report.Table
+	// Text renders Fig. 2 (with csv, raw per-page frequencies) or Fig.
+	// 3 (with plot, scatters); it is nil for table figures.
+	Text func(csv, plot bool) string
+	// sims are the figure's cells, workload-major.
+	sims []*simulation
 }
 
-// Figures renders the named figures (FigureNames) from one grid that
-// simulates each distinct cell once. It panics on an unknown name.
-func Figures(o Options, names ...string) []*report.Table {
-	tables, _ := o.withDefaults().figures(names...)
-	return tables
+// figure is one name Figures renders: the workloads it runs unless
+// Options.Workloads names others, its columns, and how it renders its
+// cells (one row per workload, in column order).
+type figure struct {
+	workloads []string
+	cols      func(config.Config) []column
+	render    func(o Options, cols []column, rows [][]*simulation) Figure
+	// job marks the single-GPU sweeps FigureJob spells as simd jobs.
+	job bool
 }
 
-// figures is Figures on defaulted options, also returning each figure's cells.
-func (o Options) figures(names ...string) ([]*report.Table, [][]*core.Result) {
-	lists := make([][]column, len(names))
-	for i, name := range names {
-		f, ok := figureSweeps[name]
-		if !ok {
-			panic(fmt.Sprintf("experiments: unknown figure %q (have %v)", name, FigureNames()))
-		}
-		lists[i] = f.cols(o.Base)
-	}
-	res := o.grid(lists...)
-	tables := make([]*report.Table, len(names))
-	for i, name := range names {
-		f, cols := figureSweeps[name], lists[i]
-		tables[i] = &report.Table{Title: f.title, Metric: f.metric}
+// figureSpecs are Figures 1-8 and the hints (§III-C) and multi-GPU
+// (§VIII) extensions by name.
+var figureSpecs = map[string]figure{
+	"fig1": tableFigure(fig1Columns, "Figure 1: sensitivity to memory oversubscription (Baseline first-touch)",
+		"Runtime normalized to no-oversubscription", (*core.Result).Runtime),
+	"fig2": {workloads: characterized, cols: traceColumns, render: fig2},
+	"fig3": {workloads: characterized, cols: traceColumns, render: fig3},
+	"fig4": tableFigure(fig4Columns, "Figure 4: sensitivity to static access counter threshold (Always, 125% oversub)",
+		"Runtime normalized to ts=8", (*core.Result).Runtime),
+	"fig5": tableFigure(fig5Columns, "Figure 5: policies under no oversubscription",
+		"Runtime normalized to baseline", (*core.Result).Runtime),
+	"fig6": tableFigure(fig67Columns, "Figure 6: policies under 125% oversubscription",
+		"Runtime normalized to baseline", (*core.Result).Runtime),
+	"fig7": tableFigure(fig67Columns, "Figure 7: memory thrashing under 125% oversubscription",
+		"Total pages thrashed normalized to baseline", func(r *core.Result) uint64 { return r.Counters.ThrashedPages }),
+	"fig8": tableFigure(fig8Columns, "Figure 8: sensitivity to the multiplicative migration penalty (Adaptive, 125% oversub)",
+		"Runtime normalized to baseline", (*core.Result).Runtime),
+	"hints":    {workloads: workloads.IrregularNames(), cols: hintColumns, render: hints},
+	"multigpu": {workloads: []string{"ra", "sssp"}, cols: multiGPUColumns, render: multiGPU},
+}
+
+// tableFigure renders a single-GPU sweep as one table, each row
+// normalized to column 0.
+func tableFigure(cols func(config.Config) []column, title, metric string, value func(*core.Result) uint64) figure {
+	return figure{workloads: workloads.Names(), cols: cols, job: true, render: func(_ Options, cols []column, rows [][]*simulation) Figure {
+		t := &report.Table{Title: title, Metric: metric}
 		for _, c := range cols {
-			tables[i].Columns = append(tables[i].Columns, c.header)
+			t.Columns = append(t.Columns, c.header)
 		}
-		for w, workload := range o.Workloads {
-			row := res[i][w*len(cols) : (w+1)*len(cols)]
+		for _, row := range rows {
 			vals := make([]float64, len(row))
-			for c, r := range row {
-				vals[c] = report.Ratio(f.value(r), f.value(row[0])) // normalized to column 0
+			for c, sm := range row {
+				vals[c] = report.Ratio(value(sm.res), value(row[0].res))
 			}
-			tables[i].Add(workload, vals...)
+			t.Add(row[0].workload, vals...)
 		}
+		return Figure{Tables: []*report.Table{t}}
+	}}
+}
+
+// Figures renders the named figures (FigureNames, fig2, fig3, hints,
+// multigpu) from one grid that simulates each distinct cell once;
+// sampleEvery is Fig. 3's sampling density.
+func Figures(o Options, sampleEvery uint64, names ...string) []Figure {
+	given := o.Workloads
+	o = o.withDefaults()
+	if slices.Contains(names, "fig3") {
+		o.sample = sampleEvery
 	}
-	return tables, res
+	figs, cols, lists := make([]Figure, len(names)), make([][]column, len(names)), make([][]cell, len(names))
+	for i, name := range names {
+		f, ok := figureSpecs[name]
+		if !ok {
+			panic(fmt.Sprintf("experiments: unknown figure %q", name))
+		}
+		ws := f.workloads
+		if len(given) > 0 {
+			ws = given
+		}
+		cols[i] = f.cols(o.Base)
+		lists[i] = cellsOf(ws, cols[i])
+	}
+	for i, sims := range o.run(lists...) {
+		figs[i] = figureSpecs[names[i]].render(o, cols[i], slices.Collect(slices.Chunk(sims, len(cols[i]))))
+		figs[i].sims = sims
+	}
+	return figs
 }
 
 // fig1Columns: the first-touch baseline at 100% (fits), 125% and 150%
@@ -218,74 +302,60 @@ func fig1Columns(base config.Config) []column {
 	}
 }
 
-// Fig1 reproduces Figure 1: sensitivity of every workload to the degree
-// of memory oversubscription under the first-touch baseline. Columns
-// are runtimes at 100% (fits), 125% and 150% oversubscription,
-// normalized to the fitting run.
-func Fig1(o Options) *report.Table { return Figures(o, "fig1")[0] }
+// characterized are the workloads Figures 2 and 3 show.
+var characterized = []string{"fdtd", "sssp"}
 
-// TraceResult bundles the collector and result of a characterization
-// run (Figures 2 and 3).
-type TraceResult struct {
-	Result    *core.Result
-	Collector *trace.Collector
+// traceColumns: the characterization run behind Figures 2 and 3, the
+// baseline policy with memory fitting (the paper characterizes
+// intrinsic access patterns, not oversubscription effects).
+func traceColumns(base config.Config) []column {
+	return []column{{pct: 100, pol: config.PolicyDisabled, base: base, trace: true}}
 }
 
-// RunTrace performs the characterization run behind Figures 2 and 3 for
-// one workload under the baseline policy with memory fitting (the paper
-// characterizes intrinsic access patterns, not oversubscription
-// effects). sampleEvery controls Fig. 3 sampling density.
-func RunTrace(workload string, o Options, sampleEvery uint64) *TraceResult {
-	o = o.withDefaults()
-	b := o.memo.Get(workload, o.Scale)
-	cfg := core.DeriveConfig(b, 1, 100, config.PolicyDisabled, o.Base)
-	s := core.New(b, cfg)
-	if o.Observe != nil {
-		s.ObserveAs(workload+"/trace", o.Observe)
-	}
-	col := trace.NewCollector(b.Space, sampleEvery)
-	s.SetObserver(col.Observer())
-	res := s.Run()
-	return &TraceResult{Result: res, Collector: col}
-}
-
-// Fig2 reproduces Figure 2's summary: the per-allocation access
-// distribution (page counts, totals, read-only class, hot/cold skew)
-// for the requested workload (the paper shows fdtd and sssp).
-func Fig2(workload string, o Options) string {
-	tr := RunTrace(workload, o, 0)
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2 (%s): page access distribution per managed allocation\n", workload)
-	b.WriteString(tr.Collector.FormatFrequency())
-	return b.String()
+// fig2 renders Figure 2: the per-allocation access distribution (page
+// counts, totals, read-only class, hot/cold skew) of each workload.
+func fig2(_ Options, _ []column, rows [][]*simulation) Figure {
+	return Figure{Text: func(csv, _ bool) string {
+		var b strings.Builder
+		for _, row := range rows {
+			if csv {
+				b.WriteString(row[0].collector.DumpFrequencyCSV())
+			} else {
+				fmt.Fprintf(&b, "Figure 2 (%s): page access distribution per managed allocation\n%s\n", row[0].workload, row[0].collector.FormatFrequency())
+			}
+		}
+		return b.String()
+	}}
 }
 
 // fig3Iterations are the two iterations Figure 3 shows per workload,
 // the paper's panels; any other workload shows iterations 2 and 4.
 var fig3Iterations = map[string][2]int{"fdtd": {2, 4}, "sssp": {3, 5}}
 
-// Fig3 reproduces Figure 3 for one workload: the accesses (cycle, page,
-// r/w) sampled one in sampleEvery during each of its two iterations, as
-// CSV or, with scatter, as a page-vs-cycle terminal plot.
-func Fig3(workload string, o Options, sampleEvery uint64, scatter bool) string {
-	tr := RunTrace(workload, o, sampleEvery)
-	its, ok := fig3Iterations[workload]
-	if !ok {
-		its = [2]int{2, 4}
-	}
-	var b strings.Builder
-	for _, it := range its {
-		b.WriteString(tr.fig3Panel(workload, it, scatter))
-	}
-	return b.String()
+// fig3 renders Figure 3: each workload's sampled accesses (cycle, page,
+// r/w) during two iterations, as CSV or page-vs-cycle scatters.
+func fig3(_ Options, _ []column, rows [][]*simulation) Figure {
+	return Figure{Text: func(_, plot bool) string {
+		var b strings.Builder
+		for _, row := range rows {
+			its, ok := fig3Iterations[row[0].workload]
+			if !ok {
+				its = [2]int{2, 4}
+			}
+			for _, it := range its {
+				b.WriteString(fig3Panel(row[0], it, plot))
+			}
+		}
+		return b.String()
+	}}
 }
 
 // fig3Panel renders one iteration of Figure 3: the samples inside the
 // iteration's kernel window, as CSV or a 100x24 scatter ('r' reads, 'w'
 // writes). An iteration absent at this scale has no samples.
-func (tr *TraceResult) fig3Panel(workload string, it int, scatter bool) string {
+func fig3Panel(sm *simulation, it int, scatter bool) string {
 	lo, hi := sim.MaxCycle, sim.Cycle(0)
-	for _, sp := range tr.Result.Spans {
+	for _, sp := range sm.res.Spans {
 		if sp.Iter == it {
 			lo, hi = min(lo, sp.Start), max(hi, sp.End)
 		}
@@ -293,12 +363,12 @@ func (tr *TraceResult) fig3Panel(workload string, it int, scatter bool) string {
 	if !scatter {
 		csv := "cycle,page,write\n"
 		if hi != 0 {
-			csv = tr.Collector.DumpSamplesCSV(lo, hi)
+			csv = sm.collector.DumpSamplesCSV(lo, hi)
 		}
-		return fmt.Sprintf("Figure 3 (%s, iteration %d):\n%s\n", workload, it, csv)
+		return fmt.Sprintf("Figure 3 (%s, iteration %d):\n%s\n", sm.workload, it, csv)
 	}
 	var pts []plot.Point
-	for _, s := range tr.Collector.Samples() {
+	for _, s := range sm.collector.Samples() {
 		if s.Cycle < lo || s.Cycle > hi {
 			continue
 		}
@@ -308,7 +378,7 @@ func (tr *TraceResult) fig3Panel(workload string, it int, scatter bool) string {
 		}
 		pts = append(pts, plot.Point{X: float64(s.Cycle), Y: float64(s.Page), Mark: mark})
 	}
-	title := fmt.Sprintf("%s iteration %d: page (y) vs cycle (x), r=read w=write", workload, it)
+	title := fmt.Sprintf("%s iteration %d: page (y) vs cycle (x), r=read w=write", sm.workload, it)
 	return plot.Scatter(title, pts, 100, 24) + "\n"
 }
 
@@ -324,11 +394,6 @@ func fig4Columns(base config.Config) []column {
 	return cols
 }
 
-// Fig4 reproduces Figure 4: sensitivity to the static access-counter
-// threshold ts under the Always scheme at 125% oversubscription,
-// normalized to ts=8.
-func Fig4(o Options) *report.Table { return Figures(o, "fig4")[0] }
-
 // fig5Columns: Baseline, Always and Adaptive with the working set
 // fitting in device memory.
 func fig5Columns(base config.Config) []column {
@@ -338,10 +403,6 @@ func fig5Columns(base config.Config) []column {
 		{header: "Adaptive", pct: 100, pol: config.PolicyAdaptive, base: base},
 	}
 }
-
-// Fig5 reproduces Figure 5: Baseline vs Always vs Adaptive under no
-// memory oversubscription, normalized to Baseline.
-func Fig5(o Options) *report.Table { return Figures(o, "fig5")[0] }
 
 // fig67Columns: all four schemes at 125% with the paper's p=8 operating
 // point for Adaptive.
@@ -354,15 +415,6 @@ func fig67Columns(base config.Config) []column {
 	return cols
 }
 
-// Fig6And7 reproduces Figures 6 and 7 from one sweep: all four schemes
-// at 125% oversubscription with ts=8 and p=8 for Adaptive. The first
-// table is runtime, the second is total pages thrashed, both normalized
-// to the Disabled baseline.
-func Fig6And7(o Options) (runtime, thrash *report.Table) {
-	t := Figures(o, "fig6", "fig7")
-	return t[0], t[1]
-}
-
 // Fig6And7Cycles runs the Figure 6/7 sweep once and additionally
 // returns the simulated cycles summed over every cell. The sum is a
 // deterministic proxy for the sweep's total simulation work — unlike
@@ -370,11 +422,11 @@ func Fig6And7(o Options) (runtime, thrash *report.Table) {
 // which is what the paper-fig67 benchmark gates exactly against its
 // committed checksum (bench/checksums.json).
 func Fig6And7Cycles(o Options) (runtime, thrash *report.Table, simCycles uint64) {
-	t, res := o.withDefaults().figures("fig6", "fig7")
-	for _, r := range res[0] {
-		simCycles += r.Runtime()
+	figs := Figures(o, 0, "fig6", "fig7")
+	for _, sm := range figs[0].sims {
+		simCycles += sm.res.Runtime()
 	}
-	return t[0], t[1], simCycles
+	return figs[0].Tables[0], figs[1].Tables[0], simCycles
 }
 
 // Fig8Penalties are the multiplicative-penalty points of Figure 8.
@@ -396,7 +448,7 @@ func fig8Columns(base config.Config) []column {
 // Fig8 reproduces Figure 8: sensitivity to the multiplicative migration
 // penalty p under Adaptive at 125% oversubscription, normalized to the
 // Disabled baseline.
-func Fig8(o Options) *report.Table { return Figures(o, "fig8")[0] }
+func Fig8(o Options) *report.Table { return Figures(o, 0, "fig8")[0].Tables[0] }
 
 // Table1 renders the simulated-system configuration (Table I).
 func Table1(cfg config.Config) string {

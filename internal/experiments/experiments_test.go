@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"uvmsim/internal/config"
+	"uvmsim/internal/report"
 )
 
 // expScale keeps experiment tests fast while staying above the 2-chunk
@@ -15,8 +17,11 @@ func opts(names ...string) Options {
 	return Options{Scale: expScale, Workloads: names}
 }
 
+// table renders one table figure.
+func table(o Options, name string) *report.Table { return Figures(o, 0, name)[0].Tables[0] }
+
 func TestFig1Shape(t *testing.T) {
-	tab := Fig1(opts("backprop", "ra"))
+	tab := table(opts("backprop", "ra"), "fig1")
 	if len(tab.Rows) != 2 || len(tab.Columns) != 3 {
 		t.Fatalf("table shape %dx%d", len(tab.Rows), len(tab.Columns))
 	}
@@ -38,7 +43,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig2Output(t *testing.T) {
-	out := Fig2("sssp", opts())
+	out := Figures(opts("sssp"), 0, "fig2")[0].Text(false, false)
 	for _, frag := range []string{"Figure 2", "edges", "dist", "RO", "RW"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("Fig2 missing %q:\n%s", frag, out)
@@ -47,7 +52,7 @@ func TestFig2Output(t *testing.T) {
 }
 
 func TestFig3Windows(t *testing.T) {
-	out := Fig3("fdtd", opts(), 64, false)
+	out := Figures(opts("fdtd"), 64, "fig3")[0].Text(false, false)
 	panels := strings.Split(out, "Figure 3 (fdtd, iteration ")
 	if len(panels) != 3 || !strings.HasPrefix(panels[1], "2):\n") || !strings.HasPrefix(panels[2], "4):\n") {
 		t.Fatalf("want fdtd's iterations 2 and 4:\n%s", out)
@@ -62,8 +67,8 @@ func TestFig3Windows(t *testing.T) {
 		}
 	}
 	// Missing iteration yields the empty header.
-	tr := RunTrace("fdtd", opts(), 64)
-	if got := tr.fig3Panel("fdtd", 99, false); got != "Figure 3 (fdtd, iteration 99):\ncycle,page,write\n\n" {
+	o := opts("fdtd").withDefaults()
+	if got := fig3Panel(o.run(cellsOf(o.Workloads, traceColumns(o.Base)))[0][0], 99, false); got != "Figure 3 (fdtd, iteration 99):\ncycle,page,write\n\n" {
 		t.Fatalf("absent iteration should yield header only, got %q", got)
 	}
 }
@@ -79,7 +84,7 @@ func TestFig3IterationsAndScatter(t *testing.T) {
 		{"sssp", []string{"sssp iteration 3:", "sssp iteration 5:"}},
 		{"bfs", []string{"bfs iteration 2:", "bfs iteration 4:"}},
 	} {
-		out := Fig3(tc.workload, opts(), 64, true)
+		out := Figures(opts(tc.workload), 64, "fig3")[0].Text(false, true)
 		if got := strings.Count(out, " iteration "); got != 2 {
 			t.Fatalf("%s: %d panels, want 2:\n%s", tc.workload, got, out)
 		}
@@ -98,7 +103,7 @@ func TestFig4Shape(t *testing.T) {
 	// Regular-app ts insensitivity needs enough chunks of slack to be
 	// stable; 0.15 scale leaves only ~2 and is noisy, so this test runs
 	// a little larger.
-	tab := Fig4(Options{Scale: 0.3, Workloads: []string{"hotspot"}})
+	tab := table(Options{Scale: 0.3, Workloads: []string{"hotspot"}}, "fig4")
 	if len(tab.Columns) != 3 {
 		t.Fatalf("columns = %v", tab.Columns)
 	}
@@ -118,7 +123,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	tab := Fig5(opts("fdtd"))
+	tab := table(opts("fdtd"), "fig5")
 	if len(tab.Columns) != 3 {
 		t.Fatalf("columns = %v", tab.Columns)
 	}
@@ -129,7 +134,8 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6And7Shapes(t *testing.T) {
-	rt, th := Fig6And7(opts("backprop", "ra"))
+	figs := Figures(opts("backprop", "ra"), 0, "fig6", "fig7")
+	rt, th := figs[0].Tables[0], figs[1].Tables[0]
 	if len(rt.Rows) != 2 || len(th.Rows) != 2 {
 		t.Fatal("row counts wrong")
 	}
@@ -188,5 +194,33 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Scale != 1.0 || len(o.Workloads) != 8 || o.Base.NumSMs == 0 {
 		t.Fatalf("defaults wrong: %+v", o)
+	}
+}
+
+// A trace collector observes accesses without changing a simulated
+// cycle: on every workload, the characterization cell and an
+// oversubscribed Adaptive cell give the same Counters with a collector
+// attached, at sampling densities 0, 1 and 256, as without one. This is
+// what lets a trace share its untraced twin's grid key (Figs. 2 and 3
+// reuse the baseline cell of Figs. 1 and 5).
+func TestCollectorChangesNoCounter(t *testing.T) {
+	o := Options{Scale: 0.05}.withDefaults()
+	for _, w := range o.Workloads {
+		for _, col := range []column{traceColumns(o.Base)[0], fig67Columns(o.Base)[3]} {
+			col.trace = false
+			want := (&simulation{cell: cell{workload: w, column: col}}).simulate(o).Counters
+			col.trace = true
+			for _, every := range []uint64{0, 1, 256} {
+				o.sample = every
+				sm := &simulation{cell: cell{workload: w, column: col}}
+				if got := sm.simulate(o).Counters; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s/%d%%, sampling %d: counters\n%+v\nwant\n%+v", w, col.pol, col.pct, every, got, want)
+				}
+				tr := sm.collector
+				if len(tr.FrequencyByAllocation()) == 0 || (every > 0) != (len(tr.Samples()) > 0) {
+					t.Fatalf("%s, sampling %d: the collector saw %d samples and %d allocations", w, every, len(tr.Samples()), len(tr.FrequencyByAllocation()))
+				}
+			}
+		}
 	}
 }

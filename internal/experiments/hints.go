@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"slices"
-
 	"uvmsim/internal/config"
-	"uvmsim/internal/core"
 	"uvmsim/internal/report"
-	"uvmsim/internal/uvm"
+	"uvmsim/internal/trace"
 )
 
 // coldDensityDivisor classifies an allocation as cold when its access
@@ -16,69 +13,64 @@ const coldDensityDivisor = 8
 
 // ProfileColdAllocations performs the intrusive-profiling step the paper
 // says developers must do before placing cudaMemAdvise hints (§III-C):
-// it runs the workload once with tracing under fitting memory and
-// returns the names of allocations whose page-access density marks them
-// as cold.
+// it runs the Figs. 2/3 characterization cell and returns the names of
+// allocations whose page-access density marks them as cold.
 func ProfileColdAllocations(workload string, o Options) []string {
-	tr := RunTrace(workload, o, 0)
-	freqs := tr.Collector.FrequencyByAllocation()
+	o = o.withDefaults()
+	return coldAllocations(o.run(cellsOf([]string{workload}, traceColumns(o.Base)))[0][0].collector)
+}
+
+// coldAllocations classifies a trace's allocations.
+func coldAllocations(col *trace.Collector) []string {
+	freqs := col.FrequencyByAllocation()
+	density := func(af trace.AllocFreq) float64 { return float64(af.TotalAccesses) / float64(len(af.Pages)) }
 	var maxDensity float64
-	density := make(map[string]float64, len(freqs))
 	for _, af := range freqs {
-		if len(af.Pages) == 0 {
-			continue
-		}
-		d := float64(af.TotalAccesses) / float64(len(af.Pages))
-		density[af.Name] = d
-		if d > maxDensity {
-			maxDensity = d
+		if len(af.Pages) > 0 {
+			maxDensity = max(maxDensity, density(af))
 		}
 	}
 	var cold []string
 	for _, af := range freqs {
-		if d, ok := density[af.Name]; ok && d < maxDensity/coldDensityDivisor {
+		if len(af.Pages) > 0 && density(af) < maxDensity/coldDensityDivisor {
 			cold = append(cold, af.Name)
 		}
 	}
 	return cold
 }
 
-// runWithHints runs the workload under the baseline policy with the
-// named allocations hard-pinned to host memory (zero-copy). It is an
-// ordinary cell tagged "hinted", so Observe sees it like any other.
-func runWithHints(workload string, o Options, pct uint64, pinned []string) *core.Result {
-	s := o.cell(workload, 1, pct, config.PolicyDisabled, o.Base, "hinted")
-	for _, a := range o.memo.Get(workload, o.Scale).Space.Allocations() {
-		if slices.Contains(pinned, a.Name) {
-			s.Driver.Advise(a, uvm.AdvicePinHost)
-		}
-	}
-	return s.Run()
+// hintColumns: the profiling trace, then the plain baseline and the
+// Adaptive policy (p=8) at 125% oversubscription.
+func hintColumns(base config.Config) []column {
+	adaptive := base
+	adaptive.Penalty = 8
+	return append(traceColumns(base),
+		column{pct: 125, pol: config.PolicyDisabled, base: base},
+		column{pct: 125, pol: config.PolicyAdaptive, base: adaptive})
 }
 
-// OracleHints compares three ways of handling oversubscribed irregular
+// hints compares three ways of handling oversubscribed irregular
 // workloads: the untouched baseline, the baseline plus profile-derived
 // zero-copy hints (the state of the art the paper argues against,
 // because it needs per-input profiling and developer intervention), and
 // the programmer-agnostic Adaptive policy. Columns are normalized to the
-// plain baseline.
-func OracleHints(o Options, oversubPercent uint64) *report.Table {
-	o = o.withDefaults()
+// plain baseline. The hinted cells are a second pass; a workload with
+// nothing cold reuses its baseline cell.
+func hints(o Options, cols []column, rows [][]*simulation) Figure {
+	hinted := make([]cell, len(rows))
+	for i, row := range rows {
+		hinted[i] = cell{workload: row[0].workload, column: cols[1], pinned: coldAllocations(row[0].collector)}
+		hinted[i].tag = "hinted"
+	}
+	pinned := o.run(hinted)[0]
 	t := &report.Table{
 		Title:   "Extension: profile-derived zero-copy hints vs programmer-agnostic Adaptive",
 		Metric:  "Runtime normalized to baseline (125% oversubscription)",
 		Columns: []string{"Baseline", "ProfiledHints", "Adaptive"},
 	}
-	for _, name := range o.Workloads {
-		cold := ProfileColdAllocations(name, o)
-		base := o.cell(name, 1, oversubPercent, config.PolicyDisabled, o.Base, "").Run()
-		hinted := runWithHints(name, o, oversubPercent, cold)
-		cfg := o.Base
-		cfg.Penalty = 8
-		adpt := o.cell(name, 1, oversubPercent, config.PolicyAdaptive, cfg, "hints").Run()
-		t.Add(name, 1.0,
-			float64(hinted.Runtime())/float64(base.Runtime()),
-			float64(adpt.Runtime())/float64(base.Runtime()))
+	for i, row := range rows {
+		base, adaptive := row[1].res, row[2].res
+		t.Add(row[0].workload, 1.0, report.Ratio(pinned[i].res.Runtime(), base.Runtime()), report.Ratio(adaptive.Runtime(), base.Runtime()))
 	}
-	return t
+	return Figure{Tables: []*report.Table{t}}
 }

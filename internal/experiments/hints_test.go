@@ -34,7 +34,7 @@ func TestProfileColdAllocations(t *testing.T) {
 }
 
 func TestOracleHintsShape(t *testing.T) {
-	tab := OracleHints(Options{Scale: expScale, Workloads: []string{"bfs"}}, 125)
+	tab := table(opts("bfs"), "hints")
 	if len(tab.Rows) != 1 || len(tab.Columns) != 3 {
 		t.Fatalf("table shape wrong: %+v", tab)
 	}
@@ -53,11 +53,13 @@ func TestOracleHintsShape(t *testing.T) {
 	}
 }
 
-// Every cell of OracleHints is observed, the hinted one included under
-// its own tag, and observing leaves the table as it was.
+// Every cell of the hints figure is observed once: the profiling trace
+// is the Disabled/100% cell, the baseline and Adaptive cells are Fig.
+// 6's, and the hinted cell has its own tag. Observing leaves the table
+// as it was.
 func TestOracleHintsObservesEveryCell(t *testing.T) {
-	o := Options{Scale: expScale, Workloads: []string{"bfs"}}
-	tab := OracleHints(o, 125)
+	o := opts("bfs")
+	tab := table(o, "hints")
 	var mu sync.Mutex
 	var names []string
 	o.Observe = func(name string) *obs.Run {
@@ -66,11 +68,11 @@ func TestOracleHintsObservesEveryCell(t *testing.T) {
 		names = append(names, name)
 		return obs.Options{Metrics: true}.NewRun(name)
 	}
-	if observed := OracleHints(o, 125); !reflect.DeepEqual(observed, tab) {
+	if observed := table(o, "hints"); !reflect.DeepEqual(observed, tab) {
 		t.Errorf("observing changed the table:\n%s\nwant:\n%s", observed.Format(), tab.Format())
 	}
 	slices.Sort(names)
-	want := []string{"bfs/Adaptive/125%/hints", "bfs/Disabled/125%", "bfs/Disabled/125%/hinted", "bfs/trace"}
+	want := []string{"bfs/Adaptive/125%", "bfs/Disabled/100%", "bfs/Disabled/125%", "bfs/Disabled/125%/hinted"}
 	if !slices.Equal(names, want) {
 		t.Errorf("observed runs %q, want %q", names, want)
 	}

@@ -10,19 +10,21 @@ import (
 	"uvmsim/internal/serve"
 )
 
-// FigureNames lists the figures Figures renders and FigureJob submits,
-// in order.
-func FigureNames() []string { return slices.Sorted(maps.Keys(figureSweeps)) }
+// FigureNames lists the figure sweeps FigureJob submits (Figures 1 and
+// 4-8), in order.
+func FigureNames() []string {
+	return slices.DeleteFunc(slices.Sorted(maps.Keys(figureSpecs)), func(name string) bool { return !figureSpecs[name].job })
+}
 
 // FigureJob expresses one figure sweep as a simd job submission: the
-// exact cell set the in-process FigN function simulates, built from the
-// same column list. Submitting the job to a warm server reproduces the
-// figure's raw cells entirely from cache; the figure functions and the
-// service share the same derivation path (core.DeriveConfig), so their
-// per-cell results are identical.
+// exact cell set Figures simulates for it, from the same column list.
+// Submitting the job to a warm server reproduces the figure's raw cells
+// entirely from cache; Figures and the service share the same
+// derivation path (core.DeriveConfig), so their per-cell results are
+// identical.
 func FigureJob(fig string, o Options) (serve.JobRequest, error) {
-	f, ok := figureSweeps[fig]
-	if !ok {
+	f, ok := figureSpecs[fig]
+	if !ok || !f.job {
 		return serve.JobRequest{}, fmt.Errorf("experiments: no job mapping for figure %q (have %v)", fig, FigureNames())
 	}
 	o = o.withDefaults()

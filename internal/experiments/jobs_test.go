@@ -60,8 +60,8 @@ func TestFig6JobMatchesInProcessSweep(t *testing.T) {
 	}
 }
 
-// Every mapped figure must expand to the sweep shape its FigN function
-// simulates.
+// Every mapped figure must expand to the sweep shape Figures simulates
+// for it.
 func TestFigureJobShapes(t *testing.T) {
 	o := Options{Scale: 0.05, Workloads: []string{"bfs"}}
 	cells := map[string]int{
@@ -86,8 +86,10 @@ func TestFigureJobShapes(t *testing.T) {
 		}
 	}
 
-	if _, err := FigureJob("fig2", o); err == nil {
-		t.Error("fig2 (trace characterization) should have no job mapping")
+	for _, fig := range []string{"fig2", "fig3", "hints", "multigpu"} {
+		if _, err := FigureJob(fig, o); err == nil {
+			t.Errorf("%s (traced, pinned or multi-GPU cells) should have no job mapping", fig)
+		}
 	}
 }
 
@@ -108,7 +110,8 @@ func TestFigureJobsMatchInProcessSweeps(t *testing.T) {
 		build func(Options) (serve.JobRequest, Options, []column)
 	}
 	var cases []sweepCase
-	for name, f := range figureSweeps {
+	for _, name := range FigureNames() {
+		f := figureSpecs[name]
 		cases = append(cases, sweepCase{name, func(o Options) (serve.JobRequest, Options, []column) {
 			req, err := FigureJob(name, o)
 			if err != nil {
@@ -135,7 +138,7 @@ func TestFigureJobsMatchInProcessSweeps(t *testing.T) {
 		}{{"default", config.Config{}}, {"no-prefetch", noPrefetch}} {
 			t.Run(tc.name+"/"+pipe.name, func(t *testing.T) {
 				req, o, cols := tc.build(Options{Scale: 0.05, Workloads: []string{"bfs", "ra"}, Base: pipe.base})
-				want := o.grid(cols)[0]
+				want := o.run(cellsOf(o.Workloads, cols))[0]
 				doc, st := runJob(t, req)
 				if st.State != serve.StateDone {
 					t.Fatalf("job ended %s: %s", st.State, st.Error)
@@ -144,7 +147,7 @@ func TestFigureJobsMatchInProcessSweeps(t *testing.T) {
 					t.Fatalf("job ran %d cells, want %d workloads x %d columns", len(doc.Cells), len(o.Workloads), len(cols))
 				}
 				for i, cell := range doc.Cells {
-					got, exp := cell.Record, want[i]
+					got, exp := cell.Record, want[i].res
 					if got.Workload != exp.Workload || got.Config != exp.Config {
 						t.Fatalf("cell %d is %s under %+v, want %s under %+v", i, got.Workload, got.Config, exp.Workload, exp.Config)
 					}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestMultiGPUExperimentShape(t *testing.T) {
-	tab := MultiGPU("ra", Options{Scale: 0.15}, 125)
+	tab := table(Options{Scale: 0.15, Workloads: []string{"ra"}}, "multigpu")
 	if len(tab.Rows) != len(MultiGPUClusterSizes) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(MultiGPUClusterSizes))
 	}
@@ -38,7 +38,7 @@ func TestMultiGPUExperimentShape(t *testing.T) {
 	// observing leaves the table as it was.
 	var mu sync.Mutex
 	names := make(map[string]bool)
-	observed := MultiGPU("ra", Options{Scale: 0.15, Observe: func(name string) *obs.Run {
+	observed := table(Options{Scale: 0.15, Workloads: []string{"ra"}, Observe: func(name string) *obs.Run {
 		mu.Lock()
 		defer mu.Unlock()
 		if names[name] {
@@ -46,7 +46,7 @@ func TestMultiGPUExperimentShape(t *testing.T) {
 		}
 		names[name] = true
 		return obs.Options{Metrics: true}.NewRun(name)
-	}}, 125)
+	}}, "multigpu")
 	var gpus int
 	for _, n := range MultiGPUClusterSizes {
 		gpus += n
@@ -59,11 +59,11 @@ func TestMultiGPUExperimentShape(t *testing.T) {
 	}
 }
 
-// The six cells run through sweep.Grid, so the table is the same at any
-// worker count.
+// The six cells run in parallel on the grid, so the table is the same at
+// any worker count.
 func TestMultiGPUWorkersIdentical(t *testing.T) {
-	one := MultiGPU("ra", Options{Scale: 0.15, Workers: 1}, 125)
-	two := MultiGPU("ra", Options{Scale: 0.15, Workers: 2}, 125)
+	one := table(Options{Scale: 0.15, Workloads: []string{"ra"}, Workers: 1}, "multigpu")
+	two := table(Options{Scale: 0.15, Workloads: []string{"ra"}, Workers: 2}, "multigpu")
 	if !reflect.DeepEqual(one, two) {
 		t.Errorf("Workers: 2 changed the table:\n%s\nwant:\n%s", two.Format(), one.Format())
 	}

@@ -122,7 +122,7 @@ func (o TournamentOptions) columns() []column {
 func Tournament(o TournamentOptions) *TournamentResult {
 	o = o.withDefaults()
 	cols := o.columns()
-	res := o.grid(cols)[0]
+	sims := o.run(cellsOf(o.Options.Workloads, cols))[0]
 	out := &TournamentResult{
 		Workloads:      o.Options.Workloads,
 		Scale:          o.Scale,
@@ -135,7 +135,7 @@ func Tournament(o TournamentOptions) *TournamentResult {
 			WorkloadCycles: make([]uint64, len(o.Options.Workloads)),
 		}
 		for w := range o.Options.Workloads {
-			r := res[w*len(cols)+c]
+			r := sims[w*len(cols)+c].res
 			e.WorkloadCycles[w] = r.Runtime()
 			e.TotalCycles += r.Runtime()
 			e.FarFaults += r.Counters.FarFaults

@@ -52,9 +52,6 @@ func (c *Checker) AddMonotonic(name string, get func() uint64) {
 	})
 }
 
-// Len reports the number of registered checks.
-func (c *Checker) Len() int { return len(c.checks) }
-
 // RunAll executes every check and returns the first *Violation stamped
 // with now, or nil when all invariants hold.
 func (c *Checker) RunAll(now uint64) error {

@@ -48,9 +48,6 @@ func NewDecider(cfg config.Config) *Decider {
 	return &Decider{kind: cfg.Policy, ts: cfg.StaticThreshold, p: cfg.Penalty}
 }
 
-// Kind returns the scheme this decider implements.
-func (d *Decider) Kind() config.MigrationPolicy { return d.kind }
-
 // Threshold returns the dynamic migration threshold td for a basic block
 // with the given round-trip count under the given memory state. It is
 // always at least 1.

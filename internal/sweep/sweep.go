@@ -100,21 +100,3 @@ func runJob[T any](job func() T, aborted *atomic.Bool, panicked *atomic.Pointer[
 	}()
 	return job(), true
 }
-
-// Grid evaluates f over a rows x cols grid in parallel and returns
-// results indexed [row][col].
-func Grid[T any](rows, cols int, workers int, f func(row, col int) T) [][]T {
-	jobs := make([]func() T, 0, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			r, c := r, c
-			jobs = append(jobs, func() T { return f(r, c) })
-		}
-	}
-	flat := Parallel(jobs, workers)
-	out := make([][]T, rows)
-	for r := 0; r < rows; r++ {
-		out[r] = flat[r*cols : (r+1)*cols]
-	}
-	return out
-}

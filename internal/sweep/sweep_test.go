@@ -168,17 +168,6 @@ func TestParallelPanicAbortsClaiming(t *testing.T) {
 	}
 }
 
-func TestGridIndexing(t *testing.T) {
-	got := Grid(3, 4, 4, func(r, c int) int { return r*10 + c })
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 4; c++ {
-			if got[r][c] != r*10+c {
-				t.Fatalf("grid[%d][%d] = %d", r, c, got[r][c])
-			}
-		}
-	}
-}
-
 // Property: Parallel returns exactly the same results as sequential
 // execution for pure jobs, regardless of worker count.
 func TestParallelEquivalenceProperty(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // hard pinning. The paper's point is that choosing these hints demands
 // intrusive profiling; the Adaptive policy exists to make them
 // unnecessary. The driver implements them so the two approaches can be
-// compared head-to-head (see experiments.OracleHints).
+// compared head-to-head (see `paperbench -fig hints`).
 type Advice int
 
 const (

@@ -23,11 +23,10 @@
 //	res := uvmsim.Run(b, cfg)
 //	fmt.Println(res.Counters.String())
 //
-// The experiment entry points (Fig1 … Fig8, Table1) regenerate every
-// figure and table of the paper's evaluation. Figures renders several of
-// Figs. 1 and 4-8 from one grid, simulating each cell they share once;
-// each FigN is Figures over its own name. See EXPERIMENTS.md for
-// measured-versus-paper results.
+// Figures regenerates any list of the paper's figures ("fig1" …
+// "fig8") and its hints and multi-GPU extensions from one grid that
+// simulates each distinct cell once; Table1 renders the configuration.
+// See EXPERIMENTS.md for measured-versus-paper results.
 package uvmsim
 
 import (
@@ -219,8 +218,7 @@ func clusterResult(r *Result) *ClusterResult {
 	return &ClusterResult{Result: r, Cycles: r.Counters.Cycles}
 }
 
-// Experiment harness re-exports: each FigN regenerates the corresponding
-// figure of the paper's evaluation.
+// Experiment harness re-exports.
 type (
 	// ExperimentOptions configures an experiment sweep.
 	ExperimentOptions = experiments.Options
@@ -230,6 +228,8 @@ type (
 	TournamentResult = experiments.TournamentResult
 	// Table is a formatted experiment result.
 	Table = report.Table
+	// Figure is what one name of Figures renders.
+	Figure = experiments.Figure
 )
 
 // Tournament runs every requested planner x prefetch-governor
@@ -237,23 +237,13 @@ type (
 // returns the deterministic leaderboard.
 var Tournament = experiments.Tournament
 
-// Figure and table regeneration entry points. MultiGPU runs the §VIII
-// future-work extension study.
+// Figure and table regeneration entry points.
 var (
-	MultiGPU    = experiments.MultiGPU
-	OracleHints = experiments.OracleHints
-	// Figures renders several of Figs. 1 and 4-8 from one grid, each
-	// distinct cell simulated once.
+	// Figures renders the named figures, each distinct cell once.
 	Figures = experiments.Figures
-	Fig1    = experiments.Fig1
-	Fig2    = experiments.Fig2
-	Fig3    = experiments.Fig3
-	Fig4    = experiments.Fig4
-	Fig5    = experiments.Fig5
-	// Fig6And7 runs the one sweep behind Figures 6 and 7.
-	Fig6And7 = experiments.Fig6And7
-	// Fig6And7Cycles additionally reports the sweep's deterministic
-	// simulated-cycle total (the paper-fig67 benchmark checksum).
+	// Fig6And7Cycles runs the one sweep behind Figures 6 and 7 and
+	// reports its deterministic simulated-cycle total (the paper-fig67
+	// benchmark checksum).
 	Fig6And7Cycles = experiments.Fig6And7Cycles
 	Fig8           = experiments.Fig8
 	Table1         = experiments.Table1

@@ -169,7 +169,7 @@ func TestPublicAPIExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke is slow")
 	}
-	tab := Fig5(ExperimentOptions{Scale: 0.1, Workloads: []string{"hotspot"}})
+	tab := Figures(ExperimentOptions{Scale: 0.1, Workloads: []string{"hotspot"}}, 0, "fig5")[0].Tables[0]
 	if len(tab.Rows) != 1 || len(tab.Columns) != 3 {
 		t.Fatalf("Fig5 table shape wrong: %+v", tab)
 	}
