@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint tools staticcheck govulncheck race bench bench-smoke colo-smoke figures figures-check check ci smoke cover tournament tournament-smoke serve-smoke
+.PHONY: build test short vet lint tools staticcheck govulncheck race bench bench-smoke colo-smoke figures figures-check check ci smoke cover reach tournament tournament-smoke serve-smoke
 
 # Pinned tool versions for CI (and for local installs that want to match
 # CI exactly). Bump deliberately; staticcheck versions are coupled to Go
@@ -133,6 +133,13 @@ colo-smoke:
 cover:
 	./scripts/cover.sh
 
+# Front-end reachability (DESIGN.md §17): coverage-instrumented builds
+# of every CLI, example and the benchmark run what CI and the benchmark
+# run; every function none of them reaches must be deleted or carry one
+# reason in scripts/reach-reasons.txt (about 3 minutes on two cores).
+reach:
+	./scripts/reach.sh
+
 check: vet lint test
 
 # End-to-end smoke: a small sweep with the full observability surface on
@@ -147,6 +154,6 @@ smoke:
 # What CI runs (.github/workflows/ci.yml): vet + simlint + staticcheck +
 # govulncheck, build, race-detected tests, the coverage floor, the
 # observability smoke, the scale-1 figure gate, the tournament smoke,
-# the sweep-service smoke, the co-location smoke, then the benchmark
-# smoke.
-ci: vet lint staticcheck govulncheck build race cover smoke figures-check tournament-smoke serve-smoke colo-smoke bench-smoke
+# the sweep-service smoke, the co-location smoke, the benchmark smoke,
+# then the reachability gate.
+ci: vet lint staticcheck govulncheck build race cover smoke figures-check tournament-smoke serve-smoke colo-smoke bench-smoke reach

@@ -10,6 +10,7 @@
 package uvmsim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"uvmsim/internal/config"
 	"uvmsim/internal/gpu"
 	"uvmsim/internal/prefetch"
+	"uvmsim/internal/report"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
 	"uvmsim/internal/uvm"
@@ -44,8 +46,8 @@ func BenchmarkFig1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := Figures(benchOpts(), 0, "fig1")[0].Tables[0]
-		reg, _ := t.Get("fdtd", 1)
-		irr, _ := t.Get("ra", 1)
+		reg := value(b, t, "fdtd", 1)
+		irr := value(b, t, "ra", 1)
 		b.ReportMetric(reg, "fdtd-125%-slowdown")
 		b.ReportMetric(irr, "ra-125%-slowdown")
 	}
@@ -79,7 +81,7 @@ func BenchmarkFig4(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := Figures(benchOpts(), 0, "fig4")[0].Tables[0]
-		v, _ := t.Get("sssp", 2)
+		v := value(b, t, "sssp", 2)
 		b.ReportMetric(v, "sssp-ts32-vs-ts8")
 	}
 }
@@ -91,7 +93,7 @@ func BenchmarkFig5(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := Figures(benchOpts(), 0, "fig5")[0].Tables[0]
-		v, _ := t.Get("sssp", 2)
+		v := value(b, t, "sssp", 2)
 		b.ReportMetric(v, "sssp-adaptive-vs-baseline")
 	}
 }
@@ -105,8 +107,8 @@ func BenchmarkFig6And7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		figs := Figures(benchOpts(), 0, "fig6", "fig7")
 		rt, th := figs[0].Tables[0], figs[1].Tables[0]
-		r, _ := rt.Get("ra", 3)
-		t, _ := th.Get("ra", 3)
+		r := value(b, rt, "ra", 3)
+		t := value(b, th, "ra", 3)
 		b.ReportMetric(r, "ra-adaptive-runtime")
 		b.ReportMetric(t, "ra-adaptive-thrash")
 	}
@@ -119,7 +121,7 @@ func BenchmarkFig8(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := Fig8(benchOpts())
-		v, _ := t.Get("nw", 4)
+		v := value(b, t, "nw", 4)
 		b.ReportMetric(v, "nw-p2^20-vs-baseline")
 	}
 }
@@ -340,4 +342,15 @@ func (p *divergentProgram) Next(in *gpu.Instr) bool {
 		in.Addrs[l] = (p.seed >> 16) % (1 << 30)
 	}
 	return true
+}
+
+// value returns column col of tab's row label, failing tb when the
+// table has no such row.
+func value(tb testing.TB, tab *report.Table, label string, col int) float64 {
+	tb.Helper()
+	i := slices.IndexFunc(tab.Rows, func(r report.Row) bool { return r.Label == label })
+	if i < 0 {
+		tb.Fatalf("%s has no row %q", tab.Title, label)
+	}
+	return tab.Rows[i].Values[col]
 }

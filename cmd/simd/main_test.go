@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net"
 	"os"
@@ -172,9 +171,6 @@ func TestServeDrainsOnShutdown(t *testing.T) {
 	}
 	if got := snap.Counter("serve.cells.completed"); got != uint64(st.TotalCells) {
 		t.Fatalf("job %s: %d of %d cells completed when the server returned", st.ID, got, st.TotalCells)
-	}
-	if _, err := s.Submit(job); !errors.Is(err, serve.ErrDraining) {
-		t.Fatalf("submit after shutdown: %v, want %v", err, serve.ErrDraining)
 	}
 	if _, err := c.Submit(job); err == nil {
 		t.Fatal("an HTTP submit after shutdown was accepted")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -72,5 +73,36 @@ func TestOnlySubset(t *testing.T) {
 	code := run([]string{"-only", "wallclock"}, repoRoot(t), &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("-only wallclock exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+}
+
+// A finding prints as file:line:col: message (analyzer), and simlint
+// exits 1.
+func TestFindingIsReported(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module tmod\n\ngo 1.21\n",
+		"a.go": `package a
+
+func Sum(m map[string]float64) float64 {
+	var s float64
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-only", "maporder"}, dir, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "a.go:5:2: ") || !strings.HasSuffix(out, " (maporder)\n") {
+		t.Fatalf("finding printed as %q, want file:line:col: message (maporder)", out)
 	}
 }

@@ -31,10 +31,35 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
+// toyGraph is a weighted edge list in which node 0 reaches every node,
+// so both bfs and sssp have work to do on it.
+const toyGraph = `# toy graph
+0 1 3
+0 2
+1 3 5
+2 3 1
+3 4 2
+4 1 7
+`
+
+// writeFile writes content to name under a fresh temporary directory
+// and returns its path.
+func writeFile(t *testing.T, name, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // A bad flag value (an unknown policy, workload or stage name, a zero
-// or non-finite scale, a GPU count out of range) or an undefined flag is
-// refused at flag parse with exit code 2 and a message naming it.
+// or non-finite scale, a GPU count out of range, an unreadable -graph
+// input) or an undefined flag is refused with a non-zero exit code and
+// a message naming it.
 func TestInvalidFlagValuesExitNonZero(t *testing.T) {
+	graph := writeFile(t, "graph.txt", toyGraph)
+	malformed := writeFile(t, "malformed.txt", "0 1\n1 two\n")
 	cases := []struct {
 		name    string
 		args    []string
@@ -66,6 +91,8 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 		{"jsonOnCluster", []string{"-gpus", "2", "-json", "out.json"}, "single-GPU runs only"},
 		{"traceSampleWithoutTraceOut", []string{"-workload", "ra", "-scale", "0.05", "-trace-sample", "8"}, "-trace-sample requires -trace-out"},
 		{"undefinedFlag", []string{"-no-such-flag"}, "flag provided but not defined"},
+		{"malformedGraph", []string{"-workload", "bfs", "-graph", malformed}, `line 2: bad target "two"`},
+		{"graphOnRegularWorkload", []string{"-workload", "ra", "-graph", graph}, "only applies to bfs and sssp"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,6 +104,18 @@ func TestInvalidFlagValuesExitNonZero(t *testing.T) {
 				t.Fatalf("stderr = %q, want substring %q", stderr, tc.wantErr)
 			}
 		})
+	}
+}
+
+// -graph runs bfs and sssp on an edge list read from a file in place of
+// the synthetic input.
+func TestGraphFileRuns(t *testing.T) {
+	graph := writeFile(t, "graph.txt", toyGraph)
+	for _, w := range []string{"bfs", "sssp"} {
+		code, stdout, stderr := runCLI(t, "-workload", w, "-graph", graph)
+		if code != 0 || !strings.Contains(stdout, "cycles=") {
+			t.Fatalf("-workload %s -graph: exit %d, stdout:\n%s\nstderr:\n%s", w, code, stdout, stderr)
+		}
 	}
 }
 
@@ -166,8 +205,8 @@ func TestRunWithObservabilityOutputs(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("metrics JSON: %v", err)
 	}
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
+	if snap.Version != obs.MetricsFormatVersion {
+		t.Fatalf("metrics version = %d", snap.Version)
 	}
 	if len(snap.Runs) != 1 || !strings.HasPrefix(snap.Runs[0].Name, "ra/") {
 		t.Fatalf("runs = %+v", snap.Runs)
@@ -188,18 +227,22 @@ func TestRunWithObservabilityOutputs(t *testing.T) {
 		t.Fatal("trace has no events")
 	}
 
-	// The resultio record must round-trip, including the embedded
-	// metrics block (Read cross-validates it against the counters).
+	// The resultio record must decode strictly and pass the checks a
+	// cache entry's record gets, which cross-validate the embedded
+	// metrics block against the counters.
 	f, err := os.Open(record)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rec, err := resultio.Read(f)
-	if err != nil {
+	e := resultio.CellEntry{Version: resultio.CellFormatVersion, Key: "record"}
+	if err := resultio.DecodeStrict(f, &e.Record); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Metrics == nil {
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Record.Metrics == nil {
 		t.Fatal("record is missing the metrics block")
 	}
 }
@@ -219,8 +262,8 @@ func TestMetricsJSONToStdout(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout[i:]), &snap); err != nil {
 		t.Fatalf("metrics JSON on stdout: %v", err)
 	}
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
+	if snap.Version != obs.MetricsFormatVersion {
+		t.Fatalf("metrics version = %d", snap.Version)
 	}
 	if strings.Contains(stderr, "wrote") {
 		t.Fatalf("stderr = %q, want no file reported", stderr)

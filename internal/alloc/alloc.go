@@ -44,21 +44,10 @@ type ChunkInfo struct {
 // Blocks returns the number of 64KB basic blocks in the chunk.
 func (c ChunkInfo) Blocks() uint64 { return c.Bytes / memunits.BlockSize }
 
-// Pages returns the number of 4KB pages in the chunk.
-func (c ChunkInfo) Pages() uint64 { return c.Bytes / memunits.PageSize }
-
 // FirstBlock returns the chunk's first global block number.
 func (c ChunkInfo) FirstBlock() memunits.BlockNum {
 	return memunits.FirstBlockOfChunk(c.Num)
 }
-
-// FirstPage returns the chunk's first global page number.
-func (c ChunkInfo) FirstPage() memunits.PageNum {
-	return c.Num * memunits.PagesPerChunk
-}
-
-// Chunks returns the allocation's logical chunk decomposition.
-func (a *Allocation) Chunks() []ChunkInfo { return a.chunks }
 
 // End returns the first address past the rounded allocation.
 func (a *Allocation) End() memunits.Addr { return a.Base + a.Size }
@@ -136,15 +125,6 @@ func (s *Space) TotalUserBytes() uint64 {
 	var sum uint64
 	for _, a := range s.allocs {
 		sum += a.UserSize
-	}
-	return sum
-}
-
-// TotalRoundedBytes sums the rounded sizes (what residency can reach).
-func (s *Space) TotalRoundedBytes() uint64 {
-	var sum uint64
-	for _, a := range s.allocs {
-		sum += a.Size
 	}
 	return sum
 }

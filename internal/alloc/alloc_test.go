@@ -13,7 +13,7 @@ func TestAllocRoundingAndChunks(t *testing.T) {
 	if a.Size != 4<<20+256<<10 {
 		t.Fatalf("rounded size = %d, want 4MB+256KB", a.Size)
 	}
-	chunks := a.Chunks()
+	chunks := a.chunks
 	if len(chunks) != 3 {
 		t.Fatalf("chunks = %d, want 3", len(chunks))
 	}
@@ -42,7 +42,7 @@ func TestAllocBaseAlignmentAndGuardGap(t *testing.T) {
 		t.Fatal("first allocation at address zero")
 	}
 	// b must start at least one full guard chunk past a's last slot.
-	lastSlotEnd := memunits.ChunkAddr(a.Chunks()[len(a.Chunks())-1].Num) + memunits.ChunkSize
+	lastSlotEnd := memunits.ChunkAddr(a.chunks[len(a.chunks)-1].Num) + memunits.ChunkSize
 	if b.Base < lastSlotEnd+memunits.ChunkSize {
 		t.Fatalf("no guard gap: a ends slot at %#x, b at %#x", lastSlotEnd, b.Base)
 	}
@@ -97,14 +97,14 @@ func TestFind(t *testing.T) {
 func TestFindChunk(t *testing.T) {
 	s := NewSpace()
 	a := s.Alloc("a", 4<<20+168<<10, false)
-	for i, ci := range a.Chunks() {
+	for i, ci := range a.chunks {
 		got, info, ok := s.FindChunk(ci.Num)
 		if !ok || got != a || info.Num != ci.Num || info.Bytes != ci.Bytes {
 			t.Fatalf("FindChunk(chunk %d of a) = %v,%+v,%v", i, got, info, ok)
 		}
 	}
 	// Guard chunk after the allocation must not resolve.
-	last := a.Chunks()[len(a.Chunks())-1].Num
+	last := a.chunks[len(a.chunks)-1].Num
 	if _, _, ok := s.FindChunk(last + 1); ok {
 		t.Fatal("guard chunk resolved to an allocation")
 	}
@@ -117,9 +117,6 @@ func TestTotals(t *testing.T) {
 	if got := s.TotalUserBytes(); got != 4<<20 {
 		t.Fatalf("TotalUserBytes = %d, want 4MB", got)
 	}
-	if got := s.TotalRoundedBytes(); got != 4<<20 {
-		t.Fatalf("TotalRoundedBytes = %d, want 4MB", got)
-	}
 	if len(s.Allocations()) != 2 {
 		t.Fatal("Allocations count wrong")
 	}
@@ -128,15 +125,12 @@ func TestTotals(t *testing.T) {
 func TestChunkInfoHelpers(t *testing.T) {
 	s := NewSpace()
 	a := s.Alloc("a", 2<<20, false)
-	c := a.Chunks()[0]
-	if c.Blocks() != 32 || c.Pages() != 512 {
-		t.Fatalf("full chunk blocks=%d pages=%d", c.Blocks(), c.Pages())
+	c := a.chunks[0]
+	if c.Blocks() != 32 {
+		t.Fatalf("full chunk blocks=%d", c.Blocks())
 	}
 	if c.FirstBlock() != c.Num*memunits.BlocksPerChunk {
 		t.Fatal("FirstBlock inconsistent")
-	}
-	if c.FirstPage() != c.Num*memunits.PagesPerChunk {
-		t.Fatal("FirstPage inconsistent")
 	}
 	if a.FirstPage() != memunits.PageOf(a.Base) || a.FirstBlock() != memunits.BlockOf(a.Base) {
 		t.Fatal("allocation first page/block inconsistent")
@@ -172,7 +166,7 @@ func TestSpaceDisjointnessProperty(t *testing.T) {
 					return false
 				}
 			}
-			for _, ci := range a.Chunks() {
+			for _, ci := range a.chunks {
 				if got, _, ok := s.FindChunk(ci.Num); !ok || got != a {
 					return false
 				}

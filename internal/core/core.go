@@ -90,9 +90,8 @@ type node struct {
 	g   *gpu.GPU
 
 	// Observability (obs.go); nil when the node is not observed.
-	tr        *obs.Tracer
-	ck        *obs.Checker
-	checksRun uint64
+	tr *obs.Tracer
+	ck *obs.Checker
 
 	// Per-kernel barrier bookkeeping: launched is set at launch,
 	// finished and end by the kernel's completion event.

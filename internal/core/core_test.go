@@ -5,6 +5,7 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
+	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/uvm"
 	"uvmsim/internal/workloads"
@@ -159,9 +160,11 @@ func TestResidencyNeverExceedsCapacity(t *testing.T) {
 	b := workloads.MustGet("sssp")(testScale)
 	cfg := config.Default().WithPolicy(config.PolicyAdaptive).WithOversubscription(b.WorkingSet(), 125)
 	s := New(b, cfg)
+	r := &obs.Run{Reg: obs.NewRegistry()}
+	s.Observe(func(int) *obs.Run { return r })
 	res := s.Run()
-	if s.Driver.ResidentPages() > s.Driver.Memory().TotalPages() {
-		t.Fatal("resident pages exceed capacity")
+	if snap := r.Collect(); snap.Counter("devmem.peak_pages") > snap.Counter("devmem.total_pages") {
+		t.Fatalf("peak residency %d pages exceeds capacity %d", snap.Counter("devmem.peak_pages"), snap.Counter("devmem.total_pages"))
 	}
 	if res.Counters.MigratedPages < res.Counters.EvictedPages {
 		t.Fatalf("evicted %d > migrated %d", res.Counters.EvictedPages, res.Counters.MigratedPages)

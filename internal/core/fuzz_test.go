@@ -62,8 +62,9 @@ func FuzzRun(f *testing.F) {
 			cfg.ClusterWorkers = workers
 			s := NewCluster(b, cfg, n)
 			s.Observe(func(int) *obs.Run { return &obs.Run{CheckEvery: 2_000} })
+			sweeps := countSweeps(s)
 			res := s.Run()
-			if s.InvariantChecks() == 0 {
+			if sweeps.Load() == 0 {
 				t.Fatalf("%s, %d workers: invariant sweep never fired", cell, workers)
 			}
 			var warps uint64

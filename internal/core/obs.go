@@ -95,38 +95,12 @@ func (s *Simulator) newChecker(idx int) *obs.Checker {
 	return c
 }
 
-// CheckNow runs every GPU's invariant suite at its current cycle,
-// building the suites on first use. Tests use it to validate states
-// directly; the periodic sweep panics on what this returns.
-func (s *Simulator) CheckNow() error {
-	for idx, n := range s.nodes {
-		if n.ck == nil {
-			n.ck = s.newChecker(idx)
-		}
-		if err := n.ck.RunAll(uint64(n.eng.Now())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkTick is the node's periodic invariant sweep, driven by its
 // engine daemon.
 func (n *node) checkTick() {
-	n.checksRun++
 	if err := n.ck.RunAll(uint64(n.eng.Now())); err != nil {
 		panic(err)
 	}
-}
-
-// InvariantChecks reports how many periodic invariant sweeps have fired
-// across the GPUs (tests assert the checker actually ran).
-func (s *Simulator) InvariantChecks() uint64 {
-	var sum uint64
-	for _, n := range s.nodes {
-		sum += n.checksRun
-	}
-	return sum
 }
 
 // observeKernel emits the kernel's span on every observed GPU's kernel

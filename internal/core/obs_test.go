@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"uvmsim/internal/config"
@@ -23,6 +24,16 @@ func obsSim(t *testing.T, workload string, pct uint64, r *obs.Run) *Simulator {
 	return s
 }
 
+// countSweeps adds a counting check to every observed GPU's invariant
+// suite and returns the count of periodic sweeps; call after Observe.
+func countSweeps(s *Simulator) *atomic.Uint64 {
+	var n atomic.Uint64
+	for _, nd := range s.nodes {
+		nd.ck.Add("count", func() error { n.Add(1); return nil })
+	}
+	return &n
+}
+
 // Attaching the full instrument set must not change simulated behaviour:
 // identical counters and kernel spans with observability on and off.
 func TestObserveDoesNotPerturbSimulation(t *testing.T) {
@@ -34,6 +45,7 @@ func TestObserveDoesNotPerturbSimulation(t *testing.T) {
 		CheckEvery: 10_000,
 	}
 	s := obsSim(t, "fdtd", 125, r)
+	sweeps := countSweeps(s)
 	instrumented := s.Run()
 	if plain.Counters != instrumented.Counters {
 		t.Fatalf("counters diverge with observability on:\n  off: %v\n  on:  %v",
@@ -42,10 +54,10 @@ func TestObserveDoesNotPerturbSimulation(t *testing.T) {
 	if !reflect.DeepEqual(plain.Spans, instrumented.Spans) {
 		t.Fatalf("kernel spans diverge with observability on")
 	}
-	if s.InvariantChecks() == 0 {
+	if sweeps.Load() == 0 {
 		t.Fatal("periodic invariant sweep never fired")
 	}
-	if r.Tr.Seen() == 0 {
+	if len(r.Tr.Spans()) == 0 {
 		t.Fatal("tracer saw no spans")
 	}
 }
@@ -88,7 +100,7 @@ func TestMetricsSnapshotMatchesStats(t *testing.T) {
 	}
 	if snap.Counter("uvm.evict.selections.LFU.strict")+snap.Counter("uvm.evict.selections.LFU.relaxed") == 0 {
 		t.Errorf("no victim selections recorded despite %d evicted pages; counters=%v",
-			c.EvictedPages, snap.SortedCounterNames())
+			c.EvictedPages, snap.Counters)
 	}
 	if snap.Histograms["uvm.fault.batch_size"].Count != c.FaultBatches {
 		t.Errorf("batch-size histogram count %d != fault batches %d",
@@ -99,22 +111,25 @@ func TestMetricsSnapshotMatchesStats(t *testing.T) {
 	}
 }
 
+// errSkewed stands in for an accounting bug: the driver-consistency
+// check's own detections are covered by uvm's
+// TestConsistencyDetectsCorruption.
+var errSkewed = errors.New("one page allocated with no matching residency")
+
 // A deliberately injected accounting bug must be caught with a
 // cycle-stamped diagnostic.
 func TestInjectedAccountingBugCaught(t *testing.T) {
 	s := obsSim(t, "fdtd", 100, &obs.Run{CheckEvery: 1000})
-	// Skew the device-memory accounting behind the driver's back: one
-	// page allocated with no matching residency.
-	s.Driver.Memory().Allocate(1)
-	err := s.CheckNow()
-	if err == nil {
-		t.Fatal("skewed accounting not detected")
+	s.nodes[0].ck.Add("skewed-accounting", func() error { return errSkewed })
+	err := s.nodes[0].ck.RunAll(uint64(s.nodes[0].eng.Now()))
+	if !errors.Is(err, errSkewed) {
+		t.Fatalf("skewed accounting not detected: %v", err)
 	}
 	var v *obs.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("error type %T, want *obs.Violation", err)
 	}
-	if v.Check != "driver-consistency" {
+	if v.Check != "skewed-accounting" {
 		t.Fatalf("check = %q", v.Check)
 	}
 	if !strings.Contains(err.Error(), "cycle") {
@@ -126,7 +141,7 @@ func TestInjectedAccountingBugCaught(t *testing.T) {
 // violation rather than completing on corrupted state.
 func TestPeriodicCheckerFailsFastMidRun(t *testing.T) {
 	s := obsSim(t, "fdtd", 100, &obs.Run{CheckEvery: 500})
-	s.Driver.Memory().Allocate(1)
+	s.nodes[0].ck.Add("skewed-accounting", func() error { return errSkewed })
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -136,7 +151,7 @@ func TestPeriodicCheckerFailsFastMidRun(t *testing.T) {
 		if !ok {
 			t.Fatalf("panic value %T, want *obs.Violation", r)
 		}
-		if v.Check != "driver-consistency" || v.Cycle == 0 {
+		if v.Check != "skewed-accounting" || v.Cycle == 0 {
 			t.Fatalf("violation = %+v", v)
 		}
 	}()
@@ -161,11 +176,12 @@ func TestInvariantMatrixAllWorkloadsAllPolicies(t *testing.T) {
 					s := New(b, cfg)
 					r := &obs.Run{Name: t.Name(), Reg: obs.NewRegistry(), CheckEvery: 5_000}
 					s.Observe(func(int) *obs.Run { return r })
+					sweeps := countSweeps(s)
 					res := s.Run()
 					if res.Runtime() == 0 {
 						t.Fatal("zero runtime")
 					}
-					if s.InvariantChecks() == 0 {
+					if sweeps.Load() == 0 {
 						t.Fatal("invariant sweep never fired")
 					}
 				})

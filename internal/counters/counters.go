@@ -141,14 +141,6 @@ func (f *File) NoteEviction(block uint64) {
 	e.trips++
 }
 
-// ResetAccess clears the access count of one block. The driver uses this
-// when an allocation is freed.
-func (f *File) ResetAccess(block uint64) {
-	if e := f.at(block); e != nil {
-		e.access = 0
-	}
-}
-
 // halveAccess halves every block's access count (saturation policy).
 func (f *File) halveAccess() {
 	f.accessHalvings++

@@ -145,20 +145,6 @@ func TestMaxRoundTrips(t *testing.T) {
 	}
 }
 
-func TestResetAccess(t *testing.T) {
-	f := New()
-	f.Access(5)
-	f.NoteEviction(5)
-	f.ResetAccess(5)
-	if f.Count(5) != 0 {
-		t.Fatal("ResetAccess did not clear count")
-	}
-	if f.RoundTrips(5) != 1 {
-		t.Fatal("ResetAccess clobbered round trips")
-	}
-	f.ResetAccess(99) // no-op on unknown block must not panic
-}
-
 func TestTracked(t *testing.T) {
 	f := New()
 	f.Access(1)

@@ -22,9 +22,6 @@ type PerGPU struct {
 	reads  []uint32 // block*gpus + gpu
 	writes []uint32
 	blocks int
-
-	halvings uint64
-	total    uint64 // monotonic accesses, never halved
 }
 
 // PerGPUMax saturates the per-GPU counters at the same width as the
@@ -38,9 +35,6 @@ func NewPerGPU(gpus int) *PerGPU {
 	}
 	return &PerGPU{gpus: gpus}
 }
-
-// GPUs returns the number of GPUs the file arbitrates between.
-func (p *PerGPU) GPUs() int { return p.gpus }
 
 // grow extends the flat arrays to cover the block.
 //
@@ -71,7 +65,6 @@ func (p *PerGPU) idx(block uint64, gpu int) int {
 //
 //sim:hotpath
 func (p *PerGPU) NoteRead(block uint64, gpu int) {
-	p.total++
 	p.grow(block)
 	i := p.idx(block, gpu)
 	if p.reads[i] == PerGPUMax {
@@ -84,7 +77,6 @@ func (p *PerGPU) NoteRead(block uint64, gpu int) {
 //
 //sim:hotpath
 func (p *PerGPU) NoteWrite(block uint64, gpu int) {
-	p.total++
 	p.grow(block)
 	i := p.idx(block, gpu)
 	if p.writes[i] == PerGPUMax {
@@ -99,14 +91,6 @@ func (p *PerGPU) Reads(block uint64, gpu int) uint64 {
 		return 0
 	}
 	return uint64(p.reads[p.idx(block, gpu)])
-}
-
-// Writes returns the GPU's write count for the block.
-func (p *PerGPU) Writes(block uint64, gpu int) uint64 {
-	if block >= uint64(p.blocks) {
-		return 0
-	}
-	return uint64(p.writes[p.idx(block, gpu)])
 }
 
 // ReadOnly reports whether the block qualifies for a read-only replica
@@ -158,39 +142,8 @@ func (p *PerGPU) WriteWinner(block uint64, gpu int, threshold uint64) bool {
 	return true
 }
 
-// Hottest returns the GPU with the largest read+write count for the
-// block and that count (ties break toward the lower GPU id, keeping
-// arbitration deterministic). ok is false when the block is untracked
-// or wholly cold.
-func (p *PerGPU) Hottest(block uint64) (gpu int, count uint64, ok bool) {
-	if block >= uint64(p.blocks) {
-		return 0, 0, false
-	}
-	base := int(block) * p.gpus
-	for g := 0; g < p.gpus; g++ {
-		c := satmath.Add(uint64(p.reads[base+g]), uint64(p.writes[base+g]))
-		if c > count {
-			gpu, count, ok = g, c, true
-		}
-	}
-	return gpu, count, ok
-}
-
-// Reset clears every counter of the block (the block left the pool).
-func (p *PerGPU) Reset(block uint64) {
-	if block >= uint64(p.blocks) {
-		return
-	}
-	base := int(block) * p.gpus
-	for g := 0; g < p.gpus; g++ {
-		p.reads[base+g] = 0
-		p.writes[base+g] = 0
-	}
-}
-
 // halve halves every counter (saturation policy, as in File).
 func (p *PerGPU) halve() {
-	p.halvings++
 	for i := range p.reads {
 		p.reads[i] >>= 1
 	}
@@ -198,9 +151,3 @@ func (p *PerGPU) halve() {
 		p.writes[i] >>= 1
 	}
 }
-
-// Halvings reports how many halving sweeps have occurred.
-func (p *PerGPU) Halvings() uint64 { return p.halvings }
-
-// TotalAccesses returns the monotonic number of recorded accesses.
-func (p *PerGPU) TotalAccesses() uint64 { return p.total }

@@ -48,33 +48,6 @@ func TestPerGPUWriteWinner(t *testing.T) {
 	}
 }
 
-func TestPerGPUHottestAndReset(t *testing.T) {
-	p := NewPerGPU(2)
-	if _, _, ok := p.Hottest(0); ok {
-		t.Fatal("untracked block reported a hottest GPU")
-	}
-	p.NoteRead(0, 1)
-	p.NoteRead(0, 1)
-	p.NoteWrite(0, 0)
-	gpu, count, ok := p.Hottest(0)
-	if !ok || gpu != 1 || count != 2 {
-		t.Fatalf("hottest = %d,%d,%v want 1,2,true", gpu, count, ok)
-	}
-	// Ties break toward the lower GPU id.
-	p.NoteWrite(0, 0)
-	if gpu, _, _ := p.Hottest(0); gpu != 0 {
-		t.Fatalf("tie broke to GPU %d, want 0", gpu)
-	}
-	p.Reset(0)
-	if _, _, ok := p.Hottest(0); ok {
-		t.Fatal("reset block still hot")
-	}
-	if p.Reads(0, 1) != 0 || p.Writes(0, 0) != 0 {
-		t.Fatal("reset left counts behind")
-	}
-	p.Reset(99) // out of range: no-op, no panic
-}
-
 func TestPerGPUHalvingOnSaturation(t *testing.T) {
 	p := NewPerGPU(2)
 	p.NoteRead(1, 0)
@@ -86,14 +59,8 @@ func TestPerGPUHalvingOnSaturation(t *testing.T) {
 	if got := p.Reads(1, 0); got != PerGPUMax/2+1 {
 		t.Fatalf("reads after halving = %d, want %d", got, PerGPUMax/2+1)
 	}
-	if got := p.Writes(1, 1); got != 4 {
+	if got := p.writes[p.idx(1, 1)]; got != 4 {
 		t.Fatalf("writes after halving = %d, want 4", got)
-	}
-	if p.Halvings() != 1 {
-		t.Fatalf("halvings = %d", p.Halvings())
-	}
-	if p.TotalAccesses() != 3 {
-		t.Fatalf("total accesses = %d", p.TotalAccesses())
 	}
 }
 
@@ -101,13 +68,10 @@ func TestPerGPUGrowthPreservesCounts(t *testing.T) {
 	p := NewPerGPU(2)
 	p.NoteRead(0, 0)
 	p.NoteWrite(1000, 1) // forces growth
-	if p.Reads(0, 0) != 1 || p.Writes(1000, 1) != 1 {
+	if p.Reads(0, 0) != 1 || p.writes[p.idx(1000, 1)] != 1 {
 		t.Fatal("growth lost counts")
 	}
 	if p.Reads(500, 0) != 0 || p.ReadOnly(2000, 0, 0) {
 		t.Fatal("untracked blocks not zero")
-	}
-	if p.GPUs() != 2 {
-		t.Fatalf("gpus = %d", p.GPUs())
 	}
 }

@@ -30,9 +30,6 @@ func NewAccounts(n int) *Accounts {
 	}
 }
 
-// Tenants returns the number of tenants.
-func (a *Accounts) Tenants() int { return len(a.resident) }
-
 // Charge records n pages becoming resident on behalf of the tenant.
 func (a *Accounts) Charge(id TenantID, n uint64) {
 	a.resident[id] += n
@@ -54,25 +51,8 @@ func (a *Accounts) Release(id TenantID, n uint64, evicted bool) {
 	}
 }
 
-// Resident returns the tenant's currently resident pages.
-func (a *Accounts) Resident(id TenantID) uint64 { return a.resident[id] }
-
 // Peak returns the tenant's resident-page high-water mark.
 func (a *Accounts) Peak(id TenantID) uint64 { return a.peak[id] }
 
 // Evicted returns the pages eviction has taken from the tenant.
 func (a *Accounts) Evicted(id TenantID) uint64 { return a.evicted[id] }
-
-// Share returns the tenant's fraction of all currently resident pages
-// (0 when nothing is resident): the instantaneous occupancy share the
-// fairness metric aggregates.
-func (a *Accounts) Share(id TenantID) float64 {
-	var total uint64
-	for _, r := range a.resident {
-		total += r
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(a.resident[id]) / float64(total)
-}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,8 +36,8 @@ func TestFig1Shape(t *testing.T) {
 		}
 	}
 	// Irregular ra must degrade far more than regular backprop at 125%.
-	bp, _ := tab.Get("backprop", 1)
-	ra, _ := tab.Get("ra", 1)
+	bp := value(t, tab, "backprop", 1)
+	ra := value(t, tab, "ra", 1)
 	if ra <= bp {
 		t.Fatalf("ra (%.2f) not worse than backprop (%.2f) at 125%%", ra, bp)
 	}
@@ -107,7 +108,7 @@ func TestFig4Shape(t *testing.T) {
 	if len(tab.Columns) != 3 {
 		t.Fatalf("columns = %v", tab.Columns)
 	}
-	v, _ := tab.Get("hotspot", 0)
+	v := value(t, tab, "hotspot", 0)
 	if v != 1.0 {
 		t.Fatal("ts=8 column must be the base")
 	}
@@ -115,7 +116,7 @@ func TestFig4Shape(t *testing.T) {
 	// scale; the tiny test scale leaves only ~2 chunks of slack, so the
 	// tolerance here is wider).
 	for c := 1; c < 3; c++ {
-		v, _ := tab.Get("hotspot", c)
+		v := value(t, tab, "hotspot", c)
 		if v < 0.8 || v > 1.2 {
 			t.Fatalf("hotspot sensitive to ts: col %d = %.3f", c, v)
 		}
@@ -127,7 +128,7 @@ func TestFig5Shape(t *testing.T) {
 	if len(tab.Columns) != 3 {
 		t.Fatalf("columns = %v", tab.Columns)
 	}
-	adp, _ := tab.Get("fdtd", 2)
+	adp := value(t, tab, "fdtd", 2)
 	if adp < 0.9 || adp > 1.1 {
 		t.Fatalf("Adaptive at no-oversub = %.3f, want ~1.0", adp)
 	}
@@ -140,22 +141,22 @@ func TestFig6And7Shapes(t *testing.T) {
 		t.Fatal("row counts wrong")
 	}
 	// Adaptive must beat baseline for ra and not hurt backprop much.
-	raRT, _ := rt.Get("ra", 3)
+	raRT := value(t, rt, "ra", 3)
 	if raRT >= 1.0 {
 		t.Fatalf("ra Adaptive runtime ratio = %.3f, want < 1", raRT)
 	}
-	bpRT, _ := rt.Get("backprop", 3)
+	bpRT := value(t, rt, "backprop", 3)
 	if bpRT > 1.15 {
 		t.Fatalf("backprop Adaptive runtime ratio = %.3f, want ~1", bpRT)
 	}
 	// backprop never thrashes: 0/0 = 0 in every column.
 	for c := 0; c < 4; c++ {
-		v, _ := th.Get("backprop", c)
+		v := value(t, th, "backprop", c)
 		if v != 0 {
 			t.Fatalf("backprop thrash col %d = %.3f, want 0", c, v)
 		}
 	}
-	raTH, _ := th.Get("ra", 3)
+	raTH := value(t, th, "ra", 3)
 	if raTH >= 1.0 {
 		t.Fatalf("ra Adaptive thrash ratio = %.3f, want < 1", raTH)
 	}
@@ -169,8 +170,8 @@ func TestFig8Shape(t *testing.T) {
 	// Larger p must monotonically help ra (paper: strictly linear
 	// improvement); allow slack but require p=8 <= p=2 and the giant
 	// penalty to be the best or near-best.
-	p2, _ := tab.Get("ra", 1)
-	p8, _ := tab.Get("ra", 3)
+	p2 := value(t, tab, "ra", 1)
+	p8 := value(t, tab, "ra", 3)
 	if p8 > p2 {
 		t.Fatalf("ra: p=8 (%.3f) worse than p=2 (%.3f)", p8, p2)
 	}
@@ -223,4 +224,15 @@ func TestCollectorChangesNoCounter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// value returns column col of tab's row label, failing tb when the
+// table has no such row.
+func value(tb testing.TB, tab *report.Table, label string, col int) float64 {
+	tb.Helper()
+	i := slices.IndexFunc(tab.Rows, func(r report.Row) bool { return r.Label == label })
+	if i < 0 {
+		tb.Fatalf("%s has no row %q", tab.Title, label)
+	}
+	return tab.Rows[i].Values[col]
 }

@@ -38,8 +38,8 @@ func TestOracleHintsShape(t *testing.T) {
 	if len(tab.Rows) != 1 || len(tab.Columns) != 3 {
 		t.Fatalf("table shape wrong: %+v", tab)
 	}
-	hinted, _ := tab.Get("bfs", 1)
-	adaptive, _ := tab.Get("bfs", 2)
+	hinted := value(t, tab, "bfs", 1)
+	adaptive := value(t, tab, "bfs", 2)
 	if hinted <= 0 || adaptive <= 0 {
 		t.Fatal("missing ratios")
 	}

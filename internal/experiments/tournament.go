@@ -38,17 +38,12 @@ func DefaultTournamentPlanners() []string {
 	return []string{"threshold", "thrash-guard", "reuse-dist", "bandit-ts"}
 }
 
-// DefaultTournamentWorkloads is the default workload matrix: the two
-// irregular workloads the paper highlights plus the regular bfs — small
-// enough to sweep quickly, varied enough that no single heuristic wins
-// by construction.
-func DefaultTournamentWorkloads() []string {
-	return []string{"bfs", "ra", "sssp"}
-}
-
 func (o TournamentOptions) withDefaults() TournamentOptions {
 	if len(o.Options.Workloads) == 0 {
-		o.Options.Workloads = DefaultTournamentWorkloads()
+		// The default workload matrix, three of the paper's irregular
+		// workloads: small enough to sweep quickly, varied enough that
+		// no single heuristic wins by construction.
+		o.Options.Workloads = []string{"bfs", "ra", "sssp"}
 	}
 	o.Options = o.Options.withDefaults()
 	if o.OversubPercent == 0 {

@@ -111,13 +111,24 @@ func TestTournamentTableAndCSV(t *testing.T) {
 }
 
 func TestTournamentSuiteConversionValidates(t *testing.T) {
-	s := smallTournament().Suite()
+	r := smallTournament()
+	s := r.Suite()
 	s.GoVersion = "go-test"
 	var buf strings.Builder
 	if err := resultio.WriteTournamentSuite(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resultio.ReadTournamentSuite(strings.NewReader(buf.String())); err != nil {
-		t.Fatalf("suite produced by Tournament fails its own reader: %v", err)
+	var got resultio.TournamentSuite
+	if err := resultio.DecodeStrict(strings.NewReader(buf.String()), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != resultio.TournamentFormatVersion || len(got.Entries) != len(r.Entries) {
+		t.Fatalf("suite = %+v", got)
+	}
+	for i, e := range got.Entries {
+		if e.Name != r.Entries[i].Name() || e.TotalSimCycles != r.Entries[i].TotalCycles ||
+			len(e.WorkloadCycles) != len(got.Workloads) {
+			t.Fatalf("entry %d = %+v, want %q with %d cycles", i, e, r.Entries[i].Name(), r.Entries[i].TotalCycles)
+		}
 	}
 }

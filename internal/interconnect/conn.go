@@ -20,8 +20,6 @@ type Conn interface {
 	// RemoteAccess schedules one small (sector-sized) transaction,
 	// paying the link's per-transaction overhead.
 	RemoteAccess(dir Direction, payload uint64, done func()) sim.Cycle
-	// FreeAt reports when the direction's wire next becomes idle.
-	FreeAt(dir Direction) sim.Cycle
 	// Stats returns a copy of the per-direction usage counters.
 	Stats(dir Direction) ChannelStats
 	// Utilization reports the busy fraction of the direction over

@@ -69,9 +69,6 @@ func (c *CXL) RemoteAccess(dir Direction, payload uint64, done func()) sim.Cycle
 	return c.chans[dir].transfer(payload, c.flits(payload), done)
 }
 
-// FreeAt reports when the given direction's wire next becomes idle.
-func (c *CXL) FreeAt(dir Direction) sim.Cycle { return c.chans[dir].freeAt }
-
 // Stats returns a copy of the per-direction usage counters.
 func (c *CXL) Stats(dir Direction) ChannelStats { return c.chans[dir].stats }
 

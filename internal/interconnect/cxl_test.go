@@ -50,8 +50,8 @@ func TestCXLSerializationAndDuplex(t *testing.T) {
 	if f1 != 66 || f2 != 82 || f3 != 66 {
 		t.Fatalf("finishes = %d,%d,%d want 66,82,66", f1, f2, f3)
 	}
-	if c.FreeAt(HostToDevice) != 32 {
-		t.Fatalf("FreeAt = %d, want 32", c.FreeAt(HostToDevice))
+	if fa := c.chans[HostToDevice].freeAt; fa != 32 {
+		t.Fatalf("freeAt = %d, want 32", fa)
 	}
 }
 

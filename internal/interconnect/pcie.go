@@ -137,9 +137,6 @@ func (l *Link) RemoteAccess(dir Direction, payload uint64, done func()) sim.Cycl
 	return l.chans[dir].transfer(payload, wire, done)
 }
 
-// FreeAt reports when the given direction's wire next becomes idle.
-func (l *Link) FreeAt(dir Direction) sim.Cycle { return l.chans[dir].freeAt }
-
 // Stats returns a copy of the per-direction usage counters.
 func (l *Link) Stats(dir Direction) ChannelStats { return l.chans[dir].stats }
 

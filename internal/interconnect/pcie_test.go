@@ -36,8 +36,8 @@ func TestTransferSerialization(t *testing.T) {
 	if f1 != 200 || f2 != 300 {
 		t.Fatalf("finishes = %d,%d want 200,300", f1, f2)
 	}
-	if l.FreeAt(HostToDevice) != 200 {
-		t.Fatalf("FreeAt = %d, want 200", l.FreeAt(HostToDevice))
+	if fa := l.chans[HostToDevice].freeAt; fa != 200 {
+		t.Fatalf("freeAt = %d, want 200", fa)
 	}
 }
 

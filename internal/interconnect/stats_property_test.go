@@ -62,8 +62,9 @@ func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 		cxl := NewCXL(eng, 8, 50, 0)
 
 		type linkCase struct {
-			name string
-			conn Conn
+			name  string
+			conn  Conn
+			chans *[2]channel
 			// model re-derives the wire bytes for a payload under the
 			// link's cost model for bulk and remote transfers.
 			bulkWire   func(payload uint64) uint64
@@ -76,7 +77,7 @@ func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 		}
 		cases := []*linkCase{
 			{
-				name: "pcie", conn: pcie,
+				name: "pcie", conn: pcie, chans: &pcie.chans,
 				bulkWire:   func(p uint64) uint64 { return p },
 				remoteWire: func(p uint64) uint64 { return uint64(float64(p+24) * 3) },
 				models: [2]*statsModel{
@@ -85,7 +86,7 @@ func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 				},
 			},
 			{
-				name: "cxl", conn: cxl,
+				name: "cxl", conn: cxl, chans: &cxl.chans,
 				bulkWire:   cxlWire,
 				remoteWire: cxlWire,
 				models: [2]*statsModel{
@@ -115,8 +116,8 @@ func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 			if got != want {
 				t.Fatalf("seed %d %s: completion = %d, want %d", seed, lc.name, got, want)
 			}
-			if fa := lc.conn.FreeAt(dir); fa != m.freeAt {
-				t.Fatalf("seed %d %s: FreeAt = %d, model says %d", seed, lc.name, fa, m.freeAt)
+			if fa := lc.chans[dir].freeAt; fa != m.freeAt {
+				t.Fatalf("seed %d %s: freeAt = %d, model says %d", seed, lc.name, fa, m.freeAt)
 			}
 			// Occasionally let simulated time advance so transfers start
 			// against a moving engine clock, not always a contended wire.
@@ -138,8 +139,8 @@ func TestChannelStatsSumToOccupancyProperty(t *testing.T) {
 				}
 				// Busy cycles can never exceed the span the wire has been
 				// in use for, and utilization must agree with the ratio.
-				if got.BusyCycles > uint64(lc.conn.FreeAt(dir)) {
-					t.Fatalf("seed %d %s %s: busy %d exceeds freeAt %d", seed, lc.name, dir, got.BusyCycles, lc.conn.FreeAt(dir))
+				if got.BusyCycles > uint64(lc.chans[dir].freeAt) {
+					t.Fatalf("seed %d %s %s: busy %d exceeds freeAt %d", seed, lc.name, dir, got.BusyCycles, lc.chans[dir].freeAt)
 				}
 				wantUtil := float64(got.BusyCycles) / float64(eng.Now())
 				if u := lc.conn.Utilization(dir); u != wantUtil {

@@ -49,9 +49,6 @@ func NewBandit(arms int, epsilonPct uint64, seed uint64) *Bandit {
 	}
 }
 
-// Arms returns the arm count.
-func (b *Bandit) Arms() int { return len(b.pulls) }
-
 // Pulls returns how many pulls arm i has recorded.
 func (b *Bandit) Pulls(i int) uint64 { return b.pulls[i] }
 

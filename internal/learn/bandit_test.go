@@ -87,7 +87,7 @@ func TestBanditExplorationFindsBetterArm(t *testing.T) {
 	_ = last
 	var best int
 	var bestPulls uint64
-	for i := 0; i < b.Arms(); i++ {
+	for i := range b.pulls {
 		if b.Pulls(i) > bestPulls {
 			best, bestPulls = i, b.Pulls(i)
 		}

@@ -40,8 +40,8 @@ func faultTrace(name string, scale float64) []byte {
 // FuzzReuseEstimatorMatchesOracle checks the bounded ring against a
 // brute-force full-history oracle. The estimator's contract is defined
 // by the touch history alone: the previous touch of a block is visible
-// if and only if it lies within the last Cap touches, and the reported
-// distance is the touch count since it (so dist is in [1, Cap]). The
+// if and only if it lies within the last capacity touches, and the reported
+// distance is the touch count since it (so dist is in [1, capacity]). The
 // oracle keeps the entire history and searches it newest-to-oldest, so
 // any ring bug — wraparound off-by-one, phantom zero-value hits, stale
 // slot reuse — shows up as a divergence.
@@ -86,9 +86,6 @@ func FuzzReuseEstimatorMatchesOracle(f *testing.F) {
 					len(history), b, capacity, gotDist, gotOK, wantDist, wantOK)
 			}
 			history = append(history, b)
-		}
-		if est.Ticks() != uint64(len(history)) {
-			t.Fatalf("Ticks() = %d after %d touches", est.Ticks(), len(history))
 		}
 	})
 }

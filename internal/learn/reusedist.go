@@ -3,13 +3,13 @@ package learn
 // ReuseEstimator estimates per-block reuse distances from a touch
 // stream using a bounded ring of the most recent touches. It is
 // allocation-free after construction: recording a touch writes one ring
-// slot and scans at most Cap ring entries.
+// slot and scans at most capacity ring entries.
 //
 // The estimate is the touch-interval form of reuse distance: the number
 // of touches recorded since the previous touch of the same block. It is
 // defined purely by the touch history, independent of the ring
 // implementation — the previous touch is visible if and only if it lies
-// within the last Cap touches — which is what lets the fuzz harness
+// within the last capacity touches — which is what lets the fuzz harness
 // check the ring against a brute-force full-history oracle
 // (FuzzReuseEstimatorMatchesOracle).
 //
@@ -19,7 +19,7 @@ package learn
 // exceeds the window are cheaper to serve remotely than to thrash.
 type ReuseEstimator struct {
 	ring []uint64
-	tick uint64 // touches recorded so far; ring[t % Cap] holds touch t
+	tick uint64 // touches recorded so far; ring[t % capacity] holds touch t
 }
 
 // NewReuseEstimator returns an estimator remembering the last capacity
@@ -31,16 +31,10 @@ func NewReuseEstimator(capacity int) *ReuseEstimator {
 	return &ReuseEstimator{ring: make([]uint64, capacity)}
 }
 
-// Cap returns the window size in touches.
-func (e *ReuseEstimator) Cap() int { return len(e.ring) }
-
-// Ticks returns the number of touches recorded.
-func (e *ReuseEstimator) Ticks() uint64 { return e.tick }
-
 // Touch records a touch of block b and returns the block's reuse
 // distance: the number of touches since its previous touch, when that
-// previous touch is among the last Cap touches (so dist is in
-// [1, Cap]). ok is false when b was not touched within the window — a
+// previous touch is among the last capacity touches (so dist is in
+// [1, capacity]). ok is false when b was not touched within the window — a
 // cold block, or one whose reuse distance exceeds the window.
 func (e *ReuseEstimator) Touch(b uint64) (dist uint64, ok bool) {
 	n := e.tick

@@ -28,7 +28,7 @@ func TestReuseEstimatorWindowEviction(t *testing.T) {
 	if d, ok := e.Touch(1); ok {
 		t.Fatalf("evicted block still visible at distance %d", d)
 	}
-	// A distance of exactly Cap is still inside the window.
+	// A distance of exactly the capacity is still inside the window.
 	e2 := NewReuseEstimator(3)
 	e2.Touch(1)
 	e2.Touch(2)
@@ -64,13 +64,13 @@ func TestReuseEstimatorBlockZeroIsNotPhantom(t *testing.T) {
 
 func TestReuseEstimatorAccessors(t *testing.T) {
 	e := NewReuseEstimator(16)
-	if e.Cap() != 16 {
-		t.Fatalf("Cap = %d", e.Cap())
+	if len(e.ring) != 16 {
+		t.Fatalf("capacity = %d", len(e.ring))
 	}
 	e.Touch(1)
 	e.Touch(2)
-	if e.Ticks() != 2 {
-		t.Fatalf("Ticks = %d", e.Ticks())
+	if e.tick != 2 {
+		t.Fatalf("ticks = %d", e.tick)
 	}
 }
 

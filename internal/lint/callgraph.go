@@ -84,14 +84,6 @@ func (p *Program) Decl(fn *types.Func) *FuncDecl {
 	return p.decls[fn]
 }
 
-// Callees returns the functions fn's body calls directly.
-func (p *Program) Callees(fn *types.Func) []*types.Func {
-	if p == nil {
-		return nil
-	}
-	return p.callees[fn]
-}
-
 // Funcs calls visit for every declared function in the program, in
 // package load order then file order. Iteration is deterministic.
 func (p *Program) Funcs(visit func(fn *types.Func, decl *FuncDecl)) {

@@ -144,13 +144,13 @@ func TestProgramCallGraph(t *testing.T) {
 		t.Error("Decl(nil) should be nil")
 	}
 	found := false
-	for _, c := range prog.Callees(hop) {
+	for _, c := range prog.callees[hop] {
 		if c == now {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("Callees(Hop) = %v, missing b.Now", prog.Callees(hop))
+		t.Errorf("callees of Hop = %v, missing b.Now", prog.callees[hop])
 	}
 }
 

@@ -41,17 +41,8 @@ func BlockOf(addr Addr) BlockNum { return addr / BlockSize }
 // ChunkOf returns the chunk number containing addr.
 func ChunkOf(addr Addr) ChunkNum { return addr / ChunkSize }
 
-// BlockOfPage returns the basic-block number containing page p.
-func BlockOfPage(p PageNum) BlockNum { return p / PagesPerBlock }
-
-// ChunkOfPage returns the chunk number containing page p.
-func ChunkOfPage(p PageNum) ChunkNum { return p / PagesPerChunk }
-
 // ChunkOfBlock returns the chunk number containing block b.
 func ChunkOfBlock(b BlockNum) ChunkNum { return b / BlocksPerChunk }
-
-// PageAddr returns the base address of page p.
-func PageAddr(p PageNum) Addr { return p * PageSize }
 
 // BlockAddr returns the base address of block b.
 func BlockAddr(b BlockNum) Addr { return b * BlockSize }

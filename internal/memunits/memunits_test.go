@@ -47,11 +47,9 @@ func TestAddressMapping(t *testing.T) {
 func TestHierarchyConsistencyProperty(t *testing.T) {
 	f := func(a Addr) bool {
 		a %= 1 << 40
-		p := PageOf(a)
-		return BlockOfPage(p) == BlockOf(a) &&
-			ChunkOfPage(p) == ChunkOf(a) &&
-			ChunkOfBlock(BlockOf(a)) == ChunkOf(a) &&
-			PageOf(PageAddr(p)) == p
+		return ChunkOfBlock(BlockOf(a)) == ChunkOf(a) &&
+			FirstBlockOfChunk(ChunkOf(a)) <= BlockOf(a) &&
+			FirstPageOfBlock(BlockOf(a)) <= PageOf(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,17 +1,12 @@
 package mm
 
 import (
-	"slices"
-
 	"uvmsim/internal/config"
 	"uvmsim/internal/memunits"
 )
 
 // batcherNames is the fixed, sorted set of FaultBatcher names.
 var batcherNames = []string{"accumulate"}
-
-// BatcherNames lists the FaultBatcher names, sorted.
-func BatcherNames() []string { return slices.Clone(batcherNames) }
 
 // NewBatcher builds the named FaultBatcher ("" = accumulate).
 func NewBatcher(name string, _ config.Config) (FaultBatcher, error) {

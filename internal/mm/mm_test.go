@@ -92,7 +92,7 @@ func TestCheckSpecAcceptsEveryListedName(t *testing.T) {
 		spec  func(string) config.PipelineSpec
 		build func(string) error
 	}{
-		{BatcherNames(), func(n string) config.PipelineSpec { return config.PipelineSpec{Batcher: n} },
+		{batcherNames, func(n string) config.PipelineSpec { return config.PipelineSpec{Batcher: n} },
 			func(n string) error { _, err := NewBatcher(n, cfg); return err }},
 		{PlannerNames(), func(n string) config.PipelineSpec { return config.PipelineSpec{Planner: n} },
 			func(n string) error { _, err := NewPlanner(n, cfg); return err }},
@@ -147,7 +147,7 @@ func TestNameListsAreSorted(t *testing.T) {
 		kind  string
 		names []string
 	}{
-		{"batcher", BatcherNames()},
+		{"batcher", batcherNames},
 		{"planner", PlannerNames()},
 		{"evictor", EvictorNames()},
 		{"prefetcher", PrefetchGovernorNames()},
@@ -167,7 +167,6 @@ func TestNameListsAreSorted(t *testing.T) {
 // caller that reorders what it got cannot unsort the next caller's list.
 func TestPackageRegistriesSorted(t *testing.T) {
 	for name, names := range map[string]func() []string{
-		"BatcherNames":          BatcherNames,
 		"PlannerNames":          PlannerNames,
 		"EvictorNames":          EvictorNames,
 		"PrefetchGovernorNames": PrefetchGovernorNames,
@@ -475,7 +474,7 @@ func TestEvictorContractRefusesGracefullyWithoutCandidates(t *testing.T) {
 }
 
 func TestBatcherContractEmptyCloseIsNoOp(t *testing.T) {
-	for _, name := range BatcherNames() {
+	for _, name := range batcherNames {
 		b, err := NewBatcher(name, config.Default())
 		if err != nil {
 			t.Fatalf("NewBatcher(%s): %v", name, err)

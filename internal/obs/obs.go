@@ -1,9 +1,9 @@
 // Package obs is the simulator-wide observability layer: a metrics
-// registry (counters, gauges, power-of-two histograms plus snapshot
-// providers), a cycle-stamped timeline tracer exporting Chrome
-// trace_event JSON and compact JSONL, and an invariant checker that
-// validates cross-component accounting during a run and fails fast with
-// a cycle-stamped diagnostic.
+// registry (counters and power-of-two histograms, plus snapshot
+// providers that publish counters and gauges), a cycle-stamped timeline
+// tracer exporting Chrome trace_event JSON and compact JSONL, and an
+// invariant checker that validates cross-component accounting during a
+// run and fails fast with a cycle-stamped diagnostic.
 //
 // Everything here is opt-in and costs nothing when disabled: components
 // hold a nil *Run (or nil handles) and skip publication entirely, so the
@@ -41,19 +41,9 @@ func (r *Run) Enabled() bool {
 	return r != nil && (r.Reg != nil || r.Tr != nil || r.CheckEvery > 0)
 }
 
-// Collect snapshots the run's registry (nil-safe).
+// Collect snapshots the run's registry, which must be attached.
 func (r *Run) Collect() Snapshot {
-	if r == nil || r.Reg == nil {
-		return Snapshot{Version: MetricsFormatVersion, Name: nameOf(r)}
-	}
 	s := r.Reg.Collect()
 	s.Name = r.Name
 	return s
-}
-
-func nameOf(r *Run) string {
-	if r == nil {
-		return ""
-	}
-	return r.Name
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 )
 
 // Counter is a monotonically increasing metric handle. The zero value is
@@ -22,24 +21,6 @@ func (c Counter) Add(n uint64) {
 
 // Inc increments the counter by one.
 func (c Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 for the zero handle).
-func (c Counter) Value() uint64 {
-	if c.v == nil {
-		return 0
-	}
-	return *c.v
-}
-
-// Gauge is a point-in-time metric handle. The zero value is a no-op.
-type Gauge struct{ v *float64 }
-
-// Set records the gauge's current value.
-func (g Gauge) Set(x float64) {
-	if g.v != nil {
-		*g.v = x
-	}
-}
 
 // histBuckets is the fixed bucket count of a power-of-two histogram:
 // bucket i counts observations v with bits.Len64(v) == i, so bucket 0
@@ -72,14 +53,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)]++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
 // Emitter receives metric values from a snapshot provider.
 type Emitter interface {
 	// Counter emits one monotonic counter value.
@@ -98,7 +71,6 @@ type Provider func(e Emitter)
 // Suite for cross-run aggregation).
 type Registry struct {
 	counters  map[string]*uint64
-	gauges    map[string]*float64
 	hists     map[string]*Histogram
 	providers []Provider
 }
@@ -107,7 +79,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*uint64),
-		gauges:   make(map[string]*float64),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -121,17 +92,6 @@ func (r *Registry) Counter(name string) Counter {
 		r.counters[name] = v
 	}
 	return Counter{v: v}
-}
-
-// Gauge returns the handle for the named gauge, registering it on first
-// use.
-func (r *Registry) Gauge(name string) Gauge {
-	v := r.gauges[name]
-	if v == nil {
-		v = new(float64)
-		r.gauges[name] = v
-	}
-	return Gauge{v: v}
 }
 
 // Histogram returns the named histogram, registering it on first use.
@@ -192,12 +152,6 @@ func (r *Registry) Collect() Snapshot {
 	for name, v := range r.counters {
 		s.Counters[name] = *v
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges))
-		for name, v := range r.gauges {
-			s.Gauges[name] = *v
-		}
-	}
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
 		for name, h := range r.hists {
@@ -257,15 +211,4 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("obs: metrics snapshot %q missing counters", s.Name)
 	}
 	return nil
-}
-
-// SortedCounterNames returns the snapshot's counter names in ascending
-// order (for deterministic reports).
-func (s *Snapshot) SortedCounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -12,16 +12,13 @@ func TestCounterGaugeHandles(t *testing.T) {
 	c := r.Counter("a.b")
 	c.Inc()
 	c.Add(41)
-	if got := c.Value(); got != 42 {
+	if got := r.Collect().Counters["a.b"]; got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
 	// Same name returns the same underlying cell.
 	r.Counter("a.b").Add(8)
-	if got := c.Value(); got != 50 {
-		t.Fatalf("counter after aliased add = %d, want 50", got)
-	}
-	g := r.Gauge("g")
-	g.Set(0.5)
+	// Gauges reach the snapshot through a provider.
+	r.RegisterProvider(func(e Emitter) { e.Gauge("g", 0.5) })
 	s := r.Collect()
 	if s.Counters["a.b"] != 50 || s.Gauges["g"] != 0.5 {
 		t.Fatalf("snapshot = %+v", s)
@@ -30,15 +27,10 @@ func TestCounterGaugeHandles(t *testing.T) {
 
 func TestZeroHandlesAreNoOps(t *testing.T) {
 	var c Counter
-	var g Gauge
 	var h *Histogram
 	c.Inc()
 	c.Add(10)
-	g.Set(1)
 	h.Observe(7)
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatal("zero handles must observe nothing")
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -88,25 +88,6 @@ type SuiteSnapshot struct {
 	Runs    []Snapshot `json:"runs"`
 }
 
-// Validate checks the document's schema.
-func (s *SuiteSnapshot) Validate() error {
-	if s.Version != MetricsFormatVersion {
-		return fmt.Errorf("obs: unsupported metrics version %d (want %d)", s.Version, MetricsFormatVersion)
-	}
-	if len(s.Runs) == 0 {
-		return fmt.Errorf("obs: metrics document has no runs")
-	}
-	for i := range s.Runs {
-		if s.Runs[i].Name == "" {
-			return fmt.Errorf("obs: run %d missing name", i)
-		}
-		if err := s.Runs[i].Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Collect snapshots every run's registry.
 func (s *Suite) Collect() SuiteSnapshot {
 	out := SuiteSnapshot{Version: MetricsFormatVersion}
@@ -139,13 +120,17 @@ func (s *Suite) WriteChromeTrace(w io.Writer) error {
 // WriteTraceJSONL emits every run's spans as one JSON object per line,
 // tagged with the run name.
 func (s *Suite) WriteTraceJSONL(w io.Writer) error {
+	bw := bufio.NewWriter(w)
 	for _, r := range s.sortedRuns() {
-		if r.Tr == nil {
-			continue
-		}
-		if err := r.Tr.WriteJSONL(w, r.Name); err != nil {
-			return err
+		for _, sp := range r.Tr.Spans() {
+			b, err := json.Marshal(jsonlSpan{Run: r.Name, Span: sp})
+			if err != nil {
+				return err
+			}
+			// A write error sticks in bw, and Flush returns it.
+			bw.Write(b)
+			bw.WriteByte('\n')
 		}
 	}
-	return nil
+	return bw.Flush()
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -75,14 +74,6 @@ func (t *Tracer) Spans() []Span {
 		return nil
 	}
 	return t.spans
-}
-
-// Seen returns the number of spans offered (kept or sampled away).
-func (t *Tracer) Seen() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.seen
 }
 
 // chromeEvent is one Chrome trace_event entry. Timestamps are emitted in
@@ -171,39 +162,8 @@ func writeChromeRun(cw *chromeWriter, pid int, name string, spans []Span) {
 	}
 }
 
-// WriteChromeTrace renders the tracer's spans as a Chrome trace_event
-// JSON document loadable in chrome://tracing or ui.perfetto.dev.
-func (t *Tracer) WriteChromeTrace(w io.Writer, runName string) error {
-	cw := newChromeWriter(w)
-	writeChromeRun(cw, 0, runName, t.Spans())
-	return cw.close()
-}
-
 // jsonlSpan is one JSONL trace line: the span plus its run name.
 type jsonlSpan struct {
 	Run string `json:"run,omitempty"`
 	Span
-}
-
-// WriteJSONL renders the spans as one compact JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer, runName string) error {
-	bw := bufio.NewWriter(w)
-	for _, s := range t.Spans() {
-		b, err := json.Marshal(jsonlSpan{Run: runName, Span: s})
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// String renders a span compactly for diagnostics.
-func (s Span) String() string {
-	return fmt.Sprintf("%s/%s [%d +%d] v=%d", s.Cat, s.Name, s.Start, s.Dur, s.Value)
 }

@@ -18,25 +18,23 @@ func TestTracerKeepsFirstSpan(t *testing.T) {
 	if len(got) != 3 || got[0].Start != 0 || got[1].Start != 4 || got[2].Start != 8 {
 		t.Fatalf("sampled spans = %+v", got)
 	}
-	if tr.Seen() != 9 {
-		t.Fatalf("seen = %d, want 9", tr.Seen())
-	}
 }
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Span{Name: "x"})
-	if tr.Spans() != nil || tr.Seen() != 0 {
+	if tr.Spans() != nil {
 		t.Fatal("nil tracer must record nothing")
 	}
 }
 
 func TestChromeTraceIsValidJSON(t *testing.T) {
-	tr := NewTracer(1)
+	s := NewSuite(Options{Trace: true})
+	tr := s.NewRun("run-a").Tr
 	tr.Emit(Span{Name: "fault_batch", Cat: "fault", TID: TrackFault, Start: 100, Dur: 50, Value: 3})
 	tr.Emit(Span{Name: "evict", Cat: "evict", TID: TrackEvict, Start: 200}) // instantaneous
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, "run-a"); err != nil {
+	if err := s.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -57,11 +55,12 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 }
 
 func TestJSONLOneObjectPerLine(t *testing.T) {
-	tr := NewTracer(0) // 0 means keep all
+	s := NewSuite(Options{Trace: true}) // TraceSample 0 means keep all
+	tr := s.NewRun("r1").Tr
 	tr.Emit(Span{Name: "a", Start: 1})
 	tr.Emit(Span{Name: "b", Start: 2, Dur: 3, Value: 4})
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf, "r1"); err != nil {
+	if err := s.WriteTraceJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)

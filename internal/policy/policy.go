@@ -90,10 +90,3 @@ func (d *Decider) Threshold(mem MemState, roundTrips uint64) uint64 {
 func (d *Decider) ShouldMigrate(count uint64, mem MemState, roundTrips uint64) bool {
 	return count >= d.Threshold(mem, roundTrips)
 }
-
-// AllowsRemoteAccess reports whether the scheme ever serves accesses
-// remotely. The Disabled baseline has no remote path: every miss
-// triggers migration.
-func (d *Decider) AllowsRemoteAccess() bool {
-	return d.kind != config.PolicyDisabled
-}

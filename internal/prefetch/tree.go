@@ -39,17 +39,11 @@ func NewTree(n int) *Tree {
 	return &Tree{n: n}
 }
 
-// Leaves returns the leaf count.
-func (t *Tree) Leaves() int { return t.n }
-
 // Occupied reports whether leaf i is resident.
 func (t *Tree) Occupied(i int) bool {
 	t.check(i)
 	return t.leaves&(1<<uint(i)) != 0
 }
-
-// OccupiedCount returns the number of resident leaves.
-func (t *Tree) OccupiedCount() int { return bits.OnesCount64(t.leaves) }
 
 // Full reports whether every leaf is resident. The 2MB eviction policy
 // only considers fully populated chunks (paper §II-C).

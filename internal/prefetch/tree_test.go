@@ -12,8 +12,8 @@ import (
 
 func TestNewTreeValidation(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 32, 64} {
-		if got := NewTree(n).Leaves(); got != n {
-			t.Errorf("NewTree(%d).Leaves() = %d", n, got)
+		if got := NewTree(n).n; got != n {
+			t.Errorf("NewTree(%d).n = %d", n, got)
 		}
 	}
 	for _, n := range []int{0, 3, 33, 128, -1} {
@@ -35,15 +35,15 @@ func TestMarkAndClear(t *testing.T) {
 	if !tr.Occupied(5) || !tr.Occupied(31) || tr.Occupied(6) {
 		t.Fatal("occupancy bits wrong")
 	}
-	if tr.OccupiedCount() != 2 {
-		t.Fatalf("OccupiedCount = %d, want 2", tr.OccupiedCount())
+	if bits.OnesCount64(tr.leaves) != 2 {
+		t.Fatalf("occupied = %d, want 2", bits.OnesCount64(tr.leaves))
 	}
 	tr.MarkEmpty(5)
 	if tr.Occupied(5) {
 		t.Fatal("MarkEmpty did not clear")
 	}
 	tr.Clear()
-	if tr.OccupiedCount() != 0 {
+	if bits.OnesCount64(tr.leaves) != 0 {
 		t.Fatal("Clear left leaves")
 	}
 }
@@ -75,8 +75,8 @@ func TestFirstTouchNoPrefetch(t *testing.T) {
 	if extra := tr.OnMigrate(7); extra != 0 {
 		t.Fatalf("first touch prefetched %#x", extra)
 	}
-	if tr.OccupiedCount() != 1 {
-		t.Fatalf("OccupiedCount = %d, want 1", tr.OccupiedCount())
+	if bits.OnesCount64(tr.leaves) != 1 {
+		t.Fatalf("occupied = %d, want 1", bits.OnesCount64(tr.leaves))
 	}
 }
 

@@ -30,17 +30,6 @@ func (t *Table) Add(label string, values ...float64) {
 	t.Rows = append(t.Rows, Row{Label: label, Values: values})
 }
 
-// Get returns the value at (rowLabel, column index), with ok=false for a
-// missing row.
-func (t *Table) Get(rowLabel string, col int) (float64, bool) {
-	for _, r := range t.Rows {
-		if r.Label == rowLabel {
-			return r.Values[col], true
-		}
-	}
-	return 0, false
-}
-
 // Format renders the table as aligned text with percentages.
 func (t *Table) Format() string {
 	var b strings.Builder

@@ -26,17 +26,6 @@ func TestAddArityPanics(t *testing.T) {
 	tab.Add("bad", 1.0)
 }
 
-func TestGet(t *testing.T) {
-	tab := sample()
-	v, ok := tab.Get("ra", 1)
-	if !ok || v != 0.2177 {
-		t.Fatalf("Get = %v,%v", v, ok)
-	}
-	if _, ok := tab.Get("none", 0); ok {
-		t.Fatal("Get found missing row")
-	}
-}
-
 func TestFormat(t *testing.T) {
 	out := sample().Format()
 	for _, frag := range []string{"Figure X", "Runtime normalized", "workload", "A", "B", "fdtd", "50.00%", "21.77%"} {

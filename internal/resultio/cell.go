@@ -41,22 +41,9 @@ func WriteCellEntry(w io.Writer, e *CellEntry) error {
 	return writeIndented(w, &cp)
 }
 
-// ReadCellEntry parses and validates one cache entry. Trailing bytes
-// after the JSON document are an error: a truncated-then-concatenated
-// or corrupted cache file must not parse as its leading prefix.
-func ReadCellEntry(r io.Reader) (*CellEntry, error) {
-	var e CellEntry
-	if err := DecodeStrict(r, &e); err != nil {
-		return nil, fmt.Errorf("resultio: %w", err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// Validate applies the entry rules ReadCellEntry enforces after
-// decoding: the exact entry version, a key, and a valid record.
+// Validate applies the entry rules a reader enforces after decoding
+// (the serve client, for every cell of a job payload): the exact entry
+// version, a key, and a valid record.
 func (e *CellEntry) Validate() error {
 	if e.Version != CellFormatVersion {
 		return fmt.Errorf("resultio: unsupported cell entry version %d (want %d)", e.Version, CellFormatVersion)

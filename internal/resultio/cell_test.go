@@ -18,8 +18,8 @@ func TestCellEntryRoundTrip(t *testing.T) {
 	if err := WriteCellEntry(&buf, e); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCellEntry(&buf)
-	if err != nil {
+	got := new(CellEntry)
+	if err := decodeValid(&buf, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Key != e.Key || got.Record.Workload != e.Record.Workload {
@@ -65,16 +65,16 @@ func TestCellEntryRejectsBadInputs(t *testing.T) {
 		"trailing object": valid + "{}",
 	}
 	for name, in := range cases {
-		if _, err := ReadCellEntry(strings.NewReader(in)); err == nil {
+		if err := decodeValid(strings.NewReader(in), &CellEntry{}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// Every resultio reader must reject trailing bytes after the JSON
-// document: a truncated-then-concatenated or corrupted file must not
-// parse as its leading prefix. Regression for the silently-accepting
-// readers the content-addressed cache exposed.
+// DecodeStrict must reject trailing bytes after the JSON document: a
+// truncated-then-concatenated or corrupted file must not parse as its
+// leading prefix. Regression for the silently-accepting readers the
+// content-addressed cache exposed.
 func TestReadersRejectTrailingData(t *testing.T) {
 	rec := FromResult(sampleResult(t), 0.05, 100)
 	var recBuf bytes.Buffer
@@ -95,12 +95,10 @@ func TestReadersRejectTrailingData(t *testing.T) {
 		read  func(r *strings.Reader) error
 	}{
 		"Record": {recBuf.String(), func(r *strings.Reader) error {
-			_, err := Read(r)
-			return err
+			return DecodeStrict(r, &Record{})
 		}},
 		"TournamentSuite": {tourBuf.String(), func(r *strings.Reader) error {
-			_, err := ReadTournamentSuite(r)
-			return err
+			return DecodeStrict(r, &TournamentSuite{})
 		}},
 	} {
 		if err := rd.read(strings.NewReader(rd.valid)); err != nil {

@@ -68,21 +68,9 @@ func WriteCXLEntry(w io.Writer, e *CXLEntry) error {
 	return writeIndented(w, &cp)
 }
 
-// ReadCXLEntry parses and validates one co-location cache entry.
-// Trailing bytes after the document are rejected.
-func ReadCXLEntry(r io.Reader) (*CXLEntry, error) {
-	var e CXLEntry
-	if err := DecodeStrict(r, &e); err != nil {
-		return nil, fmt.Errorf("resultio: %w", err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// Validate applies the entry rules ReadCXLEntry enforces after
-// decoding: the exact entry version, a key, and a complete scenario.
+// Validate applies the entry rules a reader enforces after decoding
+// (the serve client, for every co-location cell of a job payload): the
+// exact entry version, a key, and a complete scenario.
 func (e *CXLEntry) Validate() error {
 	if e.Version != CXLFormatVersion {
 		return fmt.Errorf("resultio: unsupported cxl entry version %d (want %d)", e.Version, CXLFormatVersion)

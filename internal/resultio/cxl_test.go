@@ -33,8 +33,8 @@ func TestCXLEntryRoundTrip(t *testing.T) {
 	if e.Version != 0 {
 		t.Fatal("WriteCXLEntry mutated its input")
 	}
-	got, err := ReadCXLEntry(&buf)
-	if err != nil {
+	got := new(CXLEntry)
+	if err := decodeValid(&buf, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Version != CXLFormatVersion || got.Key != "deadbeef" {
@@ -82,13 +82,13 @@ func TestCXLEntryRejects(t *testing.T) {
 			if err := WriteCXLEntry(&buf, &enc); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ReadCXLEntry(&buf); err == nil {
+			if err := decodeValid(&buf, &CXLEntry{}); err == nil {
 				t.Fatal("mutated entry accepted")
 			}
 		})
 	}
 	t.Run("unknown field", func(t *testing.T) {
-		if _, err := ReadCXLEntry(strings.NewReader(`{"version":1,"key":"k","scenario":{},"bogus":1}`)); err == nil {
+		if err := decodeValid(strings.NewReader(`{"version":1,"key":"k","scenario":{},"bogus":1}`), &CXLEntry{}); err == nil {
 			t.Fatal("unknown field accepted")
 		}
 	})
@@ -98,7 +98,7 @@ func TestCXLEntryRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf.WriteString("{}")
-		if _, err := ReadCXLEntry(&buf); err == nil {
+		if err := decodeValid(&buf, &CXLEntry{}); err == nil {
 			t.Fatal("trailing data accepted")
 		}
 	})

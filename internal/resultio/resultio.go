@@ -73,8 +73,8 @@ func writeIndented(w io.Writer, v any) error {
 // the document: a truncated write that was later concatenated with
 // another document, or a corrupted content-addressed cache entry, must
 // fail loudly instead of parsing "successfully" as its leading prefix.
-// Every strict reader in the repository (the resultio readers, job
-// requests and job result payloads) goes through it.
+// Every strict reader in the repository (job requests and job result
+// payloads) goes through it.
 func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -87,20 +87,8 @@ func DecodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// Read parses one record and validates its schema version and counters.
-func Read(r io.Reader) (*Record, error) {
-	var rec Record
-	if err := DecodeStrict(r, &rec); err != nil {
-		return nil, fmt.Errorf("resultio: %w", err)
-	}
-	if err := validateRecord(&rec); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
-
 // validateRecord checks a decoded record's schema version, counters and
-// optional metrics block (shared by Read and ReadCellEntry).
+// optional metrics block (CellEntry.Validate's record rules).
 func validateRecord(rec *Record) error {
 	if rec.Version != FormatVersion {
 		return fmt.Errorf("resultio: unsupported record version %d (want %d)", rec.Version, FormatVersion)

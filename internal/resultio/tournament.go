@@ -1,9 +1,6 @@
 package resultio
 
-import (
-	"fmt"
-	"io"
-)
+import "io"
 
 // TournamentFormatVersion identifies the tournament-suite schema; bump
 // on incompatible changes.
@@ -55,34 +52,4 @@ func WriteTournamentSuite(w io.Writer, s *TournamentSuite) error {
 		cp.Version = TournamentFormatVersion
 	}
 	return writeIndented(w, &cp)
-}
-
-// ReadTournamentSuite parses and validates one suite.
-func ReadTournamentSuite(r io.Reader) (*TournamentSuite, error) {
-	var s TournamentSuite
-	if err := DecodeStrict(r, &s); err != nil {
-		return nil, fmt.Errorf("resultio: %w", err)
-	}
-	if s.Version != TournamentFormatVersion {
-		return nil, fmt.Errorf("resultio: unsupported tournament suite version %d (want %d)", s.Version, TournamentFormatVersion)
-	}
-	if len(s.Workloads) == 0 {
-		return nil, fmt.Errorf("resultio: tournament suite has no workloads")
-	}
-	if len(s.Entries) == 0 {
-		return nil, fmt.Errorf("resultio: tournament suite has no entries")
-	}
-	for i, e := range s.Entries {
-		if e.Name == "" {
-			return nil, fmt.Errorf("resultio: tournament entry %d missing name", i)
-		}
-		if len(e.WorkloadCycles) != len(s.Workloads) {
-			return nil, fmt.Errorf("resultio: tournament entry %q has %d workload cycles for %d workloads",
-				e.Name, len(e.WorkloadCycles), len(s.Workloads))
-		}
-		if i > 0 && s.Entries[i-1].TotalSimCycles > e.TotalSimCycles {
-			return nil, fmt.Errorf("resultio: tournament entries not in leaderboard order at %q", e.Name)
-		}
-	}
-	return &s, nil
 }

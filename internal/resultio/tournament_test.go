@@ -2,7 +2,6 @@ package resultio
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -34,8 +33,8 @@ func TestTournamentSuiteRoundTrip(t *testing.T) {
 	if err := WriteTournamentSuite(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTournamentSuite(&buf)
-	if err != nil {
+	got := new(TournamentSuite)
+	if err := DecodeStrict(&buf, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Version != want.Version || got.Scale != want.Scale ||
@@ -59,51 +58,8 @@ func TestWriteTournamentSuiteDefaultsVersion(t *testing.T) {
 	if err := WriteTournamentSuite(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadTournamentSuite(&buf); err != nil {
-		t.Fatalf("version was not defaulted on write: %v", err)
-	}
-}
-
-// TestReadTournamentSuiteRejectsMalformed exercises every validation
-// branch: the reader must refuse anything that would silently corrupt a
-// committed leaderboard comparison.
-func TestReadTournamentSuiteRejectsMalformed(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(*TournamentSuite)
-		wantErr string
-	}{
-		{"future version", func(s *TournamentSuite) { s.Version = TournamentFormatVersion + 1 }, "version"},
-		{"no workloads", func(s *TournamentSuite) { s.Workloads = nil }, "no workloads"},
-		{"no entries", func(s *TournamentSuite) { s.Entries = nil }, "no entries"},
-		{"missing name", func(s *TournamentSuite) { s.Entries[0].Name = "" }, "missing name"},
-		{"misaligned workload cycles", func(s *TournamentSuite) {
-			s.Entries[1].WorkloadCycles = []uint64{70}
-		}, "workload cycles"},
-		{"not in leaderboard order", func(s *TournamentSuite) {
-			s.Entries[0].TotalSimCycles = 999
-		}, "leaderboard order"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := sampleTournamentSuite()
-			tc.mutate(s)
-			var buf bytes.Buffer
-			if err := WriteTournamentSuite(&buf, s); err != nil {
-				t.Fatal(err)
-			}
-			_, err := ReadTournamentSuite(&buf)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
-			}
-		})
-	}
-}
-
-func TestReadTournamentSuiteRejectsUnknownFields(t *testing.T) {
-	_, err := ReadTournamentSuite(strings.NewReader(
-		`{"version":1,"workloads":["bfs"],"entries":[],"surprise":true}`))
-	if err == nil {
-		t.Fatal("unknown field accepted")
+	var got TournamentSuite
+	if err := DecodeStrict(&buf, &got); err != nil || got.Version != TournamentFormatVersion {
+		t.Fatalf("version was not defaulted on write: %d, %v", got.Version, err)
 	}
 }

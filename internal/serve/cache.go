@@ -45,9 +45,6 @@ type CacheStats struct {
 	MaxEntries int    `json:"maxEntries,omitempty"`
 }
 
-// NewCache returns an empty unbounded cache.
-func NewCache() *Cache { return NewCacheWithLimit(0) }
-
 // NewCacheWithLimit returns an empty cache holding at most maxEntries
 // entries (0 = unbounded), evicting least-recently-used first.
 func NewCacheWithLimit(maxEntries int) *Cache {

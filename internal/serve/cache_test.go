@@ -6,7 +6,7 @@ import (
 )
 
 func TestCacheUnboundedByDefault(t *testing.T) {
-	c := NewCache()
+	c := NewCacheWithLimit(0)
 	for i := 0; i < 100; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
 	}
@@ -90,8 +90,8 @@ func TestCacheNegativeLimitMeansUnbounded(t *testing.T) {
 
 func TestServerBoundedCachePublishesEvictions(t *testing.T) {
 	s := NewServer(Options{CacheMaxEntries: 1})
-	s.Cache().Put("k1", []byte("a"))
-	s.Cache().Put("k2", []byte("b"))
+	s.cache.Put("k1", []byte("a"))
+	s.cache.Put("k2", []byte("b"))
 	snap := s.MetricsSnapshot()
 	if got := snap.Counters["serve.cache.evictions"]; got != 1 {
 		t.Fatalf("serve.cache.evictions = %d, want 1", got)

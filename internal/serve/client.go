@@ -109,13 +109,6 @@ func (c *Client) Submit(req JobRequest) (JobStatus, error) {
 	return st, nil
 }
 
-// Status fetches one job's current status.
-func (c *Client) Status(id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.getJSON("/v1/jobs/"+id, &st)
-	return st, err
-}
-
 // Wait follows the job's progress stream until the terminal status,
 // invoking onUpdate (when non-nil) for every snapshot including the
 // last. It returns the terminal status. The stream is push-based — the

@@ -121,7 +121,7 @@ func TestMixedWorkloadAndColoJob(t *testing.T) {
 // Submit-time validation must reject malformed colo cells with errors
 // naming the cell, never start the job.
 func TestColoSubmitValidation(t *testing.T) {
-	s := NewServer(Options{Workers: 1})
+	_, c := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
 		name string
 		spec ColoSpec
@@ -137,7 +137,7 @@ func TestColoSubmitValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := s.Submit(JobRequest{Colo: []ColoSpec{tc.spec}})
+			_, err := c.Submit(JobRequest{Colo: []ColoSpec{tc.spec}})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Submit error = %v, want substring %q", err, tc.want)
 			}

@@ -59,7 +59,7 @@ func TestCellKeyDeterministicAndSensitive(t *testing.T) {
 }
 
 func TestCacheFirstWriteWins(t *testing.T) {
-	c := NewCache()
+	c := NewCacheWithLimit(0)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("empty cache returned a hit")
 	}

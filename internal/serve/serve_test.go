@@ -236,7 +236,7 @@ func TestCacheHitsSkipWorkerQueue(t *testing.T) {
 		}
 	})
 	submit := func(req JobRequest) *jobState {
-		st, err := s.Submit(req)
+		st, err := c.Submit(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,10 +306,10 @@ func TestSubmitRejectsOversizedMatrixBeforeExpanding(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := s.Submit(req)
+	_, err := req.plan(s.opts.MaxCells)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "1000000 cells (limit 4096)") {
-		t.Fatalf("Submit err = %v, want the 1000000-cell limit error", err)
+		t.Fatalf("plan err = %v, want the 1000000-cell limit error", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("rejecting the request allocated %d bytes, want < 1 MiB", got)
@@ -370,7 +370,7 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("unknown planner: got %d %q, want 400 naming the planner", code, msg)
 	}
 
-	if _, err := c.Status("job-999"); err == nil {
+	if err := c.getJSON("/v1/jobs/job-999", &JobStatus{}); err == nil {
 		t.Error("status of unknown job succeeded")
 	}
 }
@@ -398,8 +398,11 @@ func TestCellEndpointServesCachedEntry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET cell: %s", resp.Status)
 	}
-	entry, err := resultio.ReadCellEntry(resp.Body)
-	if err != nil {
+	entry := new(resultio.CellEntry)
+	if err := resultio.DecodeStrict(resp.Body, entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := entry.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if entry.Key != key || entry.Record.Workload != "bfs" {
@@ -512,7 +515,8 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 	if _, err := c.Submit(smallJob("after")); err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("submit while draining: %v, want a draining refusal", err)
 	}
-	if st, err := c.Status(done.ID); err != nil || st.State != StateDone {
+	var st JobStatus
+	if err := c.getJSON("/v1/jobs/"+done.ID, &st); err != nil || st.State != StateDone {
 		t.Fatalf("status of the drained job: %+v, %v", st, err)
 	}
 }

@@ -102,9 +102,6 @@ func NewServer(opts Options) *Server {
 	}
 }
 
-// Cache exposes the server's result cache (load tests and stats).
-func (s *Server) Cache() *Cache { return s.cache }
-
 // JobStatus is the wire form of one job's progress.
 type JobStatus struct {
 	ID    string `json:"id"`
@@ -206,17 +203,6 @@ func (j *jobState) result() ([][]byte, bool) {
 
 // ErrDraining refuses a job submitted after Drain has begun.
 var ErrDraining = errors.New("server is draining: no new jobs")
-
-// Submit plans, registers and starts a job, returning its initial
-// status. It is the programmatic equivalent of POST /v1/jobs (the load
-// test and in-process tests use it directly).
-func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	p, err := req.plan(s.opts.MaxCells)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return s.start(req.Name, p)
-}
 
 // start registers a planned job and runs it in the background, or
 // returns ErrDraining once Drain has begun.

@@ -65,11 +65,6 @@ type Counters struct {
 	WarpsRetired uint64
 }
 
-// DemandMigratedPages returns pages migrated due to demand faults.
-func (c *Counters) DemandMigratedPages() uint64 {
-	return c.MigratedPages - c.PrefetchedPages
-}
-
 // RemoteAccesses returns the total zero-copy transaction count.
 func (c *Counters) RemoteAccesses() uint64 { return c.RemoteReads + c.RemoteWrites }
 

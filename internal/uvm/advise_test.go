@@ -114,10 +114,10 @@ func TestPinnedAllocationNeverConsumesDeviceMemory(t *testing.T) {
 	for b := uint64(0); b < 3*memunits.BlocksPerChunk; b++ {
 		r.syncAccess(t, r.a.Base+b*memunits.BlockSize, false)
 	}
-	if r.d.ResidentPages() != 0 {
-		t.Fatalf("pinned run left %d resident pages", r.d.ResidentPages())
+	if r.d.mem.AllocatedPages() != 0 {
+		t.Fatalf("pinned run left %d resident pages", r.d.mem.AllocatedPages())
 	}
-	if r.d.Memory().Oversubscribed() {
+	if r.d.mem.Oversubscribed() {
 		t.Fatal("pinned run latched oversubscription")
 	}
 }

@@ -59,7 +59,7 @@ func TestConsistencyDuringRandomTraffic(t *testing.T) {
 				if err := r.d.Stats().Validate(); err != nil {
 					t.Fatal(err)
 				}
-				if r.d.ResidentPages() > r.d.Memory().TotalPages() {
+				if r.d.mem.AllocatedPages() > r.d.mem.TotalPages() {
 					t.Fatal("capacity exceeded")
 				}
 			})
@@ -105,6 +105,7 @@ func TestConsistencyDetectsCorruption(t *testing.T) {
 		{"queued count", func() { cs.blocks[queued]++ }, func() { cs.blocks[queued]-- }},
 		{"in-flight count", func() { cs.blocks[inFlight]++ }, func() { cs.blocks[inFlight]-- }},
 		{"dirty on-host block", func() { host.dirty = true }, func() { host.dirty = false }},
+		{"device accounting", func() { r.d.mem.Allocate(1) }, func() { r.d.mem.Release(1) }},
 		{"evictable bit",
 			func() { r.d.evictable[c/64] ^= 1 << (c % 64) },
 			func() { r.d.evictable[c/64] ^= 1 << (c % 64) }},

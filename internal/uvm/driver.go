@@ -332,20 +332,8 @@ func (d *Driver) SetObserver(obs AccessObserver) { d.obs = obs }
 // the interconnect byte totals.
 func (d *Driver) Stats() *stats.Counters { return &d.st }
 
-// Counters exposes the access-counter file (used by traces and tests).
-func (d *Driver) Counters() *counters.File { return d.ctrs }
-
-// Memory exposes the device memory model.
-func (d *Driver) Memory() *devmem.Memory { return d.mem }
-
 // Link exposes the interconnect model.
 func (d *Driver) Link() *interconnect.Link { return d.link }
-
-// Pipeline returns the composed memory-management stages (for
-// introspection and tests; the stages remain owned by the driver).
-func (d *Driver) Pipeline() mm.Pipeline {
-	return mm.Pipeline{Batcher: d.batcher, Planner: d.planner, Evictor: d.evictor, Prefetch: d.pfgov}
-}
 
 // Finalize folds interconnect statistics into the counters. Idempotent.
 func (d *Driver) Finalize() {
@@ -944,12 +932,12 @@ func (d *Driver) landMigration(m migration) {
 // remote writes and leaves dirty cleared; clean blocks re-serve as
 // remote reads.
 //
-// This path is unreachable under the built-in eviction engines — their
-// relaxed selection pass only refuses when blocks are on the wire, and
-// on-the-wire blocks schedule the retry — so stock configurations are
-// unaffected. It exists so that partial pipelines (a refusing or
-// overly conservative EvictionEngine) degrade to remote access instead
-// of deadlocking the simulation.
+// The LRU and LFU engines never reach this path — their relaxed
+// selection pass only refuses when blocks are on the wire, and
+// on-the-wire blocks schedule the retry. It exists so that a refusing
+// or overly conservative EvictionEngine (`-evictor none` refuses every
+// eviction) degrades to remote access instead of deadlocking the
+// simulation.
 func (d *Driver) demoteMigration(m migration) {
 	first := m.cs.info.FirstBlock()
 	tree := m.cs.pf.Tree()
@@ -970,7 +958,3 @@ func (d *Driver) demoteMigration(m migration) {
 		d.putWaiterList(waiters)
 	}
 }
-
-// ResidentPages returns the number of device-resident pages (for
-// invariant checks).
-func (d *Driver) ResidentPages() uint64 { return d.mem.AllocatedPages() }

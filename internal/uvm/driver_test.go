@@ -65,8 +65,8 @@ func TestFirstTouchMigration(t *testing.T) {
 	if st.PrefetchedPages != 0 {
 		t.Fatalf("first touch prefetched %d pages", st.PrefetchedPages)
 	}
-	if r.d.ResidentPages() != memunits.PagesPerBlock {
-		t.Fatalf("resident %d pages", r.d.ResidentPages())
+	if r.d.mem.AllocatedPages() != memunits.PagesPerBlock {
+		t.Fatalf("resident %d pages", r.d.mem.AllocatedPages())
 	}
 }
 
@@ -249,7 +249,7 @@ func TestRemoteWriteUnderAdaptiveOversubscription(t *testing.T) {
 			}
 		}
 	}
-	if !r.d.Memory().Oversubscribed() {
+	if !r.d.mem.Oversubscribed() {
 		t.Fatal("oversubscription not latched")
 	}
 	preW := r.d.Stats().RemoteWrites
@@ -280,7 +280,7 @@ func TestEvictionAndThrashAccounting(t *testing.T) {
 	if st.EvictedPages != memunits.PagesPerChunk {
 		t.Fatalf("evicted %d pages, want one chunk", st.EvictedPages)
 	}
-	if !r.d.Memory().Oversubscribed() {
+	if !r.d.mem.Oversubscribed() {
 		t.Fatal("oversubscription not latched")
 	}
 	if st.ThrashedPages != 0 {
@@ -387,7 +387,7 @@ func TestQuiescenceAndValidation(t *testing.T) {
 	if err := r.d.Stats().Validate(); err != nil {
 		t.Fatalf("stats invariants violated: %v", err)
 	}
-	if r.d.ResidentPages() > r.d.Memory().TotalPages() {
+	if r.d.mem.AllocatedPages() > r.d.mem.TotalPages() {
 		t.Fatal("resident pages exceed capacity")
 	}
 }
@@ -445,7 +445,7 @@ func TestCountersTrackRoundTrips(t *testing.T) {
 	touchChunk(1)
 	touchChunk(2) // evicts chunk 0
 	firstBlock := memunits.BlockOf(r.a.Base)
-	if r.d.Counters().RoundTrips(firstBlock) != 1 {
-		t.Fatalf("round trips = %d, want 1", r.d.Counters().RoundTrips(firstBlock))
+	if r.d.ctrs.RoundTrips(firstBlock) != 1 {
+		t.Fatalf("round trips = %d, want 1", r.d.ctrs.RoundTrips(firstBlock))
 	}
 }

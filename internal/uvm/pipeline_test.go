@@ -289,20 +289,18 @@ func TestNewWithPipelineRejectsMissingStage(t *testing.T) {
 	}
 }
 
-// Pipeline() exposes the composed stages, and New resolves the empty
-// spec to the stages the configuration selects.
+// New resolves the empty spec to the stages the configuration selects.
 func TestPipelineIntrospection(t *testing.T) {
 	r := newRig(t, nil, 4<<20)
-	p := r.d.Pipeline()
-	if p.Batcher == nil || p.Planner == nil || p.Evictor == nil || p.Prefetch == nil {
-		t.Fatalf("incomplete pipeline: %+v", p)
+	if r.d.batcher == nil || r.d.planner == nil || r.d.evictor == nil || r.d.pfgov == nil {
+		t.Fatal("incomplete pipeline")
 	}
-	if p.Planner.Name() != "threshold" {
-		t.Fatalf("default planner = %q", p.Planner.Name())
+	if r.d.planner.Name() != "threshold" {
+		t.Fatalf("default planner = %q", r.d.planner.Name())
 	}
 	// config.Default pairs no migration policy with LRU replacement.
-	if p.Evictor.Name() != "LRU" {
-		t.Fatalf("default evictor = %q", p.Evictor.Name())
+	if r.d.evictor.Name() != "LRU" {
+		t.Fatalf("default evictor = %q", r.d.evictor.Name())
 	}
 }
 

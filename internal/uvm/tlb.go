@@ -109,9 +109,6 @@ func (t *tlb) invalidateRange(first memunits.PageNum, count uint64) uint64 {
 	return dropped
 }
 
-// size returns the populated entry count.
-func (t *tlb) size() int { return t.count }
-
 func (t *tlb) pushFront(n int32) {
 	t.nodes[n].prev = -1
 	t.nodes[n].next = t.head

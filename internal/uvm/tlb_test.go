@@ -19,8 +19,8 @@ func TestTLBHitMiss(t *testing.T) {
 	if !tl.lookup(1) {
 		t.Fatal("warm lookup missed")
 	}
-	if tl.size() != 1 {
-		t.Fatalf("size = %d", tl.size())
+	if tl.count != 1 {
+		t.Fatalf("size = %d", tl.count)
 	}
 }
 
@@ -36,8 +36,8 @@ func TestTLBLRUEviction(t *testing.T) {
 	if tl.lookup(2) {
 		t.Fatal("LRU entry survived")
 	}
-	if tl.size() != 2 {
-		t.Fatalf("size = %d, want cap 2", tl.size())
+	if tl.count != 2 {
+		t.Fatalf("size = %d, want cap 2", tl.count)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestTLBBoundsProperty(t *testing.T) {
 		tl := newTLB(cap)
 		for _, p := range pages {
 			tl.lookup(memunits.PageNum(p))
-			if tl.size() > cap {
+			if tl.count > cap {
 				return false
 			}
 			if !tl.lookup(memunits.PageNum(p)) {
@@ -249,8 +249,8 @@ func TestTLBMatchesReferenceLRU(t *testing.T) {
 				}
 				desc = fmt.Sprintf("lookup(%d)", p)
 			}
-			if tl.size() != len(ref.pages) {
-				t.Fatalf("trial %d op %d: after %s size %d, reference %d", trial, op, desc, tl.size(), len(ref.pages))
+			if tl.count != len(ref.pages) {
+				t.Fatalf("trial %d op %d: after %s size %d, reference %d", trial, op, desc, tl.count, len(ref.pages))
 			}
 			if got, want := tlbResident(tl), slices.Sorted(slices.Values(ref.pages)); !slices.Equal(got, want) {
 				t.Fatalf("trial %d op %d: after %s resident %v, reference %v", trial, op, desc, got, want)

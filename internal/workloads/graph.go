@@ -17,9 +17,6 @@ type Graph struct {
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// Degree returns node v's out-degree.
-func (g *Graph) Degree(v int) int { return int(g.RowPtr[v+1] - g.RowPtr[v]) }
-
 // Adj returns node v's adjacency slice.
 func (g *Graph) Adj(v int) []int32 { return g.Edges[g.RowPtr[v]:g.RowPtr[v+1]] }
 

@@ -78,10 +78,3 @@ func (m *Memo) Get(name string, scale float64) *Built {
 	}
 	return e.b
 }
-
-// Len reports how many distinct (name, scale) builds the memo holds.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}

@@ -35,7 +35,7 @@ func TestMemoDistinctKeysBuildConcurrently(t *testing.T) {
 	if b := <-slowDone; b == nil || b.Name != "slow" {
 		t.Fatalf("Get(slow) = %+v", b)
 	}
-	if n := m.Len(); n != 2 {
+	if n := len(m.m); n != 2 {
 		t.Fatalf("memo holds %d builds, want 2", n)
 	}
 }

@@ -37,9 +37,6 @@ func TestMemoCachesPerNameAndScale(t *testing.T) {
 	if m.Get("ra", 0.05) == got[0] {
 		t.Fatal("different workload returned the same Built")
 	}
-	if n := m.Len(); n != 3 {
-		t.Fatalf("memo holds %d builds, want 3", n)
-	}
 }
 
 // Proof that concurrent cells can share one memoized Built safely: N

@@ -66,9 +66,6 @@ func Names() []string {
 	return out
 }
 
-// RegularNames returns the regular workloads in order.
-func RegularNames() []string { return Names()[:4] }
-
 // IrregularNames returns the irregular workloads in order.
 func IrregularNames() []string { return Names()[4:] }
 

@@ -64,7 +64,7 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("Names = %v, want %v", names, want)
 		}
 	}
-	for _, n := range RegularNames() {
+	for _, n := range names[:4] {
 		if !IsRegular(n) {
 			t.Errorf("%s should be regular", n)
 		}

@@ -14,12 +14,15 @@ FLOOR=70
 PACKAGES="uvmsim/internal/mm uvmsim/internal/learn uvmsim/internal/counters uvmsim/internal/cxl
 uvmsim/internal/lint uvmsim/internal/lint/lockhold uvmsim/internal/lint/goroleak"
 
+profile=$(mktemp /tmp/cover.XXXXXX.out)
+# set -eu exits on a failing go test; the trap still removes the profile.
+trap 'rm -f "$profile"' EXIT
+trap 'exit 1' INT TERM
+
 fail=0
 for pkg in $PACKAGES; do
-    profile=$(mktemp /tmp/cover.XXXXXX.out)
     go test -coverprofile="$profile" "$pkg" >/dev/null
     pct=$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
-    rm -f "$profile"
     ok=$(awk -v p="$pct" -v f="$FLOOR" 'BEGIN {print (p >= f) ? 1 : 0}')
     if [ "$ok" = 1 ]; then
         echo "cover: $pkg ${pct}% (floor ${FLOOR}%)"

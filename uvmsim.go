@@ -137,18 +137,9 @@ func Policies() []MigrationPolicy { return config.Policies() }
 // backprop, fdtd, hotspot, srad (regular); bfs, nw, ra, sssp (irregular).
 func Workloads() []string { return workloads.Names() }
 
-// RegularWorkloads returns the four regular benchmark names.
-func RegularWorkloads() []string { return workloads.RegularNames() }
-
-// IrregularWorkloads returns the four irregular benchmark names.
-func IrregularWorkloads() []string { return workloads.IrregularNames() }
-
-// ExtraWorkloads returns the additional workloads shipped beyond the
-// paper's suite (spatter, pointerchase); they are buildable through
-// BuildWorkload but excluded from the figure sweeps.
-func ExtraWorkloads() []string { return workloads.ExtraNames() }
-
-// AllWorkloads returns the paper workloads followed by the extras.
+// AllWorkloads returns the paper workloads followed by the extras
+// (spatter, pointerchase), which are buildable through BuildWorkload but
+// excluded from the figure sweeps.
 func AllWorkloads() []string { return workloads.AllNames() }
 
 // IsRegular reports the paper's classification of a workload.

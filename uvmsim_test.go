@@ -24,11 +24,8 @@ func TestPublicAPIRegistry(t *testing.T) {
 	if len(Workloads()) != 8 {
 		t.Fatalf("Workloads = %v", Workloads())
 	}
-	if len(RegularWorkloads()) != 4 || len(IrregularWorkloads()) != 4 {
-		t.Fatal("classification split wrong")
-	}
-	for _, w := range RegularWorkloads() {
-		if !IsRegular(w) {
+	for i, w := range Workloads() {
+		if IsRegular(w) != (i < 4) {
 			t.Errorf("%s misclassified", w)
 		}
 	}
@@ -126,8 +123,8 @@ func TestPublicAPIPresets(t *testing.T) {
 }
 
 func TestPublicAPIExtras(t *testing.T) {
-	if len(ExtraWorkloads()) != 2 || len(AllWorkloads()) != 10 {
-		t.Fatalf("extras: %v / %v", ExtraWorkloads(), AllWorkloads())
+	if all := AllWorkloads(); len(all) != 10 || all[8] != "spatter" || all[9] != "pointerchase" {
+		t.Fatalf("extras: %v", all)
 	}
 	b := BuildWorkload("spatter", 0.05)
 	if b.Name != "spatter" {
