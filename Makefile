@@ -8,6 +8,12 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
+# The front ends the smoke targets run. scripts/reach.sh points them at
+# coverage-instrumented builds, so CI's smokes are listed once, here.
+PAPERBENCH ?= $(GO) run ./cmd/paperbench
+UVMSIM ?= $(GO) run ./cmd/uvmsim
+SIMD ?= $(GO) run ./cmd/simd
+
 build:
 	$(GO) build ./...
 
@@ -103,7 +109,7 @@ tournament:
 # two workloads at a small scale, proving the harness end to end
 # without the full matrix cost.
 tournament-smoke:
-	$(GO) run ./cmd/paperbench -tournament -scale 0.05 -workloads bfs,ra \
+	$(PAPERBENCH) -tournament -scale 0.05 -workloads bfs,ra \
 		-planner threshold,reuse-dist -tournament-out -
 
 # End-to-end smoke of the simd sweep service (cmd/simd, DESIGN.md §14):
@@ -112,16 +118,16 @@ tournament-smoke:
 # payload and that the progress stream, cache stats and metrics
 # snapshot all agree with what ran.
 serve-smoke:
-	$(GO) run ./cmd/simd -smoke
+	$(SIMD) -smoke
 
 # End-to-end smoke of the multi-tenant co-location mode (DESIGN.md §15):
 # three tenants over two GPUs and a pooled CXL tier, run sequentially
 # and under the PDES coordinator — the outputs (including the result
 # checksum) must be byte-identical.
 colo-smoke:
-	$(GO) run ./cmd/uvmsim -tenants bfs:0:1,ra:0:0,backprop:1:1 -gpus 2 \
+	$(UVMSIM) -tenants bfs:0:1,ra:0:0,backprop:1:1 -gpus 2 \
 		-cxl-pool-mb 32 -colo-epochs 3 -seed 7 -workers 1 >/tmp/uvmsim-colo-seq.txt
-	$(GO) run ./cmd/uvmsim -tenants bfs:0:1,ra:0:0,backprop:1:1 -gpus 2 \
+	$(UVMSIM) -tenants bfs:0:1,ra:0:0,backprop:1:1 -gpus 2 \
 		-cxl-pool-mb 32 -colo-epochs 3 -seed 7 -workers 2 >/tmp/uvmsim-colo-par.txt
 	cmp /tmp/uvmsim-colo-seq.txt /tmp/uvmsim-colo-par.txt
 	grep -q 'checksum=' /tmp/uvmsim-colo-seq.txt
@@ -142,14 +148,20 @@ reach:
 
 check: vet lint test
 
-# End-to-end smoke: a small sweep with the full observability surface on
-# (metrics registry + periodic invariant checker), validating that the
-# emitted metrics document is well-formed versioned JSON.
+# End-to-end smoke: a small sweep and a single run with the full
+# observability surface on (metrics registry + periodic invariant
+# checker, and the run's timeline trace), validating that the emitted
+# metrics documents are well-formed versioned JSON.
 smoke:
-	$(GO) run ./cmd/paperbench -fig 1 -scale 0.05 -workloads ra \
+	$(PAPERBENCH) -fig 1 -scale 0.05 -workloads ra \
 		-metrics-json /tmp/uvmsim-smoke-metrics.json -check-invariants 20000
 	grep -q '"version": 1' /tmp/uvmsim-smoke-metrics.json
 	grep -q '"runs"' /tmp/uvmsim-smoke-metrics.json
+	$(UVMSIM) -workload sssp -scale 0.1 -oversub 125 \
+		-metrics-json /tmp/uvmsim-smoke-run-metrics.json -trace-out /tmp/uvmsim-smoke-trace.json \
+		-check-invariants 20000 -json /tmp/uvmsim-smoke-record.json
+	grep -q '"version": 1' /tmp/uvmsim-smoke-run-metrics.json
+	grep -q '"traceEvents"' /tmp/uvmsim-smoke-trace.json
 
 # What CI runs (.github/workflows/ci.yml): vet + simlint + staticcheck +
 # govulncheck, build, race-detected tests, the coverage floor, the

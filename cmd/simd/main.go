@@ -125,16 +125,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 const drainTimeout = 5 * time.Minute
 
 // runServe listens on the configured address and serves until the
-// process is interrupted, then drains.
+// process is interrupted, then drains. The interrupt handler is in
+// place before the address is announced.
 func runServe(o options, stderr io.Writer) error {
 	s := serve.NewServer(serve.Options{Workers: o.workers, MaxCells: o.maxCells})
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "simd: listening on http://%s\n", ln.Addr())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	fmt.Fprintf(stderr, "simd: listening on http://%s\n", ln.Addr())
 	return serveUntil(ctx, s, ln, stderr)
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,5 +176,49 @@ func TestServeDrainsOnShutdown(t *testing.T) {
 	}
 	if _, err := c.Submit(job); err == nil {
 		t.Fatal("an HTTP submit after shutdown was accepted")
+	}
+}
+
+// simd -addr serves until the process is interrupted, then drains and
+// exits 0; a listen error exits 1.
+func TestServeModeUntilInterrupt(t *testing.T) {
+	pr, pw := io.Pipe()
+	code := make(chan int, 1)
+	go func() {
+		c := run([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, io.Discard, pw)
+		pw.Close()
+		code <- c
+	}()
+	lines := bufio.NewScanner(pr)
+	if !lines.Scan() {
+		t.Fatalf("no listening line: %v", lines.Err())
+	}
+	url, ok := strings.CutPrefix(lines.Text(), "simd: listening on ")
+	if !ok {
+		t.Fatalf("first line %q, want the listening address", lines.Text())
+	}
+	if _, err := (&serve.Client{BaseURL: url}).CacheStats(); err != nil {
+		t.Fatalf("server at %s does not answer: %v", url, err)
+	}
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := self.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	var rest []string
+	for lines.Scan() {
+		rest = append(rest, lines.Text())
+	}
+	if c := <-code; c != 0 {
+		t.Fatalf("interrupted server exited %d: %q", c, rest)
+	}
+	if want := []string{"simd: draining: new jobs are refused", "simd: drained"}; !slices.Equal(rest, want) {
+		t.Fatalf("after the interrupt the server wrote %q, want %q", rest, want)
+	}
+
+	if c, _, stderr := runCLI(t, "-addr", "127.0.0.1:99999"); c != 1 || !strings.Contains(stderr, "invalid port") {
+		t.Fatalf("bad listen address: exit %d, stderr %q", c, stderr)
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"uvmsim/internal/config"
+	"uvmsim/internal/devmem"
 	"uvmsim/internal/obs"
+	"uvmsim/internal/uvm"
 	"uvmsim/internal/workloads"
 )
 
@@ -111,25 +113,28 @@ func TestMetricsSnapshotMatchesStats(t *testing.T) {
 	}
 }
 
-// errSkewed stands in for an accounting bug: the driver-consistency
-// check's own detections are covered by uvm's
-// TestConsistencyDetectsCorruption.
-var errSkewed = errors.New("one page allocated with no matching residency")
+// skewDeviceMemory allocates one device page behind the driver's back:
+// an accounting bug with no matching residency. The driver keeps its
+// memory unexported, so the test reaches it by reflection.
+func skewDeviceMemory(d *uvm.Driver) {
+	mem := reflect.ValueOf(d).Elem().FieldByName("mem")
+	(*devmem.Memory)(mem.UnsafePointer()).Allocate(1)
+}
 
-// A deliberately injected accounting bug must be caught with a
-// cycle-stamped diagnostic.
+// A deliberately injected accounting bug must be caught by the
+// driver-consistency check with a cycle-stamped diagnostic.
 func TestInjectedAccountingBugCaught(t *testing.T) {
 	s := obsSim(t, "fdtd", 100, &obs.Run{CheckEvery: 1000})
-	s.nodes[0].ck.Add("skewed-accounting", func() error { return errSkewed })
-	err := s.nodes[0].ck.RunAll(uint64(s.nodes[0].eng.Now()))
-	if !errors.Is(err, errSkewed) {
-		t.Fatalf("skewed accounting not detected: %v", err)
+	skewDeviceMemory(s.Driver)
+	err := s.nodes[0].ck.RunAll(uint64(s.Engine.Now()))
+	if err == nil {
+		t.Fatal("skewed accounting not detected")
 	}
 	var v *obs.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("error type %T, want *obs.Violation", err)
 	}
-	if v.Check != "skewed-accounting" {
+	if v.Check != "driver-consistency" {
 		t.Fatalf("check = %q", v.Check)
 	}
 	if !strings.Contains(err.Error(), "cycle") {
@@ -141,7 +146,7 @@ func TestInjectedAccountingBugCaught(t *testing.T) {
 // violation rather than completing on corrupted state.
 func TestPeriodicCheckerFailsFastMidRun(t *testing.T) {
 	s := obsSim(t, "fdtd", 100, &obs.Run{CheckEvery: 500})
-	s.nodes[0].ck.Add("skewed-accounting", func() error { return errSkewed })
+	skewDeviceMemory(s.Driver)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -151,7 +156,7 @@ func TestPeriodicCheckerFailsFastMidRun(t *testing.T) {
 		if !ok {
 			t.Fatalf("panic value %T, want *obs.Violation", r)
 		}
-		if v.Check != "skewed-accounting" || v.Cycle == 0 {
+		if v.Check != "driver-consistency" || v.Cycle == 0 {
 			t.Fatalf("violation = %+v", v)
 		}
 	}()

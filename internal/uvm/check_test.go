@@ -81,8 +81,8 @@ func TestConsistencyCleanDriver(t *testing.T) {
 }
 
 // TestConsistencyDetectsCorruption corrupts internal state and expects
-// the checker to object — guarding against the checker rotting into a
-// no-op.
+// both checker forms to object — guarding against the checker rotting
+// into a no-op.
 func TestConsistencyDetectsCorruption(t *testing.T) {
 	r := newRig(t, nil, 4<<20)
 	r.syncAccess(t, r.a.Base, false)
@@ -113,6 +113,9 @@ func TestConsistencyDetectsCorruption(t *testing.T) {
 		row.break_()
 		if err := r.d.CheckConsistency(); err == nil {
 			t.Errorf("checker accepted a corrupted %s", row.name)
+		}
+		if err := r.d.CheckConsistencyMidRun(); err == nil {
+			t.Errorf("mid-run checker accepted a corrupted %s", row.name)
 		}
 		row.fix()
 	}

@@ -50,19 +50,10 @@ run() {
     }
 }
 
-# CI's observability, tournament, serve and co-location smokes.
-run "$bin/paperbench" -fig 1 -scale 0.05 -workloads ra \
-    -metrics-json "$out/metrics.json" -check-invariants 20000
-run "$bin/uvmsim" -workload sssp -scale 0.1 -oversub 125 \
-    -metrics-json "$out/run-metrics.json" -trace-out "$out/trace.json" \
-    -check-invariants 20000 -json "$out/record.json"
-run "$bin/paperbench" -tournament -scale 0.05 -workloads bfs,ra \
-    -planner threshold,reuse-dist -tournament-out -
-run "$bin/simd" -smoke
-for workers in 1 2; do
-    run "$bin/uvmsim" -tenants bfs:0:1,ra:0:0,backprop:1:1 -gpus 2 \
-        -cxl-pool-mb 32 -colo-epochs 3 -seed 7 -workers "$workers"
-done
+# CI's observability, tournament, serve and co-location smokes, as the
+# Makefile lists them, on the instrumented binaries.
+run make -s -C "$root" smoke tournament-smoke serve-smoke colo-smoke \
+    PAPERBENCH="$bin/paperbench" UVMSIM="$bin/uvmsim" SIMD="$bin/simd"
 # Every figure the repository reproduces.
 run "$bin/paperbench" -fig 1,2,3,4,5,6,7,8,multigpu,hints -scale 0.3
 for name in $examples; do
