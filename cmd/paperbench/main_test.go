@@ -310,7 +310,8 @@ func TestFig6And7RunOneSweep(t *testing.T) {
 
 // Figures 2 and 3 characterize -workloads (default fdtd and sssp); -csv
 // prints Fig. 2's raw per-page frequencies and -plot draws Fig. 3's
-// iterations as scatters. Multigpu reads -workloads too (default ra and
+// iterations as scatters, while a table figure under -plot becomes one
+// bar group per row. Multigpu reads -workloads too (default ra and
 // sssp): one table per workload named. Each wanted fragment appears
 // exactly once.
 func TestAccessPatternFigures(t *testing.T) {
@@ -326,6 +327,10 @@ func TestAccessPatternFigures(t *testing.T) {
 			[]string{"Figure 2 (sssp)"}, []string{"fdtd"}},
 		{"fig2CSV", []string{"-fig", "2", "-workloads", "sssp", "-csv"},
 			[]string{"allocation,page,reads,writes\n"}, []string{"Figure 2"}},
+		{"fig1Plot", []string{"-fig", "1", "-workloads", "ra", "-plot"},
+			[]string{"Figure 1: sensitivity to memory oversubscription (Baseline first-touch)\nRuntime normalized to no-oversubscription\nra\n",
+				"NoOversub   |", "125%Oversub |", "150%Oversub |"},
+			[]string{"NoOversub,", "fdtd"}},
 		{"fig3Plot", []string{"-fig", "3", "-plot"},
 			[]string{"fdtd iteration 2: page (y) vs cycle (x)", "fdtd iteration 4:", "sssp iteration 3:", "sssp iteration 5:"},
 			[]string{"cycle,page,write"}},

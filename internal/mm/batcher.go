@@ -29,9 +29,6 @@ type accumBatcher struct {
 	open         bool
 }
 
-// Name identifies the batcher.
-func (a *accumBatcher) Name() string { return "accumulate" }
-
 // Add appends the fault; the first Add of a round opens the batch.
 func (a *accumBatcher) Add(b memunits.BlockNum) (opened bool) {
 	opened = !a.open

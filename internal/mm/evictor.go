@@ -5,7 +5,6 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/evict"
-	"uvmsim/internal/memunits"
 )
 
 // evictorNames is the fixed, sorted set of EvictionEngine names.
@@ -19,58 +18,41 @@ func EvictorNames() []string { return slices.Clone(evictorNames) }
 func NewEvictor(name string, cfg config.Config) (EvictionEngine, error) {
 	switch canon(name) {
 	case "":
-		return newUnitEngine(cfg.Replacement, cfg), nil
+		return unitEngine{evict.New(cfg.Replacement)}, nil
 	case "lru":
-		return newUnitEngine(config.ReplaceLRU, cfg), nil
+		return unitEngine{evict.New(config.ReplaceLRU)}, nil
 	case "lfu":
-		return newUnitEngine(config.ReplaceLFU, cfg), nil
+		return unitEngine{evict.New(config.ReplaceLFU)}, nil
 	case "none":
 		return refusingEngine{}, nil
 	}
 	return nil, unknown("eviction engine", name, evictorNames)
 }
 
-func newUnitEngine(kind config.ReplacementPolicy, cfg config.Config) *unitEngine {
-	return &unitEngine{
-		replace: evict.New(kind),
-		blocks:  cfg.EvictionGranularity == memunits.BlockSize,
-	}
-}
-
 // unitEngine is the default eviction engine: it runs the configured
-// replacement policy (LRU or counter-driven LFU) over the candidates of
-// the configured granularity, first under the strict pinning rules and,
-// only when nothing is eligible, under the relaxed rules that guarantee
-// forward progress.
+// replacement policy (LRU or counter-driven LFU) over the host's
+// candidates, first under the strict pinning rules and, only when
+// nothing is eligible, under the relaxed rules that guarantee forward
+// progress.
 type unitEngine struct {
 	replace evict.Policy
-	blocks  bool
 }
 
 // Name returns the replacement policy name ("LRU", "LFU"); it keys the
 // per-policy selection metrics.
-func (e *unitEngine) Name() string { return e.replace.Name() }
+func (e unitEngine) Name() string { return e.replace.Name() }
 
 // EvictOne selects and evicts one unit: strict pass first, relaxed pass
 // as the forward-progress fallback.
-func (e *unitEngine) EvictOne(h EvictionHost) bool {
-	collect := h.ChunkCandidates
-	if e.blocks {
-		collect = h.BlockCandidates
+func (e unitEngine) EvictOne(h EvictionHost) bool {
+	for _, strict := range [...]bool{true, false} {
+		cands := h.Candidates(strict)
+		if idx, ok := e.replace.SelectVictim(cands); ok {
+			h.Evict(cands[idx].Unit, strict)
+			return true
+		}
 	}
-	strict := true
-	cands := collect(true)
-	idx, ok := e.replace.SelectVictim(cands)
-	if !ok {
-		strict = false
-		cands = collect(false)
-		idx, ok = e.replace.SelectVictim(cands)
-	}
-	if !ok {
-		return false
-	}
-	h.Evict(idx, strict)
-	return true
+	return false
 }
 
 // refusingEngine never evicts: it models a driver without replacement,

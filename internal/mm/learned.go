@@ -70,9 +70,6 @@ type reuseDistPlanner struct {
 	explores   uint64
 }
 
-// Name identifies the planner.
-func (p *reuseDistPlanner) Name() string { return "reuse-dist" }
-
 // ShouldMigrate applies the reuse-distance rule.
 func (p *reuseDistPlanner) ShouldMigrate(a Access) bool {
 	p.decisions++
@@ -217,9 +214,6 @@ type banditPlanner struct {
 	epochs      uint64
 }
 
-// Name identifies the planner.
-func (b *banditPlanner) Name() string { return "bandit-ts" }
-
 // ShouldMigrate applies the current arm's threshold scheme, closing the
 // learning epoch first when it has elapsed.
 func (b *banditPlanner) ShouldMigrate(a Access) bool {
@@ -290,9 +284,6 @@ type banditGovernor struct {
 	bandit *learn.Bandit
 	chunks uint64
 }
-
-// Name identifies the governor.
-func (g *banditGovernor) Name() string { return "bandit-pf" }
 
 // NewChunk pulls an arm and returns prefetch state of that kind,
 // instrumented to charge its faults back to the arm.

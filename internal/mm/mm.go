@@ -13,8 +13,8 @@
 //	PrefetchGovernor  — which neighbour blocks ride along with a
 //	                    migrating fault (wraps prefetch.Chunk)
 //	EvictionEngine    — victim selection under capacity pressure (wraps
-//	                    evict.Policy via an EvictionHost view of driver
-//	                    state)
+//	                    evict.Policy over the candidates an EvictionHost
+//	                    lists; the host evicts the chosen unit)
 //
 // The uvm.Driver composes one instance of each and owns only page-table
 // state and event sequencing. The built-in implementations reproduce the
@@ -74,8 +74,6 @@ type Access struct {
 // accesses they have seen and the configured seed — never from wall
 // clock or unseeded randomness.
 type MigrationPlanner interface {
-	// Name identifies the planner (the name that selects it).
-	Name() string
 	// ShouldMigrate reports whether the access triggers a migration.
 	ShouldMigrate(a Access) bool
 }
@@ -84,8 +82,6 @@ type MigrationPlanner interface {
 // driver processes after the fault-handling latency. Implementations
 // own the returned slices and may recycle them across rounds.
 type FaultBatcher interface {
-	// Name identifies the batcher (the name that selects it).
-	Name() string
 	// Add records a far-faulting block. opened reports whether this
 	// fault opened a new batch round, in which case the driver
 	// schedules the round's close after the fault-handling latency.
@@ -117,38 +113,34 @@ type ChunkPrefetcher interface {
 // PrefetchGovernor creates the per-chunk prefetch state when a chunk is
 // first touched.
 type PrefetchGovernor interface {
-	// Name identifies the governor (the name that selects it).
-	Name() string
 	// NewChunk returns fresh prefetch state for a chunk of nBlocks
 	// 64KB basic blocks (a power of two in [1, 32]).
 	NewChunk(nBlocks int) ChunkPrefetcher
 }
 
 // EvictionHost is the view of driver state an EvictionEngine works
-// against: candidate enumeration and victim application. The driver
-// implements it; engines never touch page tables directly.
+// against: the units it may evict and the eviction of one of them. The
+// driver implements it; engines never touch page tables directly.
 //
-// Protocol: collect candidates (as often as needed), then Evict exactly
-// one of them by index. Any candidate slice is invalidated by the next
-// host call. A collection lists exactly the units its pass may evict:
+// A unit is a 2MB chunk or a 64KB basic block, whichever the
+// configured eviction granularity names; the host alone reads that
+// setting. A candidate list holds exactly the units its pass may evict:
 // pinned units are left out, and the chunk currently being migrated
 // into is never listed.
 type EvictionHost interface {
-	// ChunkCandidates returns the resident 2MB chunks the pass may
-	// evict, ascending by chunk number. strict leaves out chunks under
-	// the standard pinning rules (queued or in-flight migrations) and
-	// the recency guard; relaxed (strict=false) leaves out only chunks
-	// with blocks on the wire, guaranteeing forward progress.
-	ChunkCandidates(strict bool) []evict.Candidate
-	// BlockCandidates is the 64KB-granularity equivalent: every
-	// resident basic block outside the destination chunk, ascending by
-	// block number. strict leaves out blocks inside the recency guard.
-	BlockCandidates(strict bool) []evict.Candidate
-	// Evict evicts the idx-th candidate of the most recent collection,
-	// handling residency teardown, TLB shootdowns, accounting and dirty
-	// write-back. strict tags which selection pass chose the victim
-	// (observability and the no-pinned-victim invariant).
-	Evict(idx int, strict bool)
+	// Candidates returns the units the pass may evict, ascending by
+	// unit number. strict leaves out units under the standard pinning
+	// rules (chunks with queued or in-flight migrations) and the
+	// recency guard; relaxed (strict=false) leaves out only chunks with
+	// blocks on the wire, guaranteeing forward progress. The slice is
+	// the host's and valid until its next Candidates call.
+	Candidates(strict bool) []evict.Candidate
+	// Evict evicts the unit of a listed candidate, handling residency
+	// teardown, TLB shootdowns, accounting and dirty write-back. strict
+	// tags which pass chose the victim (observability and the
+	// no-pinned-victim invariant). It panics on a unit the relaxed pass
+	// could not have listed.
+	Evict(unit uint64, strict bool)
 }
 
 // EvictionEngine frees device memory one eviction unit at a time.

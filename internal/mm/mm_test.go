@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -13,14 +14,36 @@ import (
 	"uvmsim/internal/sim"
 )
 
+// builtName is the name that selects stage s, read from its type and
+// configuration: planners, batchers and governors carry no name.
+func builtName(s any) string {
+	switch s := s.(type) {
+	case *accumBatcher:
+		return "accumulate"
+	case *thresholdPlanner:
+		return "threshold"
+	case *thrashGuard:
+		return "thrash-guard"
+	case *reuseDistPlanner:
+		return "reuse-dist"
+	case *banditPlanner:
+		return "bandit-ts"
+	case kindGovernor:
+		return canon(s.kind.String())
+	case *banditGovernor:
+		return "bandit-pf"
+	}
+	return fmt.Sprintf("%T", s)
+}
+
 func TestDefaultsMatchConfiguration(t *testing.T) {
 	cfg := config.Default()
 	b, err := NewBatcher("", cfg)
-	if err != nil || b.Name() != "accumulate" {
+	if err != nil || builtName(b) != "accumulate" {
 		t.Fatalf("default batcher = %v, %v; want accumulate", b, err)
 	}
 	p, err := NewPlanner("", cfg)
-	if err != nil || p.Name() != "threshold" {
+	if err != nil || builtName(p) != "threshold" {
 		t.Fatalf("default planner = %v, %v; want threshold", p, err)
 	}
 	for _, rp := range []config.ReplacementPolicy{config.ReplaceLRU, config.ReplaceLFU} {
@@ -31,7 +54,7 @@ func TestDefaultsMatchConfiguration(t *testing.T) {
 		}
 	}
 	g, err := NewPrefetchGovernor("", cfg)
-	if err != nil || g.Name() != "tree" {
+	if err != nil || builtName(g) != "tree" {
 		t.Fatalf("default governor = %v, %v; want tree", g, err)
 	}
 }
@@ -135,7 +158,7 @@ func TestCheckSpecAllocatesNothing(t *testing.T) {
 func TestNamesAreCaseInsensitiveAndTrimmed(t *testing.T) {
 	cfg := config.Default()
 	p, err := NewPlanner(" Thrash-Guard ", cfg)
-	if err != nil || p.Name() != "thrash-guard" {
+	if err != nil || builtName(p) != "thrash-guard" {
 		t.Fatalf("NewPlanner(' Thrash-Guard ') = %v, %v", p, err)
 	}
 }
@@ -197,16 +220,16 @@ func TestBuildResolvesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pipe.Batcher.Name(); got != "accumulate" {
+	if got := builtName(pipe.Batcher); got != "accumulate" {
 		t.Fatalf("batcher = %q", got)
 	}
-	if got := pipe.Planner.Name(); got != "thrash-guard" {
+	if got := builtName(pipe.Planner); got != "thrash-guard" {
 		t.Fatalf("planner = %q", got)
 	}
 	if got := pipe.Evictor.Name(); got != "none" {
 		t.Fatalf("evictor = %q", got)
 	}
-	if got := pipe.Prefetch.Name(); got != "sequential" {
+	if got := builtName(pipe.Prefetch); got != "sequential" {
 		t.Fatalf("prefetcher = %q", got)
 	}
 
@@ -343,8 +366,8 @@ func TestPlannerContractDeterministicReplay(t *testing.T) {
 			t.Fatalf("NewPlanner(%s): %v", name, err)
 		}
 		b, _ := NewPlanner(name, cfg)
-		if a.Name() != name {
-			t.Fatalf("planner %q round-trips as %q", name, a.Name())
+		if got := builtName(a); got != name {
+			t.Fatalf("planner %q builds %q", name, got)
 		}
 		for i, acc := range seq {
 			if a.ShouldMigrate(acc) != b.ShouldMigrate(acc) {
@@ -445,9 +468,8 @@ func TestBanditArmsAnchorAndDedup(t *testing.T) {
 // driver whose resident units are all pinned or in flight.
 type emptyHost struct{ evictions int }
 
-func (h *emptyHost) ChunkCandidates(bool) []evict.Candidate { return nil }
-func (h *emptyHost) BlockCandidates(bool) []evict.Candidate { return nil }
-func (h *emptyHost) Evict(int, bool)                        { h.evictions++ }
+func (h *emptyHost) Candidates(bool) []evict.Candidate { return nil }
+func (h *emptyHost) Evict(uint64, bool)                { h.evictions++ }
 
 func TestEvictorContractRefusesGracefullyWithoutCandidates(t *testing.T) {
 	// Every engine must return false — not panic, not call Evict — when
@@ -455,20 +477,56 @@ func TestEvictorContractRefusesGracefullyWithoutCandidates(t *testing.T) {
 	// relies on the false to demote the stalled migration to remote
 	// access.
 	for _, name := range EvictorNames() {
-		for _, gran := range []uint64{memunits.ChunkSize, memunits.BlockSize} {
-			cfg := config.Default()
-			cfg.EvictionGranularity = gran
-			e, err := NewEvictor(name, cfg)
-			if err != nil {
-				t.Fatalf("NewEvictor(%s): %v", name, err)
-			}
-			h := &emptyHost{}
-			if e.EvictOne(h) {
-				t.Fatalf("evictor %s (gran %d) claimed success with no candidates", name, gran)
-			}
-			if h.evictions != 0 {
-				t.Fatalf("evictor %s (gran %d) called Evict with no candidates", name, gran)
-			}
+		e, err := NewEvictor(name, config.Default())
+		if err != nil {
+			t.Fatalf("NewEvictor(%s): %v", name, err)
+		}
+		h := &emptyHost{}
+		if e.EvictOne(h) {
+			t.Fatalf("evictor %s claimed success with no candidates", name)
+		}
+		if h.evictions != 0 {
+			t.Fatalf("evictor %s called Evict with no candidates", name)
+		}
+	}
+}
+
+// relaxedHost lists nothing to the strict pass and its units to the
+// relaxed pass, and records what Evict receives.
+type relaxedHost struct {
+	units  []uint64
+	victim uint64
+	strict bool
+	calls  int
+}
+
+func (h *relaxedHost) Candidates(strict bool) []evict.Candidate {
+	if strict {
+		return nil
+	}
+	cands := make([]evict.Candidate, len(h.units))
+	for i, u := range h.units {
+		cands[i] = evict.Candidate{Unit: u, LastAccess: 100 - u, Full: true}
+	}
+	return cands
+}
+
+func (h *relaxedHost) Evict(unit uint64, strict bool) { h.victim, h.strict = unit, strict; h.calls++ }
+
+// The built-in engines fall back to the relaxed pass when the strict
+// one lists nothing, and hand the host the chosen candidate's unit, not
+// its position in the list.
+func TestEvictorEvictsChosenUnitFromRelaxedPass(t *testing.T) {
+	for _, name := range []string{"lru", "lfu"} {
+		e, _ := NewEvictor(name, config.Default())
+		h := &relaxedHost{units: []uint64{7, 40, 41}}
+		if !e.EvictOne(h) {
+			t.Fatalf("evictor %s refused with relaxed candidates", name)
+		}
+		// Unit 41 was touched longest ago, and equal scores make LFU
+		// fall back to LRU.
+		if h.calls != 1 || h.victim != 41 || h.strict {
+			t.Fatalf("evictor %s: %d Evict calls, last (%d, strict=%v); want one, (41, false)", name, h.calls, h.victim, h.strict)
 		}
 	}
 }
@@ -501,8 +559,8 @@ func TestGovernorContractFaultListsAscendingAndInclusive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewPrefetchGovernor(%s): %v", name, err)
 		}
-		if g.Name() != name {
-			t.Fatalf("governor %q round-trips as %q", name, g.Name())
+		if got := builtName(g); got != name {
+			t.Fatalf("governor %q builds %q", name, got)
 		}
 		pf := g.NewChunk(32)
 		if pf.Tree() == nil {

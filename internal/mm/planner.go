@@ -43,9 +43,6 @@ type thresholdPlanner struct {
 	writeMigrates bool
 }
 
-// Name identifies the planner.
-func (p *thresholdPlanner) Name() string { return "threshold" }
-
 // ShouldMigrate applies the configured threshold scheme.
 func (p *thresholdPlanner) ShouldMigrate(a Access) bool {
 	return (a.Write && p.writeMigrates) || p.dec.ShouldMigrate(a.Count, a.Mem, a.RoundTrips)
@@ -67,9 +64,6 @@ type thrashGuard struct {
 	inner MigrationPlanner
 	bound uint64
 }
-
-// Name identifies the planner.
-func (p *thrashGuard) Name() string { return "thrash-guard" }
 
 // ShouldMigrate pins chronic thrashers host-side, otherwise delegates.
 func (p *thrashGuard) ShouldMigrate(a Access) bool {

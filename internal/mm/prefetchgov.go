@@ -39,9 +39,6 @@ type kindGovernor struct {
 	kind config.PrefetcherKind
 }
 
-// Name identifies the governor.
-func (g kindGovernor) Name() string { return canon(g.kind.String()) }
-
 // NewChunk returns per-chunk prefetch state of the configured kind.
 func (g kindGovernor) NewChunk(nBlocks int) ChunkPrefetcher {
 	return prefetch.NewChunk(g.kind, nBlocks)

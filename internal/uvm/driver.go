@@ -13,8 +13,9 @@
 // interfaces (internal/mm): the MigrationPlanner decides migrate versus
 // remote, the FaultBatcher forms fault batches, the PrefetchGovernor
 // groups neighbour blocks into migrations, and the EvictionEngine picks
-// victims under capacity pressure through the EvictionHost view
-// implemented in evictionhost.go. The Driver itself owns only
+// victims under capacity pressure from the candidates the driver lists
+// as its mm.EvictionHost (evictionhost.go): chunks or blocks, by the
+// configured eviction granularity. The Driver itself owns only
 // page-table state (block/chunk slots, the GMMU TLB, access counters)
 // and event sequencing (batch close, migration dispatch and landing,
 // the capacity-wait queue). New resolves the stages named by
@@ -26,8 +27,8 @@
 // block/chunk number rather than maps: the managed address space starts
 // at the first chunk boundary and stays small and contiguous, so direct
 // indexing makes the dominant near-access path a couple of array loads,
-// and index-order iteration replaces the map-order-plus-sort dance the
-// eviction paths previously needed for determinism.
+// and index order is the eviction paths' deterministic order, with no
+// sorting.
 package uvm
 
 import (
@@ -197,9 +198,6 @@ type Driver struct {
 	planner mm.MigrationPlanner
 	evictor mm.EvictionEngine
 	pfgov   mm.PrefetchGovernor
-	// ehost is the EvictionHost view handed to the eviction engine; it
-	// lives on the driver so victim selection allocates nothing.
-	ehost evictionHost
 
 	// blockArr is indexed by global block number; entries are values, so
 	// a *blockState from block/blockAt must never be held across another
@@ -241,12 +239,12 @@ type Driver struct {
 	// engine event per block instead of one per waiter).
 	wakeFree []*wake
 
-	// Eviction-path scratch, reused across victim selections (see
+	// candScratch is the eviction candidate list, reused across victim
+	// selections; dest is the chunk being migrated into during an
+	// evictOne call, which no candidate pass lists (see
 	// evictionhost.go).
-	candScratch  []evict.Candidate
-	chunkScratch []*chunkState
-	numScratch   []memunits.BlockNum
-	ownerScratch []*chunkState
+	candScratch []evict.Candidate
+	dest        *chunkState
 
 	// advice holds per-allocation placement hints (see advise.go),
 	// keyed by allocation ID.
@@ -304,7 +302,6 @@ func NewWithPipeline(eng *sim.Engine, cfg config.Config, space *alloc.Space, pip
 		faultLatency: cfg.FarFaultLatencyCycles(),
 		gmmuTLB:      newTLB(cfg.TLBEntries),
 	}
-	d.ehost.d = d
 	d.adopt()
 	d.processBatchFn = d.processBatch
 	d.drainFn = func() {

@@ -1,6 +1,7 @@
 package uvm
 
 import (
+	"fmt"
 	"math/bits"
 
 	"uvmsim/internal/evict"
@@ -15,45 +16,43 @@ import (
 // victimized. Returns false when the engine declined to evict right now.
 func (d *Driver) evictOne(dest *chunkState) bool {
 	d.mem.NoteOversubscribed()
-	d.ehost.dest = dest
-	ok := d.evictor.EvictOne(&d.ehost)
-	d.ehost.dest = nil
+	d.dest = dest
+	ok := d.evictor.EvictOne((*evictionHost)(d))
+	d.dest = nil
 	return ok
 }
 
-// evictionHost is the driver's implementation of mm.EvictionHost: the
-// capacity-management view an EvictionEngine sees. It exposes candidate
-// collection at both granularities and applies the engine's choice,
-// keeping all residency bookkeeping (TLB shootdowns, counters, tree
-// occupancy, write-back) inside the driver. The host is embedded in the
-// Driver and reuses its scratch slices, so victim selection allocates
+// evictionHost is the driver as the mm.EvictionHost an EvictionEngine
+// sees: it lists candidates at the configured eviction granularity and
+// evicts the engine's choice, keeping all residency bookkeeping inside
+// the driver. Listing reuses candScratch, so victim selection allocates
 // nothing in steady state.
-//
-// Candidates returned by ChunkCandidates/BlockCandidates are valid only
-// until the next collection call, and an Evict index refers to the most
-// recent collection.
-type evictionHost struct {
-	d *Driver
-	// dest is the chunk being migrated into during the current EvictOne
-	// call; excluded from candidacy.
-	dest *chunkState
-	// blockMode records which granularity the last collection used, so
-	// Evict applies the choice to the right scratch set.
-	blockMode bool
+type evictionHost Driver
+
+// blockGrain reports whether eviction works on 64KB basic blocks (the
+// granularity ablation) rather than 2MB chunks.
+func (d *Driver) blockGrain() bool { return d.cfg.EvictionGranularity == memunits.BlockSize }
+
+// Candidates lists the units the pass may evict, chunks or blocks by
+// the configured granularity.
+func (h *evictionHost) Candidates(strict bool) []evict.Candidate {
+	d := (*Driver)(h)
+	if d.blockGrain() {
+		d.candScratch = d.blockCandidates(d.candScratch[:0], strict)
+	} else {
+		d.candScratch = d.chunkCandidates(d.candScratch[:0], strict)
+	}
+	return d.candScratch
 }
 
-// ChunkCandidates collects the 2MB-granularity eviction candidates:
-// exactly the chunks the pass may evict, so pinned chunks are never
-// scored. The relaxed pass lists every chunk in the evictable index
-// (resident blocks, none on the wire), guaranteeing forward progress
-// when the FIFO head blocks everything; the strict pass further drops
-// chunks with queued migrations and recently touched chunks (the
-// recency guard).
-func (h *evictionHost) ChunkCandidates(strict bool) []evict.Candidate {
-	d := h.d
-	h.blockMode = false
-	cands := d.candScratch[:0]
-	states := d.chunkScratch[:0]
+// chunkCandidates appends the 2MB-granularity eviction candidates to
+// cands: exactly the chunks the pass may evict, so pinned chunks are
+// never scored. The relaxed pass lists every chunk in the evictable
+// index (resident blocks, none on the wire), guaranteeing forward
+// progress when the FIFO head blocks everything; the strict pass
+// further drops chunks with queued migrations and recently touched
+// chunks (the recency guard).
+func (d *Driver) chunkCandidates(cands []evict.Candidate, strict bool) []evict.Candidate {
 	// Ascending bit order keeps the candidate list sorted by unit
 	// number, which is what victim selection's determinism relies on.
 	for w, word := range d.evictable {
@@ -64,7 +63,7 @@ func (h *evictionHost) ChunkCandidates(strict bool) []evict.Candidate {
 			// the strict pass: their counters have not caught up yet and
 			// evicting them re-faults the active working set (LFU
 			// cold-start). The relaxed pass ignores the guard.
-			if cs == h.dest || strict && d.strictPinned(cs) {
+			if cs == d.dest || strict && d.strictPinned(cs) {
 				continue
 			}
 			first := cs.info.FirstBlock()
@@ -75,28 +74,20 @@ func (h *evictionHost) ChunkCandidates(strict bool) []evict.Candidate {
 				Dirty:      d.chunkDirty(cs),
 				Full:       cs.pf.Tree().Full(),
 			})
-			states = append(states, cs)
 		}
 	}
-	d.candScratch, d.chunkScratch = cands, states
 	return cands
 }
 
-// BlockCandidates collects the 64KB-granularity eviction candidates
-// (the block-granularity ablation): every resident block outside the
-// destination chunk, minus, in the strict pass, blocks inside the
-// recency guard.
-func (h *evictionHost) BlockCandidates(strict bool) []evict.Candidate {
-	d := h.d
-	h.blockMode = true
-	cands := d.candScratch[:0]
-	nums := d.numScratch[:0]
-	owners := d.ownerScratch[:0]
+// blockCandidates appends the 64KB-granularity eviction candidates to
+// cands: every resident block outside the destination chunk, minus, in
+// the strict pass, blocks inside the recency guard.
+func (d *Driver) blockCandidates(cands []evict.Candidate, strict bool) []evict.Candidate {
 	// Chunk-index order implies ascending block numbers: a chunk's
 	// blocks are contiguous, so the candidate list comes out sorted
 	// by unit without any extra work.
 	for _, cs := range d.chunkArr {
-		if cs == nil || cs.blocks[resident] == 0 || cs == h.dest {
+		if cs == nil || cs.blocks[resident] == 0 || cs == d.dest {
 			continue
 		}
 		first := cs.info.FirstBlock()
@@ -112,11 +103,8 @@ func (h *evictionHost) BlockCandidates(strict bool) []evict.Candidate {
 				Dirty:      bs.dirty,
 				Full:       true,
 			})
-			nums = append(nums, b)
-			owners = append(owners, cs)
 		}
 	}
-	d.candScratch, d.numScratch, d.ownerScratch = cands, nums, owners
 	return cands
 }
 
@@ -133,32 +121,31 @@ func (d *Driver) recent(t sim.Cycle) bool {
 	return g > 0 && d.eng.Now()-t < g
 }
 
-// Evict applies the engine's choice: idx indexes the most recent
-// collection, strict tells which pass chose it (for the selection
-// metrics and the no-pinned-victim invariant, which re-derives
-// pinning from the victim's live state rather than trusting the
-// collection).
-func (h *evictionHost) Evict(idx int, strict bool) {
-	d := h.d
-	if !h.blockMode {
-		cs := d.chunkScratch[idx]
+// Evict evicts the listed unit: a chunk number or a block number by the
+// configured granularity. strict tells which pass chose it, for the
+// selection metrics and the no-pinned-victim invariant, which
+// re-derives pinning from the victim's live state rather than trusting
+// the collection. A unit no relaxed pass could list is an engine bug
+// and panics.
+func (h *evictionHost) Evict(unit uint64, strict bool) {
+	d := (*Driver)(h)
+	if !d.blockGrain() {
+		cs := d.chunkAt(memunits.ChunkNum(unit))
+		if cs == nil || !d.isEvictable(cs.info.Num) || cs == d.dest {
+			panic(fmt.Sprintf("uvm: eviction engine %s chose chunk %d, which no candidate pass lists", d.evictor.Name(), unit))
+		}
 		pinned := cs.blocks[inFlight] > 0 || strict && d.strictPinned(cs)
-		d.noteVictim(uint64(cs.info.Num), strict, pinned)
+		d.noteVictim(unit, strict, pinned)
 		d.evictChunk(cs)
 		return
 	}
-	b, cs := d.numScratch[idx], d.ownerScratch[idx]
-	bs := d.blockAt(b)
-	d.noteVictim(uint64(b), strict, strict && d.recent(bs.lastAccess))
-	d.move(cs, bs, onHost)
-	d.ctrs.NoteEviction(uint64(b))
-	bs.everEvicted = true
-	d.st.TLBShootdowns += d.gmmuTLB.invalidateRange(memunits.FirstPageOfBlock(b), memunits.PagesPerBlock)
-	dirty := uint64(0)
-	if bs.dirty {
-		dirty = 1
-		bs.dirty = false
+	b := memunits.BlockNum(unit)
+	bs, cs := d.blockAt(b), d.chunkAt(memunits.ChunkOfBlock(b))
+	if bs == nil || bs.phase != resident || cs == d.dest {
+		panic(fmt.Sprintf("uvm: eviction engine %s chose block %d, which no candidate pass lists", d.evictor.Name(), unit))
 	}
+	d.noteVictim(unit, strict, strict && d.recent(bs.lastAccess))
+	dirty := d.evictBlock(cs, b, bs)
 	cs.pf.Tree().MarkEmpty(int(b - cs.info.FirstBlock()))
 	if o := d.o; o != nil {
 		o.victimTrips.Observe(d.ctrs.RoundTrips(uint64(b)))
@@ -168,6 +155,23 @@ func (h *evictionHost) Evict(idx int, strict bool) {
 		})
 	}
 	d.finishEviction(1, dirty)
+}
+
+// evictBlock takes resident block b of chunk cs back to the host: its
+// eviction round trip on the counters, its thrash mark and its TLB
+// shootdown. It clears the dirty flag and returns the blocks to write
+// back (1 if dirty, else 0); the caller keeps the chunk's tree and
+// schedules the write-back.
+func (d *Driver) evictBlock(cs *chunkState, b memunits.BlockNum, bs *blockState) (dirty uint64) {
+	d.move(cs, bs, onHost)
+	d.ctrs.NoteEviction(uint64(b))
+	bs.everEvicted = true
+	d.st.TLBShootdowns += d.gmmuTLB.invalidateRange(memunits.FirstPageOfBlock(b), memunits.PagesPerBlock)
+	if bs.dirty {
+		dirty = 1
+		bs.dirty = false
+	}
+	return dirty
 }
 
 // chunkDirty reports whether any resident block of the chunk is dirty.
@@ -191,21 +195,18 @@ func (d *Driver) evictChunk(cs *chunkState) {
 		if bs == nil || bs.phase != resident {
 			continue
 		}
-		d.move(cs, bs, onHost)
-		d.ctrs.NoteEviction(uint64(b))
-		bs.everEvicted = true
 		evictedBlocks++
-		if bs.dirty {
-			dirtyBlocks++
-			bs.dirty = false
-		}
-		d.st.TLBShootdowns += d.gmmuTLB.invalidateRange(memunits.FirstPageOfBlock(b), memunits.PagesPerBlock)
+		dirtyBlocks += d.evictBlock(cs, b, bs)
 	}
 	if evictedBlocks == 0 {
 		panic("uvm: evicting chunk with no resident blocks")
 	}
-	// Rebuild tree occupancy: only pending (faulted, queued or in-flight)
-	// blocks remain claimed.
+	// Rebuild tree occupancy: every block not on host stays claimed.
+	// That marks faulted leaves, which the fault path marks only when
+	// their batch closes (OnFault). Marking only queued and later blocks
+	// would match it but moves cycle counts (bfs and sssp at 150-200%
+	// oversubscription, the tournament's bandit-ts row), so results keep
+	// this form.
 	tree := cs.pf.Tree()
 	tree.Clear()
 	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {

@@ -1,6 +1,7 @@
 package uvm
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -125,7 +126,6 @@ func newRigWithSpec(t *testing.T, spec config.PipelineSpec) *testRig {
 // denyPlanner is a mock MigrationPlanner that never migrates.
 type denyPlanner struct{}
 
-func (denyPlanner) Name() string                 { return "deny-mock" }
 func (denyPlanner) ShouldMigrate(mm.Access) bool { return false }
 
 // The MigrationPlanner contract: the planner alone decides migrate vs
@@ -150,7 +150,6 @@ func TestDenyPlannerServesEverythingRemotely(t *testing.T) {
 // neighbours: every fault migrates exactly its own block.
 type soloGovernor struct{}
 
-func (soloGovernor) Name() string { return "solo-mock" }
 func (soloGovernor) NewChunk(nBlocks int) mm.ChunkPrefetcher {
 	return prefetch.NewChunk(config.PrefetchNone, nBlocks)
 }
@@ -295,8 +294,8 @@ func TestPipelineIntrospection(t *testing.T) {
 	if r.d.batcher == nil || r.d.planner == nil || r.d.evictor == nil || r.d.pfgov == nil {
 		t.Fatal("incomplete pipeline")
 	}
-	if r.d.planner.Name() != "threshold" {
-		t.Fatalf("default planner = %q", r.d.planner.Name())
+	if got := fmt.Sprintf("%T", r.d.planner); got != "*mm.thresholdPlanner" {
+		t.Fatalf("default planner = %s", got)
 	}
 	// config.Default pairs no migration policy with LRU replacement.
 	if r.d.evictor.Name() != "LRU" {
