@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short vet lint tools staticcheck govulncheck race bench bench-smoke colo-smoke figures figures-check check ci smoke cover reach tournament tournament-smoke serve-smoke
+.PHONY: build test short vet lint tools staticcheck govulncheck race bench bench-smoke colo-smoke figures figures-check check ci smoke cover reach tournament tournament-check tournament-smoke serve-smoke
 
 # Pinned tool versions for CI (and for local installs that want to match
 # CI exactly). Bump deliberately; staticcheck versions are coupled to Go
@@ -96,14 +96,24 @@ figures-check:
 	cmp /tmp/uvmsim-figures.txt results_scale1.txt
 
 # Regenerate the committed pipeline-tournament leaderboard: the default
-# planners (experiments.DefaultTournamentPlanners) crossed with the
-# built-in prefetch governor and the learned bandit-pf governor, over the
-# default workload matrix (bfs, ra, sssp) at 125% oversubscription.
-# Deterministic — reruns produce an identical file, so a diff here is a
-# behaviour change, not noise.
+# planners (experiments.DefaultTournamentPlanners: threshold,
+# thrash-guard, reuse-dist) crossed with the built-in prefetch governor
+# and the learned bandit-pf governor, over the default workload matrix
+# (bfs, ra, sssp) at 125% oversubscription. Deterministic — reruns
+# produce an identical file, so a diff here is a behaviour change, not
+# noise.
+TOURNAMENT_ARGS = -tournament -scale 0.3 -pf-governor default,bandit-pf
 tournament:
-	$(GO) run ./cmd/paperbench -tournament -scale 0.3 \
-		-pf-governor default,bandit-pf -tournament-out BENCH_tournament.json
+	$(GO) run ./cmd/paperbench $(TOURNAMENT_ARGS) -tournament-out BENCH_tournament.json
+
+# The committed leaderboard must reproduce byte for byte (about 2 s).
+# The "goVersion" line is dropped on both sides first: it names the Go
+# release that wrote the file, and CI installs the one go.mod names.
+tournament-check:
+	$(GO) run ./cmd/paperbench $(TOURNAMENT_ARGS) -tournament-out /tmp/uvmsim-tournament.json
+	grep -v '"goVersion"' /tmp/uvmsim-tournament.json >/tmp/uvmsim-tournament-run.json
+	grep -v '"goVersion"' BENCH_tournament.json >/tmp/uvmsim-tournament-committed.json
+	cmp /tmp/uvmsim-tournament-run.json /tmp/uvmsim-tournament-committed.json
 
 # Fast tournament slice for CI: two planners (static vs learned) over
 # two workloads at a small scale, proving the harness end to end
@@ -166,6 +176,6 @@ smoke:
 # What CI runs (.github/workflows/ci.yml): vet + simlint + staticcheck +
 # govulncheck, build, race-detected tests, the coverage floor, the
 # observability smoke, the scale-1 figure gate, the tournament smoke,
-# the sweep-service smoke, the co-location smoke, the benchmark smoke,
-# then the reachability gate.
-ci: vet lint staticcheck govulncheck build race cover smoke figures-check tournament-smoke serve-smoke colo-smoke bench-smoke reach
+# the committed-leaderboard gate, the sweep-service smoke, the
+# co-location smoke, the benchmark smoke, then the reachability gate.
+ci: vet lint staticcheck govulncheck build race cover smoke figures-check tournament-smoke tournament-check serve-smoke colo-smoke bench-smoke reach

@@ -62,7 +62,6 @@ type options struct {
 
 	seed          uint64
 	banditEpsilon uint64
-	banditEpoch   uint64
 
 	tenants      string
 	cxlPoolMB    uint64
@@ -103,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.pfgov, "pf-governor", "", "prefetch governor: "+strings.Join(mm.PrefetchGovernorNames(), ", ")+" (default: tree)")
 	fs.Uint64Var(&o.seed, "seed", 1, "seed for the learned pipeline stages (runs with equal seeds are byte-identical)")
 	fs.Uint64Var(&o.banditEpsilon, "bandit-epsilon", 10, "bandit exploration probability in percent (0 = never explore)")
-	fs.Uint64Var(&o.banditEpoch, "bandit-epoch", 0, "bandit learning epoch in simulated cycles (0 = built-in default)")
 	fs.StringVar(&o.tenants, "tenants", "", "run the multi-tenant co-location mode: comma-separated workload:gpu[:priority] tenants sharing -gpus GPUs over a pooled CXL tier (see DESIGN.md §15)")
 	fs.Uint64Var(&o.cxlPoolMB, "cxl-pool-mb", 0, "pooled CXL tier capacity in MiB (required with -tenants)")
 	fs.Float64Var(&o.cxlBW, "cxl-bw", 0, "CXL port bandwidth in bytes/cycle (0 = built-in default)")
@@ -185,7 +183,6 @@ func simulate(o options, stdout, stderr io.Writer) error {
 	}
 	cfg.PolicySeed = o.seed
 	cfg.BanditEpsilonPct = o.banditEpsilon
-	cfg.BanditEpochCycles = o.banditEpoch
 
 	if !slices.Contains(uvmsim.AllWorkloads(), o.workload) {
 		return fmt.Errorf("unknown workload %q (have %s)", o.workload, strings.Join(uvmsim.AllWorkloads(), ", "))

@@ -5,6 +5,7 @@ import (
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/core"
+	"uvmsim/internal/mm"
 	"uvmsim/internal/sweep"
 	"uvmsim/internal/workloads"
 )
@@ -14,13 +15,12 @@ import (
 var canonicalPenalties = []uint64{2, 8, 1 << 20}
 
 // Canonical resets Penalty only where the run cannot read it: under the
-// static policies and the non-bandit planners, every penalty gives the
-// same counters and runtime on every paper workload, and every penalty
-// canonicalizes to the same config. Two controls show the reset is not
+// static policies and every planner, every penalty gives the same
+// counters and runtime on every paper workload, and every penalty
+// canonicalizes to the same config. A control shows the reset is not
 // vacuous: Adaptive reads the penalty (bfs at scale 0.3 and 125%
 // oversubscription takes 30,933,629 cycles at p=2 and 8,071,086 at
-// p=2^20), and bandit-ts derives its arms from it; Canonical leaves
-// both unchanged.
+// p=2^20), and Canonical leaves it unchanged.
 func TestCanonicalResetsOnlyUnreadPenalty(t *testing.T) {
 	bfs := workloads.MustGet("bfs")(0.3)
 	for p, want := range map[uint64]uint64{2: 30_933_629, 1 << 20: 8_071_086} {
@@ -32,16 +32,6 @@ func TestCanonicalResetsOnlyUnreadPenalty(t *testing.T) {
 		}
 		if got := core.Run(bfs, cfg).Runtime(); got != want {
 			t.Errorf("Adaptive bfs p=%d: %d cycles, want %d", p, got, want)
-		}
-	}
-	for _, pol := range config.Policies() {
-		for _, p := range canonicalPenalties {
-			cfg := config.Default().WithPolicy(pol)
-			cfg.Penalty = p
-			cfg.MMPipeline.Planner = "bandit-ts"
-			if cfg.Canonical() != cfg {
-				t.Errorf("%v bandit-ts p=%d: Canonical changed the config", pol, p)
-			}
 		}
 	}
 	if testing.Short() {
@@ -56,7 +46,7 @@ func TestCanonicalResetsOnlyUnreadPenalty(t *testing.T) {
 	for _, w := range workloads.Names() {
 		b := workloads.MustGet(w)(0.2)
 		for _, pol := range []config.MigrationPolicy{config.PolicyDisabled, config.PolicyAlways, config.PolicyOversub} {
-			for _, planner := range []string{"threshold", "thrash-guard", "reuse-dist"} {
+			for _, planner := range mm.PlannerNames() {
 				for _, p := range canonicalPenalties {
 					base := config.Default()
 					base.Penalty = p

@@ -210,21 +210,19 @@ type Config struct {
 	MMPipeline PipelineSpec
 
 	// PolicySeed seeds the deterministic generators of the learned
-	// pipeline stages (internal/mm "reuse-dist", "bandit-ts",
-	// "bandit-pf"). Runs with equal seeds are byte-identical; zero is a
-	// valid seed (remapped internally to a fixed constant). The built-in
-	// static stages ignore it.
+	// pipeline stages (internal/mm "reuse-dist" and "bandit-pf"). Runs
+	// with equal seeds are byte-identical; zero is a valid seed
+	// (remapped internally to a fixed constant). The built-in static
+	// stages ignore it.
 	PolicySeed uint64
 	// BanditEpsilonPct is the exploration probability, in percent
-	// [0, 100], of the bandit-driven stages. Zero disables exploration
-	// entirely, collapsing bandit-ts to the static threshold planner it
-	// starts from (the epsilon=0 golden regression).
+	// [0, 100], of the bandit-pf prefetch governor. Zero disables
+	// exploration entirely, collapsing bandit-pf to the configured
+	// static prefetcher kind it starts from.
 	BanditEpsilonPct uint64
-	// BanditEpochCycles is the learning-epoch length in simulated core
-	// cycles: bandit-ts re-evaluates its arm once per epoch. Epochs are
-	// measured on simulated time only — never wall clock — so epoch
-	// boundaries are part of the reproducible run state. Zero selects
-	// the built-in default.
+	// BanditEpochCycles is read by no stage. The field and its default
+	// stay because every Config field is hashed into the sweep
+	// service's cache keys; removing it changes those keys.
 	BanditEpochCycles uint64
 
 	// ClusterWorkers is the thread count a multi-GPU run
@@ -358,10 +356,10 @@ func (c Config) WithPolicy(p MigrationPolicy) Config {
 }
 
 // Canonical resets Penalty to the default where the run cannot read it,
-// so configs that simulate identically compare equal. Its only readers
-// are the Adaptive threshold and the bandit-ts planner's arms.
+// so configs that simulate identically compare equal. Its only reader
+// is the Adaptive threshold.
 func (c Config) Canonical() Config {
-	if c.Policy != PolicyAdaptive && c.MMPipeline.Planner != "bandit-ts" {
+	if c.Policy != PolicyAdaptive {
 		c.Penalty = Default().Penalty
 	}
 	return c

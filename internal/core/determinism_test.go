@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,15 @@ import (
 	"uvmsim/internal/sweep"
 	"uvmsim/internal/workloads"
 )
+
+// -update-golden rewrites the committed golden files instead of
+// comparing against them. Use only for intentional behaviour changes.
+var updateGoldenFlag = flag.Bool("update-golden", false, "rewrite golden files instead of comparing")
+
+func updateGolden(t *testing.T) bool {
+	t.Helper()
+	return *updateGoldenFlag
+}
 
 // fullReport renders every observable statistic of a run — all counters
 // and every kernel span — so golden comparisons catch divergence in any

@@ -21,8 +21,8 @@ type TournamentOptions struct {
 	// (0 = the paper's 125%).
 	OversubPercent uint64
 	// Planners lists the mm planner names to enter (nil = the
-	// default field: static threshold, thrash-guard and both learned
-	// planners).
+	// default field: static threshold, thrash-guard and the learned
+	// reuse-dist planner).
 	Planners []string
 	// Prefetchers lists the mm prefetch-governor names to
 	// cross with the planners (nil = the configured static kind only;
@@ -32,10 +32,10 @@ type TournamentOptions struct {
 }
 
 // DefaultTournamentPlanners is the default planner field: the paper's
-// static threshold scheme, its thrash-guard variant, and the two
-// learned planners.
+// static threshold scheme, its thrash-guard variant, and the learned
+// reuse-dist planner.
 func DefaultTournamentPlanners() []string {
-	return []string{"threshold", "thrash-guard", "reuse-dist", "bandit-ts"}
+	return []string{"threshold", "thrash-guard", "reuse-dist"}
 }
 
 func (o TournamentOptions) withDefaults() TournamentOptions {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -129,6 +131,58 @@ func TestTournamentSuiteConversionValidates(t *testing.T) {
 		if e.Name != r.Entries[i].Name() || e.TotalSimCycles != r.Entries[i].TotalCycles ||
 			len(e.WorkloadCycles) != len(got.Workloads) {
 			t.Fatalf("entry %d = %+v, want %q with %d cycles", i, e, r.Entries[i].Name(), r.Entries[i].TotalCycles)
+		}
+	}
+}
+
+// TestCommittedTournamentRetainsOnlyWinningStages is the stage-retention
+// rule over the committed leaderboard: a non-default stage stays only if
+// it beats static threshold by at least 1% on some workload. A stage's
+// solo entry runs it with the built-in stage of the other kind: every
+// default-field planner with the built-in governor, and the bandit-pf
+// governor under threshold. A stage that fails is deleted, not exempted.
+func TestCommittedTournamentRetainsOnlyWinningStages(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "BENCH_tournament.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var suite resultio.TournamentSuite
+	if err := resultio.DecodeStrict(f, &suite); err != nil {
+		t.Fatalf("BENCH_tournament.json: %v", err)
+	}
+	type stage struct{ planner, prefetcher string }
+	entries := map[stage]resultio.TournamentEntry{}
+	for _, e := range suite.Entries {
+		if len(e.WorkloadCycles) != len(suite.Workloads) {
+			t.Fatalf("%s has %d workload cycles for %d workloads", e.Name, len(e.WorkloadCycles), len(suite.Workloads))
+		}
+		entries[stage{e.Planner, e.Prefetcher}] = e
+	}
+	base, ok := entries[stage{"threshold", ""}]
+	if !ok {
+		t.Fatal("BENCH_tournament.json has no planner=threshold entry")
+	}
+	var stages []stage
+	for _, p := range DefaultTournamentPlanners() {
+		if p != "threshold" {
+			stages = append(stages, stage{p, ""})
+		}
+	}
+	stages = append(stages, stage{"threshold", "bandit-pf"})
+	for _, st := range stages {
+		solo, ok := entries[st]
+		if !ok {
+			t.Errorf("BENCH_tournament.json has no solo entry for planner=%q prefetcher=%q (rerun make tournament)", st.planner, st.prefetcher)
+			continue
+		}
+		wins := false
+		for i, c := range solo.WorkloadCycles {
+			wins = wins || 100*c <= 99*base.WorkloadCycles[i]
+		}
+		if !wins {
+			t.Errorf("%s beats planner=threshold by 1%% on no workload (cycles %v against %v): delete the stage",
+				solo.Name, solo.WorkloadCycles, base.WorkloadCycles)
 		}
 	}
 }

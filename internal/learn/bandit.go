@@ -15,8 +15,9 @@ import (
 //   - Unpulled arms are reachable only through exploration. Greedy
 //     selection considers pulled arms alone (ties break to the lowest
 //     index), so with epsilonPct == 0 the bandit never leaves arm 0 —
-//     which is how the bandit-ts planner collapses exactly to the
-//     static configuration it starts from (the epsilon=0 golden test).
+//     which is how the bandit-pf governor collapses exactly to the
+//     configured prefetcher kind it starts from
+//     (TestBanditGovernorEpsilonZeroMatchesConfiguredKind in mm).
 //   - Before any arm has been pulled, Select returns arm 0.
 //
 // Mean costs are compared by 128-bit cross multiplication

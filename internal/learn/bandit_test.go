@@ -25,9 +25,10 @@ func TestBanditGreedyTieBreaksToLowestIndex(t *testing.T) {
 }
 
 func TestBanditEpsilonZeroNeverLeavesArmZero(t *testing.T) {
-	// The epsilon=0 contract behind the golden regression: arm 0 is the
-	// initial arm, and without exploration no other arm is ever pulled,
-	// however bad arm 0's cost becomes.
+	// The epsilon=0 contract behind bandit-pf's collapse to the
+	// configured kind: arm 0 is the initial arm, and without
+	// exploration no other arm is ever pulled, however bad arm 0's
+	// cost becomes.
 	b := NewBandit(4, 0, 99)
 	if got := b.Select(); got != 0 {
 		t.Fatalf("initial Select = %d, want 0", got)
@@ -35,7 +36,7 @@ func TestBanditEpsilonZeroNeverLeavesArmZero(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		b.Reward(0, math.MaxUint64, 1) // saturating, maximally bad
 		if got := b.Select(); got != 0 {
-			t.Fatalf("Select after %d bad epochs = %d, want 0", i+1, got)
+			t.Fatalf("Select after %d bad rewards = %d, want 0", i+1, got)
 		}
 	}
 	if b.Explores() != 0 {

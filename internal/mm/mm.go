@@ -42,7 +42,6 @@ import (
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/policy"
 	"uvmsim/internal/prefetch"
-	"uvmsim/internal/sim"
 )
 
 // Access describes one host-resident block access for the planner: the
@@ -59,20 +58,16 @@ type Access struct {
 	RoundTrips uint64
 	// Mem is the device-memory occupancy snapshot.
 	Mem policy.MemState
-	// Now is the simulated time of the access. Learned planners measure
-	// their epochs against it; basing any planner state on wall clock
-	// instead would break the byte-identical determinism guarantee.
-	Now sim.Cycle
 }
 
 // MigrationPlanner decides, per access to a non-resident block, whether
 // the block migrates to device memory or the access is served remotely
 // (zero-copy) from host memory. Implementations must be deterministic
 // functions of the Access sequence and their own configuration: the
-// built-in threshold planners are pure, while the learned planners
-// (reuse-dist, bandit-ts) carry state that evolves only from the
-// accesses they have seen and the configured seed — never from wall
-// clock or unseeded randomness.
+// built-in threshold planners are pure, while the learned reuse-dist
+// planner carries state that evolves only from the accesses it has seen
+// and the configured seed — never from wall clock or unseeded
+// randomness.
 type MigrationPlanner interface {
 	// ShouldMigrate reports whether the access triggers a migration.
 	ShouldMigrate(a Access) bool
@@ -161,10 +156,10 @@ type EvictionEngine interface {
 // driver discovers it by type assertion when instruments attach and
 // registers a provider calling PublishMetrics at collection time, so
 // publication never perturbs simulated behaviour. Learned stages use it
-// to surface epoch counts, arm pulls and exploration draws.
+// to surface decision counts, arm pulls and exploration draws.
 type MetricPublisher interface {
 	// PublishMetrics emits the stage's current metric values. Names
-	// should be dotted and stage-prefixed (e.g. "mm.bandit_ts.epochs").
+	// should be dotted and stage-prefixed (e.g. "mm.bandit_pf.chunks").
 	PublishMetrics(emit func(name string, value uint64))
 }
 

@@ -11,7 +11,6 @@ import (
 	"uvmsim/internal/evict"
 	"uvmsim/internal/memunits"
 	"uvmsim/internal/policy"
-	"uvmsim/internal/sim"
 )
 
 // builtName is the name that selects stage s, read from its type and
@@ -26,8 +25,6 @@ func builtName(s any) string {
 		return "thrash-guard"
 	case *reuseDistPlanner:
 		return "reuse-dist"
-	case *banditPlanner:
-		return "bandit-ts"
 	case kindGovernor:
 		return canon(s.kind.String())
 	case *banditGovernor:
@@ -325,17 +322,14 @@ func TestKindGovernorCreatesConfiguredKind(t *testing.T) {
 // must satisfy the same behavioural contract, checked table-driven over
 // the name lists so a new name is tested the moment it exists.
 
-// contractAccessSeq generates a fixed pseudo-random access sequence
-// spanning enough simulated time to close several bandit epochs. The
-// generator is self-contained so the sequence is identical on every
+// contractAccessSeq generates a fixed pseudo-random access sequence.
+// The generator is self-contained so the sequence is identical on every
 // run.
 func contractAccessSeq(n int) []Access {
 	s := uint64(0x123456789)
 	next := func() uint64 { s ^= s << 13; s ^= s >> 7; s ^= s << 17; return s }
 	seq := make([]Access, 0, n)
-	var now sim.Cycle
 	for i := 0; i < n; i++ {
-		now += sim.Cycle(next() % 50_000)
 		seq = append(seq, Access{
 			Block:      memunits.BlockNum(next() % 512),
 			Write:      next()%4 == 0,
@@ -346,7 +340,6 @@ func contractAccessSeq(n int) []Access {
 				TotalPages:     1000,
 				Oversubscribed: next()%2 == 0,
 			},
-			Now: now,
 		})
 	}
 	return seq
@@ -355,9 +348,7 @@ func contractAccessSeq(n int) []Access {
 func TestPlannerContractDeterministicReplay(t *testing.T) {
 	// Two fresh instances of every planner fed the same
 	// access sequence must make identical decisions — the planner-level
-	// core of the repo's byte-identical determinism guarantee. The
-	// sequence spans ~250M cycles so the learned planners cross many
-	// epoch boundaries and exploration draws.
+	// core of the repo's byte-identical determinism guarantee.
 	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
 	seq := contractAccessSeq(5000)
 	for _, name := range PlannerNames() {
@@ -419,48 +410,6 @@ func TestReuseDistPlannerOnlyVetoesUnderOversubscription(t *testing.T) {
 		if rd.ShouldMigrate(acc) && !th.ShouldMigrate(acc) {
 			t.Fatalf("reuse-dist migrated a threshold-vetoed block at access %d", i)
 		}
-	}
-}
-
-func TestBanditPlannerEpsilonZeroMatchesThreshold(t *testing.T) {
-	// The decision-level form of the epsilon=0 golden: with exploration
-	// off, bandit-ts never leaves arm 0 (the configured ts/p pair), so
-	// its decisions are identical to the static threshold planner's
-	// even across epoch closes.
-	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
-	cfg.BanditEpsilonPct = 0
-	bp, _ := NewPlanner("bandit-ts", cfg)
-	th, _ := NewPlanner("threshold", cfg)
-	for i, acc := range contractAccessSeq(5000) {
-		if bp.ShouldMigrate(acc) != th.ShouldMigrate(acc) {
-			t.Fatalf("bandit-ts(eps=0) diverged from threshold at access %d", i)
-		}
-	}
-}
-
-func TestBanditArmsAnchorAndDedup(t *testing.T) {
-	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
-	arms := banditArms(cfg)
-	if arms[0].ts != cfg.StaticThreshold || arms[0].p != cfg.Penalty {
-		t.Fatalf("arm 0 = (%d, %d), want the configured (%d, %d)",
-			arms[0].ts, arms[0].p, cfg.StaticThreshold, cfg.Penalty)
-	}
-	seen := map[[2]uint64]bool{}
-	for _, a := range arms {
-		k := [2]uint64{a.ts, a.p}
-		if seen[k] {
-			t.Fatalf("duplicate arm (%d, %d)", a.ts, a.p)
-		}
-		seen[k] = true
-		if a.ts == 0 || a.p == 0 {
-			t.Fatalf("arm (%d, %d) has a zero knob", a.ts, a.p)
-		}
-	}
-	// At the degenerate corner every variant collapses toward (1, 1);
-	// construction must dedup rather than panic or emit twins.
-	cfg.StaticThreshold, cfg.Penalty = 1, 1
-	if got := banditArms(cfg); len(got) != 4 {
-		t.Fatalf("degenerate arm set has %d arms, want 4", len(got))
 	}
 }
 
@@ -586,31 +535,28 @@ func TestGovernorContractFaultListsAscendingAndInclusive(t *testing.T) {
 
 func TestLearnedStagesPublishMetrics(t *testing.T) {
 	cfg := config.Default().WithPolicy(config.PolicyAdaptive)
-	for _, name := range []string{"reuse-dist", "bandit-ts"} {
-		p, _ := NewPlanner(name, cfg)
-		pub, ok := p.(MetricPublisher)
-		if !ok {
-			t.Fatalf("planner %s does not publish metrics", name)
-		}
-		for _, acc := range contractAccessSeq(1000) {
-			p.ShouldMigrate(acc)
-		}
-		got := map[string]uint64{}
-		pub.PublishMetrics(func(n string, v uint64) { got[n] = v })
-		if len(got) == 0 {
-			t.Fatalf("planner %s published no metrics", name)
-		}
-		for n := range got {
-			if !strings.HasPrefix(n, "mm.") {
-				t.Fatalf("planner %s metric %q not mm-prefixed", name, n)
-			}
+	p, _ := NewPlanner("reuse-dist", cfg)
+	pub, ok := p.(MetricPublisher)
+	if !ok {
+		t.Fatal("reuse-dist does not publish metrics")
+	}
+	for _, acc := range contractAccessSeq(1000) {
+		p.ShouldMigrate(acc)
+	}
+	got := map[string]uint64{}
+	pub.PublishMetrics(func(n string, v uint64) { got[n] = v })
+	if len(got) == 0 {
+		t.Fatal("reuse-dist published no metrics")
+	}
+	for n := range got {
+		if !strings.HasPrefix(n, "mm.") {
+			t.Fatalf("reuse-dist metric %q not mm-prefixed", n)
 		}
 	}
 	g, _ := NewPrefetchGovernor("bandit-pf", cfg)
-	pub := g.(MetricPublisher)
 	g.NewChunk(32).OnFault(3)
 	count := 0
-	pub.PublishMetrics(func(n string, v uint64) { count++ })
+	g.(MetricPublisher).PublishMetrics(func(n string, v uint64) { count++ })
 	if count == 0 {
 		t.Fatal("bandit-pf published no metrics")
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // plannerNames is the fixed, sorted set of MigrationPlanner names.
-var plannerNames = []string{"bandit-ts", "reuse-dist", "thrash-guard", "threshold"}
+var plannerNames = []string{"reuse-dist", "thrash-guard", "threshold"}
 
 // PlannerNames lists the MigrationPlanner names, sorted.
 func PlannerNames() []string { return slices.Clone(plannerNames) }
@@ -22,8 +22,6 @@ func NewPlanner(name string, cfg config.Config) (MigrationPlanner, error) {
 		return &thrashGuard{inner: newThresholdPlanner(cfg), bound: ThrashGuardRoundTrips}, nil
 	case "reuse-dist":
 		return newReuseDistPlanner(cfg), nil
-	case "bandit-ts":
-		return newBanditPlanner(cfg), nil
 	}
 	return nil, unknown("migration planner", name, plannerNames)
 }

@@ -647,7 +647,6 @@ func (d *Driver) Access(addr memunits.Addr, write bool, done func()) {
 			Count:      count,
 			RoundTrips: d.ctrs.RoundTrips(uint64(b)),
 			Mem:        d.memState(),
-			Now:        now,
 		})
 	}
 	if !migrate {

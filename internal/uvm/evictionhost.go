@@ -205,8 +205,9 @@ func (d *Driver) evictChunk(cs *chunkState) {
 	// That marks faulted leaves, which the fault path marks only when
 	// their batch closes (OnFault). Marking only queued and later blocks
 	// would match it but moves cycle counts (bfs and sssp at 150-200%
-	// oversubscription, the tournament's bandit-ts row), so results keep
-	// this form.
+	// oversubscription at scale 0.3) and with them the benchmark's
+	// simd-mixed payload digest, so results keep this form until a
+	// benchmark change can re-record that digest.
 	tree := cs.pf.Tree()
 	tree.Clear()
 	for b := first; b < first+memunits.BlockNum(cs.info.Blocks()); b++ {

@@ -49,32 +49,30 @@ func TestPipelineCombinationsDeterministic(t *testing.T) {
 // TestLearnedPipelineDeterministicInCluster repeats the determinism
 // property for the learned stages inside a parallel multi-GPU cluster:
 // with ClusterWorkers=2 the PDES scheduler interleaves node execution
-// across threads, and the learned planners' per-driver state must stay
+// across threads, and the learned stages' per-driver state must stay
 // isolated — any cross-driver sharing shows up as a counter diff here
 // (and as a data race under -race).
 func TestLearnedPipelineDeterministicInCluster(t *testing.T) {
-	for _, planner := range []string{"reuse-dist", "bandit-ts"} {
-		t.Run(planner, func(t *testing.T) {
-			run := func(workers int) string {
-				cfg := DefaultConfig()
-				cfg.Penalty = 8
-				cfg.ClusterWorkers = workers
-				cfg.MMPipeline.Planner = planner
-				cfg.MMPipeline.Prefetcher = "bandit-pf"
-				res := RunCluster("ra", 0.2, 2, 125, PolicyAdaptive, cfg)
-				return fmt.Sprintf("%d %+v", res.Cycles, res.PerGPU)
-			}
-			parallel := run(2)
-			if again := run(2); again != parallel {
-				t.Fatalf("parallel cluster runs differ:\n%s\n%s", parallel, again)
-			}
-			// One worker must agree with two — the cluster's standing
-			// byte-identical equivalence claim.
-			if sequential := run(0); sequential != parallel {
-				t.Fatalf("one-worker and two-worker cluster runs differ:\n%s\n%s", sequential, parallel)
-			}
-		})
-	}
+	t.Run("reuse-dist", func(t *testing.T) {
+		run := func(workers int) string {
+			cfg := DefaultConfig()
+			cfg.Penalty = 8
+			cfg.ClusterWorkers = workers
+			cfg.MMPipeline.Planner = "reuse-dist"
+			cfg.MMPipeline.Prefetcher = "bandit-pf"
+			res := RunCluster("ra", 0.2, 2, 125, PolicyAdaptive, cfg)
+			return fmt.Sprintf("%d %+v", res.Cycles, res.PerGPU)
+		}
+		parallel := run(2)
+		if again := run(2); again != parallel {
+			t.Fatalf("parallel cluster runs differ:\n%s\n%s", parallel, again)
+		}
+		// One worker must agree with two — the cluster's standing
+		// byte-identical equivalence claim.
+		if sequential := run(0); sequential != parallel {
+			t.Fatalf("one-worker and two-worker cluster runs differ:\n%s\n%s", sequential, parallel)
+		}
+	})
 }
 
 // TestLearnedSeedSensitivity pins that PolicySeed is live end-to-end:
